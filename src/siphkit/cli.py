@@ -292,17 +292,15 @@ def _cmd_levelset_radii(args, field, plan):
         dirs = default_directions(field.n, seed=plan.seed)
     records = []
     witnesses = []
-    for dvec in dirs:
-        try:
-            hit = ray_level_radius(field, dvec, args.level, grid=plan.t_grid())
-        except ValueError:
+    for hit in ray_level_radius(field, dirs, args.level, grid=plan.t_grid()):
+        if hit.status == "non-monotone":
             witnesses.append({"kind": "non_monotone_ray",
-                              "direction": dvec.tolist()})
+                              "direction": hit.direction.tolist()})
             continue
         records.append(hit.to_dict())
         if hit.status not in ("ok", "outside-range"):
             witnesses.append({"kind": f"{hit.status}_ray",
-                              "direction": dvec.tolist()})
+                              "direction": hit.direction.tolist()})
     metrics = {"level": args.level, "n_directions": int(len(dirs)),
                "radii": records}
     if args.sweep_csv:
@@ -429,8 +427,6 @@ def _add_run_flags(parser, samples_default=1000):
     group.add_argument("--t-max", type=float, default=10.0,
                        help="ray grid scale T")
     group.add_argument("--grid-points", type=int, default=24)
-    group.add_argument("--threads", type=int, default=0,
-                       help="worker hint; results are thread-count independent")
     group.add_argument("--out", default=None, help="report path (default stdout)")
     group.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -454,7 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
     gal_list = gal_sub.add_parser("list", help="list entries with tags")
     gal_list.add_argument("--n", type=int, default=2)
     gal_list.add_argument("--seed", type=int, default=0)
-    gal_list.add_argument("--threads", type=int, default=0)
     gal_list.add_argument("--out", default=None)
     gal_list.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -558,7 +553,6 @@ def build_parser() -> argparse.ArgumentParser:
     slv_pair.add_argument("--r", type=float, required=True)
     slv_pair.add_argument("--tol", type=float, default=1e-10)
     slv_pair.add_argument("--seed", type=int, default=0)
-    slv_pair.add_argument("--threads", type=int, default=0)
     slv_pair.add_argument("--out", default=None)
     slv_pair.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -587,24 +581,24 @@ def _dispatch(args) -> Report:
 
     if (args.group, action) == ("gallery", "list"):
         verdict, metrics, witnesses, extra = _cmd_gallery_list(args)
-        config = {"n": int(args.n), "seed": seed, "threads": args.threads,
-                  "format": args.format, **extra}
+        config = {"n": int(args.n), "seed": seed, "format": args.format, **extra}
         return Report(command=command, verdict=verdict, config=config,
                       metrics=metrics, witnesses=witnesses)
     if (args.group, action) == ("solve", "paired-level"):
         verdict, metrics, witnesses, extra = _cmd_solve_paired_level(args)
-        config = {"seed": seed, "threads": args.threads,
-                  "format": args.format, **extra}
+        config = {"seed": seed, "format": args.format, **extra}
         return Report(command=command, verdict=verdict, config=config,
                       metrics=metrics, witnesses=witnesses)
 
     handler = _FIELD_HANDLERS[(args.group, action)]
     field, fn_echo = _resolve_field(args, seed)
+    if not np.isfinite(field.f_star):
+        # every probe works on f - f(x_star), which is then nan everywhere
+        raise UsageError("f(x_star) is not finite")
     plan = _plan_from(args, seed)
     verdict, metrics, witnesses, extra = handler(args, field, plan)
     config = {"function": fn_echo, "seed": seed, "seed_source": seed_source,
-              **_plan_echo(plan), "threads": args.threads,
-              "format": args.format, **extra}
+              **_plan_echo(plan), "format": args.format, **extra}
     return Report(command=command, verdict=verdict, config=config,
                   metrics=metrics, witnesses=witnesses)
 

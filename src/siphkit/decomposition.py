@@ -59,6 +59,8 @@ class Decomposition:
         self.zero_tol = (ZERO_LEVEL_ATOL * (1.0 + abs(field.f_star))
                          if zero_tol is None else zero_tol)
         self._lambda_cache: dict[bytes, float] = {}
+        # witnesses of the rows the latest p_values / lambda_for call could
+        # not solve; each call starts a fresh list
         self.solver_failures: list = []
 
     # -- p ------------------------------------------------------------------
@@ -100,6 +102,7 @@ class Decomposition:
     def lambda_for(self, x) -> float:
         """The homothety scale lambda(x) for one absolute point (nan if f(x)
         is on the zero level or the ray never meets the reference level)."""
+        self.solver_failures = []
         z = np.asarray(x, dtype=float) - self.field.x_star
         g = self.field.shifted(z)
         if abs(g) <= self.zero_tol or self.case == "zero":
@@ -109,6 +112,7 @@ class Decomposition:
 
     def p_values(self, X) -> np.ndarray:
         """Canonical p over an (N, n) batch of absolute points."""
+        self.solver_failures = []
         X = np.atleast_2d(np.asarray(X, dtype=float))
         Z = X - self.field.x_star
         g = self.field.shifted_values(Z)
@@ -311,8 +315,8 @@ def build_decomposition(field: ScalarField, alpha: float = 1.0, x0=None,
     has_pos = bool((vals[finite] > zero_tol).any())
     has_neg = bool((vals[finite] < -zero_tol).any())
 
-    for d in default_directions(n, seed=plan.seed):
-        verdict = classify_ray(field, d, grid=plan.t_grid())
+    dirs = default_directions(n, seed=plan.seed)
+    for d, verdict in zip(dirs, classify_ray(field, dirs, grid=plan.t_grid())):
         if verdict.kind == "non-monotone":
             raise DecompositionError(
                 f"ray through {d.tolist()} is non-monotone; field is not decomposable")

@@ -167,35 +167,32 @@ class SpreadReport:
                 "n_points": self.n_points, "seed": self.seed}
 
 
+def _level_points(field: ScalarField, dirs: np.ndarray, c: float) -> np.ndarray:
+    """Points r d of the level set {f = c} on the rays along ``dirs`` that
+    meet it, in direction order; rays that miss the level are dropped."""
+    hits = ray_level_radius(field, dirs, c)
+    keep = [i for i, hit in enumerate(hits) if hit.status == "ok"]
+    radii = np.array([hits[i].radius for i in keep])
+    return radii[:, None] * dirs[keep]
+
+
 def levelset_gradient_constancy(field: ScalarField, c: float,
                                 n_points: int = 64,
                                 grad_spec: Optional[GradientSpec] = None,
                                 seed: int = 0, tol: float = 1e-6) -> SpreadReport:
     """Spread of grad f(z) . (z - x_star) over points of the level set {f = c}.
 
-    Level points come from per-direction ray radii over seeded sphere
-    directions; directions whose ray misses the level (or defeats the
-    classifier) are skipped and counted.
+    Level points come from ray radii over seeded sphere directions;
+    directions whose ray misses the level (or defeats the classifier) are
+    skipped and counted.
     """
     plan = SamplingPlan(seed=seed)
-    dirs = plan.sphere_points(field.n, n_points)
-    pts = []
-    skipped = 0
-    for dvec in dirs:
-        try:
-            hit = ray_level_radius(field, dvec, c)
-        except ValueError:
-            skipped += 1
-            continue
-        if hit.status != "ok":
-            skipped += 1
-            continue
-        pts.append(hit.radius * dvec)
-    if not pts:
+    Z = _level_points(field, plan.sphere_points(field.n, n_points), c)
+    skipped = n_points - Z.shape[0]
+    if not Z.shape[0]:
         return SpreadReport(level=c, values=np.array([]), spread=np.nan,
                             mean=np.nan, passed=False, tol=tol, skipped=skipped,
                             n_points=n_points, seed=seed)
-    Z = np.array(pts)
     grads = field.gradient_values(field.x_star + Z, grad_spec)
     dots = np.einsum("ij,ij->i", grads, Z)
     finite = dots[np.isfinite(dots)]
@@ -296,10 +293,9 @@ def saddle_levels(field: ScalarField, k_max: int = 3, tol: float = 1e-6,
         max_norms.append(float(np.linalg.norm(grads, axis=1).max()))
 
     grid = np.linspace(0.05, radii[-1] + 0.5, 64)
-    monotone_ok = True
-    for dvec in np.vstack([np.eye(field.n), plan.sphere_points(field.n, 4)]):
-        if classify_ray(field, dvec, grid=grid).kind != "strictly-increasing":
-            monotone_ok = False
+    dirs = np.vstack([np.eye(field.n), plan.sphere_points(field.n, 4)])
+    monotone_ok = all(v.kind == "strictly-increasing"
+                      for v in classify_ray(field, dirs, grid=grid))
     passed = monotone_ok and all(v <= tol for v in max_norms)
     return SaddleReport(radii=radii, max_grad_norms=max_norms, grad_tol=tol,
                         monotone_ok=monotone_ok, passed=passed,
@@ -398,19 +394,8 @@ def positive_gradient_region(field: ScalarField,
     level = float(field.value(field.x_star + z0))
 
     dirs = np.vstack([s, plan.sphere_points(n, n_level_points, rng=rng)])
-    pts = []
-    skipped = 0
-    for dvec in dirs:
-        try:
-            hit = ray_level_radius(field, dvec, level)
-        except ValueError:
-            skipped += 1
-            continue
-        if hit.status != "ok":
-            skipped += 1
-            continue
-        pts.append(hit.radius * dvec)
-    Z = np.array(pts)
+    Z = _level_points(field, dirs, level)
+    skipped = dirs.shape[0] - Z.shape[0]
     grads = field.gradient_values(field.x_star + Z, grad_spec)
     dots = np.einsum("ij,ij->i", grads, Z)
     finite_dots = dots[np.isfinite(dots)]
@@ -419,7 +404,7 @@ def positive_gradient_region(field: ScalarField,
         return NeighborhoodCertificate(ok=False, z0=z0, level=level,
                                        epsilon=epsilon, delta=0.0,
                                        stop_reason="failed",
-                                       n_level_points=len(pts), n_fattened=0,
+                                       n_level_points=Z.shape[0], n_fattened=0,
                                        skipped_directions=skipped,
                                        seed=plan.seed, scan=scan)
 
@@ -454,6 +439,6 @@ def positive_gradient_region(field: ScalarField,
         candidate = min(2.0 * candidate, delta_cap)
     return NeighborhoodCertificate(ok=True, z0=z0, level=level, epsilon=epsilon,
                                    delta=float(delta), stop_reason=stop_reason,
-                                   n_level_points=len(pts), n_fattened=n_fattened,
+                                   n_level_points=Z.shape[0], n_fattened=n_fattened,
                                    skipped_directions=skipped, seed=plan.seed,
                                    scan=scan, violation=violation)

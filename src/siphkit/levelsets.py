@@ -17,7 +17,7 @@ from .decomposition import Decomposition
 from .field import ScalarField
 from .rays import MAX_WITNESSES, SamplingPlan, classify_ray, default_directions
 from .rootfind import (BELOW_START, NONFINITE, OK, UNBOUNDED, golden_section,
-                       solve_monotone, solve_monotone_batch)
+                       solve_monotone_batch)
 
 _STATUS_LABEL = {OK: "ok", UNBOUNDED: "unbounded", NONFINITE: "non-finite",
                  BELOW_START: "outside-range"}
@@ -30,7 +30,8 @@ class LevelRadius:
     ``status`` is "ok" (unique radius found), "outside-range" (the level is on
     the wrong side of the ray's start, so the ray misses it), "unbounded"
     (bracket expansion exhausted — evidence the ray never reaches the level),
-    "whole-ray" (constant ray sitting exactly at the level), or "non-finite".
+    "whole-ray" (constant ray sitting exactly at the level), "non-finite",
+    or "non-monotone" (batch form only: the ray has no unique crossing).
     """
 
     direction: np.ndarray
@@ -45,33 +46,46 @@ class LevelRadius:
                 "residual": self.residual}
 
 
-def ray_level_radius(field: ScalarField, direction, c: float,
-                     grid=None) -> LevelRadius:
-    """Radius t* with f(x_star + t* d) = c along one ray.
+def ray_level_radius(field: ScalarField, direction, c: float, grid=None):
+    """Radius t* with f(x_star + t* d) = c along one ray or a batch of rays.
 
-    The ray must classify as constant or strictly monotone (a non-monotone
-    verdict is rejected: the uniqueness statement this probes presupposes
-    monotone rays).  Levels are raw f values, not shifted.
+    ``direction`` is one direction of shape (n,), giving one
+    :class:`LevelRadius`, or a batch of shape (R, n), giving a list of R.
+    All rays are classified in one call and all monotone rays are solved in
+    one batched root solve.  The uniqueness statement this probes presupposes
+    monotone rays: a single non-monotone ray raises ``ValueError``, while in
+    a batch such a ray gets status "non-monotone".  Levels are raw f values,
+    not shifted.
     """
     d = np.asarray(direction, dtype=float)
-    verdict = classify_ray(field, d, grid=grid)
-    if verdict.kind == "non-monotone":
+    D = np.atleast_2d(d)
+    verdicts = classify_ray(field, D, grid=grid)
+    if d.ndim == 1 and verdicts[0].kind == "non-monotone":
         raise ValueError("ray is non-monotone; level radii are only defined "
                          "for monotone rays")
-    if verdict.kind == "non-finite":
-        return LevelRadius(d, c, "non-finite")
     gy = float(c) - field.f_star
-    if verdict.kind == "constant":
-        tol = 1e-12 * (1.0 + abs(field.f_star))
-        status = "whole-ray" if abs(gy) <= tol else "unbounded"
-        return LevelRadius(d, c, status)
-    increasing = verdict.kind == "strictly-increasing"
-    root, status, residual = solve_monotone(
-        lambda t: field.shifted(t * d), gy, increasing=increasing)
-    label = _STATUS_LABEL[status]
-    if label != "ok":
-        return LevelRadius(d, c, label)
-    return LevelRadius(d, c, "ok", radius=root, residual=residual)
+    tol = 1e-12 * (1.0 + abs(field.f_star))
+    constant = "whole-ray" if abs(gy) <= tol else "unbounded"
+    # non-monotone and non-finite rays keep their verdict as status; the
+    # monotone ones get theirs from the solve below
+    out = [LevelRadius(row, c, constant if v.kind == "constant" else v.kind)
+           for row, v in zip(D, verdicts)]
+    mono = [i for i, v in enumerate(verdicts) if v.monotone]
+    if mono:
+        M = D[mono]
+        increasing = np.array([verdicts[i].kind == "strictly-increasing"
+                               for i in mono])
+
+        def profile(t):
+            return field.shifted_values(t[:, None] * M)
+
+        res = solve_monotone_batch(profile, np.full(len(mono), gy), increasing)
+        for j, i in enumerate(mono):
+            out[i].status = _STATUS_LABEL[int(res.status[j])]
+            if res.status[j] == OK:
+                out[i].radius = float(res.t[j])
+                out[i].residual = float(res.residual[j])
+    return out if d.ndim == 2 else out[0]
 
 
 # -----------------------------------------------------------------------------
@@ -93,36 +107,52 @@ class SphereExtrema:
                 "refine_steps": self.refine_steps}
 
 
-def _refine_on_sphere(fun, u: np.ndarray, sign: float, passes: int) -> tuple:
-    """Golden-section over great-circle arcs through ``u`` along each axis.
+def _refine_on_sphere(fun, starts: np.ndarray, signs: np.ndarray,
+                      passes: int) -> tuple:
+    """Golden-section over great-circle arcs through each chain's current
+    point, one arc per coordinate axis.
 
-    ``sign=+1`` minimizes, ``sign=-1`` maximizes.  Returns (point, value).
+    Row k of ``starts`` seeds chain k, which minimizes ``signs[k] * fun``:
+    +1 minimizes, -1 maximizes.  ``fun`` maps a (k, n) batch of sphere points
+    to their values.  The chains run in lockstep, so each golden step costs
+    one ``fun`` call for all of them; within a chain the arcs stay sequential
+    (each starts from the point the previous arc found).  Returns the
+    (points, values) of the chains.
     """
-    n = u.shape[0]
-    best_u = u / np.linalg.norm(u)
-    best_v = sign * fun(best_u)
+    eye = np.eye(starts.shape[1])
+    best_u = [u / np.linalg.norm(u) for u in starts]
+    best_v = signs * fun(np.array(best_u))
     for _ in range(passes):
-        for i in range(n):
-            axis = np.zeros(n)
-            axis[i] = 1.0
-            tangent = axis - (axis @ best_u) * best_u
-            norm = np.linalg.norm(tangent)
-            if norm < 1e-12:
+        for axis in eye:
+            chains, bases, tangents = [], [], []
+            for k, u in enumerate(best_u):
+                tangent = axis - (axis @ u) * u
+                norm = np.linalg.norm(tangent)
+                if norm >= 1e-12:
+                    chains.append(k)
+                    bases.append(u)
+                    tangents.append(tangent / norm)
+            if not chains:
                 continue
-            tangent /= norm
-            base = best_u
 
-            def arc_val(theta):
-                w = np.cos(theta) * base + np.sin(theta) * tangent
-                val = sign * fun(w)
-                return val if np.isfinite(val) else np.inf
+            def arc_points(theta):
+                # cos and sin of each chain's own scalar angle, so a chain's
+                # points do not depend on how many chains run beside it
+                return np.array([np.cos(th) * u + np.sin(th) * v
+                                 for th, u, v in zip(theta, bases, tangents)])
 
-            theta_best, val = golden_section(arc_val, -np.pi / 2, np.pi / 2)
-            if val < best_v:
-                best_v = val
-                best_u = np.cos(theta_best) * base + np.sin(theta_best) * tangent
-                best_u /= np.linalg.norm(best_u)
-    return best_u, sign * best_v
+            def arc_vals(theta):
+                vals = signs[chains] * fun(arc_points(theta))
+                return np.where(np.isfinite(vals), vals, np.inf)
+
+            half = np.full(len(chains), np.pi / 2)
+            theta_best, vals = golden_section(arc_vals, -half, half)
+            points = arc_points(theta_best)
+            for j, k in enumerate(chains):
+                if vals[j] < best_v[k]:
+                    best_v[k] = vals[j]
+                    best_u[k] = points[j] / np.linalg.norm(points[j])
+    return np.array(best_u), signs * best_v
 
 
 def sphere_extrema(p: ScalarField, n_samples: int = 512, refine_steps: int = 2,
@@ -131,7 +161,9 @@ def sphere_extrema(p: ScalarField, n_samples: int = 512, refine_steps: int = 2,
 
     Seeded sphere sampling picks starting points; golden-section over
     great-circle arcs through the current best point (one arc per coordinate
-    axis, ``refine_steps`` passes) polishes each extremum.
+    axis, ``refine_steps`` passes) polishes each extremum.  The minimum and
+    maximum are polished in lockstep, one two-point evaluation of p per
+    golden step.
     """
     n = p.n
     if n == 1:
@@ -146,18 +178,14 @@ def sphere_extrema(p: ScalarField, n_samples: int = 512, refine_steps: int = 2,
     finite = np.isfinite(vals)
     if not finite.any():
         raise ValueError("function is non-finite on all sphere samples")
-    masked_min = np.where(finite, vals, np.inf)
-    masked_max = np.where(finite, vals, -np.inf)
-
-    def fun(u):
-        return float(p.value(p.x_star + u))
-
-    u_min, v_min = _refine_on_sphere(fun, S[int(np.argmin(masked_min))], +1.0,
-                                     refine_steps)
-    u_max, v_max = _refine_on_sphere(fun, S[int(np.argmax(masked_max))], -1.0,
-                                     refine_steps)
-    return SphereExtrema(m=v_min, M=v_max, argmin=u_min, argmax=u_max,
-                         n_samples=n_samples, refine_steps=refine_steps)
+    starts = S[[int(np.argmin(np.where(finite, vals, np.inf))),
+                int(np.argmax(np.where(finite, vals, -np.inf)))]]
+    (u_min, u_max), (v_min, v_max) = _refine_on_sphere(
+        lambda U: p.values(p.x_star + U), starts, np.array([1.0, -1.0]),
+        refine_steps)
+    return SphereExtrema(m=float(v_min), M=float(v_max), argmin=u_min,
+                         argmax=u_max, n_samples=n_samples,
+                         refine_steps=refine_steps)
 
 
 # -----------------------------------------------------------------------------
@@ -356,14 +384,10 @@ def compactness_probe(field: ScalarField, c: float, directions=None,
         directions = default_directions(field.n, seed=plan.seed)
     directions = np.atleast_2d(np.asarray(directions, dtype=float))
     grid = plan.t_grid()
-    kinds = []
-    witnesses = []
-    for dvec in directions:
-        verdict = classify_ray(field, dvec, grid=grid)
-        kinds.append(verdict.kind)
-        if verdict.kind != "strictly-increasing" and len(witnesses) < MAX_WITNESSES:
-            witnesses.append({"kind": f"{verdict.kind}_ray",
-                              "direction": dvec.tolist()})
+    kinds = [v.kind for v in classify_ray(field, directions, grid=grid)]
+    witnesses = [{"kind": f"{kind}_ray", "direction": dvec.tolist()}
+                 for dvec, kind in zip(directions, kinds)
+                 if kind != "strictly-increasing"][:MAX_WITNESSES]
     if witnesses:
         return CompactnessReport(verdict="unbounded-evidence", level=c,
                                  max_radius=np.nan, ray_kinds=kinds,

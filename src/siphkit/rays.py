@@ -186,8 +186,52 @@ def check_scaling_invariance(field: ScalarField, plan: Optional[SamplingPlan] = 
                     violations=violations, witnesses=witnesses, seed=plan.seed)
 
 
+def _ray_values(field: ScalarField, D: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Shifted values at x_star + t[j] D[r], shape (R, len(t)), from one
+    field call."""
+    Z = (t[None, :, None] * D[:, None, :]).reshape(-1, D.shape[-1])
+    return field.shifted_values(Z).reshape(D.shape[0], t.size)
+
+
+def _ray_verdicts(field: ScalarField, vals: np.ndarray, t_full: np.ndarray,
+                  tol_const: Optional[float] = None,
+                  tol_step: float = STEP_TOL) -> list:
+    """Verdicts of rays of ``field`` sampled on ``t_full`` (first column at
+    t = 0), one per row of shifted values ``vals``; see :func:`classify_ray`."""
+    if tol_const is None:
+        tol_const = CONST_TOL * (1.0 + abs(field.f_star))
+    nan = np.isnan(vals)
+    nan_rows = nan.any(axis=1)
+    with np.errstate(invalid="ignore"):  # inf - inf on rays that overflow
+        deviation = np.max(np.abs(vals - vals[:, :1]), axis=1)
+        steps = np.diff(vals, axis=1)
+    up = steps > tol_step
+    down = steps < -tol_step
+    any_up, any_down = up.any(axis=1), down.any(axis=1)
+    # the witness interval is the later of the first strict rise and the
+    # first strict fall
+    b = np.maximum(np.argmax(up, axis=1), np.argmax(down, axis=1))
+    verdicts = []
+    for r in range(vals.shape[0]):
+        if nan_rows[r]:
+            t_bad = float(t_full[np.argmax(nan[r])])
+            verdicts.append(MonotoneVerdict("non-finite", np.nan, (t_bad, t_bad)))
+            continue
+        dev = float(deviation[r])
+        if any_up[r] and any_down[r]:
+            witness = (float(t_full[b[r]]), float(t_full[b[r] + 1]))
+            verdicts.append(MonotoneVerdict("non-monotone", dev, witness))
+        elif dev <= tol_const:
+            verdicts.append(MonotoneVerdict("constant", dev))
+        elif any_up[r] or (not any_down[r] and vals[r, -1] > vals[r, 0]):
+            verdicts.append(MonotoneVerdict("strictly-increasing", dev))
+        else:
+            verdicts.append(MonotoneVerdict("strictly-decreasing", dev))
+    return verdicts
+
+
 def classify_ray(field: ScalarField, x, grid=None, tol_const: Optional[float] = None,
-                 tol_step: float = STEP_TOL) -> MonotoneVerdict:
+                 tol_step: float = STEP_TOL):
     """Classify the ray t -> f(x_star + t x) on {0} followed by the grid.
 
     Strict steps of both signs give ``non-monotone`` with the inversion pair.
@@ -195,37 +239,20 @@ def classify_ray(field: ScalarField, x, grid=None, tol_const: Optional[float] = 
     ``tol_const`` of the start, else monotone in the direction of its strict
     steps (plateau steps within +-tol_step, e.g. saturating tails, are
     compatible with either direction).
+
+    ``x`` is one direction of shape (n,), giving one verdict, or a batch of
+    shape (R, n), giving the list of R verdicts; all rays are evaluated in
+    one field call.
     """
     x = np.asarray(x, dtype=float)
     grid = np.asarray(grid, dtype=float) if grid is not None else SamplingPlan().t_grid()
     if grid.ndim != 1 or not (np.diff(grid) > 0).all() or grid[0] <= 0:
         raise ValueError("grid must be strictly increasing and positive")
-    if tol_const is None:
-        tol_const = CONST_TOL * (1.0 + abs(field.f_star))
 
     t_full = np.concatenate([[0.0], grid])
-    vals = field.shifted_values(t_full[:, None] * x)
-    if np.isnan(vals).any():
-        bad = int(np.flatnonzero(np.isnan(vals))[0])
-        return MonotoneVerdict(kind="non-finite", max_constancy_deviation=np.nan,
-                               witness=(float(t_full[bad]), float(t_full[bad])))
-    deviation = float(np.max(np.abs(vals - vals[0])))
-    steps = np.diff(vals)
-    up = steps > tol_step
-    down = steps < -tol_step
-
-    if up.any() and down.any():
-        i = int(np.flatnonzero(up)[0])
-        j = int(np.flatnonzero(down)[0])
-        a, b = (i, j) if i < j else (j, i)
-        witness = (float(t_full[b]), float(t_full[b + 1]))
-        return MonotoneVerdict(kind="non-monotone", max_constancy_deviation=deviation,
-                               witness=witness)
-    if deviation <= tol_const:
-        return MonotoneVerdict(kind="constant", max_constancy_deviation=deviation)
-    if up.any() or (not down.any() and vals[-1] > vals[0]):
-        return MonotoneVerdict(kind="strictly-increasing", max_constancy_deviation=deviation)
-    return MonotoneVerdict(kind="strictly-decreasing", max_constancy_deviation=deviation)
+    verdicts = _ray_verdicts(field, _ray_values(field, np.atleast_2d(x), t_full),
+                             t_full, tol_const, tol_step)
+    return verdicts if x.ndim == 2 else verdicts[0]
 
 
 def default_directions(n: int, seed: int = 0) -> np.ndarray:
@@ -330,22 +357,23 @@ def check_decomposability(field: ScalarField, directions=None,
         witnesses.append({"kind": "si_violation", "x": sx[i].tolist(),
                           "y": sy[i].tolist(), "rho": float(srho[i])})
 
-    kinds = []
-    values = []
     # The near-zero probe point approximates each monotone ray's value limit
     # at 0+, so image intervals reflect jumps at the origin rather than the
     # grid's finite start (ray slopes may differ by orders of magnitude).
+    # One evaluation on [0, t_probe, *grid] serves the verdicts (t_probe
+    # dropped) and the achieved values on (0, t_max] (t = 0 dropped).
     t_probe = grid[0] * 1e-6
-    t_ext = np.concatenate([[t_probe], grid])
-    for d in directions:
-        vals = field.shifted_values(t_ext[:, None] * d)
-        values.append(vals)  # achieved values on (0, t_max]
-        verdict = classify_ray(field, d, grid=grid)
-        kinds.append(verdict.kind)
-        if verdict.kind == "non-monotone":
+    t_all = np.concatenate([[0.0, t_probe], grid])
+    vals = _ray_values(field, directions, t_all)
+    values = vals[:, 1:]
+    verdicts = _ray_verdicts(field, np.delete(vals, 1, axis=1),
+                             np.delete(t_all, 1))
+    kinds = [v.kind for v in verdicts]
+    for d, v, row in zip(directions, verdicts, values):
+        if v.kind == "non-monotone":
             witnesses.append({"kind": "non_monotone_ray", "direction": d.tolist(),
-                              "t_pair": list(verdict.witness)})
-        elif verdict.kind == "non-finite" or np.isnan(vals).any():
+                              "t_pair": list(v.witness)})
+        elif v.kind == "non-finite" or np.isnan(row).any():
             witnesses.append({"kind": "non_finite", "direction": d.tolist()})
 
     verdict = "decomposable"

@@ -128,20 +128,29 @@ def solve_monotone(profile_scalar, target: float, increasing: bool,
     return float(res.t[0]), int(res.status[0]), float(res.residual[0])
 
 
-def golden_section(fun, a: float, b: float, iters: int = 80) -> tuple[float, float]:
-    """Minimize a unimodal scalar function on [a, b]; returns (argmin, min)."""
+def golden_section(fun, a, b, iters: int = 80):
+    """Minimize unimodal functions on [a, b]; returns (argmin, min).
+
+    ``a`` and ``b`` may be arrays of brackets searched elementwise in
+    lockstep: ``fun`` then maps an array of abscissae to the array of their
+    values, one call per step.  Scalar brackets give scalar results.
+    """
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    scalar = np.ndim(a) == 0 and np.ndim(b) == 0
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
     x1 = b - invphi * (b - a)
     x2 = a + invphi * (b - a)
     f1, f2 = fun(x1), fun(x2)
     for _ in range(iters):
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = fun(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = fun(x2)
+        # left: the minimum lies in [a, x2], so x1 becomes the upper probe
+        left = f1 <= f2
+        a = np.where(left, a, x1)
+        b = np.where(left, x2, b)
+        x_new = np.where(left, b - invphi * (b - a), a + invphi * (b - a))
+        f_new = fun(x_new)
+        x1, f1, x2, f2 = (np.where(left, x_new, x2), np.where(left, f_new, f2),
+                          np.where(left, x1, x_new), np.where(left, f1, f_new))
     xm = 0.5 * (a + b)
-    return xm, fun(xm)
+    fm = fun(xm)
+    return (float(xm), float(fm)) if scalar else (xm, fm)

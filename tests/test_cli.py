@@ -306,3 +306,12 @@ def test_unwritable_output_path_exits_two(capsys, tmp_path):
                                     "--out", str(tmp_path / "no" / "dir.json")])
     assert code == 2
     assert "cannot write report" in err
+
+
+def test_non_finite_reference_value_exits_two(capsys):
+    code, out, err = run_cli(capsys, ["check", "si", "--expr", "log(x_1)",
+                                      "--n", "2", "--N", "50"])
+    assert code == 2
+    assert out == ""
+    assert "siphkit: error: f(x_star) is not finite" in err
+    assert "RuntimeWarning" not in err

@@ -322,3 +322,18 @@ def test_unreachable_reference_level_is_witnessed():
     assert d.solver_failures[0]["kind"] == "unbounded_ray"
     check = verify_decomposition(f, d)
     assert any(w["kind"] == "unbounded_ray" for w in check.witnesses)
+
+
+def test_solver_failures_do_not_carry_over_between_calls():
+    # the unreachable reference level fails every row of p; a point on the
+    # zero level needs no solve and so records no failure
+    f = bind("tanh(norm(x))", 2)
+    ref = ReferenceInfo(point=np.array([1.0, 0.0]), value=2.0, increasing=True)
+    fresh = verify_decomposition(
+        f, Decomposition(f, 1.0, "one-sided", positive_ref=ref)).witnesses
+    d = Decomposition(f, 1.0, "one-sided", positive_ref=ref)
+    d.p_values(np.array([[3.0, -4.0]]))
+    assert d.solver_failures == [{"kind": "unbounded_ray", "point": [3.0, -4.0]}]
+    assert verify_decomposition(f, d).witnesses == fresh
+    d.p_values(np.zeros((1, 2)))
+    assert d.solver_failures == []

@@ -1,0 +1,191 @@
+"""Batched ray probes and lockstep sphere extrema against one-at-a-time forms.
+
+A batch of directions must give, row for row, what the one-direction call
+gives; the lockstep sphere polish must reproduce the sequential one bit for
+bit.  The sequential polish is kept here as the reference.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from siphkit.exprlang import bind
+from siphkit.gallery import make_builtin, random_si
+from siphkit.levelsets import ray_level_radius, sphere_extrema
+from siphkit.rays import SamplingPlan, classify_ray
+from siphkit.rootfind import golden_section
+
+GALLERY = ("sphere", "ellipsoid", "gauss_si", "saddle_si", "random_si",
+           "linear_x1", "piecewise_ph", "bowl")
+
+
+def _field(name, n, seed):
+    if name == "random_si":
+        return random_si(seed, n)
+    if name == "bowl":  # rays through x_1 = 1 turn around: non-monotone
+        return bind("(x_1 - 1)^2 + norm(x)^2", n)
+    return make_builtin(name, n)
+
+
+@st.composite
+def ray_batches(draw):
+    name = draw(st.sampled_from(GALLERY))
+    n = draw(st.integers(2, 5))
+    rows = draw(st.integers(1, 8))
+    seed = draw(st.integers(0, 2 ** 16))
+    rng = np.random.default_rng(seed)
+    D = rng.normal(size=(rows, n)) * rng.uniform(0.1, 3.0, size=(rows, 1))
+    # axis directions and a zero direction exercise constant and flat rays
+    D[rng.random(rows) < 0.25] = np.eye(n)[0]
+    D[rng.random(rows) < 0.1] = 0.0
+    return _field(name, n, seed), D, rng
+
+
+def _one_radius(field, d, c):
+    try:
+        return ray_level_radius(field, d, c)
+    except ValueError:
+        return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(ray_batches())
+def test_batched_classification_equals_per_row(batch):
+    field, D, _ = batch
+    verdicts = classify_ray(field, D)
+    assert isinstance(verdicts, list) and len(verdicts) == len(D)
+    for d, got in zip(D, verdicts):
+        want = classify_ray(field, d)
+        assert got.kind == want.kind
+        assert got.witness == want.witness
+        assert got.max_constancy_deviation == pytest.approx(
+            want.max_constancy_deviation, rel=1e-12, abs=1e-300, nan_ok=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ray_batches())
+def test_batched_level_radii_equal_per_row(batch):
+    field, D, rng = batch
+    if rng.random() < 0.7:  # a level the field attains
+        c = field.value(field.x_star + rng.normal(size=field.n))
+    else:
+        c = float(rng.uniform(-1.0, 3.0))
+    hits = ray_level_radius(field, D, c)
+    assert len(hits) == len(D)
+    for d, got in zip(D, hits):
+        want = _one_radius(field, d, c)
+        np.testing.assert_array_equal(got.direction, d)
+        assert got.level == c
+        if want is None:
+            assert got.status == "non-monotone"
+            continue
+        assert got.status == want.status
+        assert got.radius == pytest.approx(want.radius, rel=1e-12, nan_ok=True)
+
+
+def test_batched_level_radii_report_non_monotone_rows():
+    f = bind("(x_1 - 1)^2", 1)
+    hits = ray_level_radius(f, np.array([[1.0], [-1.0]]), 4.0)
+    assert [h.status for h in hits] == ["non-monotone", "ok"]
+    assert hits[1].radius == pytest.approx(1.0, abs=1e-12)
+
+
+def test_empty_batch_gives_empty_lists():
+    f = make_builtin("sphere", 3)
+    assert classify_ray(f, np.zeros((0, 3))) == []
+    assert ray_level_radius(f, np.zeros((0, 3)), 1.0) == []
+
+
+# ---------------------------------------------------------------------------
+# golden section on array brackets
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 16), st.integers(1, 6))
+def test_array_golden_section_equals_scalar_calls(seed, k):
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-3.0, 0.0, size=k)
+    b = a + rng.uniform(0.1, 5.0, size=k)
+    centre = rng.uniform(-4.0, 4.0, size=k)
+
+    def quartic(x, c):
+        # exactly rounded operations only, so that arrays and scalars agree
+        d = x - c
+        return d * d * (d * d - 1.0) + 0.3 * d
+
+    xs, vals = golden_section(lambda x: quartic(x, centre), a, b)
+    for i in range(k):
+        x, v = golden_section(lambda u: quartic(u, centre[i]), a[i], b[i])
+        assert isinstance(x, float) and isinstance(v, float)
+        assert xs[i] == x and vals[i] == v
+
+
+# ---------------------------------------------------------------------------
+# lockstep sphere extrema
+
+
+def _reference_refine(fun, u, sign, passes):
+    """The sequential one-chain polish: golden section along each axis arc."""
+    n = u.shape[0]
+    best_u = u / np.linalg.norm(u)
+    best_v = sign * fun(best_u)
+    for _ in range(passes):
+        for i in range(n):
+            axis = np.zeros(n)
+            axis[i] = 1.0
+            tangent = axis - (axis @ best_u) * best_u
+            norm = np.linalg.norm(tangent)
+            if norm < 1e-12:
+                continue
+            tangent /= norm
+            base = best_u
+
+            def arc_val(theta):
+                w = np.cos(theta) * base + np.sin(theta) * tangent
+                val = sign * fun(w)
+                return val if np.isfinite(val) else np.inf
+
+            theta_best, val = golden_section(arc_val, -np.pi / 2, np.pi / 2)
+            if val < best_v:
+                best_v = val
+                best_u = np.cos(theta_best) * base + np.sin(theta_best) * tangent
+                best_u /= np.linalg.norm(best_u)
+    return best_u, sign * best_v
+
+
+def _reference_extrema(p, n_samples=512, refine_steps=2, seed=0):
+    S = SamplingPlan(seed=seed).sphere_points(p.n, n_samples)
+    vals = p.values(p.x_star + S)
+    finite = np.isfinite(vals)
+
+    def fun(u):
+        return float(p.value(p.x_star + u))
+
+    lo = S[int(np.argmin(np.where(finite, vals, np.inf)))]
+    hi = S[int(np.argmax(np.where(finite, vals, -np.inf)))]
+    return (_reference_refine(fun, lo, +1.0, refine_steps),
+            _reference_refine(fun, hi, -1.0, refine_steps))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_lockstep_extrema_equal_sequential_reference_bitwise(n):
+    p = make_builtin("ellipsoid", n)
+    ext = sphere_extrema(p, seed=3)
+    (u_min, m), (u_max, M) = _reference_extrema(p, seed=3)
+    assert ext.m == m and ext.M == M
+    assert np.array_equal(ext.argmin, u_min)
+    assert np.array_equal(ext.argmax, u_max)
+
+
+@pytest.mark.parametrize("seed,n", [(0, 3), (5, 4), (11, 5)])
+def test_lockstep_extrema_match_sequential_reference_on_random_fields(seed, n):
+    # random_si evaluates through matrix products, which BLAS rounds
+    # differently for one row and for two, so the two polishes may take
+    # different golden steps; they must still land on the same extrema
+    p = random_si(seed, n)
+    ext = sphere_extrema(p, seed=3)
+    (u_min, m), (u_max, M) = _reference_extrema(p, seed=3)
+    assert ext.m == pytest.approx(m, rel=1e-9)
+    assert ext.M == pytest.approx(M, rel=1e-9)
+    np.testing.assert_allclose(ext.argmin, u_min, atol=1e-4)
+    np.testing.assert_allclose(ext.argmax, u_max, atol=1e-4)
