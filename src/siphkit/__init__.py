@@ -29,7 +29,7 @@ from .levelsets import (BoundsReport, CompactnessReport, LevelRadius,
 from .rays import (DecomposabilityReport, MonotoneVerdict, SamplingPlan,
                    SIReport, check_decomposability, check_scaling_invariance,
                    classify_ray, default_directions, order_trichotomy)
-from .reporting import Report, emit
+from .reporting import Report, emit, jsonable
 from .rootfind import RootResult, golden_section, solve_monotone
 
 __version__ = "0.1.0"
@@ -45,7 +45,8 @@ __all__ = [
     "check_ph_sandwich", "check_scaling_invariance", "check_si_sandwich",
     "classify_ray", "compactness_probe", "compose", "default_directions",
     "emit", "euler_residual", "eval_ast", "evaluate",
-    "general_euler_residual", "golden_section", "gradient", "levelset_gradient_constancy",
+    "general_euler_residual", "golden_section", "gradient", "jsonable",
+    "levelset_gradient_constancy",
     "make_builtin", "negligibility_probe", "order_equivalence",
     "order_trichotomy", "paired_level_solver", "parse_expr", "phi_eval",
     "phi_inverse", "positive_gradient_region", "random_si", "ray_level_radius",

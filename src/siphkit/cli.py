@@ -169,26 +169,21 @@ def _direction_angles(d: np.ndarray) -> list:
 
 
 # -----------------------------------------------------------------------------
-# command handlers: each returns (verdict, metrics, witnesses, extra_config)
+# command handlers: each returns (metrics, witnesses, extra_config); the
+# verdict is "pass" iff there are no witnesses (see _dispatch)
 
 
 def _cmd_check_si(args, field, plan):
     rep = check_scaling_invariance(field, plan, atol=args.atol)
     metrics = {"trials": rep.trials, "violations": rep.violations}
-    verdict = "pass" if rep.passed else "fail"
-    return verdict, metrics, rep.witnesses, {"atol": args.atol}
+    return metrics, rep.witnesses, {"atol": args.atol}
 
 
 def _cmd_check_decomposable(args, field, plan):
     rep = check_decomposability(field, plan=plan)
     metrics = {"domain_verdict": rep.verdict, "scale": rep.scale,
                "ray_kinds": rep.ray_kinds}
-    witnesses = list(rep.witnesses)
-    if rep.verdict == "decomposable":
-        return "pass", metrics, witnesses, {}
-    if rep.verdict == "inconclusive" and not witnesses:
-        witnesses.append({"kind": "inconclusive"})
-    return "fail", metrics, witnesses, {}
+    return metrics, rep.witnesses, {}
 
 
 def _cmd_decompose(args, field, plan):
@@ -199,8 +194,7 @@ def _cmd_decompose(args, field, plan):
     try:
         d = build_decomposition(field, alpha=args.alpha, plan=plan, **refs)
     except DecompositionError as exc:
-        return ("fail", {}, [{"kind": "build_failed", "reason": str(exc)}],
-                config)
+        return {}, [{"kind": "build_failed", "reason": str(exc)}], config
     check = verify_decomposition(field, d, plan)
     metrics = {"decomposition": d.summary(),
                "max_composition_residual": check.max_composition_residual,
@@ -222,19 +216,17 @@ def _cmd_decompose(args, field, plan):
                     for key, val in alt.items()}
         try:
             d2 = build_decomposition(field, alpha=args.alpha, plan=plan,
-                                     x0=alt_refs["x0"], x1=alt_refs["x1"],
-                                     xm1=alt_refs["xm1"])
+                                     **alt_refs)
         except DecompositionError as exc:
             witnesses.append({"kind": "build_failed", "reason": str(exc),
                               "which": "alternate"})
-            return "fail", metrics, witnesses, config
+            return metrics, witnesses, config
         uq = uniqueness_check(field, d, d2, plan)
-        metrics["uniqueness"] = uq.to_dict()
+        metrics["uniqueness"] = uq
         if not uq.passed:
             witnesses.append({"kind": "uniqueness_violation",
                               "classes": uq.classes})
-    verdict = "pass" if not witnesses else "fail"
-    return verdict, metrics, witnesses, config
+    return metrics, witnesses, config
 
 
 def _cmd_verify_euler(args, field, plan):
@@ -243,15 +235,12 @@ def _cmd_verify_euler(args, field, plan):
         raise UsageError("the field carries no homogeneity degree; pass --alpha")
     rep = euler_residual(field, alpha, plan, _grad_spec(args),
                          coord_floor=args.coord_floor)
-    metrics = rep.to_dict()
     witnesses = []
     if not (np.isfinite(rep.max_residual) and rep.max_residual <= args.tol):
         witnesses.append({"kind": "euler_residual",
                           "max_residual": rep.max_residual, "tol": args.tol})
-    verdict = "pass" if not witnesses else "fail"
-    return verdict, metrics, witnesses, {"alpha": alpha, "tol": args.tol,
-                                         "h": args.h,
-                                         "coord_floor": args.coord_floor}
+    return rep, witnesses, {"alpha": alpha, "tol": args.tol, "h": args.h,
+                            "coord_floor": args.coord_floor}
 
 
 def _cmd_verify_general_euler(args, field, plan):
@@ -259,30 +248,25 @@ def _cmd_verify_general_euler(args, field, plan):
     try:
         d = build_decomposition(field, alpha=args.alpha, plan=plan)
     except DecompositionError as exc:
-        return ("fail", {}, [{"kind": "build_failed", "reason": str(exc)}],
-                config)
+        return {}, [{"kind": "build_failed", "reason": str(exc)}], config
     rep = general_euler_residual(field, d, plan, _grad_spec(args))
-    metrics = {**rep.to_dict(), "case": d.case}
     witnesses = []
     if not (np.isfinite(rep.max_residual) and rep.max_residual <= args.tol):
         witnesses.append({"kind": "general_euler_residual",
                           "max_residual": rep.max_residual, "tol": args.tol})
-    verdict = "pass" if not witnesses else "fail"
-    return verdict, metrics, witnesses, config
+    return {**rep.to_dict(), "case": d.case}, witnesses, config
 
 
 def _cmd_verify_levelset_grad(args, field, plan):
     rep = levelset_gradient_constancy(field, args.level, n_points=args.points,
                                       grad_spec=_grad_spec(args),
                                       seed=plan.seed, tol=args.tol)
-    metrics = rep.to_dict()
     witnesses = []
     if not rep.passed:
         kind = "no_level_points" if rep.values.size == 0 else "spread_exceeded"
         witnesses.append({"kind": kind, "spread": rep.spread, "tol": args.tol})
-    verdict = "pass" if not witnesses else "fail"
-    return verdict, metrics, witnesses, {"level": args.level, "tol": args.tol,
-                                         "points": args.points, "h": args.h}
+    return rep, witnesses, {"level": args.level, "tol": args.tol,
+                            "points": args.points, "h": args.h}
 
 
 def _cmd_levelset_radii(args, field, plan):
@@ -290,47 +274,42 @@ def _cmd_levelset_radii(args, field, plan):
         dirs = plan.sphere_points(field.n, int(args.directions))
     else:
         dirs = default_directions(field.n, seed=plan.seed)
-    records = []
+    hits = []
     witnesses = []
     for hit in ray_level_radius(field, dirs, args.level, grid=plan.t_grid()):
         if hit.status == "non-monotone":
             witnesses.append({"kind": "non_monotone_ray",
                               "direction": hit.direction.tolist()})
             continue
-        records.append(hit.to_dict())
+        hits.append(hit)
         if hit.status not in ("ok", "outside-range"):
             witnesses.append({"kind": f"{hit.status}_ray",
                               "direction": hit.direction.tolist()})
     metrics = {"level": args.level, "n_directions": int(len(dirs)),
-               "radii": records}
+               "radii": hits}
     if args.sweep_csv:
         with open(args.sweep_csv, "w", encoding="utf-8", newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n")
             n_angles = max(field.n - 1, 1)
             writer.writerow([f"angle_{i + 1}" for i in range(n_angles)]
                             + ["radius"])
-            for rec in records:
-                d = np.asarray(rec["direction"])
-                writer.writerow(_direction_angles(d) + [rec["radius"]])
-    verdict = "pass" if not witnesses else "fail"
-    return verdict, metrics, witnesses, {"level": args.level,
-                                         "sweep_csv": args.sweep_csv}
+            for hit in hits:
+                writer.writerow(_direction_angles(hit.direction) + [hit.radius])
+    return metrics, witnesses, {"level": args.level,
+                                "sweep_csv": args.sweep_csv}
 
 
 def _cmd_levelset_bounds(args, field, plan):
     alpha = args.alpha if args.alpha is not None else (field.meta.ph_degree or 1.0)
     config = {"alpha": alpha, "slack": args.slack, "rtol": args.rtol}
-    metrics = {}
-    witnesses = []
     try:
         d = build_decomposition(field, alpha=alpha, plan=plan)
     except DecompositionError as exc:
-        return ("fail", metrics, [{"kind": "build_failed", "reason": str(exc)}],
-                config)
+        return {}, [{"kind": "build_failed", "reason": str(exc)}], config
     si_rep = check_si_sandwich(field, d, plan, slack=args.slack)
-    metrics["si_sandwich"] = {"verdict": si_rep.verdict, "m": si_rep.m,
-                              "M": si_rep.M, "notes": si_rep.notes}
-    witnesses.extend(si_rep.witnesses)
+    metrics = {"si_sandwich": {"verdict": si_rep.verdict, "m": si_rep.m,
+                               "M": si_rep.M, "notes": si_rep.notes}}
+    witnesses = list(si_rep.witnesses)
     if si_rep.verdict == "precondition-failed":
         witnesses.append({"kind": "precondition_failed",
                           "check": "si_sandwich",
@@ -342,8 +321,7 @@ def _cmd_levelset_bounds(args, field, plan):
         metrics["ph_sandwich"] = {"verdict": ph_rep.verdict, "m": ph_rep.m,
                                   "M": ph_rep.M}
         witnesses.extend(ph_rep.witnesses)
-    verdict = "pass" if not witnesses else "fail"
-    return verdict, metrics, witnesses, config
+    return metrics, witnesses, config
 
 
 def _cmd_levelset_compact(args, field, plan):
@@ -351,8 +329,7 @@ def _cmd_levelset_compact(args, field, plan):
     metrics = {"domain_verdict": rep.verdict, "level": rep.level,
                "max_radius": rep.max_radius, "ray_kinds": rep.ray_kinds,
                "n_directions": rep.n_directions}
-    verdict = "pass" if rep.bounded else "fail"
-    return verdict, metrics, rep.witnesses, {"level": args.level}
+    return metrics, rep.witnesses, {"level": args.level}
 
 
 def _cmd_levelset_negligible(args, field, plan):
@@ -364,25 +341,21 @@ def _cmd_levelset_negligible(args, field, plan):
                                   rate_bound=args.rate_bound)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    metrics = rep.to_dict()
     witnesses = []
     if not rep.passed:
         witnesses.append({"kind": "excess_fraction", "eps": rep.eps_list,
                           "fractions": rep.fractions,
                           "rate_bound": rep.rate_bound})
-    verdict = "pass" if not witnesses else "fail"
-    return verdict, metrics, witnesses, {"level": args.level, "eps": eps_list,
-                                         "rate_bound": args.rate_bound}
+    return rep, witnesses, {"level": args.level, "eps": eps_list,
+                            "rate_bound": args.rate_bound}
 
 
 def _cmd_cert_positive_region(args, field, plan):
     cert = positive_gradient_region(field, plan, _grad_spec(args))
-    metrics = cert.to_dict()
     witnesses = []
     if not cert.ok:
         witnesses.append({"kind": "certificate_failed", "scan": cert.scan})
-    verdict = "pass" if not witnesses else "fail"
-    return verdict, metrics, witnesses, {"h": args.h}
+    return cert, witnesses, {"h": args.h}
 
 
 def _cmd_solve_paired_level(args):
@@ -390,12 +363,12 @@ def _cmd_solve_paired_level(args):
         res = paired_level_solver(args.r, tol=args.tol)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    return "pass", res.to_dict(), [], {"r": args.r, "tol": args.tol}
+    return res, [], {"r": args.r, "tol": args.tol}
 
 
 def _cmd_gallery_list(args):
     data = json.loads(registry_json(int(args.n)))
-    return "pass", {"entries": data["entries"], "n": data["n"]}, [], {}
+    return {"entries": data["entries"], "n": data["n"]}, [], {}
 
 
 # -----------------------------------------------------------------------------
@@ -575,32 +548,31 @@ _FIELD_HANDLERS = {
 
 
 def _dispatch(args) -> Report:
+    """Run the selected probe; the verdict is "pass" iff it found no
+    witnesses."""
     action = getattr(args, "action", None)
     command = args.group if action is None else f"{args.group} {action}"
     seed, seed_source = _resolve_seed(args) if hasattr(args, "seed") else (0, "flag")
 
     if (args.group, action) == ("gallery", "list"):
-        verdict, metrics, witnesses, extra = _cmd_gallery_list(args)
-        config = {"n": int(args.n), "seed": seed, "format": args.format, **extra}
-        return Report(command=command, verdict=verdict, config=config,
-                      metrics=metrics, witnesses=witnesses)
-    if (args.group, action) == ("solve", "paired-level"):
-        verdict, metrics, witnesses, extra = _cmd_solve_paired_level(args)
-        config = {"seed": seed, "format": args.format, **extra}
-        return Report(command=command, verdict=verdict, config=config,
-                      metrics=metrics, witnesses=witnesses)
-
-    handler = _FIELD_HANDLERS[(args.group, action)]
-    field, fn_echo = _resolve_field(args, seed)
-    if not np.isfinite(field.f_star):
-        # every probe works on f - f(x_star), which is then nan everywhere
-        raise UsageError("f(x_star) is not finite")
-    plan = _plan_from(args, seed)
-    verdict, metrics, witnesses, extra = handler(args, field, plan)
-    config = {"function": fn_echo, "seed": seed, "seed_source": seed_source,
-              **_plan_echo(plan), "format": args.format, **extra}
-    return Report(command=command, verdict=verdict, config=config,
-                  metrics=metrics, witnesses=witnesses)
+        config = {"n": int(args.n), "seed": seed, "format": args.format}
+        metrics, witnesses, extra = _cmd_gallery_list(args)
+    elif (args.group, action) == ("solve", "paired-level"):
+        config = {"seed": seed, "format": args.format}
+        metrics, witnesses, extra = _cmd_solve_paired_level(args)
+    else:
+        handler = _FIELD_HANDLERS[(args.group, action)]
+        field, fn_echo = _resolve_field(args, seed)
+        if not np.isfinite(field.f_star):
+            # every probe works on f - f(x_star), which is then nan everywhere
+            raise UsageError("f(x_star) is not finite")
+        plan = _plan_from(args, seed)
+        metrics, witnesses, extra = handler(args, field, plan)
+        config = {"function": fn_echo, "seed": seed, "seed_source": seed_source,
+                  **_plan_echo(plan), "format": args.format}
+    return Report(command=command, verdict="fail" if witnesses else "pass",
+                  config={**config, **extra}, metrics=metrics,
+                  witnesses=witnesses)
 
 
 def main(argv=None) -> int:

@@ -364,12 +364,6 @@ class DecompositionCheck:
     witnesses: list
     seed: int
 
-    def to_dict(self) -> dict:
-        return {"max_composition_residual": self.max_composition_residual,
-                "max_ph_residual": self.max_ph_residual,
-                "n_samples": self.n_samples, "witnesses": self.witnesses,
-                "seed": self.seed}
-
 
 def verify_decomposition(field: ScalarField, d: Decomposition,
                          plan: Optional[SamplingPlan] = None) -> DecompositionCheck:
@@ -409,10 +403,6 @@ class UniquenessReport:
     classes: dict  # class label -> {"ratio": mean, "cv": ..., "count": ...}
     passed: bool
     seed: int
-
-    def to_dict(self) -> dict:
-        return {"case": self.case, "classes": self.classes, "passed": self.passed,
-                "seed": self.seed}
 
 
 def uniqueness_check(field: ScalarField, d1: Decomposition, d2: Decomposition,
@@ -457,11 +447,6 @@ class OrderReport:
     disagreements: int
     witnesses: list
     seed: int
-
-    def to_dict(self) -> dict:
-        return {"passed": self.passed, "trials": self.trials,
-                "disagreements": self.disagreements, "witnesses": self.witnesses,
-                "seed": self.seed}
 
 
 def order_equivalence(field_f: ScalarField, field_p: ScalarField,

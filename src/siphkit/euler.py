@@ -217,10 +217,6 @@ class PairedLevels:
     shared_value: float  # the common t e^{-t} value at t = r², s²
     residual: float
 
-    def to_dict(self) -> dict:
-        return {"r": self.r, "s": self.s, "shared_value": self.shared_value,
-                "residual": self.residual}
-
 
 def paired_level_solver(r: float, tol: float = 1e-10) -> PairedLevels:
     """The unique s > 1 with r² e^{−r²} = s² e^{−s²}, for 0 < r < 1.
@@ -263,12 +259,6 @@ class SaddleReport:
     passed: bool
     points_per_shell: int
     seed: int
-
-    def to_dict(self) -> dict:
-        return {"radii": self.radii, "max_grad_norms": self.max_grad_norms,
-                "grad_tol": self.grad_tol, "monotone_ok": self.monotone_ok,
-                "passed": self.passed, "points_per_shell": self.points_per_shell,
-                "seed": self.seed}
 
 
 def saddle_levels(field: ScalarField, k_max: int = 3, tol: float = 1e-6,
@@ -329,17 +319,6 @@ class NeighborhoodCertificate:
     seed: int
     scan: list = dataclass_field(default_factory=list)
     violation: Optional[dict] = None
-
-    def to_dict(self) -> dict:
-        return {"ok": self.ok,
-                "z0": None if self.z0 is None else self.z0.tolist(),
-                "level": self.level, "epsilon": self.epsilon,
-                "delta": self.delta, "stop_reason": self.stop_reason,
-                "n_level_points": self.n_level_points,
-                "n_fattened": self.n_fattened,
-                "skipped_directions": self.skipped_directions,
-                "seed": self.seed, "scan": self.scan,
-                "violation": self.violation}
 
 
 def positive_gradient_region(field: ScalarField,

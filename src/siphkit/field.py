@@ -9,6 +9,7 @@ values are never shifted.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dataclass_field
 from typing import Callable, Optional
 
@@ -160,7 +161,13 @@ class ScalarField:
 
     def shifted_values(self, Z) -> np.ndarray:
         Z = _as_batch(Z, self.n)
-        return self._eval_batch(Z + self.x_star) - self.f_star
+        out = self._eval_batch(Z + self.x_star)
+        if math.isinf(self.f_star):
+            # inf - inf where f meets the same infinity.  The finite case
+            # skips errstate: it adds about 20% to a one-row call.
+            with np.errstate(invalid="ignore"):
+                return out - self.f_star
+        return out - self.f_star
 
     # -- gradients ---------------------------------------------------------
 

@@ -40,11 +40,6 @@ class LevelRadius:
     radius: float = np.nan
     residual: float = np.nan
 
-    def to_dict(self) -> dict:
-        return {"direction": self.direction.tolist(), "level": self.level,
-                "status": self.status, "radius": self.radius,
-                "residual": self.residual}
-
 
 def ray_level_radius(field: ScalarField, direction, c: float, grid=None):
     """Radius t* with f(x_star + t* d) = c along one ray or a batch of rays.
@@ -100,11 +95,6 @@ class SphereExtrema:
     argmax: np.ndarray
     n_samples: int
     refine_steps: int
-
-    def to_dict(self) -> dict:
-        return {"m": self.m, "M": self.M, "argmin": self.argmin.tolist(),
-                "argmax": self.argmax.tolist(), "n_samples": self.n_samples,
-                "refine_steps": self.refine_steps}
 
 
 def _refine_on_sphere(fun, starts: np.ndarray, signs: np.ndarray,
@@ -207,11 +197,6 @@ class BoundsReport:
     @property
     def passed(self) -> bool:
         return self.verdict == "pass"
-
-    def to_dict(self) -> dict:
-        return {"verdict": self.verdict, "m": self.m, "M": self.M,
-                "witnesses": self.witnesses, "n_samples": self.n_samples,
-                "seed": self.seed, "notes": self.notes}
 
 
 def check_ph_sandwich(p: ScalarField, alpha: float, m_p: float, M_p: float,
@@ -361,12 +346,6 @@ class CompactnessReport:
     def bounded(self) -> bool:
         return self.verdict == "bounded"
 
-    def to_dict(self) -> dict:
-        return {"verdict": self.verdict, "level": self.level,
-                "max_radius": self.max_radius, "ray_kinds": self.ray_kinds,
-                "witnesses": self.witnesses, "n_directions": self.n_directions,
-                "seed": self.seed}
-
 
 def compactness_probe(field: ScalarField, c: float, directions=None,
                       plan: Optional[SamplingPlan] = None) -> CompactnessReport:
@@ -441,13 +420,6 @@ class NegligibilityReport:
     rate_bound: float
     seed: int
     notes: dict = dataclass_field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {"level": self.level, "eps_list": self.eps_list,
-                "fractions": self.fractions, "counts": self.counts,
-                "n_samples": self.n_samples, "box_radius": self.box_radius,
-                "passed": self.passed, "rate_bound": self.rate_bound,
-                "seed": self.seed, "notes": self.notes}
 
 
 def negligibility_probe(field: ScalarField, c: float,

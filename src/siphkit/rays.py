@@ -9,7 +9,7 @@ level ties are not misread as order violations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -96,11 +96,6 @@ class SIReport:
     witnesses: list
     seed: int
 
-    def to_dict(self) -> dict:
-        return {"passed": self.passed, "trials": self.trials,
-                "violations": self.violations, "witnesses": self.witnesses,
-                "seed": self.seed}
-
 
 def order_trichotomy(a, b, atol: float = ORDER_ATOL) -> np.ndarray:
     """Vectorized three-way compare: -1 (a < b), 0 (tie), +1 (a > b).
@@ -140,6 +135,28 @@ def _structured_triples(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.array(xs), np.array(ys), np.array(rhos)
 
 
+def _order_reversals(field: ScalarField, X: np.ndarray, Y: np.ndarray,
+                     rho: np.ndarray, atol: float = ORDER_ATOL) -> tuple:
+    """Evaluate the triples (X[i], Y[i], rho[i]) and apply the SI rule.
+
+    Returns the shifted values (f(x), f(y), f(rho x), f(rho y)), the rows
+    where any of them is nan, and the rows whose strict order the scaling
+    surely reverses.  A band tie is inconclusive, not evidence: decreasing
+    tails underflow to exact zeros at large rho, which must not indict an
+    order-preserving field.  Only a confidently reversed strict order is a
+    violation.
+    """
+    fx = field.shifted_values(X)
+    fy = field.shifted_values(Y)
+    frx = field.shifted_values(rho[:, None] * X)
+    fry = field.shifted_values(rho[:, None] * Y)
+    c_base = order_trichotomy(fx, fy, atol=atol)
+    c_scaled = order_trichotomy(frx, fry, atol=atol)
+    nan_rows = np.isnan(fx) | np.isnan(fy) | np.isnan(frx) | np.isnan(fry)
+    violating = (c_base * c_scaled == -1) & ~nan_rows
+    return (fx, fy, frx, fry), nan_rows, violating
+
+
 def check_scaling_invariance(field: ScalarField, plan: Optional[SamplingPlan] = None,
                              atol: float = ORDER_ATOL) -> SIReport:
     """Certify the order biconditional on structured plus seeded random triples.
@@ -156,19 +173,8 @@ def check_scaling_invariance(field: ScalarField, plan: Optional[SamplingPlan] = 
     X = np.vstack([sx, plan.box_points(n, rng=rng)])
     Y = np.vstack([sy, plan.box_points(n, rng=rng)])
     rho = np.concatenate([srho, plan.rhos(rng=rng)])
-
-    fx = field.shifted_values(X)
-    fy = field.shifted_values(Y)
-    frx = field.shifted_values(rho[:, None] * X)
-    fry = field.shifted_values(rho[:, None] * Y)
-
-    c_base = order_trichotomy(fx, fy, atol=atol)
-    c_scaled = order_trichotomy(frx, fry, atol=atol)
-    nan_rows = np.isnan(fx) | np.isnan(fy) | np.isnan(frx) | np.isnan(fry)
-    # a band tie is inconclusive, not evidence: decreasing tails underflow to
-    # exact zeros at large rho, which must not indict an order-preserving
-    # field.  Only a confidently reversed strict order is a violation.
-    violating = (c_base * c_scaled == -1) & ~nan_rows
+    (fx, fy, frx, fry), nan_rows, violating = _order_reversals(field, X, Y,
+                                                               rho, atol)
 
     witnesses = []
     for idx in np.flatnonzero(nan_rows)[:MAX_WITNESSES]:
@@ -272,11 +278,6 @@ class DecomposabilityReport:
     witnesses: list
     seed: int
 
-    def to_dict(self) -> dict:
-        return {"verdict": self.verdict, "scale": self.scale,
-                "ray_kinds": self.ray_kinds, "witnesses": self.witnesses,
-                "seed": self.seed}
-
 
 def _image_group_check(field: ScalarField, directions, values, kinds, want: str,
                        grid: np.ndarray, witnesses: list) -> Optional[str]:
@@ -334,7 +335,8 @@ def check_decomposability(field: ScalarField, directions=None,
 
     (a) every sampled ray is constant or strictly monotone, and (b) rays of the
     same monotonicity share their achieved value ranges.  A scaling-invariance
-    violation on the structured battery is also disqualifying, since any
+    violation on the structured battery (the reversal rule of
+    :func:`check_scaling_invariance`) is also disqualifying, since any
     monotone-profile composition with a homogeneous part is scaling-invariant.
     A pass certifies decomposability at the probed scale only.
     """
@@ -348,10 +350,8 @@ def check_decomposability(field: ScalarField, directions=None,
 
     # Any SI violation refutes decomposability outright.
     sx, sy, srho = _structured_triples(n)
-    c_base = order_trichotomy(field.shifted_values(sx), field.shifted_values(sy))
-    c_scaled = order_trichotomy(field.shifted_values(srho[:, None] * sx),
-                                field.shifted_values(srho[:, None] * sy))
-    bad = np.flatnonzero(c_base != c_scaled)
+    _, _, reversed_rows = _order_reversals(field, sx, sy, srho)
+    bad = np.flatnonzero(reversed_rows)
     if bad.size:
         i = int(bad[0])
         witnesses.append({"kind": "si_violation", "x": sx[i].tolist(),

@@ -13,7 +13,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, fields, is_dataclass
 from typing import Optional
 
 import numpy as np
@@ -22,8 +22,12 @@ REPORT_VERSION = "si-ph-kit/1"
 
 
 def jsonable(obj):
-    """Recursively convert numpy containers/scalars and non-finite floats
-    into plain JSON-safe Python values."""
+    """Recursively convert numpy containers/scalars, non-finite floats and
+    probe results into plain JSON-safe Python values.
+
+    A dataclass instance becomes the dict of its fields in declaration order,
+    unless its class defines ``to_dict``, whose dict is used instead.
+    """
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -41,6 +45,10 @@ def jsonable(obj):
         if np.isinf(x):
             return "inf" if x > 0 else "-inf"
         return x
+    if is_dataclass(obj) and not isinstance(obj, type):
+        if hasattr(obj, "to_dict"):
+            return jsonable(obj.to_dict())
+        return {f.name: jsonable(getattr(obj, f.name)) for f in fields(obj)}
     return obj
 
 
@@ -49,7 +57,8 @@ class Report:
     command: str
     verdict: str  # "pass" | "fail"
     config: dict = dataclass_field(default_factory=dict)
-    metrics: dict = dataclass_field(default_factory=dict)
+    # a dict, or a probe result dataclass serialised through jsonable
+    metrics: object = dataclass_field(default_factory=dict)
     witnesses: list = dataclass_field(default_factory=list)
     wall_time_ms: Optional[float] = None
     version: str = REPORT_VERSION

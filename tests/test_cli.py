@@ -148,6 +148,19 @@ def test_check_decomposable_finds_disjoint_branches(capsys):
     assert any(w["kind"] == "disjoint_image" for w in doc["witnesses"])
 
 
+def test_check_decomposable_and_check_si_share_the_si_rule(capsys):
+    # exp(-|x|^8) = phi(p) with phi(t) = e^-t and p = |x|^8; at rho = 4 the
+    # structured triples underflow to exact ties, which neither probe may
+    # count as a violation
+    argv = ["--expr", "exp(-norm(x)^8)", "--n", "2"]
+    code, doc = run_json(capsys, ["check", "decomposable", *argv])
+    assert code == 0
+    assert doc["metrics"]["domain_verdict"] == "decomposable"
+    assert doc["witnesses"] == []
+    code, doc = run_json(capsys, ["check", "si", *argv])
+    assert code == 0
+
+
 # ---------------------------------------------------------------------------
 # verify
 

@@ -1,6 +1,7 @@
 """Order-preservation certification and ray-monotonicity classification."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from siphkit.rays import (
     default_directions,
     order_trichotomy,
 )
+from siphkit.reporting import jsonable
 
 
 # ---------------------------------------------------------------------------
@@ -117,8 +119,8 @@ def test_one_dimensional_counterexample_fails_with_exact_witness():
 def test_certification_is_deterministic_per_seed():
     f = make_builtin("footnote_1d", 1)
     plan = SamplingPlan(seed=9, n_samples=300)
-    a = check_scaling_invariance(f, plan).to_dict()
-    b = check_scaling_invariance(f, plan).to_dict()
+    a = jsonable(check_scaling_invariance(f, plan))
+    b = jsonable(check_scaling_invariance(f, plan))
     assert json.dumps(a) == json.dumps(b)
 
 
@@ -147,6 +149,14 @@ def test_classify_ray_flags_nonfinite_values():
     f = bind("sqrt(x_1)", 1)
     with np.errstate(all="ignore"):
         verdict = classify_ray(f, [-1.0])
+    assert verdict.kind == "non-finite"
+
+
+def test_nonfinite_reference_value_gives_nonfinite_verdict_without_warning():
+    f = bind("log(x_1)", 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        verdict = classify_ray(f, [1.0, 0.0])
     assert verdict.kind == "non-finite"
 
 

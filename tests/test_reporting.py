@@ -1,13 +1,25 @@
 """Report serialization: strict JSON with fixed key order, CSV flattening."""
 
 import csv
+import dataclasses
 import io
 import json
 
 import numpy as np
 import pytest
 
+from siphkit import decomposition, euler, levelsets, rays
 from siphkit.reporting import Report, emit, jsonable
+
+# Probe results that serialise as their own fields, in declaration order.
+FIELD_REPORTS = [
+    rays.SIReport, rays.DecomposabilityReport,
+    levelsets.LevelRadius, levelsets.SphereExtrema, levelsets.BoundsReport,
+    levelsets.CompactnessReport, levelsets.NegligibilityReport,
+    euler.PairedLevels, euler.SaddleReport, euler.NeighborhoodCertificate,
+    decomposition.DecompositionCheck, decomposition.UniquenessReport,
+    decomposition.OrderReport,
+]
 
 
 def _strict_loads(text):
@@ -45,6 +57,64 @@ def test_other_values_pass_through():
     assert jsonable("text") == "text"
     assert jsonable(None) is None
     assert jsonable({1: "x"}) == {"1": "x"}  # keys coerced to strings
+
+
+# ---------------------------------------------------------------------------
+# probe results
+
+
+def _placeholder(cls):
+    """An instance of ``cls`` whose i-th field holds the integer i."""
+    return cls(**{f.name: i for i, f in enumerate(dataclasses.fields(cls))})
+
+
+@pytest.mark.parametrize("cls", FIELD_REPORTS, ids=lambda c: c.__name__)
+def test_probe_result_serialises_as_its_fields_in_order(cls):
+    names = [f.name for f in dataclasses.fields(cls)]
+    doc = jsonable(_placeholder(cls))
+    assert list(doc) == names
+    assert list(doc.values()) == list(range(len(names)))
+
+
+def test_only_euler_and_spread_reports_override_the_field_form():
+    overriding = sorted(
+        obj.__name__ for mod in (decomposition, euler, levelsets, rays)
+        for obj in vars(mod).values()
+        if dataclasses.is_dataclass(obj) and obj.__module__ == mod.__name__
+        and "to_dict" in vars(obj))
+    assert overriding == ["EulerReport", "SpreadReport"]
+
+
+def test_euler_report_drops_residuals_and_adds_their_mean():
+    rep = euler.EulerReport(max_residual=3.0,
+                            residuals=np.array([1.0, np.nan, 3.0]), alpha=2.0,
+                            grad_mode="analytic", h=1e-5, n_samples=3,
+                            excluded=0, seed=4)
+    doc = jsonable(rep)
+    assert list(doc) == ["max_residual", "mean_residual", "alpha", "grad_mode",
+                         "h", "n_samples", "excluded", "seed", "notes"]
+    assert doc["mean_residual"] == 2.0
+
+
+def test_spread_report_drops_values():
+    rep = euler.SpreadReport(level=0.5, values=np.array([1.0, 1.0]),
+                             spread=0.0, mean=1.0, passed=True, tol=1e-6,
+                             skipped=0, n_points=2, seed=0)
+    assert list(jsonable(rep)) == ["level", "spread", "mean", "passed", "tol",
+                                   "skipped", "n_points", "seed"]
+
+
+def test_nested_probe_results_serialise_inside_reports():
+    hit = levelsets.LevelRadius(direction=np.array([1.0, 0.0]), level=1.0,
+                                status="ok", radius=np.float64(1.0))
+    report = Report(command="levelset radii", verdict="pass",
+                    metrics={"radii": [hit]})
+    doc = _strict_loads(report.to_json())
+    assert doc["metrics"]["radii"] == [{"direction": [1.0, 0.0], "level": 1.0,
+                                        "status": "ok", "radius": 1.0,
+                                        "residual": "nan"}]
+    rows = list(csv.reader(io.StringIO(report.to_csv())))
+    assert ["radius", "0", "1.0"] in rows
 
 
 # ---------------------------------------------------------------------------
