@@ -422,9 +422,11 @@ def random_si(seed: int, n: int, eps: float = 0.3, modes: int = 4) -> ScalarFiel
     weight_sum = weights.sum()
 
     def sphere_perturbation(U):
-        # |g| <= 1: convex combination of sines
-        args = freqs * (U @ waves.T) + phases
-        return (np.sin(args) @ weights) / weight_sum
+        # |g| <= 1: convex combination of sines.  einsum sums each row on its
+        # own, where BLAS matrix products round a row differently depending
+        # on how many rows share the call.
+        args = freqs * np.einsum("ij,kj->ik", U, waves) + phases
+        return np.einsum("ij,j->i", np.sin(args), weights) / weight_sum
 
     def p_fn(X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -446,7 +448,9 @@ def random_si(seed: int, n: int, eps: float = 0.3, modes: int = 4) -> ScalarFiel
 
     def phi(t):
         t = np.asarray(t, dtype=float)
-        osc = (np.sin(j * omega * t[..., None] + psi) - np.sin(psi)) @ (b / (j * omega))
+        # einsum, like sphere_perturbation: each row summed on its own
+        osc = np.einsum("...j,j->...", np.sin(j * omega * t[..., None] + psi)
+                        - np.sin(psi), b / (j * omega))
         return c0 * t + osc
 
     recipe = {"seed": int(seed), "eps": float(eps), "modes": int(modes),

@@ -5,6 +5,16 @@ that its value at t = 0 is known exactly (0 for shifted fields).  Brackets grow
 by doubling the upper end from 1 up to 2**60; a profile that never straddles
 its target inside that range is reported as unbounded evidence rather than an
 error.
+
+Inside the bracket, ``solve_monotone_batch`` runs Chandrupatla's method
+(Chandrupatla 1997, Adv. Eng. Softw. 28:145) on every row in lockstep: an
+inverse quadratic step where the last three points fit a monotone model, a
+bisection step otherwise, and every step kept inside the bracket.  It stops
+at the same bracket width as bisection, ``hi - lo <= rtol * (1 + hi)``, and
+returns the bracket end with the smaller residual, so the root and its
+residual come from one profile evaluation.  Smooth rays take about 5-15
+evaluations after bracketing where bisection takes about 47; rays with kinks
+or jumps near the root can take up to about twice as many as bisection.
 """
 
 from __future__ import annotations
@@ -18,7 +28,7 @@ MAX_DOUBLINGS = 60
 # Row status codes.
 OK = 0
 UNBOUNDED = 1    # bracket cap reached without straddling the target
-NONFINITE = 2    # nan encountered while bracketing or bisecting
+NONFINITE = 2    # nan encountered while bracketing or solving
 BELOW_START = 3  # target on the wrong side of the value at t = 0
 
 
@@ -50,13 +60,14 @@ def solve_monotone_batch(profile, targets, increasing, value_at_zero=0.0,
         Exact profile value at t = 0 (0 for shifted fields).
 
     Targets must lie strictly on the far side of ``value_at_zero`` in the
-    monotone direction; rows where they do not are marked unbounded (the
-    profile can never reach them).
+    monotone direction; rows where they do not are marked ``BELOW_START``
+    (the profile can never reach them).
     """
     targets = np.atleast_1d(np.asarray(targets, dtype=float))
     N = targets.shape[0]
     sign = np.where(np.broadcast_to(np.asarray(increasing, bool), (N,)), 1.0, -1.0)
-    # Work with w(t) = sign * profile(t), an increasing profile, target ty.
+    # Work with g(t) = sign * profile(t) - sign * target, an increasing
+    # function with its root at the solution; |g| is the residual.
     ty = sign * targets
     w0 = sign * np.broadcast_to(np.asarray(value_at_zero, dtype=float), (N,))
 
@@ -64,55 +75,73 @@ def solve_monotone_batch(profile, targets, increasing, value_at_zero=0.0,
     status[~np.isfinite(ty)] = NONFINITE
     status[(ty <= w0) & (status == OK)] = BELOW_START
 
+    def g(t, rows):
+        with np.errstate(all="ignore"):
+            return sign * profile(np.where(rows, t, 1.0)) - ty
+
+    # Doubling: invariant g(lo) < 0; g(lo) and g(hi) are carried along.
     lo = np.zeros(N)
     hi = np.ones(N)
     with np.errstate(all="ignore"):
-        w_hi = sign * profile(hi)
-    status[np.isnan(w_hi) & (status == OK)] = NONFINITE
-    straddled = (w_hi >= ty) & (status == OK)
-    pending = (status == OK) & ~straddled
+        # a nan value at zero is taken as below the target, like any row
+        # that passed the check above; -inf keeps the model from using it
+        g_lo = np.where(np.isnan(w0), -np.inf, w0 - ty)
+    g_hi = g(hi, status == OK)
+    status[np.isnan(g_hi) & (status == OK)] = NONFINITE
+    pending = (status == OK) & (g_hi < 0)
     for _ in range(max_doublings):
         if not pending.any():
             break
-        lo[pending] = hi[pending]
+        lo[pending], g_lo[pending] = hi[pending], g_hi[pending]
         hi[pending] = hi[pending] * 2.0
-        t_eval = np.where(pending, hi, 1.0)
-        with np.errstate(all="ignore"):
-            w_new = sign * profile(t_eval)
-        newly_nan = pending & np.isnan(w_new)
+        g_new = g(hi, pending)
+        g_hi[pending] = g_new[pending]
+        newly_nan = pending & np.isnan(g_new)
         status[newly_nan] = NONFINITE
-        pending &= ~newly_nan
-        done = pending & (w_new >= ty)
-        straddled |= done
-        pending &= ~done
+        pending &= ~newly_nan & (g_new < 0)
     status[pending] = UNBOUNDED
 
+    # Chandrupatla: a and b are the bracket ends, a the newer one, and c is
+    # the end the last step dropped.  c starts equal to b, which makes the
+    # quadratic model non-finite, so the first step bisects.
+    a, b, c = lo, hi, hi
+    ga, gb, gc = g_lo, g_hi, g_hi
     active = status == OK
-    # Bisection: invariant w(lo) < ty <= w(hi).
     for _ in range(max_iters):
+        width = np.abs(b - a)
+        tol = rtol * (1.0 + np.maximum(a, b))
+        active &= width > tol
         if not active.any():
             break
-        mid = 0.5 * (lo + hi)
-        t_eval = np.where(active, mid, 1.0)
         with np.errstate(all="ignore"):
-            w_mid = sign * profile(t_eval)
-        newly_nan = active & np.isnan(w_mid)
+            # inverse quadratic step, trusted only where the three points
+            # fit a monotone model (Chandrupatla's criterion); the clip keeps
+            # every step at least tol / 2 inside the bracket
+            xi = (a - b) / (c - b)
+            ph = (ga - gb) / (gc - gb)
+            t = (ga / (gb - ga) * gc / (gb - gc)
+                 + (c - a) / (b - a) * ga / (gc - ga) * gb / (gc - gb))
+            trusted = (ph * ph < xi) & ((1.0 - ph) ** 2 < 1.0 - xi) & np.isfinite(t)
+            t_min = 0.5 * tol / width
+            t = np.clip(np.where(trusted, t, 0.5), t_min, 1.0 - t_min)
+        x = a + t * (b - a)
+        gx = g(x, active)
+        newly_nan = active & np.isnan(gx)
         status[newly_nan] = NONFINITE
         active &= ~newly_nan
-        go_up = active & (w_mid < ty)
-        lo[go_up] = mid[go_up]
-        go_down = active & ~go_up
-        hi[go_down] = mid[go_down]
-        active &= (hi - lo) > rtol * (1.0 + np.abs(hi))
+        # x becomes the new a; when it crossed the root, the old a becomes b.
+        # The end that x pushed out of the bracket becomes c.
+        crossed = active & ((gx < 0) != (ga < 0))
+        stayed = active & ~crossed
+        c, gc = (np.where(crossed, b, np.where(stayed, a, c)),
+                 np.where(crossed, gb, np.where(stayed, ga, gc)))
+        b, gb = np.where(crossed, a, b), np.where(crossed, ga, gb)
+        a, ga = np.where(active, x, a), np.where(active, gx, ga)
 
-    t = 0.5 * (lo + hi)
-    residual = np.full(N, np.nan)
-    ok = status == OK
-    if ok.any():
-        t_eval = np.where(ok, t, 1.0)
-        with np.errstate(all="ignore"):
-            vals = profile(t_eval)
-        residual[ok] = np.abs(vals[ok] - targets[ok])
+    # the root is the end with the smaller residual, both already evaluated
+    a_best = np.abs(ga) < np.abs(gb)
+    t = np.where(a_best, a, b)
+    residual = np.where(status == OK, np.abs(np.where(a_best, ga, gb)), np.nan)
     return RootResult(t=t, status=status, residual=residual)
 
 

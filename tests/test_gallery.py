@@ -285,6 +285,18 @@ def test_random_si_is_deterministic_per_seed():
     assert np.max(np.abs(f1.values(X) - g.values(X))) > 1e-6
 
 
+@pytest.mark.parametrize("seed,n", [(0, 2), (3, 3), (11, 5), (42, 8)])
+def test_random_si_rows_do_not_depend_on_their_batch(seed, n):
+    # each row's value is bitwise what a one-row call gives, for f and for p
+    f = random_si(seed, n)
+    X = np.random.default_rng(seed).normal(size=(257, n))
+    for field in (f, f.ph_part):
+        batch = field.values(X)
+        one_by_one = np.array([field.values(x[None, :])[0] for x in X])
+        np.testing.assert_array_equal(batch, one_by_one)
+        np.testing.assert_array_equal(field.values(X[100:103]), batch[100:103])
+
+
 def test_random_si_core_is_homogeneous_degree_one():
     f = random_si(7, 4, eps=0.3)
     p = f.ph_part

@@ -178,10 +178,20 @@ def test_lockstep_extrema_equal_sequential_reference_bitwise(n):
 
 
 @pytest.mark.parametrize("seed,n", [(0, 3), (5, 4), (11, 5)])
+def test_lockstep_extrema_equal_sequential_reference_bitwise_on_random_fields(seed, n):
+    # random_si values do not depend on the rows evaluated with them, so
+    # the lockstep polish takes the sequential polish's golden steps
+    p = random_si(seed, n)
+    ext = sphere_extrema(p, seed=3)
+    (u_min, m), (u_max, M) = _reference_extrema(p, seed=3)
+    assert ext.m == m and ext.M == M
+    assert np.array_equal(ext.argmin, u_min)
+    assert np.array_equal(ext.argmax, u_max)
+
+
+@pytest.mark.parametrize("seed,n", [(0, 3), (5, 4), (11, 5)])
 def test_lockstep_extrema_match_sequential_reference_on_random_fields(seed, n):
-    # random_si evaluates through matrix products, which BLAS rounds
-    # differently for one row and for two, so the two polishes may take
-    # different golden steps; they must still land on the same extrema
+    # the same extrema up to rounding, whatever the field's arithmetic
     p = random_si(seed, n)
     ext = sphere_extrema(p, seed=3)
     (u_min, m), (u_max, M) = _reference_extrema(p, seed=3)

@@ -1,8 +1,12 @@
 """Tests for the batched monotone root finder and the golden-section helper."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from siphkit.gallery import make_builtin
 from siphkit.rootfind import (BELOW_START, NONFINITE, OK, UNBOUNDED,
                               golden_section, solve_monotone,
                               solve_monotone_batch)
@@ -90,3 +94,215 @@ def test_golden_section_minimizes():
 def test_golden_section_endpoint_minimum():
     t, _ = golden_section(lambda u: u, 0.0, 1.0)
     assert t == pytest.approx(0.0, abs=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# the interpolating kernel against a reference bisection
+
+
+def _reference_bisection(profile, targets, increasing, value_at_zero=0.0,
+                         max_doublings=60, rtol=1e-14):
+    """Plain bisection on the same doubling bracket: (roots, statuses, bracket
+    evaluations).  The root is the midpoint of the final bracket."""
+    targets = np.atleast_1d(np.asarray(targets, dtype=float))
+    N = targets.shape[0]
+    sign = np.where(np.broadcast_to(np.asarray(increasing, bool), (N,)), 1.0, -1.0)
+    ty = sign * targets
+    w0 = sign * np.broadcast_to(np.asarray(value_at_zero, dtype=float), (N,))
+    status = np.zeros(N, dtype=int)
+    status[~np.isfinite(ty)] = NONFINITE
+    status[(ty <= w0) & (status == OK)] = BELOW_START
+
+    def w(t, rows):
+        with np.errstate(all="ignore"):
+            return sign * profile(np.where(rows, t, 1.0))
+
+    lo, hi = np.zeros(N), np.ones(N)
+    w_hi = w(hi, status == OK)
+    evals = 1
+    status[np.isnan(w_hi) & (status == OK)] = NONFINITE
+    pending = (status == OK) & (w_hi < ty)
+    for _ in range(max_doublings):
+        if not pending.any():
+            break
+        lo[pending] = hi[pending]
+        hi[pending] *= 2.0
+        w_new = w(hi, pending)
+        evals += 1
+        status[pending & np.isnan(w_new)] = NONFINITE
+        pending &= ~np.isnan(w_new) & (w_new < ty)
+    status[pending] = UNBOUNDED
+    active = status == OK
+    while active.any():
+        mid = 0.5 * (lo + hi)
+        w_mid = w(mid, active)
+        status[active & np.isnan(w_mid)] = NONFINITE
+        active &= ~np.isnan(w_mid)
+        up = active & (w_mid < ty)
+        lo[up] = mid[up]
+        down = active & ~up
+        hi[down] = mid[down]
+        active &= (hi - lo) > rtol * (1.0 + np.abs(hi))
+    return 0.5 * (lo + hi), status, evals
+
+
+def _counted(profile):
+    calls = []
+
+    def wrapped(t):
+        assert t.ndim == 1
+        calls.append(t.shape[0])
+        return profile(t)
+    return wrapped, calls
+
+
+def _assert_matches_reference(profile, targets, increasing, value_at_zero=0.0):
+    res = solve_monotone_batch(profile, targets, increasing, value_at_zero)
+    t_ref, status_ref, _ = _reference_bisection(profile, targets, increasing,
+                                                value_at_zero)
+    np.testing.assert_array_equal(res.status, status_ref)
+    ok = res.status == OK
+    assert (np.abs(res.t - t_ref) <= 1e-14 * (1.0 + np.abs(t_ref)))[ok].all()
+    assert np.isnan(res.residual[~ok]).all()
+    return res
+
+
+# Each family maps (scale a, rate k) to a profile increasing from 0 at t = 0,
+# and to its derivative.  Every profile is monotone in floating point too, so
+# both solvers converge on the same sign change.
+_FAMILIES = {
+    "power": (lambda a, k, t: a * t ** k, lambda a, k, t: a * k * t ** (k - 1)),
+    "exp": (lambda a, k, t: a * np.expm1(k * t), lambda a, k, t: a * k * np.exp(k * t)),
+    "log": (lambda a, k, t: a * np.log1p(k * t), lambda a, k, t: a * k / (1 + k * t)),
+    # saturates at a * pi / 2
+    "atan": (lambda a, k, t: a * np.arctan(k * t),
+             lambda a, k, t: a * k / (1 + (k * t) ** 2)),
+}
+
+
+@st.composite
+def monotone_batches(draw):
+    rows = draw(st.integers(1, 6))
+    spec = []
+    for _ in range(rows):
+        fam = draw(st.sampled_from(sorted(_FAMILIES)))
+        a = draw(st.floats(0.5, 2.0))
+        k = draw(st.floats(0.5, 2.5))
+        t_star = 10.0 ** draw(st.floats(-2.0, 1.3))
+        offset = draw(st.floats(-3.0, 3.0))
+        kind = draw(st.sampled_from(["root", "root", "root", "below", "beyond"]))
+        increasing = draw(st.booleans())
+        spec.append((fam, a, k, t_star, offset, kind, increasing))
+    return spec
+
+
+@settings(max_examples=200, deadline=None)
+@given(monotone_batches())
+def test_kernel_statuses_and_roots_equal_reference_bisection(spec):
+    fams = [_FAMILIES[s[0]][0] for s in spec]
+    a, k, t_star, offset = (np.array([s[i] for s in spec]) for i in (1, 2, 3, 4))
+    sign = np.where([s[6] for s in spec], 1.0, -1.0)
+    rise = np.array([f(ai, ki, ts) for f, ai, ki, ts in zip(fams, a, k, t_star)])
+    v0 = sign * offset * rise  # offsets scale with the rise
+
+    def profile(t):
+        return v0 + sign * np.array([f(ai, ki, ti)
+                                     for f, ai, ki, ti in zip(fams, a, k, t)])
+
+    kinds = np.array([s[5] for s in spec])
+    targets = v0 + sign * rise
+    targets[kinds == "below"] = (v0 - sign * rise)[kinds == "below"]
+    beyond = v0 + sign * 1e30  # past atan, log and power profiles up to 2**60
+    targets[kinds == "beyond"] = beyond[kinds == "beyond"]
+    res = _assert_matches_reference(profile, targets, sign > 0, v0)
+    roots = kinds == "root"
+    assert (res.status[roots] == OK).all()
+    # where rounding in the profile moves the root by well under the
+    # stopping width, the root is also within that width of t_star
+    slope = np.array([_FAMILIES[s[0]][1](ai, ki, ts)
+                      for s, ai, ki, ts in zip(spec, a, k, t_star)])
+    tol = 1e-14 * (1.0 + t_star)
+    rounding = 4 * np.finfo(float).eps * (np.abs(v0) + np.abs(targets)) / slope
+    sharp = roots & (rounding <= 0.25 * tol)
+    assert (np.abs(res.t - t_star) <= tol)[sharp].all()
+
+
+@pytest.mark.parametrize("target", [1.0, 8.0, 2.0 ** 20])
+def test_target_hit_exactly_at_a_doubling_end(target):
+    prof, calls = _counted(lambda t: t.copy())
+    res = solve_monotone_batch(prof, np.array([target]), increasing=True)
+    assert res.status[0] == OK
+    assert res.t[0] == target and res.residual[0] == 0.0
+    _assert_matches_reference(lambda t: t.copy(), np.array([target]), True)
+    # a hit on the bracket end takes a few steps, not a full bisection
+    assert len(calls) <= 1 + np.log2(target) + 4
+
+
+def test_infinite_values_inside_the_bracket():
+    def prof(t):
+        return np.where(t < 1.5, t, np.inf)
+
+    want = np.array([1.2, 1.4999, 0.25])
+    res = _assert_matches_reference(prof, want, True)
+    assert (res.status == OK).all()
+    assert (np.abs(res.t - want) <= 1e-14 * (1.0 + want)).all()
+
+
+def test_nan_after_straddling_is_nonfinite():
+    # finite at the bracket ends 0, 1 and 2, nan strictly between 1 and 2
+    def prof(t):
+        return np.where((t > 1.0) & (t < 2.0), np.nan, t)
+
+    res = _assert_matches_reference(prof, np.array([1.5, 0.5]), True)
+    assert list(res.status) == [NONFINITE, OK]
+    assert np.isnan(res.residual[0])
+
+
+def test_nan_value_at_zero_is_solved_as_below_the_target():
+    res = _assert_matches_reference(lambda t: t ** 2, np.array([0.36, 9.0]), True,
+                                    value_at_zero=np.nan)
+    assert (res.status == OK).all()
+    np.testing.assert_allclose(res.t, [0.6, 3.0], rtol=1e-13)
+
+
+def test_below_start_and_unbounded_rows_in_one_batch():
+    res = _assert_matches_reference(np.tanh, np.array([-0.5, 2.0, 0.5, 0.0]), True)
+    assert list(res.status) == [BELOW_START, UNBOUNDED, OK, BELOW_START]
+    # 2**60 caps the bracket: a linear target beyond it is unbounded
+    res = _assert_matches_reference(lambda t: t.copy(), np.array([2.0 ** 61]), True)
+    assert res.status[0] == UNBOUNDED
+
+
+def test_no_warnings_on_non_finite_values():
+    def prof(t):
+        out = np.where(t < 3.0, np.expm1(t), np.inf)
+        return np.where(t > 50.0, np.nan, out)
+
+    targets = np.array([2.0, 1e3, np.nan, np.inf, 10.0, -np.inf, 1e300])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = solve_monotone_batch(prof, targets, True, value_at_zero=0.0)
+        solve_monotone_batch(prof, targets, True, value_at_zero=np.inf)
+        solve_monotone_batch(lambda t: -prof(t), -targets, False)
+    assert list(res.status) == [OK, OK, NONFINITE, NONFINITE, OK, NONFINITE, OK]
+
+
+@pytest.mark.parametrize("name,n", [("ellipsoid", 3), ("ellipsoid", 5),
+                                    ("gauss_si", 2), ("gauss_si", 4)])
+def test_evaluations_per_root_after_bracketing(name, n):
+    field = make_builtin(name, n)
+    rng = np.random.default_rng(n)
+    D = rng.normal(size=(200, n))
+    increasing = name == "ellipsoid"
+    for level_point in rng.normal(size=(5, n)):
+        gy = field.value(field.x_star + level_point) - field.f_star
+
+        def profile(t):
+            return field.shifted_values(t[:, None] * D)
+
+        prof, calls = _counted(profile)
+        res = solve_monotone_batch(prof, np.full(len(D), gy), increasing)
+        assert (res.status == OK).all()
+        _, _, bracket_evals = _reference_bisection(profile, np.full(len(D), gy),
+                                                   increasing)
+        assert len(calls) - bracket_evals <= 20
