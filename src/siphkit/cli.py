@@ -239,6 +239,10 @@ def _cmd_verify_euler(args, field, plan):
     if not (np.isfinite(rep.max_residual) and rep.max_residual <= args.tol):
         witnesses.append({"kind": "euler_residual",
                           "max_residual": rep.max_residual, "tol": args.tol})
+    if rep.n_samples < plan.n_samples:
+        # the coordinate floor rejected too many box draws
+        witnesses.append({"kind": "short_sample", "requested": plan.n_samples,
+                          "obtained": rep.n_samples})
     return rep, witnesses, {"alpha": alpha, "tol": args.tol, "h": args.h,
                             "coord_floor": args.coord_floor}
 

@@ -13,12 +13,11 @@ from dataclasses import dataclass, field as dataclass_field
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .decomposition import Decomposition
 from .field import GradientSpec, ScalarField
 from .levelsets import ray_level_radius
-from .rays import SamplingPlan, classify_ray
+from .rays import SamplingPlan, classify_ray, row_blocks
 
 
 @dataclass
@@ -82,21 +81,27 @@ def euler_residual(p: ScalarField, alpha: float,
     ``p`` should be positively homogeneous of degree ``alpha`` and
     differentiable away from the reference point; samples keep every
     coordinate at least ``coord_floor`` from the reference to keep the
-    difference stencil well conditioned.
+    difference stencil well conditioned.  Values and gradients are evaluated
+    in blocks of rows.  ``n_samples`` is the number of samples obtained,
+    which falls short of ``plan.n_samples`` when the floor rejects too many
+    draws (see :func:`_floored_box_points`).
     """
     plan = plan or SamplingPlan()
     spec = grad_spec or GradientSpec()
     rng = plan.rng()
     Z = _floored_box_points(plan, p.n, coord_floor, rng)
-    X = p.x_star + Z
-    vals = p.values(X)
-    grads = p.gradient_values(X, spec)
-    residuals = np.abs(alpha * vals - np.einsum("ij,ij->i", grads, Z))
+    residuals = np.empty(Z.shape[0])
+    for rows in row_blocks(Z.shape[0]):
+        X = p.x_star + Z[rows]
+        vals = p.values(X)
+        grads = p.gradient_values(X, spec)
+        dots = np.einsum("ij,ij->i", grads, Z[rows])
+        residuals[rows] = np.abs(alpha * vals - dots)
     finite = np.isfinite(residuals)
     max_res = float(residuals[finite].max()) if finite.any() else np.nan
     return EulerReport(max_residual=max_res, residuals=residuals, alpha=alpha,
                        grad_mode=_grad_mode(p, spec), h=spec.h,
-                       n_samples=int(X.shape[0]),
+                       n_samples=int(Z.shape[0]),
                        excluded=int((~finite).sum()), seed=plan.seed,
                        notes={"coord_floor": coord_floor})
 
@@ -226,6 +231,10 @@ def paired_level_solver(r: float, tol: float = 1e-10) -> PairedLevels:
     u = s² ∈ (1, B] with doubling B finds the second preimage.  r outside
     (0, 1) is rejected — in particular feeding an s back in is invalid.
     """
+    # imported here, its only use, so that importing siphkit does not load
+    # scipy.optimize
+    from scipy.optimize import brentq
+
     r = float(r)
     if not 0.0 < r < 1.0:
         raise ValueError("r must lie strictly inside (0, 1): the paired level "

@@ -15,7 +15,8 @@ import numpy as np
 
 from .decomposition import Decomposition
 from .field import ScalarField
-from .rays import MAX_WITNESSES, SamplingPlan, classify_ray, default_directions
+from .rays import (MAX_WITNESSES, SamplingPlan, classify_ray,
+                   default_directions, row_blocks)
 from .rootfind import (BELOW_START, NONFINITE, OK, UNBOUNDED, golden_section,
                        solve_monotone_batch)
 
@@ -430,16 +431,20 @@ def negligibility_probe(field: ScalarField, c: float,
 
     ``eps_list`` must be strictly decreasing and positive.  The continuity of
     every ray section — the hypothesis under which level sets are negligible —
-    is assumed, not verified; the report records this.
+    is assumed, not verified; the report records this.  The box is drawn and
+    evaluated in blocks of rows from the one seeded generator.
     """
     eps = np.asarray(list(eps_list), dtype=float)
     if eps.ndim != 1 or len(eps) < 1 or (eps <= 0).any() or (np.diff(eps) >= 0).any():
         raise ValueError("eps_list must be strictly decreasing and positive")
     rng = np.random.default_rng(seed)
-    X = field.x_star + rng.uniform(-box_radius, box_radius,
-                                   size=(n_samples, field.n))
-    vals = field.values(X)
-    counts = [int(np.count_nonzero(np.abs(vals - c) <= e)) for e in eps]
+    counts = [0] * len(eps)
+    for rows in row_blocks(n_samples):
+        X = field.x_star + rng.uniform(-box_radius, box_radius,
+                                       size=(rows.stop - rows.start, field.n))
+        dev = np.abs(field.values(X) - c)
+        counts = [k + int(np.count_nonzero(dev <= e))
+                  for k, e in zip(counts, eps)]
     fractions = [cnt / n_samples for cnt in counts]
     ok = True
     for prev, cur in zip(fractions, fractions[1:]):

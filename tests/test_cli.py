@@ -2,9 +2,13 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import siphkit
 from siphkit.cli import main
 
 
@@ -179,6 +183,20 @@ def test_verify_euler_requires_a_degree_somewhere(capsys):
     assert "alpha" in err
 
 
+def test_verify_euler_names_a_short_sample(capsys):
+    # at n = 100 the coordinate floor keeps about 0.95^100 of the box draws,
+    # too few to reach the 1000 samples asked for
+    code, doc = run_json(capsys, ["verify", "euler", "--gallery", "norm",
+                                  "--n", "100", "--N", "1000"])
+    assert code == 1
+    assert doc["verdict"] == "fail"
+    assert doc["metrics"]["max_residual"] <= 1e-6
+    short = [w for w in doc["witnesses"] if w["kind"] == "short_sample"]
+    assert short == [{"kind": "short_sample", "requested": 1000,
+                      "obtained": doc["metrics"]["n_samples"]}]
+    assert 0 < doc["metrics"]["n_samples"] < 1000
+
+
 def test_verify_general_euler(capsys):
     code, doc = run_json(capsys, ["verify", "general-euler", "--gallery",
                                   "gauss_si", "--alpha", "2", "--N", "500"])
@@ -328,3 +346,14 @@ def test_non_finite_reference_value_exits_two(capsys):
     assert out == ""
     assert "siphkit: error: f(x_star) is not finite" in err
     assert "RuntimeWarning" not in err
+
+
+def test_importing_the_cli_does_not_load_scipy_optimize():
+    code = ("import sys, siphkit.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))")
+    # the child imports the same siphkit as this process
+    src = os.path.dirname(os.path.dirname(siphkit.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "[]"

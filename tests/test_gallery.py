@@ -198,6 +198,58 @@ def test_logsq_profile_matches_direct_quadrature():
     assert got == pytest.approx(expected, abs=1e-8)
 
 
+# phi(t) = integral_0^t du / (1 + log(u)^2), from 30-digit quadrature of
+# integral_{-inf}^{log t} e^s / (1 + s^2) ds
+LOGSQ_REFERENCE = [
+    (1e-8, 2.663049615874822226649e-11),
+    (1e-3, 1.632806960074461020439e-05),
+    (0.1, 0.009788913779940206938712),
+    (0.5, 0.1744408748031834008602),
+    (1.0, 0.6214496242358133576393),
+    (2.0, 1.475720183704396414861),
+    (10.0, 3.74729501863780040877),
+    (100.0, 9.82778758691895455591),
+    (1000.0, 33.58608409294710742386),
+]
+
+
+def test_logsq_profile_matches_high_precision_values():
+    t, want = (np.array(col) for col in zip(*LOGSQ_REFERENCE))
+    np.testing.assert_allclose(logsq_profile(t), want, rtol=1e-11, atol=0)
+
+
+def test_logsq_profile_special_values_and_shapes():
+    assert logsq_profile(0.0) == 0.0
+    assert logsq_profile(math.inf) == math.inf
+    assert math.isnan(logsq_profile(-1.0))
+    assert math.isnan(logsq_profile(float("nan")))
+    assert type(logsq_profile(1.0)) is float
+    assert type(logsq_profile(np.float64(2.0))) is float
+    t = np.array([[0.0, 0.5], [math.inf, -2.0]])
+    out = logsq_profile(t)
+    assert out.shape == (2, 2)
+    assert out[0, 0] == 0.0 and out[1, 0] == math.inf and math.isnan(out[1, 1])
+    assert out[0, 1] == logsq_profile(0.5)
+
+
+def test_logsq_profile_strictly_increasing_over_wide_range():
+    t = np.geomspace(1e-12, 1e12, 2001)
+    vals = logsq_profile(t)
+    assert np.isfinite(vals).all()
+    assert (np.diff(vals) > 0).all()
+    assert vals[0] > 0
+
+
+def test_logsq_profile_derivative_matches_gallery_gradient():
+    f = make_builtin("logsq_si", 1)
+    t = np.geomspace(1e-3, 1e3, 41)
+    h = 1e-5 * t
+    fd = (logsq_profile(t + h) - logsq_profile(t - h)) / (2.0 * h)
+    grad = f.gradient_values(t[:, None])[:, 0]
+    np.testing.assert_allclose(grad, 1.0 / (1.0 + np.log(t) ** 2), rtol=1e-15)
+    np.testing.assert_allclose(fd, grad, rtol=1e-7)
+
+
 def test_logsq_field_gradient_vanishes_at_origin():
     f = make_builtin("logsq_si", 2)
     np.testing.assert_array_equal(f.gradient([0.0, 0.0]), [0.0, 0.0])
