@@ -2,10 +2,15 @@
 
 The homogeneous part is recovered by ray root-finding: for a reference point
 x0 with nonzero shifted value, lambda(x) solves g(lambda x) = g(x0) along the
-ray through x, and p(x) = (1 / lambda(x))**alpha (0 on the zero level of g,
-sign-split across two references when rays of both monotonicities exist).
-The profile phi is the field's own ray section through the reference,
-rescaled so that p is positively homogeneous of the requested degree.
+ray through x, and p(x) = (1 / lambda(x))**alpha (sign-split across two
+references when rays of both monotonicities exist).  The profile phi is the
+field's own ray section through the reference, rescaled so that p is
+positively homogeneous of the requested degree.
+
+With phi strictly monotone, f(x) = f(x_star) exactly when p(x) = 0, so the
+zero level is {g = 0} itself: only exact zeros get p = 0, and every row with
+a nonzero g, however small, is root-solved.  The ``ZERO_LEVEL_ATOL`` band
+serves only to choose the case and to reject a reference value.
 """
 
 from __future__ import annotations
@@ -45,8 +50,7 @@ class Decomposition:
 
     def __init__(self, field: ScalarField, alpha: float, case: str,
                  positive_ref: Optional[ReferenceInfo] = None,
-                 negative_ref: Optional[ReferenceInfo] = None,
-                 zero_tol: Optional[float] = None):
+                 negative_ref: Optional[ReferenceInfo] = None):
         if alpha <= 0:
             raise ValueError(f"alpha must be positive, got {alpha}")
         if case not in ("zero", "one-sided", "two-sided"):
@@ -56,9 +60,6 @@ class Decomposition:
         self.case = case
         self.positive_ref = positive_ref
         self.negative_ref = negative_ref
-        self.zero_tol = (ZERO_LEVEL_ATOL * (1.0 + abs(field.f_star))
-                         if zero_tol is None else zero_tol)
-        self._lambda_cache: dict[bytes, float] = {}
         # witnesses of the rows the latest p_values / lambda_for call could
         # not solve; each call starts a fresh list
         self.solver_failures: list = []
@@ -66,38 +67,22 @@ class Decomposition:
     # -- p ------------------------------------------------------------------
 
     def _solve_lambdas(self, Z: np.ndarray, ref: ReferenceInfo) -> np.ndarray:
-        """lambda(z) with g(lambda z) = ref.value, memoized per exact vector."""
-        lam = np.full(Z.shape[0], np.nan)
-        missing = []
-        keys = []
-        for i, row in enumerate(Z):
-            key = row.tobytes()
-            keys.append(key)
-            cached = self._lambda_cache.get(key)
-            if cached is None:
-                missing.append(i)
-            else:
-                lam[i] = cached
-        if missing:
-            M = Z[missing]
+        """lambda(z) with g(lambda z) = ref.value for each row of Z, nan where
+        the ray never meets the reference level.  Not memoised: every call
+        solves all of its rows in one batched root solve."""
 
-            def profile(t):
-                return self.field.shifted_values(t[:, None] * M)
+        def profile(t):
+            return self.field.shifted_values(t[:, None] * Z)
 
-            res = solve_monotone_batch(profile, np.full(len(missing), ref.value),
-                                       increasing=ref.increasing)
-            for j, i in enumerate(missing):
-                if res.status[j] == OK:
-                    lam[i] = res.t[j]
-                    self._lambda_cache[keys[i]] = float(res.t[j])
-                else:
-                    reason = {UNBOUNDED: "unbounded_ray",
-                              BELOW_START: "level_unreachable"}.get(
-                                  int(res.status[j]), "non_finite")
-                    if len(self.solver_failures) < MAX_WITNESSES:
-                        self.solver_failures.append(
-                            {"kind": reason, "point": Z[i].tolist()})
-        return lam
+        res = solve_monotone_batch(profile, np.full(Z.shape[0], ref.value),
+                                   increasing=ref.increasing)
+        room = max(MAX_WITNESSES - len(self.solver_failures), 0)
+        for i in np.flatnonzero(res.status != OK)[:room]:
+            reason = {UNBOUNDED: "unbounded_ray",
+                      BELOW_START: "level_unreachable"}.get(
+                          int(res.status[i]), "non_finite")
+            self.solver_failures.append({"kind": reason, "point": Z[i].tolist()})
+        return np.where(res.status == OK, res.t, np.nan)
 
     def lambda_for(self, x) -> float:
         """The homothety scale lambda(x) for one absolute point (nan if f(x)
@@ -105,7 +90,7 @@ class Decomposition:
         self.solver_failures = []
         z = np.asarray(x, dtype=float) - self.field.x_star
         g = self.field.shifted(z)
-        if abs(g) <= self.zero_tol or self.case == "zero":
+        if g == 0 or self.case == "zero":
             return np.nan
         ref = self.positive_ref if (self.case == "one-sided" or g > 0) else self.negative_ref
         return float(self._solve_lambdas(z[None, :], ref)[0])
@@ -119,7 +104,7 @@ class Decomposition:
         p = np.zeros(X.shape[0])
         if self.case == "zero":
             return p
-        zero = np.abs(g) <= self.zero_tol
+        zero = g == 0
         nan_rows = np.isnan(g)
         p[nan_rows] = np.nan
         if self.case == "one-sided":
@@ -176,7 +161,7 @@ class Decomposition:
         gy = float(y) - self.field.f_star
         if self.case == "zero":
             return gy
-        if abs(gy) <= self.zero_tol:
+        if gy == 0:
             return 0.0
         inv_ok = False
         if self.case == "one-sided":
@@ -297,13 +282,12 @@ def build_decomposition(field: ScalarField, alpha: float = 1.0, x0=None,
         if not neg.value < 0:
             raise DecompositionError("xm1 must have f(xm1) < f(x_star)")
         return Decomposition(field, alpha, "two-sided", positive_ref=pos,
-                             negative_ref=neg, zero_tol=zero_tol)
+                             negative_ref=neg)
     if x0 is not None:
         ref = _make_ref(field, np.asarray(x0, dtype=float) - field.x_star)
         if abs(ref.value) <= zero_tol:
             raise DecompositionError("x0 must have f(x0) != f(x_star)")
-        return Decomposition(field, alpha, "one-sided", positive_ref=ref,
-                             zero_tol=zero_tol)
+        return Decomposition(field, alpha, "one-sided", positive_ref=ref)
 
     rng = plan.rng()
     sphere = plan.sphere_points(n, 64 * n, rng=rng)
@@ -322,19 +306,18 @@ def build_decomposition(field: ScalarField, alpha: float = 1.0, x0=None,
                 f"ray through {d.tolist()} is non-monotone; field is not decomposable")
 
     if not has_pos and not has_neg:
-        return Decomposition(field, alpha, "zero", zero_tol=zero_tol)
+        return Decomposition(field, alpha, "zero")
 
     if has_pos and has_neg:
         masked = np.where(finite, vals, 0.0)
         pos = _make_ref(field, _condition_reference(field, sphere[int(np.argmax(masked))]))
         neg = _make_ref(field, _condition_reference(field, sphere[int(np.argmin(masked))]))
         return Decomposition(field, alpha, "two-sided", positive_ref=pos,
-                             negative_ref=neg, zero_tol=zero_tol)
+                             negative_ref=neg)
 
     scored = np.where(finite, np.abs(vals), -np.inf)
     ref = _make_ref(field, _condition_reference(field, sphere[int(np.argmax(scored))]))
-    return Decomposition(field, alpha, "one-sided", positive_ref=ref,
-                         zero_tol=zero_tol)
+    return Decomposition(field, alpha, "one-sided", positive_ref=ref)
 
 
 # -----------------------------------------------------------------------------

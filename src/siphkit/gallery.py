@@ -65,7 +65,9 @@ def _ellipsoid(n: int, diag=None, matrix=None) -> ScalarField:
         A = np.diag(diag)
 
     def fn(X):
-        return np.einsum("...i,ij,...j->...", X, A, X)
+        # einsum sums each row on its own, so a row's value does not depend
+        # on its batch; two-operand steps avoid the naive three-operand loop
+        return np.einsum("...j,...j->...", np.einsum("...i,ij->...j", X, A), X)
 
     meta = FieldMeta(declared_si=True, ph_degree=2.0, decomposable=True,
                      compact_sublevel=True, differentiable=True, continuous=True,

@@ -4,6 +4,12 @@ Ray intersection radii (each half-line from the reference point meets a level
 set of a strictly-monotone-ray field at most once), unit-sphere extrema of a
 homogeneous part, the ball sandwich bounds they induce, a compactness probe
 for sublevel sets, and a Monte Carlo shell probe for measure negligibility.
+
+The sandwich of a scaling-invariant f = phi o p needs the sphere extrema of
+p, but not p's values along the way: with phi strictly increasing, f and p
+order points identically, so an extremum search that only compares values
+finds the same points on f.  It runs on f, and p is root-solved only at the
+two points it returns.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .decomposition import Decomposition
+from .decomposition import ZERO_LEVEL_ATOL, Decomposition
 from .field import ScalarField
 from .rays import (MAX_WITNESSES, SamplingPlan, classify_ray,
                    default_directions, row_blocks)
@@ -249,6 +255,12 @@ def check_si_sandwich(field: ScalarField, d: Decomposition,
     is the matching profile.  ``slack`` is a relative tolerance absorbing the
     sampling error of the extrema estimates.
 
+    The extrema are located on f itself.  With phi strictly increasing,
+    f(x) < f(y) exactly when q(x) < q(y), so the seeded sampling and the
+    golden-section polish, which only compare values, take the same steps
+    on f as on q and stop at the same sphere points.  q is then solved at
+    those two points only, in one root solve, instead of at every probe.
+
     Beyond the pointwise sandwich, two inclusions are witness-searched:
     every sampled point with ||x|| < rho must lie in the sublevel set at
     phi1(rho M), and every sampled point of a sublevel set at level c must lie
@@ -264,13 +276,13 @@ def check_si_sandwich(field: ScalarField, d: Decomposition,
                                    "case": d.case,
                                    "phi_increasing": d.phi_increasing})
     inv_alpha = 1.0 / d.alpha
-
-    def q_batch(X):
-        return d.p_values(X) ** inv_alpha
-
-    q_field = ScalarField(field.n, q_batch, x_star=field.x_star, vectorized=True)
-    ext = sphere_extrema(q_field, n_samples=256, refine_steps=2, seed=plan.seed)
-    m_hat, M_hat = ext.m, ext.M
+    ext = sphere_extrema(field, n_samples=256, refine_steps=2, seed=plan.seed)
+    q = d.p_values(field.x_star + np.array([ext.argmin, ext.argmax])) ** inv_alpha
+    # the sandwich needs p bounded away from 0 on the sphere; a minimum of f
+    # inside the zero-level band counts as p = 0
+    zero_band = ZERO_LEVEL_ATOL * (1.0 + abs(field.f_star))
+    m_hat = 0.0 if ext.m - field.f_star <= zero_band else float(q[0])
+    M_hat = float(q[1])
     notes = {"m_is_q_extremum": True, "alpha": d.alpha,
              "extrema_samples": ext.n_samples, "slack": slack}
     if not (np.isfinite(m_hat) and m_hat > 0):

@@ -16,7 +16,7 @@ from siphkit.decomposition import (
 )
 from siphkit.exprlang import bind
 from siphkit.gallery import compose, make_builtin, random_si
-from siphkit.rays import SamplingPlan
+from siphkit.rays import MAX_WITNESSES, SamplingPlan
 
 E1_2D = np.array([1.0, 0.0])
 
@@ -33,6 +33,33 @@ def test_sq_norm_with_unit_reference_recovers_the_norm():
     X = rng.uniform(-2.0, 2.0, size=(100, 2))
     np.testing.assert_allclose(d.p_values(X), np.linalg.norm(X, axis=1), atol=1e-9)
     assert d.p([0.0, 0.0]) == 0.0
+
+
+def test_points_near_the_zero_level_are_solved_not_zeroed():
+    # saddle_si's profile grows like u^3/3 near 0, so points with ||x|| below
+    # about 0.012 have |g| < 1e-12 without being on the zero level {g = 0};
+    # p must still be ||x|| there, or the homogeneity residual jumps to ~1e-2
+    f = make_builtin("saddle_si", 4)
+    plan = SamplingPlan(seed=1572086986, n_samples=5000)
+    d = build_decomposition(f, plan=plan)
+    check = verify_decomposition(f, d, plan)
+    assert check.max_ph_residual <= 1e-7
+    x = np.array([[0.004, -0.003, 0.0, 0.0]])
+    assert d.p_values(x)[0] == pytest.approx(0.005, rel=1e-9)
+    assert d.p_values(np.zeros((1, 4)))[0] == 0.0
+
+
+def test_repeated_p_values_keep_no_per_point_state():
+    f = make_builtin("ellipsoid", 3)
+    d = build_decomposition(f)
+    X = np.random.default_rng(4).uniform(-2.0, 2.0, size=(500, 3))
+    attrs = set(vars(d))
+    first = d.p_values(X)
+    np.testing.assert_array_equal(d.p_values(X), first)
+    assert set(vars(d)) == attrs
+    for value in vars(d).values():
+        if isinstance(value, (dict, list, set)):
+            assert len(value) <= MAX_WITNESSES
 
 
 def test_requested_degree_two_gives_the_squared_norm():

@@ -349,6 +349,21 @@ def test_random_si_rows_do_not_depend_on_their_batch(seed, n):
         np.testing.assert_array_equal(field.values(X[100:103]), batch[100:103])
 
 
+@pytest.mark.parametrize("n,params", [
+    (2, {}), (5, {}), (8, {}),
+    (3, {"matrix": [[2.0, 0.5, 0.1], [0.5, 1.0, 0.3], [0.1, 0.3, 3.0]]})])
+def test_ellipsoid_rows_do_not_depend_on_their_batch(n, params):
+    f = make_builtin("ellipsoid", n, **params)
+    A = np.asarray(f.meta.notes["matrix"])
+    X = np.random.default_rng(n).normal(size=(257, n))
+    batch = f.values(X)
+    one_by_one = np.array([f.values(x[None, :])[0] for x in X])
+    np.testing.assert_array_equal(batch, one_by_one)
+    np.testing.assert_array_equal(f.values(X[100:103]), batch[100:103])
+    want = np.array([x @ A @ x for x in X])
+    np.testing.assert_allclose(batch, want, rtol=4 * np.finfo(float).eps)
+
+
 def test_random_si_core_is_homogeneous_degree_one():
     f = random_si(7, 4, eps=0.3)
     p = f.ph_part

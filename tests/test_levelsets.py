@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from siphkit import decomposition, levelsets
 from siphkit.decomposition import build_decomposition
 from siphkit.exprlang import bind
+from siphkit.field import ScalarField
 from siphkit.gallery import compose, make_builtin, random_si
 from siphkit.levelsets import (
     check_ph_sandwich,
@@ -193,6 +195,61 @@ def test_random_field_sandwich_passes_at_scale():
     report = check_si_sandwich(f, d, SamplingPlan(n_samples=10_000))
     assert report.passed, report.witnesses[:2]
     assert 0 < report.m <= report.M
+
+
+def _q_polish_reference(f, d, seed):
+    """The sandwich's former extrema: the sphere polish run on
+    q = p^(1/alpha) itself, one root solve per golden probe.  Kept as the
+    reference for the polish on f."""
+    inv_alpha = 1.0 / d.alpha
+    q = ScalarField(f.n, lambda X: d.p_values(X) ** inv_alpha,
+                    x_star=f.x_star, vectorized=True)
+    ext = sphere_extrema(q, n_samples=256, refine_steps=2, seed=seed)
+    return ext.m, ext.M
+
+
+@pytest.mark.parametrize("name,n", [
+    ("ellipsoid", 2), ("half_norm", 5), ("norm", 3), ("saddle_si", 4),
+    ("sphere", 2), ("sq_norm", 3), ("random_si", 3), ("random_si", 5)])
+def test_sandwich_extrema_polished_on_f_match_the_q_polish(name, n):
+    # phi is increasing, so f orders the sphere as q does: the extrema found
+    # on f may not be worse than q's own polish beyond rounding
+    f = random_si(n, n) if name == "random_si" else make_builtin(name, n)
+    plan = SamplingPlan(seed=n)
+    d = build_decomposition(f, plan=plan)
+    report = check_si_sandwich(f, d, plan)
+    m_ref, M_ref = _q_polish_reference(f, d, plan.seed)
+    assert report.passed, report.witnesses[:2]
+    assert report.m <= m_ref * (1.0 + 1e-9)
+    assert report.M >= M_ref * (1.0 - 1e-9)
+
+
+def test_sandwich_solves_q_once_plus_once_per_reference_level(monkeypatch):
+    calls = []
+    solve = levelsets.solve_monotone_batch
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    f = make_builtin("ellipsoid", 4)
+    d = build_decomposition(f)
+    monkeypatch.setattr(decomposition, "solve_monotone_batch", counted)
+    monkeypatch.setattr(levelsets, "solve_monotone_batch", counted)
+    report = check_si_sandwich(f, d)
+    assert report.passed
+    # q at the two extrema in one solve, then phi^-1 at up to 8 levels
+    assert 1 <= len(calls) <= 1 + 8
+
+
+def test_sphere_minimum_on_the_zero_level_fails_the_precondition():
+    # logsq_si's homogeneous part vanishes on the hyperplane x_1 = 0, so p
+    # is not bounded away from 0 on the sphere
+    f = make_builtin("logsq_si", 2)
+    d = build_decomposition(f)
+    report = check_si_sandwich(f, d)
+    assert report.verdict == "precondition-failed"
+    assert report.m == 0.0
 
 
 def test_decreasing_profile_fails_sandwich_precondition():
