@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -536,6 +537,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built on its first call and kept for the
+    process.  Reuse is safe: the parser holds no per-call state (no
+    ``set_defaults``, no mutable default, and SIPH_SEED is read in
+    ``_dispatch``)."""
+    return build_parser()
+
+
 _FIELD_HANDLERS = {
     ("check", "si"): _cmd_check_si,
     ("check", "decomposable"): _cmd_check_decomposable,
@@ -580,9 +590,13 @@ def _dispatch(args) -> Report:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one subcommand and return its exit code.
+
+    ``main`` can be called repeatedly in one process: every call parses with
+    the same parser, built on the first call, and reads SIPH_SEED afresh.
+    """
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2

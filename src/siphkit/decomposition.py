@@ -26,6 +26,8 @@ from .rays import (MAX_WITNESSES, SamplingPlan, classify_ray, default_directions
 from .rootfind import BELOW_START, OK, UNBOUNDED, solve_monotone_batch
 
 ZERO_LEVEL_ATOL = 1e-12
+# phi_inverse_values status: a level a one-sided phi never reaches
+OUTSIDE_RANGE = -1
 
 
 class DecompositionError(RuntimeError):
@@ -156,33 +158,54 @@ class Decomposition:
     def phi(self, t: float) -> float:
         return float(self.phi_values(np.array([t]))[0])
 
-    def phi_inverse(self, y: float, max_doublings: int = 60) -> float:
-        """Solve phi(t) = y on the achieved range by monotone bracketing."""
-        gy = float(y) - self.field.f_star
+    def phi_inverse_values(self, Y, max_doublings: int = 60) -> tuple:
+        """Solve phi(t) = y for each level y of ``Y`` in one root solve.
+
+        Returns ``(values, status)``.  ``status`` holds a rootfind code per
+        level, or ``OUTSIDE_RANGE`` for a level on the side of f(x_star)
+        that a one-sided phi never reaches; ``values`` is nan wherever the
+        status is not OK.  The level f(x_star) maps to 0 without a solve.
+        """
+        gy = np.atleast_1d(np.asarray(Y, dtype=float)) - self.field.f_star
+        status = np.full(gy.shape, OK)
         if self.case == "zero":
-            return gy
-        if gy == 0:
-            return 0.0
-        inv_ok = False
+            return gy, status
+        pos_ref = self.positive_ref
         if self.case == "one-sided":
-            ref = self.positive_ref
-            same_side = (gy > 0) == (ref.value > 0)
-            if not same_side:
-                raise ValueError(f"level {y} is outside the achieved range")
-            branch_sign = 1.0
+            neg_ref, pos = pos_ref, np.ones(gy.shape, dtype=bool)
+            status[(gy != 0) & ((gy > 0) != (pos_ref.value > 0))] = OUTSIDE_RANGE
         else:
-            ref = self.positive_ref if gy > 0 else self.negative_ref
-            branch_sign = 1.0 if gy > 0 else -1.0
+            neg_ref, pos = self.negative_ref, gy > 0
+        values = np.where(gy == 0, 0.0, np.nan)
+        rows = np.flatnonzero((gy != 0) & (status == OK))
+        if rows.size == 0:
+            return values, status
+        P = np.where(pos[rows, None], pos_ref.point, neg_ref.point)
 
         def profile(u):
-            return self.field.shifted_values(u[:, None] * ref.point)
+            return self.field.shifted_values(u[:, None] * P)
 
-        res = solve_monotone_batch(profile, np.array([gy]), increasing=ref.increasing,
-                                   max_doublings=max_doublings)
-        if res.status[0] != OK:
+        res = solve_monotone_batch(
+            profile, gy[rows], max_doublings=max_doublings,
+            increasing=np.where(pos[rows], pos_ref.increasing, neg_ref.increasing))
+        status[rows] = res.status
+        # scalar powers, one level at a time: numpy's array pow may differ
+        # from the scalar one in the last bit
+        for i, t, code in zip(rows, res.t, res.status):
+            if code == OK:
+                values[i] = (1.0 if pos[i] else -1.0) * t ** self.alpha
+        return values, status
+
+    def phi_inverse(self, y: float, max_doublings: int = 60) -> float:
+        """Solve phi(t) = y on the achieved range by monotone bracketing: the
+        one-level case of :meth:`phi_inverse_values`."""
+        values, status = self.phi_inverse_values([y], max_doublings)
+        if status[0] == OUTSIDE_RANGE:
+            raise ValueError(f"level {y} is outside the achieved range")
+        if status[0] != OK:
             raise ValueError(f"level {y} not reachable along the reference ray "
-                             f"(status {int(res.status[0])})")
-        return float(branch_sign * res.t[0] ** self.alpha)
+                             f"(status {int(status[0])})")
+        return float(values[0])
 
     # -- wrappers ---------------------------------------------------------------
 

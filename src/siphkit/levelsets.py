@@ -323,12 +323,13 @@ def check_si_sandwich(field: ScalarField, d: Decomposition,
                               "cap": cap})
 
     # Sublevel set at level c inside the ball of radius phi1^{-1}(c)/m.
+    # all levels in one solve; those phi does not reach are skipped
     ref_levels = f_vals[np.isfinite(f_vals)][:8]
-    for c in ref_levels:
-        try:
-            radius = d.phi_inverse(float(c)) ** inv_alpha / m_hat
-        except ValueError:
+    t_levels, status = d.phi_inverse_values(ref_levels)
+    for c, t_c, code in zip(ref_levels, t_levels, status):
+        if code != OK:
             continue
+        radius = float(t_c) ** inv_alpha / m_hat
         covered = finite & (f_vals <= c)
         bad = covered & (r > radius * (1.0 + slack) + slack)
         for idx in np.flatnonzero(bad)[:4]:

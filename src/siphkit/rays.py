@@ -134,11 +134,12 @@ def order_trichotomy(a, b, atol: float = ORDER_ATOL) -> np.ndarray:
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    band = atol * (1.0 + np.maximum(np.abs(a), np.abs(b)))
-    # an infinite value would blow the band up to infinity and swallow every
-    # comparison against it; infinities only tie by exact equality
-    band = np.where(np.isfinite(band), band, 0.0)
-    with np.errstate(invalid="ignore"):
+    # 0 * inf (at atol = 0), inf - inf and 1e308 - (-1e308) are all handled
+    with np.errstate(invalid="ignore", over="ignore"):
+        band = atol * (1.0 + np.maximum(np.abs(a), np.abs(b)))
+        # an infinite value would blow the band up to infinity and swallow
+        # every comparison against it; infinities only tie by exact equality
+        band = np.where(np.isfinite(band), band, 0.0)
         out = np.where(a == b, 0, np.where(np.abs(a - b) <= band, 0,
                                            np.where(a < b, -1, 1)))
     return out
@@ -179,11 +180,33 @@ def _order_reversals(field: ScalarField, X: np.ndarray, Y: np.ndarray,
     fy = field.shifted_values(Y)
     frx = field.shifted_values(rho[:, None] * X)
     fry = field.shifted_values(rho[:, None] * Y)
-    c_base = order_trichotomy(fx, fy, atol=atol)
-    c_scaled = order_trichotomy(frx, fry, atol=atol)
     nan_rows = np.isnan(fx) | np.isnan(fy) | np.isnan(frx) | np.isnan(fry)
-    violating = (c_base * c_scaled == -1) & ~nan_rows
-    return (fx, fy, frx, fry), nan_rows, violating
+    return (fx, fy, frx, fry), nan_rows, _reversed(fx, fy, frx, fry, atol)
+
+
+def _strict_sign(a: np.ndarray, b: np.ndarray, atol: float) -> np.ndarray:
+    """sign(a - b) outside the tie band of :func:`order_trichotomy`, 0 inside
+    it; nan where a or b is nan or both are the same infinity."""
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, 0 * inf
+        d = a - b
+        band = atol * (1.0 + np.maximum(np.abs(a), np.abs(b)))
+        s = np.sign(d)
+        # a non-finite band admits only exact inequality (band < inf is
+        # False for nan and inf alike)
+        s[(np.abs(d) <= band) & (band < np.inf)] = 0.0
+    return s
+
+
+def _reversed(fx, fy, frx, fry, atol: float) -> np.ndarray:
+    """Rows where f(x) vs f(y) and f(rho x) vs f(rho y) are both strict and
+    of opposite sign, by the band of :func:`order_trichotomy`.
+
+    The signs are compared, not the differences: their product could
+    underflow to -0 and hide a reversal.  A nan sign (a nan value, or equal
+    infinities, which tie) never compares below zero, so nan rows are never
+    flagged.
+    """
+    return _strict_sign(fx, fy, atol) * _strict_sign(frx, fry, atol) < 0
 
 
 def check_scaling_invariance(field: ScalarField, plan: Optional[SamplingPlan] = None,

@@ -10,8 +10,10 @@ to keep the output strict JSON.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass, field as dataclass_field, fields, is_dataclass
 from typing import Optional
@@ -21,34 +23,59 @@ import numpy as np
 REPORT_VERSION = "si-ph-kit/1"
 
 
+def _json_float(x: float):
+    x = float(x)
+    if math.isfinite(x):
+        return x
+    if x != x:
+        return "nan"
+    return "inf" if x > 0 else "-inf"
+
+
+@functools.cache
+def _field_names(cls) -> Optional[tuple]:
+    """Field names of a dataclass, in declaration order; None for any other
+    class.  Cached per class: jsonable meets a small, fixed set of them."""
+    if not is_dataclass(cls):
+        return None
+    return tuple(f.name for f in fields(cls))
+
+
 def jsonable(obj):
     """Recursively convert numpy containers/scalars, non-finite floats and
     probe results into plain JSON-safe Python values.
 
+    An int, bool or all-finite float array converts in one ``tolist`` call;
+    only an array holding nan or +-inf, or of another dtype (object, say), is
+    walked element by element.  Every leaf returned is a builtin type:
+    ``np.float64`` subclasses ``float`` but is converted all the same.
+
     A dataclass instance becomes the dict of its fields in declaration order,
     unless its class defines ``to_dict``, whose dict is used instead.
     """
+    if isinstance(obj, float):  # np.float64 too
+        return _json_float(obj)
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return [jsonable(v) for v in obj.tolist()]
+        # float16/32/64 only: long double lists as np.longdouble scalars
+        if obj.dtype.kind in "biu" or (obj.dtype.char in "efd"
+                                       and np.isfinite(obj).all()):
+            return obj.tolist()
+        return jsonable(obj.tolist())
     if isinstance(obj, (np.bool_, bool)):
         return bool(obj)
     if isinstance(obj, (np.integer, int)):
         return int(obj)
-    if isinstance(obj, (np.floating, float)):
-        x = float(obj)
-        if np.isnan(x):
-            return "nan"
-        if np.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return x
-    if is_dataclass(obj) and not isinstance(obj, type):
+    if isinstance(obj, np.floating):
+        return _json_float(obj)
+    names = _field_names(type(obj))
+    if names is not None:
         if hasattr(obj, "to_dict"):
             return jsonable(obj.to_dict())
-        return {f.name: jsonable(getattr(obj, f.name)) for f in fields(obj)}
+        return {name: jsonable(getattr(obj, name)) for name in names}
     return obj
 
 

@@ -5,10 +5,12 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
 import siphkit
+from siphkit import cli
 from siphkit.cli import main
 
 
@@ -357,3 +359,76 @@ def test_importing_the_cli_does_not_load_scipy_optimize():
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src}).stdout
     assert out.strip() == "[]"
+
+
+def test_check_si_at_zero_atol_emits_no_runtime_warning(capsys):
+    # f(rho x) is inf on the axis x_1 = 0; at atol 0 its tie band is 0 * inf
+    argv = ["check", "si", "--expr", "1/abs(x_1)", "--n", "2",
+            "--x-star", "0.5,1", "--atol", "0", "--N", "200"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(capsys, argv)
+    assert err == ""
+    assert code in (0, 1)
+    assert json.loads(out)["config"]["atol"] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# repeated calls in one process
+
+# (SIPH_SEED or None, argv); --param twice in a row would show a list default
+# shared between calls, and SIPH_SEED is set and then unset again
+_CALL_SEQUENCE = [
+    (None, ["check", "si", "--gallery", "sphere", "--N", "50"]),
+    (None, ["check", "si", "--gallery", "sphere", "--bogus"]),
+    ("17", ["check", "si", "--gallery", "sphere", "--N", "50", "--seed", "3"]),
+    (None, ["check", "si", "--gallery", "sphere", "--N", "50", "--seed", "3",
+            "--format", "csv"]),
+    (None, ["check", "si", "--gallery", "random_si", "--param", "eps=0.2",
+            "--param", "modes=3", "--N", "50"]),
+    (None, ["check", "si", "--gallery", "random_si", "--param", "eps=0.1",
+            "--param", "seed=4", "--N", "50", "--format", "csv"]),
+    (None, ["levelset", "radii", "--gallery", "ellipsoid", "--level", "1"]),
+    (None, ["levelset", "radii", "--gallery", "sphere"]),
+    ("x", ["solve", "paired-level", "--r", "0.5"]),
+    (None, ["gallery", "list", "--format", "csv"]),
+]
+
+
+def _run_sequence(capsys, monkeypatch):
+    results = []
+    for seed, argv in _CALL_SEQUENCE:
+        if seed is None:
+            monkeypatch.delenv("SIPH_SEED", raising=False)
+        else:
+            monkeypatch.setenv("SIPH_SEED", seed)
+        code, out, err = run_cli(capsys, argv)
+        results.append((code, _strip_wall_time(out), err))
+    return results
+
+
+def test_repeated_main_calls_match_a_fresh_parser_per_call(capsys, monkeypatch):
+    shared = _run_sequence(capsys, monkeypatch)
+    monkeypatch.setattr(cli, "_parser", cli.build_parser, raising=False)
+    fresh = _run_sequence(capsys, monkeypatch)
+    assert [code for code, _, _ in shared] == [0, 2, 0, 0, 0, 0, 0, 2, 2, 0]
+    assert shared == fresh
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    calls = []
+    build = cli.build_parser
+
+    def counted():
+        calls.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    for _ in range(3):
+        run_cli(capsys, ["check", "si", "--gallery", "sphere", "--N", "20"])
+    # none at all when an earlier call in this process built it
+    assert len(calls) <= 1
+
+
+def test_build_parser_returns_a_new_parser():
+    assert cli.build_parser() is not cli.build_parser()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from siphkit.decomposition import (
+    OUTSIDE_RANGE,
     Decomposition,
     DecompositionError,
     ReferenceInfo,
@@ -162,6 +163,36 @@ def test_two_sided_profile_inverse_uses_the_matching_branch():
     d = build_decomposition(f, alpha=1.0, x1=[1.0, 0.0], xm1=[-1.0, 0.0])
     assert d.phi_inverse(2.5) == pytest.approx(2.5, abs=1e-9)
     assert d.phi_inverse(-2.5) == pytest.approx(-2.5, abs=1e-9)
+
+
+@pytest.mark.parametrize("name,refs", [
+    ("sq_norm", {"x0": E1_2D}),
+    ("gauss_si", {}),
+    ("linear_x1", {"x1": [1.0, 0.0], "xm1": [-1.0, 0.0]}),
+])
+def test_batched_profile_inverse_equals_the_one_level_solves(name, refs):
+    f = make_builtin(name, 2)
+    d = build_decomposition(f, alpha=1.5, **refs)
+    levels = np.concatenate([f.values(np.random.default_rng(3).normal(size=(12, 2))),
+                             [f.f_star, f.f_star + 1.0, f.f_star - 1.0, 1e300]])
+    values, status = d.phi_inverse_values(levels)
+    for y, value, code in zip(levels, values, status):
+        try:
+            expected = d.phi_inverse(float(y))
+        except ValueError:
+            assert code != 0
+            assert np.isnan(value)
+            continue
+        assert code == 0
+        assert value == expected  # bit for bit
+
+
+def test_profile_inverse_names_the_side_phi_never_reaches():
+    d = build_decomposition(make_builtin("sq_norm", 2), alpha=1.0, x0=E1_2D)
+    _, status = d.phi_inverse_values([-1.0, 4.0])
+    assert status.tolist() == [OUTSIDE_RANGE, 0]
+    with pytest.raises(ValueError, match="outside the achieved range"):
+        d.phi_inverse(-1.0)
 
 
 # ---------------------------------------------------------------------------

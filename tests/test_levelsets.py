@@ -242,6 +242,24 @@ def test_sandwich_solves_q_once_plus_once_per_reference_level(monkeypatch):
     assert 1 <= len(calls) <= 1 + 8
 
 
+def test_sandwich_inverts_its_reference_levels_in_one_solve(monkeypatch):
+    calls = []
+    solve = levelsets.solve_monotone_batch
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    f = make_builtin("ellipsoid", 4)
+    d = build_decomposition(f)
+    monkeypatch.setattr(decomposition, "solve_monotone_batch", counted)
+    monkeypatch.setattr(levelsets, "solve_monotone_batch", counted)
+    report = check_si_sandwich(f, d)
+    assert report.passed
+    # q at the two extrema, then phi^-1 at all reference levels at once
+    assert len(calls) <= 2
+
+
 def test_sphere_minimum_on_the_zero_level_fails_the_precondition():
     # logsq_si's homogeneous part vanishes on the hyperplane x_1 = 0, so p
     # is not bounded away from 0 on the sphere

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from siphkit.exprlang import bind
 from siphkit.gallery import REGISTRY, make_builtin
@@ -16,6 +17,7 @@ from siphkit.rays import (
     default_directions,
     order_trichotomy,
 )
+from siphkit.rays import _reversed
 from siphkit.reporting import jsonable
 
 
@@ -44,6 +46,59 @@ def test_order_trichotomy_infinities():
 def test_order_trichotomy_vectorized():
     out = order_trichotomy([1.0, 2.0, 3.0], [2.0, 2.0, 2.0])
     np.testing.assert_array_equal(out, [-1, 0, 1])
+
+
+def test_order_trichotomy_emits_no_warning_on_extreme_values():
+    # at atol 0 the tie band against an infinity is 0 * inf; 1e308 - (-1e308)
+    # overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for atol in (0.0, 1e-12):
+            out = order_trichotomy([np.inf, 1.0, np.inf, 1e308],
+                                   [1.0, np.inf, np.inf, -1e308], atol=atol)
+            np.testing.assert_array_equal(out, [1, -1, 0, 1])
+
+
+_EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e-200, -1e-200, 1.0, 1.0 + 1e-12,
+                -1.0, 1e308, -1e308, np.inf, -np.inf, np.nan]
+_ORDER_VALUES = st.one_of(st.sampled_from(_EDGE_VALUES), st.floats(width=64))
+
+
+@st.composite
+def _value_pairs(draw):
+    """(a, b) drawn freely, tied exactly, or a relative step apart."""
+    a = draw(_ORDER_VALUES)
+    how = draw(st.sampled_from(["free", "tie", "near"]))
+    if how == "free":
+        return a, draw(_ORDER_VALUES)
+    if how == "tie":
+        return a, a
+    return a, a * (1.0 + draw(st.sampled_from([1e-15, -1e-13, 1e-11, -1e-7,
+                                                1e-5])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_value_pairs(), _value_pairs()), min_size=1,
+                max_size=32),
+       st.sampled_from([1e-12, 0.0, 1e-6]))
+def test_fused_order_rule_matches_the_trichotomy_product(rows, atol):
+    fx, fy, frx, fry = (np.array(col) for col in
+                        zip(*[(a, b, c, d) for (a, b), (c, d) in rows]))
+    nan_rows = np.isnan(fx) | np.isnan(fy) | np.isnan(frx) | np.isnan(fry)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _reversed(fx, fy, frx, fry, atol)
+        expected = (order_trichotomy(fx, fy, atol) * order_trichotomy(frx, fry, atol)
+                    == -1) & ~nan_rows
+    np.testing.assert_array_equal(got, expected)
+
+
+def test_fused_order_rule_sees_reversals_of_tiny_differences():
+    # (1e-200 - 0) * (0 - 1e-200) underflows to -0: only the signs show it
+    one = np.array([1e-200])
+    zero = np.array([0.0])
+    assert _reversed(one, zero, zero, one, 0.0).tolist() == [True]
+    assert _reversed(one, zero, zero, one, 1e-12).tolist() == [False]
 
 
 # ---------------------------------------------------------------------------

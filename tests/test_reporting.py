@@ -59,6 +59,86 @@ def test_other_values_pass_through():
     assert jsonable({1: "x"}) == {"1": "x"}  # keys coerced to strings
 
 
+def _reference_jsonable(obj):
+    """The element-by-element walk ``jsonable`` replaced, kept as its
+    reference."""
+    if isinstance(obj, dict):
+        return {str(k): _reference_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_reference_jsonable(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [_reference_jsonable(v) for v in obj.tolist()]
+    if isinstance(obj, (np.bool_, bool)):
+        return bool(obj)
+    if isinstance(obj, (np.integer, int)):
+        return int(obj)
+    if isinstance(obj, (np.floating, float)):
+        x = float(obj)
+        if np.isnan(x):
+            return "nan"
+        if np.isinf(x):
+            return "inf" if x > 0 else "-inf"
+        return x
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        if hasattr(obj, "to_dict"):
+            return _reference_jsonable(obj.to_dict())
+        return {f.name: _reference_jsonable(getattr(obj, f.name))
+                for f in dataclasses.fields(obj)}
+    return obj
+
+
+def _leaf_types(doc):
+    if isinstance(doc, dict):
+        assert all(type(k) is str for k in doc)
+        return set().union(*map(_leaf_types, doc.values()))
+    if isinstance(doc, list):
+        return set().union(*map(_leaf_types, doc))
+    return {type(doc)}
+
+
+_ARRAY_CASES = {
+    "float64": np.array([1.5, -0.0, 1e-300, 2.0]),
+    "float64_nonfinite": np.array([1.0, np.nan, np.inf, -np.inf]),
+    "float32_nonfinite": np.array([0.1, np.nan, -np.inf], dtype=np.float32),
+    "float32": np.array([0.1, 2.5], dtype=np.float32),
+    "float16": np.array([0.5, np.inf], dtype=np.float16),
+    "int64": np.array([3, -4, 2 ** 40]),
+    "int8": np.array([1, -2], dtype=np.int8),
+    "uint64": np.array([2 ** 63], dtype=np.uint64),
+    "bool": np.array([True, False]),
+    "2d": np.array([[1.0, np.nan], [3.0, 4.0]]),
+    "2d_int": np.arange(6).reshape(2, 3),
+    "empty": np.array([]),
+    "empty_2d": np.zeros((0, 3)),
+    "object": np.array([np.float64(1.0), np.int32(2), None, "a"], dtype=object),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ARRAY_CASES))
+def test_arrays_match_the_elementwise_walk(name):
+    arr = _ARRAY_CASES[name]
+    assert jsonable(arr) == _reference_jsonable(arr)
+    assert _leaf_types(jsonable(arr)) <= {float, int, bool, str, type(None)}
+
+
+def test_nested_values_match_the_elementwise_walk_with_builtin_leaves():
+    hit = levelsets.LevelRadius(direction=np.array([0.6, np.float32(0.8)]),
+                                level=np.float64(1.0), status="ok",
+                                radius=np.float64(np.inf),
+                                residual=np.float64(2e-16))
+    rep = euler.EulerReport(max_residual=np.float64(3.0),
+                            residuals=np.array([1.0, np.nan, 3.0]),
+                            alpha=2.0, grad_mode="analytic", h=1e-5,
+                            n_samples=np.int64(3), excluded=0, seed=4)
+    doc = {"radii": [hit, hit], "euler": rep, "pair": (np.float64(-np.inf), 1),
+           "flag": np.bool_(False), 7: [np.arange(3), {"x": np.nan}],
+           "scalars": [np.float64(0.25), np.float32(0.5), np.int16(-3)]}
+    out = jsonable(doc)
+    assert out == _reference_jsonable(doc)
+    assert _leaf_types(out) == {float, int, bool, str}
+    assert type(jsonable(np.float64(0.25))) is float
+
+
 # ---------------------------------------------------------------------------
 # probe results
 
