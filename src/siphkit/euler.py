@@ -52,24 +52,22 @@ def _grad_mode(field: ScalarField, spec: Optional[GradientSpec]) -> str:
 
 def _floored_box_points(plan: SamplingPlan, n: int, floor: float,
                         rng: np.random.Generator) -> np.ndarray:
-    """Box samples with every coordinate at least ``floor`` in magnitude.
+    """``plan.n_samples`` box samples with every coordinate at least
+    ``floor`` in magnitude.
 
     Central differences lose accuracy on fields with axis singularities
     (square-root cusps and the like), so the Euler probes sample away from
-    the coordinate hyperplanes.
+    the coordinate hyperplanes.  Each coordinate is a random sign times
+    U(floor, box_radius), drawn as one uniform V on [-1, 1): the sign of V
+    and |V| are independent, so this is the uniform law on the floored box
+    and no draw is rejected.
     """
-    target = plan.n_samples
-    rows = []
-    got = 0
-    for _ in range(64):
-        X = plan.box_points(n, count=2 * target, rng=rng)
-        X = X[np.abs(X).min(axis=1) >= floor]
-        rows.append(X)
-        got += X.shape[0]
-        if got >= target:
-            break
-    out = np.vstack(rows)
-    return out[:target]
+    floor = max(float(floor), 0.0)
+    if not floor < plan.box_radius:
+        raise ValueError(f"coordinate floor {floor} must be below the box "
+                         f"radius {plan.box_radius}")
+    V = rng.uniform(-1.0, 1.0, size=(plan.n_samples, n))
+    return np.copysign(floor + np.abs(V) * (plan.box_radius - floor), V)
 
 
 def euler_residual(p: ScalarField, alpha: float,
@@ -82,9 +80,7 @@ def euler_residual(p: ScalarField, alpha: float,
     differentiable away from the reference point; samples keep every
     coordinate at least ``coord_floor`` from the reference to keep the
     difference stencil well conditioned.  Values and gradients are evaluated
-    in blocks of rows.  ``n_samples`` is the number of samples obtained,
-    which falls short of ``plan.n_samples`` when the floor rejects too many
-    draws (see :func:`_floored_box_points`).
+    in blocks of rows.
     """
     plan = plan or SamplingPlan()
     spec = grad_spec or GradientSpec()

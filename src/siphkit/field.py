@@ -169,6 +169,22 @@ class ScalarField:
                 return out - self.f_star
         return out - self.f_star
 
+    def ray_values(self, t, M) -> np.ndarray:
+        """Shifted values at ``t[i] * M[i]`` for each row i of (N,) t and
+        (N, n) M: the profiles of N rays, in the form a root solve calls.
+
+        Rows where t is nan are not evaluated and come back as nan, so a
+        solver that passes its settled rows as nan spends no field points
+        on them.  The other rows get the values ``shifted_values`` gives.
+        """
+        live = ~np.isnan(t)
+        if live.all():
+            return self.shifted_values(t[:, None] * M)
+        out = np.full(t.shape, np.nan)
+        if live.any():
+            out[live] = self.shifted_values(t[live][:, None] * M[live])
+        return out
+
     # -- gradients ---------------------------------------------------------
 
     @property

@@ -26,6 +26,9 @@ from .rays import (MAX_WITNESSES, SamplingPlan, classify_ray,
 from .rootfind import (BELOW_START, NONFINITE, OK, UNBOUNDED, golden_section,
                        solve_monotone_batch)
 
+# sphere samples that seed the extrema search of the SI sandwich
+SI_SPHERE_SAMPLES = 256
+
 _STATUS_LABEL = {OK: "ok", UNBOUNDED: "unbounded", NONFINITE: "non-finite",
                  BELOW_START: "outside-range"}
 
@@ -79,7 +82,7 @@ def ray_level_radius(field: ScalarField, direction, c: float, grid=None):
                                for i in mono])
 
         def profile(t):
-            return field.shifted_values(t[:, None] * M)
+            return field.ray_values(t, M)
 
         res = solve_monotone_batch(profile, np.full(len(mono), gy), increasing)
         for j, i in enumerate(mono):
@@ -104,6 +107,18 @@ class SphereExtrema:
     refine_steps: int
 
 
+def _arc_points(theta: np.ndarray, B: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """Row k: the point at angle theta[k] on the great circle through B[k]
+    with unit tangent T[k].
+
+    One array expression for all chains: a Python loop over the chains here
+    would run at each of the 80 golden steps of every arc.  Array cos and
+    sin round like the scalar calls (a test pins this), so a chain's points
+    do not depend on the chains beside it.
+    """
+    return np.cos(theta)[:, None] * B + np.sin(theta)[:, None] * T
+
+
 def _refine_on_sphere(fun, starts: np.ndarray, signs: np.ndarray,
                       passes: int) -> tuple:
     """Golden-section over great-circle arcs through each chain's current
@@ -113,8 +128,10 @@ def _refine_on_sphere(fun, starts: np.ndarray, signs: np.ndarray,
     +1 minimizes, -1 maximizes.  ``fun`` maps a (k, n) batch of sphere points
     to their values.  The chains run in lockstep, so each golden step costs
     one ``fun`` call for all of them; within a chain the arcs stay sequential
-    (each starts from the point the previous arc found).  Returns the
-    (points, values) of the chains.
+    (each starts from the point the previous arc found).  Each arc stacks
+    its chains' bases and tangents once, so a golden step builds all their
+    points in one :func:`_arc_points` call.  Returns the (points, values) of
+    the chains.
     """
     eye = np.eye(starts.shape[1])
     best_u = [u / np.linalg.norm(u) for u in starts]
@@ -131,20 +148,15 @@ def _refine_on_sphere(fun, starts: np.ndarray, signs: np.ndarray,
                     tangents.append(tangent / norm)
             if not chains:
                 continue
-
-            def arc_points(theta):
-                # cos and sin of each chain's own scalar angle, so a chain's
-                # points do not depend on how many chains run beside it
-                return np.array([np.cos(th) * u + np.sin(th) * v
-                                 for th, u, v in zip(theta, bases, tangents)])
+            B, T = np.array(bases), np.array(tangents)
 
             def arc_vals(theta):
-                vals = signs[chains] * fun(arc_points(theta))
+                vals = signs[chains] * fun(_arc_points(theta, B, T))
                 return np.where(np.isfinite(vals), vals, np.inf)
 
             half = np.full(len(chains), np.pi / 2)
             theta_best, vals = golden_section(arc_vals, -half, half)
-            points = arc_points(theta_best)
+            points = _arc_points(theta_best, B, T)
             for j, k in enumerate(chains):
                 if vals[j] < best_v[k]:
                     best_v[k] = vals[j]
@@ -152,8 +164,8 @@ def _refine_on_sphere(fun, starts: np.ndarray, signs: np.ndarray,
     return np.array(best_u), signs * best_v
 
 
-def sphere_extrema(p: ScalarField, n_samples: int = 512, refine_steps: int = 2,
-                   seed: int = 0) -> SphereExtrema:
+def sphere_extrema(p: ScalarField, n_samples=512, refine_steps: int = 2,
+                   seed: int = 0):
     """Extrema of p over the unit sphere around its reference point.
 
     Seeded sphere sampling picks starting points; golden-section over
@@ -161,28 +173,40 @@ def sphere_extrema(p: ScalarField, n_samples: int = 512, refine_steps: int = 2,
     axis, ``refine_steps`` passes) polishes each extremum.  The minimum and
     maximum are polished in lockstep, one two-point evaluation of p per
     golden step.
+
+    ``n_samples`` may also be a sequence of sample counts.  The result is
+    then a list with one :class:`SphereExtrema` per count, each equal to the
+    call with that count alone, and all their chains share one polish: a
+    seed's smaller sample is the first rows of its larger one, and the
+    chains never mix.  This holds when p's values do not depend on the
+    batch they are evaluated in.
     """
+    counts = [int(k) for k in np.atleast_1d(n_samples)]
     n = p.n
     if n == 1:
         pts = np.array([[1.0], [-1.0]])
         vals = p.values(p.x_star + pts)
         lo, hi = int(np.argmin(vals)), int(np.argmax(vals))
-        return SphereExtrema(float(vals[lo]), float(vals[hi]), pts[lo], pts[hi],
-                             n_samples=2, refine_steps=0)
-    plan = SamplingPlan(seed=seed)
-    S = plan.sphere_points(n, n_samples)
-    vals = p.values(p.x_star + S)
-    finite = np.isfinite(vals)
-    if not finite.any():
-        raise ValueError("function is non-finite on all sphere samples")
-    starts = S[[int(np.argmin(np.where(finite, vals, np.inf))),
-                int(np.argmax(np.where(finite, vals, -np.inf)))]]
-    (u_min, u_max), (v_min, v_max) = _refine_on_sphere(
-        lambda U: p.values(p.x_star + U), starts, np.array([1.0, -1.0]),
-        refine_steps)
-    return SphereExtrema(m=float(v_min), M=float(v_max), argmin=u_min,
-                         argmax=u_max, n_samples=n_samples,
-                         refine_steps=refine_steps)
+        out = [SphereExtrema(float(vals[lo]), float(vals[hi]), pts[lo], pts[hi],
+                             n_samples=2, refine_steps=0) for _ in counts]
+    else:
+        S = SamplingPlan(seed=seed).sphere_points(n, max(counts))
+        vals = p.values(p.x_star + S)
+        starts = []
+        for k in counts:
+            finite = np.isfinite(vals[:k])
+            if not finite.any():
+                raise ValueError("function is non-finite on all sphere samples")
+            starts += [S[int(np.argmin(np.where(finite, vals[:k], np.inf)))],
+                       S[int(np.argmax(np.where(finite, vals[:k], -np.inf)))]]
+        U, V = _refine_on_sphere(lambda X: p.values(p.x_star + X),
+                                 np.array(starts),
+                                 np.tile([1.0, -1.0], len(counts)), refine_steps)
+        out = [SphereExtrema(m=float(V[2 * i]), M=float(V[2 * i + 1]),
+                             argmin=U[2 * i], argmax=U[2 * i + 1], n_samples=k,
+                             refine_steps=refine_steps)
+               for i, k in enumerate(counts)]
+    return out[0] if np.ndim(n_samples) == 0 else out
 
 
 # -----------------------------------------------------------------------------
@@ -243,9 +267,16 @@ def check_ph_sandwich(p: ScalarField, alpha: float, m_p: float, M_p: float,
                         notes={"alpha": alpha, "rtol": rtol})
 
 
+def si_sandwich_applies(d: Decomposition) -> bool:
+    """The precondition of :func:`check_si_sandwich`: the one-sided case
+    with increasing rays (the reference point is the unique minimum)."""
+    return d.case == "one-sided" and d.phi_increasing
+
+
 def check_si_sandwich(field: ScalarField, d: Decomposition,
                       plan: Optional[SamplingPlan] = None,
-                      slack: float = 1e-4) -> BoundsReport:
+                      slack: float = 1e-4,
+                      extrema: Optional[SphereExtrema] = None) -> BoundsReport:
     """Verify phi(m ||x||) <= f(x) <= phi(M ||x||) and the ball inclusions.
 
     Requires the one-sided increasing case (the reference point is the unique
@@ -260,6 +291,9 @@ def check_si_sandwich(field: ScalarField, d: Decomposition,
     golden-section polish, which only compare values, take the same steps
     on f as on q and stop at the same sphere points.  q is then solved at
     those two points only, in one root solve, instead of at every probe.
+    ``extrema`` takes the result of ``sphere_extrema(field,
+    n_samples=SI_SPHERE_SAMPLES, seed=plan.seed)`` from a caller that
+    polished it together with other extrema; by default it is computed here.
 
     Beyond the pointwise sandwich, two inclusions are witness-searched:
     every sampled point with ||x|| < rho must lie in the sublevel set at
@@ -267,7 +301,7 @@ def check_si_sandwich(field: ScalarField, d: Decomposition,
     in the ball of radius phi1^{-1}(c)/m.
     """
     plan = plan or SamplingPlan()
-    if d.case != "one-sided" or not d.phi_increasing:
+    if not si_sandwich_applies(d):
         return BoundsReport(verdict="precondition-failed", m=np.nan, M=np.nan,
                             witnesses=[], n_samples=0, seed=plan.seed,
                             notes={"reason": "requires the one-sided case with "
@@ -276,7 +310,8 @@ def check_si_sandwich(field: ScalarField, d: Decomposition,
                                    "case": d.case,
                                    "phi_increasing": d.phi_increasing})
     inv_alpha = 1.0 / d.alpha
-    ext = sphere_extrema(field, n_samples=256, refine_steps=2, seed=plan.seed)
+    ext = extrema if extrema is not None else sphere_extrema(
+        field, n_samples=SI_SPHERE_SAMPLES, seed=plan.seed)
     q = d.p_values(field.x_star + np.array([ext.argmin, ext.argmax])) ** inv_alpha
     # the sandwich needs p bounded away from 0 on the sphere; a minimum of f
     # inside the zero-level band counts as p = 0
@@ -390,7 +425,7 @@ def compactness_probe(field: ScalarField, c: float, directions=None,
     gy = float(c) - field.f_star
 
     def profile(t):
-        return field.shifted_values(t[:, None] * directions)
+        return field.ray_values(t, directions)
 
     res = solve_monotone_batch(profile, np.full(len(directions), gy),
                                increasing=True)

@@ -366,7 +366,7 @@ def _image_group_check(field: ScalarField, directions, values, kinds, want: str,
     increasing = want == "strictly-increasing"
 
     def profile(t):
-        return field.shifted_values(t[:, None] * D)
+        return field.ray_values(t, D)
 
     res = solve_monotone_batch(profile, np.full(len(idx), v), increasing)
     reachable = (res.status == OK) & (res.t <= grid[-1] * (1 + 1e-9))

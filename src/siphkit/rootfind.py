@@ -34,9 +34,15 @@ BELOW_START = 3  # target on the wrong side of the value at t = 0
 
 @dataclass
 class RootResult:
-    t: np.ndarray        # roots (valid where status == OK)
+    """Per-row outcome of :func:`solve_monotone_batch`.
+
+    ``t`` is the root and ``residual`` is |profile(t) - target| where
+    ``status == OK``; both are nan on every other row.
+    """
+
+    t: np.ndarray
     status: np.ndarray   # per-row status code
-    residual: np.ndarray  # |profile(t) - target| where OK, else nan
+    residual: np.ndarray
 
     @property
     def ok(self) -> np.ndarray:
@@ -52,7 +58,11 @@ def solve_monotone_batch(profile, targets, increasing, value_at_zero=0.0,
     ----------
     profile : callable
         ``profile(t)`` with t of shape (N,) evaluates row i's profile at t[i]
-        and returns shape (N,).
+        and returns shape (N,).  Rows the solver does not need in a call --
+        settled, failed or never started -- are passed as nan; the profile
+        need not evaluate them, and its values there are ignored
+        (:meth:`~siphkit.field.ScalarField.ray_values` skips them).  Every
+        call has at least one live row.
     targets : array (N,)
     increasing : bool or array (N,)
         Monotonicity direction of each profile.
@@ -62,6 +72,11 @@ def solve_monotone_batch(profile, targets, increasing, value_at_zero=0.0,
     Targets must lie strictly on the far side of ``value_at_zero`` in the
     monotone direction; rows where they do not are marked ``BELOW_START``
     (the profile can never reach them).
+
+    The solver keeps the state of its unsettled rows only and writes each
+    row back when it settles.  Rows are independent, so a row's root,
+    status and residual do not depend on the rest of the batch, provided
+    the profile's rows do not either.
     """
     targets = np.atleast_1d(np.asarray(targets, dtype=float))
     N = targets.shape[0]
@@ -76,42 +91,59 @@ def solve_monotone_batch(profile, targets, increasing, value_at_zero=0.0,
     status[(ty <= w0) & (status == OK)] = BELOW_START
 
     def g(t, rows):
+        # g at t on the live rows ``rows`` (sorted indices); a batch with
+        # every row live goes to the profile as is
         with np.errstate(all="ignore"):
-            return sign * profile(np.where(rows, t, 1.0)) - ty
+            if rows.size == N:
+                return sign * profile(t) - ty
+            t_all = np.full(N, np.nan)
+            t_all[rows] = t
+            return sign[rows] * profile(t_all)[rows] - ty[rows]
 
     # Doubling: invariant g(lo) < 0; g(lo) and g(hi) are carried along.
+    # ``rows`` holds the rows still bracketing.
     lo = np.zeros(N)
     hi = np.ones(N)
     with np.errstate(all="ignore"):
         # a nan value at zero is taken as below the target, like any row
         # that passed the check above; -inf keeps the model from using it
         g_lo = np.where(np.isnan(w0), -np.inf, w0 - ty)
-    g_hi = g(hi, status == OK)
-    status[np.isnan(g_hi) & (status == OK)] = NONFINITE
-    pending = (status == OK) & (g_hi < 0)
+    g_hi = np.full(N, np.nan)
+    rows = np.flatnonzero(status == OK)
+    if rows.size:
+        g_hi[rows] = g(hi[rows], rows)
+    status[rows[np.isnan(g_hi[rows])]] = NONFINITE
+    rows = rows[g_hi[rows] < 0]
     for _ in range(max_doublings):
-        if not pending.any():
+        if not rows.size:
             break
-        lo[pending], g_lo[pending] = hi[pending], g_hi[pending]
-        hi[pending] = hi[pending] * 2.0
-        g_new = g(hi, pending)
-        g_hi[pending] = g_new[pending]
-        newly_nan = pending & np.isnan(g_new)
-        status[newly_nan] = NONFINITE
-        pending &= ~newly_nan & (g_new < 0)
-    status[pending] = UNBOUNDED
+        lo[rows], g_lo[rows] = hi[rows], g_hi[rows]
+        hi[rows] *= 2.0
+        g_new = g(hi[rows], rows)
+        g_hi[rows] = g_new
+        status[rows[np.isnan(g_new)]] = NONFINITE
+        rows = rows[g_new < 0]
+    status[rows] = UNBOUNDED
 
     # Chandrupatla: a and b are the bracket ends, a the newer one, and c is
     # the end the last step dropped.  c starts equal to b, which makes the
-    # quadratic model non-finite, so the first step bisects.
-    a, b, c = lo, hi, hi
-    ga, gb, gc = g_lo, g_hi, g_hi
-    active = status == OK
+    # quadratic model non-finite, so the first step bisects.  The loop runs
+    # on the rows still in play; a settled row's a and b go back to lo and
+    # hi, which then need not be in order.
+    rows = np.flatnonzero(status == OK)
+    a, b, c = lo[rows], hi[rows], hi[rows]
+    ga, gb, gc = g_lo[rows], g_hi[rows], g_hi[rows]
     for _ in range(max_iters):
         width = np.abs(b - a)
         tol = rtol * (1.0 + np.maximum(a, b))
-        active &= width > tol
-        if not active.any():
+        live = width > tol
+        if not live.all():
+            done = rows[~live]
+            lo[done], hi[done], g_lo[done], g_hi[done] = (
+                a[~live], b[~live], ga[~live], gb[~live])
+            rows, a, b, c, ga, gb, gc, width, tol = (
+                v[live] for v in (rows, a, b, c, ga, gb, gc, width, tol))
+        if not rows.size:
             break
         with np.errstate(all="ignore"):
             # inverse quadratic step, trusted only where the three points
@@ -125,23 +157,25 @@ def solve_monotone_batch(profile, targets, increasing, value_at_zero=0.0,
             t_min = 0.5 * tol / width
             t = np.clip(np.where(trusted, t, 0.5), t_min, 1.0 - t_min)
         x = a + t * (b - a)
-        gx = g(x, active)
-        newly_nan = active & np.isnan(gx)
-        status[newly_nan] = NONFINITE
-        active &= ~newly_nan
+        gx = g(x, rows)
+        bad = np.isnan(gx)
+        if bad.any():
+            status[rows[bad]] = NONFINITE
+            rows, a, b, ga, gb, x, gx = (
+                v[~bad] for v in (rows, a, b, ga, gb, x, gx))
         # x becomes the new a; when it crossed the root, the old a becomes b.
         # The end that x pushed out of the bracket becomes c.
-        crossed = active & ((gx < 0) != (ga < 0))
-        stayed = active & ~crossed
-        c, gc = (np.where(crossed, b, np.where(stayed, a, c)),
-                 np.where(crossed, gb, np.where(stayed, ga, gc)))
+        crossed = (gx < 0) != (ga < 0)
+        c, gc = np.where(crossed, b, a), np.where(crossed, gb, ga)
         b, gb = np.where(crossed, a, b), np.where(crossed, ga, gb)
-        a, ga = np.where(active, x, a), np.where(active, gx, ga)
+        a, ga = x, gx
+    lo[rows], hi[rows], g_lo[rows], g_hi[rows] = a, b, ga, gb
 
     # the root is the end with the smaller residual, both already evaluated
-    a_best = np.abs(ga) < np.abs(gb)
-    t = np.where(a_best, a, b)
-    residual = np.where(status == OK, np.abs(np.where(a_best, ga, gb)), np.nan)
+    ok = status == OK
+    lo_best = np.abs(g_lo) < np.abs(g_hi)
+    t = np.where(ok, np.where(lo_best, lo, hi), np.nan)
+    residual = np.where(ok, np.abs(np.where(lo_best, g_lo, g_hi)), np.nan)
     return RootResult(t=t, status=status, residual=residual)
 
 

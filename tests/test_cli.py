@@ -185,18 +185,24 @@ def test_verify_euler_requires_a_degree_somewhere(capsys):
     assert "alpha" in err
 
 
-def test_verify_euler_names_a_short_sample(capsys):
-    # at n = 100 the coordinate floor keeps about 0.95^100 of the box draws,
-    # too few to reach the 1000 samples asked for
+def test_verify_euler_sample_is_full_at_high_dimension(capsys):
+    # each coordinate is drawn beyond the coordinate floor, not rejected
+    # below it, so the sample is full even at n = 100, where a box draw
+    # clears the floor in every coordinate only about 0.95^100 of the time
     code, doc = run_json(capsys, ["verify", "euler", "--gallery", "norm",
                                   "--n", "100", "--N", "1000"])
-    assert code == 1
-    assert doc["verdict"] == "fail"
+    assert code == 0
+    assert doc["verdict"] == "pass"
+    assert doc["witnesses"] == []
     assert doc["metrics"]["max_residual"] <= 1e-6
-    short = [w for w in doc["witnesses"] if w["kind"] == "short_sample"]
-    assert short == [{"kind": "short_sample", "requested": 1000,
-                      "obtained": doc["metrics"]["n_samples"]}]
-    assert 0 < doc["metrics"]["n_samples"] < 1000
+    assert doc["metrics"]["n_samples"] == 1000
+
+
+def test_verify_euler_rejects_a_floor_outside_the_box(capsys):
+    code, _, err = run_cli(capsys, ["verify", "euler", "--gallery", "norm",
+                                    "--n", "2", "--coord-floor", "2.5"])
+    assert code == 2
+    assert "coordinate floor" in err
 
 
 def test_verify_general_euler(capsys):

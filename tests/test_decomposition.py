@@ -10,8 +10,6 @@ from siphkit.decomposition import (
     ReferenceInfo,
     build_decomposition,
     order_equivalence,
-    phi_eval,
-    phi_inverse,
     uniqueness_check,
     verify_decomposition,
 )
@@ -119,8 +117,8 @@ def test_profile_values_on_the_reference_ray():
     assert d.phi(3.0) == pytest.approx(9.0, rel=1e-12)
     assert d.phi(0.0) == 0.0
     assert d.phi_increasing is True
-    # vectorized wrapper mirrors the scalar one
-    np.testing.assert_allclose(phi_eval(d, [1.0, 2.0]), [1.0, 4.0], rtol=1e-12)
+    # the batched form mirrors the scalar one
+    np.testing.assert_allclose(d.phi_values([1.0, 2.0]), [1.0, 4.0], rtol=1e-12)
 
 
 def test_two_sided_profile_crosses_zero():
@@ -142,7 +140,7 @@ def test_profile_inverse_round_trips():
     d = build_decomposition(f, alpha=1.0, x0=E1_2D)
     assert d.phi_inverse(4.0) == pytest.approx(2.0, abs=1e-9)
     assert d.phi_inverse(0.0) == 0.0
-    assert phi_inverse(d, 9.0) == pytest.approx(3.0, abs=1e-8)
+    assert d.phi_inverse(9.0) == pytest.approx(3.0, abs=1e-8)
 
 
 def test_profile_inverse_on_slow_quadrature_profile():

@@ -8,6 +8,7 @@ import pytest
 
 from siphkit.decomposition import build_decomposition
 from siphkit.euler import (
+    _floored_box_points,
     euler_residual,
     general_euler_residual,
     levelset_gradient_constancy,
@@ -22,6 +23,31 @@ from siphkit.rays import SamplingPlan
 
 # ---------------------------------------------------------------------------
 # degree identity alpha p = grad p . x
+
+
+def test_floored_box_points_are_uniform_on_the_floored_box():
+    plan = SamplingPlan(n_samples=200_000, seed=4)
+    Z = _floored_box_points(plan, 3, 0.5, plan.rng())
+    assert Z.shape == (200_000, 3)
+    A = np.abs(Z)
+    assert (A >= 0.5).all() and (A <= plan.box_radius).all()
+    # magnitudes uniform on [0.5, 2], signs fair and independent of them
+    np.testing.assert_allclose(np.quantile(A, [0.25, 0.5, 0.75], axis=0),
+                               np.repeat([[0.875], [1.25], [1.625]], 3, axis=1),
+                               atol=0.01)
+    for part in (A < 1.25, A >= 1.25):
+        positive = [(Z[:, i] > 0)[part[:, i]].mean() for i in range(3)]
+        assert np.abs(np.array(positive) - 0.5).max() < 0.01
+
+
+def test_floored_box_points_need_a_floor_inside_the_box():
+    plan = SamplingPlan(n_samples=10)
+    for floor in (plan.box_radius, 3.0, np.nan):
+        with pytest.raises(ValueError, match="coordinate floor"):
+            _floored_box_points(plan, 2, floor, plan.rng())
+    # a floor at or below zero is no floor: the plain box
+    Z = _floored_box_points(plan, 2, -1.0, plan.rng())
+    assert Z.shape == (10, 2) and (np.abs(Z) <= plan.box_radius).all()
 
 
 def test_sphere_identity_with_numerical_gradients():

@@ -208,3 +208,28 @@ def test_field_meta_defaults_unknown():
 def test_dimension_validation():
     with pytest.raises(ValueError):
         ScalarField(0, lambda x: 0.0)
+
+
+# ---------------------------------------------------------------------------
+# ray profiles for the root solver
+
+
+def test_ray_values_evaluate_only_the_live_rows():
+    seen = []
+
+    def fn(x):
+        seen.append(x.copy())
+        return float(x @ x)
+
+    f = ScalarField(2, fn, x_star=[1.0, 0.0])
+    M = np.array([[1.0, 0.0], [0.0, 2.0], [3.0, 4.0]])
+    t = np.array([2.0, np.nan, 0.5])
+    assert f.f_star == 1.0
+    seen.clear()
+    out = f.ray_values(t, M)
+    assert [list(x) for x in seen] == [[3.0, 0.0], [2.5, 2.0]]
+    np.testing.assert_array_equal(out, [8.0, np.nan, 9.25])
+    seen.clear()
+    assert np.isnan(f.ray_values(np.full(3, np.nan), M)).all() and seen == []
+    t = np.array([2.0, 1.0, 0.5])
+    assert f.ray_values(t, M).tobytes() == f.shifted_values(t[:, None] * M).tobytes()

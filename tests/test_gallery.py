@@ -398,3 +398,40 @@ def test_random_si_validation():
         random_si(0, 2, eps=-0.1)
     with pytest.raises(ValueError):
         random_si(0, 2, modes=0)
+
+
+# ---------------------------------------------------------------------------
+# row independence: the root solver evaluates only unsettled rows, and one
+# sphere polish serves several sample sets, so a row's value may not depend
+# on the rows evaluated beside it
+
+
+def _row_independence_fields(n):
+    from siphkit.exprlang import bind
+
+    fields = [make_builtin(name, n) for name in sorted(REGISTRY)]
+    fields.append(random_si(n + 7, n))
+    fields.append(bind("sqrt(x_1^2 + 2*x_2^2) * exp(-abs(x_1)) + x_2^3", n,
+                       x_star=np.linspace(0.1, 0.5, n)))
+    return fields
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_row_subsets_evaluate_bit_for_bit_like_the_full_batch(n):
+    rng = np.random.default_rng(100 + n)
+    X = rng.uniform(-2.0, 2.0, size=(257, n))
+    X[:3] = 0.0
+    X[3:6, 1:] = 0.0  # on the first axis
+    t = rng.uniform(0.0, 4.0, size=257)
+    for f in _row_independence_fields(n):
+        full = f.values(X)
+        rays = f.shifted_values(t[:, None] * X)
+        for size in (1, 2, 7, 100, 256):
+            rows = np.sort(rng.choice(257, size=size, replace=False))
+            assert f.values(X[rows]).tobytes() == full[rows].tobytes(), f
+            # the solver's form: rows it does not need are passed as nan
+            t_live = np.full(257, np.nan)
+            t_live[rows] = t[rows]
+            got = f.ray_values(t_live, X)
+            assert got[rows].tobytes() == rays[rows].tobytes(), f
+            assert np.isnan(np.delete(got, rows)).all()

@@ -5,12 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from siphkit import decomposition, levelsets
+from siphkit import cli, decomposition, levelsets
 from siphkit.decomposition import build_decomposition
 from siphkit.exprlang import bind
 from siphkit.field import ScalarField
-from siphkit.gallery import compose, make_builtin, random_si
+from siphkit.gallery import REGISTRY, compose, make_builtin, random_si
 from siphkit.levelsets import (
+    SI_SPHERE_SAMPLES,
+    _arc_points,
     check_ph_sandwich,
     check_si_sandwich,
     compactness_probe,
@@ -258,6 +260,80 @@ def test_sandwich_inverts_its_reference_levels_in_one_solve(monkeypatch):
     assert report.passed
     # q at the two extrema, then phi^-1 at all reference levels at once
     assert len(calls) <= 2
+
+
+def _same_extrema(a, b):
+    return (a.m == b.m and a.M == b.M and a.n_samples == b.n_samples
+            and a.refine_steps == b.refine_steps
+            and a.argmin.tobytes() == b.argmin.tobytes()
+            and a.argmax.tobytes() == b.argmax.tobytes())
+
+
+@pytest.mark.parametrize("name", sorted(name for name in REGISTRY
+                                        if make_builtin(name, 2).meta.ph_degree))
+def test_one_sphere_extrema_call_serves_both_sample_counts(name):
+    # seeds 1-10, each at one of n = 2-5 in turn, so every n sees 2-3 seeds;
+    # one pass of arcs already polishes every chain along every axis
+    for seed in range(1, 11):
+        f = make_builtin(name, 2 + seed % 4)
+        si, ph = sphere_extrema(f, n_samples=(SI_SPHERE_SAMPLES, 512),
+                                refine_steps=1, seed=seed)
+        assert _same_extrema(si, sphere_extrema(f, n_samples=SI_SPHERE_SAMPLES,
+                                                refine_steps=1, seed=seed))
+        assert _same_extrema(ph, sphere_extrema(f, refine_steps=1, seed=seed))
+
+
+def test_one_sphere_extrema_call_on_a_random_field_and_in_one_dimension():
+    f = random_si(4, 4)
+    exts = sphere_extrema(f, n_samples=[64, 256, 300], seed=9)
+    assert [e.n_samples for e in exts] == [64, 256, 300]
+    for e in exts:
+        assert _same_extrema(e, sphere_extrema(f, n_samples=e.n_samples, seed=9))
+    line = make_builtin("norm", 1)
+    for e in sphere_extrema(line, n_samples=(256, 512)):
+        assert _same_extrema(e, sphere_extrema(line))
+
+
+def _count_polishes(monkeypatch):
+    chains = []
+    refine = levelsets._refine_on_sphere
+
+    def counted(fun, starts, signs, passes):
+        chains.append(len(starts))
+        return refine(fun, starts, signs, passes)
+
+    monkeypatch.setattr(levelsets, "_refine_on_sphere", counted)
+    return chains
+
+
+@pytest.mark.parametrize("name,chains", [
+    ("sphere", [4]),      # PH degree, SI precondition holds: both sandwiches
+    ("linear_x1", [2]),   # PH degree, two-sided: the PH sandwich only
+    ("saddle_si", [2]),   # no PH degree: the SI sandwich only
+    ("gauss_si", []),     # no PH degree, decreasing rays: nothing to polish
+])
+def test_levelset_bounds_polishes_the_sphere_once(monkeypatch, capsys, name,
+                                                  chains):
+    polished = _count_polishes(monkeypatch)
+    code = cli.main(["levelset", "bounds", "--gallery", name, "--n", "3"])
+    capsys.readouterr()
+    assert code in (0, 1)
+    assert polished == chains
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_arc_points_match_per_chain_scalar_trig(k):
+    rng = np.random.default_rng(k)
+    for _ in range(50):
+        n = int(rng.integers(2, 6))
+        B = rng.normal(size=(k, n))
+        T = rng.normal(size=(k, n))
+        for theta in (rng.uniform(-np.pi / 2, np.pi / 2, size=k),
+                      rng.uniform(-1e-3, 1e-3, size=k),
+                      np.pi / 2 - rng.uniform(0, 1e-3, size=k)):
+            scalar = np.array([np.cos(th) * u + np.sin(th) * v
+                               for th, u, v in zip(theta, B, T)])
+            assert _arc_points(theta, B, T).tobytes() == scalar.tobytes()
 
 
 def test_sphere_minimum_on_the_zero_level_fails_the_precondition():

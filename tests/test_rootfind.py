@@ -306,3 +306,176 @@ def test_evaluations_per_root_after_bracketing(name, n):
         _, _, bracket_evals = _reference_bisection(profile, np.full(len(D), gy),
                                                    increasing)
         assert len(calls) - bracket_evals <= 20
+
+
+# ---------------------------------------------------------------------------
+# live rows only: against the kernel that evaluated every row at every step
+
+
+def _full_batch_kernel(profile, targets, increasing, value_at_zero=0.0,
+                       max_doublings=60, max_iters=160, rtol=1e-14):
+    """Reference for the live-row kernel: the same Chandrupatla steps with
+    full-length state, evaluating all N rows at every call (finished and
+    unstarted ones at t = 1).  Returns (t, status, residual)."""
+    targets = np.atleast_1d(np.asarray(targets, dtype=float))
+    N = targets.shape[0]
+    sign = np.where(np.broadcast_to(np.asarray(increasing, bool), (N,)), 1.0, -1.0)
+    ty = sign * targets
+    w0 = sign * np.broadcast_to(np.asarray(value_at_zero, dtype=float), (N,))
+    status = np.zeros(N, dtype=int)
+    status[~np.isfinite(ty)] = NONFINITE
+    status[(ty <= w0) & (status == OK)] = BELOW_START
+
+    def g(t, rows):
+        with np.errstate(all="ignore"):
+            return sign * profile(np.where(rows, t, 1.0)) - ty
+
+    lo, hi = np.zeros(N), np.ones(N)
+    with np.errstate(all="ignore"):
+        g_lo = np.where(np.isnan(w0), -np.inf, w0 - ty)
+    g_hi = g(hi, status == OK)
+    status[np.isnan(g_hi) & (status == OK)] = NONFINITE
+    pending = (status == OK) & (g_hi < 0)
+    for _ in range(max_doublings):
+        if not pending.any():
+            break
+        lo[pending], g_lo[pending] = hi[pending], g_hi[pending]
+        hi[pending] = hi[pending] * 2.0
+        g_new = g(hi, pending)
+        g_hi[pending] = g_new[pending]
+        newly_nan = pending & np.isnan(g_new)
+        status[newly_nan] = NONFINITE
+        pending &= ~newly_nan & (g_new < 0)
+    status[pending] = UNBOUNDED
+    a, b, c = lo, hi, hi
+    ga, gb, gc = g_lo, g_hi, g_hi
+    active = status == OK
+    for _ in range(max_iters):
+        width = np.abs(b - a)
+        tol = rtol * (1.0 + np.maximum(a, b))
+        active &= width > tol
+        if not active.any():
+            break
+        with np.errstate(all="ignore"):
+            xi = (a - b) / (c - b)
+            ph = (ga - gb) / (gc - gb)
+            t = (ga / (gb - ga) * gc / (gb - gc)
+                 + (c - a) / (b - a) * ga / (gc - ga) * gb / (gc - gb))
+            trusted = (ph * ph < xi) & ((1.0 - ph) ** 2 < 1.0 - xi) & np.isfinite(t)
+            t_min = 0.5 * tol / width
+            t = np.clip(np.where(trusted, t, 0.5), t_min, 1.0 - t_min)
+        x = a + t * (b - a)
+        gx = g(x, active)
+        newly_nan = active & np.isnan(gx)
+        status[newly_nan] = NONFINITE
+        active &= ~newly_nan
+        crossed = active & ((gx < 0) != (ga < 0))
+        stayed = active & ~crossed
+        c, gc = (np.where(crossed, b, np.where(stayed, a, c)),
+                 np.where(crossed, gb, np.where(stayed, ga, gc)))
+        b, gb = np.where(crossed, a, b), np.where(crossed, ga, gb)
+        a, ga = np.where(active, x, a), np.where(active, gx, ga)
+    a_best = np.abs(ga) < np.abs(gb)
+    t = np.where(a_best, a, b)
+    residual = np.where(status == OK, np.abs(np.where(a_best, ga, gb)), np.nan)
+    return t, status, residual
+
+
+_ROW_KINDS = ("power", "exp", "kink", "nan_beyond", "saturating", "step")
+
+
+def _mixed_batch(rng, N):
+    """A batch of elementwise profiles of mixed kinds and directions, with
+    reachable, below-start, unreachable and nan targets."""
+    kind = rng.choice(_ROW_KINDS, size=N)
+    a = rng.uniform(0.3, 3.0, N)
+    k = rng.uniform(0.5, 3.0, N)
+    t_k = rng.uniform(0.1, 20.0, N)
+    sign = np.where(rng.random(N) < 0.6, 1.0, -1.0)
+
+    def profile(t):
+        with np.errstate(all="ignore"):
+            out = np.select(
+                [kind == name for name in _ROW_KINDS],
+                [a * t ** k, a * np.expm1(k * t),
+                 np.where(t < t_k, a * t, a * t_k + 50.0 * (t - t_k)),
+                 np.where(t > t_k, np.nan, a * t), np.tanh(k * t),
+                 np.floor(k * t)])
+        return sign * out
+
+    targets = sign * rng.choice([-1.0, 0.0, 0.5, 2.0, 10.0, 1e3, 1e30, np.nan],
+                                size=N)
+    return profile, targets, sign > 0
+
+
+def test_live_rows_give_the_full_batch_kernels_results():
+    rng = np.random.default_rng(2024)
+    seen = set()
+    for _ in range(100):
+        profile, targets, increasing = _mixed_batch(rng, int(rng.integers(1, 13)))
+        # a small step budget leaves rows unsettled when it runs out
+        max_iters = int(rng.choice([4, 160]))
+        res = solve_monotone_batch(profile, targets, increasing,
+                                   max_iters=max_iters)
+        t_ref, status_ref, residual_ref = _full_batch_kernel(
+            profile, targets, increasing, max_iters=max_iters)
+        np.testing.assert_array_equal(res.status, status_ref)
+        ok = res.status == OK
+        assert res.t[ok].tobytes() == t_ref[ok].tobytes()
+        assert res.residual.tobytes() == residual_ref.tobytes()
+        assert np.isnan(res.t[~ok]).all()
+        seen.update(res.status.tolist())
+    assert seen == {OK, UNBOUNDED, NONFINITE, BELOW_START}
+
+
+def _recording(profile):
+    """The profile, recording the live rows and their t at every call."""
+    calls = []
+
+    def wrapped(t):
+        live = np.flatnonzero(~np.isnan(t))
+        calls.append((live, t[live].copy()))
+        out = profile(t)
+        return np.where(np.isnan(t), np.nan, out)
+    return wrapped, calls
+
+
+def test_settled_rows_are_never_evaluated():
+    rng = np.random.default_rng(7)
+    for _ in range(25):
+        N = int(rng.integers(2, 13))
+        profile, targets, increasing = _mixed_batch(rng, N)
+        prof, calls = _recording(profile)
+        res = solve_monotone_batch(prof, targets, increasing)
+        assert all(live.size for live, _ in calls)
+        for i in range(N):
+            # the row's probes in the batch are exactly those of its solve
+            # alone: no probe once it has settled, failed or before it starts
+            seq = [t[live == i][0] for live, t in calls if (live == i).any()]
+
+            def row_profile(t, i=i):
+                t_all = np.full(N, np.nan)
+                t_all[i] = t[0]
+                return profile(t_all)[i:i + 1]
+            alone, alone_calls = _recording(row_profile)
+            single = solve_monotone_batch(alone, targets[i:i + 1], increasing[i])
+            assert np.array(seq).tobytes() == np.array(
+                [t[0] for _, t in alone_calls]).tobytes()
+            assert single.status[0] == res.status[i]
+            assert single.t[0].tobytes() == res.t[i].tobytes()
+            if res.status[i] == BELOW_START or not np.isfinite(targets[i]):
+                assert seq == []
+
+
+def test_a_batch_with_every_row_live_reaches_the_profile_unchanged():
+    seen = []
+
+    def profile(t):
+        seen.append(t)
+        return t ** 3
+
+    targets = np.array([1.0, 8.0, 27.0, 0.001])
+    solve_monotone_batch(profile, targets, True)
+    assert not np.isnan(seen[0]).any()
+    # rows drop out as they settle; then the others come padded with nan
+    assert np.isnan(seen[-1]).sum() >= 1
