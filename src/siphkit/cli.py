@@ -25,6 +25,7 @@ import argparse
 import csv
 import functools
 import json
+import math
 import os
 import sys
 import time
@@ -61,6 +62,40 @@ def _parse_vector(text: str) -> np.ndarray:
         return np.array([float(part) for part in text.split(",")], dtype=float)
     except ValueError as exc:
         raise UsageError(f"expected a comma-separated vector, got {text!r}") from exc
+
+
+def _finite_float(text: str) -> float:
+    """argparse type of a finite float, such as --level: a nan or infinite
+    level matches no point, so every shell count would be 0 and pass."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _nonnegative_float(text: str) -> float:
+    """argparse type of tie bands, tolerances and bounds: finite and at
+    least 0.  A nan --slack or --rtol turns every sandwich comparison false,
+    so no witness is found, and an infinite --rate-bound or --tol passes
+    anything."""
+    value = _finite_float(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {text!r}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    """argparse type of counts that an empty run would pass or leave nan."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
+    return value
 
 
 def _parse_param_value(text: str):
@@ -369,9 +404,11 @@ def _cmd_cert_positive_region(args, field, plan):
 
 
 def _cmd_solve_paired_level(args):
+    # ValueError: r outside (0, 1); ArithmeticError: a --tol below the
+    # residual the solver reaches
     try:
         res = paired_level_solver(args.r, tol=args.tol)
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
         raise UsageError(str(exc)) from exc
     return res, [], {"r": args.r, "tol": args.tol}
 
@@ -441,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     chk_si = chk_sub.add_parser("si", help="scaling invariance on sampled triples")
     _add_field_flags(chk_si)
     _add_run_flags(chk_si)
-    chk_si.add_argument("--atol", type=float, default=1e-12,
+    chk_si.add_argument("--atol", type=_nonnegative_float, default=1e-12,
                         help="order-comparison tie band")
     chk_dec = chk_sub.add_parser("decomposable",
                                  help="monotone rays + shared ray images")
@@ -460,8 +497,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="second reference: triggers the uniqueness check")
     dec.add_argument("--x1-alt", dest="x1_alt", default=None)
     dec.add_argument("--xm1-alt", dest="xm1_alt", default=None)
-    dec.add_argument("--comp-tol", type=float, default=1e-7)
-    dec.add_argument("--ph-tol", type=float, default=1e-7)
+    dec.add_argument("--comp-tol", type=_nonnegative_float, default=1e-7)
+    dec.add_argument("--ph-tol", type=_nonnegative_float, default=1e-7)
 
     ver = sub.add_parser("verify", help="differential identities")
     ver_sub = ver.add_subparsers(dest="action", required=True)
@@ -471,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_grad_flags(ver_euler)
     ver_euler.add_argument("--alpha", type=float, default=None,
                            help="degree (default: the field's tag)")
-    ver_euler.add_argument("--tol", type=float, default=1e-6)
+    ver_euler.add_argument("--tol", type=_nonnegative_float, default=1e-6)
     ver_euler.add_argument("--coord-floor", type=float, default=0.1)
     ver_gen = ver_sub.add_parser("general-euler",
                                  help="grad f . x = alpha phi'(p) p")
@@ -479,23 +516,23 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run_flags(ver_gen)
     _add_grad_flags(ver_gen)
     ver_gen.add_argument("--alpha", type=float, default=1.0)
-    ver_gen.add_argument("--tol", type=float, default=1e-4)
+    ver_gen.add_argument("--tol", type=_nonnegative_float, default=1e-4)
     ver_lsg = ver_sub.add_parser("levelset-grad",
                                  help="constancy of grad f . z on a level set")
     _add_field_flags(ver_lsg)
     _add_run_flags(ver_lsg)
     _add_grad_flags(ver_lsg)
-    ver_lsg.add_argument("--level", type=float, required=True)
-    ver_lsg.add_argument("--points", type=int, default=64)
-    ver_lsg.add_argument("--tol", type=float, default=1e-6)
+    ver_lsg.add_argument("--level", type=_finite_float, required=True)
+    ver_lsg.add_argument("--points", type=_positive_int, default=64)
+    ver_lsg.add_argument("--tol", type=_nonnegative_float, default=1e-6)
 
     lvl = sub.add_parser("levelset", help="level-set geometry probes")
     lvl_sub = lvl.add_subparsers(dest="action", required=True)
     lvl_radii = lvl_sub.add_parser("radii", help="per-direction level radii")
     _add_field_flags(lvl_radii)
     _add_run_flags(lvl_radii)
-    lvl_radii.add_argument("--level", type=float, required=True)
-    lvl_radii.add_argument("--directions", type=int, default=None,
+    lvl_radii.add_argument("--level", type=_finite_float, required=True)
+    lvl_radii.add_argument("--directions", type=_positive_int, default=None,
                            help="sample this many sphere directions instead "
                                 "of the default axis set")
     lvl_radii.add_argument("--sweep-csv", default=None,
@@ -504,21 +541,21 @@ def build_parser() -> argparse.ArgumentParser:
     _add_field_flags(lvl_bounds)
     _add_run_flags(lvl_bounds)
     lvl_bounds.add_argument("--alpha", type=float, default=None)
-    lvl_bounds.add_argument("--slack", type=float, default=1e-4)
-    lvl_bounds.add_argument("--rtol", type=float, default=1e-9)
+    lvl_bounds.add_argument("--slack", type=_nonnegative_float, default=1e-4)
+    lvl_bounds.add_argument("--rtol", type=_nonnegative_float, default=1e-9)
     lvl_compact = lvl_sub.add_parser("compact",
                                      help="sublevel compactness evidence")
     _add_field_flags(lvl_compact)
     _add_run_flags(lvl_compact)
-    lvl_compact.add_argument("--level", type=float, required=True)
+    lvl_compact.add_argument("--level", type=_finite_float, required=True)
     lvl_neg = lvl_sub.add_parser("negligible",
                                  help="Monte Carlo level-shell fractions")
     _add_field_flags(lvl_neg)
     _add_run_flags(lvl_neg, samples_default=100000)
-    lvl_neg.add_argument("--level", type=float, required=True)
+    lvl_neg.add_argument("--level", type=_finite_float, required=True)
     lvl_neg.add_argument("--eps", default="0.1,0.05,0.025",
                          help="strictly decreasing shell half-widths")
-    lvl_neg.add_argument("--rate-bound", type=float, default=1.0)
+    lvl_neg.add_argument("--rate-bound", type=_nonnegative_float, default=1.0)
 
     cert = sub.add_parser("cert", help="certificates")
     cert_sub = cert.add_subparsers(dest="action", required=True)
@@ -534,7 +571,7 @@ def build_parser() -> argparse.ArgumentParser:
     slv_pair = slv_sub.add_parser("paired-level",
                                   help="s > 1 with r^2 e^{-r^2} = s^2 e^{-s^2}")
     slv_pair.add_argument("--r", type=float, required=True)
-    slv_pair.add_argument("--tol", type=float, default=1e-10)
+    slv_pair.add_argument("--tol", type=_nonnegative_float, default=1e-10)
     slv_pair.add_argument("--seed", type=int, default=0)
     slv_pair.add_argument("--out", default=None)
     slv_pair.add_argument("--format", choices=("json", "csv"), default="json")

@@ -136,22 +136,23 @@ class Decomposition:
     def phi_values(self, T) -> np.ndarray:
         """phi over an array of profile arguments (raw, includes f(x_star))."""
         T = np.atleast_1d(np.asarray(T, dtype=float))
-        x_star = self.field.x_star
         if self.case == "zero":
             return self.field.f_star + T
         inv = 1.0 / self.alpha
         if self.case == "one-sided":
             if (T < 0).any():
                 raise ValueError("one-sided profile is defined for t >= 0 only")
-            pts = x_star + (T ** inv)[:, None] * self.positive_ref.point
+            pts = self.field.absolute((T ** inv)[:, None] * self.positive_ref.point)
             return self.field._eval_batch(pts)
         out = np.empty(T.shape[0])
         pos = T >= 0
         if pos.any():
-            pts = x_star + (T[pos] ** inv)[:, None] * self.positive_ref.point
+            pts = self.field.absolute((T[pos] ** inv)[:, None]
+                                      * self.positive_ref.point)
             out[pos] = self.field._eval_batch(pts)
         if (~pos).any():
-            pts = x_star + ((-T[~pos]) ** inv)[:, None] * self.negative_ref.point
+            pts = self.field.absolute(((-T[~pos]) ** inv)[:, None]
+                                      * self.negative_ref.point)
             out[~pos] = self.field._eval_batch(pts)
         return out
 
@@ -365,7 +366,7 @@ def verify_decomposition(field: ScalarField, d: Decomposition,
     """
     plan = plan or SamplingPlan()
     rng = plan.rng()
-    X = field.x_star + plan.box_points(field.n, rng=rng)
+    X = field.absolute(plan.box_points(field.n, rng=rng))
     rho = plan.rhos(rng=rng)
 
     f_vals = field.values(X)
@@ -375,7 +376,7 @@ def verify_decomposition(field: ScalarField, d: Decomposition,
     ok = ~np.isnan(comp)
 
     Z = X - field.x_star
-    p_scaled = d.p_values(field.x_star + rho[:, None] * Z)
+    p_scaled = d.p_values(field.absolute(rho[:, None] * Z))
     ph_defect = np.abs(p_scaled - rho ** d.alpha * p_vals) / (
         1.0 + rho ** d.alpha * np.abs(p_vals))
     ph_ok = ~np.isnan(ph_defect)
@@ -408,7 +409,7 @@ def uniqueness_check(field: ScalarField, d1: Decomposition, d2: Decomposition,
     if d1.alpha != d2.alpha:
         raise ValueError("uniqueness comparison requires matching degrees")
     plan = plan or SamplingPlan()
-    X = field.x_star + plan.box_points(field.n)
+    X = field.absolute(plan.box_points(field.n))
     p1 = d1.p_values(X)
     p2 = d2.p_values(X)
     floor = 1e-9
@@ -459,8 +460,8 @@ def order_equivalence(field_f: ScalarField, field_p: ScalarField,
                 ys.append(0.5 * eye[j_])
     X = np.vstack([np.array(xs), plan.box_points(n, rng=rng)]) if xs else plan.box_points(n, rng=rng)
     Y = np.vstack([np.array(ys), plan.box_points(n, rng=rng)]) if ys else plan.box_points(n, rng=rng)
-    X = field_f.x_star + X
-    Y = field_f.x_star + Y
+    X = field_f.absolute(X)
+    Y = field_f.absolute(Y)
 
     cf = order_trichotomy(field_f.values(X), field_f.values(Y))
     cp = order_trichotomy(field_p.values(X), field_p.values(Y))

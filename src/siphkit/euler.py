@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .decomposition import Decomposition
-from .field import GradientSpec, ScalarField
+from .field import GradientSpec, ScalarField, row_sumsq
 from .levelsets import ray_level_radius
 from .rays import SamplingPlan, classify_ray, row_blocks
 
@@ -88,7 +88,7 @@ def euler_residual(p: ScalarField, alpha: float,
     Z = _floored_box_points(plan, p.n, coord_floor, rng)
     residuals = np.empty(Z.shape[0])
     for rows in row_blocks(Z.shape[0]):
-        X = p.x_star + Z[rows]
+        X = p.absolute(Z[rows])
         vals = p.values(X)
         grads = p.gradient_values(X, spec)
         dots = np.einsum("ij,ij->i", grads, Z[rows])
@@ -118,7 +118,7 @@ def general_euler_residual(field: ScalarField, d: Decomposition,
     spec = grad_spec or GradientSpec()
     rng = plan.rng()
     Z = plan.box_points(field.n, rng=rng)
-    X = field.x_star + Z
+    X = field.absolute(Z)
     p_vals = d.p_values(X)
     finite = np.isfinite(p_vals)
     scale = np.abs(p_vals[finite]).max() if finite.any() else 0.0
@@ -194,7 +194,7 @@ def levelset_gradient_constancy(field: ScalarField, c: float,
         return SpreadReport(level=c, values=np.array([]), spread=np.nan,
                             mean=np.nan, passed=False, tol=tol, skipped=skipped,
                             n_points=n_points, seed=seed)
-    grads = field.gradient_values(field.x_star + Z, grad_spec)
+    grads = field.gradient_values(field.absolute(Z), grad_spec)
     dots = np.einsum("ij,ij->i", grads, Z)
     finite = dots[np.isfinite(dots)]
     spread = float(finite.max() - finite.min()) if finite.size else np.nan
@@ -284,8 +284,8 @@ def saddle_levels(field: ScalarField, k_max: int = 3, tol: float = 1e-6,
     max_norms = []
     for radius in radii:
         U = plan.sphere_points(field.n, points_per_shell)
-        grads = field.gradient_values(field.x_star + radius * U)
-        max_norms.append(float(np.linalg.norm(grads, axis=1).max()))
+        grads = field.gradient_values(field.absolute(radius * U))
+        max_norms.append(float(np.sqrt(row_sumsq(grads)).max()))
 
     grid = np.linspace(0.05, radii[-1] + 0.5, 64)
     dirs = np.vstack([np.eye(field.n), plan.sphere_points(field.n, 4)])
@@ -347,7 +347,7 @@ def positive_gradient_region(field: ScalarField,
     rng = plan.rng()
     n = field.n
     sphere = plan.sphere_points(n, 128, rng=rng)
-    svals = field.values(field.x_star + sphere)
+    svals = field.values(field.absolute(sphere))
     finite = np.isfinite(svals)
     if not finite.any():
         return NeighborhoodCertificate(ok=False, z0=None, level=np.nan,
@@ -380,7 +380,7 @@ def positive_gradient_region(field: ScalarField,
     dirs = np.vstack([s, plan.sphere_points(n, n_level_points, rng=rng)])
     Z = _level_points(field, dirs, level)
     skipped = dirs.shape[0] - Z.shape[0]
-    grads = field.gradient_values(field.x_star + Z, grad_spec)
+    grads = field.gradient_values(field.absolute(Z), grad_spec)
     dots = np.einsum("ij,ij->i", grads, Z)
     finite_dots = dots[np.isfinite(dots)]
     epsilon = float(finite_dots.min()) if finite_dots.size else np.nan
@@ -393,7 +393,7 @@ def positive_gradient_region(field: ScalarField,
                                        seed=plan.seed, scan=scan)
 
     offsets = plan.sphere_points(n, n_offsets, rng=rng)
-    radial = Z / np.linalg.norm(Z, axis=1, keepdims=True)
+    radial = Z / np.sqrt(row_sumsq(Z))[:, None]
     delta = 0.0
     stop_reason = "cap"
     violation = None
@@ -406,7 +406,7 @@ def positive_gradient_region(field: ScalarField,
             Z + candidate * radial,
             Z - candidate * radial,
         ])
-        g2 = field.gradient_values(field.x_star + Y, grad_spec)
+        g2 = field.gradient_values(field.absolute(Y), grad_spec)
         dots2 = np.einsum("ij,ij->i", g2, Y)
         n_fattened += Y.shape[0]
         bad = ~(dots2 >= epsilon / 2.0)  # catches nan too

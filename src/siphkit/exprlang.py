@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .field import FieldMeta, ScalarField
+from .field import FieldMeta, ScalarField, row_sumsq
 
 
 class ExprError(ValueError):
@@ -355,7 +355,7 @@ def _compile(node: Node):
         return lambda X: np.power(lf(X), rf(X))
     if isinstance(node, Call):
         if node.name == "norm":
-            return lambda X: np.linalg.norm(X, axis=1)
+            return lambda X: np.sqrt(row_sumsq(X))
         sub = [_compile(a) for a in node.args]
         if node.name in _VARIADIC_FNS:
             reducer = np.minimum if node.name == "min" else np.maximum

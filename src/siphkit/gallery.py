@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.special import exp1
 
-from .field import FieldMeta, ScalarField
+from .field import FieldMeta, ScalarField, row_sum, row_sumsq
 
 
 # ---------------------------------------------------------------------------
@@ -27,20 +27,20 @@ def _sq_norm(n: int) -> ScalarField:
     meta = FieldMeta(declared_si=True, ph_degree=2.0, decomposable=True,
                      compact_sublevel=True, differentiable=True, continuous=True)
     return ScalarField(
-        n, lambda X: np.sum(X * X, axis=-1),
+        n, row_sumsq,
         grad=lambda X: 2.0 * X,
         vectorized=True, meta=meta)
 
 
 def _norm(n: int) -> ScalarField:
     def grad(X):
-        r = np.linalg.norm(X, axis=-1, keepdims=True)
+        r = np.sqrt(row_sumsq(X))[..., None]
         with np.errstate(all="ignore"):
             return np.where(r > 0, X / r, 0.0)
 
     meta = FieldMeta(declared_si=True, ph_degree=1.0, decomposable=True,
                      compact_sublevel=True, differentiable=True, continuous=True)
-    return ScalarField(n, lambda X: np.linalg.norm(X, axis=-1), grad=grad,
+    return ScalarField(n, lambda X: np.sqrt(row_sumsq(X)), grad=grad,
                        vectorized=True, meta=meta)
 
 
@@ -77,10 +77,10 @@ def _ellipsoid(n: int, diag=None, matrix=None) -> ScalarField:
 
 def _half_norm(n: int) -> ScalarField:
     def fn(X):
-        return np.sum(np.sqrt(np.abs(X)), axis=-1) ** 2
+        return row_sum(np.sqrt(np.abs(X))) ** 2
 
     def grad(X):
-        s = np.sum(np.sqrt(np.abs(X)), axis=-1, keepdims=True)
+        s = row_sum(np.sqrt(np.abs(X)))[..., None]
         with np.errstate(all="ignore"):
             return s * np.sign(X) / np.sqrt(np.abs(X))
 
@@ -125,7 +125,7 @@ def _tanh_exp(n: int) -> ScalarField:
 
 def _gauss_si(n: int) -> ScalarField:
     def fn(X):
-        return np.exp(-np.sum(X * X, axis=-1))
+        return np.exp(-row_sumsq(X))
 
     def grad(X):
         return -2.0 * X * fn(X)[..., None]
@@ -144,10 +144,10 @@ def saddle_profile(t):
 
 def _saddle_si(n: int) -> ScalarField:
     def fn(X):
-        return saddle_profile(np.sum(X * X, axis=-1))
+        return saddle_profile(row_sumsq(X))
 
     def grad(X):
-        u = np.sum(X * X, axis=-1)
+        u = row_sumsq(X)
         return 2.0 * (np.sin(u) ** 2)[..., None] * X
 
     meta = FieldMeta(declared_si=True, ph_degree=None, decomposable=True,
@@ -398,7 +398,7 @@ def random_si(seed: int, n: int, eps: float = 0.3, modes: int = 4) -> ScalarFiel
     rng = np.random.default_rng(seed)
 
     waves = rng.normal(size=(modes, n))
-    waves /= np.linalg.norm(waves, axis=1, keepdims=True)
+    waves /= np.sqrt(row_sumsq(waves))[:, None]
     freqs = rng.integers(1, modes + 1, size=modes).astype(float)
     phases = rng.uniform(0.0, 2.0 * np.pi, size=modes)
     weights = rng.uniform(0.5, 1.0, size=modes)
@@ -413,7 +413,7 @@ def random_si(seed: int, n: int, eps: float = 0.3, modes: int = 4) -> ScalarFiel
 
     def p_fn(X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        r = np.linalg.norm(X, axis=-1)
+        r = np.sqrt(row_sumsq(X))
         out = np.zeros_like(r)
         mask = r > 0
         if mask.any():

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .decomposition import ZERO_LEVEL_ATOL, Decomposition
-from .field import ScalarField
+from .field import ScalarField, row_sumsq
 from .rays import (MAX_WITNESSES, SamplingPlan, classify_ray,
                    default_directions, row_blocks)
 from .rootfind import (BELOW_START, NONFINITE, OK, UNBOUNDED, golden_section,
@@ -185,13 +185,13 @@ def sphere_extrema(p: ScalarField, n_samples=512, refine_steps: int = 2,
     n = p.n
     if n == 1:
         pts = np.array([[1.0], [-1.0]])
-        vals = p.values(p.x_star + pts)
+        vals = p.values(p.absolute(pts))
         lo, hi = int(np.argmin(vals)), int(np.argmax(vals))
         out = [SphereExtrema(float(vals[lo]), float(vals[hi]), pts[lo], pts[hi],
                              n_samples=2, refine_steps=0) for _ in counts]
     else:
         S = SamplingPlan(seed=seed).sphere_points(n, max(counts))
-        vals = p.values(p.x_star + S)
+        vals = p.values(p.absolute(S))
         starts = []
         for k in counts:
             finite = np.isfinite(vals[:k])
@@ -199,7 +199,7 @@ def sphere_extrema(p: ScalarField, n_samples=512, refine_steps: int = 2,
                 raise ValueError("function is non-finite on all sphere samples")
             starts += [S[int(np.argmin(np.where(finite, vals[:k], np.inf)))],
                        S[int(np.argmax(np.where(finite, vals[:k], -np.inf)))]]
-        U, V = _refine_on_sphere(lambda X: p.values(p.x_star + X),
+        U, V = _refine_on_sphere(lambda X: p.values(p.absolute(X)),
                                  np.array(starts),
                                  np.tile([1.0, -1.0], len(counts)), refine_steps)
         out = [SphereExtrema(m=float(V[2 * i]), M=float(V[2 * i + 1]),
@@ -242,10 +242,10 @@ def check_ph_sandwich(p: ScalarField, alpha: float, m_p: float, M_p: float,
     """
     plan = plan or SamplingPlan()
     X0 = plan.box_points(p.n)
-    r = np.linalg.norm(X0, axis=1)
+    r = np.sqrt(row_sumsq(X0))
     keep = r > 1e-9
     X0, r = X0[keep], r[keep]
-    vals = p.values(p.x_star + X0)
+    vals = p.values(p.absolute(X0))
     lower = m_p * r ** alpha
     upper = M_p * r ** alpha
     slack = rtol * (1.0 + np.abs(upper))
@@ -312,7 +312,7 @@ def check_si_sandwich(field: ScalarField, d: Decomposition,
     inv_alpha = 1.0 / d.alpha
     ext = extrema if extrema is not None else sphere_extrema(
         field, n_samples=SI_SPHERE_SAMPLES, seed=plan.seed)
-    q = d.p_values(field.x_star + np.array([ext.argmin, ext.argmax])) ** inv_alpha
+    q = d.p_values(field.absolute(np.array([ext.argmin, ext.argmax]))) ** inv_alpha
     # the sandwich needs p bounded away from 0 on the sphere; a minimum of f
     # inside the zero-level band counts as p = 0
     zero_band = ZERO_LEVEL_ATOL * (1.0 + abs(field.f_star))
@@ -330,10 +330,10 @@ def check_si_sandwich(field: ScalarField, d: Decomposition,
         return d.phi_values(np.asarray(t, dtype=float) ** d.alpha)
 
     X0 = plan.box_points(field.n)
-    r = np.linalg.norm(X0, axis=1)
+    r = np.sqrt(row_sumsq(X0))
     keep = r > 1e-9
     X0, r = X0[keep], r[keep]
-    f_vals = field.values(field.x_star + X0)
+    f_vals = field.values(field.absolute(X0))
     lower = phi1(m_hat * r)
     upper = phi1(M_hat * r)
     band = slack * (1.0 + np.abs(f_vals))
@@ -477,19 +477,21 @@ def negligibility_probe(field: ScalarField, c: float,
                         seed: int = 0, rate_bound: float = 1.0) -> NegligibilityReport:
     """Fractions of uniform box samples falling in the shells |f - c| <= eps.
 
-    ``eps_list`` must be strictly decreasing and positive.  The continuity of
-    every ray section — the hypothesis under which level sets are negligible —
-    is assumed, not verified; the report records this.  The box is drawn and
-    evaluated in blocks of rows from the one seeded generator.
+    ``eps_list`` must be finite, strictly decreasing and positive.  The
+    continuity of every ray section — the hypothesis under which level sets
+    are negligible — is assumed, not verified; the report records this.  The
+    box is drawn and evaluated in blocks of rows from the one seeded
+    generator.
     """
     eps = np.asarray(list(eps_list), dtype=float)
-    if eps.ndim != 1 or len(eps) < 1 or (eps <= 0).any() or (np.diff(eps) >= 0).any():
-        raise ValueError("eps_list must be strictly decreasing and positive")
+    if (eps.ndim != 1 or len(eps) < 1 or not np.isfinite(eps).all()
+            or (eps <= 0).any() or (np.diff(eps) >= 0).any()):
+        raise ValueError("eps_list must be finite, strictly decreasing and positive")
     rng = np.random.default_rng(seed)
     counts = [0] * len(eps)
     for rows in row_blocks(n_samples):
-        X = field.x_star + rng.uniform(-box_radius, box_radius,
-                                       size=(rows.stop - rows.start, field.n))
+        X = field.absolute(rng.uniform(-box_radius, box_radius,
+                                       size=(rows.stop - rows.start, field.n)))
         dev = np.abs(field.values(X) - c)
         counts = [k + int(np.count_nonzero(dev <= e))
                   for k, e in zip(counts, eps)]

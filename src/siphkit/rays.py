@@ -15,7 +15,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .field import ScalarField
+from .field import ScalarField, row_sumsq
 
 MAX_WITNESSES = 16
 ORDER_ATOL = 1e-12
@@ -76,7 +76,7 @@ class SamplingPlan:
                       rng: Optional[np.random.Generator] = None) -> np.ndarray:
         rng = rng or self.rng()
         pts = rng.normal(size=(count, n))
-        return pts / np.linalg.norm(pts, axis=1, keepdims=True)
+        return pts / np.sqrt(row_sumsq(pts))[:, None]
 
 
 def row_blocks(count: int) -> Iterator[slice]:
@@ -319,7 +319,7 @@ def default_directions(n: int, seed: int = 0) -> np.ndarray:
     eye = np.eye(n)
     rng = np.random.default_rng(seed)
     pts = rng.normal(size=(2 * n, n))
-    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    pts /= np.sqrt(row_sumsq(pts))[:, None]
     return np.vstack([eye, -eye, pts])
 
 

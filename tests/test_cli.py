@@ -95,6 +95,84 @@ def test_usage_errors_exit_two(capsys, argv):
     assert "error" in err
 
 
+_LEVEL_COMMANDS = [
+    ["levelset", "negligible", "--gallery", "sphere", "--N", "1000"],
+    ["levelset", "radii", "--gallery", "sphere"],
+    ["levelset", "compact", "--gallery", "sphere"],
+    ["verify", "levelset-grad", "--gallery", "sphere"],
+]
+
+
+@pytest.mark.parametrize("level", ["nan", "inf", "-inf", "1e400", "one"])
+@pytest.mark.parametrize("command", _LEVEL_COMMANDS, ids=lambda c: " ".join(c[:2]))
+def test_a_level_that_is_not_a_finite_number_exits_two(capsys, command, level):
+    code, out, err = run_cli(capsys, command + [f"--level={level}"])
+    assert code == 2
+    assert out == ""
+    assert "argument --level: expected a finite number" in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["check", "si", "--gallery", "sphere", "--atol", "-1"],
+     "argument --atol: must be at least 0"),
+    (["check", "si", "--gallery", "sphere", "--atol", "nan"],
+     "argument --atol: expected a finite number"),
+    (["check", "si", "--gallery", "sphere", "--atol", "inf"],
+     "argument --atol: expected a finite number"),
+    (["levelset", "radii", "--gallery", "sphere", "--level", "1",
+      "--directions", "0"], "argument --directions: must be at least 1"),
+    (["levelset", "radii", "--gallery", "sphere", "--level", "1",
+      "--directions", "-3"], "argument --directions: must be at least 1"),
+    (["verify", "levelset-grad", "--gallery", "sphere", "--level", "1",
+      "--points", "0"], "argument --points: must be at least 1"),
+    (["verify", "levelset-grad", "--gallery", "sphere", "--level", "1",
+      "--points", "2.5"], "argument --points: expected an integer"),
+    (["levelset", "negligible", "--gallery", "sphere", "--level", "1",
+      "--rate-bound", "inf"], "argument --rate-bound: expected a finite number"),
+    (["levelset", "negligible", "--gallery", "sphere", "--level", "1",
+      "--rate-bound=-1"], "argument --rate-bound: must be at least 0"),
+    (["levelset", "bounds", "--gallery", "sphere", "--slack", "nan"],
+     "argument --slack: expected a finite number"),
+    (["levelset", "bounds", "--gallery", "sphere", "--rtol=-0.5"],
+     "argument --rtol: must be at least 0"),
+    (["decompose", "--gallery", "sphere", "--comp-tol", "inf"],
+     "argument --comp-tol: expected a finite number"),
+    (["decompose", "--gallery", "sphere", "--ph-tol", "nan"],
+     "argument --ph-tol: expected a finite number"),
+    (["verify", "euler", "--gallery", "sphere", "--tol", "inf"],
+     "argument --tol: expected a finite number"),
+    (["verify", "general-euler", "--gallery", "sphere", "--tol=-1"],
+     "argument --tol: must be at least 0"),
+    (["verify", "levelset-grad", "--gallery", "sphere", "--level", "1",
+      "--tol", "nan"], "argument --tol: expected a finite number"),
+    (["solve", "paired-level", "--r", "0.5", "--tol", "nan"],
+     "argument --tol: expected a finite number"),
+    (["solve", "paired-level", "--r", "0.5", "--tol=-1"],
+     "argument --tol: must be at least 0"),
+    (["solve", "paired-level", "--r", "0.3", "--tol", "0"],
+     "paired-level residual"),
+    (["levelset", "negligible", "--gallery", "sphere", "--level", "1",
+      "--N", "100", "--eps", "inf,0.1"], "eps_list must be finite"),
+    (["levelset", "negligible", "--gallery", "sphere", "--level", "1",
+      "--N", "100", "--eps", "0.1,nan"], "eps_list must be finite"),
+])
+def test_degenerate_arguments_exit_two_with_a_named_message(capsys, argv,
+                                                            message):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+def test_smallest_legal_counts_still_run(capsys):
+    code, doc = run_json(capsys, ["levelset", "radii", "--gallery", "sphere",
+                                  "--level", "1", "--directions", "1"])
+    assert code == 0 and doc["metrics"]["n_directions"] == 1
+    code, doc = run_json(capsys, ["verify", "levelset-grad", "--gallery",
+                                  "sphere", "--level", "1", "--points", "1"])
+    assert code == 0 and doc["config"]["points"] == 1
+
+
 def test_expression_errors_carry_the_offset(capsys):
     code, out, err = run_cli(capsys, ["check", "si", "--expr", "x_1 +"])
     assert code == 2
