@@ -16,7 +16,8 @@ for parametrized entries) or from an expression (--expr "x_1^2 + x_2^2" with
 reruns with the same configuration and seed are byte-identical except for the
 wall-time line.  Exit codes: 0 = pass, 1 = property violated (the report
 carries witnesses), 2 = usage or configuration error.  The SIPH_SEED
-environment variable, when set, overrides --seed.
+environment variable, when set, overrides --seed.  Each command accepts only
+the sampling flags its probe reads; any other exits 2.
 """
 
 from __future__ import annotations
@@ -169,22 +170,26 @@ def _resolve_field(args, seed: int) -> tuple:
     return field, {"gallery": args.gallery, "n": n, "params": params}
 
 
+# sampling flag (argparse dest) -> SamplingPlan field, in config echo order;
+# a field whose flag the command lacks keeps its default
+_PLAN_FIELDS = {"samples": "n_samples", "box_radius": "box_radius",
+                "rho_min": "rho_min", "rho_max": "rho_max",
+                "t_max": "t_max", "grid_points": "grid_points"}
+
+
 def _plan_from(args, seed: int) -> SamplingPlan:
+    given = {field: getattr(args, dest) for dest, field in _PLAN_FIELDS.items()
+             if hasattr(args, dest)}
     try:
-        return SamplingPlan(seed=seed, n_samples=int(args.samples),
-                            box_radius=float(args.box_radius),
-                            rho_min=float(args.rho_min),
-                            rho_max=float(args.rho_max),
-                            t_max=float(args.t_max),
-                            grid_points=int(args.grid_points))
+        return SamplingPlan(seed=seed, **given)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
 
-def _plan_echo(plan: SamplingPlan) -> dict:
-    return {"samples": plan.n_samples, "box_radius": plan.box_radius,
-            "rho_min": plan.rho_min, "rho_max": plan.rho_max,
-            "t_max": plan.t_max, "grid_points": plan.grid_points}
+def _plan_echo(args, plan: SamplingPlan) -> dict:
+    """The plan fields the command's flags set, under the flags' names."""
+    return {dest: getattr(plan, field) for dest, field in _PLAN_FIELDS.items()
+            if hasattr(args, dest)}
 
 
 def _grad_spec(args) -> GradientSpec:
@@ -422,7 +427,9 @@ def _cmd_gallery_list(args):
 # parser
 
 
-def _add_field_flags(parser):
+def _add_field_flags(parser, plan_groups=(), samples_default=1000):
+    """Function selection, --seed, the sampling flags of the ``plan_groups``
+    the probe reads ("sample", "scale", "grid") and the output flags."""
     group = parser.add_argument_group("function selection")
     group.add_argument("--gallery", help="gallery entry name (see `gallery list`)")
     group.add_argument("--param", action="append", metavar="KEY=VALUE",
@@ -433,20 +440,25 @@ def _add_field_flags(parser):
     group.add_argument("--x-star", dest="x_star", default=None,
                        help="reference point for --expr functions "
                             "(comma-separated; default origin)")
-
-
-def _add_run_flags(parser, samples_default=1000):
     group = parser.add_argument_group("run settings")
     group.add_argument("--seed", type=int, default=0,
                        help="RNG seed (SIPH_SEED overrides)")
-    group.add_argument("--N", dest="samples", type=int, default=samples_default,
-                       help=f"sample count (default {samples_default})")
-    group.add_argument("--box-radius", type=float, default=2.0)
-    group.add_argument("--rho-min", type=float, default=0.1)
-    group.add_argument("--rho-max", type=float, default=10.0)
-    group.add_argument("--t-max", type=float, default=10.0,
-                       help="ray grid scale T")
-    group.add_argument("--grid-points", type=int, default=24)
+    if "sample" in plan_groups:
+        group.add_argument("--N", dest="samples", type=int,
+                           default=samples_default,
+                           help=f"sample count (default {samples_default})")
+        group.add_argument("--box-radius", type=float, default=2.0)
+    if "scale" in plan_groups:
+        group.add_argument("--rho-min", type=float, default=0.1)
+        group.add_argument("--rho-max", type=float, default=10.0)
+    if "grid" in plan_groups:
+        group.add_argument("--t-max", type=float, default=10.0,
+                           help="ray grid scale T")
+        group.add_argument("--grid-points", type=int, default=24)
+    _add_output_flags(group)
+
+
+def _add_output_flags(group):
     group.add_argument("--out", default=None, help="report path (default stdout)")
     group.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -469,26 +481,21 @@ def build_parser() -> argparse.ArgumentParser:
     gal_sub = gal.add_subparsers(dest="action", required=True)
     gal_list = gal_sub.add_parser("list", help="list entries with tags")
     gal_list.add_argument("--n", type=int, default=2)
-    gal_list.add_argument("--seed", type=int, default=0)
-    gal_list.add_argument("--out", default=None)
-    gal_list.add_argument("--format", choices=("json", "csv"), default="json")
+    _add_output_flags(gal_list)
 
     chk = sub.add_parser("check", help="order-based property checks")
     chk_sub = chk.add_subparsers(dest="action", required=True)
     chk_si = chk_sub.add_parser("si", help="scaling invariance on sampled triples")
-    _add_field_flags(chk_si)
-    _add_run_flags(chk_si)
+    _add_field_flags(chk_si, ("sample", "scale"))
     chk_si.add_argument("--atol", type=_nonnegative_float, default=1e-12,
                         help="order-comparison tie band")
     chk_dec = chk_sub.add_parser("decomposable",
                                  help="monotone rays + shared ray images")
-    _add_field_flags(chk_dec)
-    _add_run_flags(chk_dec)
+    _add_field_flags(chk_dec, ("grid",))
 
     dec = sub.add_parser("decompose",
                          help="build f = phi o p and verify residuals")
-    _add_field_flags(dec)
-    _add_run_flags(dec)
+    _add_field_flags(dec, ("sample", "scale", "grid"))
     dec.add_argument("--alpha", type=float, default=1.0)
     dec.add_argument("--x0", default=None, help="one-sided reference point")
     dec.add_argument("--x1", default=None, help="positive reference point")
@@ -503,8 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="differential identities")
     ver_sub = ver.add_subparsers(dest="action", required=True)
     ver_euler = ver_sub.add_parser("euler", help="alpha p = grad p . x")
-    _add_field_flags(ver_euler)
-    _add_run_flags(ver_euler)
+    _add_field_flags(ver_euler, ("sample",))
     _add_grad_flags(ver_euler)
     ver_euler.add_argument("--alpha", type=float, default=None,
                            help="degree (default: the field's tag)")
@@ -512,15 +518,13 @@ def build_parser() -> argparse.ArgumentParser:
     ver_euler.add_argument("--coord-floor", type=float, default=0.1)
     ver_gen = ver_sub.add_parser("general-euler",
                                  help="grad f . x = alpha phi'(p) p")
-    _add_field_flags(ver_gen)
-    _add_run_flags(ver_gen)
+    _add_field_flags(ver_gen, ("sample", "grid"))
     _add_grad_flags(ver_gen)
     ver_gen.add_argument("--alpha", type=float, default=1.0)
     ver_gen.add_argument("--tol", type=_nonnegative_float, default=1e-4)
     ver_lsg = ver_sub.add_parser("levelset-grad",
                                  help="constancy of grad f . z on a level set")
     _add_field_flags(ver_lsg)
-    _add_run_flags(ver_lsg)
     _add_grad_flags(ver_lsg)
     ver_lsg.add_argument("--level", type=_finite_float, required=True)
     ver_lsg.add_argument("--points", type=_positive_int, default=64)
@@ -529,8 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
     lvl = sub.add_parser("levelset", help="level-set geometry probes")
     lvl_sub = lvl.add_subparsers(dest="action", required=True)
     lvl_radii = lvl_sub.add_parser("radii", help="per-direction level radii")
-    _add_field_flags(lvl_radii)
-    _add_run_flags(lvl_radii)
+    _add_field_flags(lvl_radii, ("grid",))
     lvl_radii.add_argument("--level", type=_finite_float, required=True)
     lvl_radii.add_argument("--directions", type=_positive_int, default=None,
                            help="sample this many sphere directions instead "
@@ -538,20 +541,17 @@ def build_parser() -> argparse.ArgumentParser:
     lvl_radii.add_argument("--sweep-csv", default=None,
                            help="also write (angles, radius) rows here")
     lvl_bounds = lvl_sub.add_parser("bounds", help="ball sandwich bounds")
-    _add_field_flags(lvl_bounds)
-    _add_run_flags(lvl_bounds)
+    _add_field_flags(lvl_bounds, ("sample", "grid"))
     lvl_bounds.add_argument("--alpha", type=float, default=None)
     lvl_bounds.add_argument("--slack", type=_nonnegative_float, default=1e-4)
     lvl_bounds.add_argument("--rtol", type=_nonnegative_float, default=1e-9)
     lvl_compact = lvl_sub.add_parser("compact",
                                      help="sublevel compactness evidence")
-    _add_field_flags(lvl_compact)
-    _add_run_flags(lvl_compact)
+    _add_field_flags(lvl_compact, ("grid",))
     lvl_compact.add_argument("--level", type=_finite_float, required=True)
     lvl_neg = lvl_sub.add_parser("negligible",
                                  help="Monte Carlo level-shell fractions")
-    _add_field_flags(lvl_neg)
-    _add_run_flags(lvl_neg, samples_default=100000)
+    _add_field_flags(lvl_neg, ("sample",), samples_default=100000)
     lvl_neg.add_argument("--level", type=_finite_float, required=True)
     lvl_neg.add_argument("--eps", default="0.1,0.05,0.025",
                          help="strictly decreasing shell half-widths")
@@ -563,7 +563,6 @@ def build_parser() -> argparse.ArgumentParser:
                                    help="positive gradient product near a "
                                         "level set")
     _add_field_flags(cert_pos)
-    _add_run_flags(cert_pos)
     _add_grad_flags(cert_pos)
 
     slv = sub.add_parser("solve", help="scalar solvers")
@@ -572,9 +571,7 @@ def build_parser() -> argparse.ArgumentParser:
                                   help="s > 1 with r^2 e^{-r^2} = s^2 e^{-s^2}")
     slv_pair.add_argument("--r", type=float, required=True)
     slv_pair.add_argument("--tol", type=_nonnegative_float, default=1e-10)
-    slv_pair.add_argument("--seed", type=int, default=0)
-    slv_pair.add_argument("--out", default=None)
-    slv_pair.add_argument("--format", choices=("json", "csv"), default="json")
+    _add_output_flags(slv_pair)
 
     return parser
 
@@ -608,16 +605,15 @@ def _dispatch(args) -> Report:
     witnesses."""
     action = getattr(args, "action", None)
     command = args.group if action is None else f"{args.group} {action}"
-    seed, seed_source = _resolve_seed(args) if hasattr(args, "seed") else (0, "flag")
-
     if (args.group, action) == ("gallery", "list"):
-        config = {"n": int(args.n), "seed": seed, "format": args.format}
+        config = {"n": int(args.n), "format": args.format}
         metrics, witnesses, extra = _cmd_gallery_list(args)
     elif (args.group, action) == ("solve", "paired-level"):
-        config = {"seed": seed, "format": args.format}
+        config = {"format": args.format}
         metrics, witnesses, extra = _cmd_solve_paired_level(args)
     else:
         handler = _FIELD_HANDLERS[(args.group, action)]
+        seed, seed_source = _resolve_seed(args)
         field, fn_echo = _resolve_field(args, seed)
         if not np.isfinite(field.f_star):
             # every probe works on f - f(x_star), which is then nan everywhere
@@ -625,7 +621,7 @@ def _dispatch(args) -> Report:
         plan = _plan_from(args, seed)
         metrics, witnesses, extra = handler(args, field, plan)
         config = {"function": fn_echo, "seed": seed, "seed_source": seed_source,
-                  **_plan_echo(plan), "format": args.format}
+                  **_plan_echo(args, plan), "format": args.format}
     return Report(command=command, verdict="fail" if witnesses else "pass",
                   config={**config, **extra}, metrics=metrics,
                   witnesses=witnesses)

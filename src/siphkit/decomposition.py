@@ -26,6 +26,8 @@ from .rays import (MAX_WITNESSES, SamplingPlan, classify_ray, default_directions
 from .rootfind import BELOW_START, OK, UNBOUNDED, solve_monotone_batch
 
 ZERO_LEVEL_ATOL = 1e-12
+# uniqueness_check: largest coefficient of variation of p1/p2 in a class
+UNIQUENESS_CV_TOL = 1e-6
 # phi_inverse_values status: a level a one-sided phi never reaches
 OUTSIDE_RANGE = -1
 
@@ -159,7 +161,7 @@ class Decomposition:
     def phi(self, t: float) -> float:
         return float(self.phi_values(np.array([t]))[0])
 
-    def phi_inverse_values(self, Y, max_doublings: int = 60) -> tuple:
+    def phi_inverse_values(self, Y) -> tuple:
         """Solve phi(t) = y for each level y of ``Y`` in one root solve.
 
         Returns ``(values, status)``.  ``status`` holds a rootfind code per
@@ -187,7 +189,7 @@ class Decomposition:
             return self.field.ray_values(u, P)
 
         res = solve_monotone_batch(
-            profile, gy[rows], max_doublings=max_doublings,
+            profile, gy[rows],
             increasing=np.where(pos[rows], pos_ref.increasing, neg_ref.increasing))
         status[rows] = res.status
         # scalar powers, one level at a time: numpy's array pow may differ
@@ -197,10 +199,10 @@ class Decomposition:
                 values[i] = (1.0 if pos[i] else -1.0) * t ** self.alpha
         return values, status
 
-    def phi_inverse(self, y: float, max_doublings: int = 60) -> float:
+    def phi_inverse(self, y: float) -> float:
         """Solve phi(t) = y on the achieved range by monotone bracketing: the
         one-level case of :meth:`phi_inverse_values`."""
-        values, status = self.phi_inverse_values([y], max_doublings)
+        values, status = self.phi_inverse_values([y])
         if status[0] == OUTSIDE_RANGE:
             raise ValueError(f"level {y} is outside the achieved range")
         if status[0] != OK:
@@ -268,9 +270,9 @@ def _condition_reference(field: ScalarField, u: np.ndarray) -> np.ndarray:
     return scales[best] * u
 
 
-def _make_ref(field: ScalarField, z: np.ndarray) -> ReferenceInfo:
+def _make_ref(field: ScalarField, z: np.ndarray, grid: np.ndarray) -> ReferenceInfo:
     value = field.shifted(z)
-    verdict = classify_ray(field, z)
+    verdict = classify_ray(field, z, grid=grid)
     if not verdict.monotone:
         # fall back to the value's sign; a nonzero value forces monotonicity
         # along the ray for decomposable fields
@@ -295,12 +297,13 @@ def build_decomposition(field: ScalarField, alpha: float = 1.0, x0=None,
     plan = plan or SamplingPlan()
     n = field.n
     zero_tol = ZERO_LEVEL_ATOL * (1.0 + abs(field.f_star))
+    grid = plan.t_grid()
 
     if x1 is not None or xm1 is not None:
         if x1 is None or xm1 is None:
             raise ValueError("two-sided hints need both x1 and xm1")
-        pos = _make_ref(field, np.asarray(x1, dtype=float) - field.x_star)
-        neg = _make_ref(field, np.asarray(xm1, dtype=float) - field.x_star)
+        pos = _make_ref(field, np.asarray(x1, dtype=float) - field.x_star, grid)
+        neg = _make_ref(field, np.asarray(xm1, dtype=float) - field.x_star, grid)
         if not pos.value > 0:
             raise DecompositionError("x1 must have f(x1) > f(x_star)")
         if not neg.value < 0:
@@ -308,7 +311,7 @@ def build_decomposition(field: ScalarField, alpha: float = 1.0, x0=None,
         return Decomposition(field, alpha, "two-sided", positive_ref=pos,
                              negative_ref=neg)
     if x0 is not None:
-        ref = _make_ref(field, np.asarray(x0, dtype=float) - field.x_star)
+        ref = _make_ref(field, np.asarray(x0, dtype=float) - field.x_star, grid)
         if abs(ref.value) <= zero_tol:
             raise DecompositionError("x0 must have f(x0) != f(x_star)")
         return Decomposition(field, alpha, "one-sided", positive_ref=ref)
@@ -324,7 +327,7 @@ def build_decomposition(field: ScalarField, alpha: float = 1.0, x0=None,
     has_neg = bool((vals[finite] < -zero_tol).any())
 
     dirs = default_directions(n, seed=plan.seed)
-    for d, verdict in zip(dirs, classify_ray(field, dirs, grid=plan.t_grid())):
+    for d, verdict in zip(dirs, classify_ray(field, dirs, grid=grid)):
         if verdict.kind == "non-monotone":
             raise DecompositionError(
                 f"ray through {d.tolist()} is non-monotone; field is not decomposable")
@@ -334,13 +337,16 @@ def build_decomposition(field: ScalarField, alpha: float = 1.0, x0=None,
 
     if has_pos and has_neg:
         masked = np.where(finite, vals, 0.0)
-        pos = _make_ref(field, _condition_reference(field, sphere[int(np.argmax(masked))]))
-        neg = _make_ref(field, _condition_reference(field, sphere[int(np.argmin(masked))]))
+        pos = _make_ref(field, _condition_reference(
+            field, sphere[int(np.argmax(masked))]), grid)
+        neg = _make_ref(field, _condition_reference(
+            field, sphere[int(np.argmin(masked))]), grid)
         return Decomposition(field, alpha, "two-sided", positive_ref=pos,
                              negative_ref=neg)
 
     scored = np.where(finite, np.abs(vals), -np.inf)
-    ref = _make_ref(field, _condition_reference(field, sphere[int(np.argmax(scored))]))
+    ref = _make_ref(field, _condition_reference(
+        field, sphere[int(np.argmax(scored))]), grid)
     return Decomposition(field, alpha, "one-sided", positive_ref=ref)
 
 
@@ -398,8 +404,7 @@ class UniquenessReport:
 
 
 def uniqueness_check(field: ScalarField, d1: Decomposition, d2: Decomposition,
-                     plan: Optional[SamplingPlan] = None,
-                     cv_tol: float = 1e-6) -> UniquenessReport:
+                     plan: Optional[SamplingPlan] = None) -> UniquenessReport:
     """Two canonical constructions differ by a constant per sign class.
 
     The ratio p1/p2 must be constant over samples (one constant in the
@@ -427,7 +432,7 @@ def uniqueness_check(field: ScalarField, d1: Decomposition, d2: Decomposition,
         mean = float(ratios.mean())
         cv = float(ratios.std() / abs(mean)) if mean != 0 else np.inf
         classes[label] = {"ratio": mean, "cv": cv, "count": int(mask.sum())}
-        passed &= cv <= cv_tol
+        passed &= cv <= UNIQUENESS_CV_TOL
     return UniquenessReport(case=d1.case, classes=classes, passed=passed,
                             seed=plan.seed)
 
@@ -446,30 +451,29 @@ def order_equivalence(field_f: ScalarField, field_p: ScalarField,
     """Do f and p induce the same order (hence the same sublevel sets)?
 
     Compares sign(f(x) - f(y)) with sign(p(x) - p(y)) under the relative tie
-    band, on structured axis pairs followed by seeded random pairs.
+    band, on structured axis pairs followed by seeded random pairs.  A pair
+    where f or p is nan at x or y cannot agree: it counts as a disagreement
+    and is witnessed as ``non_finite``, as in
+    :func:`~siphkit.rays.check_scaling_invariance`.
     """
     plan = plan or SamplingPlan()
     rng = plan.rng()
     n = field_f.n
     eye = np.eye(n)
-    xs, ys = [], []
-    for i in range(n):
-        for j_ in range(n):
-            if i != j_:
-                xs.append(eye[i])
-                ys.append(0.5 * eye[j_])
-    X = np.vstack([np.array(xs), plan.box_points(n, rng=rng)]) if xs else plan.box_points(n, rng=rng)
-    Y = np.vstack([np.array(ys), plan.box_points(n, rng=rng)]) if ys else plan.box_points(n, rng=rng)
-    X = field_f.absolute(X)
-    Y = field_f.absolute(Y)
+    i, j = np.nonzero(eye == 0)  # the axis pairs (e_i, e_j / 2), i != j
+    X = field_f.absolute(np.vstack([eye[i], plan.box_points(n, rng=rng)]))
+    Y = field_f.absolute(np.vstack([0.5 * eye[j], plan.box_points(n, rng=rng)]))
 
-    cf = order_trichotomy(field_f.values(X), field_f.values(Y))
-    cp = order_trichotomy(field_p.values(X), field_p.values(Y))
-    disagree = cf != cp
+    fx, fy = field_f.values(X), field_f.values(Y)
+    px, py = field_p.values(X), field_p.values(Y)
+    # order_trichotomy reads nan as +1, which would agree with any p above
+    nan_rows = np.isnan(fx) | np.isnan(fy) | np.isnan(px) | np.isnan(py)
+    disagree = ~nan_rows & (order_trichotomy(fx, fy) != order_trichotomy(px, py))
     witnesses = []
-    for idx in np.flatnonzero(disagree)[:MAX_WITNESSES]:
-        witnesses.append({"kind": "order_disagreement", "x": X[idx].tolist(),
-                          "y": Y[idx].tolist()})
-    count = int(disagree.sum())
+    for kind, rows in (("non_finite", nan_rows), ("order_disagreement", disagree)):
+        for idx in np.flatnonzero(rows)[:MAX_WITNESSES]:
+            witnesses.append({"kind": kind, "x": X[idx].tolist(),
+                              "y": Y[idx].tolist()})
+    count = int(disagree.sum() + nan_rows.sum())
     return OrderReport(passed=count == 0, trials=int(X.shape[0]),
                        disagreements=count, witnesses=witnesses, seed=plan.seed)

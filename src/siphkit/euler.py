@@ -19,6 +19,14 @@ from .field import GradientSpec, ScalarField, row_sumsq
 from .levelsets import ray_level_radius
 from .rays import SamplingPlan, classify_ray, row_blocks
 
+PHI_STEP = 1e-6           # general_euler_residual: phi' step / (1 + |p|)
+P_FLOOR_FRAC = 0.01       # general_euler_residual: |p| floor / sample max
+REGION_LEVEL_POINTS = 24  # positive_gradient_region: sampled level rays
+REGION_OFFSETS = 16       # positive_gradient_region: offsets per level point
+DERIVATIVE_FLOOR = 1e-3   # positive_gradient_region: ray slope that picks z0
+DELTA_START = 1e-4        # positive_gradient_region: first fattening radius
+DELTA_CAP = 0.5           # positive_gradient_region: largest fattening radius
+
 
 @dataclass
 class EulerReport:
@@ -104,14 +112,12 @@ def euler_residual(p: ScalarField, alpha: float,
 
 def general_euler_residual(field: ScalarField, d: Decomposition,
                            plan: Optional[SamplingPlan] = None,
-                           grad_spec: Optional[GradientSpec] = None,
-                           phi_step: float = 1e-6,
-                           p_floor_frac: float = 0.01) -> EulerReport:
+                           grad_spec: Optional[GradientSpec] = None) -> EulerReport:
     """Residual of grad f(x) . (x - x_star) = alpha phi'(p(x)) p(x).
 
     phi' comes from central differences on the one-dimensional profile with
     its own step — never from differentiating f, which is ill conditioned
-    where phi' blows up.  Samples with |p| below ``p_floor_frac`` times the
+    where phi' blows up.  Samples with |p| below ``P_FLOOR_FRAC`` times the
     sample maximum are excluded for the same reason.
     """
     plan = plan or SamplingPlan()
@@ -122,11 +128,11 @@ def general_euler_residual(field: ScalarField, d: Decomposition,
     p_vals = d.p_values(X)
     finite = np.isfinite(p_vals)
     scale = np.abs(p_vals[finite]).max() if finite.any() else 0.0
-    keep = finite & (np.abs(p_vals) >= p_floor_frac * scale)
+    keep = finite & (np.abs(p_vals) >= P_FLOOR_FRAC * scale)
     excluded = int((~keep).sum())
     Zk, Xk, pk = Z[keep], X[keep], p_vals[keep]
 
-    step = phi_step * (1.0 + np.abs(pk))
+    step = PHI_STEP * (1.0 + np.abs(pk))
     if d.case == "one-sided":
         # keep the stencil inside the profile's domain t >= 0
         step = np.minimum(step, 0.5 * pk)
@@ -141,7 +147,7 @@ def general_euler_residual(field: ScalarField, d: Decomposition,
                        grad_mode=_grad_mode(field, spec), h=spec.h,
                        n_samples=int(Xk.shape[0]), excluded=excluded,
                        seed=plan.seed,
-                       notes={"phi_step": phi_step, "p_floor_frac": p_floor_frac})
+                       notes={"phi_step": PHI_STEP, "p_floor_frac": P_FLOOR_FRAC})
 
 
 # -----------------------------------------------------------------------------
@@ -328,20 +334,17 @@ class NeighborhoodCertificate:
 
 def positive_gradient_region(field: ScalarField,
                              plan: Optional[SamplingPlan] = None,
-                             grad_spec: Optional[GradientSpec] = None,
-                             n_level_points: int = 24, n_offsets: int = 16,
-                             derivative_floor: float = 1e-3,
-                             delta_start: float = 1e-4,
-                             delta_cap: float = 0.5) -> NeighborhoodCertificate:
+                             grad_spec: Optional[GradientSpec] = None
+                             ) -> NeighborhoodCertificate:
     """Certificate that grad f(z) . (z - x_star) stays positive near a level set.
 
     Picks s = sampled argmin of f on the unit sphere, scans t from 1 downward
-    for a ray derivative above ``derivative_floor`` (which automatically
+    for a ray derivative above ``DERIVATIVE_FLOOR`` (which automatically
     avoids saddle shells, where the derivative vanishes), sets z0 = t s,
     samples the level set through z0 by ray radii, takes epsilon as the
     sampled minimum of the gradient product, then doubles delta from
-    ``delta_start`` while every offset sample of the fattened level set keeps
-    the product at or above epsilon / 2.
+    ``DELTA_START`` up to ``DELTA_CAP`` while every offset sample of the
+    fattened level set keeps the product at or above epsilon / 2.
     """
     plan = plan or SamplingPlan()
     rng = plan.rng()
@@ -365,7 +368,7 @@ def positive_gradient_region(field: ScalarField,
         deriv = (field.value(field.x_star + (t + h) * s)
                  - field.value(field.x_star + (t - h) * s)) / (2.0 * h)
         scan.append([float(t), float(deriv)])
-        if np.isfinite(deriv) and deriv > derivative_floor:
+        if np.isfinite(deriv) and deriv > DERIVATIVE_FLOOR:
             t_found = float(t)
             break
     if t_found is None:
@@ -377,7 +380,7 @@ def positive_gradient_region(field: ScalarField,
     z0 = t_found * s
     level = float(field.value(field.x_star + z0))
 
-    dirs = np.vstack([s, plan.sphere_points(n, n_level_points, rng=rng)])
+    dirs = np.vstack([s, plan.sphere_points(n, REGION_LEVEL_POINTS, rng=rng)])
     Z = _level_points(field, dirs, level)
     skipped = dirs.shape[0] - Z.shape[0]
     grads = field.gradient_values(field.absolute(Z), grad_spec)
@@ -392,13 +395,13 @@ def positive_gradient_region(field: ScalarField,
                                        skipped_directions=skipped,
                                        seed=plan.seed, scan=scan)
 
-    offsets = plan.sphere_points(n, n_offsets, rng=rng)
+    offsets = plan.sphere_points(n, REGION_OFFSETS, rng=rng)
     radial = Z / np.sqrt(row_sumsq(Z))[:, None]
     delta = 0.0
     stop_reason = "cap"
     violation = None
     n_fattened = 0
-    candidate = delta_start
+    candidate = DELTA_START
     while True:
         # offset bank per level point: shared unit offsets plus +-radial
         Y = np.concatenate([
@@ -417,10 +420,10 @@ def positive_gradient_region(field: ScalarField,
             stop_reason = "violation"
             break
         delta = candidate
-        if candidate >= delta_cap:
+        if candidate >= DELTA_CAP:
             stop_reason = "cap"
             break
-        candidate = min(2.0 * candidate, delta_cap)
+        candidate = min(2.0 * candidate, DELTA_CAP)
     return NeighborhoodCertificate(ok=True, z0=z0, level=level, epsilon=epsilon,
                                    delta=float(delta), stop_reason=stop_reason,
                                    n_level_points=Z.shape[0], n_fattened=n_fattened,

@@ -23,8 +23,8 @@ from .decomposition import ZERO_LEVEL_ATOL, Decomposition
 from .field import ScalarField, row_sumsq
 from .rays import (MAX_WITNESSES, SamplingPlan, classify_ray,
                    default_directions, row_blocks)
-from .rootfind import (BELOW_START, NONFINITE, OK, UNBOUNDED, golden_section,
-                       solve_monotone_batch)
+from .rootfind import (BELOW_START, MAX_DOUBLINGS, NONFINITE, OK, UNBOUNDED,
+                       golden_section, solve_monotone_batch)
 
 # sphere samples that seed the extrema search of the SI sandwich
 SI_SPHERE_SAMPLES = 256
@@ -435,7 +435,7 @@ def compactness_probe(field: ScalarField, c: float, directions=None,
     for i in np.flatnonzero(res.status == UNBOUNDED)[:MAX_WITNESSES]:
         witnesses.append({"kind": "bracket_exhausted",
                           "direction": directions[i].tolist(),
-                          "doublings": 60})
+                          "doublings": MAX_DOUBLINGS})
     for i in np.flatnonzero(res.status == NONFINITE)[:4]:
         witnesses.append({"kind": "non_finite", "direction": directions[i].tolist()})
     verdict = "bounded" if not witnesses else "unbounded-evidence"

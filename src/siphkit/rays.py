@@ -252,20 +252,18 @@ def _ray_values(field: ScalarField, D: np.ndarray, t: np.ndarray) -> np.ndarray:
     return field.shifted_values(Z).reshape(D.shape[0], t.size)
 
 
-def _ray_verdicts(field: ScalarField, vals: np.ndarray, t_full: np.ndarray,
-                  tol_const: Optional[float] = None,
-                  tol_step: float = STEP_TOL) -> list:
+def _ray_verdicts(field: ScalarField, vals: np.ndarray,
+                  t_full: np.ndarray) -> list:
     """Verdicts of rays of ``field`` sampled on ``t_full`` (first column at
     t = 0), one per row of shifted values ``vals``; see :func:`classify_ray`."""
-    if tol_const is None:
-        tol_const = CONST_TOL * (1.0 + abs(field.f_star))
+    tol_const = CONST_TOL * (1.0 + abs(field.f_star))
     nan = np.isnan(vals)
     nan_rows = nan.any(axis=1)
     with np.errstate(invalid="ignore"):  # inf - inf on rays that overflow
         deviation = np.max(np.abs(vals - vals[:, :1]), axis=1)
         steps = np.diff(vals, axis=1)
-    up = steps > tol_step
-    down = steps < -tol_step
+    up = steps > STEP_TOL
+    down = steps < -STEP_TOL
     any_up, any_down = up.any(axis=1), down.any(axis=1)
     # the witness interval is the later of the first strict rise and the
     # first strict fall
@@ -289,15 +287,14 @@ def _ray_verdicts(field: ScalarField, vals: np.ndarray, t_full: np.ndarray,
     return verdicts
 
 
-def classify_ray(field: ScalarField, x, grid=None, tol_const: Optional[float] = None,
-                 tol_step: float = STEP_TOL):
+def classify_ray(field: ScalarField, x, grid=None):
     """Classify the ray t -> f(x_star + t x) on {0} followed by the grid.
 
     Strict steps of both signs give ``non-monotone`` with the inversion pair.
     Otherwise the ray is ``constant`` when every value stays within
-    ``tol_const`` of the start, else monotone in the direction of its strict
-    steps (plateau steps within +-tol_step, e.g. saturating tails, are
-    compatible with either direction).
+    ``CONST_TOL * (1 + |f(x_star)|)`` of the start, else monotone in the
+    direction of its strict steps (plateau steps within +-``STEP_TOL``, e.g.
+    saturating tails, are compatible with either direction).
 
     ``x`` is one direction of shape (n,), giving one verdict, or a batch of
     shape (R, n), giving the list of R verdicts; all rays are evaluated in
@@ -310,7 +307,7 @@ def classify_ray(field: ScalarField, x, grid=None, tol_const: Optional[float] = 
 
     t_full = np.concatenate([[0.0], grid])
     verdicts = _ray_verdicts(field, _ray_values(field, np.atleast_2d(x), t_full),
-                             t_full, tol_const, tol_step)
+                             t_full)
     return verdicts if x.ndim == 2 else verdicts[0]
 
 

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: exit codes, report contents, determinism."""
 
+import argparse
 import csv
 import json
 import os
@@ -289,6 +290,8 @@ def test_verify_general_euler(capsys):
     assert code == 0
     assert doc["metrics"]["case"] == "one-sided"
     assert doc["metrics"]["max_residual"] <= 1e-4
+    # the module constants PHI_STEP and P_FLOOR_FRAC
+    assert doc["metrics"]["notes"] == {"phi_step": 1e-6, "p_floor_frac": 0.01}
 
 
 def test_verify_levelset_grad(capsys):
@@ -367,6 +370,121 @@ def test_solve_paired_level(capsys):
     assert code == 0
     assert doc["metrics"]["s"] == pytest.approx(1.3253041947515936, abs=1e-5)
     assert doc["metrics"]["residual"] <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# each command takes the sampling flags its probe reads, and no others
+
+_FIELD = {"--gallery", "--param", "--expr", "--n", "--x-star", "--seed",
+          "--out", "--format"}
+_SAMPLE = {"--N", "--box-radius"}
+_SCALE = {"--rho-min", "--rho-max"}
+_GRID = {"--t-max", "--grid-points"}
+_GRAD = {"--h", "--numerical"}
+_OPTIONS = {
+    "gallery list": {"--n", "--out", "--format"},
+    "check si": _FIELD | _SAMPLE | _SCALE | {"--atol"},
+    "check decomposable": _FIELD | _GRID,
+    "decompose": _FIELD | _SAMPLE | _SCALE | _GRID | {
+        "--alpha", "--x0", "--x1", "--xm1", "--x0-alt", "--x1-alt",
+        "--xm1-alt", "--comp-tol", "--ph-tol"},
+    "verify euler": _FIELD | _SAMPLE | _GRAD | {"--alpha", "--tol",
+                                                "--coord-floor"},
+    "verify general-euler": _FIELD | _SAMPLE | _GRID | _GRAD | {"--alpha",
+                                                                "--tol"},
+    "verify levelset-grad": _FIELD | _GRAD | {"--level", "--points", "--tol"},
+    "levelset radii": _FIELD | _GRID | {"--level", "--directions",
+                                        "--sweep-csv"},
+    "levelset bounds": _FIELD | _SAMPLE | _GRID | {"--alpha", "--slack",
+                                                   "--rtol"},
+    "levelset compact": _FIELD | _GRID | {"--level"},
+    "levelset negligible": _FIELD | _SAMPLE | {"--level", "--eps",
+                                               "--rate-bound"},
+    "cert positive-region": _FIELD | _GRAD,
+    "solve paired-level": {"--r", "--tol", "--out", "--format"},
+}
+
+# the smallest command line each command runs with
+_BASE_ARGV = {
+    "gallery list": ["gallery", "list"],
+    "solve paired-level": ["solve", "paired-level", "--r", "0.5"],
+    **{command: command.split() + ["--gallery", "sphere"]
+       + (["--level", "1"] if "--level" in options else [])
+       for command, options in _OPTIONS.items() if "--gallery" in options},
+}
+
+_PLAN_FLAGS = {"--N": "10", "--box-radius": "1", "--rho-min": "0.2",
+               "--rho-max": "5", "--t-max": "0.5", "--grid-points": "12"}
+
+# (command, flag, value): each sampling flag a field command's probe does not
+# read, and --seed on the two commands that draw nothing
+_REMOVED = [(command, flag, value)
+            for command, options in _OPTIONS.items() if "--seed" in options
+            for flag, value in _PLAN_FLAGS.items() if flag not in options]
+_REMOVED += [("gallery list", "--seed", "3"),
+             ("solve paired-level", "--seed", "3")]
+
+
+def _parser_options() -> dict:
+    """Subcommand -> the option strings its parser accepts (help aside)."""
+    out = {}
+
+    def walk(parser, path):
+        subs = [a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)]
+        for action in subs:
+            for name, child in action.choices.items():
+                walk(child, path + [name])
+        if not subs:
+            out[" ".join(path)] = {opt for a in parser._actions
+                                   if not isinstance(a, argparse._HelpAction)
+                                   for opt in a.option_strings}
+    walk(cli.build_parser(), [])
+    return out
+
+
+def test_each_subcommand_accepts_exactly_its_options():
+    options = _parser_options()
+    assert options == _OPTIONS
+    assert sum(len(v) for v in options.values()) == 159
+    assert len(_REMOVED) == 40
+
+
+@pytest.mark.parametrize("command,flag,value", _REMOVED,
+                         ids=[f"{c} {f}" for c, f, _ in _REMOVED])
+def test_a_flag_the_command_does_not_read_exits_two(capsys, command, flag,
+                                                    value):
+    code, out, err = run_cli(capsys, _BASE_ARGV[command] + [flag, value])
+    assert code == 2
+    assert out == ""
+    assert f"unrecognized arguments: {flag} {value}" in err
+
+
+def test_config_echoes_only_the_sampling_flags_the_command_reads(capsys):
+    plan_keys = ["samples", "box_radius", "rho_min", "rho_max", "t_max",
+                 "grid_points"]
+    code, doc = run_json(capsys, _BASE_ARGV["levelset compact"]
+                         + ["--t-max", "5"])
+    assert code == 0
+    assert [k for k in doc["config"] if k in plan_keys] == ["t_max",
+                                                            "grid_points"]
+    assert doc["config"]["t_max"] == 5.0
+    code, doc = run_json(capsys, _BASE_ARGV["decompose"] + ["--alpha", "2"])
+    assert code == 0
+    assert [k for k in doc["config"] if k in plan_keys] == plan_keys
+    code, doc = run_json(capsys, _BASE_ARGV["verify levelset-grad"])
+    assert code == 0
+    assert not set(plan_keys) & set(doc["config"])
+
+
+def test_commands_that_draw_nothing_take_no_seed(capsys, monkeypatch):
+    monkeypatch.setenv("SIPH_SEED", "not-a-number")
+    code, doc = run_json(capsys, _BASE_ARGV["gallery list"])
+    assert code == 0
+    assert doc["config"] == {"n": 2, "format": "json"}
+    code, doc = run_json(capsys, _BASE_ARGV["solve paired-level"])
+    assert code == 0
+    assert doc["config"] == {"format": "json", "r": 0.5, "tol": 1e-10}
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +579,8 @@ def test_check_si_at_zero_atol_emits_no_runtime_warning(capsys):
 # repeated calls in one process
 
 # (SIPH_SEED or None, argv); --param twice in a row would show a list default
-# shared between calls, and SIPH_SEED is set and then unset again
+# shared between calls, and SIPH_SEED is set and then unset again; solve
+# paired-level draws nothing, so a malformed SIPH_SEED does not reach it
 _CALL_SEQUENCE = [
     (None, ["check", "si", "--gallery", "sphere", "--N", "50"]),
     (None, ["check", "si", "--gallery", "sphere", "--bogus"]),
@@ -495,7 +614,7 @@ def test_repeated_main_calls_match_a_fresh_parser_per_call(capsys, monkeypatch):
     shared = _run_sequence(capsys, monkeypatch)
     monkeypatch.setattr(cli, "_parser", cli.build_parser, raising=False)
     fresh = _run_sequence(capsys, monkeypatch)
-    assert [code for code, _, _ in shared] == [0, 2, 0, 0, 0, 0, 0, 2, 2, 0]
+    assert [code for code, _, _ in shared] == [0, 2, 0, 0, 0, 0, 0, 2, 0, 0]
     assert shared == fresh
 
 

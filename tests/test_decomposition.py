@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from siphkit import decomposition
 from siphkit.decomposition import (
     OUTSIDE_RANGE,
     Decomposition,
@@ -319,6 +320,38 @@ def test_unrelated_fields_disagree_with_witness():
     assert w["y"] == [0.5, 0.0]
 
 
+def test_pairs_with_a_nan_value_count_against_order_equivalence():
+    # log(x_1 + 1) is nan for x_1 < -1 and orders every other pair like x_1;
+    # the trichotomy alone reads a nan value as "above", which would pass
+    # about half of the nan pairs as agreements
+    f = bind("log(x_1 + 1)", 2)
+    p = bind("x_1", 2)
+    plan = SamplingPlan(seed=3, n_samples=20_000)
+    rng = plan.rng()  # the structured pairs, then X and Y as the probe draws
+    x1 = np.concatenate([[1.0, 0.0], plan.box_points(2, rng=rng)[:, 0]])
+    y1 = np.concatenate([[0.0, 0.5], plan.box_points(2, rng=rng)[:, 0]])
+    nan_pairs = int(((x1 < -1) | (y1 < -1)).sum())
+    assert nan_pairs == 8860
+    report = order_equivalence(f, p, plan)
+    assert not report.passed
+    assert report.disagreements == nan_pairs
+    assert len(report.witnesses) == MAX_WITNESSES
+    for w in report.witnesses:
+        assert w["kind"] == "non_finite"
+        assert w["x"][0] < -1 or w["y"][0] < -1
+
+
+def test_order_equivalence_lists_nan_pairs_before_disagreements():
+    f = bind("log(x_1 + 1)", 2)
+    g = bind("-x_1", 2)
+    report = order_equivalence(f, g, SamplingPlan(n_samples=200))
+    kinds = [w["kind"] for w in report.witnesses]
+    assert kinds == sorted(kinds)  # "non_finite" < "order_disagreement"
+    assert kinds.count("non_finite") == kinds.count("order_disagreement") \
+        == MAX_WITNESSES
+    assert report.disagreements == report.trials
+
+
 def test_decreasing_profile_order_representative_is_negated():
     f = make_builtin("gauss_si", 2)
     d = build_decomposition(f, alpha=1.0)
@@ -330,6 +363,34 @@ def test_decreasing_profile_order_representative_is_negated():
     # while the raw p itself sorts the other way
     report3 = order_equivalence(f, d.p_field())
     assert not report3.passed
+
+
+# ---------------------------------------------------------------------------
+# ray grids
+
+
+# (reference hints, classify_ray calls): the searched build classifies the
+# default directions in one call, then each reference ray
+@pytest.mark.parametrize("hints,calls", [
+    ({}, 3),
+    ({"x0": [1.0, 0.5]}, 1),
+    ({"x1": [1.0, 0.0], "xm1": [-1.0, 0.0]}, 2),
+], ids=["searched", "one-sided", "two-sided"])
+def test_every_ray_of_one_build_is_classified_on_the_plans_grid(monkeypatch,
+                                                                  hints, calls):
+    grids = []
+    classify = decomposition.classify_ray
+
+    def spy(field, x, grid=None):
+        grids.append(grid)
+        return classify(field, x, grid=grid)
+
+    monkeypatch.setattr(decomposition, "classify_ray", spy)
+    plan = SamplingPlan(seed=2, t_max=3.0, grid_points=7)
+    build_decomposition(make_builtin("linear_x1", 2), plan=plan, **hints)
+    assert len(grids) == calls
+    for grid in grids:
+        np.testing.assert_array_equal(grid, plan.t_grid())
 
 
 # ---------------------------------------------------------------------------

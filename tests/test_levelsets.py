@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from siphkit import cli, decomposition, levelsets
+from siphkit import cli, decomposition, levelsets, rootfind
 from siphkit.decomposition import build_decomposition
 from siphkit.exprlang import bind
 from siphkit.field import ScalarField
@@ -395,6 +395,7 @@ def test_saturating_ray_exhausts_the_bracket():
     report = compactness_probe(f, 5.0, directions=[[1.0, 0.0]])
     assert not report.bounded
     assert report.witnesses[0]["kind"] == "bracket_exhausted"
+    assert report.witnesses[0]["doublings"] == rootfind.MAX_DOUBLINGS == 60
 
 
 # ---------------------------------------------------------------------------
