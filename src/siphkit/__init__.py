@@ -23,7 +23,8 @@ from .gallery import REGISTRY, compose, make_builtin, random_si, registry_json
 from .levelsets import (BoundsReport, CompactnessReport, LevelRadius,
                         NegligibilityReport, SphereExtrema, check_ph_sandwich,
                         check_si_sandwich, compactness_probe,
-                        negligibility_probe, ray_level_radius, sphere_extrema)
+                        fold_projected_samples, negligibility_probe,
+                        ray_level_radius, sphere_extrema)
 from .rays import (DecomposabilityReport, MonotoneVerdict, SamplingPlan,
                    SIReport, check_decomposability, check_scaling_invariance,
                    classify_ray, default_directions, order_trichotomy)
@@ -43,6 +44,7 @@ __all__ = [
     "check_ph_sandwich", "check_scaling_invariance", "check_si_sandwich",
     "classify_ray", "compactness_probe", "compose", "default_directions",
     "emit", "euler_residual", "eval_ast", "evaluate",
+    "fold_projected_samples",
     "general_euler_residual", "golden_section", "gradient", "jsonable",
     "levelset_gradient_constancy",
     "make_builtin", "negligibility_probe", "order_equivalence",

@@ -43,8 +43,9 @@ from .field import GradientSpec
 from .gallery import make_builtin, random_si, registry_json
 from .levelsets import (SI_SPHERE_SAMPLES, check_ph_sandwich,
                         check_si_sandwich, compactness_probe,
-                        negligibility_probe, ray_level_radius,
-                        si_sandwich_applies, sphere_extrema)
+                        fold_projected_samples, negligibility_probe,
+                        ray_level_radius, si_sandwich_applies,
+                        sphere_extrema)
 from .rays import (SamplingPlan, check_decomposability,
                    check_scaling_invariance, default_directions)
 from .reporting import Report, emit
@@ -352,11 +353,12 @@ def _cmd_levelset_bounds(args, field, plan):
     degree = field.meta.ph_degree
     si_ext = ph_ext = None
     if degree is not None and si_sandwich_applies(d):
-        # one lockstep polish for the extrema of both sandwiches
-        si_ext, ph_ext = sphere_extrema(
-            field, n_samples=(SI_SPHERE_SAMPLES, 512), seed=plan.seed)
+        # one lockstep polish and one fold for the extrema of both sandwiches
+        si_ext, ph_ext = fold_projected_samples(field, plan, sphere_extrema(
+            field, n_samples=(SI_SPHERE_SAMPLES, 512), seed=plan.seed))
     elif degree is not None:
-        ph_ext = sphere_extrema(field, seed=plan.seed)
+        ph_ext = fold_projected_samples(field, plan,
+                                        sphere_extrema(field, seed=plan.seed))
     si_rep = check_si_sandwich(field, d, plan, slack=args.slack, extrema=si_ext)
     metrics = {"si_sandwich": {"verdict": si_rep.verdict, "m": si_rep.m,
                                "M": si_rep.M, "notes": si_rep.notes}}
@@ -368,8 +370,11 @@ def _cmd_levelset_bounds(args, field, plan):
     if degree is not None:
         ph_rep = check_ph_sandwich(field, degree, ph_ext.m, ph_ext.M, plan,
                                    rtol=args.rtol)
+        notes = {**ph_rep.notes,
+                 "samples_below_polished_min": ph_ext.samples_below_polished_min,
+                 "samples_above_polished_max": ph_ext.samples_above_polished_max}
         metrics["ph_sandwich"] = {"verdict": ph_rep.verdict, "m": ph_rep.m,
-                                  "M": ph_rep.M}
+                                  "M": ph_rep.M, "notes": notes}
         witnesses.extend(ph_rep.witnesses)
     return metrics, witnesses, config
 
@@ -447,12 +452,12 @@ def _add_field_flags(parser, plan_groups=(), samples_default=1000):
         group.add_argument("--N", dest="samples", type=int,
                            default=samples_default,
                            help=f"sample count (default {samples_default})")
-        group.add_argument("--box-radius", type=float, default=2.0)
+        group.add_argument("--box-radius", type=_finite_float, default=2.0)
     if "scale" in plan_groups:
         group.add_argument("--rho-min", type=float, default=0.1)
-        group.add_argument("--rho-max", type=float, default=10.0)
+        group.add_argument("--rho-max", type=_finite_float, default=10.0)
     if "grid" in plan_groups:
-        group.add_argument("--t-max", type=float, default=10.0,
+        group.add_argument("--t-max", type=_finite_float, default=10.0,
                            help="ray grid scale T")
         group.add_argument("--grid-points", type=int, default=24)
     _add_output_flags(group)

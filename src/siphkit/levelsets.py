@@ -5,16 +5,23 @@ set of a strictly-monotone-ray field at most once), unit-sphere extrema of a
 homogeneous part, the ball sandwich bounds they induce, a compactness probe
 for sublevel sets, and a Monte Carlo shell probe for measure negligibility.
 
+The sphere extrema come from seeded samples polished by arc searches: each
+chain searches one great-circle arc per coordinate axis on a shrinking grid
+of angles, one field call per grid step for all chains, pass after pass
+until a pass no longer improves it.
+
 The sandwich of a scaling-invariant f = phi o p needs the sphere extrema of
 p, but not p's values along the way: with phi strictly increasing, f and p
 order points identically, so an extremum search that only compares values
 finds the same points on f.  It runs on f, and p is root-solved only at the
-two points it returns.
+two points it returns.  The extrema a sandwich checks also fold in the
+projections of its own samples onto the sphere, so a sample is a witness
+only when the sandwich fails along its own ray.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -24,10 +31,18 @@ from .field import ScalarField, row_sumsq
 from .rays import (MAX_WITNESSES, SamplingPlan, classify_ray,
                    default_directions, row_blocks)
 from .rootfind import (BELOW_START, MAX_DOUBLINGS, NONFINITE, OK, UNBOUNDED,
-                       golden_section, solve_monotone_batch)
+                       solve_monotone_batch)
 
 # sphere samples that seed the extrema search of the SI sandwich
 SI_SPHERE_SAMPLES = 256
+# the arc search: grid angles per field call, and calls per arc
+ARC_GRID = 31
+ARC_CALLS = 14
+_GRID = np.arange(1, ARC_GRID + 1) / (ARC_GRID + 1)
+# cap on the passes of arcs, and the relative gain below which a pass
+# settles its chain
+SPHERE_PASSES = 7
+SETTLE_RTOL = 1e-12
 
 _STATUS_LABEL = {OK: "ok", UNBOUNDED: "unbounded", NONFINITE: "non-finite",
                  BELOW_START: "outside-range"}
@@ -105,81 +120,129 @@ class SphereExtrema:
     argmax: np.ndarray
     n_samples: int
     refine_steps: int
+    # set by fold_projected_samples: the projected samples that beat the
+    # polished minimum and maximum
+    samples_below_polished_min: int = 0
+    samples_above_polished_max: int = 0
 
 
 def _arc_points(theta: np.ndarray, B: np.ndarray, T: np.ndarray) -> np.ndarray:
     """Row k: the point at angle theta[k] on the great circle through B[k]
     with unit tangent T[k].
 
-    One array expression for all chains: a Python loop over the chains here
-    would run at each of the 80 golden steps of every arc.  Array cos and
-    sin round like the scalar calls (a test pins this), so a chain's points
-    do not depend on the chains beside it.
+    One array expression for all rows: an arc search passes every chain's
+    grid angles at once.  Array cos and sin round like the scalar calls (a
+    test pins this), so a chain's points do not depend on the chains beside
+    it.  The points are on the sphere only up to rounding: T is orthogonal
+    to B only to about eps / ||tangent||, so callers divide by the norm.
     """
     return np.cos(theta)[:, None] * B + np.sin(theta)[:, None] * T
 
 
+def _finite_or_inf(vals: np.ndarray) -> np.ndarray:
+    return np.where(np.isfinite(vals), vals, np.inf)
+
+
+def _arc_search(fun, B: np.ndarray, T: np.ndarray, signs: np.ndarray) -> tuple:
+    """Minimize ``signs * fun`` over the half circle |theta| <= pi/2 of
+    each chain's arc; returns the best (points, values) seen.
+
+    Every call evaluates ``ARC_GRID`` interior angles of every chain's
+    bracket, spaced evenly, at unit points.  The bracket then shrinks to the
+    two grid neighbours of the call's best angle, so after ``ARC_CALLS``
+    calls it is pi * (2 / (ARC_GRID + 1))**ARC_CALLS wide.
+    """
+    k, n = B.shape
+    rows = np.arange(k)
+    B_grid = np.repeat(B, ARC_GRID, axis=0)
+    T_grid = np.repeat(T, ARC_GRID, axis=0)
+    lo = np.full(k, -np.pi / 2)
+    hi = -lo
+    best_p = np.empty_like(B)
+    best_v = np.full(k, np.inf)
+    for _ in range(ARC_CALLS):
+        theta = lo[:, None] + (hi - lo)[:, None] * _GRID
+        P = _arc_points(theta.ravel(), B_grid, T_grid)
+        P /= np.sqrt(row_sumsq(P))[:, None]
+        vals = _finite_or_inf(signs[:, None] * fun(P).reshape(k, ARC_GRID))
+        j = np.argmin(vals, axis=1)
+        v = vals[rows, j]
+        better = v < best_v
+        best_v[better] = v[better]
+        best_p[better] = P.reshape(k, ARC_GRID, n)[rows, j][better]
+        edges = np.column_stack([lo, theta, hi])
+        lo, hi = edges[rows, j], edges[rows, j + 2]
+    return best_p, best_v
+
+
+def _improved(new: np.ndarray, old: np.ndarray) -> np.ndarray:
+    """Where ``new`` lies more than SETTLE_RTOL below ``old``, relative; any
+    finite value improves on an infinite one."""
+    scale = np.abs(np.where(np.isfinite(old), old, 0.0))
+    return new < old - SETTLE_RTOL * scale
+
+
 def _refine_on_sphere(fun, starts: np.ndarray, signs: np.ndarray,
                       passes: int) -> tuple:
-    """Golden-section over great-circle arcs through each chain's current
-    point, one arc per coordinate axis.
+    """Arc searches through each chain's current point, one great-circle arc
+    per coordinate axis, pass after pass.
 
     Row k of ``starts`` seeds chain k, which minimizes ``signs[k] * fun``:
     +1 minimizes, -1 maximizes.  ``fun`` maps a (k, n) batch of sphere points
-    to their values.  The chains run in lockstep, so each golden step costs
-    one ``fun`` call for all of them; within a chain the arcs stay sequential
-    (each starts from the point the previous arc found).  Each arc stacks
-    its chains' bases and tangents once, so a golden step builds all their
-    points in one :func:`_arc_points` call.  Returns the (points, values) of
-    the chains.
+    to their values.  The chains run in lockstep, so each step of an arc
+    search costs one ``fun`` call for all of them; within a chain the arcs
+    stay sequential (each starts from the point the previous arc found).  A
+    chain settles after the first pass that improves it by at most
+    SETTLE_RTOL relative, and leaves the batch; ``passes`` caps the passes.
+    Each chain's steps depend on its own values only, so when ``fun``'s rows
+    do not depend on their batch, a chain ends where it would alone.
+    Returns the (points, values) of the chains.
     """
-    eye = np.eye(starts.shape[1])
-    best_u = [u / np.linalg.norm(u) for u in starts]
-    best_v = signs * fun(np.array(best_u))
+    U = starts / np.sqrt(row_sumsq(starts))[:, None]
+    V = _finite_or_inf(signs * fun(U))
+    eye = np.eye(U.shape[1])
+    live = np.arange(len(U))
     for _ in range(passes):
-        for axis in eye:
-            chains, bases, tangents = [], [], []
-            for k, u in enumerate(best_u):
-                tangent = axis - (axis @ u) * u
-                norm = np.linalg.norm(tangent)
-                if norm >= 1e-12:
-                    chains.append(k)
-                    bases.append(u)
-                    tangents.append(tangent / norm)
-            if not chains:
+        before = V[live]
+        for i, axis in enumerate(eye):
+            u = U[live]
+            tangent = axis - u[:, i:i + 1] * u
+            norm = np.sqrt(row_sumsq(tangent))
+            on_arc = norm >= 1e-12
+            if not on_arc.any():
                 continue
-            B, T = np.array(bases), np.array(tangents)
-
-            def arc_vals(theta):
-                vals = signs[chains] * fun(_arc_points(theta, B, T))
-                return np.where(np.isfinite(vals), vals, np.inf)
-
-            half = np.full(len(chains), np.pi / 2)
-            theta_best, vals = golden_section(arc_vals, -half, half)
-            points = _arc_points(theta_best, B, T)
-            for j, k in enumerate(chains):
-                if vals[j] < best_v[k]:
-                    best_v[k] = vals[j]
-                    best_u[k] = points[j] / np.linalg.norm(points[j])
-    return np.array(best_u), signs * best_v
+            chains = live[on_arc]
+            points, vals = _arc_search(fun, u[on_arc],
+                                       tangent[on_arc] / norm[on_arc, None],
+                                       signs[chains])
+            better = vals < V[chains]
+            U[chains[better]] = points[better]
+            V[chains[better]] = vals[better]
+        live = live[_improved(V[live], before)]
+        if not live.size:
+            break
+    return U, signs * V
 
 
-def sphere_extrema(p: ScalarField, n_samples=512, refine_steps: int = 2,
-                   seed: int = 0):
+def sphere_extrema(p: ScalarField, n_samples=512,
+                   refine_steps: int = SPHERE_PASSES, seed: int = 0):
     """Extrema of p over the unit sphere around its reference point.
 
-    Seeded sphere sampling picks starting points; golden-section over
-    great-circle arcs through the current best point (one arc per coordinate
-    axis, ``refine_steps`` passes) polishes each extremum.  The minimum and
-    maximum are polished in lockstep, one two-point evaluation of p per
-    golden step.
+    Seeded sphere sampling picks starting points, and arc searches polish
+    each extremum: one great-circle arc per coordinate axis through the
+    current best point, each searched on a shrinking grid of angles, pass
+    after pass until a pass no longer improves the extremum (at most
+    ``refine_steps`` passes).  Every point searched is divided by its norm,
+    so each reported extremum is a value of p at a unit point.  The minimum
+    and maximum are polished in lockstep, one evaluation of p per grid step
+    for both.
 
     ``n_samples`` may also be a sequence of sample counts.  The result is
     then a list with one :class:`SphereExtrema` per count, each equal to the
-    call with that count alone, and all their chains share one polish: a
-    seed's smaller sample is the first rows of its larger one, and the
-    chains never mix.  This holds when p's values do not depend on the
-    batch they are evaluated in.
+    call with that count alone: a seed's smaller sample is the first rows of
+    its larger one, each distinct (start point, min or max) pair is polished
+    once, and the chains never mix.  This holds when p's values do not
+    depend on the batch they are evaluated in.
     """
     counts = [int(k) for k in np.atleast_1d(n_samples)]
     n = p.n
@@ -192,19 +255,22 @@ def sphere_extrema(p: ScalarField, n_samples=512, refine_steps: int = 2,
     else:
         S = SamplingPlan(seed=seed).sphere_points(n, max(counts))
         vals = p.values(p.absolute(S))
-        starts = []
+        picks = []  # (sample row, sign) of each count's minimum and maximum
         for k in counts:
             finite = np.isfinite(vals[:k])
             if not finite.any():
                 raise ValueError("function is non-finite on all sphere samples")
-            starts += [S[int(np.argmin(np.where(finite, vals[:k], np.inf)))],
-                       S[int(np.argmax(np.where(finite, vals[:k], -np.inf)))]]
+            picks += [(int(np.argmin(np.where(finite, vals[:k], np.inf))), 1.0),
+                      (int(np.argmax(np.where(finite, vals[:k], -np.inf))), -1.0)]
+        chains = list(dict.fromkeys(picks))
         U, V = _refine_on_sphere(lambda X: p.values(p.absolute(X)),
-                                 np.array(starts),
-                                 np.tile([1.0, -1.0], len(counts)), refine_steps)
-        out = [SphereExtrema(m=float(V[2 * i]), M=float(V[2 * i + 1]),
-                             argmin=U[2 * i], argmax=U[2 * i + 1], n_samples=k,
-                             refine_steps=refine_steps)
+                                 S[[row for row, _ in chains]],
+                                 np.array([sign for _, sign in chains]),
+                                 refine_steps)
+        at = [chains.index(pick) for pick in picks]
+        out = [SphereExtrema(m=float(V[at[2 * i]]), M=float(V[at[2 * i + 1]]),
+                             argmin=U[at[2 * i]], argmax=U[at[2 * i + 1]],
+                             n_samples=k, refine_steps=refine_steps)
                for i, k in enumerate(counts)]
     return out[0] if np.ndim(n_samples) == 0 else out
 
@@ -230,6 +296,46 @@ class BoundsReport:
         return self.verdict == "pass"
 
 
+def _projected_samples(plan: SamplingPlan, n: int) -> tuple:
+    """The plan's box samples away from the origin, their norms, and their
+    projections x / ||x|| onto the unit sphere."""
+    X0 = plan.box_points(n)
+    r = np.sqrt(row_sumsq(X0))
+    keep = r > 1e-9
+    X0, r = X0[keep], r[keep]
+    return X0, r, X0 / r[:, None]
+
+
+def fold_projected_samples(field: ScalarField, plan: SamplingPlan, extrema):
+    """Fold the projections x / ||x|| of ``plan``'s box samples into
+    ``extrema``, one :class:`SphereExtrema` of ``field`` or a list of them.
+
+    A search such as :func:`sphere_extrema` may stop short of the true
+    extrema.  Where a projected sample lies below the minimum or above the
+    maximum, the best such sample replaces it, so a sandwich checked on the
+    same plan's samples fails at a sample only when it fails along that
+    sample's own ray.  ``field`` is evaluated at the projections once for
+    all of ``extrema``; each result counts the samples that beat its
+    polished minimum and maximum.
+    """
+    _, _, U0 = _projected_samples(plan, field.n)
+    vals = field.values(field.absolute(U0))
+    finite = np.isfinite(vals)
+    out = []
+    for ext in extrema if isinstance(extrema, list) else [extrema]:
+        below, above = finite & (vals < ext.m), finite & (vals > ext.M)
+        ext = replace(ext, samples_below_polished_min=int(np.count_nonzero(below)),
+                      samples_above_polished_max=int(np.count_nonzero(above)))
+        if below.any():
+            i = int(np.argmin(np.where(below, vals, np.inf)))
+            ext = replace(ext, m=float(vals[i]), argmin=U0[i])
+        if above.any():
+            i = int(np.argmax(np.where(above, vals, -np.inf)))
+            ext = replace(ext, M=float(vals[i]), argmax=U0[i])
+        out.append(ext)
+    return out if isinstance(extrema, list) else out[0]
+
+
 def check_ph_sandwich(p: ScalarField, alpha: float, m_p: float, M_p: float,
                       plan: Optional[SamplingPlan] = None,
                       rtol: float = 1e-9) -> BoundsReport:
@@ -238,13 +344,12 @@ def check_ph_sandwich(p: ScalarField, alpha: float, m_p: float, M_p: float,
     ``m_p`` and ``M_p`` are the unit-sphere extrema of p (degree alpha); the
     bound follows from homogeneity along each ray.  Witnesses record the
     violated side.  Nonpositive p at x != x_star is recorded too, since the
-    sandwich is stated for positive homogeneous parts.
+    sandwich is stated for positive homogeneous parts.  The bounds are
+    checked as given; estimates from :func:`sphere_extrema` should first go
+    through :func:`fold_projected_samples` with the same plan.
     """
     plan = plan or SamplingPlan()
-    X0 = plan.box_points(p.n)
-    r = np.sqrt(row_sumsq(X0))
-    keep = r > 1e-9
-    X0, r = X0[keep], r[keep]
+    X0, r, _ = _projected_samples(plan, p.n)
     vals = p.values(p.absolute(X0))
     lower = m_p * r ** alpha
     upper = M_p * r ** alpha
@@ -288,12 +393,16 @@ def check_si_sandwich(field: ScalarField, d: Decomposition,
 
     The extrema are located on f itself.  With phi strictly increasing,
     f(x) < f(y) exactly when q(x) < q(y), so the seeded sampling and the
-    golden-section polish, which only compare values, take the same steps
-    on f as on q and stop at the same sphere points.  q is then solved at
-    those two points only, in one root solve, instead of at every probe.
-    ``extrema`` takes the result of ``sphere_extrema(field,
-    n_samples=SI_SPHERE_SAMPLES, seed=plan.seed)`` from a caller that
-    polished it together with other extrema; by default it is computed here.
+    arc searches, which only compare values, take the same steps on f as on
+    q and stop at the same sphere points.  The samples' projections
+    x / ||x|| are folded in (:func:`fold_projected_samples`), so a sample is
+    a witness only when the sandwich fails along its own ray; the notes
+    count the samples that beat each polished extremum.  q is then solved
+    at the two points chosen only, in one root solve, instead of at every
+    probe.  ``extrema`` takes the result of ``fold_projected_samples(field,
+    plan, sphere_extrema(field, n_samples=SI_SPHERE_SAMPLES,
+    seed=plan.seed))`` from a caller that computed it together with other
+    extrema; by default it is computed here.
 
     Beyond the pointwise sandwich, two inclusions are witness-searched:
     every sampled point with ||x|| < rho must lie in the sublevel set at
@@ -310,8 +419,9 @@ def check_si_sandwich(field: ScalarField, d: Decomposition,
                                    "case": d.case,
                                    "phi_increasing": d.phi_increasing})
     inv_alpha = 1.0 / d.alpha
-    ext = extrema if extrema is not None else sphere_extrema(
-        field, n_samples=SI_SPHERE_SAMPLES, seed=plan.seed)
+    ext = extrema if extrema is not None else fold_projected_samples(
+        field, plan, sphere_extrema(field, n_samples=SI_SPHERE_SAMPLES,
+                                    seed=plan.seed))
     q = d.p_values(field.absolute(np.array([ext.argmin, ext.argmax]))) ** inv_alpha
     # the sandwich needs p bounded away from 0 on the sphere; a minimum of f
     # inside the zero-level band counts as p = 0
@@ -319,7 +429,10 @@ def check_si_sandwich(field: ScalarField, d: Decomposition,
     m_hat = 0.0 if ext.m - field.f_star <= zero_band else float(q[0])
     M_hat = float(q[1])
     notes = {"m_is_q_extremum": True, "alpha": d.alpha,
-             "extrema_samples": ext.n_samples, "slack": slack}
+             "extrema_samples": ext.n_samples,
+             "samples_below_polished_min": ext.samples_below_polished_min,
+             "samples_above_polished_max": ext.samples_above_polished_max,
+             "slack": slack}
     if not (np.isfinite(m_hat) and m_hat > 0):
         return BoundsReport(verdict="precondition-failed", m=m_hat, M=M_hat,
                             witnesses=[], n_samples=0, seed=plan.seed,
@@ -329,10 +442,7 @@ def check_si_sandwich(field: ScalarField, d: Decomposition,
     def phi1(t):
         return d.phi_values(np.asarray(t, dtype=float) ** d.alpha)
 
-    X0 = plan.box_points(field.n)
-    r = np.sqrt(row_sumsq(X0))
-    keep = r > 1e-9
-    X0, r = X0[keep], r[keep]
+    X0, r, _ = _projected_samples(plan, field.n)
     f_vals = field.values(field.absolute(X0))
     lower = phi1(m_hat * r)
     upper = phi1(M_hat * r)

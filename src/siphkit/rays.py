@@ -51,6 +51,8 @@ class SamplingPlan:
             raise ValueError("need 0 < rho_min < rho_max")
         if not (self.box_radius > 0 and self.t_max > 0):
             raise ValueError("box_radius and t_max must be positive")
+        if not np.isfinite([self.box_radius, self.rho_max, self.t_max]).all():
+            raise ValueError("box_radius, rho_max and t_max must be finite")
         if self.grid_points < 3:
             raise ValueError("grid_points must be >= 3")
 

@@ -3,6 +3,7 @@
 import argparse
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -350,6 +351,31 @@ def test_levelset_bounds_on_homogeneous_entry(capsys):
     assert code == 0
     assert doc["metrics"]["si_sandwich"]["verdict"] == "pass"
     assert doc["metrics"]["ph_sandwich"]["verdict"] == "pass"
+
+
+def test_levelset_bounds_finds_the_half_norm_maximum(capsys):
+    # the former 2-pass golden-section polish stopped at M = 5.1961490 here
+    # and reported an upper_bound witness on a sandwich that holds
+    code, doc = run_json(capsys, ["levelset", "bounds", "--gallery",
+                                  "half_norm", "--n", "3", "--N", "20000",
+                                  "--seed", "10"])
+    assert code == 0 and doc["witnesses"] == []
+    ph = doc["metrics"]["ph_sandwich"]
+    assert ph["M"] == pytest.approx(9 / math.sqrt(3), rel=1e-12)
+    assert ph["notes"]["samples_above_polished_max"] == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "si", "--gallery", "sphere", "--N", "10", "--box-radius", "inf"],
+    ["check", "si", "--gallery", "sphere", "--N", "10", "--rho-max", "inf"],
+    ["levelset", "compact", "--gallery", "sphere", "--level", "1",
+     "--t-max", "inf"],
+], ids=lambda argv: argv[-2])
+def test_an_infinite_plan_bound_exits_two_naming_the_flag(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert f"argument {argv[-2]}: expected a finite number" in err
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,16 @@ from siphkit.exprlang import bind
 from siphkit.field import ScalarField
 from siphkit.gallery import REGISTRY, compose, make_builtin, random_si
 from siphkit.levelsets import (
+    ARC_CALLS,
+    ARC_GRID,
     SI_SPHERE_SAMPLES,
+    SphereExtrema,
     _arc_points,
+    _refine_on_sphere,
     check_ph_sandwich,
     check_si_sandwich,
     compactness_probe,
+    fold_projected_samples,
     negligibility_probe,
     ray_level_radius,
     sphere_extrema,
@@ -129,6 +134,86 @@ def test_extrema_are_stable_under_more_samples():
     assert abs(a.M - b.M) <= 1e-4
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_extrema_match_known_values(n):
+    # every searched point is divided by its norm, so smooth extrema come
+    # out to rounding; on half_norm a coordinate of 1e-16 off the axis adds
+    # sqrt(1e-16) = 1e-8 to the minimum 1, so that one is held to 5e-8
+    known = {"sphere": (1.0, 1.0), "sq_norm": (1.0, 1.0), "norm": (1.0, 1.0),
+             "ellipsoid": (1.0, 4.0), "linear_x1": (-1.0, 1.0)}
+    for seed in (1, 2, 3):
+        for name, (m, M) in known.items():
+            for ext in sphere_extrema(make_builtin(name, n),
+                                      n_samples=(SI_SPHERE_SAMPLES, 512),
+                                      seed=seed):
+                assert ext.m == pytest.approx(m, rel=1e-13)
+                assert ext.M == pytest.approx(M, rel=1e-13)
+        for ext in sphere_extrema(make_builtin("half_norm", n),
+                                  n_samples=(SI_SPHERE_SAMPLES, 512), seed=seed):
+            assert ext.M == pytest.approx(n ** 1.5, rel=1e-13)
+            assert ext.m == pytest.approx(1.0, abs=5e-8)
+
+
+def _counted(fun, sizes):
+    def wrapped(X):
+        sizes.append(len(X))
+        return fun(X)
+    return wrapped
+
+
+def test_pass_cap_bounds_the_field_calls():
+    # one pass: the start values, then ARC_CALLS calls per axis arc
+    f = make_builtin("ellipsoid", 3)
+    sizes = []
+    fun = _counted(lambda X: f.values(f.absolute(X)), sizes)
+    starts = np.array([[0.6, 0.48, 0.64], [0.64, -0.6, 0.48]])
+    _refine_on_sphere(fun, starts, np.array([1.0, -1.0]), 1)
+    assert sizes == [2] + [2 * ARC_GRID] * (3 * ARC_CALLS)
+
+
+def test_a_settled_chain_leaves_the_batch():
+    # chain 0 starts at the ellipsoid's minimum e_1, where no arc improves
+    # it, so it settles after one pass; chain 1 goes on alone and ends where
+    # it ends when polished alone
+    f = make_builtin("ellipsoid", 3)
+
+    def fun(X):
+        return f.values(f.absolute(X))
+
+    start = np.array([[0.6, 0.48, 0.64]])
+    sizes = []
+    U, V = _refine_on_sphere(_counted(fun, sizes),
+                             np.vstack([[1.0, 0.0, 0.0], start]),
+                             np.ones(2), 12)
+    alone, value = _refine_on_sphere(fun, start, np.ones(1), 12)
+    assert sizes[0] == 2 and sizes[-1] == ARC_GRID
+    assert set(sizes[1:]) == {ARC_GRID, 2 * ARC_GRID}
+    assert U[0].tolist() == [1.0, 0.0, 0.0] and V[0] == 1.0
+    assert U[1].tobytes() == alone[0].tobytes() and V[1] == value[0]
+
+
+def test_chains_that_start_together_are_polished_once(monkeypatch):
+    chains = []
+    refine = levelsets._refine_on_sphere
+
+    def counted(fun, U, signs, passes):
+        chains.append(len(U))
+        return refine(fun, U, signs, passes)
+
+    monkeypatch.setattr(levelsets, "_refine_on_sphere", counted)
+    f = make_builtin("ellipsoid", 3)
+    expected = []
+    for seed in range(1, 11):
+        S = SamplingPlan(seed=seed).sphere_points(3, 512)
+        vals = f.values(S)
+        picks = {(int(np.argmin(vals[:k])), 1) for k in (SI_SPHERE_SAMPLES, 512)}
+        picks |= {(int(np.argmax(vals[:k])), -1) for k in (SI_SPHERE_SAMPLES, 512)}
+        expected.append(len(picks))
+        sphere_extrema(f, n_samples=(SI_SPHERE_SAMPLES, 512), seed=seed)
+    assert chains == expected
+    assert min(expected) < 4
+
+
 def test_one_dimensional_sphere_is_two_points():
     f = make_builtin("linear_x1", 1)
     ext = sphere_extrema(f)
@@ -199,9 +284,72 @@ def test_random_field_sandwich_passes_at_scale():
     assert 0 < report.m <= report.M
 
 
+def test_folded_samples_replace_extrema_a_search_missed():
+    # sq_norm is 1 on the sphere: claimed bounds 1.1 and 0.9 fail as given,
+    # while folding in the samples' projections replaces both
+    p = make_builtin("sq_norm", 3)
+    plan = SamplingPlan(n_samples=2000, seed=4)
+    claimed = check_ph_sandwich(p, 2.0, 1.1, 0.9, plan)
+    assert {w["kind"] for w in claimed.witnesses} == {"lower_bound",
+                                                     "upper_bound"}
+    missed = SphereExtrema(1.1, 0.9, np.zeros(3), np.zeros(3), 512, 0)
+    folded = fold_projected_samples(p, plan, missed)
+    assert folded.m == pytest.approx(1.0, rel=1e-15)
+    assert folded.M == pytest.approx(1.0, rel=1e-15)
+    assert np.linalg.norm(folded.argmin) == pytest.approx(1.0, rel=1e-15)
+    assert folded.samples_below_polished_min == 2000
+    assert folded.samples_above_polished_max == 2000
+    report = check_ph_sandwich(p, 2.0, folded.m, folded.M, plan)
+    assert report.passed, report.witnesses[:2]
+
+
+def test_one_fold_serves_every_extrema_and_keeps_what_no_sample_beats():
+    f = make_builtin("ellipsoid", 3)
+    plan = SamplingPlan(n_samples=500, seed=2)
+    exts = sphere_extrema(f, n_samples=(SI_SPHERE_SAMPLES, 512), seed=2)
+    sizes = []
+    f.values = _counted(f.values, sizes)
+    folded = fold_projected_samples(f, plan, exts)
+    assert sizes == [500] and len(folded) == 2
+    for ext, new in zip(exts, folded):
+        # the polish reaches the ellipsoid's extrema, so it stands
+        assert (new.m, new.M) == (ext.m, ext.M)
+        assert new.argmin is ext.argmin and new.argmax is ext.argmax
+        assert new.samples_below_polished_min == 0
+        assert new.samples_above_polished_max == 0
+
+
+def test_si_sandwich_folds_in_samples_that_beat_the_polish():
+    # unpolished extrema (the best of 256 samples) leave room for the
+    # projected box samples to do better; the fold takes them
+    f = random_si(3, 4)
+    plan = SamplingPlan(n_samples=5000, seed=3)
+    d = build_decomposition(f, plan=plan)
+    raw = sphere_extrema(f, n_samples=SI_SPHERE_SAMPLES, refine_steps=0,
+                         seed=plan.seed)
+    report = check_si_sandwich(f, d, plan,
+                               extrema=fold_projected_samples(f, plan, raw))
+    assert report.passed, report.witnesses[:2]
+    assert report.notes["samples_below_polished_min"] > 0
+    assert report.notes["samples_above_polished_max"] > 0
+    polished = check_si_sandwich(f, d, plan)
+    assert polished.m <= report.m and polished.M >= report.M * (1 - 1e-12)
+
+
+@pytest.mark.parametrize("n,seed", [(3, 18), (3, 20), (4, 7), (4, 9), (4, 12)])
+def test_si_sandwich_passes_where_the_polish_alone_fell_short(n, seed):
+    # each failed with a lower_bound, upper_bound or ball_cover witness when
+    # the extrema were a 2-pass golden-section polish without the samples
+    f = random_si(seed, n)
+    plan = SamplingPlan(n_samples=1000, seed=seed)
+    d = build_decomposition(f, plan=plan)
+    report = check_si_sandwich(f, d, plan)
+    assert report.passed, report.witnesses[:2]
+
+
 def _q_polish_reference(f, d, seed):
     """The sandwich's former extrema: the sphere polish run on
-    q = p^(1/alpha) itself, one root solve per golden probe.  Kept as the
+    q = p^(1/alpha) itself, one root solve per probe.  Kept as the
     reference for the polish on f."""
     inv_alpha = 1.0 / d.alpha
     q = ScalarField(f.n, lambda X: d.p_values(X) ** inv_alpha,
@@ -307,7 +455,9 @@ def _count_polishes(monkeypatch):
 
 
 @pytest.mark.parametrize("name,chains", [
-    ("sphere", [4]),      # PH degree, SI precondition holds: both sandwiches
+    # PH degree, SI precondition holds: both sandwiches; at seed 0 the
+    # 512-sample extrema lie in the first 256 rows, so the 4 chains share 2
+    ("sphere", [2]),
     ("linear_x1", [2]),   # PH degree, two-sided: the PH sandwich only
     ("saddle_si", [2]),   # no PH degree: the SI sandwich only
     ("gauss_si", []),     # no PH degree, decreasing rays: nothing to polish
@@ -319,6 +469,29 @@ def test_levelset_bounds_polishes_the_sphere_once(monkeypatch, capsys, name,
     capsys.readouterr()
     assert code in (0, 1)
     assert polished == chains
+
+
+@pytest.mark.parametrize("name,folds", [
+    ("sphere", [2]),      # both sandwiches share one fold
+    ("linear_x1", [1]),
+    ("saddle_si", [1]),   # check_si_sandwich folds its own extrema
+    ("gauss_si", []),
+])
+def test_levelset_bounds_folds_the_samples_in_once(monkeypatch, capsys, name,
+                                                   folds):
+    seen = []
+    fold = levelsets.fold_projected_samples
+
+    def counted(field, plan, extrema):
+        seen.append(len(extrema) if isinstance(extrema, list) else 1)
+        return fold(field, plan, extrema)
+
+    monkeypatch.setattr(levelsets, "fold_projected_samples", counted)
+    monkeypatch.setattr(cli, "fold_projected_samples", counted)
+    code = cli.main(["levelset", "bounds", "--gallery", name, "--n", "3"])
+    capsys.readouterr()
+    assert code in (0, 1)
+    assert seen == folds
 
 
 @pytest.mark.parametrize("k", range(1, 9))

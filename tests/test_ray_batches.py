@@ -2,7 +2,8 @@
 
 A batch of directions must give, row for row, what the one-direction call
 gives; the lockstep sphere polish must reproduce the sequential one bit for
-bit.  The sequential polish is kept here as the reference.
+bit.  The sequential polish is kept here as the reference, and so is the
+former golden-section polish, which the arc search may never do worse than.
 """
 
 import numpy as np
@@ -11,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from siphkit.exprlang import bind
 from siphkit.gallery import make_builtin, random_si
-from siphkit.levelsets import ray_level_radius, sphere_extrema
+from siphkit.levelsets import (ARC_CALLS, ARC_GRID, SETTLE_RTOL, SPHERE_PASSES,
+                               ray_level_radius, sphere_extrema)
 from siphkit.rays import SamplingPlan, classify_ray
 from siphkit.rootfind import golden_section
 
@@ -124,11 +126,57 @@ def test_array_golden_section_equals_scalar_calls(seed, k):
 # lockstep sphere extrema
 
 
+def _finite_or_inf(val):
+    return val if np.isfinite(val) else np.inf
+
+
 def _reference_refine(fun, u, sign, passes):
-    """The sequential one-chain polish: golden section along each axis arc."""
+    """The sequential one-chain polish: along each axis arc, ARC_CALLS grid
+    steps of ARC_GRID angles, each point built alone and each step's points
+    evaluated in one call of the chain's own; passes until one improves the
+    chain by at most SETTLE_RTOL relative."""
+    n = u.shape[0]
+    best_u = u / np.sqrt(np.sum(u * u))
+    best_v = _finite_or_inf(sign * fun(best_u[None])[0])
+    for _ in range(passes):
+        before = best_v
+        for i in range(n):
+            axis = np.zeros(n)
+            axis[i] = 1.0
+            tangent = axis - best_u[i] * best_u
+            norm = np.sqrt(np.sum(tangent * tangent))
+            if norm < 1e-12:
+                continue
+            base, tangent = best_u, tangent / norm
+            lo, hi = -np.pi / 2, np.pi / 2
+            arc_u, arc_v = None, np.inf
+            for _ in range(ARC_CALLS):
+                thetas, points = [], []
+                for j in range(1, ARC_GRID + 1):
+                    theta = lo + (hi - lo) * (j / (ARC_GRID + 1))
+                    w = np.cos(theta) * base + np.sin(theta) * tangent
+                    thetas.append(theta)
+                    points.append(w / np.sqrt(np.sum(w * w)))
+                vals = [_finite_or_inf(v) for v in sign * fun(np.array(points))]
+                j = int(np.argmin(vals))
+                if vals[j] < arc_v:
+                    arc_u, arc_v = points[j], vals[j]
+                edges = [lo] + thetas + [hi]
+                lo, hi = edges[j], edges[j + 2]
+            if arc_v < best_v:
+                best_u, best_v = arc_u, arc_v
+        scale = abs(before) if np.isfinite(before) else 0.0
+        if not best_v < before - SETTLE_RTOL * scale:
+            break
+    return best_u, sign * best_v
+
+
+def _golden_refine(fun, u, sign, passes):
+    """The former polish, sequential: golden section along each axis arc,
+    at points not divided by their norm, for a fixed number of passes."""
     n = u.shape[0]
     best_u = u / np.linalg.norm(u)
-    best_v = sign * fun(best_u)
+    best_v = sign * fun(best_u[None])[0]
     for _ in range(passes):
         for i in range(n):
             axis = np.zeros(n)
@@ -142,7 +190,7 @@ def _reference_refine(fun, u, sign, passes):
 
             def arc_val(theta):
                 w = np.cos(theta) * base + np.sin(theta) * tangent
-                val = sign * fun(w)
+                val = sign * fun(w[None])[0]
                 return val if np.isfinite(val) else np.inf
 
             theta_best, val = golden_section(arc_val, -np.pi / 2, np.pi / 2)
@@ -153,18 +201,19 @@ def _reference_refine(fun, u, sign, passes):
     return best_u, sign * best_v
 
 
-def _reference_extrema(p, n_samples=512, refine_steps=2, seed=0):
+def _reference_extrema(p, n_samples=512, refine_steps=SPHERE_PASSES, seed=0,
+                       refine=_reference_refine):
     S = SamplingPlan(seed=seed).sphere_points(p.n, n_samples)
     vals = p.values(p.x_star + S)
     finite = np.isfinite(vals)
 
-    def fun(u):
-        return float(p.value(p.x_star + u))
+    def fun(U):
+        return p.values(p.x_star + U)
 
     lo = S[int(np.argmin(np.where(finite, vals, np.inf)))]
     hi = S[int(np.argmax(np.where(finite, vals, -np.inf)))]
-    return (_reference_refine(fun, lo, +1.0, refine_steps),
-            _reference_refine(fun, hi, -1.0, refine_steps))
+    return (refine(fun, lo, +1.0, refine_steps),
+            refine(fun, hi, -1.0, refine_steps))
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -199,3 +248,16 @@ def test_lockstep_extrema_match_sequential_reference_on_random_fields(seed, n):
     assert ext.M == pytest.approx(M, rel=1e-9)
     np.testing.assert_allclose(ext.argmin, u_min, atol=1e-4)
     np.testing.assert_allclose(ext.argmax, u_max, atol=1e-4)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_arc_search_is_never_worse_than_the_golden_polish(n):
+    # every reported extremum is a value at a sphere point, so a lower m or
+    # a higher M is closer to the truth; the former polish made 2 passes
+    for seed in range(1, 11):
+        p = random_si(seed, n)
+        ext = sphere_extrema(p, seed=seed)
+        (_, m), (_, M) = _reference_extrema(p, refine_steps=2, seed=seed,
+                                            refine=_golden_refine)
+        assert ext.m <= m + 1e-15 * abs(m)
+        assert ext.M >= M - 1e-15 * abs(M)

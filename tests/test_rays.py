@@ -118,6 +118,9 @@ def test_sampling_plan_validation():
         SamplingPlan(t_max=-1.0)
     with pytest.raises(ValueError):
         SamplingPlan(grid_points=2)
+    for key in ("box_radius", "rho_max", "t_max"):
+        with pytest.raises(ValueError, match="must be finite"):
+            SamplingPlan(**{key: np.inf})
 
 
 def test_sampling_plan_grid_and_draws():
