@@ -41,11 +41,10 @@ from .euler import (euler_residual, general_euler_residual,
 from .exprlang import ExprError, bind
 from .field import GradientSpec
 from .gallery import make_builtin, random_si, registry_json
-from .levelsets import (SI_SPHERE_SAMPLES, check_ph_sandwich,
-                        check_si_sandwich, compactness_probe,
-                        fold_projected_samples, negligibility_probe,
-                        ray_level_radius, si_sandwich_applies,
-                        sphere_extrema)
+from .levelsets import (check_ph_sandwich, check_si_sandwich,
+                        compactness_probe, fold_projected_samples,
+                        negligibility_probe, ray_level_radius,
+                        si_sandwich_applies, sphere_extrema)
 from .rays import (SamplingPlan, check_decomposability,
                    check_scaling_invariance, default_directions)
 from .reporting import Report, emit
@@ -86,6 +85,16 @@ def _nonnegative_float(text: str) -> float:
     value = _finite_float(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be at least 0, got {text!r}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    """argparse type of the degree alpha of a decomposition: finite and
+    above 0.  A nan alpha passes every sandwich comparison, and an infinite
+    one turns the residuals into numpy warnings."""
+    value = _finite_float(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be above 0, got {text!r}")
     return value
 
 
@@ -351,15 +360,12 @@ def _cmd_levelset_bounds(args, field, plan):
     except DecompositionError as exc:
         return {}, [{"kind": "build_failed", "reason": str(exc)}], config
     degree = field.meta.ph_degree
-    si_ext = ph_ext = None
-    if degree is not None and si_sandwich_applies(d):
-        # one lockstep polish and one fold for the extrema of both sandwiches
-        si_ext, ph_ext = fold_projected_samples(field, plan, sphere_extrema(
-            field, n_samples=(SI_SPHERE_SAMPLES, 512), seed=plan.seed))
-    elif degree is not None:
-        ph_ext = fold_projected_samples(field, plan,
-                                        sphere_extrema(field, seed=plan.seed))
-    si_rep = check_si_sandwich(field, d, plan, slack=args.slack, extrema=si_ext)
+    ext = None
+    if degree is not None or si_sandwich_applies(d):
+        # one polish and one fold for the extrema of both sandwiches
+        ext = fold_projected_samples(field, plan,
+                                     sphere_extrema(field, seed=plan.seed))
+    si_rep = check_si_sandwich(field, d, plan, slack=args.slack, extrema=ext)
     metrics = {"si_sandwich": {"verdict": si_rep.verdict, "m": si_rep.m,
                                "M": si_rep.M, "notes": si_rep.notes}}
     witnesses = list(si_rep.witnesses)
@@ -368,11 +374,11 @@ def _cmd_levelset_bounds(args, field, plan):
                           "check": "si_sandwich",
                           "reason": si_rep.notes.get("reason", "")})
     if degree is not None:
-        ph_rep = check_ph_sandwich(field, degree, ph_ext.m, ph_ext.M, plan,
+        ph_rep = check_ph_sandwich(field, degree, ext.m, ext.M, plan,
                                    rtol=args.rtol)
         notes = {**ph_rep.notes,
-                 "samples_below_polished_min": ph_ext.samples_below_polished_min,
-                 "samples_above_polished_max": ph_ext.samples_above_polished_max}
+                 "samples_below_polished_min": ext.samples_below_polished_min,
+                 "samples_above_polished_max": ext.samples_above_polished_max}
         metrics["ph_sandwich"] = {"verdict": ph_rep.verdict, "m": ph_rep.m,
                                   "M": ph_rep.M, "notes": notes}
         witnesses.extend(ph_rep.witnesses)
@@ -501,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     dec = sub.add_parser("decompose",
                          help="build f = phi o p and verify residuals")
     _add_field_flags(dec, ("sample", "scale", "grid"))
-    dec.add_argument("--alpha", type=float, default=1.0)
+    dec.add_argument("--alpha", type=_positive_float, default=1.0)
     dec.add_argument("--x0", default=None, help="one-sided reference point")
     dec.add_argument("--x1", default=None, help="positive reference point")
     dec.add_argument("--xm1", default=None, help="negative reference point")
@@ -517,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver_euler = ver_sub.add_parser("euler", help="alpha p = grad p . x")
     _add_field_flags(ver_euler, ("sample",))
     _add_grad_flags(ver_euler)
-    ver_euler.add_argument("--alpha", type=float, default=None,
+    ver_euler.add_argument("--alpha", type=_finite_float, default=None,
                            help="degree (default: the field's tag)")
     ver_euler.add_argument("--tol", type=_nonnegative_float, default=1e-6)
     ver_euler.add_argument("--coord-floor", type=float, default=0.1)
@@ -525,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  help="grad f . x = alpha phi'(p) p")
     _add_field_flags(ver_gen, ("sample", "grid"))
     _add_grad_flags(ver_gen)
-    ver_gen.add_argument("--alpha", type=float, default=1.0)
+    ver_gen.add_argument("--alpha", type=_positive_float, default=1.0)
     ver_gen.add_argument("--tol", type=_nonnegative_float, default=1e-4)
     ver_lsg = ver_sub.add_parser("levelset-grad",
                                  help="constancy of grad f . z on a level set")
@@ -547,7 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="also write (angles, radius) rows here")
     lvl_bounds = lvl_sub.add_parser("bounds", help="ball sandwich bounds")
     _add_field_flags(lvl_bounds, ("sample", "grid"))
-    lvl_bounds.add_argument("--alpha", type=float, default=None)
+    lvl_bounds.add_argument("--alpha", type=_positive_float, default=None)
     lvl_bounds.add_argument("--slack", type=_nonnegative_float, default=1e-4)
     lvl_bounds.add_argument("--rtol", type=_nonnegative_float, default=1e-9)
     lvl_compact = lvl_sub.add_parser("compact",

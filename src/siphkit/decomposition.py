@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .field import FieldMeta, ScalarField
+from .field import FieldMeta, ScalarField, _as_point
 from .rays import (MAX_WITNESSES, SamplingPlan, classify_ray, default_directions,
                    order_trichotomy)
 from .rootfind import BELOW_START, OK, UNBOUNDED, solve_monotone_batch
@@ -291,8 +291,10 @@ def build_decomposition(field: ScalarField, alpha: float = 1.0, x0=None,
     The case (zero / one-sided / two-sided) is chosen from sampled ray
     monotonicities unless explicit reference points are supplied (absolute
     coordinates): ``x0`` for the one-sided case, ``x1`` and ``xm1`` for the
-    two-sided case.  References are searched on the unit sphere (64 n seeded
-    points, the largest |f| wins) and rescaled to a well-conditioned level.
+    two-sided case.  A supplied point not of length n raises
+    ``DimensionMismatchError``.  References are searched on the unit sphere
+    (64 n seeded points, the largest |f| wins) and rescaled to a
+    well-conditioned level.
     """
     plan = plan or SamplingPlan()
     n = field.n
@@ -302,8 +304,8 @@ def build_decomposition(field: ScalarField, alpha: float = 1.0, x0=None,
     if x1 is not None or xm1 is not None:
         if x1 is None or xm1 is None:
             raise ValueError("two-sided hints need both x1 and xm1")
-        pos = _make_ref(field, np.asarray(x1, dtype=float) - field.x_star, grid)
-        neg = _make_ref(field, np.asarray(xm1, dtype=float) - field.x_star, grid)
+        pos = _make_ref(field, _as_point(x1, n) - field.x_star, grid)
+        neg = _make_ref(field, _as_point(xm1, n) - field.x_star, grid)
         if not pos.value > 0:
             raise DecompositionError("x1 must have f(x1) > f(x_star)")
         if not neg.value < 0:
@@ -311,7 +313,7 @@ def build_decomposition(field: ScalarField, alpha: float = 1.0, x0=None,
         return Decomposition(field, alpha, "two-sided", positive_ref=pos,
                              negative_ref=neg)
     if x0 is not None:
-        ref = _make_ref(field, np.asarray(x0, dtype=float) - field.x_star, grid)
+        ref = _make_ref(field, _as_point(x0, n) - field.x_star, grid)
         if abs(ref.value) <= zero_tol:
             raise DecompositionError("x0 must have f(x0) != f(x_star)")
         return Decomposition(field, alpha, "one-sided", positive_ref=ref)

@@ -5,18 +5,20 @@ set of a strictly-monotone-ray field at most once), unit-sphere extrema of a
 homogeneous part, the ball sandwich bounds they induce, a compactness probe
 for sublevel sets, and a Monte Carlo shell probe for measure negligibility.
 
-The sphere extrema come from seeded samples polished by arc searches: each
-chain searches one great-circle arc per coordinate axis on a shrinking grid
-of angles, one field call per grid step for all chains, pass after pass
-until a pass no longer improves it.
+The sphere extrema come from seeded samples polished by arc searches: two
+chains, from the smallest and the largest sample, each search one
+great-circle arc per coordinate axis on a shrinking grid of angles, one
+field call per grid step for both, pass after pass until a pass no longer
+improves them.
 
 The sandwich of a scaling-invariant f = phi o p needs the sphere extrema of
 p, but not p's values along the way: with phi strictly increasing, f and p
 order points identically, so an extremum search that only compares values
 finds the same points on f.  It runs on f, and p is root-solved only at the
-two points it returns.  The extrema a sandwich checks also fold in the
-projections of its own samples onto the sphere, so a sample is a witness
-only when the sandwich fails along its own ray.
+two points it returns.  So one search on f serves both sandwiches of a
+field that is also homogeneous.  The extrema a sandwich checks also fold in
+the projections of its own samples onto the sphere, so a sample is a
+witness only when the sandwich fails along its own ray.
 """
 
 from __future__ import annotations
@@ -33,8 +35,6 @@ from .rays import (MAX_WITNESSES, SamplingPlan, classify_ray,
 from .rootfind import (BELOW_START, MAX_DOUBLINGS, NONFINITE, OK, UNBOUNDED,
                        solve_monotone_batch)
 
-# sphere samples that seed the extrema search of the SI sandwich
-SI_SPHERE_SAMPLES = 256
 # the arc search: grid angles per field call, and calls per arc
 ARC_GRID = 31
 ARC_CALLS = 14
@@ -224,55 +224,33 @@ def _refine_on_sphere(fun, starts: np.ndarray, signs: np.ndarray,
     return U, signs * V
 
 
-def sphere_extrema(p: ScalarField, n_samples=512,
-                   refine_steps: int = SPHERE_PASSES, seed: int = 0):
+def sphere_extrema(p: ScalarField, n_samples: int = 512,
+                   refine_steps: int = SPHERE_PASSES,
+                   seed: int = 0) -> SphereExtrema:
     """Extrema of p over the unit sphere around its reference point.
 
-    Seeded sphere sampling picks starting points, and arc searches polish
-    each extremum: one great-circle arc per coordinate axis through the
-    current best point, each searched on a shrinking grid of angles, pass
-    after pass until a pass no longer improves the extremum (at most
-    ``refine_steps`` passes).  Every point searched is divided by its norm,
-    so each reported extremum is a value of p at a unit point.  The minimum
-    and maximum are polished in lockstep, one evaluation of p per grid step
-    for both.
-
-    ``n_samples`` may also be a sequence of sample counts.  The result is
-    then a list with one :class:`SphereExtrema` per count, each equal to the
-    call with that count alone: a seed's smaller sample is the first rows of
-    its larger one, each distinct (start point, min or max) pair is polished
-    once, and the chains never mix.  This holds when p's values do not
-    depend on the batch they are evaluated in.
+    The smallest and largest finite values of p on ``n_samples`` seeded
+    sphere points start two chains, and arc searches polish them: one
+    great-circle arc per coordinate axis through the chain's current point,
+    each searched on a shrinking grid of angles, pass after pass until a
+    pass no longer improves the extremum (at most ``refine_steps`` passes).
+    Every point searched is divided by its norm, so each reported extremum
+    is a value of p at a unit point.  The two chains are polished in
+    lockstep, one evaluation of p per grid step for both.  At n = 1 the
+    sphere is the two points +-1 and no arc moves a chain.
     """
-    counts = [int(k) for k in np.atleast_1d(n_samples)]
-    n = p.n
-    if n == 1:
-        pts = np.array([[1.0], [-1.0]])
-        vals = p.values(p.absolute(pts))
-        lo, hi = int(np.argmin(vals)), int(np.argmax(vals))
-        out = [SphereExtrema(float(vals[lo]), float(vals[hi]), pts[lo], pts[hi],
-                             n_samples=2, refine_steps=0) for _ in counts]
-    else:
-        S = SamplingPlan(seed=seed).sphere_points(n, max(counts))
-        vals = p.values(p.absolute(S))
-        picks = []  # (sample row, sign) of each count's minimum and maximum
-        for k in counts:
-            finite = np.isfinite(vals[:k])
-            if not finite.any():
-                raise ValueError("function is non-finite on all sphere samples")
-            picks += [(int(np.argmin(np.where(finite, vals[:k], np.inf))), 1.0),
-                      (int(np.argmax(np.where(finite, vals[:k], -np.inf))), -1.0)]
-        chains = list(dict.fromkeys(picks))
-        U, V = _refine_on_sphere(lambda X: p.values(p.absolute(X)),
-                                 S[[row for row, _ in chains]],
-                                 np.array([sign for _, sign in chains]),
-                                 refine_steps)
-        at = [chains.index(pick) for pick in picks]
-        out = [SphereExtrema(m=float(V[at[2 * i]]), M=float(V[at[2 * i + 1]]),
-                             argmin=U[at[2 * i]], argmax=U[at[2 * i + 1]],
-                             n_samples=k, refine_steps=refine_steps)
-               for i, k in enumerate(counts)]
-    return out[0] if np.ndim(n_samples) == 0 else out
+    S = SamplingPlan(seed=seed).sphere_points(p.n, n_samples)
+    vals = p.values(p.absolute(S))
+    finite = np.isfinite(vals)
+    if not finite.any():
+        raise ValueError("function is non-finite on all sphere samples")
+    starts = [int(np.argmin(np.where(finite, vals, np.inf))),
+              int(np.argmax(np.where(finite, vals, -np.inf)))]
+    U, V = _refine_on_sphere(lambda X: p.values(p.absolute(X)), S[starts],
+                             np.array([1.0, -1.0]), refine_steps)
+    return SphereExtrema(m=float(V[0]), M=float(V[1]), argmin=U[0],
+                         argmax=U[1], n_samples=n_samples,
+                         refine_steps=refine_steps)
 
 
 # -----------------------------------------------------------------------------
@@ -306,34 +284,31 @@ def _projected_samples(plan: SamplingPlan, n: int) -> tuple:
     return X0, r, X0 / r[:, None]
 
 
-def fold_projected_samples(field: ScalarField, plan: SamplingPlan, extrema):
-    """Fold the projections x / ||x|| of ``plan``'s box samples into
-    ``extrema``, one :class:`SphereExtrema` of ``field`` or a list of them.
+def fold_projected_samples(field: ScalarField, plan: SamplingPlan,
+                           ext: SphereExtrema) -> SphereExtrema:
+    """Fold the projections x / ||x|| of ``plan``'s box samples into the
+    sphere extrema ``ext`` of ``field``.
 
     A search such as :func:`sphere_extrema` may stop short of the true
     extrema.  Where a projected sample lies below the minimum or above the
     maximum, the best such sample replaces it, so a sandwich checked on the
     same plan's samples fails at a sample only when it fails along that
-    sample's own ray.  ``field`` is evaluated at the projections once for
-    all of ``extrema``; each result counts the samples that beat its
-    polished minimum and maximum.
+    sample's own ray.  The result counts the samples that beat the polished
+    minimum and maximum.
     """
     _, _, U0 = _projected_samples(plan, field.n)
     vals = field.values(field.absolute(U0))
     finite = np.isfinite(vals)
-    out = []
-    for ext in extrema if isinstance(extrema, list) else [extrema]:
-        below, above = finite & (vals < ext.m), finite & (vals > ext.M)
-        ext = replace(ext, samples_below_polished_min=int(np.count_nonzero(below)),
-                      samples_above_polished_max=int(np.count_nonzero(above)))
-        if below.any():
-            i = int(np.argmin(np.where(below, vals, np.inf)))
-            ext = replace(ext, m=float(vals[i]), argmin=U0[i])
-        if above.any():
-            i = int(np.argmax(np.where(above, vals, -np.inf)))
-            ext = replace(ext, M=float(vals[i]), argmax=U0[i])
-        out.append(ext)
-    return out if isinstance(extrema, list) else out[0]
+    below, above = finite & (vals < ext.m), finite & (vals > ext.M)
+    ext = replace(ext, samples_below_polished_min=int(np.count_nonzero(below)),
+                  samples_above_polished_max=int(np.count_nonzero(above)))
+    if below.any():
+        i = int(np.argmin(np.where(below, vals, np.inf)))
+        ext = replace(ext, m=float(vals[i]), argmin=U0[i])
+    if above.any():
+        i = int(np.argmax(np.where(above, vals, -np.inf)))
+        ext = replace(ext, M=float(vals[i]), argmax=U0[i])
+    return ext
 
 
 def check_ph_sandwich(p: ScalarField, alpha: float, m_p: float, M_p: float,
@@ -400,9 +375,9 @@ def check_si_sandwich(field: ScalarField, d: Decomposition,
     count the samples that beat each polished extremum.  q is then solved
     at the two points chosen only, in one root solve, instead of at every
     probe.  ``extrema`` takes the result of ``fold_projected_samples(field,
-    plan, sphere_extrema(field, n_samples=SI_SPHERE_SAMPLES,
-    seed=plan.seed))`` from a caller that computed it together with other
-    extrema; by default it is computed here.
+    plan, sphere_extrema(field, seed=plan.seed))`` from a caller that also
+    needs it elsewhere, such as for the PH sandwich of the same field; by
+    default it is computed here the same way.
 
     Beyond the pointwise sandwich, two inclusions are witness-searched:
     every sampled point with ||x|| < rho must lie in the sublevel set at
@@ -420,8 +395,7 @@ def check_si_sandwich(field: ScalarField, d: Decomposition,
                                    "phi_increasing": d.phi_increasing})
     inv_alpha = 1.0 / d.alpha
     ext = extrema if extrema is not None else fold_projected_samples(
-        field, plan, sphere_extrema(field, n_samples=SI_SPHERE_SAMPLES,
-                                    seed=plan.seed))
+        field, plan, sphere_extrema(field, seed=plan.seed))
     q = d.p_values(field.absolute(np.array([ext.argmin, ext.argmax]))) ** inv_alpha
     # the sandwich needs p bounded away from 0 on the sphere; a minimum of f
     # inside the zero-level band counts as p = 0

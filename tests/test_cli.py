@@ -378,6 +378,41 @@ def test_an_infinite_plan_bound_exits_two_naming_the_flag(capsys, argv):
     assert f"argument {argv[-2]}: expected a finite number" in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", [
+    ["decompose"], ["verify", "euler"], ["verify", "general-euler"],
+    ["levelset", "bounds"]], ids=" ".join)
+def test_a_degree_that_is_not_a_finite_number_exits_two(capsys, command,
+                                                         value):
+    code, out, err = run_cli(capsys, command + ["--gallery", "sphere", "--n",
+                                                "2", f"--alpha={value}"])
+    assert code == 2
+    assert out == ""
+    assert f"argument --alpha: expected a finite number, got {value!r}" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["decompose"], ["verify", "general-euler"], ["levelset", "bounds"]],
+    ids=" ".join)
+def test_a_decomposition_degree_must_be_positive(capsys, command):
+    for value in ("0", "-1"):
+        code, out, err = run_cli(capsys, command + ["--gallery", "sphere",
+                                                    f"--alpha={value}"])
+        assert (code, out) == (2, "")
+        assert f"argument --alpha: must be above 0, got {value!r}" in err
+
+
+@pytest.mark.parametrize("refs", [["--x0", "1"], ["--x0", "1,2"],
+                                  ["--x0", "1,0,0", "--x0-alt", "1,2"],
+                                  ["--x1", "1,0,0", "--xm1=-1,0"]],
+                         ids=" ".join)
+def test_a_reference_point_of_the_wrong_length_exits_two(capsys, refs):
+    code, out, err = run_cli(capsys, ["decompose", "--gallery", "sphere",
+                                      "--n", "3", "--alpha", "2"] + refs)
+    assert (code, out) == (2, "")
+    assert "expected a vector of length 3" in err
+
+
 # ---------------------------------------------------------------------------
 # cert and solve
 

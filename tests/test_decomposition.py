@@ -15,6 +15,7 @@ from siphkit.decomposition import (
     verify_decomposition,
 )
 from siphkit.exprlang import bind
+from siphkit.field import DimensionMismatchError
 from siphkit.gallery import compose, make_builtin, random_si
 from siphkit.rays import MAX_WITNESSES, SamplingPlan
 
@@ -67,6 +68,17 @@ def test_requested_degree_two_gives_the_squared_norm():
     d = build_decomposition(f, alpha=2.0, x0=E1_2D)
     X = np.random.default_rng(1).uniform(-2.0, 2.0, size=(100, 2))
     np.testing.assert_allclose(d.p_values(X), np.sum(X * X, axis=1), atol=1e-8)
+
+
+@pytest.mark.parametrize("refs", [
+    {"x0": [1.0]}, {"x0": [1.0, 2.0]}, {"x0": [1.0, 0.0, 0.0, 0.0]},
+    {"x1": [1.0, 0.0], "xm1": [-1.0, 0.0, 0.0]},
+    {"x1": [1.0, 0.0, 0.0], "xm1": [-1.0]},
+])
+def test_a_reference_point_of_the_wrong_length_is_rejected(refs):
+    # a length-1 point used to be broadcast to (1, 1, 1)
+    with pytest.raises(DimensionMismatchError, match="vector of length 3"):
+        build_decomposition(make_builtin("sq_norm", 3), **refs)
 
 
 def test_sign_splitting_recovers_the_linear_coordinate():

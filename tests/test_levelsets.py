@@ -1,5 +1,6 @@
 """Level radii, sphere extrema, sandwich bounds, compactness, negligibility."""
 
+import json
 import math
 
 import numpy as np
@@ -9,11 +10,10 @@ from siphkit import cli, decomposition, levelsets, rootfind
 from siphkit.decomposition import build_decomposition
 from siphkit.exprlang import bind
 from siphkit.field import ScalarField
-from siphkit.gallery import REGISTRY, compose, make_builtin, random_si
+from siphkit.gallery import compose, make_builtin, random_si
 from siphkit.levelsets import (
     ARC_CALLS,
     ARC_GRID,
-    SI_SPHERE_SAMPLES,
     SphereExtrema,
     _arc_points,
     _refine_on_sphere,
@@ -143,15 +143,12 @@ def test_extrema_match_known_values(n):
              "ellipsoid": (1.0, 4.0), "linear_x1": (-1.0, 1.0)}
     for seed in (1, 2, 3):
         for name, (m, M) in known.items():
-            for ext in sphere_extrema(make_builtin(name, n),
-                                      n_samples=(SI_SPHERE_SAMPLES, 512),
-                                      seed=seed):
-                assert ext.m == pytest.approx(m, rel=1e-13)
-                assert ext.M == pytest.approx(M, rel=1e-13)
-        for ext in sphere_extrema(make_builtin("half_norm", n),
-                                  n_samples=(SI_SPHERE_SAMPLES, 512), seed=seed):
-            assert ext.M == pytest.approx(n ** 1.5, rel=1e-13)
-            assert ext.m == pytest.approx(1.0, abs=5e-8)
+            ext = sphere_extrema(make_builtin(name, n), seed=seed)
+            assert ext.m == pytest.approx(m, rel=1e-13)
+            assert ext.M == pytest.approx(M, rel=1e-13)
+        ext = sphere_extrema(make_builtin("half_norm", n), seed=seed)
+        assert ext.M == pytest.approx(n ** 1.5, rel=1e-13)
+        assert ext.m == pytest.approx(1.0, abs=5e-8)
 
 
 def _counted(fun, sizes):
@@ -192,33 +189,22 @@ def test_a_settled_chain_leaves_the_batch():
     assert U[1].tobytes() == alone[0].tobytes() and V[1] == value[0]
 
 
-def test_chains_that_start_together_are_polished_once(monkeypatch):
-    chains = []
-    refine = levelsets._refine_on_sphere
-
-    def counted(fun, U, signs, passes):
-        chains.append(len(U))
-        return refine(fun, U, signs, passes)
-
-    monkeypatch.setattr(levelsets, "_refine_on_sphere", counted)
-    f = make_builtin("ellipsoid", 3)
-    expected = []
-    for seed in range(1, 11):
-        S = SamplingPlan(seed=seed).sphere_points(3, 512)
-        vals = f.values(S)
-        picks = {(int(np.argmin(vals[:k])), 1) for k in (SI_SPHERE_SAMPLES, 512)}
-        picks |= {(int(np.argmax(vals[:k])), -1) for k in (SI_SPHERE_SAMPLES, 512)}
-        expected.append(len(picks))
-        sphere_extrema(f, n_samples=(SI_SPHERE_SAMPLES, 512), seed=seed)
-    assert chains == expected
-    assert min(expected) < 4
-
-
 def test_one_dimensional_sphere_is_two_points():
     f = make_builtin("linear_x1", 1)
     ext = sphere_extrema(f)
     assert ext.m == -1.0 and ext.M == 1.0
-    assert ext.n_samples == 2
+    assert ext.argmin.tolist() == [-1.0] and ext.argmax.tolist() == [1.0]
+    assert ext.n_samples == 512
+
+
+@pytest.mark.parametrize("expr,value", [("sqrt(x_1)", 1.0),
+                                        ("x_1/(x_1+1)", 0.5)])
+def test_one_dimensional_sphere_skips_non_finite_values(expr, value):
+    # at -1 the first is nan and the second -inf: both extrema are the
+    # value at +1, as non-finite samples are skipped at every n
+    ext = sphere_extrema(bind(expr, 1))
+    assert ext.m == ext.M == value
+    assert ext.argmin.tolist() == ext.argmax.tolist() == [1.0]
 
 
 # ---------------------------------------------------------------------------
@@ -303,20 +289,19 @@ def test_folded_samples_replace_extrema_a_search_missed():
     assert report.passed, report.witnesses[:2]
 
 
-def test_one_fold_serves_every_extrema_and_keeps_what_no_sample_beats():
+def test_a_fold_keeps_the_extrema_no_sample_beats():
     f = make_builtin("ellipsoid", 3)
     plan = SamplingPlan(n_samples=500, seed=2)
-    exts = sphere_extrema(f, n_samples=(SI_SPHERE_SAMPLES, 512), seed=2)
+    ext = sphere_extrema(f, seed=2)
     sizes = []
     f.values = _counted(f.values, sizes)
-    folded = fold_projected_samples(f, plan, exts)
-    assert sizes == [500] and len(folded) == 2
-    for ext, new in zip(exts, folded):
-        # the polish reaches the ellipsoid's extrema, so it stands
-        assert (new.m, new.M) == (ext.m, ext.M)
-        assert new.argmin is ext.argmin and new.argmax is ext.argmax
-        assert new.samples_below_polished_min == 0
-        assert new.samples_above_polished_max == 0
+    new = fold_projected_samples(f, plan, ext)
+    assert sizes == [500]
+    # the polish reaches the ellipsoid's extrema, so it stands
+    assert (new.m, new.M) == (ext.m, ext.M)
+    assert new.argmin is ext.argmin and new.argmax is ext.argmax
+    assert new.samples_below_polished_min == 0
+    assert new.samples_above_polished_max == 0
 
 
 def test_si_sandwich_folds_in_samples_that_beat_the_polish():
@@ -325,8 +310,7 @@ def test_si_sandwich_folds_in_samples_that_beat_the_polish():
     f = random_si(3, 4)
     plan = SamplingPlan(n_samples=5000, seed=3)
     d = build_decomposition(f, plan=plan)
-    raw = sphere_extrema(f, n_samples=SI_SPHERE_SAMPLES, refine_steps=0,
-                         seed=plan.seed)
+    raw = sphere_extrema(f, n_samples=256, refine_steps=0, seed=plan.seed)
     report = check_si_sandwich(f, d, plan,
                                extrema=fold_projected_samples(f, plan, raw))
     assert report.passed, report.witnesses[:2]
@@ -410,38 +394,6 @@ def test_sandwich_inverts_its_reference_levels_in_one_solve(monkeypatch):
     assert len(calls) <= 2
 
 
-def _same_extrema(a, b):
-    return (a.m == b.m and a.M == b.M and a.n_samples == b.n_samples
-            and a.refine_steps == b.refine_steps
-            and a.argmin.tobytes() == b.argmin.tobytes()
-            and a.argmax.tobytes() == b.argmax.tobytes())
-
-
-@pytest.mark.parametrize("name", sorted(name for name in REGISTRY
-                                        if make_builtin(name, 2).meta.ph_degree))
-def test_one_sphere_extrema_call_serves_both_sample_counts(name):
-    # seeds 1-10, each at one of n = 2-5 in turn, so every n sees 2-3 seeds;
-    # one pass of arcs already polishes every chain along every axis
-    for seed in range(1, 11):
-        f = make_builtin(name, 2 + seed % 4)
-        si, ph = sphere_extrema(f, n_samples=(SI_SPHERE_SAMPLES, 512),
-                                refine_steps=1, seed=seed)
-        assert _same_extrema(si, sphere_extrema(f, n_samples=SI_SPHERE_SAMPLES,
-                                                refine_steps=1, seed=seed))
-        assert _same_extrema(ph, sphere_extrema(f, refine_steps=1, seed=seed))
-
-
-def test_one_sphere_extrema_call_on_a_random_field_and_in_one_dimension():
-    f = random_si(4, 4)
-    exts = sphere_extrema(f, n_samples=[64, 256, 300], seed=9)
-    assert [e.n_samples for e in exts] == [64, 256, 300]
-    for e in exts:
-        assert _same_extrema(e, sphere_extrema(f, n_samples=e.n_samples, seed=9))
-    line = make_builtin("norm", 1)
-    for e in sphere_extrema(line, n_samples=(256, 512)):
-        assert _same_extrema(e, sphere_extrema(line))
-
-
 def _count_polishes(monkeypatch):
     chains = []
     refine = levelsets._refine_on_sphere
@@ -455,9 +407,7 @@ def _count_polishes(monkeypatch):
 
 
 @pytest.mark.parametrize("name,chains", [
-    # PH degree, SI precondition holds: both sandwiches; at seed 0 the
-    # 512-sample extrema lie in the first 256 rows, so the 4 chains share 2
-    ("sphere", [2]),
+    ("sphere", [2]),      # PH degree, SI precondition holds: both sandwiches
     ("linear_x1", [2]),   # PH degree, two-sided: the PH sandwich only
     ("saddle_si", [2]),   # no PH degree: the SI sandwich only
     ("gauss_si", []),     # no PH degree, decreasing rays: nothing to polish
@@ -472,9 +422,9 @@ def test_levelset_bounds_polishes_the_sphere_once(monkeypatch, capsys, name,
 
 
 @pytest.mark.parametrize("name,folds", [
-    ("sphere", [2]),      # both sandwiches share one fold
-    ("linear_x1", [1]),
-    ("saddle_si", [1]),   # check_si_sandwich folds its own extrema
+    ("sphere", [512]),    # both sandwiches share one fold
+    ("linear_x1", [512]),
+    ("saddle_si", [512]),
     ("gauss_si", []),
 ])
 def test_levelset_bounds_folds_the_samples_in_once(monkeypatch, capsys, name,
@@ -482,9 +432,9 @@ def test_levelset_bounds_folds_the_samples_in_once(monkeypatch, capsys, name,
     seen = []
     fold = levelsets.fold_projected_samples
 
-    def counted(field, plan, extrema):
-        seen.append(len(extrema) if isinstance(extrema, list) else 1)
-        return fold(field, plan, extrema)
+    def counted(field, plan, ext):
+        seen.append(ext.n_samples)
+        return fold(field, plan, ext)
 
     monkeypatch.setattr(levelsets, "fold_projected_samples", counted)
     monkeypatch.setattr(cli, "fold_projected_samples", counted)
@@ -492,6 +442,20 @@ def test_levelset_bounds_folds_the_samples_in_once(monkeypatch, capsys, name,
     capsys.readouterr()
     assert code in (0, 1)
     assert seen == folds
+
+
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_both_sandwiches_of_levelset_bounds_rest_on_one_search(capsys, seed):
+    # half_norm has degree 1 and increasing rays, so the SI sandwich's q is
+    # the canonical p, a constant multiple of the field: on the same two
+    # sphere points its m / M equals the PH sandwich's to rounding
+    code = cli.main(["levelset", "bounds", "--gallery", "half_norm", "--n", "3",
+                     "--seed", str(seed)])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0
+    si, ph = doc["metrics"]["si_sandwich"], doc["metrics"]["ph_sandwich"]
+    assert si["m"] / si["M"] == pytest.approx(ph["m"] / ph["M"], rel=1e-12)
+    assert si["notes"]["extrema_samples"] == 512
 
 
 @pytest.mark.parametrize("k", range(1, 9))
