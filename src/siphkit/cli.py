@@ -274,7 +274,7 @@ def _cmd_decompose(args, field, plan):
             witnesses.append({"kind": "build_failed", "reason": str(exc),
                               "which": "alternate"})
             return metrics, witnesses, config
-        uq = uniqueness_check(field, d, d2, plan)
+        uq = uniqueness_check(field, d, d2, plan, p1=check.p_samples)
         metrics["uniqueness"] = uq
         if not uq.passed:
             witnesses.append({"kind": "uniqueness_violation",
@@ -378,7 +378,9 @@ def _cmd_levelset_bounds(args, field, plan):
                                    rtol=args.rtol)
         notes = {**ph_rep.notes,
                  "samples_below_polished_min": ext.samples_below_polished_min,
-                 "samples_above_polished_max": ext.samples_above_polished_max}
+                 "samples_above_polished_max": ext.samples_above_polished_max,
+                 "sphere_passes": ext.passes_run,
+                 "chains_at_pass_cap": ext.capped_chains}
         metrics["ph_sandwich"] = {"verdict": ph_rep.verdict, "m": ph_rep.m,
                                   "M": ph_rep.M, "notes": notes}
         witnesses.extend(ph_rep.witnesses)

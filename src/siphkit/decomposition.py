@@ -30,6 +30,8 @@ ZERO_LEVEL_ATOL = 1e-12
 UNIQUENESS_CV_TOL = 1e-6
 # phi_inverse_values status: a level a one-sided phi never reaches
 OUTSIDE_RANGE = -1
+# p_values: half-width, relative, of the bracket around a guessed lambda
+GUESS_BAND = 1e-9
 
 
 class DecompositionError(RuntimeError):
@@ -70,16 +72,18 @@ class Decomposition:
 
     # -- p ------------------------------------------------------------------
 
-    def _solve_lambdas(self, Z: np.ndarray, ref: ReferenceInfo) -> np.ndarray:
+    def _solve_lambdas(self, Z: np.ndarray, ref: ReferenceInfo,
+                       bracket=None) -> np.ndarray:
         """lambda(z) with g(lambda z) = ref.value for each row of Z, nan where
         the ray never meets the reference level.  Not memoised: every call
-        solves all of its rows in one batched root solve."""
+        solves all of its rows in one batched root solve, seeded by
+        ``bracket`` where it straddles (see ``solve_monotone_batch``)."""
 
         def profile(t):
             return self.field.ray_values(t, Z)
 
         res = solve_monotone_batch(profile, np.full(Z.shape[0], ref.value),
-                                   increasing=ref.increasing)
+                                   increasing=ref.increasing, bracket=bracket)
         room = max(MAX_WITNESSES - len(self.solver_failures), 0)
         for i in np.flatnonzero(res.status != OK)[:room]:
             reason = {UNBOUNDED: "unbounded_ray",
@@ -99,8 +103,17 @@ class Decomposition:
         ref = self.positive_ref if (self.case == "one-sided" or g > 0) else self.negative_ref
         return float(self._solve_lambdas(z[None, :], ref)[0])
 
-    def p_values(self, X) -> np.ndarray:
-        """Canonical p over an (N, n) batch of absolute points."""
+    def p_values(self, X, guess=None) -> np.ndarray:
+        """Canonical p over an (N, n) batch of absolute points.
+
+        ``guess``, optional, is an estimate of p per row, such as
+        rho**alpha p(z) for the point x_star + rho z.  It only seeds the root
+        solve: lambda-hat = |guess|**(-1/alpha) gives the bracket
+        lambda-hat (1 -+ GUESS_BAND), whose ends are evaluated on the row's
+        own ray.  A row whose bracket does not straddle its root -- a wrong
+        guess, a nan or zero one, or a field that is not SI -- is solved
+        from the cold bracket as without a guess.
+        """
         self.solver_failures = []
         X = np.atleast_2d(np.asarray(X, dtype=float))
         Z = X - self.field.x_star
@@ -108,20 +121,25 @@ class Decomposition:
         p = np.zeros(X.shape[0])
         if self.case == "zero":
             return p
+        lo = hi = None
+        if guess is not None:
+            with np.errstate(all="ignore"):
+                lam = np.abs(np.broadcast_to(np.asarray(guess, dtype=float),
+                                             p.shape)) ** (-1.0 / self.alpha)
+            lo, hi = lam * (1.0 - GUESS_BAND), lam * (1.0 + GUESS_BAND)
         zero = g == 0
         nan_rows = np.isnan(g)
         p[nan_rows] = np.nan
         if self.case == "one-sided":
-            active = ~zero & ~nan_rows
-            if active.any():
-                lam = self._solve_lambdas(Z[active], self.positive_ref)
-                p[active] = (1.0 / lam) ** self.alpha
+            classes = ((self.positive_ref, 1.0, ~zero & ~nan_rows),)
         else:
-            for ref, sign in ((self.positive_ref, 1.0), (self.negative_ref, -1.0)):
-                cls = ~zero & ~nan_rows & ((g > 0) if sign > 0 else (g < 0))
-                if cls.any():
-                    lam = self._solve_lambdas(Z[cls], ref)
-                    p[cls] = sign * (1.0 / lam) ** self.alpha
+            classes = ((self.positive_ref, 1.0, g > 0),
+                       (self.negative_ref, -1.0, g < 0))
+        for ref, sign, cls in classes:
+            if cls.any():
+                bracket = None if guess is None else (lo[cls], hi[cls])
+                lam = self._solve_lambdas(Z[cls], ref, bracket)
+                p[cls] = sign * (1.0 / lam) ** self.alpha
         return p
 
     def p(self, x) -> float:
@@ -363,6 +381,9 @@ class DecompositionCheck:
     n_samples: int
     witnesses: list
     seed: int
+    # p at the sampled points, the first draw of plan.rng(); the uniqueness
+    # check of the same plan draws the same points and may reuse it
+    p_samples: Optional[np.ndarray] = None
 
 
 def verify_decomposition(field: ScalarField, d: Decomposition,
@@ -371,6 +392,15 @@ def verify_decomposition(field: ScalarField, d: Decomposition,
 
     Reports max |f(x) - phi(p(x))| and the max homogeneity defect
     |p(rho z) - rho^alpha p(z)| / (1 + rho^alpha |p(z)|).
+
+    The solve of p(rho z) is seeded with the guess rho^alpha p(z): on the
+    ray through z, lambda(rho z) = lambda(z) / rho.  The guess is only a
+    bracket, checked on the ray of rho z itself, and a row whose bracket
+    does not straddle is solved cold (``Decomposition.p_values``).  So p(rho
+    z) is still a root solve of its own: the homogeneity defect measures how
+    precisely the two solves agree, about the solver's tolerance, while the
+    composition residual tests whether f = phi o p, that is, whether the
+    field is SI.
     """
     plan = plan or SamplingPlan()
     rng = plan.rng()
@@ -384,9 +414,9 @@ def verify_decomposition(field: ScalarField, d: Decomposition,
     ok = ~np.isnan(comp)
 
     Z = X - field.x_star
-    p_scaled = d.p_values(field.absolute(rho[:, None] * Z))
-    ph_defect = np.abs(p_scaled - rho ** d.alpha * p_vals) / (
-        1.0 + rho ** d.alpha * np.abs(p_vals))
+    expected = rho ** d.alpha * p_vals
+    p_scaled = d.p_values(field.absolute(rho[:, None] * Z), guess=expected)
+    ph_defect = np.abs(p_scaled - expected) / (1.0 + np.abs(expected))
     ph_ok = ~np.isnan(ph_defect)
 
     for idx in np.flatnonzero(~ok)[:4]:
@@ -394,7 +424,8 @@ def verify_decomposition(field: ScalarField, d: Decomposition,
     return DecompositionCheck(
         max_composition_residual=float(comp[ok].max()) if ok.any() else np.nan,
         max_ph_residual=float(ph_defect[ph_ok].max()) if ph_ok.any() else np.nan,
-        n_samples=int(X.shape[0]), witnesses=witnesses, seed=plan.seed)
+        n_samples=int(X.shape[0]), witnesses=witnesses, seed=plan.seed,
+        p_samples=p_vals)
 
 
 @dataclass
@@ -406,18 +437,29 @@ class UniquenessReport:
 
 
 def uniqueness_check(field: ScalarField, d1: Decomposition, d2: Decomposition,
-                     plan: Optional[SamplingPlan] = None) -> UniquenessReport:
+                     plan: Optional[SamplingPlan] = None,
+                     p1: Optional[np.ndarray] = None) -> UniquenessReport:
     """Two canonical constructions differ by a constant per sign class.
 
     The ratio p1/p2 must be constant over samples (one constant in the
     one-sided case, one per sign class in the two-sided case); the report
     carries each class's mean ratio and coefficient of variation.
+
+    The samples are the plan's box points, the first draw of
+    ``plan.rng()``, the same points :func:`verify_decomposition` draws
+    first.  ``p1``, optional, is d1's p at them, such as
+    ``verify_decomposition(field, d1, plan).p_samples``; it is not solved
+    again.
     """
     if d1.alpha != d2.alpha:
         raise ValueError("uniqueness comparison requires matching degrees")
     plan = plan or SamplingPlan()
     X = field.absolute(plan.box_points(field.n))
-    p1 = d1.p_values(X)
+    if p1 is None:
+        p1 = d1.p_values(X)
+    elif np.shape(p1) != (X.shape[0],):
+        raise ValueError(f"p1 has shape {np.shape(p1)}, the samples are "
+                         f"{X.shape[0]} rows")
     p2 = d2.p_values(X)
     floor = 1e-9
     classes = {}

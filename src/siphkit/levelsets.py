@@ -119,7 +119,11 @@ class SphereExtrema:
     argmin: np.ndarray
     argmax: np.ndarray
     n_samples: int
-    refine_steps: int
+    refine_steps: int  # the cap on passes
+    # passes the polish ran, and the chains still improving after the last
+    # pass when it was the cap (0 when every chain settled)
+    passes_run: int = 0
+    capped_chains: int = 0
     # set by fold_projected_samples: the projected samples that beat the
     # polished minimum and maximum
     samples_below_polished_min: int = 0
@@ -196,13 +200,15 @@ def _refine_on_sphere(fun, starts: np.ndarray, signs: np.ndarray,
     SETTLE_RTOL relative, and leaves the batch; ``passes`` caps the passes.
     Each chain's steps depend on its own values only, so when ``fun``'s rows
     do not depend on their batch, a chain ends where it would alone.
-    Returns the (points, values) of the chains.
+    Returns the (points, values) of the chains, the passes run, and the
+    number of chains that had not settled when the cap stopped them.
     """
     U = starts / np.sqrt(row_sumsq(starts))[:, None]
     V = _finite_or_inf(signs * fun(U))
     eye = np.eye(U.shape[1])
     live = np.arange(len(U))
-    for _ in range(passes):
+    passes_run = 0
+    for passes_run in range(1, passes + 1):
         before = V[live]
         for i, axis in enumerate(eye):
             u = U[live]
@@ -221,7 +227,7 @@ def _refine_on_sphere(fun, starts: np.ndarray, signs: np.ndarray,
         live = live[_improved(V[live], before)]
         if not live.size:
             break
-    return U, signs * V
+    return U, signs * V, passes_run, int(live.size)
 
 
 def sphere_extrema(p: ScalarField, n_samples: int = 512,
@@ -246,11 +252,13 @@ def sphere_extrema(p: ScalarField, n_samples: int = 512,
         raise ValueError("function is non-finite on all sphere samples")
     starts = [int(np.argmin(np.where(finite, vals, np.inf))),
               int(np.argmax(np.where(finite, vals, -np.inf)))]
-    U, V = _refine_on_sphere(lambda X: p.values(p.absolute(X)), S[starts],
-                             np.array([1.0, -1.0]), refine_steps)
+    U, V, passes_run, capped = _refine_on_sphere(
+        lambda X: p.values(p.absolute(X)), S[starts], np.array([1.0, -1.0]),
+        refine_steps)
     return SphereExtrema(m=float(V[0]), M=float(V[1]), argmin=U[0],
                          argmax=U[1], n_samples=n_samples,
-                         refine_steps=refine_steps)
+                         refine_steps=refine_steps, passes_run=passes_run,
+                         capped_chains=capped)
 
 
 # -----------------------------------------------------------------------------
@@ -406,6 +414,8 @@ def check_si_sandwich(field: ScalarField, d: Decomposition,
              "extrema_samples": ext.n_samples,
              "samples_below_polished_min": ext.samples_below_polished_min,
              "samples_above_polished_max": ext.samples_above_polished_max,
+             "sphere_passes": ext.passes_run,
+             "chains_at_pass_cap": ext.capped_chains,
              "slack": slack}
     if not (np.isfinite(m_hat) and m_hat > 0):
         return BoundsReport(verdict="precondition-failed", m=m_hat, M=M_hat,

@@ -1,9 +1,11 @@
 """Canonical splitting f = phi o p: construction, profiles, uniqueness, order."""
 
+import json
+
 import numpy as np
 import pytest
 
-from siphkit import decomposition
+from siphkit import cli, decomposition
 from siphkit.decomposition import (
     OUTSIDE_RANGE,
     Decomposition,
@@ -466,3 +468,121 @@ def test_solver_failures_do_not_carry_over_between_calls():
     assert verify_decomposition(f, d).witnesses == fresh
     d.p_values(np.zeros((1, 2)))
     assert d.solver_failures == []
+
+
+# ---------------------------------------------------------------------------
+# the seeded p(rho z) solve and the reused p(X)
+
+
+def _record_p_values(monkeypatch, d):
+    """Record (X, guess, p) for each d.p_values call."""
+    calls = []
+    orig = d.p_values
+
+    def recorded(X, guess=None):
+        out = orig(X, guess=guess)
+        calls.append((np.array(X), guess, out))
+        return out
+    monkeypatch.setattr(d, "p_values", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("field", [
+    make_builtin("gauss_si", 4), make_builtin("ellipsoid", 5), random_si(3, 3),
+], ids=["gauss_si", "ellipsoid", "random_si"])
+def test_seeded_homogeneity_solve_matches_the_cold_one(monkeypatch, field):
+    plan = SamplingPlan(seed=11, n_samples=1500)
+    d = build_decomposition(field, plan=plan)
+    calls = _record_p_values(monkeypatch, d)
+    # live row evaluations of each root solve
+    evals = []
+    solve = decomposition.solve_monotone_batch
+
+    def counted(profile, *args, **kwargs):
+        evals.append([0, 0])
+
+        def prof(t):
+            evals[-1][0] += int(np.count_nonzero(~np.isnan(t)))
+            return profile(t)
+        res = solve(prof, *args, **kwargs)
+        evals[-1][1] = res.t.shape[0]
+        return res
+    monkeypatch.setattr(decomposition, "solve_monotone_batch", counted)
+    check = verify_decomposition(field, d, plan)
+    (X, first_guess, p_x), (X_scaled, guess, p_scaled) = calls
+    assert first_guess is None and guess is not None
+    assert check.p_samples.tobytes() == p_x.tobytes()
+    cold = Decomposition.p_values(d, X_scaled)
+    scale = np.maximum(np.abs(cold), np.finfo(float).tiny)
+    assert (np.abs(p_scaled - cold) <= 1e-13 * scale).all()
+    assert check.max_ph_residual <= 1e-13
+    # one solve each for p(X) and p(rho z): the bracket's two ends and two
+    # Chandrupatla steps per seeded row, with a few rows taking a third,
+    # against about 9 cold
+    (cold_evals, rows), (seeded_evals, seeded_rows) = evals[:2]
+    assert seeded_rows == rows and seeded_evals <= 4.1 * rows < cold_evals
+
+
+def test_a_guess_only_seeds_the_solve(monkeypatch):
+    # wrong, zero, nan and infinite guesses all fall back to the cold solve
+    f = make_builtin("gauss_si", 3)
+    d = build_decomposition(f)
+    X = SamplingPlan(seed=5, n_samples=40).box_points(3)
+    cold = d.p_values(X)
+    for guess in (2.0 * cold, 0.5 * cold, np.zeros(40), np.full(40, np.nan),
+                  np.full(40, np.inf)):
+        assert d.p_values(X, guess=guess).tobytes() == cold.tobytes()
+    seeded = d.p_values(X, guess=cold)
+    np.testing.assert_allclose(seeded, cold, rtol=1e-13)
+
+
+def test_a_field_that_is_not_si_still_fails_on_composition(capsys):
+    code = cli.main(["decompose", "--expr", "x_1^2 + x_2^4", "--n", "2",
+                     "--N", "2000", "--format", "json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 1 and doc["verdict"] == "fail"
+    # the same value as with the cold solve: p(x) is solved as before
+    assert doc["metrics"]["max_composition_residual"] == 20.459028167777888
+    assert doc["metrics"]["max_ph_residual"] <= 1e-7
+    (witness,) = doc["witnesses"]
+    assert witness["kind"] == "residual_exceeded"
+
+
+@pytest.mark.parametrize("field,refs,alt", [
+    (make_builtin("gauss_si", 4), {"x0": [0.3, -0.7, 0.5, 0.2]},
+     {"x0": [1.0, 0.2, -0.4, 0.1]}),
+    (make_builtin("linear_x1", 3), {"x1": [1.0, 0.5, 0.0], "xm1": [-1.0, 0.0, 0.2]},
+     {"x1": [2.0, 0.0, 0.0], "xm1": [-3.0, 0.1, 0.0]}),
+    (make_builtin("ellipsoid", 5), {}, {"x0": [0.0, 0.0, 1.0, 0.5, 0.0]}),
+], ids=["one-sided", "two-sided", "searched"])
+def test_uniqueness_reuses_the_verified_p_bitwise(field, refs, alt):
+    plan = SamplingPlan(seed=23, n_samples=800)
+    d1 = build_decomposition(field, plan=plan, **refs)
+    d2 = build_decomposition(field, plan=plan, **alt)
+    check = verify_decomposition(field, d1, plan)
+    own = uniqueness_check(field, d1, d2, plan)
+    reused = uniqueness_check(field, d1, d2, plan, p1=check.p_samples)
+    assert own.classes and reused.classes == own.classes
+    assert reused.passed == own.passed
+
+
+def test_verify_and_uniqueness_draw_the_same_points_first(monkeypatch):
+    # the reuse above is sound only while both draw X first from plan.rng()
+    f = make_builtin("ellipsoid", 3)
+    plan = SamplingPlan(seed=29, n_samples=300)
+    d1 = build_decomposition(f, plan=plan)
+    d2 = build_decomposition(f, plan=plan, x0=[0.0, 1.0, 0.0])
+    seen1 = _record_p_values(monkeypatch, d1)
+    seen2 = _record_p_values(monkeypatch, d2)
+    check = verify_decomposition(f, d1, plan)
+    uniqueness_check(f, d1, d2, plan, p1=check.p_samples)
+    assert len(seen1) == 2 and len(seen2) == 1  # p1 is not solved again
+    assert seen2[0][0].tobytes() == seen1[0][0].tobytes()
+
+
+def test_uniqueness_rejects_a_p1_of_the_wrong_length():
+    f = make_builtin("sq_norm", 2)
+    d1 = build_decomposition(f, x0=E1_2D)
+    d2 = build_decomposition(f, x0=[2.0, 0.0])
+    with pytest.raises(ValueError, match="p1"):
+        uniqueness_check(f, d1, d2, SamplingPlan(n_samples=10), p1=np.ones(9))

@@ -14,6 +14,7 @@ from siphkit.gallery import compose, make_builtin, random_si
 from siphkit.levelsets import (
     ARC_CALLS,
     ARC_GRID,
+    SPHERE_PASSES,
     SphereExtrema,
     _arc_points,
     _refine_on_sphere,
@@ -179,10 +180,10 @@ def test_a_settled_chain_leaves_the_batch():
 
     start = np.array([[0.6, 0.48, 0.64]])
     sizes = []
-    U, V = _refine_on_sphere(_counted(fun, sizes),
-                             np.vstack([[1.0, 0.0, 0.0], start]),
-                             np.ones(2), 12)
-    alone, value = _refine_on_sphere(fun, start, np.ones(1), 12)
+    U, V, *_ = _refine_on_sphere(_counted(fun, sizes),
+                                 np.vstack([[1.0, 0.0, 0.0], start]),
+                                 np.ones(2), 12)
+    alone, value, *_ = _refine_on_sphere(fun, start, np.ones(1), 12)
     assert sizes[0] == 2 and sizes[-1] == ARC_GRID
     assert set(sizes[1:]) == {ARC_GRID, 2 * ARC_GRID}
     assert U[0].tolist() == [1.0, 0.0, 0.0] and V[0] == 1.0
@@ -566,3 +567,41 @@ def test_negligibility_eps_validation():
         negligibility_probe(f, 1.0, eps_list=(0.1, 0.0))
     with pytest.raises(ValueError):
         negligibility_probe(f, 1.0, eps_list=())
+
+
+# ---------------------------------------------------------------------------
+# passes of the sphere polish, in the report
+
+
+def test_a_settling_polish_reports_its_passes_and_no_capped_chain():
+    ext = sphere_extrema(make_builtin("sphere", 3), seed=0)
+    assert 1 <= ext.passes_run <= 2 and ext.capped_chains == 0
+    assert ext.refine_steps == SPHERE_PASSES
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a_polish_stopped_by_the_cap_counts_its_unsettled_chains(seed):
+    ext = sphere_extrema(random_si(1, 4), seed=seed)
+    assert ext.passes_run == ext.refine_steps == SPHERE_PASSES
+    assert ext.capped_chains >= 1
+
+
+def test_a_pass_cap_of_zero_runs_no_pass():
+    ext = sphere_extrema(random_si(1, 4), refine_steps=0, seed=0)
+    assert ext.passes_run == 0 and ext.capped_chains == 2
+
+
+@pytest.mark.parametrize("name,n,capped", [("sphere", 3, False),
+                                           ("random_si", 4, True)])
+def test_both_sandwiches_print_the_polish_passes(capsys, name, n, capped):
+    cli.main(["levelset", "bounds", "--gallery", name, "--n", str(n),
+              "--seed", "1"])
+    doc = json.loads(capsys.readouterr().out)
+    sandwiches = [doc["metrics"][k] for k in ("si_sandwich", "ph_sandwich")
+                  if k in doc["metrics"]]
+    # sphere has a PH degree, so both sandwiches run there
+    assert len(sandwiches) == (2 if name == "sphere" else 1)
+    for sw in sandwiches:
+        notes = sw["notes"]
+        assert 1 <= notes["sphere_passes"] <= SPHERE_PASSES
+        assert (notes["chains_at_pass_cap"] > 0) == capped

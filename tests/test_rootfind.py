@@ -479,3 +479,131 @@ def test_a_batch_with_every_row_live_reaches_the_profile_unchanged():
     assert not np.isnan(seen[0]).any()
     # rows drop out as they settle; then the others come padded with nan
     assert np.isnan(seen[-1]).sum() >= 1
+
+
+# ---------------------------------------------------------------------------
+# a guessed bracket per row
+
+
+def test_straddling_brackets_end_ok_inside_them():
+    targets = np.array([1.0, 8.0, 27.0, 0.001])
+    roots = np.array([1.0, 2.0, 3.0, 0.1])
+    lo = np.array([0.9, 1.5, 3.0 * (1 - 1e-9), 0.1 * (1 - 1e-9)])
+    hi = np.array([1.1, 2.5, 3.0 * (1 + 1e-9), 0.1 * (1 + 1e-9)])
+    prof, calls = _counted(lambda t: t ** 3)
+    res = solve_monotone_batch(prof, targets, True, bracket=(lo, hi))
+    assert (res.status == OK).all()
+    assert ((lo <= res.t) & (res.t <= hi)).all()
+    np.testing.assert_allclose(res.t, roots, rtol=1e-14)
+    assert (res.residual <= 1e-14 * targets).all()
+    # a tight bracket: its two ends, then Chandrupatla steps on a width of
+    # 2e-9 relative
+    tight, tight_calls = _counted(lambda t: t ** 3)
+    solve_monotone_batch(tight, targets[2:], True, bracket=(lo[2:], hi[2:]))
+    cold, cold_calls = _counted(lambda t: t ** 3)
+    solve_monotone_batch(cold, targets[2:], True)
+    assert len(tight_calls) <= 5 < len(cold_calls)
+
+
+def test_a_bracket_on_a_decreasing_profile():
+    res = solve_monotone_batch(lambda t: np.exp(-t), np.array([np.exp(-2.0)]),
+                               False, value_at_zero=1.0,
+                               bracket=(np.array([1.5]), np.array([2.5])))
+    assert res.status[0] == OK
+    assert res.t[0] == pytest.approx(2.0, rel=1e-14)
+
+
+def _cold_roots(profile, targets, increasing):
+    res = solve_monotone_batch(profile, targets, increasing)
+    return np.where(res.status == OK, res.t, 1.0)
+
+
+def _brackets(kinds, t0):
+    """Per-row (lo, hi) of the given kinds around the cold roots t0."""
+    table = {
+        "tight": (t0 * (1 - 1e-9), t0 * (1 + 1e-9)),
+        "wide": (0.5 * t0, 2.0 * t0 + 1.0),
+        "above": (2.0 * t0 + 1.0, 3.0 * t0 + 2.0),
+        "below": (0.25 * t0, 0.5 * t0),
+        "nan_lo": (np.full_like(t0, np.nan), t0 + 1.0),
+        "nan_hi": (0.5 * t0, np.full_like(t0, np.nan)),
+        "reversed": (2.0 * t0 + 1.0, 0.5 * t0),
+        "empty": (t0, t0),
+        "negative": (-t0 - 1.0, t0 + 1.0),
+        "infinite": (0.5 * t0, np.full_like(t0, np.inf)),
+    }
+    lo = np.array([table[k][0][i] for i, k in enumerate(kinds)])
+    hi = np.array([table[k][1][i] for i, k in enumerate(kinds)])
+    return lo, hi
+
+
+_FALLBACK_KINDS = ("above", "below", "nan_lo", "nan_hi", "reversed", "empty",
+                   "negative", "infinite")
+
+
+@pytest.mark.parametrize("kind", _FALLBACK_KINDS)
+def test_rows_a_bracket_does_not_seed_solve_as_without_one(kind):
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        N = int(rng.integers(1, 13))
+        profile, targets, increasing = _mixed_batch(rng, N)
+        base = solve_monotone_batch(profile, targets, increasing)
+        lo, hi = _brackets([kind] * N, _cold_roots(profile, targets, increasing))
+        res = solve_monotone_batch(profile, targets, increasing,
+                                   bracket=(lo, hi))
+        assert res.status.tobytes() == base.status.tobytes()
+        assert res.t.tobytes() == base.t.tobytes()
+        assert res.residual.tobytes() == base.residual.tobytes()
+
+
+def test_a_bracket_whose_low_end_is_the_root_is_not_taken():
+    # g(lo) = 0 breaks the invariant g(lo) < 0 the loop relies on
+    targets = np.array([2.0, 8.0])
+    base = solve_monotone_batch(lambda t: t.copy(), targets, True)
+    res = solve_monotone_batch(lambda t: t.copy(), targets, True,
+                               bracket=(targets, 1.5 * targets))
+    assert res.t.tobytes() == base.t.tobytes()
+    assert res.t.tolist() == targets.tolist()
+
+
+def test_a_bracket_that_straddles_only_after_nan_is_not_taken():
+    # nan at the low end: the row is solved cold, even though the high end
+    # lies above the target
+    def prof(t):
+        return np.where(t < 0.75, np.nan, t)
+
+    base = solve_monotone_batch(prof, np.array([1.5]), True)
+    res = solve_monotone_batch(prof, np.array([1.5]), True,
+                               bracket=(np.array([0.5]), np.array([3.0])))
+    assert res.t.tobytes() == base.t.tobytes()
+    assert res.status.tobytes() == base.status.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 10), st.data())
+def test_a_rows_result_does_not_depend_on_its_neighbours_seeds(seed, N, data):
+    rng = np.random.default_rng(seed)
+    profile, targets, increasing = _mixed_batch(rng, N)
+    t0 = _cold_roots(profile, targets, increasing)
+    kinds = data.draw(st.lists(st.sampled_from(("tight", "wide")
+                                               + _FALLBACK_KINDS),
+                               min_size=N, max_size=N))
+    lo, hi = _brackets(kinds, t0)
+    seeded = np.array(data.draw(st.lists(st.booleans(), min_size=N,
+                                         max_size=N)))
+    res = solve_monotone_batch(profile, targets, increasing,
+                               bracket=(np.where(seeded, lo, np.nan),
+                                        np.where(seeded, hi, np.nan)))
+    for i in range(N):
+        def row_profile(t, i=i):
+            t_all = np.full(N, np.nan)
+            t_all[i] = t[0]
+            return profile(t_all)[i:i + 1]
+        bracket = (lo[i:i + 1], hi[i:i + 1]) if seeded[i] else None
+        alone = solve_monotone_batch(row_profile, targets[i:i + 1],
+                                     increasing[i], bracket=bracket)
+        assert alone.status[0] == res.status[i]
+        assert alone.t[0].tobytes() == res.t[i].tobytes()
+        assert alone.residual[0].tobytes() == res.residual[i].tobytes()
+        if seeded[i] and kinds[i] == "tight" and res.status[i] == OK:
+            assert lo[i] <= res.t[i] <= hi[i]
