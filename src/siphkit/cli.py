@@ -15,9 +15,10 @@ for parametrized entries) or from an expression (--expr "x_1^2 + x_2^2" with
 --n).  Every run emits a JSON (default) or CSV report with a fixed key order;
 reruns with the same configuration and seed are byte-identical except for the
 wall-time line.  Exit codes: 0 = pass, 1 = property violated (the report
-carries witnesses), 2 = usage or configuration error.  The SIPH_SEED
-environment variable, when set, overrides --seed.  Each command accepts only
-the sampling flags its probe reads; any other exits 2.
+carries witnesses), 2 = usage or configuration error (a size too large to
+allocate too).  The SIPH_SEED environment variable, when set, overrides
+--seed.  Each command accepts only the sampling flags its probe reads; any
+other exits 2.
 """
 
 from __future__ import annotations
@@ -376,13 +377,10 @@ def _cmd_levelset_bounds(args, field, plan):
     if degree is not None:
         ph_rep = check_ph_sandwich(field, degree, ext.m, ext.M, plan,
                                    rtol=args.rtol)
-        notes = {**ph_rep.notes,
-                 "samples_below_polished_min": ext.samples_below_polished_min,
-                 "samples_above_polished_max": ext.samples_above_polished_max,
-                 "sphere_passes": ext.passes_run,
-                 "chains_at_pass_cap": ext.capped_chains}
         metrics["ph_sandwich"] = {"verdict": ph_rep.verdict, "m": ph_rep.m,
-                                  "M": ph_rep.M, "notes": notes}
+                                  "M": ph_rep.M,
+                                  "notes": {**ph_rep.notes,
+                                            **ext.polish_notes()}}
         witnesses.extend(ph_rep.witnesses)
     return metrics, witnesses, config
 
@@ -398,9 +396,7 @@ def _cmd_levelset_compact(args, field, plan):
 def _cmd_levelset_negligible(args, field, plan):
     eps_list = [float(v) for v in args.eps.split(",")]
     try:
-        rep = negligibility_probe(field, args.level, eps_list,
-                                  n_samples=plan.n_samples,
-                                  box_radius=plan.box_radius, seed=plan.seed,
+        rep = negligibility_probe(field, args.level, eps_list, plan,
                                   rate_bound=args.rate_bound)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -663,6 +659,9 @@ def main(argv=None) -> int:
         return 2
     except (ValueError, OSError) as exc:
         print(f"siphkit: error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # a size too large to allocate
+        print(f"siphkit: error: {exc or 'out of memory'}", file=sys.stderr)
         return 2
     report.wall_time_ms = round((time.perf_counter() - start) * 1000.0, 3)
     try:

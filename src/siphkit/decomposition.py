@@ -139,7 +139,9 @@ class Decomposition:
             if cls.any():
                 bracket = None if guess is None else (lo[cls], hi[cls])
                 lam = self._solve_lambdas(Z[cls], ref, bracket)
-                p[cls] = sign * (1.0 / lam) ** self.alpha
+                # lambda = 0 (the ray starts on the reference level): p = inf
+                with np.errstate(divide="ignore"):
+                    p[cls] = sign * (1.0 / lam) ** self.alpha
         return p
 
     def p(self, x) -> float:
@@ -153,28 +155,28 @@ class Decomposition:
             return True
         return self.positive_ref.increasing
 
+    def _class_refs(self, pos: np.ndarray) -> tuple:
+        """Per row, the reference point and ray direction of its sign class:
+        the positive one where ``pos``, else the negative (or only) one."""
+        neg = self.positive_ref if self.case == "one-sided" else self.negative_ref
+        return (np.where(pos[:, None], self.positive_ref.point, neg.point),
+                np.where(pos, self.positive_ref.increasing, neg.increasing))
+
     def phi_values(self, T) -> np.ndarray:
-        """phi over an array of profile arguments (raw, includes f(x_star))."""
+        """phi over an array of profile arguments (raw, includes f(x_star)):
+        f at |T|**(1/alpha) times the reference point of T's sign class, in
+        one field call.  One-sided, T < 0 raises ``ValueError``; two-sided,
+        T >= 0 takes the positive reference and any other T, nan too, the
+        negative one."""
         T = np.atleast_1d(np.asarray(T, dtype=float))
         if self.case == "zero":
             return self.field.f_star + T
-        inv = 1.0 / self.alpha
-        if self.case == "one-sided":
-            if (T < 0).any():
-                raise ValueError("one-sided profile is defined for t >= 0 only")
-            pts = self.field.absolute((T ** inv)[:, None] * self.positive_ref.point)
-            return self.field._eval_batch(pts)
-        out = np.empty(T.shape[0])
-        pos = T >= 0
-        if pos.any():
-            pts = self.field.absolute((T[pos] ** inv)[:, None]
-                                      * self.positive_ref.point)
-            out[pos] = self.field._eval_batch(pts)
-        if (~pos).any():
-            pts = self.field.absolute(((-T[~pos]) ** inv)[:, None]
-                                      * self.negative_ref.point)
-            out[~pos] = self.field._eval_batch(pts)
-        return out
+        if self.case == "one-sided" and (T < 0).any():
+            raise ValueError("one-sided profile is defined for t >= 0 only")
+        pos = (T >= 0) | (self.case == "one-sided")
+        P, _ = self._class_refs(pos)
+        radii = np.where(pos, T, -T) ** (1.0 / self.alpha)
+        return self.field._eval_batch(self.field.absolute(radii[:, None] * P))
 
     def phi(self, t: float) -> float:
         return float(self.phi_values(np.array([t]))[0])
@@ -191,24 +193,22 @@ class Decomposition:
         status = np.full(gy.shape, OK)
         if self.case == "zero":
             return gy, status
-        pos_ref = self.positive_ref
         if self.case == "one-sided":
-            neg_ref, pos = pos_ref, np.ones(gy.shape, dtype=bool)
-            status[(gy != 0) & ((gy > 0) != (pos_ref.value > 0))] = OUTSIDE_RANGE
+            pos = np.ones(gy.shape, dtype=bool)
+            wrong_side = (gy > 0) != (self.positive_ref.value > 0)
+            status[(gy != 0) & wrong_side] = OUTSIDE_RANGE
         else:
-            neg_ref, pos = self.negative_ref, gy > 0
+            pos = gy > 0
         values = np.where(gy == 0, 0.0, np.nan)
         rows = np.flatnonzero((gy != 0) & (status == OK))
         if rows.size == 0:
             return values, status
-        P = np.where(pos[rows, None], pos_ref.point, neg_ref.point)
+        P, increasing = self._class_refs(pos[rows])
 
         def profile(u):
             return self.field.ray_values(u, P)
 
-        res = solve_monotone_batch(
-            profile, gy[rows],
-            increasing=np.where(pos[rows], pos_ref.increasing, neg_ref.increasing))
+        res = solve_monotone_batch(profile, gy[rows], increasing=increasing)
         status[rows] = res.status
         # scalar powers, one level at a time: numpy's array pow may differ
         # from the scalar one in the last bit

@@ -18,6 +18,7 @@ from .decomposition import Decomposition
 from .field import GradientSpec, ScalarField, row_sumsq
 from .levelsets import ray_level_radius
 from .rays import SamplingPlan, classify_ray, row_blocks
+from .rootfind import OK, solve_monotone_batch
 
 PHI_STEP = 1e-6           # general_euler_residual: phi' step / (1 + |p|)
 P_FLOOR_FRAC = 0.01       # general_euler_residual: |p| floor / sample max
@@ -229,27 +230,24 @@ def paired_level_solver(r: float, tol: float = 1e-10) -> PairedLevels:
     """The unique s > 1 with r² e^{−r²} = s² e^{−s²}, for 0 < r < 1.
 
     The map t ↦ t e^{−t} increases up to its peak at t = 1 and decreases
-    after, so each value below the peak is taken exactly twice; bisection on
-    u = s² ∈ (1, B] with doubling B finds the second preimage.  r outside
+    after, so each value below the peak is taken exactly twice.  The second
+    preimage u = s² = 1 + t is the root of the profile (1 + t) e^{−(1 + t)},
+    decreasing from e^{−1}, in :func:`~siphkit.rootfind.solve_monotone_batch`;
+    a target that rounds to the peak e^{−1} is met at u = 1.  r outside
     (0, 1) is rejected — in particular feeding an s back in is invalid.
     """
-    # imported here, its only use, so that importing siphkit does not load
-    # scipy.optimize
-    from scipy.optimize import brentq
-
     r = float(r)
     if not 0.0 < r < 1.0:
         raise ValueError("r must lie strictly inside (0, 1): the paired level "
                          "exists only below the peak of t e^{-t} at t = 1")
     target = r ** 2 * np.exp(-(r ** 2))
 
-    def g(u):
-        return u * np.exp(-u) - target
+    def profile(t):
+        return (1.0 + t) * np.exp(-(1.0 + t))
 
-    hi = 2.0
-    while g(hi) > 0.0:
-        hi *= 2.0
-    u = brentq(g, 1.0, hi, xtol=1e-15, rtol=8.9e-16)
+    res = solve_monotone_batch(profile, np.array([target]), False,
+                               value_at_zero=np.exp(-1.0))
+    u = 1.0 + (float(res.t[0]) if res.status[0] == OK else 0.0)
     s = float(np.sqrt(u))
     residual = abs(u * np.exp(-u) - target)
     if residual > tol:
@@ -316,18 +314,19 @@ class NeighborhoodCertificate:
     epsilon is an estimate from below over samples only: the true level set
     may attain a smaller minimum between sampled rays.  delta stops growing at
     the first sampled violation or at the hard cap, whichever comes first.
+    The defaults are those of a certificate that failed before fattening.
     """
 
-    ok: bool
-    z0: Optional[np.ndarray]
-    level: float
-    epsilon: float
-    delta: float
-    stop_reason: str  # "violation" | "cap" | "failed"
-    n_level_points: int
-    n_fattened: int
-    skipped_directions: int
-    seed: int
+    ok: bool = False
+    z0: Optional[np.ndarray] = None
+    level: float = np.nan
+    epsilon: float = np.nan
+    delta: float = 0.0
+    stop_reason: str = "failed"  # "violation" | "cap" | "failed"
+    n_level_points: int = 0
+    n_fattened: int = 0
+    skipped_directions: int = 0
+    seed: int = 0
     scan: list = dataclass_field(default_factory=list)
     violation: Optional[dict] = None
 
@@ -353,11 +352,7 @@ def positive_gradient_region(field: ScalarField,
     svals = field.values(field.absolute(sphere))
     finite = np.isfinite(svals)
     if not finite.any():
-        return NeighborhoodCertificate(ok=False, z0=None, level=np.nan,
-                                       epsilon=np.nan, delta=0.0,
-                                       stop_reason="failed", n_level_points=0,
-                                       n_fattened=0, skipped_directions=0,
-                                       seed=plan.seed,
+        return NeighborhoodCertificate(seed=plan.seed,
                                        scan=[["sphere", "non-finite"]])
     s = sphere[int(np.argmin(np.where(finite, svals, np.inf)))]
 
@@ -372,11 +367,7 @@ def positive_gradient_region(field: ScalarField,
             t_found = float(t)
             break
     if t_found is None:
-        return NeighborhoodCertificate(ok=False, z0=None, level=np.nan,
-                                       epsilon=np.nan, delta=0.0,
-                                       stop_reason="failed", n_level_points=0,
-                                       n_fattened=0, skipped_directions=0,
-                                       seed=plan.seed, scan=scan)
+        return NeighborhoodCertificate(seed=plan.seed, scan=scan)
     z0 = t_found * s
     level = float(field.value(field.x_star + z0))
 
@@ -388,10 +379,8 @@ def positive_gradient_region(field: ScalarField,
     finite_dots = dots[np.isfinite(dots)]
     epsilon = float(finite_dots.min()) if finite_dots.size else np.nan
     if not (np.isfinite(epsilon) and epsilon > 0):
-        return NeighborhoodCertificate(ok=False, z0=z0, level=level,
-                                       epsilon=epsilon, delta=0.0,
-                                       stop_reason="failed",
-                                       n_level_points=Z.shape[0], n_fattened=0,
+        return NeighborhoodCertificate(z0=z0, level=level, epsilon=epsilon,
+                                       n_level_points=Z.shape[0],
                                        skipped_directions=skipped,
                                        seed=plan.seed, scan=scan)
 

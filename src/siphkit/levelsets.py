@@ -33,7 +33,7 @@ from .field import ScalarField, row_sumsq
 from .rays import (MAX_WITNESSES, SamplingPlan, classify_ray,
                    default_directions, row_blocks)
 from .rootfind import (BELOW_START, MAX_DOUBLINGS, NONFINITE, OK, UNBOUNDED,
-                       solve_monotone_batch)
+                       RootResult, solve_monotone_batch)
 
 # the arc search: grid angles per field call, and calls per arc
 ARC_GRID = 31
@@ -66,6 +66,14 @@ class LevelRadius:
     residual: float = np.nan
 
 
+def _solve_level(field: ScalarField, D: np.ndarray, c: float,
+                 increasing) -> RootResult:
+    """f(x_star + t d) = c on the rays along the rows d of D, in one solve."""
+    return solve_monotone_batch(lambda t: field.ray_values(t, D),
+                                np.full(len(D), float(c) - field.f_star),
+                                increasing)
+
+
 def ray_level_radius(field: ScalarField, direction, c: float, grid=None):
     """Radius t* with f(x_star + t* d) = c along one ray or a batch of rays.
 
@@ -83,23 +91,17 @@ def ray_level_radius(field: ScalarField, direction, c: float, grid=None):
     if d.ndim == 1 and verdicts[0].kind == "non-monotone":
         raise ValueError("ray is non-monotone; level radii are only defined "
                          "for monotone rays")
-    gy = float(c) - field.f_star
     tol = 1e-12 * (1.0 + abs(field.f_star))
-    constant = "whole-ray" if abs(gy) <= tol else "unbounded"
+    constant = "whole-ray" if abs(float(c) - field.f_star) <= tol else "unbounded"
     # non-monotone and non-finite rays keep their verdict as status; the
     # monotone ones get theirs from the solve below
     out = [LevelRadius(row, c, constant if v.kind == "constant" else v.kind)
            for row, v in zip(D, verdicts)]
     mono = [i for i, v in enumerate(verdicts) if v.monotone]
     if mono:
-        M = D[mono]
         increasing = np.array([verdicts[i].kind == "strictly-increasing"
                                for i in mono])
-
-        def profile(t):
-            return field.ray_values(t, M)
-
-        res = solve_monotone_batch(profile, np.full(len(mono), gy), increasing)
+        res = _solve_level(field, D[mono], c, increasing)
         for j, i in enumerate(mono):
             out[i].status = _STATUS_LABEL[int(res.status[j])]
             if res.status[j] == OK:
@@ -128,6 +130,13 @@ class SphereExtrema:
     # polished minimum and maximum
     samples_below_polished_min: int = 0
     samples_above_polished_max: int = 0
+
+    def polish_notes(self) -> dict:
+        """The report notes on the polish, shared by both sandwiches."""
+        return {"samples_below_polished_min": self.samples_below_polished_min,
+                "samples_above_polished_max": self.samples_above_polished_max,
+                "sphere_passes": self.passes_run,
+                "chains_at_pass_cap": self.capped_chains}
 
 
 def _arc_points(theta: np.ndarray, B: np.ndarray, T: np.ndarray) -> np.ndarray:
@@ -411,11 +420,7 @@ def check_si_sandwich(field: ScalarField, d: Decomposition,
     m_hat = 0.0 if ext.m - field.f_star <= zero_band else float(q[0])
     M_hat = float(q[1])
     notes = {"m_is_q_extremum": True, "alpha": d.alpha,
-             "extrema_samples": ext.n_samples,
-             "samples_below_polished_min": ext.samples_below_polished_min,
-             "samples_above_polished_max": ext.samples_above_polished_max,
-             "sphere_passes": ext.passes_run,
-             "chains_at_pass_cap": ext.capped_chains,
+             "extrema_samples": ext.n_samples, **ext.polish_notes(),
              "slack": slack}
     if not (np.isfinite(m_hat) and m_hat > 0):
         return BoundsReport(verdict="precondition-failed", m=m_hat, M=M_hat,
@@ -431,8 +436,9 @@ def check_si_sandwich(field: ScalarField, d: Decomposition,
     lower = phi1(m_hat * r)
     upper = phi1(M_hat * r)
     band = slack * (1.0 + np.abs(f_vals))
-    witnesses = []
     finite = np.isfinite(f_vals)
+    witnesses = [{"kind": "non_finite", "x": X0[idx].tolist()}
+                 for idx in np.flatnonzero(~finite)[:4]]
     for kind, bad in (("lower_bound", finite & (f_vals < lower - band)),
                       ("upper_bound", finite & (f_vals > upper + band))):
         for idx in np.flatnonzero(bad)[:MAX_WITNESSES]:
@@ -516,13 +522,7 @@ def compactness_probe(field: ScalarField, c: float, directions=None,
                                  witnesses=witnesses,
                                  n_directions=len(directions), seed=plan.seed)
 
-    gy = float(c) - field.f_star
-
-    def profile(t):
-        return field.ray_values(t, directions)
-
-    res = solve_monotone_batch(profile, np.full(len(directions), gy),
-                               increasing=True)
+    res = _solve_level(field, directions, c, True)
     radii = np.where(res.status == OK, res.t, 0.0)
     # BELOW_START rows mean the level is under the ray's start: that ray
     # contributes nothing to the sublevel set (radius 0).
@@ -567,25 +567,25 @@ class NegligibilityReport:
 
 def negligibility_probe(field: ScalarField, c: float,
                         eps_list: Sequence[float] = (0.1, 0.05, 0.025),
-                        n_samples: int = 100_000, box_radius: float = 2.0,
-                        seed: int = 0, rate_bound: float = 1.0) -> NegligibilityReport:
+                        plan: Optional[SamplingPlan] = None,
+                        rate_bound: float = 1.0) -> NegligibilityReport:
     """Fractions of uniform box samples falling in the shells |f - c| <= eps.
 
     ``eps_list`` must be finite, strictly decreasing and positive.  The
     continuity of every ray section — the hypothesis under which level sets
     are negligible — is assumed, not verified; the report records this.  The
-    box is drawn and evaluated in blocks of rows from the one seeded
-    generator.
+    samples are ``plan``'s box points (default: 100,000, seed 0, on
+    [-2, 2]^n), drawn and evaluated in blocks of rows from one plan.rng().
     """
     eps = np.asarray(list(eps_list), dtype=float)
     if (eps.ndim != 1 or len(eps) < 1 or not np.isfinite(eps).all()
             or (eps <= 0).any() or (np.diff(eps) >= 0).any()):
         raise ValueError("eps_list must be finite, strictly decreasing and positive")
-    rng = np.random.default_rng(seed)
+    plan = plan or SamplingPlan(n_samples=100_000)
+    rng, n_samples = plan.rng(), plan.n_samples
     counts = [0] * len(eps)
     for rows in row_blocks(n_samples):
-        X = field.absolute(rng.uniform(-box_radius, box_radius,
-                                       size=(rows.stop - rows.start, field.n)))
+        X = field.absolute(plan.box_points(field.n, rows.stop - rows.start, rng))
         dev = np.abs(field.values(X) - c)
         counts = [k + int(np.count_nonzero(dev <= e))
                   for k, e in zip(counts, eps)]
@@ -598,6 +598,6 @@ def negligibility_probe(field: ScalarField, c: float,
     final_ok = fractions[-1] <= rate_bound * eps[-1]
     return NegligibilityReport(
         level=c, eps_list=eps.tolist(), fractions=fractions, counts=counts,
-        n_samples=n_samples, box_radius=box_radius, passed=bool(ok and final_ok),
-        rate_bound=rate_bound, seed=seed,
+        n_samples=n_samples, box_radius=plan.box_radius,
+        passed=bool(ok and final_ok), rate_bound=rate_bound, seed=plan.seed,
         notes={"assumption": "all ray sections continuous (not verified)"})

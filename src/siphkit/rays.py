@@ -131,20 +131,13 @@ class SIReport:
 def order_trichotomy(a, b, atol: float = ORDER_ATOL) -> np.ndarray:
     """Vectorized three-way compare: -1 (a < b), 0 (tie), +1 (a > b).
 
-    Ties are |a - b| <= atol * (1 + max(|a|, |b|)); exactly equal values
-    (including equal infinities) tie regardless of the band.
+    Ties are the band of :func:`_strict_sign`, which the SI probes use, and
+    exactly equal values (equal infinities too); a comparison with nan
+    reads +1.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    # 0 * inf (at atol = 0), inf - inf and 1e308 - (-1e308) are all handled
-    with np.errstate(invalid="ignore", over="ignore"):
-        band = atol * (1.0 + np.maximum(np.abs(a), np.abs(b)))
-        # an infinite value would blow the band up to infinity and swallow
-        # every comparison against it; infinities only tie by exact equality
-        band = np.where(np.isfinite(band), band, 0.0)
-        out = np.where(a == b, 0, np.where(np.abs(a - b) <= band, 0,
-                                           np.where(a < b, -1, 1)))
-    return out
+    a, b = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (a, b)))
+    s = _strict_sign(a.ravel(), b.ravel(), atol).reshape(a.shape)
+    return np.where((a == b) | (s == 0), 0, np.where(s < 0, -1, 1))
 
 
 def _structured_triples(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -187,8 +180,9 @@ def _order_reversals(field: ScalarField, X: np.ndarray, Y: np.ndarray,
 
 
 def _strict_sign(a: np.ndarray, b: np.ndarray, atol: float) -> np.ndarray:
-    """sign(a - b) outside the tie band of :func:`order_trichotomy`, 0 inside
-    it; nan where a or b is nan or both are the same infinity."""
+    """sign(a - b) outside the tie band atol * (1 + max(|a|, |b|)), 0 inside
+    it; nan where a or b is nan or both are the same infinity.  A band that
+    is not finite ties nothing.  :func:`order_trichotomy` is built on it."""
     with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, 0 * inf
         d = a - b
         band = atol * (1.0 + np.maximum(np.abs(a), np.abs(b)))
@@ -201,7 +195,7 @@ def _strict_sign(a: np.ndarray, b: np.ndarray, atol: float) -> np.ndarray:
 
 def _reversed(fx, fy, frx, fry, atol: float) -> np.ndarray:
     """Rows where f(x) vs f(y) and f(rho x) vs f(rho y) are both strict and
-    of opposite sign, by the band of :func:`order_trichotomy`.
+    of opposite sign, by the band of :func:`_strict_sign`.
 
     The signs are compared, not the differences: their product could
     underflow to -0 and hide a reversal.  A nan sign (a nan value, or equal
@@ -316,10 +310,7 @@ def classify_ray(field: ScalarField, x, grid=None):
 def default_directions(n: int, seed: int = 0) -> np.ndarray:
     """All +-coordinate axes plus 2n seeded uniform sphere points."""
     eye = np.eye(n)
-    rng = np.random.default_rng(seed)
-    pts = rng.normal(size=(2 * n, n))
-    pts /= np.sqrt(row_sumsq(pts))[:, None]
-    return np.vstack([eye, -eye, pts])
+    return np.vstack([eye, -eye, SamplingPlan(seed=seed).sphere_points(n, 2 * n)])
 
 
 @dataclass

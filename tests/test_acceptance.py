@@ -178,8 +178,9 @@ def test_criterion_06_compactness():
 def test_criterion_07_negligibility():
     n_samples = 1_000_000
     report = negligibility_probe(make_builtin("sphere", 2), 1.0,
-                                 eps_list=(0.1, 0.05), n_samples=n_samples,
-                                 box_radius=2.0, seed=0)
+                                 eps_list=(0.1, 0.05),
+                                 plan=SamplingPlan(n_samples=n_samples,
+                                                   box_radius=2.0, seed=0))
     assert report.passed
     exact = [math.pi * eps / 8.0 for eps in (0.1, 0.05)]
     for frac, p in zip(report.fractions, exact):

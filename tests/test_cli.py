@@ -624,6 +624,49 @@ def test_importing_the_cli_does_not_load_scipy_optimize():
     assert out.strip() == "[]"
 
 
+def test_a_paired_level_solve_does_not_load_scipy_optimize():
+    code = ("import sys; from siphkit.euler import paired_level_solver; "
+            "paired_level_solver(0.5); "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))")
+    src = os.path.dirname(os.path.dirname(siphkit.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "[]"
+
+
+# sizes far above the 128 TiB address space: numpy refuses them before
+# reserving anything
+_HUGE = "100000000000000"
+
+
+@pytest.mark.parametrize("argv", [
+    ["decompose", "--gallery", "sphere", "--n", "2", "--N", _HUGE],
+    ["levelset", "compact", "--gallery", "sphere", "--level", "1",
+     "--grid-points", _HUGE],
+    ["check", "si", "--gallery", "sphere", "--n", _HUGE],
+    ["levelset", "radii", "--gallery", "sphere", "--level", "1",
+     "--directions", _HUGE],
+    ["verify", "levelset-grad", "--gallery", "sphere", "--level", "1",
+     "--points", _HUGE],
+], ids=["decompose", "compact", "check-si", "radii", "levelset-grad"])
+def test_a_size_that_cannot_be_allocated_exits_two(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("siphkit: error: Unable to allocate")
+
+
+def test_a_ray_starting_on_the_reference_level_warns_nothing(capsys):
+    argv = ["decompose", "--gallery", "tanh_exp", "--n", "2", "--seed", "2",
+            "--N", "1000", "--x0-alt", "0.5,0.25"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (1, "")
+    assert json.loads(out)["verdict"] == "fail"
+
+
 def test_check_si_at_zero_atol_emits_no_runtime_warning(capsys):
     # f(rho x) is inf on the axis x_1 = 0; at atol 0 its tie band is 0 * inf
     argv = ["check", "si", "--expr", "1/abs(x_1)", "--n", "2",

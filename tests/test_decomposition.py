@@ -1,6 +1,7 @@
 """Canonical splitting f = phi o p: construction, profiles, uniqueness, order."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -148,6 +149,69 @@ def test_one_sided_profile_rejects_negative_arguments():
     d = build_decomposition(make_builtin("sq_norm", 2), alpha=1.0, x0=E1_2D)
     with pytest.raises(ValueError):
         d.phi_values([-1.0])
+
+
+def _three_branch_phi(d, T):
+    """phi as one hand-built branch per case and sign, one field call each."""
+    T = np.atleast_1d(np.asarray(T, dtype=float))
+    inv = 1.0 / d.alpha
+    if d.case == "one-sided":
+        if (T < 0).any():
+            raise ValueError("one-sided profile is defined for t >= 0 only")
+        pts = d.field.absolute((T ** inv)[:, None] * d.positive_ref.point)
+        return d.field._eval_batch(pts)
+    out = np.empty(T.shape[0])
+    pos = T >= 0
+    if pos.any():
+        pts = d.field.absolute((T[pos] ** inv)[:, None] * d.positive_ref.point)
+        out[pos] = d.field._eval_batch(pts)
+    if (~pos).any():
+        pts = d.field.absolute(((-T[~pos]) ** inv)[:, None]
+                               * d.negative_ref.point)
+        out[~pos] = d.field._eval_batch(pts)
+    return out
+
+
+_T_SPECIAL = [0.0, -0.0, 5e-324, 1e-300, 0.3, 1.0, 2.5, 1e3, np.nan]
+
+
+@pytest.mark.parametrize("field,alpha,refs", [
+    (make_builtin("sq_norm", 3), 2.0, {}),
+    (random_si(3, 3), 0.7, {}),
+    (bind("(x_1 - 0.5)^2 + 3*(x_2 + 1)^2", 2, x_star=[0.5, -1.0]), 3.0,
+     {"x0": [1.1, -0.4]}),
+    (compose("exp_neg", make_builtin("sq_norm", 3)), 2.0, {}),
+    (make_builtin("linear_x1", 2), 1.5, {"x1": [0.5, 1.0], "xm1": [-2.0, 0.3]}),
+    (bind("(x_1 - 0.25)^3 + (x_2 - 0.5)^3", 2, x_star=[0.25, 0.5]), 0.5, {}),
+], ids=["increasing", "random-si", "shifted", "decreasing", "two-sided",
+        "two-sided-shifted"])
+def test_phi_values_equal_the_three_branch_formula_bitwise(request, field,
+                                                          alpha, refs):
+    d = build_decomposition(field, alpha=alpha, **refs)
+    assert d.case == ("two-sided" if "two-sided" in request.node.name
+                      else "one-sided")
+    rng = np.random.default_rng(8)
+    T = np.concatenate([_T_SPECIAL, rng.uniform(0.0, 5.0, 200),
+                        rng.uniform(0.0, 1e-6, 20)])
+    if d.case == "two-sided":
+        T = np.concatenate([T, -T, rng.uniform(-5.0, 5.0, 200)])
+    got, want = d.phi_values(T), _three_branch_phi(d, T)
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    if d.case == "one-sided":
+        with pytest.raises(ValueError):
+            d.phi_values([1.0, -1e-300])
+
+
+def test_a_ray_that_starts_on_the_reference_level_gets_infinite_p():
+    # for x_1 < 0 the ray jumps from f(0) = 0 straight above the reference
+    # level tanh(0.5), so the solver returns lambda = 0
+    d = build_decomposition(make_builtin("tanh_exp", 2), x0=[0.5, 0.25])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        p = d.p_values([[-1.0, 0.3], [1.0, 0.3]])
+    assert p[0] == np.inf
+    assert p[1] == pytest.approx(2.0, rel=1e-12)
+    assert d.solver_failures == []
 
 
 def test_profile_inverse_round_trips():

@@ -181,6 +181,24 @@ def test_paired_levels_at_the_half_radius():
     assert out.shared_value == pytest.approx(0.5 * math.exp(-0.5), rel=1e-12)
 
 
+@pytest.mark.parametrize("r,s", [(0.3, 1.9607703867700614),
+                                 (0.5, 1.6083105988157431),
+                                 (0.7, 1.3341349770771833),
+                                 (0.999, 1.0010003334445687),
+                                 (1e-3, 4.077561767204305)])
+def test_paired_levels_keep_their_values(r, s):
+    out = paired_level_solver(r)
+    assert out.s == pytest.approx(s, rel=1e-13, abs=0.0)
+    assert out.residual <= 1e-10
+
+
+def test_a_target_at_the_peak_pairs_with_s_one():
+    # r^2 e^{-r^2} rounds to e^{-1} itself: the only preimage is u = 1
+    out = paired_level_solver(1.0 - 1e-12)
+    assert out.s == 1.0
+    assert out.residual == 0.0
+
+
 def test_paired_levels_saturate_toward_the_peak():
     out = paired_level_solver(0.999)
     assert 1.0 < out.s <= 1.05

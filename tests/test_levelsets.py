@@ -536,13 +536,31 @@ def test_saturating_ray_exhausts_the_bracket():
     assert report.witnesses[0]["doublings"] == rootfind.MAX_DOUBLINGS == 60
 
 
+def test_si_sandwich_witnesses_non_finite_samples_first(capsys):
+    # f is nan wherever x_1 < 0, yet its finite half holds the sandwich
+    f = bind("x_1^2 + x_2^2 + 0*sqrt(x_1)", 2)
+    plan = SamplingPlan(n_samples=2000)
+    d = build_decomposition(f, plan=plan)
+    report = check_si_sandwich(f, d, plan)
+    assert report.verdict == "fail"
+    kinds = [w["kind"] for w in report.witnesses]
+    assert kinds == ["non_finite"] * 4
+    assert all(w["x"][0] < 0 for w in report.witnesses)
+    code = cli.main(["levelset", "bounds", "--expr", "x_1^2 + x_2^2 + 0*sqrt(x_1)",
+                     "--n", "2", "--N", "2000"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert [w["kind"] for w in doc["witnesses"]] == ["non_finite"] * 4
+
+
 # ---------------------------------------------------------------------------
 # level-set negligibility
 
 
 def test_annulus_fraction_matches_geometry():
     f = make_builtin("sphere", 2)
-    report = negligibility_probe(f, 1.0, n_samples=100_000, seed=0)
+    report = negligibility_probe(f, 1.0,
+                                 plan=SamplingPlan(n_samples=100_000, seed=0))
     assert report.passed
     # shell area over box area: 2 pi eps / 16
     expected = math.pi * 0.1 / 8.0
@@ -554,7 +572,7 @@ def test_annulus_fraction_matches_geometry():
 
 def test_thick_level_set_fails_negligibility():
     f = bind("0 * x_1", 2)
-    report = negligibility_probe(f, 0.0, n_samples=10_000)
+    report = negligibility_probe(f, 0.0, plan=SamplingPlan(n_samples=10_000))
     assert not report.passed
     assert report.fractions == [1.0, 1.0, 1.0]
 

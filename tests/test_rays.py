@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from siphkit.exprlang import bind
+from siphkit.field import row_sumsq
 from siphkit.gallery import REGISTRY, make_builtin
 from siphkit.rays import (
     SamplingPlan,
@@ -57,6 +58,44 @@ def test_order_trichotomy_emits_no_warning_on_extreme_values():
             out = order_trichotomy([np.inf, 1.0, np.inf, 1e308],
                                    [1.0, np.inf, np.inf, -1e308], atol=atol)
             np.testing.assert_array_equal(out, [1, -1, 0, 1])
+
+
+def _band_trichotomy(a, b, atol):
+    """The three-way compare with its own tie band, written out."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    with np.errstate(invalid="ignore", over="ignore"):
+        band = atol * (1.0 + np.maximum(np.abs(a), np.abs(b)))
+        band = np.where(np.isfinite(band), band, 0.0)
+        return np.where(a == b, 0, np.where(np.abs(a - b) <= band, 0,
+                                            np.where(a < b, -1, 1)))
+
+
+_TRICHOTOMY_SPECIAL = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324,
+                       1e308, -1e308, 1e16, 1e16 + 2, 1.0, -1.0]
+
+
+@pytest.mark.parametrize("atol", [0.0, 1e-12, 1e-3])
+def test_order_trichotomy_keeps_the_answers_of_the_written_out_band(atol):
+    a, b = (v.ravel() for v in np.meshgrid(_TRICHOTOMY_SPECIAL,
+                                           _TRICHOTOMY_SPECIAL))
+    rng = np.random.default_rng(14)
+    x = rng.normal(size=4000) * 10.0 ** rng.uniform(-300, 300, 4000)
+    step = rng.choice([0.0, 1e-16, -1e-14, 1e-13, -1e-10, 1e-4, -2e-3, 1.0],
+                      4000)
+    a = np.concatenate([a, x, x, rng.normal(size=500)])
+    b = np.concatenate([b, x * (1.0 + step), x + step, rng.normal(size=500)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = order_trichotomy(a, b, atol)
+    want = _band_trichotomy(a, b, atol)
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+    # scalars and broadcasting keep their shapes
+    for u, v in ((1.0, 2.0), (np.nan, 1.0), (a[:5], 0.0), (1e16, b[:7, None])):
+        out = order_trichotomy(u, v, atol)
+        assert out.shape == np.broadcast(u, v).shape
+        np.testing.assert_array_equal(out, _band_trichotomy(u, v, atol))
 
 
 _EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e-200, -1e-200, 1.0, 1.0 + 1e-12,
@@ -235,6 +274,16 @@ def test_classify_ray_grid_validation():
         classify_ray(f, [1.0, 0.0], grid=[0.0, 1.0])
     with pytest.raises(ValueError):
         classify_ray(f, [1.0, 0.0], grid=[[1.0, 2.0]])
+
+
+def test_default_directions_draw_the_plans_sphere_points():
+    for n, seed in ((1, 0), (3, 1), (6, 7919)):
+        rng = np.random.default_rng(seed)
+        pts = rng.normal(size=(2 * n, n))
+        pts /= np.sqrt(row_sumsq(pts))[:, None]
+        D = default_directions(n, seed=seed)
+        np.testing.assert_array_equal(D[2 * n:].view(np.uint64),
+                                      pts.view(np.uint64))
 
 
 def test_default_directions_shape():

@@ -151,7 +151,8 @@ def test_check_si_memory_is_bounded_by_the_block():
 def test_negligibility_counts_equal_one_shot(name, n, level, N):
     field = make_builtin(name, n)
     eps = (0.1, 0.05, 0.025)
-    rep = negligibility_probe(field, level, eps, n_samples=N, seed=7)
+    rep = negligibility_probe(field, level, eps,
+                              plan=SamplingPlan(n_samples=N, seed=7))
     assert rep.counts == one_shot_negligibility_counts(field, level, eps, N,
                                                        2.0, 7)
     assert rep.n_samples == N
