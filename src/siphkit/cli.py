@@ -47,7 +47,7 @@ from .levelsets import (check_ph_sandwich, check_si_sandwich,
                         negligibility_probe, ray_level_radius,
                         si_sandwich_applies, sphere_extrema)
 from .rays import (SamplingPlan, check_decomposability,
-                   check_scaling_invariance, default_directions)
+                   check_scaling_invariance, default_directions, row_witnesses)
 from .reporting import Report, emit
 
 
@@ -328,17 +328,14 @@ def _cmd_levelset_radii(args, field, plan):
         dirs = plan.sphere_points(field.n, int(args.directions))
     else:
         dirs = default_directions(field.n, seed=plan.seed)
-    hits = []
-    witnesses = []
-    for hit in ray_level_radius(field, dirs, args.level, grid=plan.t_grid()):
-        if hit.status == "non-monotone":
-            witnesses.append({"kind": "non_monotone_ray",
-                              "direction": hit.direction.tolist()})
-            continue
-        hits.append(hit)
-        if hit.status not in ("ok", "outside-range"):
-            witnesses.append({"kind": f"{hit.status}_ray",
-                              "direction": hit.direction.tolist()})
+    radii = ray_level_radius(field, dirs, args.level, grid=plan.t_grid())
+    status = np.array([hit.status for hit in radii])
+    hits = [hit for hit in radii if hit.status != "non-monotone"]
+    witnesses = row_witnesses(
+        ~np.isin(status, ("ok", "outside-range")),
+        np.where(status == "non-monotone", "non_monotone_ray",
+                 np.char.add(status, "_ray")),
+        direction=dirs)
     metrics = {"level": args.level, "n_directions": int(len(dirs)),
                "radii": hits}
     if args.sweep_csv:
@@ -400,12 +397,9 @@ def _cmd_levelset_negligible(args, field, plan):
                                   rate_bound=args.rate_bound)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    witnesses = []
-    if not rep.passed:
-        witnesses.append({"kind": "excess_fraction", "eps": rep.eps_list,
-                          "fractions": rep.fractions,
-                          "rate_bound": rep.rate_bound})
-    return rep, witnesses, {"level": args.level, "eps": eps_list,
+    metrics = dict(vars(rep))  # the report's fields, its witnesses apart
+    witnesses = metrics.pop("witnesses")
+    return metrics, witnesses, {"level": args.level, "eps": eps_list,
                             "rate_bound": args.rate_bound}
 
 

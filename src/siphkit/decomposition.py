@@ -21,8 +21,8 @@ from typing import Optional
 import numpy as np
 
 from .field import FieldMeta, ScalarField, _as_point
-from .rays import (MAX_WITNESSES, SamplingPlan, classify_ray, default_directions,
-                   order_trichotomy)
+from .rays import (FEW_WITNESSES, MAX_WITNESSES, SamplingPlan, classify_ray,
+                   default_directions, order_trichotomy, row_witnesses)
 from .rootfind import BELOW_START, OK, UNBOUNDED, solve_monotone_batch
 
 ZERO_LEVEL_ATOL = 1e-12
@@ -84,12 +84,12 @@ class Decomposition:
 
         res = solve_monotone_batch(profile, np.full(Z.shape[0], ref.value),
                                    increasing=ref.increasing, bracket=bracket)
-        room = max(MAX_WITNESSES - len(self.solver_failures), 0)
-        for i in np.flatnonzero(res.status != OK)[:room]:
-            reason = {UNBOUNDED: "unbounded_ray",
-                      BELOW_START: "level_unreachable"}.get(
-                          int(res.status[i]), "non_finite")
-            self.solver_failures.append({"kind": reason, "point": Z[i].tolist()})
+        reason = np.where(res.status == UNBOUNDED, "unbounded_ray",
+                          np.where(res.status == BELOW_START, "level_unreachable",
+                                   "non_finite"))
+        self.solver_failures += row_witnesses(
+            res.status != OK, reason, MAX_WITNESSES - len(self.solver_failures),
+            point=Z)
         return np.where(res.status == OK, res.t, np.nan)
 
     def lambda_for(self, x) -> float:
@@ -419,8 +419,7 @@ def verify_decomposition(field: ScalarField, d: Decomposition,
     ph_defect = np.abs(p_scaled - expected) / (1.0 + np.abs(expected))
     ph_ok = ~np.isnan(ph_defect)
 
-    for idx in np.flatnonzero(~ok)[:4]:
-        witnesses.append({"kind": "non_finite", "point": X[idx].tolist()})
+    witnesses += row_witnesses(~ok, "non_finite", FEW_WITNESSES, point=X)
     return DecompositionCheck(
         max_composition_residual=float(comp[ok].max()) if ok.any() else np.nan,
         max_ph_residual=float(ph_defect[ph_ok].max()) if ph_ok.any() else np.nan,
@@ -513,11 +512,8 @@ def order_equivalence(field_f: ScalarField, field_p: ScalarField,
     # order_trichotomy reads nan as +1, which would agree with any p above
     nan_rows = np.isnan(fx) | np.isnan(fy) | np.isnan(px) | np.isnan(py)
     disagree = ~nan_rows & (order_trichotomy(fx, fy) != order_trichotomy(px, py))
-    witnesses = []
-    for kind, rows in (("non_finite", nan_rows), ("order_disagreement", disagree)):
-        for idx in np.flatnonzero(rows)[:MAX_WITNESSES]:
-            witnesses.append({"kind": kind, "x": X[idx].tolist(),
-                              "y": Y[idx].tolist()})
+    witnesses = (row_witnesses(nan_rows, "non_finite", x=X, y=Y)
+                 + row_witnesses(disagree, "order_disagreement", x=X, y=Y))
     count = int(disagree.sum() + nan_rows.sum())
     return OrderReport(passed=count == 0, trials=int(X.shape[0]),
                        disagreements=count, witnesses=witnesses, seed=plan.seed)

@@ -234,13 +234,21 @@ def paired_level_solver(r: float, tol: float = 1e-10) -> PairedLevels:
     preimage u = s² = 1 + t is the root of the profile (1 + t) e^{−(1 + t)},
     decreasing from e^{−1}, in :func:`~siphkit.rootfind.solve_monotone_batch`;
     a target that rounds to the peak e^{−1} is met at u = 1.  r outside
-    (0, 1) is rejected — in particular feeding an s back in is invalid.
+    (0, 1) is rejected — in particular feeding an s back in is invalid — and
+    so is an r whose target r² e^{−r²} is below the smallest normal double
+    (r below about 1.49e-154), where the target loses its relative precision
+    and the root with it.
     """
     r = float(r)
     if not 0.0 < r < 1.0:
         raise ValueError("r must lie strictly inside (0, 1): the paired level "
                          "exists only below the peak of t e^{-t} at t = 1")
     target = r ** 2 * np.exp(-(r ** 2))
+    tiny = np.finfo(float).tiny
+    if target < tiny:
+        raise ValueError(f"r must be at least {np.sqrt(tiny):.4g}: below it "
+                         f"r^2 e^(-r^2) falls under the smallest normal "
+                         f"double {tiny:.3g}")
 
     def profile(t):
         return (1.0 + t) * np.exp(-(1.0 + t))

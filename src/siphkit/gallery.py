@@ -105,7 +105,10 @@ def _piecewise_ph(n: int) -> ScalarField:
         raise ValueError("piecewise_ph needs n >= 2")
 
     def fn(X):
-        return np.where(X[..., 0] * X[..., 1] > 0, X[..., 0], 0.0)
+        cone = X[..., 0] * X[..., 1]
+        out = np.where(cone > 0, X[..., 0], 0.0)
+        out[np.isnan(cone)] = np.nan  # x_1 or x_2 is nan
+        return out
 
     meta = FieldMeta(declared_si=True, ph_degree=1.0, decomposable=True,
                      compact_sublevel=False, differentiable=False, continuous=False)
@@ -415,6 +418,7 @@ def random_si(seed: int, n: int, eps: float = 0.3, modes: int = 4) -> ScalarFiel
         X = np.atleast_2d(np.asarray(X, dtype=float))
         r = np.sqrt(row_sumsq(X))
         out = np.zeros_like(r)
+        out[np.isnan(r)] = np.nan  # a nan coordinate
         mask = r > 0
         if mask.any():
             U = X[mask] / r[mask, None]

@@ -30,8 +30,8 @@ import numpy as np
 
 from .decomposition import ZERO_LEVEL_ATOL, Decomposition
 from .field import ScalarField, row_sumsq
-from .rays import (MAX_WITNESSES, SamplingPlan, classify_ray,
-                   default_directions, row_blocks)
+from .rays import (FEW_WITNESSES, SamplingPlan, classify_ray,
+                   default_directions, row_blocks, row_witnesses)
 from .rootfind import (BELOW_START, MAX_DOUBLINGS, NONFINITE, OK, UNBOUNDED,
                        RootResult, solve_monotone_batch)
 
@@ -346,18 +346,13 @@ def check_ph_sandwich(p: ScalarField, alpha: float, m_p: float, M_p: float,
     lower = m_p * r ** alpha
     upper = M_p * r ** alpha
     slack = rtol * (1.0 + np.abs(upper))
-    witnesses = []
-    for idx in np.flatnonzero(~np.isfinite(vals))[:4]:
-        witnesses.append({"kind": "non_finite", "x": X0[idx].tolist()})
     finite = np.isfinite(vals)
+    witnesses = row_witnesses(~finite, "non_finite", FEW_WITNESSES, x=X0)
     for kind, bad in (("nonpositive_p", finite & (vals <= 0)),
                       ("lower_bound", finite & (vals < lower - slack)),
                       ("upper_bound", finite & (vals > upper + slack))):
-        for idx in np.flatnonzero(bad)[:MAX_WITNESSES]:
-            witnesses.append({"kind": kind, "x": X0[idx].tolist(),
-                              "p": float(vals[idx]),
-                              "lower": float(lower[idx]),
-                              "upper": float(upper[idx])})
+        witnesses += row_witnesses(bad, kind, x=X0, p=vals, lower=lower,
+                                   upper=upper)
     verdict = "pass" if not witnesses else "fail"
     return BoundsReport(verdict=verdict, m=m_p, M=M_p, witnesses=witnesses,
                         n_samples=int(X0.shape[0]), seed=plan.seed,
@@ -437,25 +432,19 @@ def check_si_sandwich(field: ScalarField, d: Decomposition,
     upper = phi1(M_hat * r)
     band = slack * (1.0 + np.abs(f_vals))
     finite = np.isfinite(f_vals)
-    witnesses = [{"kind": "non_finite", "x": X0[idx].tolist()}
-                 for idx in np.flatnonzero(~finite)[:4]]
+    witnesses = row_witnesses(~finite, "non_finite", FEW_WITNESSES, x=X0)
     for kind, bad in (("lower_bound", finite & (f_vals < lower - band)),
                       ("upper_bound", finite & (f_vals > upper + band))):
-        for idx in np.flatnonzero(bad)[:MAX_WITNESSES]:
-            witnesses.append({"kind": kind, "x": X0[idx].tolist(),
-                              "f": float(f_vals[idx]),
-                              "lower": float(lower[idx]),
-                              "upper": float(upper[idx])})
+        witnesses += row_witnesses(bad, kind, x=X0, f=f_vals, lower=lower,
+                                   upper=upper)
 
     # Ball of radius rho inside the sublevel set at phi1(rho * M).
     for rho in (0.5 * plan.box_radius, plan.box_radius):
         cap = float(phi1(np.array([rho * M_hat]))[0])
         inside = finite & (r < rho)
         bad = inside & (f_vals > cap + slack * (1.0 + abs(cap)))
-        for idx in np.flatnonzero(bad)[:4]:
-            witnesses.append({"kind": "ball_inclusion", "rho": rho,
-                              "x": X0[idx].tolist(), "f": float(f_vals[idx]),
-                              "cap": cap})
+        witnesses += row_witnesses(bad, "ball_inclusion", FEW_WITNESSES,
+                                   rho=rho, x=X0, f=f_vals, cap=cap)
 
     # Sublevel set at level c inside the ball of radius phi1^{-1}(c)/m.
     # all levels in one solve; those phi does not reach are skipped
@@ -467,10 +456,9 @@ def check_si_sandwich(field: ScalarField, d: Decomposition,
         radius = float(t_c) ** inv_alpha / m_hat
         covered = finite & (f_vals <= c)
         bad = covered & (r > radius * (1.0 + slack) + slack)
-        for idx in np.flatnonzero(bad)[:4]:
-            witnesses.append({"kind": "ball_cover", "level": float(c),
-                              "x": X0[idx].tolist(), "norm": float(r[idx]),
-                              "ball_radius": float(radius)})
+        witnesses += row_witnesses(bad, "ball_cover", FEW_WITNESSES,
+                                   level=float(c), x=X0, norm=r,
+                                   ball_radius=radius)
 
     verdict = "pass" if not witnesses else "fail"
     return BoundsReport(verdict=verdict, m=m_hat, M=M_hat, witnesses=witnesses,
@@ -513,9 +501,8 @@ def compactness_probe(field: ScalarField, c: float, directions=None,
     directions = np.atleast_2d(np.asarray(directions, dtype=float))
     grid = plan.t_grid()
     kinds = [v.kind for v in classify_ray(field, directions, grid=grid)]
-    witnesses = [{"kind": f"{kind}_ray", "direction": dvec.tolist()}
-                 for dvec, kind in zip(directions, kinds)
-                 if kind != "strictly-increasing"][:MAX_WITNESSES]
+    witnesses = row_witnesses(np.array(kinds) != "strictly-increasing",
+                              np.char.add(kinds, "_ray"), direction=directions)
     if witnesses:
         return CompactnessReport(verdict="unbounded-evidence", level=c,
                                  max_radius=np.nan, ray_kinds=kinds,
@@ -526,12 +513,10 @@ def compactness_probe(field: ScalarField, c: float, directions=None,
     radii = np.where(res.status == OK, res.t, 0.0)
     # BELOW_START rows mean the level is under the ray's start: that ray
     # contributes nothing to the sublevel set (radius 0).
-    for i in np.flatnonzero(res.status == UNBOUNDED)[:MAX_WITNESSES]:
-        witnesses.append({"kind": "bracket_exhausted",
-                          "direction": directions[i].tolist(),
-                          "doublings": MAX_DOUBLINGS})
-    for i in np.flatnonzero(res.status == NONFINITE)[:4]:
-        witnesses.append({"kind": "non_finite", "direction": directions[i].tolist()})
+    witnesses += row_witnesses(res.status == UNBOUNDED, "bracket_exhausted",
+                               direction=directions, doublings=MAX_DOUBLINGS)
+    witnesses += row_witnesses(res.status == NONFINITE, "non_finite",
+                               FEW_WITNESSES, direction=directions)
     verdict = "bounded" if not witnesses else "unbounded-evidence"
     max_radius = float(radii.max()) if verdict == "bounded" else np.nan
     return CompactnessReport(verdict=verdict, level=c, max_radius=max_radius,
@@ -550,7 +535,8 @@ class NegligibilityReport:
     A level set of measure zero shows up as shell fractions that shrink
     proportionally with the shell half-width eps; the pass rule requires the
     fractions to be non-increasing (within 3 sigma binomial noise) and the
-    smallest to stay below rate_bound * eps.
+    smallest to stay below rate_bound * eps.  ``witnesses`` names the
+    first non-finite samples and an excess fraction.
     """
 
     level: float
@@ -563,6 +549,7 @@ class NegligibilityReport:
     rate_bound: float
     seed: int
     notes: dict = dataclass_field(default_factory=dict)
+    witnesses: list = dataclass_field(default_factory=list)
 
 
 def negligibility_probe(field: ScalarField, c: float,
@@ -576,6 +563,8 @@ def negligibility_probe(field: ScalarField, c: float,
     are negligible — is assumed, not verified; the report records this.  The
     samples are ``plan``'s box points (default: 100,000, seed 0, on
     [-2, 2]^n), drawn and evaluated in blocks of rows from one plan.rng().
+    A non-finite value falls in no shell: the first few such samples are
+    ``non_finite`` witnesses, and the probe fails.
     """
     eps = np.asarray(list(eps_list), dtype=float)
     if (eps.ndim != 1 or len(eps) < 1 or not np.isfinite(eps).all()
@@ -584,9 +573,14 @@ def negligibility_probe(field: ScalarField, c: float,
     plan = plan or SamplingPlan(n_samples=100_000)
     rng, n_samples = plan.rng(), plan.n_samples
     counts = [0] * len(eps)
+    witnesses = []
     for rows in row_blocks(n_samples):
-        X = field.absolute(plan.box_points(field.n, rows.stop - rows.start, rng))
-        dev = np.abs(field.values(X) - c)
+        X0 = plan.box_points(field.n, rows.stop - rows.start, rng)
+        vals = field.values(field.absolute(X0))
+        dev = np.abs(vals - c)
+        if not np.isfinite(dev.max()):  # one cheap pass: most blocks are finite
+            witnesses += row_witnesses(~np.isfinite(vals), "non_finite",
+                                       FEW_WITNESSES - len(witnesses), x=X0)
         counts = [k + int(np.count_nonzero(dev <= e))
                   for k, e in zip(counts, eps)]
     fractions = [cnt / n_samples for cnt in counts]
@@ -595,9 +589,12 @@ def negligibility_probe(field: ScalarField, c: float,
         sigma = np.sqrt(max(prev * (1.0 - prev), 1e-12) / n_samples)
         if cur > prev + 3.0 * sigma:
             ok = False
-    final_ok = fractions[-1] <= rate_bound * eps[-1]
+    if not (ok and fractions[-1] <= rate_bound * eps[-1]):
+        witnesses.append({"kind": "excess_fraction", "eps": eps.tolist(),
+                          "fractions": fractions, "rate_bound": rate_bound})
     return NegligibilityReport(
         level=c, eps_list=eps.tolist(), fractions=fractions, counts=counts,
         n_samples=n_samples, box_radius=plan.box_radius,
-        passed=bool(ok and final_ok), rate_bound=rate_bound, seed=plan.seed,
-        notes={"assumption": "all ray sections continuous (not verified)"})
+        passed=not witnesses, rate_bound=rate_bound, seed=plan.seed,
+        notes={"assumption": "all ray sections continuous (not verified)"},
+        witnesses=witnesses)

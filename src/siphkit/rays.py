@@ -18,6 +18,8 @@ import numpy as np
 from .field import ScalarField, row_sumsq
 
 MAX_WITNESSES = 16
+# the cap of a list of non-finite samples and of each ball check
+FEW_WITNESSES = 4
 ORDER_ATOL = 1e-12
 CONST_TOL = 1e-10
 STEP_TOL = 1e-10
@@ -25,6 +27,24 @@ STEP_TOL = 1e-10
 # blocks whatever the sample size.  Much smaller blocks pay per-call overhead;
 # 4,096 to 65,536 rows ran equally fast on the benchmark's sample workload.
 BLOCK_ROWS = 8192
+
+
+def row_witnesses(mask, kind, limit=MAX_WITNESSES, /, **columns) -> list:
+    """Witnesses of the first ``limit`` rows where ``mask`` holds, in row order.
+
+    Each is ``{"kind": kind, **columns}`` read at its row: ``kind`` and each
+    column that is an array give their entry at the row as JSON builtins
+    (``tolist``: a row of a 2-D array is a list, an entry a float or int);
+    any other value is copied as is.  A column that reads None at a row is
+    left out of that row's witness.  A limit of 0 or below gives none.
+    """
+    fields = {"kind": kind, **columns}
+    witnesses = []
+    for i in np.flatnonzero(mask)[:max(limit, 0)]:
+        row = ((key, val[i:i + 1].tolist()[0] if isinstance(val, np.ndarray) else val)
+               for key, val in fields.items())
+        witnesses.append({key: val for key, val in row if val is not None})
+    return witnesses
 
 
 @dataclass(frozen=True)
@@ -224,17 +244,15 @@ def check_scaling_invariance(field: ScalarField, plan: Optional[SamplingPlan] = 
         (fx, fy, frx, fry), nan_rows, violating = _order_reversals(field, X, Y,
                                                                    rho, atol)
         violations += int(violating.sum() + nan_rows.sum())
-        for idx in np.flatnonzero(nan_rows)[:MAX_WITNESSES - len(nan_witnesses)]:
-            nan_witnesses.append({"kind": "non_finite", "x": X[idx].tolist(),
-                                  "y": Y[idx].tolist(), "rho": float(rho[idx])})
-        for idx in np.flatnonzero(violating)[:MAX_WITNESSES - len(order_witnesses)]:
-            order_witnesses.append({
-                "kind": "order_violation",
-                "x": X[idx].tolist(), "y": Y[idx].tolist(), "rho": float(rho[idx]),
-                "f_x": float(fx[idx] + field.f_star),
-                "f_y": float(fy[idx] + field.f_star),
-                "f_rho_x": float(frx[idx] + field.f_star),
-                "f_rho_y": float(fry[idx] + field.f_star)})
+        nan_witnesses += row_witnesses(nan_rows, "non_finite",
+                                       MAX_WITNESSES - len(nan_witnesses),
+                                       x=X, y=Y, rho=rho)
+        room = MAX_WITNESSES - len(order_witnesses)
+        if room > 0 and violating.any():  # the f columns cost a pass each
+            f = field.f_star
+            order_witnesses += row_witnesses(
+                violating, "order_violation", room, x=X, y=Y, rho=rho,
+                f_x=fx + f, f_y=fy + f, f_rho_x=frx + f, f_rho_y=fry + f)
     return SIReport(passed=violations == 0,
                     trials=structured[0].shape[0] + plan.n_samples,
                     violations=violations,
@@ -363,11 +381,8 @@ def _image_group_check(field: ScalarField, directions, values, kinds, want: str,
     match_tol = 1e-8 * (1.0 + abs(v))
     matched = reachable & (res.residual <= match_tol)
     if not matched.all():
-        bad = int(np.flatnonzero(~matched)[0])
-        witnesses.append({
-            "kind": "endpoint_match_failed",
-            "direction": D[bad].tolist(), "target": v,
-            "status": int(res.status[bad])})
+        witnesses += row_witnesses(~matched, "endpoint_match_failed", 1,
+                                   direction=D, target=v, status=res.status)
         return "inconclusive"
     return None
 
@@ -389,16 +404,12 @@ def check_decomposability(field: ScalarField, directions=None,
     if directions is None:
         directions = default_directions(n, seed=plan.seed)
     directions = np.atleast_2d(np.asarray(directions, dtype=float))
-    witnesses: list = []
 
     # Any SI violation refutes decomposability outright.
     sx, sy, srho = _structured_triples(n)
     _, _, reversed_rows = _order_reversals(field, sx, sy, srho)
-    bad = np.flatnonzero(reversed_rows)
-    if bad.size:
-        i = int(bad[0])
-        witnesses.append({"kind": "si_violation", "x": sx[i].tolist(),
-                          "y": sy[i].tolist(), "rho": float(srho[i])})
+    witnesses = row_witnesses(reversed_rows, "si_violation", 1,
+                              x=sx, y=sy, rho=srho)
 
     # The near-zero probe point approximates each monotone ray's value limit
     # at 0+, so image intervals reflect jumps at the origin rather than the
@@ -412,12 +423,16 @@ def check_decomposability(field: ScalarField, directions=None,
     verdicts = _ray_verdicts(field, np.delete(vals, 1, axis=1),
                              np.delete(t_all, 1))
     kinds = [v.kind for v in verdicts]
-    for d, v, row in zip(directions, verdicts, values):
-        if v.kind == "non-monotone":
-            witnesses.append({"kind": "non_monotone_ray", "direction": d.tolist(),
-                              "t_pair": list(v.witness)})
-        elif v.kind == "non-finite" or np.isnan(row).any():
-            witnesses.append({"kind": "non_finite", "direction": d.tolist()})
+    kind = np.array(kinds)
+    non_monotone = kind == "non-monotone"
+    non_finite = (kind == "non-finite") | np.isnan(values).any(axis=1)
+    # one list in direction order; only a non-monotone ray has a t pair
+    t_pair = np.fromiter((list(v.witness) if v.kind == "non-monotone" else None
+                          for v in verdicts), dtype=object, count=len(verdicts))
+    witnesses += row_witnesses(
+        non_monotone | non_finite,
+        np.where(non_monotone, "non_monotone_ray", "non_finite"),
+        direction=directions, t_pair=t_pair)
 
     verdict = "decomposable"
     if witnesses:

@@ -345,6 +345,36 @@ def test_levelset_negligible_quick(capsys):
     assert doc["metrics"]["fractions"][0] == pytest.approx(0.0393, abs=0.006)
 
 
+def test_levelset_negligible_fails_on_non_finite_samples(capsys):
+    code, doc = run_json(capsys, ["levelset", "negligible", "--expr",
+                                  "sqrt(x_1) + x_2^2", "--n", "2", "--level",
+                                  "0.5", "--N", "20000"])
+    assert code == 1
+    kinds = [w["kind"] for w in doc["witnesses"]]
+    assert kinds[:4] == ["non_finite"] * 4
+    assert "witnesses" not in doc["metrics"]
+
+
+def test_per_direction_witness_lists_stop_at_sixteen(capsys):
+    code, doc = run_json(capsys, ["levelset", "radii", "--expr",
+                                  "sin(3*x_1) + x_2^2", "--n", "2", "--level",
+                                  "0.5", "--directions", "200"])
+    assert code == 1
+    assert len(doc["witnesses"]) == 16
+    expr = " + ".join(f"sin(3*x_{i})" for i in range(1, 7))
+    code, doc = run_json(capsys, ["check", "decomposable", "--expr", expr,
+                                  "--n", "6"])
+    assert code == 1
+    kinds = [w["kind"] for w in doc["witnesses"]]
+    assert kinds == ["si_violation"] + ["non_monotone_ray"] * 16
+
+
+def test_solve_paired_level_rejects_a_subnormal_target(capsys):
+    code, out, err = run_cli(capsys, ["solve", "paired-level", "--r", "1e-200"])
+    assert code == 2 and out == ""
+    assert "1.492e-154" in err
+
+
 def test_levelset_bounds_on_homogeneous_entry(capsys):
     code, doc = run_json(capsys, ["levelset", "bounds", "--gallery", "norm",
                                   "--N", "500"])

@@ -214,6 +214,15 @@ def test_paired_levels_domain_validation():
             paired_level_solver(bad)
 
 
+def test_paired_levels_reject_a_subnormal_target():
+    # r^2 e^{-r^2} below the smallest normal double loses its precision
+    for r in (1e-200, 1e-160, 1.49e-154):
+        with pytest.raises(ValueError, match="1.492e-154"):
+            paired_level_solver(r)
+    out = paired_level_solver(1.5e-154)
+    assert out.residual <= 1e-10 and 26.0 < out.s < 27.0
+
+
 def test_paired_levels_share_the_gradient_dot_but_not_the_level():
     f = make_builtin("gauss_si", 2)
     r = 1.0 / math.sqrt(2.0)

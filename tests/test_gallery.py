@@ -94,6 +94,29 @@ def test_piecewise_values():
     assert f.value([0.0, 1.0]) == 0.0
 
 
+def test_piecewise_nan_coordinate_gives_nan_and_finite_values_keep_their_bits():
+    f = make_builtin("piecewise_ph", 3)
+    out = f.values([[np.nan, 0.2, 0.0], [0.2, np.nan, 0.0], [0.2, 0.3, np.nan]])
+    assert np.isnan(out[:2]).all() and out[2] == 0.2
+    X = np.random.default_rng(5).normal(size=(200, 3))
+    X[:20, 1] = 0.0
+    X[20:40, 0] = -0.0
+    ref = np.where(X[:, 0] * X[:, 1] > 0, X[:, 0], 0.0)
+    got = f.values(X)
+    np.testing.assert_array_equal(got, ref)
+    assert (np.signbit(got) == np.signbit(ref)).all()
+
+
+def test_random_si_nan_coordinate_gives_nan():
+    f = random_si(3, 3)
+    X = np.array([[0.1, 0.2, 0.3], [np.nan, 0.2, 0.3], [0.0, 0.0, 0.0]])
+    for field in (f, f.ph_part):
+        out = field.values(X)
+        assert np.isnan(out[1])
+        assert out[2] == 0.0 and not np.signbit(out[2])
+        np.testing.assert_array_equal(out[[0, 2]], field.values(X[[0, 2]]))
+
+
 def test_tanh_exp_branches():
     f = make_builtin("tanh_exp", 2)
     assert f.value([-1.0, 0.0]) == pytest.approx(1.0 + math.e, abs=1e-15)

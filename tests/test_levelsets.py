@@ -577,6 +577,25 @@ def test_thick_level_set_fails_negligibility():
     assert report.fractions == [1.0, 1.0, 1.0]
 
 
+def test_non_finite_samples_fail_negligibility_with_witnesses():
+    # sqrt(x_1) is nan on half the box; those samples fall in no shell
+    f = bind("sqrt(x_1) + x_2^2", 2)
+    plan = SamplingPlan(n_samples=20_000, seed=3)
+    report = negligibility_probe(f, 0.5, plan=plan)
+    assert not report.passed
+    kinds = [w["kind"] for w in report.witnesses]
+    assert kinds[:4] == ["non_finite"] * 4 and "non_finite" not in kinds[4:]
+    X = plan.box_points(2)
+    first = X[X[:, 0] < 0][:4]
+    assert [w["x"] for w in report.witnesses[:4]] == first.tolist()
+
+
+def test_finite_negligibility_samples_give_no_witness():
+    f = make_builtin("sphere", 2)
+    report = negligibility_probe(f, 1.0, plan=SamplingPlan(n_samples=10_000))
+    assert report.passed and report.witnesses == []
+
+
 def test_negligibility_eps_validation():
     f = make_builtin("sphere", 2)
     with pytest.raises(ValueError):

@@ -11,12 +11,14 @@ from siphkit.exprlang import bind
 from siphkit.field import row_sumsq
 from siphkit.gallery import REGISTRY, make_builtin
 from siphkit.rays import (
+    MAX_WITNESSES,
     SamplingPlan,
     check_decomposability,
     check_scaling_invariance,
     classify_ray,
     default_directions,
     order_trichotomy,
+    row_witnesses,
 )
 from siphkit.rays import _reversed
 from siphkit.reporting import jsonable
@@ -351,3 +353,58 @@ def test_probe_agrees_with_ground_truth_tags(name):
         assert report.verdict == "decomposable", (name, report.witnesses[:1])
     else:
         assert report.verdict == "not-decomposable", name
+
+
+# ---------------------------------------------------------------------------
+# the witness rule
+
+
+def test_row_witnesses_take_the_first_rows_in_row_order():
+    mask = np.arange(40) % 2 == 1
+    rows = np.arange(40)
+    assert [w["row"] for w in row_witnesses(mask, "odd", row=rows)] == \
+        list(range(1, 2 * MAX_WITNESSES, 2))
+    assert [w["row"] for w in row_witnesses(mask, "odd", 3, row=rows)] == [1, 3, 5]
+    assert row_witnesses(mask, "odd", 0, row=rows) == []
+    assert row_witnesses(mask, "odd", -5, row=rows) == []
+    assert row_witnesses(np.zeros(4, dtype=bool), "none", row=rows[:4]) == []
+
+
+def test_row_witnesses_read_array_columns_as_builtins():
+    X = np.array([[0.5, -1.0], [2.0, 3.0], [4.0, 5.0]])
+    status = np.array([7, 8, 9])
+    vals = np.array([0.25, np.nan, 1.5])
+    out = row_witnesses(np.array([False, True, True]), "k", x=X, status=status,
+                        f=vals, target=np.float64(0.75), tag="t", cap=2.5)
+    assert out == [
+        {"kind": "k", "x": [2.0, 3.0], "status": 8, "f": out[0]["f"],
+         "target": 0.75, "tag": "t", "cap": 2.5},
+        {"kind": "k", "x": [4.0, 5.0], "status": 9, "f": 1.5, "target": 0.75,
+         "tag": "t", "cap": 2.5}]
+    assert np.isnan(out[0]["f"])
+    first = out[0]
+    assert type(first["x"]) is list and type(first["x"][0]) is float
+    assert type(first["status"]) is int and type(first["f"]) is float
+    assert type(first["target"]) is np.float64  # not an array: copied as is
+    assert list(first) == ["kind", "x", "status", "f", "target", "tag", "cap"]
+
+
+def test_row_witnesses_take_per_row_kinds_and_leave_out_none():
+    kinds = np.array(["a_ray", "b_ray", "c_ray"])
+    pair = np.array([[0.1, 0.2], None, None], dtype=object)
+    out = row_witnesses(np.ones(3, dtype=bool), kinds, pair=pair)
+    assert out == [{"kind": "a_ray", "pair": [0.1, 0.2]}, {"kind": "b_ray"},
+                   {"kind": "c_ray"}]
+    assert all(type(w["kind"]) is str for w in out)
+
+
+def test_check_decomposable_keeps_direction_order_across_kinds():
+    # directions with x_1 < 0 leave the domain of sqrt; the others oscillate
+    f = bind("sqrt(x_1) + sin(3*x_2)", 2)
+    D = np.array([[0.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [-0.6, 0.8]])
+    rep = check_decomposability(f, directions=D)
+    assert [w["kind"] for w in rep.witnesses] == [
+        "si_violation", "non_monotone_ray", "non_finite", "non_monotone_ray",
+        "non_finite"]
+    assert [w["direction"] for w in rep.witnesses[1:]] == D.tolist()
+    assert [len(w) for w in rep.witnesses[1:]] == [3, 2, 3, 2]
