@@ -18,7 +18,7 @@ from .euler import (EulerReport, NeighborhoodCertificate, PairedLevels,
 from .exprlang import ExprBindError, ExprError, ExprSyntaxError, bind, eval_ast
 from .exprlang import to_source
 from .field import (DimensionMismatchError, FieldMeta, GradientSpec,
-                    RaySection, ScalarField, evaluate, gradient, ray_section)
+                    RaySection, ScalarField, ray_section)
 from .gallery import REGISTRY, compose, make_builtin, random_si, registry_json
 from .levelsets import (BoundsReport, CompactnessReport, LevelRadius,
                         NegligibilityReport, SphereExtrema, check_ph_sandwich,
@@ -43,9 +43,8 @@ __all__ = [
     "SphereExtrema", "bind", "build_decomposition", "check_decomposability",
     "check_ph_sandwich", "check_scaling_invariance", "check_si_sandwich",
     "classify_ray", "compactness_probe", "compose", "default_directions",
-    "emit", "euler_residual", "eval_ast", "evaluate",
-    "fold_projected_samples",
-    "general_euler_residual", "golden_section", "gradient", "jsonable",
+    "emit", "euler_residual", "eval_ast", "fold_projected_samples",
+    "general_euler_residual", "golden_section", "jsonable",
     "levelset_gradient_constancy",
     "make_builtin", "negligibility_probe", "order_equivalence",
     "order_trichotomy", "paired_level_solver", "positive_gradient_region",

@@ -330,22 +330,23 @@ def _cmd_levelset_radii(args, field, plan):
         dirs = default_directions(field.n, seed=plan.seed)
     radii = ray_level_radius(field, dirs, args.level, grid=plan.t_grid())
     status = np.array([hit.status for hit in radii])
-    hits = [hit for hit in radii if hit.status != "non-monotone"]
     witnesses = row_witnesses(
         ~np.isin(status, ("ok", "outside-range")),
         np.where(status == "non-monotone", "non_monotone_ray",
                  np.char.add(status, "_ray")),
         direction=dirs)
     metrics = {"level": args.level, "n_directions": int(len(dirs)),
-               "radii": hits}
+               "radii": radii}
     if args.sweep_csv:
         with open(args.sweep_csv, "w", encoding="utf-8", newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n")
             n_angles = max(field.n - 1, 1)
             writer.writerow([f"angle_{i + 1}" for i in range(n_angles)]
                             + ["radius"])
-            for hit in hits:
-                writer.writerow(_direction_angles(hit.direction) + [hit.radius])
+            for hit in radii:
+                if hit.status != "non-monotone":
+                    writer.writerow(_direction_angles(hit.direction)
+                                    + [hit.radius])
     return metrics, witnesses, {"level": args.level,
                                 "sweep_csv": args.sweep_csv}
 

@@ -217,17 +217,6 @@ class Decomposition:
                 values[i] = (1.0 if pos[i] else -1.0) * t ** self.alpha
         return values, status
 
-    def phi_inverse(self, y: float) -> float:
-        """Solve phi(t) = y on the achieved range by monotone bracketing: the
-        one-level case of :meth:`phi_inverse_values`."""
-        values, status = self.phi_inverse_values([y])
-        if status[0] == OUTSIDE_RANGE:
-            raise ValueError(f"level {y} is outside the achieved range")
-        if status[0] != OK:
-            raise ValueError(f"level {y} not reachable along the reference ray "
-                             f"(status {int(status[0])})")
-        return float(values[0])
-
     # -- wrappers ---------------------------------------------------------------
 
     def p_field(self) -> ScalarField:

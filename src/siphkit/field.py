@@ -301,23 +301,6 @@ class RaySection:
         vals = self.field._eval_batch(points)
         return float(vals[0]) if np.isscalar(t) or np.ndim(t) == 0 else vals
 
-    def eval_shifted(self, t):
-        """Shifted values g(t * direction) = f(x_star + t d) - f(x_star)."""
-        vals = self.eval(np.atleast_1d(np.asarray(t, dtype=float))) - self.field.f_star
-        return float(vals[0]) if np.isscalar(t) or np.ndim(t) == 0 else vals
-
-
-# -- module-level operation aliases ------------------------------------------
-
-def evaluate(field: ScalarField, x) -> float:
-    """Evaluate a field at one point (dimension-checked)."""
-    return field.value(x)
-
-
-def gradient(field: ScalarField, x, spec: Optional[GradientSpec] = None) -> np.ndarray:
-    """Gradient at one point: analytic if attached, else central differences."""
-    return field.gradient(x, spec)
-
 
 def ray_section(field: ScalarField, direction) -> RaySection:
     """The ray restriction of ``field`` through ``x_star`` along ``direction``."""

@@ -322,6 +322,26 @@ def test_levelset_radii_with_sweep_csv(capsys, tmp_path):
     assert float(rows[1][1]) == pytest.approx(2.0, abs=1e-8)
 
 
+def test_levelset_radii_keeps_non_monotone_rays_in_direction_order(
+        capsys, tmp_path):
+    argv = ["levelset", "radii", "--expr", "sin(3*x_1) + x_2^2", "--n", "2",
+            "--level", "0.5", "--directions", "12"]
+    code, out, _ = run_cli(capsys, argv + ["--format", "csv"])
+    assert code == 1
+    rows = [r for r in csv.reader(out.splitlines()) if r[0] == "radius"]
+    assert [r[1] for r in rows] == [str(i) for i in range(12)]
+    # the one monotone ray reaching the level is the tenth direction
+    assert [r[1] for r in rows if r[2] != "nan"] == ["9"]
+    sweep = tmp_path / "sweep.csv"
+    code, doc = run_json(capsys, argv + ["--sweep-csv", str(sweep)])
+    statuses = [rec["status"] for rec in doc["metrics"]["radii"]]
+    assert len(statuses) == doc["metrics"]["n_directions"] == 12
+    assert statuses[9] == "ok"
+    # the sweep file still lists the monotone rays only
+    assert len(list(csv.reader(sweep.open()))) - 1 == \
+        len(statuses) - statuses.count("non-monotone")
+
+
 def test_levelset_compact_flags_flat_directions(capsys):
     code, out, _ = run_cli(capsys, ["levelset", "compact", "--gallery",
                                     "linear_x1", "--level", "1"])

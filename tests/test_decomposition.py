@@ -214,32 +214,39 @@ def test_a_ray_that_starts_on_the_reference_level_gets_infinite_p():
     assert d.solver_failures == []
 
 
+def _phi_inverse(d, y):
+    """One level through ``phi_inverse_values``: its value and status."""
+    values, status = d.phi_inverse_values([y])
+    return float(values[0]), int(status[0])
+
+
 def test_profile_inverse_round_trips():
     f = make_builtin("sq_norm", 2)
     d = build_decomposition(f, alpha=1.0, x0=E1_2D)
-    assert d.phi_inverse(4.0) == pytest.approx(2.0, abs=1e-9)
-    assert d.phi_inverse(0.0) == 0.0
-    assert d.phi_inverse(9.0) == pytest.approx(3.0, abs=1e-8)
+    assert _phi_inverse(d, 4.0) == (pytest.approx(2.0, abs=1e-9), 0)
+    assert _phi_inverse(d, 0.0) == (0.0, 0)
+    assert _phi_inverse(d, 9.0) == (pytest.approx(3.0, abs=1e-8), 0)
 
 
 def test_profile_inverse_on_slow_quadrature_profile():
     f = make_builtin("logsq_si", 2)
     d = build_decomposition(f, alpha=1.0, x0=E1_2D)
     y = d.phi(1.5)
-    assert d.phi_inverse(y) == pytest.approx(1.5, abs=1e-7)
+    assert _phi_inverse(d, y) == (pytest.approx(1.5, abs=1e-7), 0)
 
 
 def test_profile_inverse_rejects_unachieved_levels():
     d = build_decomposition(make_builtin("sq_norm", 2), alpha=1.0, x0=E1_2D)
-    with pytest.raises(ValueError):
-        d.phi_inverse(-1.0)  # the field is nonnegative
+    value, status = _phi_inverse(d, -1.0)  # the field is nonnegative
+    assert status == OUTSIDE_RANGE
+    assert np.isnan(value)
 
 
 def test_two_sided_profile_inverse_uses_the_matching_branch():
     f = make_builtin("linear_x1", 2)
     d = build_decomposition(f, alpha=1.0, x1=[1.0, 0.0], xm1=[-1.0, 0.0])
-    assert d.phi_inverse(2.5) == pytest.approx(2.5, abs=1e-9)
-    assert d.phi_inverse(-2.5) == pytest.approx(-2.5, abs=1e-9)
+    assert _phi_inverse(d, 2.5) == (pytest.approx(2.5, abs=1e-9), 0)
+    assert _phi_inverse(d, -2.5) == (pytest.approx(-2.5, abs=1e-9), 0)
 
 
 @pytest.mark.parametrize("name,refs", [
@@ -254,13 +261,11 @@ def test_batched_profile_inverse_equals_the_one_level_solves(name, refs):
                              [f.f_star, f.f_star + 1.0, f.f_star - 1.0, 1e300]])
     values, status = d.phi_inverse_values(levels)
     for y, value, code in zip(levels, values, status):
-        try:
-            expected = d.phi_inverse(float(y))
-        except ValueError:
-            assert code != 0
+        expected, expected_code = _phi_inverse(d, float(y))
+        assert code == expected_code
+        if code != 0:
             assert np.isnan(value)
             continue
-        assert code == 0
         assert value == expected  # bit for bit
 
 
@@ -268,8 +273,7 @@ def test_profile_inverse_names_the_side_phi_never_reaches():
     d = build_decomposition(make_builtin("sq_norm", 2), alpha=1.0, x0=E1_2D)
     _, status = d.phi_inverse_values([-1.0, 4.0])
     assert status.tolist() == [OUTSIDE_RANGE, 0]
-    with pytest.raises(ValueError, match="outside the achieved range"):
-        d.phi_inverse(-1.0)
+    assert _phi_inverse(d, -1.0)[1] == OUTSIDE_RANGE
 
 
 # ---------------------------------------------------------------------------

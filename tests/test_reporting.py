@@ -7,6 +7,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from siphkit import decomposition, euler, levelsets, rays
 from siphkit.reporting import Report, emit, jsonable
@@ -272,6 +274,116 @@ def test_csv_flattens_radius_records():
     radius_rows = [r for r in rows if r[0] == "radius"]
     assert radius_rows == [["radius", "0", "1.5"], ["radius", "1", "2.5"]]
     assert ["metric", "level", "4.0"] in rows
+
+
+# ---------------------------------------------------------------------------
+# JSON writer against json.dumps of jsonable
+
+
+def _reference_to_json(report):
+    """The JSON form as ``json.dumps(jsonable(...), indent=2)`` writes it:
+    the reference for ``Report.to_json``."""
+    obj = {"version": report.version, "config": jsonable(report.config),
+           "command": report.command, "verdict": report.verdict,
+           "metrics": jsonable(report.metrics),
+           "witnesses": jsonable(report.witnesses),
+           "wall_time_ms": report.wall_time_ms}
+    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
+
+
+def _assert_writes_reference(value):
+    report = Report(command="c", verdict="pass", config={"value": value},
+                    metrics=value, witnesses=[value], wall_time_ms=1.5)
+    assert report.to_json() == _reference_to_json(report)
+
+
+def _euler_report():
+    return euler.EulerReport(max_residual=np.float64(3.0),
+                             residuals=np.array([1.0, np.nan, 3.0]),
+                             alpha=2.0, grad_mode="analytic", h=1e-5,
+                             n_samples=np.int64(3), excluded=0, seed=4)
+
+
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True)
+_VECTORS = hnp.arrays(np.float64, st.integers(0, 4), elements=_FLOATS)
+_RECORDS = st.builds(levelsets.LevelRadius, direction=_VECTORS,
+                     level=_FLOATS | st.integers(-3, 3),
+                     status=st.text(max_size=6),
+                     radius=_FLOATS | _FLOATS.map(np.float64),
+                     residual=_FLOATS)
+_LEAVES = (st.none() | st.booleans() | st.integers(-2 ** 80, 2 ** 80)
+           | _FLOATS | st.text(max_size=8) | _FLOATS.map(np.float64)
+           | st.floats(width=32).map(np.float32)
+           | st.integers(-99, 99).map(np.int32)
+           | st.booleans().map(np.bool_) | _VECTORS | _RECORDS
+           | st.lists(_RECORDS, min_size=1, max_size=6)
+           | st.just(_euler_report()))
+_VALUES = st.recursive(
+    _LEAVES,
+    lambda inner: (st.lists(inner, max_size=5)
+                   | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(st.text(max_size=5) | st.integers(-3, 3),
+                                     inner, max_size=4)),
+    max_leaves=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_VALUES)
+def test_to_json_writes_the_bytes_of_json_dumps_of_jsonable(value):
+    _assert_writes_reference(value)
+
+
+def test_to_json_writes_the_bytes_of_json_dumps_on_edge_values():
+    _assert_writes_reference({
+        "nonfinite": [float("nan"), np.inf, -np.inf, np.float32("nan")],
+        "look-alike strings": ["nan", "inf", "-inf"],
+        "floats": [-0.0, 1e16, 5e-324, 1e-7, 0.1, np.float64(-0.0),
+                   np.float32(0.1), np.float16(1.5), np.longdouble(2.5)],
+        "ints": [2 ** 100, -2 ** 70, np.int64(-5), np.uint64(2 ** 63), 0],
+        "bools": [True, False, np.bool_(True), np.bool_(False), None],
+        "tuple": (1, (2.5, "x"), ()),
+        "text": "caf\u00e9 \u2603 \"q\" \\ / \n\t\r\b\f \x00\x1f\x7f \U0001f600",
+        "k\u00e9y\n\"\t": 1, 3: "int key", True: "bool key", None: "null key",
+        "empty": [{}, [], (), np.array([]), np.zeros((0, 2)), {"a": []}],
+        "arrays": [np.arange(3), np.array([[1.0, np.nan], [2.0, 3.0]]),
+                   np.array([True]), np.array([1.5], dtype=np.float32)],
+        "to_dict": [_euler_report(),
+                    euler.SpreadReport(level=0.5, values=np.array([1.0]),
+                                       spread=0.0, mean=1.0, passed=True,
+                                       tol=1e-6, skipped=0, n_points=1,
+                                       seed=0)],
+    })
+
+
+def test_level_radius_lists_keep_their_order_across_both_paths():
+    R = levelsets.LevelRadius
+    radii = [R(np.array([0.6, 0.8]), 1.0, "ok", 1.25, 2e-16),
+             R(np.array([1.0, 0.0]), 1.0, "unbounded"),  # nan radius
+             R(np.array([0.0, 1.0]), 1.0, "ok", np.float64(0.5), -0.0),
+             R(np.array([np.inf, 0.0]), 1.0, "ok", 3.0, 0.0),
+             R(np.array([0.6, 0.0, 0.8]), 1.0, "ok", 4.0, 1e-300),
+             R(np.array([1.0, 0.0], dtype=np.float32), 1.0, "ok", 5.0, 0.0),
+             R(np.array([1.0, 0.0]), 1, "ok", 6.0, 0.0),  # an int field
+             R(np.array([]), 1.0, "\u00e9\"%s", 1e16, 5e-324),
+             {"radius": 8.0},
+             R(np.array([1e308, 1e308]), 1.0, "ok", 9.0, 0.0)]
+    _assert_writes_reference(radii)
+    doc = _strict_loads(Report(command="c", verdict="pass",
+                               metrics={"radii": radii}).to_json())
+    assert [rec["radius"] for rec in doc["metrics"]["radii"]] == [
+        1.25, "nan", 0.5, 3.0, 4.0, 5.0, 6.0, 1e16, 8.0, 9.0]
+
+
+@pytest.mark.parametrize("value", [
+    object(), {1, 2}, 1 + 2j, np.array([1j]), b"bytes",
+    levelsets.LevelRadius(direction=object(), level=1.0, status="ok"),
+], ids=["object", "set", "complex", "complex-array", "bytes", "record"])
+def test_to_json_rejects_what_json_cannot_encode(value):
+    report = Report(command="c", verdict="pass", metrics={"x": [value]})
+    with pytest.raises(TypeError):
+        _reference_to_json(report)
+    with pytest.raises(TypeError):
+        report.to_json()
 
 
 def test_render_rejects_unknown_formats():
