@@ -25,8 +25,8 @@ from .levelsets import (BoundsReport, CompactnessReport, LevelRadius,
                         check_si_sandwich, compactness_probe,
                         fold_projected_samples, negligibility_probe,
                         ray_level_radius, sphere_extrema)
-from .rays import (DecomposabilityReport, MonotoneVerdict, SamplingPlan,
-                   SIReport, check_decomposability, check_scaling_invariance,
+from .rays import (DecomposabilityReport, SamplingPlan, SIReport,
+                   check_decomposability, check_scaling_invariance,
                    classify_ray, default_directions, order_trichotomy)
 from .reporting import Report, emit, jsonable
 from .rootfind import RootResult, golden_section, solve_monotone
@@ -37,7 +37,7 @@ __all__ = [
     "BoundsReport", "CompactnessReport", "Decomposition", "DecompositionError",
     "DecomposabilityReport", "DimensionMismatchError", "EulerReport",
     "ExprBindError", "ExprError", "ExprSyntaxError", "FieldMeta",
-    "GradientSpec", "LevelRadius", "MonotoneVerdict", "NegligibilityReport",
+    "GradientSpec", "LevelRadius", "NegligibilityReport",
     "NeighborhoodCertificate", "PairedLevels", "RaySection", "REGISTRY",
     "Report", "RootResult", "SIReport", "SamplingPlan", "ScalarField",
     "SphereExtrema", "bind", "build_decomposition", "check_decomposability",

@@ -60,10 +60,14 @@ class UsageError(Exception):
 
 
 def _parse_vector(text: str) -> np.ndarray:
+    """A point such as --x0 or --x-star: comma-separated finite numbers."""
     try:
-        return np.array([float(part) for part in text.split(",")], dtype=float)
+        vec = np.array([float(part) for part in text.split(",")], dtype=float)
     except ValueError as exc:
         raise UsageError(f"expected a comma-separated vector, got {text!r}") from exc
+    if not np.isfinite(vec).all():
+        raise UsageError(f"expected finite coordinates, got {text!r}")
+    return vec
 
 
 def _finite_float(text: str) -> float:
@@ -277,6 +281,7 @@ def _cmd_decompose(args, field, plan):
             return metrics, witnesses, config
         uq = uniqueness_check(field, d, d2, plan, p1=check.p_samples)
         metrics["uniqueness"] = uq
+        witnesses += [{**w, "which": "alternate"} for w in d2.solver_failures]
         if not uq.passed:
             witnesses.append({"kind": "uniqueness_violation",
                               "classes": uq.classes})

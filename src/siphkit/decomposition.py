@@ -279,13 +279,14 @@ def _condition_reference(field: ScalarField, u: np.ndarray) -> np.ndarray:
 
 def _make_ref(field: ScalarField, z: np.ndarray, grid: np.ndarray) -> ReferenceInfo:
     value = field.shifted(z)
-    verdict = classify_ray(field, z, grid=grid)
-    if not verdict.monotone:
-        # fall back to the value's sign; a nonzero value forces monotonicity
-        # along the ray for decomposable fields
-        increasing = value > 0
-    else:
-        increasing = verdict.kind == "strictly-increasing"
+    if not np.isfinite(value):
+        raise DecompositionError(f"f is not finite at the reference point "
+                                 f"{(z + field.x_star).tolist()}")
+    kind = classify_ray(field, z, grid=grid)[0]
+    # a ray that is not monotone falls back to the value's sign; a nonzero
+    # value forces monotonicity along the ray for decomposable fields
+    increasing = kind == "strictly-increasing" or (
+        kind != "strictly-decreasing" and value > 0)
     return ReferenceInfo(point=np.asarray(z, dtype=float), value=float(value),
                          increasing=bool(increasing))
 
@@ -336,10 +337,12 @@ def build_decomposition(field: ScalarField, alpha: float = 1.0, x0=None,
     has_neg = bool((vals[finite] < -zero_tol).any())
 
     dirs = default_directions(n, seed=plan.seed)
-    for d, verdict in zip(dirs, classify_ray(field, dirs, grid=grid)):
-        if verdict.kind == "non-monotone":
-            raise DecompositionError(
-                f"ray through {d.tolist()} is non-monotone; field is not decomposable")
+    non_monotone = np.flatnonzero(classify_ray(field, dirs, grid=grid)
+                                  == "non-monotone")
+    if non_monotone.size:
+        raise DecompositionError(
+            f"ray through {dirs[non_monotone[0]].tolist()} is non-monotone; "
+            "field is not decomposable")
 
     if not has_pos and not has_neg:
         return Decomposition(field, alpha, "zero")
@@ -457,8 +460,13 @@ def uniqueness_check(field: ScalarField, d1: Decomposition, d2: Decomposition,
     else:
         labels = (("positive", p1 > floor), ("negative", p1 < -floor))
     for label, mask in labels:
-        mask = mask & (np.abs(p2) > floor) & np.isfinite(p1) & np.isfinite(p2)
+        mask = mask & np.isfinite(p1)
         if not mask.any():
+            continue
+        mask &= (np.abs(p2) > floor) & np.isfinite(p2)
+        if not mask.any():  # p1 rows, but no p2 row to compare them with
+            classes[label] = {"ratio": np.nan, "cv": np.nan, "count": 0}
+            passed = False
             continue
         ratios = p1[mask] / p2[mask]
         mean = float(ratios.mean())

@@ -301,8 +301,8 @@ def saddle_levels(field: ScalarField, k_max: int = 3, tol: float = 1e-6,
 
     grid = np.linspace(0.05, radii[-1] + 0.5, 64)
     dirs = np.vstack([np.eye(field.n), plan.sphere_points(field.n, 4)])
-    monotone_ok = all(v.kind == "strictly-increasing"
-                      for v in classify_ray(field, dirs, grid=grid))
+    monotone_ok = bool((classify_ray(field, dirs, grid=grid)
+                        == "strictly-increasing").all())
     passed = monotone_ok and all(v <= tol for v in max_norms)
     return SaddleReport(radii=radii, max_grad_norms=max_norms, grad_tol=tol,
                         monotone_ok=monotone_ok, passed=passed,

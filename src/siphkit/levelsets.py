@@ -32,8 +32,8 @@ from .decomposition import ZERO_LEVEL_ATOL, Decomposition
 from .field import ScalarField, row_sumsq
 from .rays import (FEW_WITNESSES, SamplingPlan, classify_ray,
                    default_directions, row_blocks, row_witnesses)
-from .rootfind import (BELOW_START, MAX_DOUBLINGS, NONFINITE, OK, UNBOUNDED,
-                       RootResult, solve_monotone_batch)
+from .rootfind import (MAX_DOUBLINGS, NONFINITE, OK, UNBOUNDED, RootResult,
+                       solve_monotone_batch)
 
 # the arc search: grid angles per field call, and calls per arc
 ARC_GRID = 31
@@ -44,8 +44,9 @@ _GRID = np.arange(1, ARC_GRID + 1) / (ARC_GRID + 1)
 SPHERE_PASSES = 7
 SETTLE_RTOL = 1e-12
 
-_STATUS_LABEL = {OK: "ok", UNBOUNDED: "unbounded", NONFINITE: "non-finite",
-                 BELOW_START: "outside-range"}
+# the status of a monotone ray, indexed by its root-solve code: OK,
+# UNBOUNDED, NONFINITE and BELOW_START are 0-3
+_STATUS_LABEL = np.array(["ok", "unbounded", "non-finite", "outside-range"])
 
 
 @dataclass
@@ -56,7 +57,7 @@ class LevelRadius:
     the wrong side of the ray's start, so the ray misses it), "unbounded"
     (bracket expansion exhausted — evidence the ray never reaches the level),
     "whole-ray" (constant ray sitting exactly at the level), "non-finite",
-    or "non-monotone" (batch form only: the ray has no unique crossing).
+    or "non-monotone" (the ray has no unique crossing).
     """
 
     direction: np.ndarray
@@ -74,40 +75,33 @@ def _solve_level(field: ScalarField, D: np.ndarray, c: float,
                                 increasing)
 
 
-def ray_level_radius(field: ScalarField, direction, c: float, grid=None):
-    """Radius t* with f(x_star + t* d) = c along one ray or a batch of rays.
+def ray_level_radius(field: ScalarField, direction, c: float,
+                     grid=None) -> list:
+    """Radii t* with f(x_star + t* d) = c: one :class:`LevelRadius` per ray
+    of ``direction``, of shape (n,) (one ray) or (R, n) (R rays).
 
-    ``direction`` is one direction of shape (n,), giving one
-    :class:`LevelRadius`, or a batch of shape (R, n), giving a list of R.
-    All rays are classified in one call and all monotone rays are solved in
-    one batched root solve.  The uniqueness statement this probes presupposes
-    monotone rays: a single non-monotone ray raises ``ValueError``, while in
-    a batch such a ray gets status "non-monotone".  Levels are raw f values,
-    not shifted.
+    All rays are classified in one call and all monotone rays, on which a
+    crossing is unique, are solved in one batched root solve.  Levels are
+    raw f values, not shifted.
     """
-    d = np.asarray(direction, dtype=float)
-    D = np.atleast_2d(d)
-    verdicts = classify_ray(field, D, grid=grid)
-    if d.ndim == 1 and verdicts[0].kind == "non-monotone":
-        raise ValueError("ray is non-monotone; level radii are only defined "
-                         "for monotone rays")
+    D = np.atleast_2d(np.asarray(direction, dtype=float))
+    kinds = classify_ray(field, D, grid=grid)
     tol = 1e-12 * (1.0 + abs(field.f_star))
     constant = "whole-ray" if abs(float(c) - field.f_star) <= tol else "unbounded"
-    # non-monotone and non-finite rays keep their verdict as status; the
+    # non-monotone and non-finite rays keep their kind as status; the
     # monotone ones get theirs from the solve below
-    out = [LevelRadius(row, c, constant if v.kind == "constant" else v.kind)
-           for row, v in zip(D, verdicts)]
-    mono = [i for i, v in enumerate(verdicts) if v.monotone]
-    if mono:
-        increasing = np.array([verdicts[i].kind == "strictly-increasing"
-                               for i in mono])
-        res = _solve_level(field, D[mono], c, increasing)
-        for j, i in enumerate(mono):
-            out[i].status = _STATUS_LABEL[int(res.status[j])]
-            if res.status[j] == OK:
-                out[i].radius = float(res.t[j])
-                out[i].residual = float(res.residual[j])
-    return out if d.ndim == 2 else out[0]
+    status = np.where(kinds == "constant", constant, kinds)
+    radius, residual = np.full((2, len(D)), np.nan)
+    increasing = kinds == "strictly-increasing"
+    mono = increasing | (kinds == "strictly-decreasing")
+    if mono.any():
+        res = _solve_level(field, D[mono], c, increasing[mono])
+        ok = res.status == OK
+        status[mono] = _STATUS_LABEL[res.status]
+        radius[mono] = np.where(ok, res.t, np.nan)
+        residual[mono] = np.where(ok, res.residual, np.nan)
+    return [LevelRadius(d, c, s, r, e) for d, s, r, e in
+            zip(D, status.tolist(), radius.tolist(), residual.tolist())]
 
 
 # -----------------------------------------------------------------------------
@@ -500,12 +494,12 @@ def compactness_probe(field: ScalarField, c: float, directions=None,
         directions = default_directions(field.n, seed=plan.seed)
     directions = np.atleast_2d(np.asarray(directions, dtype=float))
     grid = plan.t_grid()
-    kinds = [v.kind for v in classify_ray(field, directions, grid=grid)]
-    witnesses = row_witnesses(np.array(kinds) != "strictly-increasing",
+    kinds = classify_ray(field, directions, grid=grid)
+    witnesses = row_witnesses(kinds != "strictly-increasing",
                               np.char.add(kinds, "_ray"), direction=directions)
     if witnesses:
         return CompactnessReport(verdict="unbounded-evidence", level=c,
-                                 max_radius=np.nan, ray_kinds=kinds,
+                                 max_radius=np.nan, ray_kinds=kinds.tolist(),
                                  witnesses=witnesses,
                                  n_directions=len(directions), seed=plan.seed)
 
@@ -520,7 +514,7 @@ def compactness_probe(field: ScalarField, c: float, directions=None,
     verdict = "bounded" if not witnesses else "unbounded-evidence"
     max_radius = float(radii.max()) if verdict == "bounded" else np.nan
     return CompactnessReport(verdict=verdict, level=c, max_radius=max_radius,
-                             ray_kinds=kinds, witnesses=witnesses,
+                             ray_kinds=kinds.tolist(), witnesses=witnesses,
                              n_directions=len(directions), seed=plan.seed)
 
 

@@ -126,20 +126,6 @@ def triple_blocks(plan: SamplingPlan, n: int) -> Iterator[tuple]:
 
 
 @dataclass
-class MonotoneVerdict:
-    """Grid-level classification of one ray: constant, strictly-increasing,
-    strictly-decreasing, or non-monotone with a witnessing inversion pair."""
-
-    kind: str
-    max_constancy_deviation: float
-    witness: Optional[tuple] = None
-
-    @property
-    def monotone(self) -> bool:
-        return self.kind in ("strictly-increasing", "strictly-decreasing")
-
-
-@dataclass
 class SIReport:
     passed: bool
     trials: int
@@ -266,53 +252,50 @@ def _ray_values(field: ScalarField, D: np.ndarray, t: np.ndarray) -> np.ndarray:
     return field.shifted_values(Z).reshape(D.shape[0], t.size)
 
 
-def _ray_verdicts(field: ScalarField, vals: np.ndarray,
-                  t_full: np.ndarray) -> list:
-    """Verdicts of rays of ``field`` sampled on ``t_full`` (first column at
-    t = 0), one per row of shifted values ``vals``; see :func:`classify_ray`."""
+# the kinds of :func:`_ray_verdicts`, indexed by its codes
+_KINDS = np.array(["strictly-decreasing", "strictly-increasing", "constant",
+                   "non-monotone", "non-finite"])
+
+
+def _ray_verdicts(field: ScalarField, vals: np.ndarray) -> tuple:
+    """Kinds of the rays of ``field``, one per row of shifted values ``vals``
+    (first column at t = 0; see :func:`classify_ray`), with the (R, m - 1)
+    masks of the strict rises and falls between neighbouring columns."""
     tol_const = CONST_TOL * (1.0 + abs(field.f_star))
-    nan = np.isnan(vals)
-    nan_rows = nan.any(axis=1)
     with np.errstate(invalid="ignore"):  # inf - inf on rays that overflow
         deviation = np.max(np.abs(vals - vals[:, :1]), axis=1)
         steps = np.diff(vals, axis=1)
     up = steps > STEP_TOL
     down = steps < -STEP_TOL
     any_up, any_down = up.any(axis=1), down.any(axis=1)
-    # the witness interval is the later of the first strict rise and the
-    # first strict fall
+    # codes into _KINDS: a monotone ray that is not constant is 1 if rising
+    rising = any_up | (~any_down & (vals[:, -1] > vals[:, 0]))
+    code = np.where(np.isnan(vals).any(axis=1), 4,
+                    np.where(any_up & any_down, 3,
+                             np.where(deviation <= tol_const, 2, rising)))
+    return _KINDS[code], up, down
+
+
+def _inversion_t_pairs(up: np.ndarray, down: np.ndarray,
+                       t_full: np.ndarray) -> np.ndarray:
+    """(R, 2) t pairs of the step at the later of each row's first strict
+    rise and first strict fall (masks of :func:`_ray_verdicts`); they name
+    the inversion on a non-monotone row and mean nothing on the others."""
     b = np.maximum(np.argmax(up, axis=1), np.argmax(down, axis=1))
-    verdicts = []
-    for r in range(vals.shape[0]):
-        if nan_rows[r]:
-            t_bad = float(t_full[np.argmax(nan[r])])
-            verdicts.append(MonotoneVerdict("non-finite", np.nan, (t_bad, t_bad)))
-            continue
-        dev = float(deviation[r])
-        if any_up[r] and any_down[r]:
-            witness = (float(t_full[b[r]]), float(t_full[b[r] + 1]))
-            verdicts.append(MonotoneVerdict("non-monotone", dev, witness))
-        elif dev <= tol_const:
-            verdicts.append(MonotoneVerdict("constant", dev))
-        elif any_up[r] or (not any_down[r] and vals[r, -1] > vals[r, 0]):
-            verdicts.append(MonotoneVerdict("strictly-increasing", dev))
-        else:
-            verdicts.append(MonotoneVerdict("strictly-decreasing", dev))
-    return verdicts
+    return np.stack([t_full[b], t_full[b + 1]], axis=1)
 
 
-def classify_ray(field: ScalarField, x, grid=None):
-    """Classify the ray t -> f(x_star + t x) on {0} followed by the grid.
+def classify_ray(field: ScalarField, x, grid=None) -> np.ndarray:
+    """Classify the rays t -> f(x_star + t x) on {0} followed by the grid.
 
-    Strict steps of both signs give ``non-monotone`` with the inversion pair.
+    Returns one kind per ray, a 1-D ``str`` array, for ``x`` of shape (n,)
+    (one ray) or (R, n) (R rays, evaluated in one field call).  A nan value
+    gives ``non-finite``; strict steps of both signs give ``non-monotone``.
     Otherwise the ray is ``constant`` when every value stays within
-    ``CONST_TOL * (1 + |f(x_star)|)`` of the start, else monotone in the
-    direction of its strict steps (plateau steps within +-``STEP_TOL``, e.g.
-    saturating tails, are compatible with either direction).
-
-    ``x`` is one direction of shape (n,), giving one verdict, or a batch of
-    shape (R, n), giving the list of R verdicts; all rays are evaluated in
-    one field call.
+    ``CONST_TOL * (1 + |f(x_star)|)`` of the start, else
+    ``strictly-increasing`` or ``strictly-decreasing`` in the direction of
+    its strict steps (plateau steps within +-``STEP_TOL``, e.g. saturating
+    tails, are compatible with either direction).
     """
     x = np.asarray(x, dtype=float)
     grid = np.asarray(grid, dtype=float) if grid is not None else SamplingPlan().t_grid()
@@ -320,9 +303,7 @@ def classify_ray(field: ScalarField, x, grid=None):
         raise ValueError("grid must be strictly increasing and positive")
 
     t_full = np.concatenate([[0.0], grid])
-    verdicts = _ray_verdicts(field, _ray_values(field, np.atleast_2d(x), t_full),
-                             t_full)
-    return verdicts if x.ndim == 2 else verdicts[0]
+    return _ray_verdicts(field, _ray_values(field, np.atleast_2d(x), t_full))[0]
 
 
 def default_directions(n: int, seed: int = 0) -> np.ndarray:
@@ -351,32 +332,31 @@ def _image_group_check(field: ScalarField, directions, values, kinds, want: str,
     """
     from .rootfind import OK, solve_monotone_batch
 
-    idx = [i for i, k in enumerate(kinds) if k == want]
-    if len(idx) < 2:
+    rows = kinds == want
+    if np.count_nonzero(rows) < 2:
         return None
-    lows = np.array([np.min(values[i]) for i in idx])
-    highs = np.array([np.max(values[i]) for i in idx])
+    D, class_values = directions[rows], values[rows]
+    lows, highs = class_values.min(axis=1), class_values.max(axis=1)
     i_lo = int(np.argmax(lows))
     i_hi = int(np.argmin(highs))
     gap_tol = 1e-9 * (1.0 + np.abs(lows).max() + np.abs(highs).max())
     if lows[i_lo] > highs[i_hi] + gap_tol:
         witnesses.append({
             "kind": "disjoint_image",
-            "direction_a": directions[idx[i_hi]].tolist(),
+            "direction_a": D[i_hi].tolist(),
             "range_a": [float(lows[i_hi]), float(highs[i_hi])],
-            "direction_b": directions[idx[i_lo]].tolist(),
+            "direction_b": D[i_lo].tolist(),
             "range_b": [float(lows[i_lo]), float(highs[i_lo])]})
         return "not-decomposable"
 
     # midpoint of the common interval is reachable on every ray of the class
     v = 0.5 * (lows[i_lo] + highs[i_hi])
-    D = directions[idx]
-    increasing = want == "strictly-increasing"
 
     def profile(t):
         return field.ray_values(t, D)
 
-    res = solve_monotone_batch(profile, np.full(len(idx), v), increasing)
+    res = solve_monotone_batch(profile, np.full(len(D), v),
+                               want == "strictly-increasing")
     reachable = (res.status == OK) & (res.t <= grid[-1] * (1 + 1e-9))
     match_tol = 1e-8 * (1.0 + abs(v))
     matched = reachable & (res.residual <= match_tol)
@@ -420,19 +400,16 @@ def check_decomposability(field: ScalarField, directions=None,
     t_all = np.concatenate([[0.0, t_probe], grid])
     vals = _ray_values(field, directions, t_all)
     values = vals[:, 1:]
-    verdicts = _ray_verdicts(field, np.delete(vals, 1, axis=1),
-                             np.delete(t_all, 1))
-    kinds = [v.kind for v in verdicts]
-    kind = np.array(kinds)
-    non_monotone = kind == "non-monotone"
-    non_finite = (kind == "non-finite") | np.isnan(values).any(axis=1)
+    kinds, up, down = _ray_verdicts(field, np.delete(vals, 1, axis=1))
+    non_monotone = kinds == "non-monotone"
+    non_finite = (kinds == "non-finite") | np.isnan(values).any(axis=1)
     # one list in direction order; only a non-monotone ray has a t pair
-    t_pair = np.fromiter((list(v.witness) if v.kind == "non-monotone" else None
-                          for v in verdicts), dtype=object, count=len(verdicts))
+    t_pairs = _inversion_t_pairs(up, down, np.delete(t_all, 1))
+    t_pair = np.frompyfunc(lambda lo, hi: [lo, hi], 2, 1)(*t_pairs.T)
     witnesses += row_witnesses(
         non_monotone | non_finite,
         np.where(non_monotone, "non_monotone_ray", "non_finite"),
-        direction=directions, t_pair=t_pair)
+        direction=directions, t_pair=np.where(non_monotone, t_pair, None))
 
     verdict = "decomposable"
     if witnesses:
@@ -447,5 +424,5 @@ def check_decomposability(field: ScalarField, directions=None,
             if outcome == "inconclusive":
                 verdict = outcome
     return DecomposabilityReport(verdict=verdict, scale=float(grid[-1]),
-                                 ray_kinds=kinds, witnesses=witnesses,
+                                 ray_kinds=kinds.tolist(), witnesses=witnesses,
                                  seed=plan.seed)

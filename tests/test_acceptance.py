@@ -307,7 +307,7 @@ def test_criterion_11_saddle_structure():
         assert grad_norm <= 1e-6, (k, grad_norm)
 
     for direction in default_directions(2, seed=1):
-        assert classify_ray(f, direction).kind == "strictly-increasing"
+        assert classify_ray(f, direction).tolist() == ["strictly-increasing"]
 
     cert = positive_gradient_region(f)
     assert cert.ok and cert.epsilon > 0.0 and cert.delta > 0.0

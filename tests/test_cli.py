@@ -463,6 +463,22 @@ def test_a_reference_point_of_the_wrong_length_exits_two(capsys, refs):
     assert "expected a vector of length 3" in err
 
 
+@pytest.mark.parametrize("flags", [
+    ["--x0", "inf,1"], ["--x0", "nan,1"], ["--x0", "1,1", "--x0-alt=-inf,1"],
+    ["--x1", "1,0", "--xm1=-1,nan"], ["--x-star", "0,inf"],
+], ids=["x0-inf", "x0-nan", "x0-alt", "xm1", "x-star"])
+def test_a_non_finite_reference_vector_exits_two(capsys, flags):
+    if flags[0] == "--x-star":
+        argv = ["decompose", "--expr", "norm(x)", "--n", "2"] + flags
+    else:
+        argv = ["decompose", "--gallery", "linear_x1", "--n", "2"] + flags
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(capsys, argv + ["--N", "50"])
+    assert (code, out) == (2, "")
+    assert err.startswith("siphkit: error: expected finite coordinates")
+
+
 # ---------------------------------------------------------------------------
 # cert and solve
 
@@ -715,6 +731,30 @@ def test_a_ray_starting_on_the_reference_level_warns_nothing(capsys):
         code, out, err = run_cli(capsys, argv)
     assert (code, err) == (1, "")
     assert json.loads(out)["verdict"] == "fail"
+
+
+def test_a_reference_where_f_is_not_finite_fails_the_build(capsys):
+    # f = inf at (1e200, 1): no reference level, in either build
+    code, doc = run_json(capsys, ["decompose", "--gallery", "sphere", "--n", "2",
+                                  "--x0", "1e200,1", "--N", "50"])
+    assert code == 1
+    assert [w["kind"] for w in doc["witnesses"]] == ["build_failed"]
+    code, doc = run_json(capsys, ["decompose", "--gallery", "sphere", "--n", "2",
+                                  "--x0", "1,1", "--x0-alt=1e200,1", "--N", "50"])
+    assert code == 1
+    assert [(w["kind"], w["which"]) for w in doc["witnesses"]] == [
+        ("build_failed", "alternate")]
+
+
+def test_rows_the_alternate_build_cannot_solve_are_witnessed(capsys):
+    # f(x0-alt) is about 2.96; rays with x_1 < 0 saturate near 1 below it
+    code, doc = run_json(capsys, [
+        "decompose", "--expr", "tanh(x_1^2 + x_2^2) * (2 + tanh(x_1))",
+        "--n", "2", "--x0", "0.5,0", "--x0-alt", "2,0", "--N", "50"])
+    assert code == 1
+    alternate = [w for w in doc["witnesses"] if w.get("which") == "alternate"]
+    assert alternate and {w["kind"] for w in alternate} == {"unbounded_ray"}
+    assert doc["witnesses"][-1]["kind"] == "uniqueness_violation"
 
 
 def test_check_si_at_zero_atol_emits_no_runtime_warning(capsys):

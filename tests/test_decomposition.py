@@ -1,6 +1,7 @@
 """Canonical splitting f = phi o p: construction, profiles, uniqueness, order."""
 
 import json
+import math
 import warnings
 
 import numpy as np
@@ -369,6 +370,29 @@ def test_two_sided_uniqueness_is_per_sign_class():
     assert report.passed
     assert report.classes["positive"]["ratio"] == pytest.approx(2.0, abs=1e-8)
     assert report.classes["negative"]["ratio"] == pytest.approx(3.0, abs=1e-8)
+
+
+def test_a_class_with_no_comparable_rows_fails_uniqueness():
+    # d2's reference level lies above every ray's saturation: p2 is nan
+    f = bind("tanh(norm(x))", 2)
+    d1 = build_decomposition(f, alpha=1.0, x0=[1.0, 0.0])
+    ref = ReferenceInfo(point=np.array([1.0, 0.0]), value=2.0, increasing=True)
+    d2 = Decomposition(f, 1.0, "one-sided", positive_ref=ref)
+    report = uniqueness_check(f, d1, d2, SamplingPlan(n_samples=50))
+    assert not report.passed
+    cls = report.classes["all"]
+    assert cls["count"] == 0
+    assert math.isnan(cls["ratio"]) and math.isnan(cls["cv"])
+
+
+@pytest.mark.parametrize("hints", [
+    {"x0": [1e200, 1.0]}, {"x0": [np.nan, 1.0]}, {"x0": [np.inf, 1.0]},
+    {"x1": [1.0, 0.0], "xm1": [np.nan, 0.0]},
+], ids=["overflow", "nan", "inf", "xm1"])
+def test_a_reference_with_a_non_finite_value_is_rejected(hints):
+    f = make_builtin("sphere", 2) if "x0" in hints else make_builtin("linear_x1", 2)
+    with pytest.raises(DecompositionError, match="not finite"):
+        build_decomposition(f, **hints)
 
 
 def test_uniqueness_requires_matching_degrees():

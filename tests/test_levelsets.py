@@ -35,7 +35,7 @@ from siphkit.rays import SamplingPlan
 
 def test_sphere_level_radius_along_axis():
     f = make_builtin("sphere", 2)
-    out = ray_level_radius(f, [1.0, 0.0], 4.0)
+    (out,) = ray_level_radius(f, [1.0, 0.0], 4.0)
     assert out.status == "ok"
     assert out.radius == pytest.approx(2.0, abs=1e-9)
     assert out.residual <= 1e-10
@@ -43,8 +43,8 @@ def test_sphere_level_radius_along_axis():
 
 def test_level_radius_scales_with_direction_length():
     f = make_builtin("sphere", 2)
-    base = ray_level_radius(f, [3.0, 4.0], 4.0)
-    scaled = ray_level_radius(f, [9.0, 12.0], 4.0)
+    (base,) = ray_level_radius(f, [3.0, 4.0], 4.0)
+    (scaled,) = ray_level_radius(f, [9.0, 12.0], 4.0)
     assert base.radius == pytest.approx(2.0 / 5.0, abs=1e-9)
     assert scaled.radius == pytest.approx(base.radius / 3.0, abs=1e-9)
 
@@ -58,8 +58,8 @@ def test_level_radius_homothety_on_random_fields():
         d /= np.linalg.norm(d)
         c = f.value(1.7 * d)  # guaranteed achieved on this ray
         rho = float(np.exp(rng.uniform(np.log(0.2), np.log(5.0))))
-        r1 = ray_level_radius(f, d, c)
-        r2 = ray_level_radius(f, rho * d, c)
+        (r1,) = ray_level_radius(f, d, c)
+        (r2,) = ray_level_radius(f, rho * d, c)
         assert r1.status == "ok" and r2.status == "ok"
         assert r2.radius == pytest.approx(r1.radius / rho, rel=1e-8)
         checked += 1
@@ -68,16 +68,24 @@ def test_level_radius_homothety_on_random_fields():
 
 def test_level_radius_misses_and_whole_ray():
     f = make_builtin("linear_x1", 2)
-    assert ray_level_radius(f, [0.0, 1.0], 1.0).status == "unbounded"
-    assert ray_level_radius(f, [0.0, 1.0], 0.0).status == "whole-ray"
+    assert ray_level_radius(f, [0.0, 1.0], 1.0)[0].status == "unbounded"
+    assert ray_level_radius(f, [0.0, 1.0], 0.0)[0].status == "whole-ray"
     g = make_builtin("sphere", 2)
-    assert ray_level_radius(g, [1.0, 0.0], -1.0).status == "outside-range"
+    assert ray_level_radius(g, [1.0, 0.0], -1.0)[0].status == "outside-range"
 
 
 def test_level_radius_rejects_non_monotone_rays():
+    # a ray without a unique crossing gets no radius, only its status
     f = bind("(x_1 - 1)^2", 1)
-    with pytest.raises(ValueError):
-        ray_level_radius(f, [1.0], 0.5)
+    (out,) = ray_level_radius(f, [1.0], 0.5)
+    assert out.status == "non-monotone"
+    assert math.isnan(out.radius) and math.isnan(out.residual)
+
+
+def test_status_labels_are_indexed_by_the_solver_codes():
+    labels = levelsets._STATUS_LABEL[[rootfind.OK, rootfind.UNBOUNDED,
+                                      rootfind.NONFINITE, rootfind.BELOW_START]]
+    assert labels.tolist() == ["ok", "unbounded", "non-finite", "outside-range"]
 
 
 def test_found_radius_is_the_unique_crossing():
@@ -85,7 +93,7 @@ def test_found_radius_is_the_unique_crossing():
     for f, d, c in ((make_builtin("sphere", 2), np.array([0.6, 0.8]), 2.5),
                     (random_si(21, 2, eps=0.3), np.array([1.0, 0.0]), None)):
         c = f.value(1.3 * d) if c is None else c
-        out = ray_level_radius(f, d, c)
+        (out,) = ray_level_radius(f, d, c)
         assert out.status == "ok"
         t = np.linspace(0.0, 2.0 * out.radius, 65)
         signs = np.sign(f.values(t[:, None] * d) - c)

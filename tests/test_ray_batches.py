@@ -1,20 +1,25 @@
 """Batched ray probes and lockstep sphere extrema against one-at-a-time forms.
 
-A batch of directions must give, row for row, what the one-direction call
-gives; the lockstep sphere polish must reproduce the sequential one bit for
-bit.  The sequential polish is kept here as the reference, and so is the
-former golden-section polish, which the arc search may never do worse than.
+A batch of directions must give, row for row, what a batch of that one row
+gives, and the array ray verdicts what the former per-row loop gave; the
+lockstep sphere polish must reproduce the sequential one bit for bit.  The
+per-row verdict loop and the sequential polish are kept here as references,
+and so is the former golden-section polish, which the arc search may never
+do worse than.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from siphkit.exprlang import bind
 from siphkit.gallery import make_builtin, random_si
 from siphkit.levelsets import (ARC_CALLS, ARC_GRID, SETTLE_RTOL, SPHERE_PASSES,
                                ray_level_radius, sphere_extrema)
-from siphkit.rays import SamplingPlan, classify_ray
+from siphkit.rays import (CONST_TOL, STEP_TOL, SamplingPlan, _inversion_t_pairs,
+                          _ray_values, _ray_verdicts, classify_ray)
 from siphkit.rootfind import golden_section
 
 GALLERY = ("sphere", "ellipsoid", "gauss_si", "saddle_si", "random_si",
@@ -43,25 +48,21 @@ def ray_batches(draw):
     return _field(name, n, seed), D, rng
 
 
-def _one_radius(field, d, c):
-    try:
-        return ray_level_radius(field, d, c)
-    except ValueError:
-        return None
-
-
 @settings(max_examples=60, deadline=None)
 @given(ray_batches())
 def test_batched_classification_equals_per_row(batch):
     field, D, _ = batch
-    verdicts = classify_ray(field, D)
-    assert isinstance(verdicts, list) and len(verdicts) == len(D)
-    for d, got in zip(D, verdicts):
-        want = classify_ray(field, d)
-        assert got.kind == want.kind
-        assert got.witness == want.witness
-        assert got.max_constancy_deviation == pytest.approx(
-            want.max_constancy_deviation, rel=1e-12, abs=1e-300, nan_ok=True)
+    kinds = classify_ray(field, D)
+    assert isinstance(kinds, np.ndarray) and kinds.shape == (len(D),)
+    t_full = np.concatenate([[0.0], SamplingPlan().t_grid()])
+    _, up, down = _ray_verdicts(field, _ray_values(field, D, t_full))
+    pairs = _inversion_t_pairs(up, down, t_full)
+    for i, d in enumerate(D):
+        want, want_up, want_down = _ray_verdicts(
+            field, _ray_values(field, D[i:i + 1], t_full))
+        assert kinds[i] == want[0] == classify_ray(field, d)[0]
+        np.testing.assert_array_equal(
+            pairs[i], _inversion_t_pairs(want_up, want_down, t_full)[0])
 
 
 @settings(max_examples=60, deadline=None)
@@ -75,12 +76,9 @@ def test_batched_level_radii_equal_per_row(batch):
     hits = ray_level_radius(field, D, c)
     assert len(hits) == len(D)
     for d, got in zip(D, hits):
-        want = _one_radius(field, d, c)
+        (want,) = ray_level_radius(field, d[None, :], c)
         np.testing.assert_array_equal(got.direction, d)
         assert got.level == c
-        if want is None:
-            assert got.status == "non-monotone"
-            continue
         assert got.status == want.status
         assert got.radius == pytest.approx(want.radius, rel=1e-12, nan_ok=True)
 
@@ -94,8 +92,95 @@ def test_batched_level_radii_report_non_monotone_rows():
 
 def test_empty_batch_gives_empty_lists():
     f = make_builtin("sphere", 3)
-    assert classify_ray(f, np.zeros((0, 3))) == []
+    assert classify_ray(f, np.zeros((0, 3))).tolist() == []
     assert ray_level_radius(f, np.zeros((0, 3)), 1.0) == []
+
+
+# ---------------------------------------------------------------------------
+# array ray verdicts against the former per-row loop
+
+
+def _loop_verdicts(f_star, vals, t_full):
+    """The per-row classification that the array verdicts replaced: each
+    row's kind, and its inversion t pair (nan unless non-monotone)."""
+    tol_const = CONST_TOL * (1.0 + abs(f_star))
+    kinds, pairs = [], []
+    for row in vals:
+        pair = [np.nan, np.nan]
+        with np.errstate(invalid="ignore"):
+            dev = float(np.max(np.abs(row - row[0])))
+            steps = np.diff(row)
+        up, down = steps > STEP_TOL, steps < -STEP_TOL
+        if np.isnan(row).any():
+            kind = "non-finite"
+        elif up.any() and down.any():
+            kind = "non-monotone"
+            b = max(int(np.argmax(up)), int(np.argmax(down)))
+            pair = [float(t_full[b]), float(t_full[b + 1])]
+        elif dev <= tol_const:
+            kind = "constant"
+        elif up.any() or (not down.any() and row[-1] > row[0]):
+            kind = "strictly-increasing"
+        else:
+            kind = "strictly-decreasing"
+        kinds.append(kind)
+        pairs.append(pair)
+    return kinds, np.array(pairs).reshape(-1, 2)
+
+
+_SPECIAL = st.sampled_from([np.nan, np.inf, -np.inf, 0.0, 1.0])
+# steps about the plateau band: a row of small rises and one strict fall
+# can end above its start
+_NEAR_STEP = st.sampled_from([0.9, -0.9, 1.0, -1.0, 1.1, -1.1]).map(
+    lambda k: k * STEP_TOL)
+
+
+@st.composite
+def _value_rows(draw, cols, f_star):
+    start = draw(st.just(0.0) | st.floats(-10.0, 10.0))
+    style = draw(st.sampled_from(["free", "plateau", "drift", "constant",
+                                  "ties"]))
+    if style == "free":  # any values, non-finite ones too
+        return draw(st.lists(st.floats(-1e3, 1e3) | _SPECIAL,
+                             min_size=cols, max_size=cols))
+    if style in ("plateau", "drift"):  # steps within and about +-STEP_TOL
+        step = (_NEAR_STEP if style == "drift" else
+                st.floats(-STEP_TOL, STEP_TOL) | _NEAR_STEP
+                | st.floats(-1.0, 1.0) | st.just(0.0))
+        steps = draw(st.lists(step, min_size=cols - 1, max_size=cols - 1))
+        return (start + np.concatenate([[0.0], np.cumsum(steps)])).tolist()
+    if style == "constant":  # deviations about the constancy band
+        dev = CONST_TOL * (1.0 + abs(f_star))
+        return [start] + draw(st.lists(
+            st.sampled_from([start, start + 0.5 * dev, start + dev,
+                             start - 2.0 * dev]),
+            min_size=cols - 1, max_size=cols - 1))
+    return draw(st.lists(st.sampled_from([start, start + 1.0, start - 1.0]),
+                         min_size=cols, max_size=cols))  # exact ties
+
+
+@st.composite
+def value_matrices(draw):
+    cols = draw(st.integers(2, 8))
+    f_star = draw(st.sampled_from([0.0, 1.0, -3.0, 1e6]))
+    rows = draw(st.lists(_value_rows(cols, f_star), max_size=6))
+    return f_star, np.array(rows, dtype=float).reshape(-1, cols)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value_matrices())
+@example((0.0, np.zeros((0, 4))))  # an empty batch
+@example((0.0, STEP_TOL * np.array([[0.0, 0.9, 1.8, 2.7, 1.6]])))  # ends high
+def test_array_verdicts_equal_the_per_row_loop(case):
+    f_star, vals = case
+    t_full = np.concatenate([[0.0], np.geomspace(0.01, 10.0, vals.shape[1] - 1)])
+    kinds, up, down = _ray_verdicts(SimpleNamespace(f_star=f_star), vals)
+    want_kinds, want_pairs = _loop_verdicts(f_star, vals, t_full)
+    assert kinds.tolist() == want_kinds
+    non_monotone = kinds == "non-monotone"
+    np.testing.assert_array_equal(
+        _inversion_t_pairs(up, down, t_full)[non_monotone],
+        want_pairs[non_monotone])
 
 
 # ---------------------------------------------------------------------------
