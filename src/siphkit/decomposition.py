@@ -23,7 +23,8 @@ import numpy as np
 from .field import FieldMeta, ScalarField, _as_point
 from .rays import (FEW_WITNESSES, MAX_WITNESSES, SamplingPlan, classify_ray,
                    default_directions, order_trichotomy, row_witnesses)
-from .rootfind import BELOW_START, OK, UNBOUNDED, solve_monotone_batch
+from .rootfind import (BELOW_START, MAX_DOUBLINGS, OK, UNBOUNDED,
+                       solve_monotone_batch)
 
 ZERO_LEVEL_ATOL = 1e-12
 # uniqueness_check: largest coefficient of variation of p1/p2 in a class
@@ -32,6 +33,12 @@ UNIQUENESS_CV_TOL = 1e-6
 OUTSIDE_RANGE = -1
 # p_values: half-width, relative, of the bracket around a guessed lambda
 GUESS_BAND = 1e-9
+# p_values: the table of g along a sign class's reference ray, built for
+# classes of at least TABLE_MIN_ROWS rows; its points per octave of s, and
+# the half-width, relative, of the bracket around a lambda read off it
+TABLE_MIN_ROWS = 64
+TABLE_POINTS_PER_OCTAVE = 512
+TABLE_BAND = 3e-5
 
 
 class DecompositionError(RuntimeError):
@@ -110,9 +117,17 @@ class Decomposition:
         rho**alpha p(z) for the point x_star + rho z.  It only seeds the root
         solve: lambda-hat = |guess|**(-1/alpha) gives the bracket
         lambda-hat (1 -+ GUESS_BAND), whose ends are evaluated on the row's
-        own ray.  A row whose bracket does not straddle its root -- a wrong
-        guess, a nan or zero one, or a field that is not SI -- is solved
-        from the cold bracket as without a guess.
+        own ray.
+
+        A sign class of at least ``TABLE_MIN_ROWS`` rows also has a table of
+        g along its reference ray.  Since f = phi o p, g(z) = g(s x0) means
+        lambda(z) = 1/s, so the level g(z), already known, gives the bracket
+        (1 -+ TABLE_BAND) / s-hat (see ``_table_scales``).  A row whose
+        guess does not straddle its root tries the table's bracket, and a
+        row whose table bracket does not either -- a level off the table, a
+        field that is not SI -- is solved from the cold bracket, as are the
+        rows of a smaller class.  So a wrong guess gives the bits of no
+        guess, and every root is a sign change on the row's own ray.
         """
         self.solver_failures = []
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -137,12 +152,70 @@ class Decomposition:
                        (self.negative_ref, -1.0, g < 0))
         for ref, sign, cls in classes:
             if cls.any():
-                bracket = None if guess is None else (lo[cls], hi[cls])
-                lam = self._solve_lambdas(Z[cls], ref, bracket)
+                brackets = [] if guess is None else [(lo[cls], hi[cls])]
+                if np.count_nonzero(cls) >= TABLE_MIN_ROWS:
+                    brackets.append(self._table_bracket(ref, g[cls]))
+                lam = self._solve_lambdas(Z[cls], ref, brackets)
                 # lambda = 0 (the ray starts on the reference level): p = inf
                 with np.errstate(divide="ignore"):
                     p[cls] = sign * (1.0 / lam) ** self.alpha
         return p
+
+    def _table_bracket(self, ref: ReferenceInfo, h: np.ndarray):
+        """The table's bracket candidate for rows with levels ``h``: a
+        function of the rows the solver asks for, so that a table is built
+        only if some row needs it, fitted to those rows' levels.  Its points
+        do not depend on the fit, only its range does, so a row gets the
+        same bracket from every table that holds its level."""
+
+        def bracket(rows):
+            lam = 1.0 / self._table_scales(ref, h[rows])
+            return lam * (1.0 - TABLE_BAND), lam * (1.0 + TABLE_BAND)
+        return bracket
+
+    def _table_scales(self, ref: ReferenceInfo, h: np.ndarray) -> np.ndarray:
+        """For each level of ``h``, the s with g(s x0) = h on the reference
+        ray: log s interpolated linearly in log |g| over a table at s =
+        2**(k / TABLE_POINTS_PER_OCTAVE), which is exact where g is a power
+        of s.  nan where the level is beyond the table's strictly monotone
+        run around s = 1, or on the other side of zero."""
+        with np.errstate(invalid="ignore", divide="ignore"):
+            uh = np.log(h if ref.increasing else -h)
+        u = uh[np.isfinite(uh)]
+        if not u.size:
+            return np.full(h.shape, np.nan)
+        # whole octaves from s = 1 out to the levels' extremes, then the table
+        k = np.arange(-MAX_DOUBLINGS, MAX_DOUBLINGS + 1)
+        uk = self._ray_run(ref, k.astype(float), MAX_DOUBLINGS)
+        run, below, above = k[~np.isnan(uk)], k[uk <= u.min()], k[uk >= u.max()]
+        per = TABLE_POINTS_PER_OCTAVE
+        lo = per * min(below.max() if below.size else run.min(), 0)
+        hi = per * max(above.min() if above.size else run.max(), 0)
+        log_s = np.arange(lo, hi + 1) / per
+        ut = self._ray_run(ref, log_s, -lo)
+        keep = np.isfinite(ut)  # g = 0 or inf at an end of the run
+        # interp finds sorted levels far faster than unsorted ones
+        order = np.argsort(uh)
+        out = np.empty(h.shape)
+        out[order] = np.interp(uh[order], ut[keep], log_s[keep],
+                               left=np.nan, right=np.nan)
+        return np.exp2(out)
+
+    def _ray_run(self, ref: ReferenceInfo, log_s: np.ndarray,
+                 one: int) -> np.ndarray:
+        """log |g(s x0)| at s = 2**log_s, one field call, on the run around
+        s = 2**log_s[one] = 1 where g is strictly monotone; nan elsewhere."""
+        M = np.broadcast_to(ref.point, (log_s.size, ref.point.size))
+        h = self.field.ray_values(np.exp2(log_s), M)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            u = np.log(h if ref.increasing else -h)
+            rising = np.diff(u) > 0  # false at nan and at inf - inf
+        stop = np.flatnonzero(~rising)
+        lo = stop[stop < one].max(initial=-1) + 1
+        hi = stop[stop >= one].min(initial=rising.size)
+        out = np.full(log_s.shape, np.nan)
+        out[lo:hi + 1] = u[lo:hi + 1]
+        return out
 
     def p(self, x) -> float:
         return float(self.p_values(np.asarray(x, dtype=float)[None, :])[0])

@@ -22,8 +22,10 @@ target starts the Chandrupatla loop from them, skipping the doubling; a
 bracket of relative width 2e-9 around the root settles in 2 steps, 4
 evaluations in all.  A row whose bracket does not straddle -- a wrong
 guess, a nan end, no finite bracket -- takes the doubling path and ends
-exactly as without one.  So a guess never decides a root: every root is a
-sign change of the row's own profile.
+exactly as without one.  A list of brackets is tried in order, each on the
+rows no earlier one seeded, so a caller can fall back from a sharp guess to
+a rougher one before the doubling.  So a guess never decides a root: every
+root is a sign change of the row's own profile.
 """
 
 from __future__ import annotations
@@ -78,12 +80,16 @@ def solve_monotone_batch(profile, targets, increasing, value_at_zero=0.0,
         Monotonicity direction of each profile.
     value_at_zero : float or array
         Exact profile value at t = 0 (0 for shifted fields).
-    bracket : (lo, hi) of floats or arrays (N,), optional
-        A guessed bracket per row.  Both ends are evaluated on the row's
-        own profile; a row whose ends straddle its target skips the
-        doubling and goes straight to the Chandrupatla loop.  Every other
-        row -- an end nan or infinite, ``lo < 0`` or ``lo >= hi``, or ends
-        that do not straddle -- is solved exactly as without a bracket.
+    bracket : (lo, hi) of floats or arrays (N,), or a list of them, optional
+        A guessed bracket per row, or a list of candidate brackets tried in
+        order.  A candidate may also be a function that takes the sorted
+        indices of the rows no earlier candidate seeded and returns their
+        (lo, hi), so that it is computed only for those rows.  Both ends
+        are evaluated on the row's own profile; a row whose ends straddle
+        its target skips the doubling and goes straight to the Chandrupatla
+        loop.  A row that no candidate seeds -- an end nan or infinite,
+        ``lo < 0`` or ``lo >= hi``, or ends that do not straddle -- is
+        solved exactly as without a bracket.
 
     Targets must lie strictly on the far side of ``value_at_zero`` in the
     monotone direction; rows where they do not are marked ``BELOW_START``
@@ -126,20 +132,28 @@ def solve_monotone_batch(profile, targets, increasing, value_at_zero=0.0,
         g_lo = np.where(np.isnan(w0), -np.inf, w0 - ty)
     g_hi = np.full(N, np.nan)
     rows = np.flatnonzero(status == OK)
-    if bracket is not None and rows.size:
-        b_lo, b_hi = (np.broadcast_to(np.asarray(end, dtype=float), (N,))
-                      for end in bracket)
-        seeded = rows[(b_lo[rows] >= 0) & (b_lo[rows] < b_hi[rows])
-                      & np.isfinite(b_hi[rows])]
-        if seeded.size:
-            gs_lo = g(b_lo[seeded], seeded)
-            gs_hi = g(b_hi[seeded], seeded)
-            # the same invariant as after doubling: g(lo) < 0 <= g(hi)
-            straddle = (gs_lo < 0) & (gs_hi >= 0)
-            s = seeded[straddle]
-            lo[s], hi[s] = b_lo[s], b_hi[s]
-            g_lo[s], g_hi[s] = gs_lo[straddle], gs_hi[straddle]
-            rows = np.setdiff1d(rows, s, assume_unique=True)
+    if bracket is None:
+        bracket = []
+    for candidate in bracket if isinstance(bracket, list) else [bracket]:
+        if not rows.size:
+            break
+        if callable(candidate):
+            b_lo, b_hi = (np.asarray(end, dtype=float) for end in candidate(rows))
+        else:
+            b_lo, b_hi = (np.broadcast_to(np.asarray(end, dtype=float), (N,))[rows]
+                          for end in candidate)
+        usable = (b_lo >= 0) & (b_lo < b_hi) & np.isfinite(b_hi)
+        seeded, b_lo, b_hi = rows[usable], b_lo[usable], b_hi[usable]
+        if not seeded.size:
+            continue
+        gs_lo = g(b_lo, seeded)
+        gs_hi = g(b_hi, seeded)
+        # the same invariant as after doubling: g(lo) < 0 <= g(hi)
+        straddle = (gs_lo < 0) & (gs_hi >= 0)
+        s = seeded[straddle]
+        lo[s], hi[s] = b_lo[straddle], b_hi[straddle]
+        g_lo[s], g_hi[s] = gs_lo[straddle], gs_hi[straddle]
+        rows = np.setdiff1d(rows, s, assume_unique=True)
     if rows.size:
         g_hi[rows] = g(hi[rows], rows)
     status[rows[np.isnan(g_hi[rows])]] = NONFINITE

@@ -22,6 +22,7 @@ from siphkit.exprlang import bind
 from siphkit.field import DimensionMismatchError
 from siphkit.gallery import compose, make_builtin, random_si
 from siphkit.rays import MAX_WITNESSES, SamplingPlan
+from siphkit.rootfind import OK, solve_monotone_batch
 
 E1_2D = np.array([1.0, 0.0])
 
@@ -604,15 +605,20 @@ def test_seeded_homogeneity_solve_matches_the_cold_one(monkeypatch, field):
     (X, first_guess, p_x), (X_scaled, guess, p_scaled) = calls
     assert first_guess is None and guess is not None
     assert check.p_samples.tobytes() == p_x.tobytes()
+    # truly cold solves, with no guess and no table: p(rho z), then p(x)
+    monkeypatch.setattr(decomposition, "TABLE_MIN_ROWS", np.inf)
     cold = Decomposition.p_values(d, X_scaled)
+    Decomposition.p_values(d, X)
     scale = np.maximum(np.abs(cold), np.finfo(float).tiny)
     assert (np.abs(p_scaled - cold) <= 1e-13 * scale).all()
     assert check.max_ph_residual <= 1e-13
-    # one solve each for p(X) and p(rho z): the bracket's two ends and two
-    # Chandrupatla steps per seeded row, with a few rows taking a third,
-    # against about 9 cold
-    (cold_evals, rows), (seeded_evals, seeded_rows) = evals[:2]
-    assert seeded_rows == rows and seeded_evals <= 4.1 * rows < cold_evals
+    # one solve each for p(X), seeded from the table, and p(rho z): the
+    # bracket's two ends and two Chandrupatla steps per seeded row, with a
+    # few rows taking a third, against about 9 cold
+    (table_evals, rows), (seeded_evals, seeded_rows) = evals[:2]
+    cold_evals, cold_rows = evals[3]
+    assert seeded_rows == rows == cold_rows
+    assert seeded_evals <= 4.1 * rows and table_evals < cold_evals
 
 
 def test_a_guess_only_seeds_the_solve(monkeypatch):
@@ -638,6 +644,176 @@ def test_a_field_that_is_not_si_still_fails_on_composition(capsys):
     assert doc["metrics"]["max_ph_residual"] <= 1e-7
     (witness,) = doc["witnesses"]
     assert witness["kind"] == "residual_exceeded"
+
+
+# ---------------------------------------------------------------------------
+# the table of g along the reference ray, which seeds the cold p(X) solve
+
+
+def _cold_p(d, X, ref):
+    """p from a bracket-less root solve of each row of X on its own ray
+    (one-sided)."""
+    Z = X - d.field.x_star
+    res = solve_monotone_batch(lambda t: d.field.ray_values(t, Z),
+                               np.full(len(Z), ref.value), ref.increasing)
+    lam = np.where(res.status == OK, res.t, np.nan)
+    return (1.0 / lam) ** d.alpha
+
+
+def _table_straddles(d, X, ref):
+    """Rows whose table bracket straddles the reference level."""
+    lam = 1.0 / d._table_scales(ref, d.field.shifted_values(X - d.field.x_star))
+    Z = X - d.field.x_star
+    ends = [d.field.ray_values(lam * (1.0 + e * decomposition.TABLE_BAND), Z)
+            - ref.value for e in (-1.0, 1.0)]
+    if not ref.increasing:
+        ends = [-ends[1], -ends[0]]
+    return (ends[0] < 0) & (ends[1] >= 0)
+
+
+def test_rows_outside_the_table_are_solved_cold():
+    # gauss_si saturates at g = -1: levels past the table's run, and those
+    # that round to -1, get no table bracket; the run still serves the rest
+    f = make_builtin("gauss_si", 2)
+    d = build_decomposition(f)
+    X = SamplingPlan(seed=3, n_samples=400, box_radius=6.0).box_points(2)
+    outside = np.isnan(d._table_scales(d.positive_ref, f.shifted_values(X)))
+    assert (f.shifted_values(X[outside]) < -1.0 + 1e-9).all()
+    assert 40 <= outside.sum() <= 200
+    p = d.p_values(X)
+    assert p[outside].tobytes() == _cold_p(d, X[outside], d.positive_ref).tobytes()
+    inside = ~outside
+    np.testing.assert_allclose(p[inside], _cold_p(d, X[inside], d.positive_ref),
+                               rtol=1e-13)
+
+
+def test_rows_in_a_non_monotone_stretch_are_solved_cold():
+    # g = r + sin(3 r) / 2 in r = |x| rises to r = 0.77, falls to r = 1.33
+    # and rises again: the table's run stops at the first turn
+    f = bind("norm(x) + 0.5 * sin(3 * norm(x))", 2)
+    x0 = np.array([0.3, 0.4])
+    ref = ReferenceInfo(point=x0, value=f.shifted(x0), increasing=True)
+    d = Decomposition(f, 1.0, "one-sided", positive_ref=ref)
+    X = SamplingPlan(seed=2, n_samples=400, box_radius=1.5).box_points(2)
+    r = np.linalg.norm(X, axis=1)
+    stretch = r > 0.77
+    assert 100 <= stretch.sum() <= 350 and (r < 0.7).sum() >= 20
+    # levels above the turn's, at r > 1.63, are past the table's run
+    outside = np.isnan(d._table_scales(ref, f.shifted_values(X)))
+    assert 20 <= outside.sum() and (r[outside] > 1.63).all()
+    p = d.p_values(X)
+    assert p[stretch].tobytes() == _cold_p(d, X[stretch], ref).tobytes()
+    # before the turn the table holds: g(s x0) = g(z) at s = |z| / |x0|
+    run = r < 0.7
+    np.testing.assert_allclose(p[run], 2.0 * r[run], rtol=1e-13)
+
+
+def test_rows_of_a_field_that_is_not_si_are_solved_on_their_own_rays():
+    f = bind("x_1^2 + x_2^4", 2)
+    d = build_decomposition(f)
+    X = SamplingPlan(seed=9, n_samples=2000).box_points(2)
+    ref = d.positive_ref
+    seeded = _table_straddles(d, X, ref)
+    # a bracket straddles only where the ray happens to meet the level there
+    assert seeded.sum() <= 0.05 * len(X)
+    p = d.p_values(X)
+    cold = _cold_p(d, X, ref)
+    assert p[~seeded].tobytes() == cold[~seeded].tobytes()
+    np.testing.assert_allclose(p[seeded], cold[seeded], rtol=1e-13)
+
+
+def test_a_wrong_guess_falls_back_to_the_table_bit_for_bit():
+    f = make_builtin("ellipsoid", 4)
+    d = build_decomposition(f)
+    X = SamplingPlan(seed=13, n_samples=300).box_points(4)
+    seeded = d.p_values(X)
+    for guess in (2.0 * seeded, np.full(300, np.nan)):
+        assert d.p_values(X, guess=guess).tobytes() == seeded.tobytes()
+    # the table is then fitted to the levels of the rows the guess missed,
+    # over fewer octaves
+    missed = seeded < np.quantile(seeded, 0.3)
+    p = d.p_values(X, guess=np.where(missed, 0.5 * seeded, seeded))
+    assert p[missed].tobytes() == seeded[missed].tobytes()
+    np.testing.assert_allclose(p[~missed], seeded[~missed], rtol=1e-13)
+    # small batches are solved without a table, as before
+    small = X[:decomposition.TABLE_MIN_ROWS - 1]
+    assert d.p_values(small).tobytes() == _cold_p(d, small, d.positive_ref).tobytes()
+
+
+def _p_by_find_root(d, X, p):
+    """p from scipy's elementwise Chandrupatla on a bracket around each
+    row's lambda = |p|**(-1/alpha), run to its default tolerance on the
+    root (4 eps relative) and no tolerance on the residual."""
+    from scipy.optimize.elementwise import find_root
+
+    Z = X - d.field.x_star
+    out = np.full(p.shape, np.nan)
+    for ref, sign in ((d.positive_ref, 1.0), (d.negative_ref, -1.0)):
+        if ref is None:
+            continue
+        rows = np.flatnonzero(np.isfinite(p) & (p != 0)
+                              & ((d.case == "one-sided") | (sign * p > 0)))
+        lam = np.abs(p[rows]) ** (-1.0 / d.alpha)
+
+        def fun(t, i):
+            return d.field.ray_values(t, Z[i]) - ref.value
+
+        res = find_root(fun, (0.5 * lam, 2.0 * lam), args=(rows,),
+                        tolerances=dict(fatol=0.0, frtol=0.0))
+        assert res.success.all()
+        out[rows] = sign * (1.0 / res.x) ** d.alpha
+    return out
+
+
+@pytest.mark.parametrize("field,box", [
+    (make_builtin("ellipsoid", 5), 2.0), (random_si(3, 3), 2.0),
+    (make_builtin("gauss_si", 3), 4.0), (make_builtin("saddle_si", 4), 2.0),
+    (make_builtin("linear_x1", 3), 2.0),
+], ids=["ellipsoid", "random_si", "gauss_si_tail", "saddle_si", "linear_x1"])
+def test_table_seeded_p_agrees_with_scipys_root_finder(field, box):
+    d = build_decomposition(field)
+    X = field.absolute(SamplingPlan(seed=17, n_samples=600,
+                                    box_radius=box).box_points(field.n))
+    p = d.p_values(X)
+    assert np.isfinite(p).all()
+    assert d.case == ("two-sided" if field.meta.name == "linear_x1"
+                      else "one-sided")
+    oracle = _p_by_find_root(d, X, p)
+    solved = p != 0
+    np.testing.assert_allclose(p[solved], oracle[solved], rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("field", [make_builtin("ellipsoid", 5), random_si(3, 3)],
+                         ids=["ellipsoid", "random_si"])
+def test_the_table_keeps_the_cold_solve_near_five_evaluations(monkeypatch,
+                                                              field):
+    d = build_decomposition(field)
+    X = field.absolute(SamplingPlan(seed=19, n_samples=2000).box_points(field.n))
+    live = []
+    solve = decomposition.solve_monotone_batch
+
+    def counted(profile, *args, **kwargs):
+        def prof(t):
+            live.append(int(np.count_nonzero(~np.isnan(t))))
+            return profile(t)
+        return solve(prof, *args, **kwargs)
+    monkeypatch.setattr(decomposition, "solve_monotone_batch", counted)
+    d.p_values(X)
+    # about 9 without the table (test_seeded_homogeneity_solve_matches_...)
+    assert sum(live) <= 5.5 * len(X)
+
+
+def test_a_field_that_is_not_si_still_fails_uniqueness(capsys):
+    # p2 comes from its own table on d2's reference ray; the ratio p1/p2
+    # must still vary over the samples
+    code = cli.main(["decompose", "--expr", "x_1^2 + x_2^4", "--n", "2",
+                     "--N", "2000", "--x0-alt=0.3,0.9", "--format", "json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 1 and doc["verdict"] == "fail"
+    uq = doc["metrics"]["uniqueness"]
+    assert not uq["passed"] and uq["classes"]["all"]["count"] == 2000
+    assert uq["classes"]["all"]["cv"] > 1e3 * decomposition.UNIQUENESS_CV_TOL
+    assert "uniqueness_violation" in [w["kind"] for w in doc["witnesses"]]
 
 
 @pytest.mark.parametrize("field,refs,alt", [

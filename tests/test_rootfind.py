@@ -607,3 +607,67 @@ def test_a_rows_result_does_not_depend_on_its_neighbours_seeds(seed, N, data):
         assert alone.residual[0].tobytes() == res.residual[i].tobytes()
         if seeded[i] and kinds[i] == "tight" and res.status[i] == OK:
             assert lo[i] <= res.t[i] <= hi[i]
+
+
+# ---------------------------------------------------------------------------
+# candidate brackets tried in order
+
+
+@pytest.mark.parametrize("first,second", [
+    ("above", "below"), ("nan_lo", "reversed"), ("empty", "infinite"),
+    ("negative", "nan_hi")])
+def test_rows_no_candidate_seeds_solve_as_without_one(first, second):
+    rng = np.random.default_rng(37)
+    for _ in range(20):
+        N = int(rng.integers(1, 13))
+        profile, targets, increasing = _mixed_batch(rng, N)
+        base = solve_monotone_batch(profile, targets, increasing)
+        t0 = _cold_roots(profile, targets, increasing)
+        res = solve_monotone_batch(profile, targets, increasing,
+                                   bracket=[_brackets([first] * N, t0),
+                                            _brackets([second] * N, t0)])
+        assert res.status.tobytes() == base.status.tobytes()
+        assert res.t.tobytes() == base.t.tobytes()
+        assert res.residual.tobytes() == base.residual.tobytes()
+
+
+def test_a_row_takes_the_first_candidate_that_straddles():
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        N = int(rng.integers(1, 13))
+        profile, targets, increasing = _mixed_batch(rng, N)
+        t0 = _cold_roots(profile, targets, increasing)
+        missed = rng.random(N) < 0.5
+        first = _brackets(np.where(missed, "above", "tight"), t0)
+        wide = _brackets(["wide"] * N, t0)
+        res = solve_monotone_batch(profile, targets, increasing,
+                                   bracket=[first, wide])
+        # each row ends as with the one bracket that seeded it
+        for rows, alone in ((~missed, first), (missed, wide)):
+            ref = solve_monotone_batch(profile, targets, increasing,
+                                       bracket=alone)
+            assert ref.status[rows].tobytes() == res.status[rows].tobytes()
+            assert ref.t[rows].tobytes() == res.t[rows].tobytes()
+
+
+def test_a_candidate_function_is_asked_only_for_the_rows_left():
+    targets = np.array([1.0, 8.0, 27.0, 64.0])
+    roots = np.cbrt(targets)
+    asked = []
+
+    def table(rows):
+        asked.append(rows.copy())
+        return 0.9 * roots[rows], 1.1 * roots[rows]
+
+    # rows 0 and 2 straddle their first bracket; rows 1 and 3 do not
+    first = (np.where([True, False, True, False], 0.9, 2.0) * roots,
+             np.where([True, False, True, False], 1.1, 3.0) * roots)
+    res = solve_monotone_batch(lambda t: t ** 3, targets, True,
+                               bracket=[first, table])
+    assert [r.tolist() for r in asked] == [[1, 3]]
+    assert (res.status == OK).all()
+    np.testing.assert_allclose(res.t, roots, rtol=1e-14)
+    # a function left with no rows is not called
+    solve_monotone_batch(lambda t: t ** 3, targets, True,
+                         bracket=[(0.9 * roots, 1.1 * roots), table])
+    assert len(asked) == 1
