@@ -47,7 +47,8 @@ from .levelsets import (check_ph_sandwich, check_si_sandwich,
                         negligibility_probe, ray_level_radius,
                         si_sandwich_applies, sphere_extrema)
 from .rays import (SamplingPlan, check_decomposability,
-                   check_scaling_invariance, default_directions, row_witnesses)
+                   check_scaling_invariance, default_directions,
+                   ray_witness_kinds, row_witnesses)
 from .reporting import Report, emit
 
 
@@ -138,6 +139,16 @@ def _parse_params(items) -> dict:
     return params
 
 
+def _number_param(params: dict, key: str, default, kind):
+    """Pop the random_si parameter ``key``: a number, whole if ``kind`` is int."""
+    value = params.pop(key, default)
+    if not (isinstance(value, (int, float))
+            and (kind is float or float(value).is_integer())):
+        what = "an integer" if kind is int else "a number"
+        raise UsageError(f"random_si parameter {key!r} must be {what}, got {value!r}")
+    return kind(value)
+
+
 def _resolve_seed(args) -> tuple:
     env = os.environ.get("SIPH_SEED")
     if env is not None and env != "":
@@ -167,9 +178,9 @@ def _resolve_field(args, seed: int) -> tuple:
                          "entries are anchored at the origin")
     params = _parse_params(args.param)
     if args.gallery == "random_si":
-        eps = float(params.pop("eps", 0.3))
-        modes = int(params.pop("modes", 4))
-        rseed = int(params.pop("seed", seed))
+        eps = _number_param(params, "eps", 0.3, float)
+        modes = _number_param(params, "modes", 4, int)
+        rseed = _number_param(params, "seed", seed, int)
         if params:
             raise UsageError(f"unknown random_si parameters: {sorted(params)}")
         field = random_si(rseed, n, eps=eps, modes=modes)
@@ -335,11 +346,8 @@ def _cmd_levelset_radii(args, field, plan):
         dirs = default_directions(field.n, seed=plan.seed)
     radii = ray_level_radius(field, dirs, args.level, grid=plan.t_grid())
     status = np.array([hit.status for hit in radii])
-    witnesses = row_witnesses(
-        ~np.isin(status, ("ok", "outside-range")),
-        np.where(status == "non-monotone", "non_monotone_ray",
-                 np.char.add(status, "_ray")),
-        direction=dirs)
+    witnesses = row_witnesses(~np.isin(status, ("ok", "outside-range")),
+                              ray_witness_kinds(status), direction=dirs)
     metrics = {"level": args.level, "n_directions": int(len(dirs)),
                "radii": radii}
     if args.sweep_csv:
@@ -489,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     gal = sub.add_parser("gallery", help="built-in function catalog")
     gal_sub = gal.add_subparsers(dest="action", required=True)
     gal_list = gal_sub.add_parser("list", help="list entries with tags")
-    gal_list.add_argument("--n", type=int, default=2)
+    gal_list.add_argument("--n", type=_positive_int, default=2)
     _add_output_flags(gal_list)
 
     chk = sub.add_parser("check", help="order-based property checks")

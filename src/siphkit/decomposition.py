@@ -29,8 +29,6 @@ from .rootfind import (BELOW_START, MAX_DOUBLINGS, OK, UNBOUNDED,
 ZERO_LEVEL_ATOL = 1e-12
 # uniqueness_check: largest coefficient of variation of p1/p2 in a class
 UNIQUENESS_CV_TOL = 1e-6
-# phi_inverse_values status: a level a one-sided phi never reaches
-OUTSIDE_RANGE = -1
 # p_values: half-width, relative, of the bracket around a guessed lambda
 GUESS_BAND = 1e-9
 # p_values: the table of g along a sign class's reference ray, built for
@@ -73,8 +71,8 @@ class Decomposition:
         self.case = case
         self.positive_ref = positive_ref
         self.negative_ref = negative_ref
-        # witnesses of the rows the latest p_values / lambda_for call could
-        # not solve; each call starts a fresh list
+        # witnesses of the rows the latest p_values call could not solve;
+        # each call starts a fresh list
         self.solver_failures: list = []
 
     # -- p ------------------------------------------------------------------
@@ -98,17 +96,6 @@ class Decomposition:
             res.status != OK, reason, MAX_WITNESSES - len(self.solver_failures),
             point=Z)
         return np.where(res.status == OK, res.t, np.nan)
-
-    def lambda_for(self, x) -> float:
-        """The homothety scale lambda(x) for one absolute point (nan if f(x)
-        is on the zero level or the ray never meets the reference level)."""
-        self.solver_failures = []
-        z = np.asarray(x, dtype=float) - self.field.x_star
-        g = self.field.shifted(z)
-        if g == 0 or self.case == "zero":
-            return np.nan
-        ref = self.positive_ref if (self.case == "one-sided" or g > 0) else self.negative_ref
-        return float(self._solve_lambdas(z[None, :], ref)[0])
 
     def p_values(self, X, guess=None) -> np.ndarray:
         """Canonical p over an (N, n) batch of absolute points.
@@ -228,13 +215,6 @@ class Decomposition:
             return True
         return self.positive_ref.increasing
 
-    def _class_refs(self, pos: np.ndarray) -> tuple:
-        """Per row, the reference point and ray direction of its sign class:
-        the positive one where ``pos``, else the negative (or only) one."""
-        neg = self.positive_ref if self.case == "one-sided" else self.negative_ref
-        return (np.where(pos[:, None], self.positive_ref.point, neg.point),
-                np.where(pos, self.positive_ref.increasing, neg.increasing))
-
     def phi_values(self, T) -> np.ndarray:
         """phi over an array of profile arguments (raw, includes f(x_star)):
         f at |T|**(1/alpha) times the reference point of T's sign class, in
@@ -247,48 +227,13 @@ class Decomposition:
         if self.case == "one-sided" and (T < 0).any():
             raise ValueError("one-sided profile is defined for t >= 0 only")
         pos = (T >= 0) | (self.case == "one-sided")
-        P, _ = self._class_refs(pos)
+        neg = self.positive_ref if self.case == "one-sided" else self.negative_ref
+        P = np.where(pos[:, None], self.positive_ref.point, neg.point)
         radii = np.where(pos, T, -T) ** (1.0 / self.alpha)
         return self.field._eval_batch(self.field.absolute(radii[:, None] * P))
 
     def phi(self, t: float) -> float:
         return float(self.phi_values(np.array([t]))[0])
-
-    def phi_inverse_values(self, Y) -> tuple:
-        """Solve phi(t) = y for each level y of ``Y`` in one root solve.
-
-        Returns ``(values, status)``.  ``status`` holds a rootfind code per
-        level, or ``OUTSIDE_RANGE`` for a level on the side of f(x_star)
-        that a one-sided phi never reaches; ``values`` is nan wherever the
-        status is not OK.  The level f(x_star) maps to 0 without a solve.
-        """
-        gy = np.atleast_1d(np.asarray(Y, dtype=float)) - self.field.f_star
-        status = np.full(gy.shape, OK)
-        if self.case == "zero":
-            return gy, status
-        if self.case == "one-sided":
-            pos = np.ones(gy.shape, dtype=bool)
-            wrong_side = (gy > 0) != (self.positive_ref.value > 0)
-            status[(gy != 0) & wrong_side] = OUTSIDE_RANGE
-        else:
-            pos = gy > 0
-        values = np.where(gy == 0, 0.0, np.nan)
-        rows = np.flatnonzero((gy != 0) & (status == OK))
-        if rows.size == 0:
-            return values, status
-        P, increasing = self._class_refs(pos[rows])
-
-        def profile(u):
-            return self.field.ray_values(u, P)
-
-        res = solve_monotone_batch(profile, gy[rows], increasing=increasing)
-        status[rows] = res.status
-        # scalar powers, one level at a time: numpy's array pow may differ
-        # from the scalar one in the last bit
-        for i, t, code in zip(rows, res.t, res.status):
-            if code == OK:
-                values[i] = (1.0 if pos[i] else -1.0) * t ** self.alpha
-        return values, status
 
     # -- wrappers ---------------------------------------------------------------
 
@@ -475,7 +420,8 @@ def verify_decomposition(field: ScalarField, d: Decomposition,
     f_vals = field.values(X)
     p_vals = d.p_values(X)
     witnesses = list(d.solver_failures)
-    comp = np.abs(f_vals - d.phi_values(p_vals))
+    with np.errstate(invalid="ignore"):  # inf - inf: a non_finite row
+        comp = np.abs(f_vals - d.phi_values(p_vals))
     ok = ~np.isnan(comp)
 
     Z = X - field.x_star

@@ -30,8 +30,8 @@ import numpy as np
 
 from .decomposition import ZERO_LEVEL_ATOL, Decomposition
 from .field import ScalarField, row_sumsq
-from .rays import (FEW_WITNESSES, SamplingPlan, classify_ray,
-                   default_directions, row_blocks, row_witnesses)
+from .rays import (FEW_WITNESSES, SamplingPlan, classify_ray, default_directions,
+                   ray_witness_kinds, row_blocks, row_witnesses)
 from .rootfind import (MAX_DOUBLINGS, NONFINITE, OK, UNBOUNDED, RootResult,
                        solve_monotone_batch)
 
@@ -67,12 +67,12 @@ class LevelRadius:
     residual: float = np.nan
 
 
-def _solve_level(field: ScalarField, D: np.ndarray, c: float,
+def _solve_level(field: ScalarField, D: np.ndarray, c,
                  increasing) -> RootResult:
-    """f(x_star + t d) = c on the rays along the rows d of D, in one solve."""
-    return solve_monotone_batch(lambda t: field.ray_values(t, D),
-                                np.full(len(D), float(c) - field.f_star),
-                                increasing)
+    """f(x_star + t d) = c on the rays along the rows d of D, in one solve;
+    ``c`` is one level for all rays or a level per ray."""
+    c = np.broadcast_to(np.asarray(c, dtype=float) - field.f_star, (len(D),))
+    return solve_monotone_batch(lambda t: field.ray_values(t, D), c, increasing)
 
 
 def ray_level_radius(field: ScalarField, direction, c: float,
@@ -369,8 +369,9 @@ def check_si_sandwich(field: ScalarField, d: Decomposition,
     global minimum); otherwise the report carries verdict
     "precondition-failed" and nothing is run.  m and M are the unit-sphere
     extrema of the degree-1 representative q = p^(1/alpha); phi1(t) = phi(t^alpha)
-    is the matching profile.  ``slack`` is a relative tolerance absorbing the
-    sampling error of the extrema estimates.
+    is the matching profile: f along the reference ray, where q = 1, on
+    which the ball radii phi1^{-1}(c) are root-solved too.  ``slack`` is a
+    relative tolerance absorbing the sampling error of the extrema estimates.
 
     The extrema are located on f itself.  With phi strictly increasing,
     f(x) < f(y) exactly when q(x) < q(y), so the seeded sampling and the
@@ -417,8 +418,10 @@ def check_si_sandwich(field: ScalarField, d: Decomposition,
                             notes={**notes, "reason": "homogeneous part is not "
                                                       "positive on the sphere"})
 
-    def phi1(t):
-        return d.phi_values(np.asarray(t, dtype=float) ** d.alpha)
+    x0 = d.positive_ref.point  # q(x_star + x0) = 1
+
+    def phi1(t):  # phi(t^alpha), f along the reference ray
+        return field.values(field.absolute(t[:, None] * x0))
 
     X0, r, _ = _projected_samples(plan, field.n)
     f_vals = field.values(field.absolute(X0))
@@ -441,13 +444,16 @@ def check_si_sandwich(field: ScalarField, d: Decomposition,
                                    rho=rho, x=X0, f=f_vals, cap=cap)
 
     # Sublevel set at level c inside the ball of radius phi1^{-1}(c)/m.
-    # all levels in one solve; those phi does not reach are skipped
-    ref_levels = f_vals[np.isfinite(f_vals)][:8]
-    t_levels, status = d.phi_inverse_values(ref_levels)
-    for c, t_c, code in zip(ref_levels, t_levels, status):
-        if code != OK:
+    # all levels in one solve along x0; the level f(x_star) has radius 0,
+    # and a level phi does not reach (t nan) is skipped
+    ref_levels = f_vals[finite][:8]
+    D = np.broadcast_to(x0, (ref_levels.size, field.n))
+    t_levels = _solve_level(field, D, ref_levels, True).t
+    for c, t_c in zip(ref_levels, np.where(ref_levels == field.f_star, 0.0,
+                                           t_levels)):
+        if np.isnan(t_c):
             continue
-        radius = float(t_c) ** inv_alpha / m_hat
+        radius = float(t_c) / m_hat
         covered = finite & (f_vals <= c)
         bad = covered & (r > radius * (1.0 + slack) + slack)
         witnesses += row_witnesses(bad, "ball_cover", FEW_WITNESSES,
@@ -496,7 +502,7 @@ def compactness_probe(field: ScalarField, c: float, directions=None,
     grid = plan.t_grid()
     kinds = classify_ray(field, directions, grid=grid)
     witnesses = row_witnesses(kinds != "strictly-increasing",
-                              np.char.add(kinds, "_ray"), direction=directions)
+                              ray_witness_kinds(kinds), direction=directions)
     if witnesses:
         return CompactnessReport(verdict="unbounded-evidence", level=c,
                                  max_radius=np.nan, ray_kinds=kinds.tolist(),

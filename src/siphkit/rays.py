@@ -47,6 +47,14 @@ def row_witnesses(mask, kind, limit=MAX_WITNESSES, /, **columns) -> list:
     return witnesses
 
 
+def ray_witness_kinds(kinds) -> np.ndarray:
+    """The witness kind of each ray outcome: "non_monotone_ray" and
+    "whole_ray" for "non-monotone" and "whole-ray", else outcome + "_ray"."""
+    kinds = np.char.add(kinds, "_ray")
+    return np.where(kinds == "non-monotone_ray", "non_monotone_ray",
+                    np.where(kinds == "whole-ray_ray", "whole_ray", kinds))
+
+
 @dataclass(frozen=True)
 class SamplingPlan:
     """Shared sampling configuration for the statistical probes.

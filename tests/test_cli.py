@@ -43,6 +43,16 @@ def test_gallery_list(capsys):
     assert "sphere" in names
 
 
+def test_whole_random_si_parameters_are_echoed_as_integers(capsys):
+    code, doc = run_json(capsys, ["check", "si", "--gallery", "random_si",
+                                  "--param", "modes=3.0", "--param", "seed=5",
+                                  "--N", "10"])
+    assert code == 0
+    params = doc["config"]["function"]["params"]
+    assert params == {"eps": 0.3, "modes": 3, "seed": 5}
+    assert type(params["modes"]) is int
+
+
 # ---------------------------------------------------------------------------
 # check si
 
@@ -157,6 +167,23 @@ def test_a_level_that_is_not_a_finite_number_exits_two(capsys, command, level):
       "--N", "100", "--eps", "inf,0.1"], "eps_list must be finite"),
     (["levelset", "negligible", "--gallery", "sphere", "--level", "1",
       "--N", "100", "--eps", "0.1,nan"], "eps_list must be finite"),
+    (["gallery", "list", "--n", "0"], "argument --n: must be at least 1"),
+    (["gallery", "list", "--n", "-3"], "argument --n: must be at least 1"),
+    # random_si parameters are neither crashed on nor truncated
+    (["check", "si", "--gallery", "random_si", "--N", "10", "--param",
+      "eps=1,2"], "random_si parameter 'eps' must be a number, got [1.0, 2.0]"),
+    (["check", "si", "--gallery", "random_si", "--N", "10", "--param",
+      "eps=1,2;3,4"], "random_si parameter 'eps' must be a number"),
+    (["check", "si", "--gallery", "random_si", "--N", "10", "--param",
+      "eps=abc"], "random_si parameter 'eps' must be a number, got 'abc'"),
+    (["check", "si", "--gallery", "random_si", "--N", "10", "--param",
+      "modes=1.7"], "random_si parameter 'modes' must be an integer, got 1.7"),
+    (["check", "si", "--gallery", "random_si", "--N", "10", "--param",
+      "modes=1,2"], "random_si parameter 'modes' must be an integer"),
+    (["check", "si", "--gallery", "random_si", "--N", "10", "--param",
+      "seed=2.9"], "random_si parameter 'seed' must be an integer, got 2.9"),
+    (["check", "si", "--gallery", "random_si", "--N", "10", "--param",
+      "seed=inf"], "random_si parameter 'seed' must be an integer, got inf"),
 ])
 def test_degenerate_arguments_exit_two_with_a_named_message(capsys, argv,
                                                             message):
@@ -349,6 +376,28 @@ def test_levelset_compact_flags_flat_directions(capsys):
     doc = json.loads(out)
     assert doc["metrics"]["domain_verdict"] == "unbounded-evidence"
     assert doc["witnesses"][0]["kind"] == "constant_ray"
+
+
+def test_levelset_compact_names_a_non_monotone_ray_as_radii_does(capsys):
+    argv = ["--expr", "sin(3*x_1) + x_2^2", "--n", "2", "--level"]
+    code, compact = run_json(capsys, ["levelset", "compact", *argv, "1"])
+    assert code == 1
+    code, radii = run_json(capsys, ["levelset", "radii", *argv, "0.5"])
+    assert code == 1
+    for doc in (compact, radii):
+        kinds = {w["kind"] for w in doc["witnesses"]}
+        assert "non_monotone_ray" in kinds and "non-monotone_ray" not in kinds
+
+
+def test_levelset_radii_names_a_constant_ray_at_the_level_whole_ray(capsys):
+    # piecewise_ph is 0 off the cone x_1 x_2 > 0, so rays there sit at level 0
+    code, doc = run_json(capsys, ["levelset", "radii", "--gallery",
+                                  "piecewise_ph", "--level", "0"])
+    assert code == 1
+    statuses = [rec["status"] for rec in doc["metrics"]["radii"]]
+    assert "whole-ray" in statuses
+    assert {w["kind"] for w in doc["witnesses"]} == {"whole_ray"}
+    assert len(doc["witnesses"]) == statuses.count("whole-ray")
 
 
 def test_levelset_compact_bounded_radius(capsys):
@@ -731,6 +780,18 @@ def test_a_ray_starting_on_the_reference_level_warns_nothing(capsys):
         code, out, err = run_cli(capsys, argv)
     assert (code, err) == (1, "")
     assert json.loads(out)["verdict"] == "fail"
+
+
+def test_a_decomposition_where_f_overflows_warns_nothing(capsys):
+    # exp(norm(x)^2) is inf on part of the box, and so is phi(p) there
+    argv = ["decompose", "--expr", "exp(norm(x)^2)", "--n", "2", "--seed",
+            "107975", "--N", "64", "--box-radius", "50"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (1, "")
+    kinds = [w["kind"] for w in json.loads(out)["witnesses"]]
+    assert kinds[:4] == ["non_finite"] * 4
 
 
 def test_a_reference_where_f_is_not_finite_fails_the_build(capsys):

@@ -9,7 +9,6 @@ import pytest
 
 from siphkit import cli, decomposition
 from siphkit.decomposition import (
-    OUTSIDE_RANGE,
     Decomposition,
     DecompositionError,
     ReferenceInfo,
@@ -21,8 +20,9 @@ from siphkit.decomposition import (
 from siphkit.exprlang import bind
 from siphkit.field import DimensionMismatchError
 from siphkit.gallery import compose, make_builtin, random_si
+from siphkit.levelsets import _solve_level, ray_level_radius
 from siphkit.rays import MAX_WITNESSES, SamplingPlan
-from siphkit.rootfind import OK, solve_monotone_batch
+from siphkit.rootfind import BELOW_START, OK, solve_monotone_batch
 
 E1_2D = np.array([1.0, 0.0])
 
@@ -217,38 +217,47 @@ def test_a_ray_that_starts_on_the_reference_level_gets_infinite_p():
 
 
 def _phi_inverse(d, y):
-    """One level through ``phi_inverse_values``: its value and status."""
-    values, status = d.phi_inverse_values([y])
-    return float(values[0]), int(status[0])
+    """phi^{-1}(y) read off the reference ray of y's sign class: +-u**alpha
+    for the radius u of the level y along it, and the radius's status."""
+    pos = d.case == "one-sided" or y > d.field.f_star
+    ref = d.positive_ref if pos else d.negative_ref
+    [hit] = ray_level_radius(d.field, ref.point, y)
+    return (1.0 if pos else -1.0) * hit.radius ** d.alpha, hit.status
 
 
 def test_profile_inverse_round_trips():
     f = make_builtin("sq_norm", 2)
     d = build_decomposition(f, alpha=1.0, x0=E1_2D)
-    assert _phi_inverse(d, 4.0) == (pytest.approx(2.0, abs=1e-9), 0)
-    assert _phi_inverse(d, 0.0) == (0.0, 0)
-    assert _phi_inverse(d, 9.0) == (pytest.approx(3.0, abs=1e-8), 0)
+    assert _phi_inverse(d, 4.0) == (pytest.approx(2.0, abs=1e-9), "ok")
+    assert _phi_inverse(d, 9.0) == (pytest.approx(3.0, abs=1e-8), "ok")
 
 
 def test_profile_inverse_on_slow_quadrature_profile():
     f = make_builtin("logsq_si", 2)
-    d = build_decomposition(f, alpha=1.0, x0=E1_2D)
-    y = d.phi(1.5)
-    assert _phi_inverse(d, y) == (pytest.approx(1.5, abs=1e-7), 0)
+    for alpha in (1.0, 2.5):
+        d = build_decomposition(f, alpha=alpha, x0=E1_2D)
+        y = d.phi(1.5)
+        [hit] = ray_level_radius(f, d.positive_ref.point, y)
+        assert hit.status == "ok"
+        # the level radius u on the reference ray solves phi(u^alpha) = y
+        assert d.phi(hit.radius ** alpha) == pytest.approx(y, rel=1e-12)
+        assert _phi_inverse(d, y) == (pytest.approx(1.5, abs=1e-7), "ok")
 
 
 def test_profile_inverse_rejects_unachieved_levels():
     d = build_decomposition(make_builtin("sq_norm", 2), alpha=1.0, x0=E1_2D)
     value, status = _phi_inverse(d, -1.0)  # the field is nonnegative
-    assert status == OUTSIDE_RANGE
+    assert status == "outside-range"
     assert np.isnan(value)
 
 
 def test_two_sided_profile_inverse_uses_the_matching_branch():
     f = make_builtin("linear_x1", 2)
     d = build_decomposition(f, alpha=1.0, x1=[1.0, 0.0], xm1=[-1.0, 0.0])
-    assert _phi_inverse(d, 2.5) == (pytest.approx(2.5, abs=1e-9), 0)
-    assert _phi_inverse(d, -2.5) == (pytest.approx(-2.5, abs=1e-9), 0)
+    assert _phi_inverse(d, 2.5) == (pytest.approx(2.5, abs=1e-9), "ok")
+    assert _phi_inverse(d, -2.5) == (pytest.approx(-2.5, abs=1e-9), "ok")
+    for y in (2.5, -2.5):
+        assert d.phi(_phi_inverse(d, y)[0]) == pytest.approx(y, rel=1e-12)
 
 
 @pytest.mark.parametrize("name,refs", [
@@ -257,25 +266,30 @@ def test_two_sided_profile_inverse_uses_the_matching_branch():
     ("linear_x1", {"x1": [1.0, 0.0], "xm1": [-1.0, 0.0]}),
 ])
 def test_batched_profile_inverse_equals_the_one_level_solves(name, refs):
+    # a level per ray, each along the reference ray of its sign class, in
+    # one solve: the bits of one solve per level
     f = make_builtin(name, 2)
     d = build_decomposition(f, alpha=1.5, **refs)
     levels = np.concatenate([f.values(np.random.default_rng(3).normal(size=(12, 2))),
                              [f.f_star, f.f_star + 1.0, f.f_star - 1.0, 1e300]])
-    values, status = d.phi_inverse_values(levels)
-    for y, value, code in zip(levels, values, status):
-        expected, expected_code = _phi_inverse(d, float(y))
-        assert code == expected_code
-        if code != 0:
-            assert np.isnan(value)
-            continue
-        assert value == expected  # bit for bit
+    neg = d.negative_ref or d.positive_ref
+    refs = [d.positive_ref if y > f.f_star else neg for y in levels]
+    P = np.array([ref.point for ref in refs])
+    increasing = np.array([ref.increasing for ref in refs])
+    res = _solve_level(f, P, levels, increasing)
+    assert (res.status == OK).sum() >= 12
+    for i, y in enumerate(levels):
+        one = _solve_level(f, P[i:i + 1], y, increasing[i])
+        assert res.status[i] == one.status[0]
+        np.testing.assert_array_equal(res.t[i:i + 1].view(np.uint64),
+                                      one.t.view(np.uint64))
 
 
 def test_profile_inverse_names_the_side_phi_never_reaches():
     d = build_decomposition(make_builtin("sq_norm", 2), alpha=1.0, x0=E1_2D)
-    _, status = d.phi_inverse_values([-1.0, 4.0])
-    assert status.tolist() == [OUTSIDE_RANGE, 0]
-    assert _phi_inverse(d, -1.0)[1] == OUTSIDE_RANGE
+    res = _solve_level(d.field, np.array([E1_2D, E1_2D]), [-1.0, 4.0], True)
+    assert res.status.tolist() == [BELOW_START, OK]
+    assert _phi_inverse(d, -1.0)[1] == "outside-range"
 
 
 # ---------------------------------------------------------------------------
@@ -283,22 +297,25 @@ def test_profile_inverse_names_the_side_phi_never_reaches():
 
 
 def test_homothety_scale_is_inverse_homogeneous():
+    # lambda(x) = |p(x)|**(-1/alpha) scales as lambda(rho x) = lambda(x) / rho
     f = make_builtin("sq_norm", 2)
-    d = build_decomposition(f, alpha=1.0, x0=E1_2D)
+    d = build_decomposition(f, alpha=1.5, x0=E1_2D)
     rng = np.random.default_rng(5)
-    for _ in range(100):
-        x = rng.uniform(-2.0, 2.0, size=2)
-        if np.linalg.norm(x) < 1e-3:
-            continue
-        rho = float(np.exp(rng.uniform(np.log(0.1), np.log(10.0))))
-        lam_x = d.lambda_for(x)
-        lam_rx = d.lambda_for(rho * x)
-        assert lam_rx == pytest.approx(lam_x / rho, rel=1e-9)
+    X = rng.uniform(-2.0, 2.0, size=(100, 2))
+    X = X[np.linalg.norm(X, axis=1) >= 1e-3]
+    rho = np.exp(rng.uniform(np.log(0.1), np.log(10.0), size=len(X)))
+    lam_x = np.abs(d.p_values(X)) ** (-1.0 / d.alpha)
+    lam_rx = np.abs(d.p_values(rho[:, None] * X)) ** (-1.0 / d.alpha)
+    np.testing.assert_allclose(lam_rx, lam_x / rho, rtol=1e-9)
 
 
 def test_homothety_scale_is_nan_on_the_zero_level():
+    # the ray of x_star never meets the reference level; p_values takes the
+    # zero level as p = 0 without a solve
     d = build_decomposition(make_builtin("sq_norm", 2), alpha=1.0, x0=E1_2D)
-    assert np.isnan(d.lambda_for([0.0, 0.0]))
+    assert np.isnan(d._solve_lambdas(np.zeros((1, 2)), d.positive_ref)).all()
+    assert d.p_values([[0.0, 0.0]]).tolist() == [0.0]
+    assert d.solver_failures == []
 
 
 def test_recovered_part_is_positively_homogeneous():

@@ -18,6 +18,7 @@ from siphkit.rays import (
     classify_ray,
     default_directions,
     order_trichotomy,
+    ray_witness_kinds,
     row_witnesses,
 )
 from siphkit.rays import _reversed
@@ -396,6 +397,15 @@ def test_row_witnesses_take_per_row_kinds_and_leave_out_none():
     assert out == [{"kind": "a_ray", "pair": [0.1, 0.2]}, {"kind": "b_ray"},
                    {"kind": "c_ray"}]
     assert all(type(w["kind"]) is str for w in out)
+
+
+def test_each_ray_outcome_has_one_witness_kind():
+    kinds = ray_witness_kinds(["non-monotone", "whole-ray", "constant",
+                               "strictly-decreasing", "unbounded",
+                               "non-finite"])
+    assert kinds.tolist() == ["non_monotone_ray", "whole_ray", "constant_ray",
+                              "strictly-decreasing_ray", "unbounded_ray",
+                              "non-finite_ray"]
 
 
 def test_check_decomposable_keeps_direction_order_across_kinds():
