@@ -20,8 +20,8 @@ from .exprlang import to_source
 from .field import (DimensionMismatchError, FieldMeta, GradientSpec,
                     RaySection, ScalarField, ray_section)
 from .gallery import REGISTRY, compose, make_builtin, random_si, registry_json
-from .levelsets import (BoundsReport, CompactnessReport, LevelRadius,
-                        NegligibilityReport, SphereExtrema, check_ph_sandwich,
+from .levelsets import (BoundsReport, CompactnessReport, NegligibilityReport,
+                        SphereExtrema, check_ph_sandwich,
                         check_si_sandwich, compactness_probe,
                         fold_projected_samples, negligibility_probe,
                         ray_level_radius, sphere_extrema)
@@ -37,7 +37,7 @@ __all__ = [
     "BoundsReport", "CompactnessReport", "Decomposition", "DecompositionError",
     "DecomposabilityReport", "DimensionMismatchError", "EulerReport",
     "ExprBindError", "ExprError", "ExprSyntaxError", "FieldMeta",
-    "GradientSpec", "LevelRadius", "NegligibilityReport",
+    "GradientSpec", "NegligibilityReport",
     "NeighborhoodCertificate", "PairedLevels", "RaySection", "REGISTRY",
     "Report", "RootResult", "SIReport", "SamplingPlan", "ScalarField",
     "SphereExtrema", "bind", "build_decomposition", "check_decomposability",

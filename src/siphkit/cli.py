@@ -345,9 +345,8 @@ def _cmd_levelset_radii(args, field, plan):
     else:
         dirs = default_directions(field.n, seed=plan.seed)
     radii = ray_level_radius(field, dirs, args.level, grid=plan.t_grid())
-    status = np.array([hit.status for hit in radii])
-    witnesses = row_witnesses(~np.isin(status, ("ok", "outside-range")),
-                              ray_witness_kinds(status), direction=dirs)
+    witnesses = row_witnesses(~np.isin(radii.status, ("ok", "outside-range")),
+                              ray_witness_kinds(radii.status), direction=dirs)
     metrics = {"level": args.level, "n_directions": int(len(dirs)),
                "radii": radii}
     if args.sweep_csv:
@@ -356,10 +355,10 @@ def _cmd_levelset_radii(args, field, plan):
             n_angles = max(field.n - 1, 1)
             writer.writerow([f"angle_{i + 1}" for i in range(n_angles)]
                             + ["radius"])
-            for hit in radii:
-                if hit.status != "non-monotone":
-                    writer.writerow(_direction_angles(hit.direction)
-                                    + [hit.radius])
+            keep = radii.status != "non-monotone"
+            writer.writerows(_direction_angles(d) + [r] for d, r in
+                             zip(radii.direction[keep],
+                                 radii.radius[keep].tolist()))
     return metrics, witnesses, {"level": args.level,
                                 "sweep_csv": args.sweep_csv}
 

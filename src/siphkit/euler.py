@@ -178,10 +178,9 @@ class SpreadReport:
 def _level_points(field: ScalarField, dirs: np.ndarray, c: float) -> np.ndarray:
     """Points r d of the level set {f = c} on the rays along ``dirs`` that
     meet it, in direction order; rays that miss the level are dropped."""
-    hits = ray_level_radius(field, dirs, c)
-    keep = [i for i, hit in enumerate(hits) if hit.status == "ok"]
-    radii = np.array([hits[i].radius for i in keep])
-    return radii[:, None] * dirs[keep]
+    radii = ray_level_radius(field, dirs, c)
+    ok = radii.status == "ok"
+    return radii.radius[ok, None] * dirs[ok]
 
 
 def levelset_gradient_constancy(field: ScalarField, c: float,
@@ -364,18 +363,20 @@ def positive_gradient_region(field: ScalarField,
                                        scan=[["sphere", "non-finite"]])
     s = sphere[int(np.argmin(np.where(finite, svals, np.inf)))]
 
-    scan = []
-    t_found = None
-    for t in np.linspace(1.0, 0.05, 20):
-        h = 1e-4 * (1.0 + t)
-        deriv = (field.value(field.x_star + (t + h) * s)
-                 - field.value(field.x_star + (t - h) * s)) / (2.0 * h)
-        scan.append([float(t), float(deriv)])
-        if np.isfinite(deriv) and deriv > DERIVATIVE_FLOOR:
-            t_found = float(t)
-            break
-    if t_found is None:
+    # the ray derivative at all 20 t in one field call; the scan reports
+    # them up to the first that passes
+    t = np.linspace(1.0, 0.05, 20)
+    h = 1e-4 * (1.0 + t)
+    ahead, behind = np.split(field.values(field.absolute(
+        np.concatenate([t + h, t - h])[:, None] * s)), 2)
+    with np.errstate(all="ignore"):
+        deriv = (ahead - behind) / (2.0 * h)
+    passes = np.flatnonzero(np.isfinite(deriv) & (deriv > DERIVATIVE_FLOOR))
+    stop = passes[0] + 1 if passes.size else 20
+    scan = np.column_stack([t, deriv])[:stop].tolist()
+    if not passes.size:
         return NeighborhoodCertificate(seed=plan.seed, scan=scan)
+    t_found = float(t[passes[0]])
     z0 = t_found * s
     level = float(field.value(field.x_star + z0))
 

@@ -49,36 +49,31 @@ SETTLE_RTOL = 1e-12
 _STATUS_LABEL = np.array(["ok", "unbounded", "non-finite", "outside-range"])
 
 
-@dataclass
-class LevelRadius:
-    """Intersection of one ray with the level set {f = c}.
-
-    ``status`` is "ok" (unique radius found), "outside-range" (the level is on
-    the wrong side of the ray's start, so the ray misses it), "unbounded"
-    (bracket expansion exhausted — evidence the ray never reaches the level),
-    "whole-ray" (constant ray sitting exactly at the level), "non-finite",
-    or "non-monotone" (the ray has no unique crossing).
-    """
-
-    direction: np.ndarray
-    level: float
-    status: str
-    radius: float = np.nan
-    residual: float = np.nan
-
-
 def _solve_level(field: ScalarField, D: np.ndarray, c,
                  increasing) -> RootResult:
     """f(x_star + t d) = c on the rays along the rows d of D, in one solve;
-    ``c`` is one level for all rays or a level per ray."""
+    ``c`` is one level for all rays or a level per ray.  A level equal to
+    f(x_star) is met at the ray's start: t = 0, status OK, residual 0."""
     c = np.broadcast_to(np.asarray(c, dtype=float) - field.f_star, (len(D),))
-    return solve_monotone_batch(lambda t: field.ray_values(t, D), c, increasing)
+    res = solve_monotone_batch(lambda t: field.ray_values(t, D), c, increasing)
+    at_start = c == 0  # the solver's BELOW_START rows, never evaluated
+    res.t[at_start], res.status[at_start], res.residual[at_start] = 0.0, OK, 0.0
+    return res
 
 
 def ray_level_radius(field: ScalarField, direction, c: float,
-                     grid=None) -> list:
-    """Radii t* with f(x_star + t* d) = c: one :class:`LevelRadius` per ray
-    of ``direction``, of shape (n,) (one ray) or (R, n) (R rays).
+                     grid=None) -> np.recarray:
+    """Radii t* with f(x_star + t* d) = c on the rays of ``direction``, of
+    shape (n,) (one ray) or (R, n) (R rays): a record array with one row per
+    ray and the fields ``direction``, ``level``, ``status``, ``radius`` and
+    ``residual``.
+
+    ``status`` is "ok" (unique radius found), "outside-range" (the level is
+    on the wrong side of the ray's start, so the ray misses it), "unbounded"
+    (bracket expansion exhausted -- evidence the ray never reaches the
+    level), "whole-ray" (constant ray sitting exactly at the level),
+    "non-finite", or "non-monotone" (the ray has no unique crossing).
+    ``radius`` and ``residual`` are nan unless the status is "ok".
 
     All rays are classified in one call and all monotone rays, on which a
     crossing is unique, are solved in one batched root solve.  Levels are
@@ -100,8 +95,11 @@ def ray_level_radius(field: ScalarField, direction, c: float,
         status[mono] = _STATUS_LABEL[res.status]
         radius[mono] = np.where(ok, res.t, np.nan)
         residual[mono] = np.where(ok, res.residual, np.nan)
-    return [LevelRadius(d, c, s, r, e) for d, s, r, e in
-            zip(D, status.tolist(), radius.tolist(), residual.tolist())]
+    return np.rec.fromarrays(
+        [D, np.full(len(D), float(c)), status, radius, residual],
+        dtype=[("direction", float, D.shape[1:]), ("level", float),
+               ("status", status.dtype), ("radius", float),
+               ("residual", float)])
 
 
 # -----------------------------------------------------------------------------
@@ -449,8 +447,7 @@ def check_si_sandwich(field: ScalarField, d: Decomposition,
     ref_levels = f_vals[finite][:8]
     D = np.broadcast_to(x0, (ref_levels.size, field.n))
     t_levels = _solve_level(field, D, ref_levels, True).t
-    for c, t_c in zip(ref_levels, np.where(ref_levels == field.f_star, 0.0,
-                                           t_levels)):
+    for c, t_c in zip(ref_levels, t_levels):
         if np.isnan(t_c):
             continue
         radius = float(t_c) / m_hat

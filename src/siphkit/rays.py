@@ -48,11 +48,14 @@ def row_witnesses(mask, kind, limit=MAX_WITNESSES, /, **columns) -> list:
 
 
 def ray_witness_kinds(kinds) -> np.ndarray:
-    """The witness kind of each ray outcome: "non_monotone_ray" and
-    "whole_ray" for "non-monotone" and "whole-ray", else outcome + "_ray"."""
+    """The witness kind of each ray outcome: "non_monotone_ray", "whole_ray"
+    and "non_finite" for "non-monotone", "whole-ray" and "non-finite", else
+    outcome + "_ray"."""
     kinds = np.char.add(kinds, "_ray")
     return np.where(kinds == "non-monotone_ray", "non_monotone_ray",
-                    np.where(kinds == "whole-ray_ray", "whole_ray", kinds))
+                    np.where(kinds == "whole-ray_ray", "whole_ray",
+                             np.where(kinds == "non-finite_ray", "non_finite",
+                                      kinds)))
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,10 @@ last line.  Non-finite floats serialize as the strings "nan", "inf", "-inf"
 to keep the output strict JSON.
 
 The JSON text is written in one pass over the raw values, with the bytes of
-``json.dumps(jsonable(x), indent=2)``.  In a list, each plain record (a
-dataclass whose fields are strings, finite floats and float64 vectors, such
-as a ``LevelRadius``) goes through the ``%`` template of its shape, and one
-format call fills the whole list; any other item is written value by value.
+``json.dumps(jsonable(x), indent=2)``.  A 1-D structured numpy array, such
+as the level radii of ``ray_level_radius``, is a list of records: its dtype
+gives one ``%`` template, and one format call fills it from the columns.
+Any other value is written value by value.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import itertools
 import json
 import math
 import sys
@@ -57,8 +58,10 @@ def jsonable(obj):
     walked element by element.  Every leaf returned is a builtin type:
     ``np.float64`` subclasses ``float`` but is converted all the same.
 
-    A dataclass instance becomes the dict of its fields in declaration order,
-    unless its class defines ``to_dict``, whose dict is used instead.
+    A 1-D structured array becomes the list of its records, each the dict
+    of its fields in dtype order.  A dataclass instance becomes the dict of
+    its fields in declaration order, unless its class defines ``to_dict``,
+    whose dict is used instead.
     """
     if isinstance(obj, float):  # np.float64 too
         return _json_float(obj)
@@ -67,6 +70,10 @@ def jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
+        if obj.dtype.names and obj.ndim == 1:
+            names = obj.dtype.names
+            return [dict(zip(names, row))
+                    for row in zip(*[jsonable(obj[name]) for name in names])]
         # float16/32/64 only: long double lists as np.longdouble scalars
         if obj.dtype.kind in "biu" or (obj.dtype.char in "efd"
                                        and np.isfinite(obj).all()):
@@ -101,7 +108,10 @@ def _text(obj, nl: str) -> str:
                                    for k, v in items.items()])
         return "{" + inner + body + nl + "}" if items else "{}"
     if isinstance(obj, (list, tuple)):
-        return "[" + inner + _items(obj, inner) + nl + "]" if obj else "[]"
+        body = ("," + inner).join([_text(item, inner) for item in obj])
+        return "[" + inner + body + nl + "]" if obj else "[]"
+    if isinstance(obj, np.ndarray) and obj.dtype.names and obj.ndim == 1:
+        return "[" + inner + _records(obj, inner) + nl + "]" if obj.size else "[]"
     names = _field_names(type(obj))
     if names is not None and not hasattr(obj, "to_dict"):
         return _text({name: getattr(obj, name) for name in names}, nl)
@@ -111,49 +121,30 @@ def _text(obj, nl: str) -> str:
     return json.dumps(value)  # a scalar; TypeError for what JSON cannot hold
 
 
-def _record(obj):
-    """The shape and ``%`` values of a plain record (a dataclass without
-    ``to_dict`` whose fields are str, finite float or finite 1-D float64
-    arrays), or None.  The shape is the class and each field's slots."""
-    names = _field_names(type(obj))
-    if names is None or hasattr(obj, "to_dict"):
-        return None
-    shape, values = [type(obj)], []
-    for name in names:
-        v = getattr(obj, name)
-        if isinstance(v, str):
-            shape.append("%s")  # filled escaped, inside the template's quotes
-            values.append(_quote(v)[1:-1])
-        elif isinstance(v, float) and math.isfinite(v):
-            shape.append("%r")
-            values.append(float(v))  # %r of an np.float64 is not its repr
-        elif (isinstance(v, np.ndarray) and v.dtype.char == "d" and v.ndim == 1
-              and math.isfinite(sum(row := v.tolist()))):  # overflow: no harm
-            shape.append(("%r",) * len(row))
-            values.extend(row)
-        else:
-            return None
-    return tuple(shape), values
+def _records(arr: np.ndarray, nl: str) -> str:
+    """The records of a non-empty 1-D structured array, each on a line
+    starting with ``nl``, filled in by one ``%`` call.
 
-
-def _items(seq, nl: str) -> str:
-    """The items of a non-empty list, each on a line starting with ``nl``,
-    filled in by one ``%`` call: a plain record through its shape's template,
-    which is :func:`_text` of the shape's slots, any other item through
-    :func:`_text`."""
-    templates, slots, values = {}, [], []
-    for item in seq:
-        rec = _record(item)
-        if rec is None:
-            slots.append("%s")
-            values.append(_text(item, nl))
-            continue
-        if rec[0] not in templates:
-            skeleton = dict(zip(_field_names(rec[0][0]), rec[0][1:]))
-            templates[rec[0]] = _text(skeleton, nl).replace('"%r"', "%r")
-        slots.append(templates[rec[0]])
-        values.extend(rec[1])
-    return ("," + nl).join(slots) % tuple(values)
+    The template is :func:`_text` of one record whose every value is a
+    ``%s`` slot, one per entry of a subarray field.  An all-finite float64
+    column fills its slots with its floats (``%s`` of a float is its repr);
+    any other column, nan and +-inf included, with its cells pre-rendered by
+    :func:`_text`.
+    """
+    skeleton, columns = {}, []
+    for name in arr.dtype.names:
+        col = arr[name]
+        shape = col.shape[1:]
+        skeleton[name.replace("%", "%%")] = np.full(shape, "%s").tolist()
+        cell_nl = nl + "  " * (1 + len(shape))
+        for c in col.reshape(len(arr), math.prod(shape)).T:
+            if c.dtype.char == "d" and np.isfinite(c).all():
+                columns.append(c.tolist())
+            else:
+                columns.append([_text(v, cell_nl) for v in jsonable(c)])
+    template = _text(skeleton, nl).replace('"%s"', "%s")
+    values = tuple(itertools.chain.from_iterable(zip(*columns)))
+    return ("," + nl).join([template] * len(arr)) % values
 
 
 @dataclass

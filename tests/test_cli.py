@@ -389,6 +389,34 @@ def test_levelset_compact_names_a_non_monotone_ray_as_radii_does(capsys):
         assert "non_monotone_ray" in kinds and "non-monotone_ray" not in kinds
 
 
+def test_levelset_compact_names_a_non_finite_ray_as_check_decomposable(capsys):
+    argv = ["--expr", "sqrt(x_1) + x_2^2", "--n", "2"]
+    docs = [run_json(capsys, ["levelset", "compact", *argv, "--level", "1"]),
+            run_json(capsys, ["levelset", "radii", *argv, "--level", "1"]),
+            run_json(capsys, ["check", "decomposable", *argv])]
+    for code, doc in docs:
+        assert code == 1
+        kinds = {w["kind"] for w in doc["witnesses"]}
+        assert "non_finite" in kinds and "non-finite_ray" not in kinds
+
+
+def test_levelset_radii_at_the_level_f_star_are_zero(capsys):
+    code, doc = run_json(capsys, ["levelset", "radii", "--gallery", "sphere",
+                                  "--n", "2", "--level", "0",
+                                  "--directions", "8"])
+    assert code == 0
+    radii = doc["metrics"]["radii"]
+    assert len(radii) == 8
+    assert all(rec["status"] == "ok" and rec["radius"] == 0.0
+               and rec["residual"] == 0.0 for rec in radii)
+    # the level set {f = f(x_star)} is the point x_star, where
+    # grad f(z) . (z - x_star) is 0
+    code, doc = run_json(capsys, ["verify", "levelset-grad", "--gallery",
+                                  "sphere", "--n", "2", "--level", "0"])
+    assert code == 0
+    assert doc["metrics"]["skipped"] == 0 and doc["metrics"]["spread"] == 0.0
+
+
 def test_levelset_radii_names_a_constant_ray_at_the_level_whole_ray(capsys):
     # piecewise_ph is 0 off the cone x_1 x_2 > 0, so rays there sit at level 0
     code, doc = run_json(capsys, ["levelset", "radii", "--gallery",

@@ -221,13 +221,14 @@ def _phi_inverse(d, y):
     for the radius u of the level y along it, and the radius's status."""
     pos = d.case == "one-sided" or y > d.field.f_star
     ref = d.positive_ref if pos else d.negative_ref
-    [hit] = ray_level_radius(d.field, ref.point, y)
-    return (1.0 if pos else -1.0) * hit.radius ** d.alpha, hit.status
+    hit = ray_level_radius(d.field, ref.point, y)
+    return (1.0 if pos else -1.0) * hit.radius[0] ** d.alpha, hit.status[0]
 
 
 def test_profile_inverse_round_trips():
     f = make_builtin("sq_norm", 2)
     d = build_decomposition(f, alpha=1.0, x0=E1_2D)
+    assert _phi_inverse(d, 0.0) == (0.0, "ok")  # f(x_star)
     assert _phi_inverse(d, 4.0) == (pytest.approx(2.0, abs=1e-9), "ok")
     assert _phi_inverse(d, 9.0) == (pytest.approx(3.0, abs=1e-8), "ok")
 
@@ -237,10 +238,10 @@ def test_profile_inverse_on_slow_quadrature_profile():
     for alpha in (1.0, 2.5):
         d = build_decomposition(f, alpha=alpha, x0=E1_2D)
         y = d.phi(1.5)
-        [hit] = ray_level_radius(f, d.positive_ref.point, y)
-        assert hit.status == "ok"
+        hit = ray_level_radius(f, d.positive_ref.point, y)
+        assert hit.status[0] == "ok"
         # the level radius u on the reference ray solves phi(u^alpha) = y
-        assert d.phi(hit.radius ** alpha) == pytest.approx(y, rel=1e-12)
+        assert d.phi(hit.radius[0] ** alpha) == pytest.approx(y, rel=1e-12)
         assert _phi_inverse(d, y) == (pytest.approx(1.5, abs=1e-7), "ok")
 
 

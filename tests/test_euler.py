@@ -8,6 +8,7 @@ import pytest
 
 from siphkit.decomposition import build_decomposition
 from siphkit.euler import (
+    DERIVATIVE_FLOOR,
     _floored_box_points,
     euler_residual,
     general_euler_residual,
@@ -295,6 +296,29 @@ def test_certificate_avoids_saddle_shells():
     assert cert.stop_reason == "violation"
     # the certified tube stays clear of the first flat shell
     assert np.linalg.norm(cert.z0) + cert.delta < math.sqrt(math.pi)
+
+
+@pytest.mark.parametrize("f", [make_builtin("sphere", 2),
+                               make_builtin("saddle_si", 3),
+                               random_si(2, 3, eps=0.2),
+                               make_builtin("linear_x1", 2)],
+                         ids=["sphere", "saddle_si", "random_si", "linear_x1"])
+def test_certificate_scan_rows_are_the_one_point_derivatives(f):
+    # the scan's batched field call gives the bits of one call per point,
+    # and stops at the first t whose derivative passes
+    cert = positive_gradient_region(f)
+    plan = SamplingPlan()
+    sphere = plan.sphere_points(f.n, 128, rng=plan.rng())
+    s = sphere[int(np.argmin(f.values(sphere)))]
+    want = []
+    for t in np.linspace(1.0, 0.05, 20):
+        h = 1e-4 * (1.0 + t)
+        deriv = (f.value(f.x_star + (t + h) * s)
+                 - f.value(f.x_star + (t - h) * s)) / (2.0 * h)
+        want.append([float(t), float(deriv)])
+        if np.isfinite(deriv) and deriv > DERIVATIVE_FLOOR:
+            break
+    assert cert.scan == want
 
 
 def test_certificate_on_a_random_field():

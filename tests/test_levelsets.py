@@ -74,6 +74,32 @@ def test_level_radius_misses_and_whole_ray():
     assert ray_level_radius(g, [1.0, 0.0], -1.0)[0].status == "outside-range"
 
 
+def test_level_radii_are_one_record_array():
+    f = make_builtin("sphere", 2)
+    radii = ray_level_radius(f, [[1.0, 0.0], [0.0, 2.0]], 4.0)
+    assert isinstance(radii, np.recarray) and radii.shape == (2,)
+    assert radii.dtype.names == ("direction", "level", "status", "radius",
+                                 "residual")
+    assert radii.dtype["direction"].shape == (2,)
+    assert radii.status.tolist() == ["ok", "ok"]
+    np.testing.assert_allclose(radii.radius, [2.0, 1.0], atol=1e-9)
+    np.testing.assert_array_equal(radii.level, [4.0, 4.0])
+    np.testing.assert_array_equal(radii.direction, [[1.0, 0.0], [0.0, 2.0]])
+
+
+def test_the_level_f_star_has_radius_zero_on_every_monotone_ray():
+    for f in (make_builtin("sphere", 2), bind("-(x_1^2 + x_2^2)", 2),
+              make_builtin("gauss_si", 2)):
+        radii = ray_level_radius(f, [[1.0, 0.0], [0.6, -0.8]], f.f_star)
+        assert radii.status.tolist() == ["ok", "ok"]
+        assert radii.radius.tolist() == [0.0, 0.0]
+        assert radii.residual.tolist() == [0.0, 0.0]
+    res = levelsets._solve_level(make_builtin("sphere", 2), np.eye(2),
+                                 [0.0, 4.0], True)
+    assert res.status.tolist() == [rootfind.OK, rootfind.OK]
+    assert res.t[0] == 0.0 and res.t[1] == pytest.approx(2.0, abs=1e-9)
+
+
 def test_level_radius_rejects_non_monotone_rays():
     # a ray without a unique crossing gets no radius, only its status
     f = bind("(x_1 - 1)^2", 1)

@@ -93,7 +93,22 @@ def test_batched_level_radii_report_non_monotone_rows():
 def test_empty_batch_gives_empty_lists():
     f = make_builtin("sphere", 3)
     assert classify_ray(f, np.zeros((0, 3))).tolist() == []
-    assert ray_level_radius(f, np.zeros((0, 3)), 1.0) == []
+    assert ray_level_radius(f, np.zeros((0, 3)), 1.0).tolist() == []
+
+
+@pytest.mark.parametrize("field, c", [
+    (make_builtin("sphere", 3), 2.0), (random_si(5, 3, eps=0.3), 1.5),
+    (bind("sin(3*x_1) + x_2^2 + x_3^2", 3), 0.5),
+    (bind("sqrt(x_1) + x_2^2 + x_3^2", 3), 1.0),
+    (make_builtin("linear_x1", 3), 0.0)])
+def test_one_ray_and_batched_level_radii_give_the_same_row_bits(field, c):
+    D = SamplingPlan(seed=11).sphere_points(3, 24)
+    radii = ray_level_radius(field, D, c)
+    for i, d in enumerate(D):
+        one = ray_level_radius(field, d, c)
+        assert one.status[0] == radii.status[i]
+        for name in ("direction", "level", "radius", "residual"):
+            assert one[name][0].tobytes() == radii[name][i].tobytes()
 
 
 # ---------------------------------------------------------------------------

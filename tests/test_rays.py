@@ -405,7 +405,7 @@ def test_each_ray_outcome_has_one_witness_kind():
                                "non-finite"])
     assert kinds.tolist() == ["non_monotone_ray", "whole_ray", "constant_ray",
                               "strictly-decreasing_ray", "unbounded_ray",
-                              "non-finite_ray"]
+                              "non_finite"]
 
 
 def test_check_decomposable_keeps_direction_order_across_kinds():

@@ -11,12 +11,13 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from siphkit import decomposition, euler, levelsets, rays
+from siphkit.exprlang import bind
 from siphkit.reporting import Report, emit, jsonable
 
 # Probe results that serialise as their own fields, in declaration order.
 FIELD_REPORTS = [
     rays.SIReport, rays.DecomposabilityReport,
-    levelsets.LevelRadius, levelsets.SphereExtrema, levelsets.BoundsReport,
+    levelsets.SphereExtrema, levelsets.BoundsReport,
     levelsets.CompactnessReport, levelsets.NegligibilityReport,
     euler.PairedLevels, euler.SaddleReport, euler.NeighborhoodCertificate,
     decomposition.DecompositionCheck, decomposition.UniquenessReport,
@@ -123,20 +124,47 @@ def test_arrays_match_the_elementwise_walk(name):
     assert _leaf_types(jsonable(arr)) <= {float, int, bool, str, type(None)}
 
 
+def _radii_dtype(n, direction=np.float64, level=np.float64):
+    """The dtype of ``ray_level_radius``'s records at dimension n, with the
+    direction and level columns of other types if given."""
+    return np.dtype([("direction", direction, (n,)), ("level", level),
+                     ("status", "U12"), ("radius", float),
+                     ("residual", float)])
+
+
+def _reference_records(arr):
+    """The list of dicts a 1-D structured array stands for, row by row."""
+    return [{name: _reference_jsonable(rec[name]) for name in arr.dtype.names}
+            for rec in arr]
+
+
+def test_structured_arrays_become_lists_of_records():
+    radii = np.rec.array([([0.6, 0.8], 1.0, "ok", np.inf, 2e-16),
+                          ([1.0, 0.0], 1.0, "unbounded", np.nan, np.nan)],
+                         dtype=_radii_dtype(2))
+    out = jsonable(radii)
+    assert out == _reference_records(radii) == [
+        {"direction": [0.6, 0.8], "level": 1.0, "status": "ok",
+         "radius": "inf", "residual": 2e-16},
+        {"direction": [1.0, 0.0], "level": 1.0, "status": "unbounded",
+         "radius": "nan", "residual": "nan"}]
+    assert _leaf_types(out) == {float, str}
+    assert jsonable(radii[:0]) == []
+
+
 def test_nested_values_match_the_elementwise_walk_with_builtin_leaves():
-    hit = levelsets.LevelRadius(direction=np.array([0.6, np.float32(0.8)]),
-                                level=np.float64(1.0), status="ok",
-                                radius=np.float64(np.inf),
-                                residual=np.float64(2e-16))
+    hit = np.rec.array([([0.6, np.float32(0.8)], 1.0, "ok", np.inf, 2e-16)],
+                       dtype=_radii_dtype(2))
     rep = euler.EulerReport(max_residual=np.float64(3.0),
                             residuals=np.array([1.0, np.nan, 3.0]),
                             alpha=2.0, grad_mode="analytic", h=1e-5,
                             n_samples=np.int64(3), excluded=0, seed=4)
-    doc = {"radii": [hit, hit], "euler": rep, "pair": (np.float64(-np.inf), 1),
+    doc = {"euler": rep, "pair": (np.float64(-np.inf), 1),
            "flag": np.bool_(False), 7: [np.arange(3), {"x": np.nan}],
            "scalars": [np.float64(0.25), np.float32(0.5), np.int16(-3)]}
-    out = jsonable(doc)
-    assert out == _reference_jsonable(doc)
+    out = jsonable({"radii": [hit, hit], **doc})
+    assert out == {"radii": [_reference_records(hit)] * 2,
+                   **_reference_jsonable(doc)}
     assert _leaf_types(out) == {float, int, bool, str}
     assert type(jsonable(np.float64(0.25))) is float
 
@@ -187,10 +215,10 @@ def test_spread_report_drops_values():
 
 
 def test_nested_probe_results_serialise_inside_reports():
-    hit = levelsets.LevelRadius(direction=np.array([1.0, 0.0]), level=1.0,
-                                status="ok", radius=np.float64(1.0))
+    hit = np.rec.array([([1.0, 0.0], 1.0, "ok", 1.0, np.nan)],
+                       dtype=_radii_dtype(2))
     report = Report(command="levelset radii", verdict="pass",
-                    metrics={"radii": [hit]})
+                    metrics={"radii": hit})
     doc = _strict_loads(report.to_json())
     assert doc["metrics"]["radii"] == [{"direction": [1.0, 0.0], "level": 1.0,
                                         "status": "ok", "radius": 1.0,
@@ -306,11 +334,27 @@ def _euler_report():
 
 _FLOATS = st.floats(allow_nan=True, allow_infinity=True)
 _VECTORS = hnp.arrays(np.float64, st.integers(0, 4), elements=_FLOATS)
-_RECORDS = st.builds(levelsets.LevelRadius, direction=_VECTORS,
-                     level=_FLOATS | st.integers(-3, 3),
-                     status=st.text(max_size=6),
-                     radius=_FLOATS | _FLOATS.map(np.float64),
-                     residual=_FLOATS)
+
+
+@st.composite
+def _record_arrays(draw):
+    """Level-radius record arrays of 0-5 rows at n = 0-3, every float column
+    drawn with nan, +-inf, -0.0 and subnormals, the directions in float64 or
+    float32."""
+    rows, n = draw(st.integers(0, 5)), draw(st.integers(0, 3))
+    dtype = _radii_dtype(n, draw(st.sampled_from([np.float64, np.float32])))
+    return np.rec.fromarrays(
+        [draw(hnp.arrays(dtype[name].base, (rows, *dtype[name].shape)))
+         for name in dtype.names], dtype=dtype)
+
+
+_RECORDS = _record_arrays()
+
+
+@settings(max_examples=100, deadline=None)
+@given(_RECORDS)
+def test_record_arrays_match_the_row_by_row_walk(arr):
+    assert jsonable(arr) == _reference_records(arr)
 _LEAVES = (st.none() | st.booleans() | st.integers(-2 ** 80, 2 ** 80)
            | _FLOATS | st.text(max_size=8) | _FLOATS.map(np.float64)
            | st.floats(width=32).map(np.float32)
@@ -356,27 +400,73 @@ def test_to_json_writes_the_bytes_of_json_dumps_on_edge_values():
 
 
 def test_level_radius_lists_keep_their_order_across_both_paths():
-    R = levelsets.LevelRadius
-    radii = [R(np.array([0.6, 0.8]), 1.0, "ok", 1.25, 2e-16),
-             R(np.array([1.0, 0.0]), 1.0, "unbounded"),  # nan radius
-             R(np.array([0.0, 1.0]), 1.0, "ok", np.float64(0.5), -0.0),
-             R(np.array([np.inf, 0.0]), 1.0, "ok", 3.0, 0.0),
-             R(np.array([0.6, 0.0, 0.8]), 1.0, "ok", 4.0, 1e-300),
-             R(np.array([1.0, 0.0], dtype=np.float32), 1.0, "ok", 5.0, 0.0),
-             R(np.array([1.0, 0.0]), 1, "ok", 6.0, 0.0),  # an int field
-             R(np.array([]), 1.0, "\u00e9\"%s", 1e16, 5e-324),
-             {"radius": 8.0},
-             R(np.array([1e308, 1e308]), 1.0, "ok", 9.0, 0.0)]
+    nan, inf = np.nan, np.inf
+    radii = [
+        np.rec.array([([0.6, 0.8], 1.0, "ok", 1.25, 2e-16),
+                      ([1.0, 0.0], 1.0, "unbounded", nan, nan),
+                      ([0.0, 1.0], 1.0, "ok", 0.5, -0.0),
+                      ([inf, -inf], 1.0, "ok", 3.0, 0.0)],
+                     dtype=_radii_dtype(2)),
+        np.rec.array([([0.6, 0.0, 0.8], 1.0, "ok", 4.0, 1e-300)],
+                     dtype=_radii_dtype(3)),
+        np.rec.array([([1.0, 0.1], 1.0, "ok", 5.0, 0.0)],
+                     dtype=_radii_dtype(2, direction=np.float32)),
+        np.rec.array([([1.0, 0.0], 1, "ok", 6.0, 0.0)],  # an int column
+                     dtype=_radii_dtype(2, level=np.int64)),
+        np.rec.array([([], 1.0, "\u00e9\"%s", 1e16, 5e-324)],
+                     dtype=_radii_dtype(0)),
+        {"radius": 8.0},
+        np.rec.array([([1e308, 1e308], 1.0, "ok", 9.0, 0.0)],
+                     dtype=_radii_dtype(2)),
+        np.recarray(0, dtype=_radii_dtype(2)),
+        # '%' in field names, a nested record and a 2-D subarray
+        np.rec.array([(1.5, "%s", (nan, "x"), [[1.0, 2.0], [3.0, 4.0]])],
+                     dtype=[("p%s", float), ("%", "U2"),
+                            ("inner", [("a", float), ("b", "U1")]),
+                            ("radius", float, (2, 2))]),
+    ]
     _assert_writes_reference(radii)
     doc = _strict_loads(Report(command="c", verdict="pass",
                                metrics={"radii": radii}).to_json())
-    assert [rec["radius"] for rec in doc["metrics"]["radii"]] == [
-        1.25, "nan", 0.5, 3.0, 4.0, 5.0, 6.0, 1e16, 8.0, 9.0]
+    got = [rec["radius"] for recs in doc["metrics"]["radii"]
+           for rec in (recs if isinstance(recs, list) else [recs])]
+    assert got == [1.25, "nan", 0.5, 3.0, 4.0, 5.0, 6.0, 1e16, 8.0, 9.0,
+                   [[1.0, 2.0], [3.0, 4.0]]]
+    assert doc["metrics"]["radii"][0][3]["direction"] == ["inf", "-inf"]
+    assert doc["metrics"]["radii"][-1][0]["inner"] == {"a": "nan", "b": "x"}
+
+
+def test_level_radius_arrays_with_nan_rows_load_as_their_jsonable_form():
+    f = bind("sin(3*x_1) + x_2^2", 2)
+    radii = levelsets.ray_level_radius(
+        f, rays.SamplingPlan(seed=3).sphere_points(2, 20), 0.5)
+    assert np.isnan(radii.radius).any() and (radii.status == "ok").any()
+    report = Report(command="levelset radii", verdict="fail",
+                    metrics={"radii": radii})
+    assert json.loads(report.to_json())["metrics"]["radii"] == jsonable(radii)
+    _assert_writes_reference(radii)
+
+
+def test_csv_radius_rows_of_a_record_array_are_its_radius_column():
+    f = bind("sin(3*x_1) + x_2^2", 2)
+    radii = levelsets.ray_level_radius(
+        f, rays.SamplingPlan(seed=3).sphere_points(2, 20), 0.5)
+    rows = list(csv.reader(io.StringIO(
+        Report(command="c", verdict="pass",
+               metrics={"radii": radii}).to_csv())))
+    assert [r for r in rows if r[0] == "radius"] == [
+        ["radius", str(i), "nan" if np.isnan(r) else repr(r)]
+        for i, r in enumerate(radii.radius.tolist())]
+    as_dicts = Report(command="c", verdict="pass",
+                      metrics={"radii": jsonable(radii)})
+    assert rows == list(csv.reader(io.StringIO(as_dicts.to_csv())))
 
 
 @pytest.mark.parametrize("value", [
     object(), {1, 2}, 1 + 2j, np.array([1j]), b"bytes",
-    levelsets.LevelRadius(direction=object(), level=1.0, status="ok"),
+    np.rec.array([(object(), 1.0, "ok")],
+                 dtype=[("direction", object), ("level", float),
+                        ("status", "U2")]),
 ], ids=["object", "set", "complex", "complex-array", "bytes", "record"])
 def test_to_json_rejects_what_json_cannot_encode(value):
     report = Report(command="c", verdict="pass", metrics={"x": [value]})
