@@ -16,9 +16,13 @@ for parametrized entries) or from an expression (--expr "x_1^2 + x_2^2" with
 reruns with the same configuration and seed are byte-identical except for the
 wall-time line.  Exit codes: 0 = pass, 1 = property violated (the report
 carries witnesses), 2 = usage or configuration error (a size too large to
-allocate too).  The SIPH_SEED environment variable, when set, overrides
---seed.  Each command accepts only the sampling flags its probe reads; any
-other exits 2.
+allocate too).  Each command accepts only the sampling flags its probe
+reads; any other exits 2.
+
+A report's config is its command line as parsed: the function echo, then
+every other flag of the command in parser order, defaults included, apart
+from where output goes (--out, --sweep-csv).  So a report can be rerun
+from its config alone.
 """
 
 from __future__ import annotations
@@ -26,9 +30,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import json
 import math
-import os
 import sys
 import time
 
@@ -41,7 +43,7 @@ from .euler import (euler_residual, general_euler_residual,
                     positive_gradient_region)
 from .exprlang import ExprError, bind
 from .field import GradientSpec
-from .gallery import make_builtin, random_si, registry_json
+from .gallery import make_builtin, random_si, registry_rows
 from .levelsets import (check_ph_sandwich, check_si_sandwich,
                         compactness_probe, fold_projected_samples,
                         negligibility_probe, ray_level_radius,
@@ -60,14 +62,21 @@ class UsageError(Exception):
 # argument plumbing
 
 
-def _parse_vector(text: str) -> np.ndarray:
-    """A point such as --x0 or --x-star: comma-separated finite numbers."""
+def _float_list(text: str) -> tuple:
+    """argparse type of --eps: comma-separated numbers."""
     try:
-        vec = np.array([float(part) for part in text.split(",")], dtype=float)
-    except ValueError as exc:
-        raise UsageError(f"expected a comma-separated vector, got {text!r}") from exc
+        return tuple(float(part) for part in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, got {text!r}") from None
+
+
+def _parse_vector(text: str) -> np.ndarray:
+    """argparse type of a point such as --x0 or --x-star: comma-separated
+    finite numbers."""
+    vec = np.array(_float_list(text))
     if not np.isfinite(vec).all():
-        raise UsageError(f"expected finite coordinates, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected finite coordinates, got {text!r}")
     return vec
 
 
@@ -149,38 +158,25 @@ def _number_param(params: dict, key: str, default, kind):
     return kind(value)
 
 
-def _resolve_seed(args) -> tuple:
-    env = os.environ.get("SIPH_SEED")
-    if env is not None and env != "":
-        try:
-            return int(env), "env"
-        except ValueError as exc:
-            raise UsageError(f"SIPH_SEED must be an integer, got {env!r}") from exc
-    return int(args.seed), "flag"
-
-
-def _resolve_field(args, seed: int) -> tuple:
+def _resolve_field(args) -> tuple:
     """Build the target function; returns (field, function-config-echo)."""
     has_gallery = getattr(args, "gallery", None) is not None
     has_expr = getattr(args, "expr", None) is not None
     if has_gallery == has_expr:
         raise UsageError("choose exactly one function source: --gallery NAME "
                          "or --expr SOURCE")
-    n = int(args.n)
+    n = args.n
     if has_expr:
-        x_star = _parse_vector(args.x_star) if args.x_star else None
-        field = bind(args.expr, n, x_star=x_star)
-        echo = {"expr": args.expr, "n": n,
-                "x_star": None if x_star is None else x_star.tolist()}
-        return field, echo
-    if args.x_star:
+        field = bind(args.expr, n, x_star=args.x_star)
+        return field, {"expr": args.expr, "n": n, "x_star": args.x_star}
+    if args.x_star is not None:
         raise UsageError("--x-star applies to --expr functions only; gallery "
                          "entries are anchored at the origin")
     params = _parse_params(args.param)
     if args.gallery == "random_si":
         eps = _number_param(params, "eps", 0.3, float)
         modes = _number_param(params, "modes", 4, int)
-        rseed = _number_param(params, "seed", seed, int)
+        rseed = _number_param(params, "seed", args.seed, int)
         if params:
             raise UsageError(f"unknown random_si parameters: {sorted(params)}")
         field = random_si(rseed, n, eps=eps, modes=modes)
@@ -196,31 +192,24 @@ def _resolve_field(args, seed: int) -> tuple:
     return field, {"gallery": args.gallery, "n": n, "params": params}
 
 
-# sampling flag (argparse dest) -> SamplingPlan field, in config echo order;
-# a field whose flag the command lacks keeps its default
+# sampling flag (argparse dest) -> SamplingPlan field; a field whose flag the
+# command lacks keeps its default
 _PLAN_FIELDS = {"samples": "n_samples", "box_radius": "box_radius",
                 "rho_min": "rho_min", "rho_max": "rho_max",
                 "t_max": "t_max", "grid_points": "grid_points"}
 
 
-def _plan_from(args, seed: int) -> SamplingPlan:
+def _plan_from(args) -> SamplingPlan:
     given = {field: getattr(args, dest) for dest, field in _PLAN_FIELDS.items()
              if hasattr(args, dest)}
     try:
-        return SamplingPlan(seed=seed, **given)
+        return SamplingPlan(seed=args.seed, **given)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
 
-def _plan_echo(args, plan: SamplingPlan) -> dict:
-    """The plan fields the command's flags set, under the flags' names."""
-    return {dest: getattr(plan, field) for dest, field in _PLAN_FIELDS.items()
-            if hasattr(args, dest)}
-
-
 def _grad_spec(args) -> GradientSpec:
-    return GradientSpec(h=float(args.h),
-                        force_numerical=bool(getattr(args, "numerical", False)))
+    return GradientSpec(h=args.h, force_numerical=args.numerical)
 
 
 def _direction_angles(d: np.ndarray) -> list:
@@ -238,32 +227,29 @@ def _direction_angles(d: np.ndarray) -> list:
 
 
 # -----------------------------------------------------------------------------
-# command handlers: each returns (metrics, witnesses, extra_config); the
-# verdict is "pass" iff there are no witnesses (see _dispatch)
+# command handlers: each returns (metrics, witnesses); the verdict is "pass"
+# iff there are no witnesses (see _dispatch)
 
 
 def _cmd_check_si(args, field, plan):
     rep = check_scaling_invariance(field, plan, atol=args.atol)
     metrics = {"trials": rep.trials, "violations": rep.violations}
-    return metrics, rep.witnesses, {"atol": args.atol}
+    return metrics, rep.witnesses
 
 
 def _cmd_check_decomposable(args, field, plan):
     rep = check_decomposability(field, plan=plan)
     metrics = {"domain_verdict": rep.verdict, "scale": rep.scale,
                "ray_kinds": rep.ray_kinds}
-    return metrics, rep.witnesses, {}
+    return metrics, rep.witnesses
 
 
 def _cmd_decompose(args, field, plan):
-    config = {"alpha": args.alpha, "comp_tol": args.comp_tol,
-              "ph_tol": args.ph_tol}
-    refs = {key: (_parse_vector(getattr(args, key)) if getattr(args, key) else None)
-            for key in ("x0", "x1", "xm1")}
+    refs = {key: getattr(args, key) for key in ("x0", "x1", "xm1")}
     try:
         d = build_decomposition(field, alpha=args.alpha, plan=plan, **refs)
     except DecompositionError as exc:
-        return {}, [{"kind": "build_failed", "reason": str(exc)}], config
+        return {}, [{"kind": "build_failed", "reason": str(exc)}]
     check = verify_decomposition(field, d, plan)
     metrics = {"decomposition": d.summary(),
                "max_composition_residual": check.max_composition_residual,
@@ -281,22 +267,19 @@ def _cmd_decompose(args, field, plan):
                           "comp_tol": args.comp_tol, "ph_tol": args.ph_tol})
     alt = {key: getattr(args, f"{key}_alt") for key in ("x0", "x1", "xm1")}
     if any(v is not None for v in alt.values()):
-        alt_refs = {key: (_parse_vector(val) if val else None)
-                    for key, val in alt.items()}
         try:
-            d2 = build_decomposition(field, alpha=args.alpha, plan=plan,
-                                     **alt_refs)
+            d2 = build_decomposition(field, alpha=args.alpha, plan=plan, **alt)
         except DecompositionError as exc:
             witnesses.append({"kind": "build_failed", "reason": str(exc),
                               "which": "alternate"})
-            return metrics, witnesses, config
+            return metrics, witnesses
         uq = uniqueness_check(field, d, d2, plan, p1=check.p_samples)
         metrics["uniqueness"] = uq
         witnesses += [{**w, "which": "alternate"} for w in d2.solver_failures]
         if not uq.passed:
             witnesses.append({"kind": "uniqueness_violation",
                               "classes": uq.classes})
-    return metrics, witnesses, config
+    return metrics, witnesses
 
 
 def _cmd_verify_euler(args, field, plan):
@@ -309,34 +292,33 @@ def _cmd_verify_euler(args, field, plan):
     if not (np.isfinite(rep.max_residual) and rep.max_residual <= args.tol):
         witnesses.append({"kind": "euler_residual",
                           "max_residual": rep.max_residual, "tol": args.tol})
-    return rep, witnesses, {"alpha": alpha, "tol": args.tol, "h": args.h,
-                            "coord_floor": args.coord_floor}
+    return rep, witnesses
 
 
 def _cmd_verify_general_euler(args, field, plan):
-    config = {"alpha": args.alpha, "tol": args.tol, "h": args.h}
     try:
         d = build_decomposition(field, alpha=args.alpha, plan=plan)
     except DecompositionError as exc:
-        return {}, [{"kind": "build_failed", "reason": str(exc)}], config
+        return {}, [{"kind": "build_failed", "reason": str(exc)}]
     rep = general_euler_residual(field, d, plan, _grad_spec(args))
     witnesses = []
     if not (np.isfinite(rep.max_residual) and rep.max_residual <= args.tol):
         witnesses.append({"kind": "general_euler_residual",
                           "max_residual": rep.max_residual, "tol": args.tol})
-    return {**rep.to_dict(), "case": d.case}, witnesses, config
+    return {**vars(rep), "case": d.case}, witnesses
 
 
 def _cmd_verify_levelset_grad(args, field, plan):
     rep = levelset_gradient_constancy(field, args.level, n_points=args.points,
                                       grad_spec=_grad_spec(args),
                                       seed=plan.seed, tol=args.tol)
-    witnesses = []
-    if not rep.passed:
-        kind = "no_level_points" if rep.values.size == 0 else "spread_exceeded"
+    metrics = dict(vars(rep))  # the report's fields, its witnesses apart
+    witnesses = metrics.pop("witnesses")
+    # a nan spread, from products none of which is finite, is no spread
+    if rep.skipped == rep.n_points or rep.spread > args.tol:
+        kind = "no_level_points" if rep.skipped == rep.n_points else "spread_exceeded"
         witnesses.append({"kind": kind, "spread": rep.spread, "tol": args.tol})
-    return rep, witnesses, {"level": args.level, "tol": args.tol,
-                            "points": args.points, "h": args.h}
+    return metrics, witnesses
 
 
 def _cmd_levelset_radii(args, field, plan):
@@ -359,17 +341,15 @@ def _cmd_levelset_radii(args, field, plan):
             writer.writerows(_direction_angles(d) + [r] for d, r in
                              zip(radii.direction[keep],
                                  radii.radius[keep].tolist()))
-    return metrics, witnesses, {"level": args.level,
-                                "sweep_csv": args.sweep_csv}
+    return metrics, witnesses
 
 
 def _cmd_levelset_bounds(args, field, plan):
     alpha = args.alpha if args.alpha is not None else (field.meta.ph_degree or 1.0)
-    config = {"alpha": alpha, "slack": args.slack, "rtol": args.rtol}
     try:
         d = build_decomposition(field, alpha=alpha, plan=plan)
     except DecompositionError as exc:
-        return {}, [{"kind": "build_failed", "reason": str(exc)}], config
+        return {}, [{"kind": "build_failed", "reason": str(exc)}]
     degree = field.meta.ph_degree
     ext = None
     if degree is not None or si_sandwich_applies(d):
@@ -392,7 +372,7 @@ def _cmd_levelset_bounds(args, field, plan):
                                   "notes": {**ph_rep.notes,
                                             **ext.polish_notes()}}
         witnesses.extend(ph_rep.witnesses)
-    return metrics, witnesses, config
+    return metrics, witnesses
 
 
 def _cmd_levelset_compact(args, field, plan):
@@ -400,20 +380,18 @@ def _cmd_levelset_compact(args, field, plan):
     metrics = {"domain_verdict": rep.verdict, "level": rep.level,
                "max_radius": rep.max_radius, "ray_kinds": rep.ray_kinds,
                "n_directions": rep.n_directions}
-    return metrics, rep.witnesses, {"level": args.level}
+    return metrics, rep.witnesses
 
 
 def _cmd_levelset_negligible(args, field, plan):
-    eps_list = [float(v) for v in args.eps.split(",")]
     try:
-        rep = negligibility_probe(field, args.level, eps_list, plan,
+        rep = negligibility_probe(field, args.level, args.eps, plan,
                                   rate_bound=args.rate_bound)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     metrics = dict(vars(rep))  # the report's fields, its witnesses apart
     witnesses = metrics.pop("witnesses")
-    return metrics, witnesses, {"level": args.level, "eps": eps_list,
-                            "rate_bound": args.rate_bound}
+    return metrics, witnesses
 
 
 def _cmd_cert_positive_region(args, field, plan):
@@ -421,7 +399,7 @@ def _cmd_cert_positive_region(args, field, plan):
     witnesses = []
     if not cert.ok:
         witnesses.append({"kind": "certificate_failed", "scan": cert.scan})
-    return cert, witnesses, {"h": args.h}
+    return cert, witnesses
 
 
 def _cmd_solve_paired_level(args):
@@ -431,12 +409,11 @@ def _cmd_solve_paired_level(args):
         res = paired_level_solver(args.r, tol=args.tol)
     except (ValueError, ArithmeticError) as exc:
         raise UsageError(str(exc)) from exc
-    return res, [], {"r": args.r, "tol": args.tol}
+    return res, []
 
 
 def _cmd_gallery_list(args):
-    data = json.loads(registry_json(int(args.n)))
-    return {"entries": data["entries"], "n": data["n"]}, [], {}
+    return {"entries": registry_rows(args.n), "n": args.n}, []
 
 
 # -----------------------------------------------------------------------------
@@ -453,12 +430,11 @@ def _add_field_flags(parser, plan_groups=(), samples_default=1000):
                             "(lists comma-separated, matrices semicolon-rowed)")
     group.add_argument("--expr", help="expression source, e.g. 'x_1^2 + x_2^2'")
     group.add_argument("--n", type=int, default=2, help="dimension (default 2)")
-    group.add_argument("--x-star", dest="x_star", default=None,
+    group.add_argument("--x-star", dest="x_star", type=_parse_vector,
                        help="reference point for --expr functions "
                             "(comma-separated; default origin)")
     group = parser.add_argument_group("run settings")
-    group.add_argument("--seed", type=int, default=0,
-                       help="RNG seed (SIPH_SEED overrides)")
+    group.add_argument("--seed", type=int, default=0, help="RNG seed")
     if "sample" in plan_groups:
         group.add_argument("--N", dest="samples", type=int,
                            default=samples_default,
@@ -513,13 +489,13 @@ def build_parser() -> argparse.ArgumentParser:
                          help="build f = phi o p and verify residuals")
     _add_field_flags(dec, ("sample", "scale", "grid"))
     dec.add_argument("--alpha", type=_positive_float, default=1.0)
-    dec.add_argument("--x0", default=None, help="one-sided reference point")
-    dec.add_argument("--x1", default=None, help="positive reference point")
-    dec.add_argument("--xm1", default=None, help="negative reference point")
-    dec.add_argument("--x0-alt", dest="x0_alt", default=None,
+    dec.add_argument("--x0", type=_parse_vector, help="one-sided reference point")
+    dec.add_argument("--x1", type=_parse_vector, help="positive reference point")
+    dec.add_argument("--xm1", type=_parse_vector, help="negative reference point")
+    dec.add_argument("--x0-alt", type=_parse_vector,
                      help="second reference: triggers the uniqueness check")
-    dec.add_argument("--x1-alt", dest="x1_alt", default=None)
-    dec.add_argument("--xm1-alt", dest="xm1_alt", default=None)
+    dec.add_argument("--x1-alt", type=_parse_vector)
+    dec.add_argument("--xm1-alt", type=_parse_vector)
     dec.add_argument("--comp-tol", type=_nonnegative_float, default=1e-7)
     dec.add_argument("--ph-tol", type=_nonnegative_float, default=1e-7)
 
@@ -531,7 +507,8 @@ def build_parser() -> argparse.ArgumentParser:
     ver_euler.add_argument("--alpha", type=_finite_float, default=None,
                            help="degree (default: the field's tag)")
     ver_euler.add_argument("--tol", type=_nonnegative_float, default=1e-6)
-    ver_euler.add_argument("--coord-floor", type=float, default=0.1)
+    ver_euler.add_argument("--coord-floor", type=_nonnegative_float, default=0.1,
+                           help="least |coordinate| of a sample")
     ver_gen = ver_sub.add_parser("general-euler",
                                  help="grad f . x = alpha phi'(p) p")
     _add_field_flags(ver_gen, ("sample", "grid"))
@@ -569,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  help="Monte Carlo level-shell fractions")
     _add_field_flags(lvl_neg, ("sample",), samples_default=100000)
     lvl_neg.add_argument("--level", type=_finite_float, required=True)
-    lvl_neg.add_argument("--eps", default="0.1,0.05,0.025",
+    lvl_neg.add_argument("--eps", type=_float_list, default=(0.1, 0.05, 0.025),
                          help="strictly decreasing shell half-widths")
     lvl_neg.add_argument("--rate-bound", type=_nonnegative_float, default=1.0)
 
@@ -596,8 +573,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _parser() -> argparse.ArgumentParser:
     """The parser ``main`` uses, built on its first call and kept for the
     process.  Reuse is safe: the parser holds no per-call state (no
-    ``set_defaults``, no mutable default, and SIPH_SEED is read in
-    ``_dispatch``)."""
+    ``set_defaults``, and no mutable default: --eps defaults to a tuple)."""
     return build_parser()
 
 
@@ -616,38 +592,41 @@ _FIELD_HANDLERS = {
 }
 
 
+# parsed values the config does not echo: the command's own name, where the
+# report and the sweep go, and the function flags, which the function echo
+# of a field command stands for
+_NOT_ECHOED = {"group", "action", "out", "sweep_csv"}
+_FUNCTION_FLAGS = {"gallery", "param", "expr", "n", "x_star"}
+
+
 def _dispatch(args) -> Report:
     """Run the selected probe; the verdict is "pass" iff it found no
-    witnesses."""
+    witnesses.  The config echoes every parsed flag in parser order."""
     action = getattr(args, "action", None)
     command = args.group if action is None else f"{args.group} {action}"
+    config = {k: v for k, v in vars(args).items() if k not in _NOT_ECHOED}
     if (args.group, action) == ("gallery", "list"):
-        config = {"n": int(args.n), "format": args.format}
-        metrics, witnesses, extra = _cmd_gallery_list(args)
+        metrics, witnesses = _cmd_gallery_list(args)
     elif (args.group, action) == ("solve", "paired-level"):
-        config = {"format": args.format}
-        metrics, witnesses, extra = _cmd_solve_paired_level(args)
+        metrics, witnesses = _cmd_solve_paired_level(args)
     else:
         handler = _FIELD_HANDLERS[(args.group, action)]
-        seed, seed_source = _resolve_seed(args)
-        field, fn_echo = _resolve_field(args, seed)
+        field, fn_echo = _resolve_field(args)
         if not np.isfinite(field.f_star):
             # every probe works on f - f(x_star), which is then nan everywhere
             raise UsageError("f(x_star) is not finite")
-        plan = _plan_from(args, seed)
-        metrics, witnesses, extra = handler(args, field, plan)
-        config = {"function": fn_echo, "seed": seed, "seed_source": seed_source,
-                  **_plan_echo(args, plan), "format": args.format}
+        metrics, witnesses = handler(args, field, _plan_from(args))
+        config = {"function": fn_echo, **{k: v for k, v in config.items()
+                                          if k not in _FUNCTION_FLAGS}}
     return Report(command=command, verdict="fail" if witnesses else "pass",
-                  config={**config, **extra}, metrics=metrics,
-                  witnesses=witnesses)
+                  config=config, metrics=metrics, witnesses=witnesses)
 
 
 def main(argv=None) -> int:
     """Run one subcommand and return its exit code.
 
     ``main`` can be called repeatedly in one process: every call parses with
-    the same parser, built on the first call, and reads SIPH_SEED afresh.
+    the same parser, built on the first call.
     """
     try:
         args = _parser().parse_args(argv)

@@ -17,7 +17,8 @@ import numpy as np
 from .decomposition import Decomposition
 from .field import GradientSpec, ScalarField, row_sumsq
 from .levelsets import ray_level_radius
-from .rays import SamplingPlan, classify_ray, row_blocks
+from .rays import (FEW_WITNESSES, SamplingPlan, classify_ray, row_blocks,
+                   row_witnesses)
 from .rootfind import OK, solve_monotone_batch
 
 PHI_STEP = 1e-6           # general_euler_residual: phi' step / (1 + |p|)
@@ -31,10 +32,11 @@ DELTA_CAP = 0.5           # positive_gradient_region: largest fattening radius
 
 @dataclass
 class EulerReport:
-    """Residuals of a homogeneity identity over seeded samples."""
+    """Residuals of a homogeneity identity over seeded samples: the largest
+    and the mean finite one (nan if none is finite)."""
 
     max_residual: float
-    residuals: np.ndarray
+    mean_residual: float
     alpha: float
     grad_mode: str  # "analytic" | "central-difference"
     h: float
@@ -42,14 +44,6 @@ class EulerReport:
     excluded: int
     seed: int
     notes: dict = dataclass_field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        finite = self.residuals[np.isfinite(self.residuals)]
-        return {"max_residual": self.max_residual,
-                "mean_residual": float(finite.mean()) if finite.size else np.nan,
-                "alpha": self.alpha, "grad_mode": self.grad_mode, "h": self.h,
-                "n_samples": self.n_samples, "excluded": self.excluded,
-                "seed": self.seed, "notes": self.notes}
 
 
 def _grad_mode(field: ScalarField, spec: Optional[GradientSpec]) -> str:
@@ -102,12 +96,12 @@ def euler_residual(p: ScalarField, alpha: float,
         grads = p.gradient_values(X, spec)
         dots = np.einsum("ij,ij->i", grads, Z[rows])
         residuals[rows] = np.abs(alpha * vals - dots)
-    finite = np.isfinite(residuals)
-    max_res = float(residuals[finite].max()) if finite.any() else np.nan
-    return EulerReport(max_residual=max_res, residuals=residuals, alpha=alpha,
-                       grad_mode=_grad_mode(p, spec), h=spec.h,
+    finite = residuals[np.isfinite(residuals)]
+    return EulerReport(max_residual=float(finite.max()) if finite.size else np.nan,
+                       mean_residual=float(finite.mean()) if finite.size else np.nan,
+                       alpha=alpha, grad_mode=_grad_mode(p, spec), h=spec.h,
                        n_samples=int(Z.shape[0]),
-                       excluded=int((~finite).sum()), seed=plan.seed,
+                       excluded=int(residuals.size - finite.size), seed=plan.seed,
                        notes={"coord_floor": coord_floor})
 
 
@@ -142,10 +136,10 @@ def general_euler_residual(field: ScalarField, d: Decomposition,
     grads = field.gradient_values(Xk, spec)
     lhs = np.einsum("ij,ij->i", grads, Zk)
     residuals = np.abs(lhs - d.alpha * phi_prime * pk)
-    finite_r = np.isfinite(residuals)
-    max_res = float(residuals[finite_r].max()) if finite_r.any() else np.nan
-    return EulerReport(max_residual=max_res, residuals=residuals, alpha=d.alpha,
-                       grad_mode=_grad_mode(field, spec), h=spec.h,
+    finite = residuals[np.isfinite(residuals)]
+    return EulerReport(max_residual=float(finite.max()) if finite.size else np.nan,
+                       mean_residual=float(finite.mean()) if finite.size else np.nan,
+                       alpha=d.alpha, grad_mode=_grad_mode(field, spec), h=spec.h,
                        n_samples=int(Xk.shape[0]), excluded=excluded,
                        seed=plan.seed,
                        notes={"phi_step": PHI_STEP, "p_floor_frac": P_FLOOR_FRAC})
@@ -157,10 +151,10 @@ def general_euler_residual(field: ScalarField, d: Decomposition,
 
 @dataclass
 class SpreadReport:
-    """Values of grad f(z) . (z - x_star) over one sampled level set."""
+    """Spread of grad f(z) . (z - x_star) over one sampled level set, with
+    a ``non_finite`` witness per level point where it is not finite."""
 
     level: float
-    values: np.ndarray
     spread: float
     mean: float
     passed: bool
@@ -168,11 +162,7 @@ class SpreadReport:
     skipped: int
     n_points: int
     seed: int
-
-    def to_dict(self) -> dict:
-        return {"level": self.level, "spread": self.spread, "mean": self.mean,
-                "passed": self.passed, "tol": self.tol, "skipped": self.skipped,
-                "n_points": self.n_points, "seed": self.seed}
+    witnesses: list = dataclass_field(default_factory=list)
 
 
 def _level_points(field: ScalarField, dirs: np.ndarray, c: float) -> np.ndarray:
@@ -191,23 +181,28 @@ def levelset_gradient_constancy(field: ScalarField, c: float,
 
     Level points come from ray radii over seeded sphere directions;
     directions whose ray misses the level (or defeats the classifier) are
-    skipped and counted.
+    skipped and counted.  The spread and mean are over the finite products;
+    the first few points whose product is not finite are witnessed, and
+    fail the check.
     """
     plan = SamplingPlan(seed=seed)
     Z = _level_points(field, plan.sphere_points(field.n, n_points), c)
     skipped = n_points - Z.shape[0]
     if not Z.shape[0]:
-        return SpreadReport(level=c, values=np.array([]), spread=np.nan,
-                            mean=np.nan, passed=False, tol=tol, skipped=skipped,
-                            n_points=n_points, seed=seed)
-    grads = field.gradient_values(field.absolute(Z), grad_spec)
-    dots = np.einsum("ij,ij->i", grads, Z)
-    finite = dots[np.isfinite(dots)]
+        return SpreadReport(level=c, spread=np.nan, mean=np.nan, passed=False,
+                            tol=tol, skipped=skipped, n_points=n_points,
+                            seed=seed)
+    X = field.absolute(Z)
+    dots = np.einsum("ij,ij->i", field.gradient_values(X, grad_spec), Z)
+    bad = ~np.isfinite(dots)
+    witnesses = row_witnesses(bad, "non_finite", FEW_WITNESSES, x=X)
+    finite = dots[~bad]
     spread = float(finite.max() - finite.min()) if finite.size else np.nan
-    return SpreadReport(level=c, values=dots, spread=spread,
+    return SpreadReport(level=c, spread=spread,
                         mean=float(finite.mean()) if finite.size else np.nan,
-                        passed=bool(np.isfinite(spread) and spread <= tol),
-                        tol=tol, skipped=skipped, n_points=n_points, seed=seed)
+                        passed=bool(not witnesses and spread <= tol),
+                        tol=tol, skipped=skipped, n_points=n_points, seed=seed,
+                        witnesses=witnesses)
 
 
 # -----------------------------------------------------------------------------

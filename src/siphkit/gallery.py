@@ -270,20 +270,19 @@ def make_builtin(name: str, n: int, **params) -> ScalarField:
     return f
 
 
+def registry_rows(n: int = 2) -> list:
+    """The registry's entries in name order: names, constraints, ground-truth
+    tags (those of the entry built at dimension max(n, min_n))."""
+    return [{"name": name, "summary": entry.summary, "min_n": entry.min_n,
+             "params": list(entry.params),
+             "tags": make_builtin(name, max(n, entry.min_n)).meta.tags()}
+            for name, entry in sorted(REGISTRY.items())]
+
+
 def registry_json(n: int = 2) -> str:
-    """The registry as a JSON document: names, constraints, ground-truth tags."""
-    rows = []
-    for name in sorted(REGISTRY):
-        entry = REGISTRY[name]
-        f = make_builtin(name, max(n, entry.min_n))
-        rows.append({
-            "name": name,
-            "summary": entry.summary,
-            "min_n": entry.min_n,
-            "params": list(entry.params),
-            "tags": f.meta.tags(),
-        })
-    return json.dumps({"version": "si-ph-kit/1", "n": n, "entries": rows}, indent=2)
+    """The registry as a JSON document: :func:`registry_rows` at ``n``."""
+    return json.dumps({"version": "si-ph-kit/1", "n": n,
+                       "entries": registry_rows(n)}, indent=2)
 
 
 # ---------------------------------------------------------------------------

@@ -60,8 +60,7 @@ def jsonable(obj):
 
     A 1-D structured array becomes the list of its records, each the dict
     of its fields in dtype order.  A dataclass instance becomes the dict of
-    its fields in declaration order, unless its class defines ``to_dict``,
-    whose dict is used instead.
+    its fields in declaration order.
     """
     if isinstance(obj, float):  # np.float64 too
         return _json_float(obj)
@@ -87,8 +86,6 @@ def jsonable(obj):
         return _json_float(obj)
     names = _field_names(type(obj))
     if names is not None:
-        if hasattr(obj, "to_dict"):
-            return jsonable(obj.to_dict())
         return {name: jsonable(getattr(obj, name)) for name in names}
     return obj
 
@@ -113,9 +110,9 @@ def _text(obj, nl: str) -> str:
     if isinstance(obj, np.ndarray) and obj.dtype.names and obj.ndim == 1:
         return "[" + inner + _records(obj, inner) + nl + "]" if obj.size else "[]"
     names = _field_names(type(obj))
-    if names is not None and not hasattr(obj, "to_dict"):
+    if names is not None:
         return _text({name: getattr(obj, name) for name in names}, nl)
-    value = jsonable(obj)  # numpy values, to_dict records, ints, bools, None
+    value = jsonable(obj)  # numpy values, ints, bools, None
     if isinstance(value, (dict, list)):
         return _text(value, nl)
     return json.dumps(value)  # a scalar; TypeError for what JSON cannot hold

@@ -10,7 +10,7 @@ Inside the bracket, ``solve_monotone_batch`` runs Chandrupatla's method
 (Chandrupatla 1997, Adv. Eng. Softw. 28:145) on every row in lockstep: an
 inverse quadratic step where the last three points fit a monotone model, a
 bisection step otherwise, and every step kept inside the bracket.  It stops
-at the same bracket width as bisection, ``hi - lo <= rtol * (1 + hi)``, and
+at the same bracket width as bisection, ``hi - lo <= RTOL * (1 + hi)``, and
 returns the bracket end with the smaller residual, so the root and its
 residual come from one profile evaluation.  Smooth rays take about 5-15
 evaluations after bracketing where bisection takes about 47; rays with kinks
@@ -34,7 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-MAX_DOUBLINGS = 60
+MAX_DOUBLINGS = 60  # bracket cap: the upper end grows to at most 2**60
+MAX_ITERS = 160     # Chandrupatla steps per solve
+RTOL = 1e-14        # relative bracket width at which a row settles
 
 # Row status codes.
 OK = 0
@@ -61,8 +63,6 @@ class RootResult:
 
 
 def solve_monotone_batch(profile, targets, increasing, value_at_zero=0.0,
-                         max_doublings: int = MAX_DOUBLINGS,
-                         max_iters: int = 160, rtol: float = 1e-14,
                          bracket=None) -> RootResult:
     """Solve profile_i(t_i) = targets[i] for each row of a batch of rays.
 
@@ -158,7 +158,7 @@ def solve_monotone_batch(profile, targets, increasing, value_at_zero=0.0,
         g_hi[rows] = g(hi[rows], rows)
     status[rows[np.isnan(g_hi[rows])]] = NONFINITE
     rows = rows[g_hi[rows] < 0]
-    for _ in range(max_doublings):
+    for _ in range(MAX_DOUBLINGS):
         if not rows.size:
             break
         lo[rows], g_lo[rows] = hi[rows], g_hi[rows]
@@ -177,9 +177,9 @@ def solve_monotone_batch(profile, targets, increasing, value_at_zero=0.0,
     rows = np.flatnonzero(status == OK)
     a, b, c = lo[rows], hi[rows], hi[rows]
     ga, gb, gc = g_lo[rows], g_hi[rows], g_hi[rows]
-    for _ in range(max_iters):
+    for _ in range(MAX_ITERS):
         width = np.abs(b - a)
-        tol = rtol * (1.0 + np.maximum(a, b))
+        tol = RTOL * (1.0 + np.maximum(a, b))
         live = width > tol
         if not live.all():
             done = rows[~live]

@@ -184,6 +184,10 @@ def test_a_level_that_is_not_a_finite_number_exits_two(capsys, command, level):
       "seed=2.9"], "random_si parameter 'seed' must be an integer, got 2.9"),
     (["check", "si", "--gallery", "random_si", "--N", "10", "--param",
       "seed=inf"], "random_si parameter 'seed' must be an integer, got inf"),
+    (["verify", "euler", "--gallery", "sphere", "--coord-floor", "-5"],
+     "argument --coord-floor: must be at least 0"),
+    (["levelset", "negligible", "--gallery", "sphere", "--level", "1",
+      "--eps", "0.1,x"], "argument --eps: expected comma-separated numbers"),
 ])
 def test_degenerate_arguments_exit_two_with_a_named_message(capsys, argv,
                                                             message):
@@ -206,13 +210,6 @@ def test_expression_errors_carry_the_offset(capsys):
     code, out, err = run_cli(capsys, ["check", "si", "--expr", "x_1 +"])
     assert code == 2
     assert "offset 4" in err
-
-
-def test_bad_seed_environment_exits_two(capsys, monkeypatch):
-    monkeypatch.setenv("SIPH_SEED", "not-a-number")
-    code, out, err = run_cli(capsys, ["check", "si", "--gallery", "sphere"])
-    assert code == 2
-    assert "SIPH_SEED" in err
 
 
 def test_missing_subcommand_exits_two(capsys):
@@ -281,7 +278,9 @@ def test_check_decomposable_and_check_si_share_the_si_rule(capsys):
 def test_verify_euler_uses_the_tagged_degree(capsys):
     code, doc = run_json(capsys, ["verify", "euler", "--gallery", "sphere"])
     assert code == 0
-    assert doc["config"]["alpha"] == 2.0
+    # the config echoes --alpha as parsed; the degree used is a metric
+    assert doc["config"]["alpha"] is None
+    assert doc["metrics"]["alpha"] == 2.0
     assert doc["metrics"]["max_residual"] <= 1e-6
 
 
@@ -553,7 +552,9 @@ def test_a_non_finite_reference_vector_exits_two(capsys, flags):
         warnings.simplefilter("error", RuntimeWarning)
         code, out, err = run_cli(capsys, argv + ["--N", "50"])
     assert (code, out) == (2, "")
-    assert err.startswith("siphkit: error: expected finite coordinates")
+    flag = flags[-1].split("=")[0] if flags[-1].startswith("--") else flags[-2]
+    assert f"argument {flag}: expected finite coordinates" in err
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------
@@ -681,27 +682,76 @@ def test_config_echoes_only_the_sampling_flags_the_command_reads(capsys):
     assert not set(plan_keys) & set(doc["config"])
 
 
-def test_commands_that_draw_nothing_take_no_seed(capsys, monkeypatch):
-    monkeypatch.setenv("SIPH_SEED", "not-a-number")
+def test_commands_that_draw_nothing_take_no_seed(capsys):
     code, doc = run_json(capsys, _BASE_ARGV["gallery list"])
     assert code == 0
     assert doc["config"] == {"n": 2, "format": "json"}
     code, doc = run_json(capsys, _BASE_ARGV["solve paired-level"])
     assert code == 0
-    assert doc["config"] == {"format": "json", "r": 0.5, "tol": 1e-10}
+    assert doc["config"] == {"r": 0.5, "tol": 1e-10, "format": "json"}
+
+
+def _leaf_parser(command):
+    """The subparser of ``command``, such as "levelset radii"."""
+    parser = cli.build_parser()
+    for name in command.split():
+        sub = next(a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        parser = sub.choices[name]
+    return parser
+
+
+@pytest.mark.parametrize("command", sorted(_OPTIONS))
+def test_config_is_the_function_then_every_other_flag_as_parsed(capsys,
+                                                                command):
+    argv = _BASE_ARGV[command]
+    code, doc = run_json(capsys, argv)
+    assert code in (0, 1)
+    dests = [a.dest for a in _leaf_parser(command)._actions
+             if not isinstance(a, argparse._HelpAction)
+             and a.dest not in ("out", "sweep_csv")]
+    if "gallery" in dests:
+        dests = ["function"] + [d for d in dests if d not in
+                                ("gallery", "param", "expr", "n", "x_star")]
+    assert list(doc["config"]) == dests
+    parsed = vars(cli.build_parser().parse_args(argv))
+    assert {k: v for k, v in doc["config"].items() if k != "function"} == \
+        {k: siphkit.jsonable(parsed[k]) for k in dests if k != "function"}
+
+
+@pytest.mark.parametrize("argv,flag,value", [
+    (["decompose", "--gallery", "sq_norm", "--N", "50", "--x0", "1,0"],
+     "--x0-alt", "2,0"),
+    (["levelset", "radii", "--gallery", "sphere", "--level", "1"],
+     "--directions", "7"),
+    (["verify", "euler", "--gallery", "sphere", "--N", "50"],
+     "--numerical", None),
+], ids=["x0-alt", "directions", "numerical"])
+def test_runs_that_differ_in_one_flag_have_different_configs(capsys, argv,
+                                                             flag, value):
+    _, first = run_json(capsys, argv)
+    _, second = run_json(capsys, argv + [flag] + ([value] if value else []))
+    key = flag[2:].replace("-", "_")
+    assert first["config"][key] != second["config"][key]
+    assert {k: v for k, v in first["config"].items() if k != key} == \
+        {k: v for k, v in second["config"].items() if k != key}
 
 
 # ---------------------------------------------------------------------------
 # seeds, determinism, output plumbing
 
 
-def test_environment_seed_overrides_flag(capsys, monkeypatch):
-    monkeypatch.setenv("SIPH_SEED", "123")
-    code, doc = run_json(capsys, ["check", "si", "--gallery", "sphere",
-                                  "--seed", "7", "--N", "100"])
-    assert code == 0
-    assert doc["config"]["seed"] == 123
-    assert doc["config"]["seed_source"] == "env"
+def test_a_seed_environment_variable_changes_nothing(capsys, monkeypatch):
+    argv = ["check", "si", "--gallery", "random_si", "--seed", "7", "--N",
+            "100"]
+    monkeypatch.delenv("SIPH_SEED", raising=False)
+    code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (0, "")
+    for env in ("123", "not-a-number"):
+        monkeypatch.setenv("SIPH_SEED", env)
+        again, out_env, err_env = run_cli(capsys, argv)
+        assert (again, err_env) == (code, err)
+        assert _strip_wall_time(out_env) == _strip_wall_time(out)
 
 
 def test_flag_seed_is_used_without_environment(capsys, monkeypatch):
@@ -710,7 +760,7 @@ def test_flag_seed_is_used_without_environment(capsys, monkeypatch):
                                   "--seed", "7", "--N", "100"])
     assert code == 0
     assert doc["config"]["seed"] == 7
-    assert doc["config"]["seed_source"] == "flag"
+    assert "seed_source" not in doc["config"]
 
 
 def _strip_wall_time(text):
@@ -810,6 +860,28 @@ def test_a_ray_starting_on_the_reference_level_warns_nothing(capsys):
     assert json.loads(out)["verdict"] == "fail"
 
 
+def test_a_row_starting_on_the_reference_level_warns_nothing(capsys):
+    # 129 of the 300 rows start on the level of f(x0), so p = inf there
+    argv = ["decompose", "--gallery", "tanh_exp", "--n", "2", "--N", "300",
+            "--x0=0.5,0.3"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (1, "")
+    assert json.loads(out)["verdict"] == "fail"
+
+
+def test_a_gradient_product_that_is_not_finite_is_witnessed(capsys):
+    # every level point of half_norm at level 0 is x_star, where the
+    # central difference of the gradient is nan
+    code, doc = run_json(capsys, ["verify", "levelset-grad", "--gallery",
+                                  "half_norm", "--n", "2", "--level", "0"])
+    assert code == 1
+    assert [w["kind"] for w in doc["witnesses"]] == ["non_finite"] * 4
+    assert doc["metrics"]["spread"] == "nan"
+    assert "witnesses" not in doc["metrics"]
+
+
 def test_a_decomposition_where_f_overflows_warns_nothing(capsys):
     # exp(norm(x)^2) is inf on part of the box, and so is phi(p) there
     argv = ["decompose", "--expr", "exp(norm(x)^2)", "--n", "2", "--seed",
@@ -861,43 +933,43 @@ def test_check_si_at_zero_atol_emits_no_runtime_warning(capsys):
 # ---------------------------------------------------------------------------
 # repeated calls in one process
 
-# (SIPH_SEED or None, argv); --param twice in a row would show a list default
-# shared between calls, and SIPH_SEED is set and then unset again; solve
-# paired-level draws nothing, so a malformed SIPH_SEED does not reach it
+# --param twice in a row would show a list default shared between calls, and
+# a run with --eps before one without would show a changed --eps default
 _CALL_SEQUENCE = [
-    (None, ["check", "si", "--gallery", "sphere", "--N", "50"]),
-    (None, ["check", "si", "--gallery", "sphere", "--bogus"]),
-    ("17", ["check", "si", "--gallery", "sphere", "--N", "50", "--seed", "3"]),
-    (None, ["check", "si", "--gallery", "sphere", "--N", "50", "--seed", "3",
-            "--format", "csv"]),
-    (None, ["check", "si", "--gallery", "random_si", "--param", "eps=0.2",
-            "--param", "modes=3", "--N", "50"]),
-    (None, ["check", "si", "--gallery", "random_si", "--param", "eps=0.1",
-            "--param", "seed=4", "--N", "50", "--format", "csv"]),
-    (None, ["levelset", "radii", "--gallery", "ellipsoid", "--level", "1"]),
-    (None, ["levelset", "radii", "--gallery", "sphere"]),
-    ("x", ["solve", "paired-level", "--r", "0.5"]),
-    (None, ["gallery", "list", "--format", "csv"]),
+    ["check", "si", "--gallery", "sphere", "--N", "50"],
+    ["check", "si", "--gallery", "sphere", "--bogus"],
+    ["check", "si", "--gallery", "sphere", "--N", "50", "--seed", "3"],
+    ["check", "si", "--gallery", "sphere", "--N", "50", "--seed", "3",
+     "--format", "csv"],
+    ["check", "si", "--gallery", "random_si", "--param", "eps=0.2",
+     "--param", "modes=3", "--N", "50"],
+    ["check", "si", "--gallery", "random_si", "--param", "eps=0.1",
+     "--param", "seed=4", "--N", "50", "--format", "csv"],
+    ["levelset", "radii", "--gallery", "ellipsoid", "--level", "1"],
+    ["levelset", "radii", "--gallery", "sphere"],
+    ["solve", "paired-level", "--r", "0.5"],
+    ["gallery", "list", "--format", "csv"],
+    ["levelset", "negligible", "--gallery", "sphere", "--level", "1", "--N",
+     "1000", "--eps", "0.2,0.1"],
+    ["levelset", "negligible", "--gallery", "sphere", "--level", "1", "--N",
+     "1000"],
 ]
 
 
-def _run_sequence(capsys, monkeypatch):
+def _run_sequence(capsys):
     results = []
-    for seed, argv in _CALL_SEQUENCE:
-        if seed is None:
-            monkeypatch.delenv("SIPH_SEED", raising=False)
-        else:
-            monkeypatch.setenv("SIPH_SEED", seed)
+    for argv in _CALL_SEQUENCE:
         code, out, err = run_cli(capsys, argv)
         results.append((code, _strip_wall_time(out), err))
     return results
 
 
 def test_repeated_main_calls_match_a_fresh_parser_per_call(capsys, monkeypatch):
-    shared = _run_sequence(capsys, monkeypatch)
+    shared = _run_sequence(capsys)
     monkeypatch.setattr(cli, "_parser", cli.build_parser, raising=False)
-    fresh = _run_sequence(capsys, monkeypatch)
-    assert [code for code, _, _ in shared] == [0, 2, 0, 0, 0, 0, 0, 2, 0, 0]
+    fresh = _run_sequence(capsys)
+    assert [code for code, _, _ in shared] == [0, 2, 0, 0, 0, 0, 0, 2, 0, 0,
+                                                0, 0]
     assert shared == fresh
 
 

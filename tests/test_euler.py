@@ -20,6 +20,7 @@ from siphkit.euler import (
 from siphkit.field import GradientSpec
 from siphkit.gallery import make_builtin, random_si
 from siphkit.rays import SamplingPlan
+from siphkit.reporting import jsonable
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +89,7 @@ def test_difference_residual_shrinks_quadratically():
 
 def test_report_dictionary_fields():
     report = euler_residual(make_builtin("sphere", 2), 2.0)
-    doc = report.to_dict()
+    doc = jsonable(report)
     assert doc["alpha"] == 2.0
     assert doc["max_residual"] >= doc["mean_residual"] >= 0.0
     assert doc["n_samples"] == 1000
@@ -135,7 +136,7 @@ def test_sphere_level_dots_are_constant():
     report = levelset_gradient_constancy(f, 4.0, n_points=8)
     assert report.passed
     assert report.skipped == 0
-    assert report.values.shape == (8,)
+    assert report.witnesses == []
     assert report.mean == pytest.approx(8.0, abs=1e-8)  # 2 ||z||^2 at ||z||^2 = 4
     assert report.spread <= 1e-6
 

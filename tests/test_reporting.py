@@ -19,6 +19,7 @@ FIELD_REPORTS = [
     rays.SIReport, rays.DecomposabilityReport,
     levelsets.SphereExtrema, levelsets.BoundsReport,
     levelsets.CompactnessReport, levelsets.NegligibilityReport,
+    euler.EulerReport, euler.SpreadReport,
     euler.PairedLevels, euler.SaddleReport, euler.NeighborhoodCertificate,
     decomposition.DecompositionCheck, decomposition.UniquenessReport,
     decomposition.OrderReport,
@@ -83,8 +84,6 @@ def _reference_jsonable(obj):
             return "inf" if x > 0 else "-inf"
         return x
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        if hasattr(obj, "to_dict"):
-            return _reference_jsonable(obj.to_dict())
         return {f.name: _reference_jsonable(getattr(obj, f.name))
                 for f in dataclasses.fields(obj)}
     return obj
@@ -156,9 +155,9 @@ def test_nested_values_match_the_elementwise_walk_with_builtin_leaves():
     hit = np.rec.array([([0.6, np.float32(0.8)], 1.0, "ok", np.inf, 2e-16)],
                        dtype=_radii_dtype(2))
     rep = euler.EulerReport(max_residual=np.float64(3.0),
-                            residuals=np.array([1.0, np.nan, 3.0]),
+                            mean_residual=np.float64(2.0),
                             alpha=2.0, grad_mode="analytic", h=1e-5,
-                            n_samples=np.int64(3), excluded=0, seed=4)
+                            n_samples=np.int64(3), excluded=1, seed=4)
     doc = {"euler": rep, "pair": (np.float64(-np.inf), 1),
            "flag": np.bool_(False), 7: [np.arange(3), {"x": np.nan}],
            "scalars": [np.float64(0.25), np.float32(0.5), np.int16(-3)]}
@@ -186,32 +185,30 @@ def test_probe_result_serialises_as_its_fields_in_order(cls):
     assert list(doc.values()) == list(range(len(names)))
 
 
-def test_only_euler_and_spread_reports_override_the_field_form():
+def test_no_result_dataclass_defines_to_dict():
     overriding = sorted(
         obj.__name__ for mod in (decomposition, euler, levelsets, rays)
         for obj in vars(mod).values()
         if dataclasses.is_dataclass(obj) and obj.__module__ == mod.__name__
         and "to_dict" in vars(obj))
-    assert overriding == ["EulerReport", "SpreadReport"]
+    assert overriding == []
 
 
 def test_euler_report_drops_residuals_and_adds_their_mean():
-    rep = euler.EulerReport(max_residual=3.0,
-                            residuals=np.array([1.0, np.nan, 3.0]), alpha=2.0,
-                            grad_mode="analytic", h=1e-5, n_samples=3,
-                            excluded=0, seed=4)
-    doc = jsonable(rep)
+    # the keys, in order, of the per-sample residuals' former summary
+    doc = jsonable(_euler_report())
     assert list(doc) == ["max_residual", "mean_residual", "alpha", "grad_mode",
                          "h", "n_samples", "excluded", "seed", "notes"]
     assert doc["mean_residual"] == 2.0
 
 
 def test_spread_report_drops_values():
-    rep = euler.SpreadReport(level=0.5, values=np.array([1.0, 1.0]),
-                             spread=0.0, mean=1.0, passed=True, tol=1e-6,
-                             skipped=0, n_points=2, seed=0)
+    # the keys, in order, of the former summary, then the witnesses the
+    # command line moves into the report's witness list
+    rep = euler.SpreadReport(level=0.5, spread=0.0, mean=1.0, passed=True,
+                             tol=1e-6, skipped=0, n_points=2, seed=0)
     assert list(jsonable(rep)) == ["level", "spread", "mean", "passed", "tol",
-                                   "skipped", "n_points", "seed"]
+                                   "skipped", "n_points", "seed", "witnesses"]
 
 
 def test_nested_probe_results_serialise_inside_reports():
@@ -327,9 +324,9 @@ def _assert_writes_reference(value):
 
 def _euler_report():
     return euler.EulerReport(max_residual=np.float64(3.0),
-                             residuals=np.array([1.0, np.nan, 3.0]),
+                             mean_residual=np.float64(2.0),
                              alpha=2.0, grad_mode="analytic", h=1e-5,
-                             n_samples=np.int64(3), excluded=0, seed=4)
+                             n_samples=np.int64(3), excluded=1, seed=4)
 
 
 _FLOATS = st.floats(allow_nan=True, allow_infinity=True)
@@ -391,11 +388,12 @@ def test_to_json_writes_the_bytes_of_json_dumps_on_edge_values():
         "empty": [{}, [], (), np.array([]), np.zeros((0, 2)), {"a": []}],
         "arrays": [np.arange(3), np.array([[1.0, np.nan], [2.0, 3.0]]),
                    np.array([True]), np.array([1.5], dtype=np.float32)],
-        "to_dict": [_euler_report(),
-                    euler.SpreadReport(level=0.5, values=np.array([1.0]),
-                                       spread=0.0, mean=1.0, passed=True,
-                                       tol=1e-6, skipped=0, n_points=1,
-                                       seed=0)],
+        "reports": [_euler_report(),
+                    euler.SpreadReport(level=0.5, spread=np.nan, mean=np.nan,
+                                       passed=False, tol=1e-6, skipped=0,
+                                       n_points=1, seed=0,
+                                       witnesses=[{"kind": "non_finite",
+                                                   "x": [0.0, 0.0]}])],
     })
 
 

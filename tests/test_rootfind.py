@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from siphkit import rootfind
 from siphkit.gallery import make_builtin
 from siphkit.rootfind import (BELOW_START, NONFINITE, OK, UNBOUNDED,
                               golden_section, solve_monotone,
@@ -408,15 +409,15 @@ def _mixed_batch(rng, N):
     return profile, targets, sign > 0
 
 
-def test_live_rows_give_the_full_batch_kernels_results():
+def test_live_rows_give_the_full_batch_kernels_results(monkeypatch):
     rng = np.random.default_rng(2024)
     seen = set()
     for _ in range(100):
         profile, targets, increasing = _mixed_batch(rng, int(rng.integers(1, 13)))
         # a small step budget leaves rows unsettled when it runs out
         max_iters = int(rng.choice([4, 160]))
-        res = solve_monotone_batch(profile, targets, increasing,
-                                   max_iters=max_iters)
+        monkeypatch.setattr(rootfind, "MAX_ITERS", max_iters)
+        res = solve_monotone_batch(profile, targets, increasing)
         t_ref, status_ref, residual_ref = _full_batch_kernel(
             profile, targets, increasing, max_iters=max_iters)
         np.testing.assert_array_equal(res.status, status_ref)

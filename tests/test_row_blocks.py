@@ -168,4 +168,7 @@ def test_euler_residuals_equal_one_shot(name, n, numerical, N):
     rep = euler_residual(p, p.meta.ph_degree, plan, spec)
     want = one_shot_euler_residuals(p, p.meta.ph_degree, plan, spec)
     assert want.shape == (N,)
-    np.testing.assert_array_equal(rep.residuals, want)
+    finite = want[np.isfinite(want)]
+    assert rep.max_residual == finite.max()
+    assert rep.mean_residual == finite.mean()
+    assert rep.excluded == N - finite.size
