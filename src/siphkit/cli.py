@@ -41,7 +41,7 @@ from .decomposition import (DecompositionError, build_decomposition,
 from .euler import (euler_residual, general_euler_residual,
                     levelset_gradient_constancy, paired_level_solver,
                     positive_gradient_region)
-from .exprlang import ExprError, bind
+from .exprlang import bind
 from .field import GradientSpec
 from .gallery import make_builtin, random_si, registry_rows
 from .levelsets import (check_ph_sandwich, check_si_sandwich,
@@ -54,8 +54,9 @@ from .rays import (SamplingPlan, check_decomposability,
 from .reporting import Report, emit
 
 
-class UsageError(Exception):
-    """Configuration problem: reported on stderr, exit code 2."""
+class UsageError(ValueError):
+    """Configuration problem: reported on stderr, exit code 2, as is every
+    ValueError a rejected input raises."""
 
 
 # -----------------------------------------------------------------------------
@@ -187,7 +188,7 @@ def _resolve_field(args) -> tuple:
         field = make_builtin(args.gallery, n, **params)
     except KeyError as exc:
         raise UsageError(str(exc).strip("'\"")) from exc
-    except (ValueError, TypeError) as exc:
+    except TypeError as exc:
         raise UsageError(str(exc)) from exc
     return field, {"gallery": args.gallery, "n": n, "params": params}
 
@@ -202,10 +203,7 @@ _PLAN_FIELDS = {"samples": "n_samples", "box_radius": "box_radius",
 def _plan_from(args) -> SamplingPlan:
     given = {field: getattr(args, dest) for dest, field in _PLAN_FIELDS.items()
              if hasattr(args, dest)}
-    try:
-        return SamplingPlan(seed=args.seed, **given)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return SamplingPlan(seed=args.seed, **given)
 
 
 def _grad_spec(args) -> GradientSpec:
@@ -288,11 +286,12 @@ def _cmd_verify_euler(args, field, plan):
         raise UsageError("the field carries no homogeneity degree; pass --alpha")
     rep = euler_residual(field, alpha, plan, _grad_spec(args),
                          coord_floor=args.coord_floor)
-    witnesses = []
+    metrics = dict(vars(rep))  # the report's fields, its witnesses apart
+    witnesses = metrics.pop("witnesses")
     if not (np.isfinite(rep.max_residual) and rep.max_residual <= args.tol):
         witnesses.append({"kind": "euler_residual",
                           "max_residual": rep.max_residual, "tol": args.tol})
-    return rep, witnesses
+    return metrics, witnesses
 
 
 def _cmd_verify_general_euler(args, field, plan):
@@ -301,11 +300,12 @@ def _cmd_verify_general_euler(args, field, plan):
     except DecompositionError as exc:
         return {}, [{"kind": "build_failed", "reason": str(exc)}]
     rep = general_euler_residual(field, d, plan, _grad_spec(args))
-    witnesses = []
+    metrics = {**vars(rep), "case": d.case}
+    witnesses = metrics.pop("witnesses")
     if not (np.isfinite(rep.max_residual) and rep.max_residual <= args.tol):
         witnesses.append({"kind": "general_euler_residual",
                           "max_residual": rep.max_residual, "tol": args.tol})
-    return {**vars(rep), "case": d.case}, witnesses
+    return metrics, witnesses
 
 
 def _cmd_verify_levelset_grad(args, field, plan):
@@ -384,11 +384,8 @@ def _cmd_levelset_compact(args, field, plan):
 
 
 def _cmd_levelset_negligible(args, field, plan):
-    try:
-        rep = negligibility_probe(field, args.level, args.eps, plan,
-                                  rate_bound=args.rate_bound)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    rep = negligibility_probe(field, args.level, args.eps, plan,
+                              rate_bound=args.rate_bound)
     metrics = dict(vars(rep))  # the report's fields, its witnesses apart
     witnesses = metrics.pop("witnesses")
     return metrics, witnesses
@@ -403,11 +400,10 @@ def _cmd_cert_positive_region(args, field, plan):
 
 
 def _cmd_solve_paired_level(args):
-    # ValueError: r outside (0, 1); ArithmeticError: a --tol below the
-    # residual the solver reaches
+    # ArithmeticError: a --tol below the residual the solver reaches
     try:
         res = paired_level_solver(args.r, tol=args.tol)
-    except (ValueError, ArithmeticError) as exc:
+    except ArithmeticError as exc:
         raise UsageError(str(exc)) from exc
     return res, []
 
@@ -429,7 +425,8 @@ def _add_field_flags(parser, plan_groups=(), samples_default=1000):
                        help="gallery entry parameter; repeatable "
                             "(lists comma-separated, matrices semicolon-rowed)")
     group.add_argument("--expr", help="expression source, e.g. 'x_1^2 + x_2^2'")
-    group.add_argument("--n", type=int, default=2, help="dimension (default 2)")
+    group.add_argument("--n", type=_positive_int, default=2,
+                       help="dimension (default 2)")
     group.add_argument("--x-star", dest="x_star", type=_parse_vector,
                        help="reference point for --expr functions "
                             "(comma-separated; default origin)")
@@ -636,18 +633,10 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         report = _dispatch(args)
-    except UsageError as exc:
+    except (ValueError, OSError, MemoryError) as exc:
+        # a rejected input (UsageError and ExprError are ValueErrors), a
+        # file that cannot be opened, or a size too large to allocate
         print(f"siphkit: error: {exc}", file=sys.stderr)
-        return 2
-    except ExprError as exc:
-        print(f"siphkit: expression error at offset {exc.offset}: {exc}",
-              file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
-        print(f"siphkit: error: {exc}", file=sys.stderr)
-        return 2
-    except MemoryError as exc:  # a size too large to allocate
-        print(f"siphkit: error: {exc or 'out of memory'}", file=sys.stderr)
         return 2
     report.wall_time_ms = round((time.perf_counter() - start) * 1000.0, 3)
     try:

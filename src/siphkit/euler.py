@@ -33,7 +33,9 @@ DELTA_CAP = 0.5           # positive_gradient_region: largest fattening radius
 @dataclass
 class EulerReport:
     """Residuals of a homogeneity identity over seeded samples: the largest
-    and the mean finite one (nan if none is finite)."""
+    and the mean finite one (nan if none is finite), with a ``non_finite``
+    witness for each of the first few samples where p or the residual is
+    not finite."""
 
     max_residual: float
     mean_residual: float
@@ -44,6 +46,7 @@ class EulerReport:
     excluded: int
     seed: int
     notes: dict = dataclass_field(default_factory=dict)
+    witnesses: list = dataclass_field(default_factory=list)
 
 
 def _grad_mode(field: ScalarField, spec: Optional[GradientSpec]) -> str:
@@ -96,13 +99,17 @@ def euler_residual(p: ScalarField, alpha: float,
         grads = p.gradient_values(X, spec)
         dots = np.einsum("ij,ij->i", grads, Z[rows])
         residuals[rows] = np.abs(alpha * vals - dots)
-    finite = residuals[np.isfinite(residuals)]
+    bad = ~np.isfinite(residuals)
+    finite = residuals[~bad]
+    # the witnesses' point column only when there are witnesses to read it
+    witnesses = (row_witnesses(bad, "non_finite", FEW_WITNESSES, x=p.absolute(Z))
+                 if bad.any() else [])
     return EulerReport(max_residual=float(finite.max()) if finite.size else np.nan,
                        mean_residual=float(finite.mean()) if finite.size else np.nan,
                        alpha=alpha, grad_mode=_grad_mode(p, spec), h=spec.h,
                        n_samples=int(Z.shape[0]),
                        excluded=int(residuals.size - finite.size), seed=plan.seed,
-                       notes={"coord_floor": coord_floor})
+                       notes={"coord_floor": coord_floor}, witnesses=witnesses)
 
 
 def general_euler_residual(field: ScalarField, d: Decomposition,
@@ -113,7 +120,8 @@ def general_euler_residual(field: ScalarField, d: Decomposition,
     phi' comes from central differences on the one-dimensional profile with
     its own step — never from differentiating f, which is ill conditioned
     where phi' blows up.  Samples with |p| below ``P_FLOOR_FRAC`` times the
-    sample maximum are excluded for the same reason.
+    sample maximum, or p = 0, are excluded for the same reason; so are
+    samples where p is not finite, which are witnessed.
     """
     plan = plan or SamplingPlan()
     spec = grad_spec or GradientSpec()
@@ -123,7 +131,7 @@ def general_euler_residual(field: ScalarField, d: Decomposition,
     p_vals = d.p_values(X)
     finite = np.isfinite(p_vals)
     scale = np.abs(p_vals[finite]).max() if finite.any() else 0.0
-    keep = finite & (np.abs(p_vals) >= P_FLOOR_FRAC * scale)
+    keep = finite & (np.abs(p_vals) >= P_FLOOR_FRAC * scale) & (p_vals != 0)
     excluded = int((~keep).sum())
     Zk, Xk, pk = Z[keep], X[keep], p_vals[keep]
 
@@ -136,13 +144,17 @@ def general_euler_residual(field: ScalarField, d: Decomposition,
     grads = field.gradient_values(Xk, spec)
     lhs = np.einsum("ij,ij->i", grads, Zk)
     residuals = np.abs(lhs - d.alpha * phi_prime * pk)
-    finite = residuals[np.isfinite(residuals)]
+    bad = ~finite  # p, or on a kept row the residual, is not finite
+    bad[keep] = ~np.isfinite(residuals)
+    finite = residuals[~bad[keep]]
     return EulerReport(max_residual=float(finite.max()) if finite.size else np.nan,
                        mean_residual=float(finite.mean()) if finite.size else np.nan,
                        alpha=d.alpha, grad_mode=_grad_mode(field, spec), h=spec.h,
                        n_samples=int(Xk.shape[0]), excluded=excluded,
                        seed=plan.seed,
-                       notes={"phi_step": PHI_STEP, "p_floor_frac": P_FLOOR_FRAC})
+                       notes={"phi_step": PHI_STEP, "p_floor_frac": P_FLOOR_FRAC},
+                       witnesses=row_witnesses(bad, "non_finite", FEW_WITNESSES,
+                                               x=X))
 
 
 # -----------------------------------------------------------------------------
@@ -179,15 +191,18 @@ def levelset_gradient_constancy(field: ScalarField, c: float,
                                 seed: int = 0, tol: float = 1e-6) -> SpreadReport:
     """Spread of grad f(z) . (z - x_star) over points of the level set {f = c}.
 
-    Level points come from ray radii over seeded sphere directions;
-    directions whose ray misses the level (or defeats the classifier) are
-    skipped and counted.  The spread and mean are over the finite products;
-    the first few points whose product is not finite are witnessed, and
-    fail the check.
+    Level points come from ray radii over seeded sphere directions, each
+    distinct point taken once; directions whose ray misses the level (or
+    defeats the classifier) are skipped and counted.  The spread and mean
+    are over the finite products; the first few points whose product is not
+    finite are witnessed, and fail the check.
     """
     plan = SamplingPlan(seed=seed)
     Z = _level_points(field, plan.sphere_points(field.n, n_points), c)
     skipped = n_points - Z.shape[0]
+    # each distinct point once, in first-seen order: at the level f(x_star)
+    # every ray meets the level at x_star
+    Z = Z[np.sort(np.unique(Z, axis=0, return_index=True)[1])]
     if not Z.shape[0]:
         return SpreadReport(level=c, spread=np.nan, mean=np.nan, passed=False,
                             tol=tol, skipped=skipped, n_points=n_points,

@@ -6,13 +6,16 @@ Grammar (whitespace-insensitive)::
     term   := factor (("*" | "/") factor)*
     factor := "-" factor | power
     power  := atom ("^" factor)?          # right-associative exponent
-    atom   := NUMBER | "x_" INDEX | IDENT "(" expr ("," expr)* ")" | "(" expr ")"
+    atom   := NUMBER | "x_" INDEX | "norm" "(" "x" ")"
+            | IDENT "(" expr ("," expr)* ")" | "(" expr ")"
 
 ``x_i`` is the i-th coordinate (1-based).  Calls: abs, sqrt, exp, log, sin,
 cos, tanh (one argument), min and max (two or more), and norm, whose only
-legal argument is the whole-vector token ``x``.  sqrt/log of a negative number
-evaluate to a non-finite value rather than raising.  Syntax and binding errors
-carry a source offset.
+legal argument is the bare whole-vector token ``x``.  sqrt/log of a negative
+number evaluate to a non-finite value rather than raising.  Parentheses,
+call arguments, unary minus and exponents nest at most ``MAX_DEPTH`` deep;
+a chain such as ``a + b - c`` may have any length.  Syntax and binding
+errors carry a source offset.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field as dataclass_field
-from typing import Optional
 
 import numpy as np
 
@@ -88,6 +90,7 @@ class Call(Node):
 _UNARY_FNS = ("abs", "sqrt", "exp", "log", "sin", "cos", "tanh")
 _VARIADIC_FNS = ("min", "max")
 FUNCTIONS = _UNARY_FNS + _VARIADIC_FNS + ("norm",)
+MAX_DEPTH = 100  # deepest nesting the parser accepts
 
 
 # ---------------------------------------------------------------------------
@@ -134,9 +137,9 @@ def _tokenize(source: str) -> list[_Token]:
 
 class _Parser:
     def __init__(self, source: str):
-        self.source = source
         self.tokens = _tokenize(source)
         self.i = 0
+        self.depth = 0  # factors open on the stack
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -149,10 +152,7 @@ class _Parser:
     def error_at(self, tok: _Token, message: str):
         if tok.kind == "EOF" and self.i > 0:
             # anchor unexpected-end errors at the last real token
-            last = self.tokens[max(0, self.i - 1)]
-            if last.kind == "EOF" and self.i >= 2:
-                last = self.tokens[self.i - 2]
-            raise ExprSyntaxError(message, last.pos if last.kind != "EOF" else tok.pos)
+            tok = self.tokens[self.i - 1]
         raise ExprSyntaxError(message, tok.pos)
 
     def expect_op(self, text: str):
@@ -166,7 +166,6 @@ class _Parser:
         tok = self.peek()
         if tok.kind != "EOF":
             self.error_at(tok, f"unexpected {tok.text!r} after expression")
-        _validate(node, self.source)
         return node
 
     def expr(self) -> Node:
@@ -186,11 +185,19 @@ class _Parser:
         return node
 
     def factor(self) -> Node:
+        # every nesting (parenthesis, call argument, unary minus, exponent)
+        # passes through here, so the cap here bounds the parser's stack
         tok = self.peek()
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            self.error_at(tok, f"nesting deeper than {MAX_DEPTH} levels")
         if tok.kind == "OP" and tok.text == "-":
             self.advance()
-            return Neg(child=self.factor(), span=tok.pos)
-        return self.power()
+            node = Neg(child=self.factor(), span=tok.pos)
+        else:
+            node = self.power()
+        self.depth -= 1
+        return node
 
     def power(self) -> Node:
         base = self.atom()
@@ -215,7 +222,7 @@ class _Parser:
             if nxt.kind == "OP" and nxt.text == "(":
                 return self.call(tok)
             if tok.text == "x":
-                return VecRef(span=tok.pos)
+                self.error_at(tok, "the vector token x is only valid inside norm()")
             self.error_at(tok, f"unknown identifier {tok.text!r}")
         if tok.kind == "OP" and tok.text == "(":
             self.advance()
@@ -229,6 +236,12 @@ class _Parser:
         if name not in FUNCTIONS:
             self.error_at(name_tok, f"unknown function {name!r}")
         self.expect_op("(")
+        if name == "norm":
+            vec = self.peek()
+            if vec.text != "x" or self.tokens[self.i + 1].text != ")":
+                self.error_at(name_tok, "norm applies to the whole input vector: norm(x)")
+            self.i += 2
+            return Call(name=name, args=(VecRef(span=vec.pos),), span=name_tok.pos)
         args = [self.expr()]
         while self.peek().kind == "OP" and self.peek().text == ",":
             self.advance()
@@ -238,36 +251,12 @@ class _Parser:
             self.error_at(name_tok, f"{name} takes exactly one argument")
         if name in _VARIADIC_FNS and len(args) < 2:
             self.error_at(name_tok, f"{name} takes at least two arguments")
-        if name == "norm" and len(args) != 1:
-            self.error_at(name_tok, "norm takes exactly one argument")
         return Call(name=name, args=tuple(args), span=name_tok.pos)
 
 
-def _validate(node: Node, source: str):
-    """Reject the whole-vector token anywhere except as norm's argument."""
-    if isinstance(node, VecRef):
-        raise ExprSyntaxError("the vector token x is only valid inside norm()", node.span)
-    if isinstance(node, Neg):
-        _validate(node.child, source)
-    elif isinstance(node, BinOp):
-        _validate(node.left, source)
-        _validate(node.right, source)
-    elif isinstance(node, Call):
-        if node.name == "norm":
-            if not isinstance(node.args[0], VecRef):
-                raise ExprSyntaxError("norm applies to the whole input vector: norm(x)",
-                                      node.span)
-            return
-        for arg in node.args:
-            _validate(arg, source)
-
-
-def parse(source: str, n: Optional[int] = None) -> Node:
-    """Parse a source string to an AST; optionally range-check variables."""
-    node = _Parser(source).parse()
-    if n is not None:
-        _check_indices(node, n)
-    return node
+def parse(source: str) -> Node:
+    """Parse a source string to an AST."""
+    return _Parser(source).parse()
 
 
 # ---------------------------------------------------------------------------
@@ -315,56 +304,52 @@ def to_source(node: Node) -> str:
 # evaluation
 
 
-def _check_indices(node: Node, n: int):
-    if isinstance(node, Var):
-        if not 1 <= node.index <= n:
-            raise ExprBindError(
-                f"variable x_{node.index} out of range for dimension {n}", node.span)
-    elif isinstance(node, Neg):
-        _check_indices(node.child, n)
-    elif isinstance(node, BinOp):
-        _check_indices(node.left, n)
-        _check_indices(node.right, n)
-    elif isinstance(node, Call):
-        for arg in node.args:
-            _check_indices(arg, n)
+_BINARY_UFUNCS = {"+": np.add, "-": np.subtract, "*": np.multiply,
+                  "/": np.divide, "^": np.power}
 
 
-def _compile(node: Node):
-    """Compile an AST to a batched numpy evaluator (N, n) -> (N,)."""
+def _fold(first, steps):
+    """Evaluator of ``first`` folded left through each (ufunc, evaluator)."""
+    def fold(X):
+        out = first(X)
+        for ufunc, f in steps:
+            out = ufunc(out, f(X))
+        return out
+    return fold
+
+
+def _compile(node: Node, n: int):
+    """Compile an AST to a batched numpy evaluator (N, n) -> (N,); each
+    ``x_i`` is range-checked against ``n`` as it is compiled."""
     if isinstance(node, Num):
         v = node.value
         return lambda X: np.full(X.shape[0], v)
     if isinstance(node, Var):
+        if not 1 <= node.index <= n:
+            raise ExprBindError(
+                f"variable x_{node.index} out of range for dimension {n}", node.span)
         i = node.index - 1
         return lambda X: X[:, i]
     if isinstance(node, Neg):
-        c = _compile(node.child)
+        c = _compile(node.child, n)
         return lambda X: -c(X)
     if isinstance(node, BinOp):
-        lf, rf = _compile(node.left), _compile(node.right)
-        op = node.op
-        if op == "+":
-            return lambda X: lf(X) + rf(X)
-        if op == "-":
-            return lambda X: lf(X) - rf(X)
-        if op == "*":
-            return lambda X: lf(X) * rf(X)
-        if op == "/":
-            return lambda X: lf(X) / rf(X)
-        return lambda X: np.power(lf(X), rf(X))
+        # a left-associative chain a + b - c is one fold over its operands,
+        # so its length does not deepen the stack
+        steps = []
+        while isinstance(node, BinOp):
+            steps.append((_BINARY_UFUNCS[node.op], node.right))
+            node = node.left
+        first = _compile(node, n)
+        return _fold(first, [(ufunc, _compile(right, n))
+                             for ufunc, right in reversed(steps)])
     if isinstance(node, Call):
         if node.name == "norm":
             return lambda X: np.sqrt(row_sumsq(X))
-        sub = [_compile(a) for a in node.args]
+        sub = [_compile(a, n) for a in node.args]
         if node.name in _VARIADIC_FNS:
             reducer = np.minimum if node.name == "min" else np.maximum
-            def variadic(X, sub=sub, reducer=reducer):
-                out = sub[0](X)
-                for f in sub[1:]:
-                    out = reducer(out, f(X))
-                return out
-            return variadic
+            return _fold(sub[0], [(reducer, f) for f in sub[1:]])
         fn = {"abs": np.abs, "sqrt": np.sqrt, "exp": np.exp, "log": np.log,
               "sin": np.sin, "cos": np.cos, "tanh": np.tanh}[node.name]
         c = sub[0]
@@ -372,18 +357,16 @@ def _compile(node: Node):
     raise TypeError(f"cannot compile node {node!r}")
 
 
-def bind(expr, n: int, x_star=None, name: Optional[str] = None) -> ScalarField:
+def bind(expr, n: int, x_star=None) -> ScalarField:
     """Bind an AST (or source string) to a dimension, yielding a ScalarField.
 
     Variable indexes are range-checked here; out-of-range indexes raise
     :class:`ExprBindError` with the source offset.
     """
     node = parse(expr) if isinstance(expr, str) else expr
-    _check_indices(node, n)
-    compiled = _compile(node)
     source = expr if isinstance(expr, str) else to_source(node)
-    meta = FieldMeta(name=name or source)
-    return ScalarField(n, compiled, x_star=x_star, vectorized=True, meta=meta)
+    return ScalarField(n, _compile(node, n), x_star=x_star, vectorized=True,
+                       meta=FieldMeta(name=source))
 
 
 def eval_ast(node: Node, x) -> float:

@@ -284,11 +284,14 @@ class BoundsReport:
 
 
 def _projected_samples(plan: SamplingPlan, n: int) -> tuple:
-    """The plan's box samples away from the origin, their norms, and their
-    projections x / ||x|| onto the unit sphere."""
+    """The plan's box samples whose norm is above 0, their norms, and their
+    projections x / ||x|| onto the unit sphere; ValueError if there is none
+    (every norm underflows on a small enough box)."""
     X0 = plan.box_points(n)
     r = np.sqrt(row_sumsq(X0))
-    keep = r > 1e-9
+    keep = r > 0
+    if not keep.any():
+        raise ValueError(f"every sample norm is 0 at box radius {plan.box_radius}")
     X0, r = X0[keep], r[keep]
     return X0, r, X0 / r[:, None]
 

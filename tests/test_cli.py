@@ -188,6 +188,10 @@ def test_a_level_that_is_not_a_finite_number_exits_two(capsys, command, level):
      "argument --coord-floor: must be at least 0"),
     (["levelset", "negligible", "--gallery", "sphere", "--level", "1",
       "--eps", "0.1,x"], "argument --eps: expected comma-separated numbers"),
+    (["check", "si", "--expr", "x_1", "--n", "0"],
+     "argument --n: must be at least 1"),
+    (["levelset", "bounds", "--gallery", "sphere", "--box-radius", "1e-200"],
+     "every sample norm is 0 at box radius 1e-200"),
 ])
 def test_degenerate_arguments_exit_two_with_a_named_message(capsys, argv,
                                                             message):
@@ -207,9 +211,24 @@ def test_smallest_legal_counts_still_run(capsys):
 
 
 def test_expression_errors_carry_the_offset(capsys):
-    code, out, err = run_cli(capsys, ["check", "si", "--expr", "x_1 +"])
-    assert code == 2
-    assert "offset 4" in err
+    # one line, which gives the offset once
+    for source, message in [
+            ("x_1 +", "expected a number, variable, call, or parenthesis"),
+            ("x_1 $ 2", "unexpected character '$'")]:
+        code, out, err = run_cli(capsys, ["check", "si", "--expr", source])
+        assert (code, out) == (2, "")
+        assert err == f"siphkit: error: {message} (offset 4)\n"
+
+
+def test_sources_of_any_length_run_and_deep_ones_exit_two(capsys):
+    code, doc = run_json(capsys, ["check", "si", "--expr",
+                                  " + ".join(["x_1"] * 2000), "--n", "1",
+                                  "--N", "100"])
+    assert code == 0
+    code, out, err = run_cli(capsys, ["check", "si", "--expr",
+                                      "(" * 300 + "x_1" + ")" * 300, "--n", "1"])
+    assert (code, out) == (2, "")
+    assert "nesting deeper than 100 levels" in err and "Traceback" not in err
 
 
 def test_missing_subcommand_exits_two(capsys):
@@ -873,13 +892,46 @@ def test_a_row_starting_on_the_reference_level_warns_nothing(capsys):
 
 def test_a_gradient_product_that_is_not_finite_is_witnessed(capsys):
     # every level point of half_norm at level 0 is x_star, where the
-    # central difference of the gradient is nan
+    # central difference of the gradient is nan; the point is taken once
     code, doc = run_json(capsys, ["verify", "levelset-grad", "--gallery",
                                   "half_norm", "--n", "2", "--level", "0"])
     assert code == 1
-    assert [w["kind"] for w in doc["witnesses"]] == ["non_finite"] * 4
+    assert doc["witnesses"] == [{"kind": "non_finite", "x": [0.0, 0.0]}]
     assert doc["metrics"]["spread"] == "nan"
     assert "witnesses" not in doc["metrics"]
+
+
+@pytest.mark.parametrize("action,expr,alpha,tol_kind", [
+    ("euler", "x_1 + x_2 + 0*sqrt(x_1)", "1", "euler_residual"),
+    ("general-euler", "x_1^2 + x_2^2 + 0*sqrt(x_1)", "2",
+     "general_euler_residual"),
+])
+def test_euler_commands_witness_non_finite_samples_first(capsys, action, expr,
+                                                         alpha, tol_kind):
+    # the field is nan wherever x_1 < 0; its finite half holds the identity
+    argv = ["verify", action, "--expr", expr, "--n", "2", "--alpha", alpha]
+    code, doc = run_json(capsys, argv)
+    assert code == 1
+    assert [w["kind"] for w in doc["witnesses"]] == ["non_finite"] * 4
+    assert all(w["x"][0] < 0 for w in doc["witnesses"])
+    assert "witnesses" not in doc["metrics"]
+    code, doc = run_json(capsys, argv + ["--tol", "0"])
+    assert code == 1
+    assert [w["kind"] for w in doc["witnesses"]] == ["non_finite"] * 4 + [tol_kind]
+
+
+def test_general_euler_where_every_p_underflows_fails_without_warning(capsys):
+    # every p is 0 on this box, where the phi' step would be 0: no sample is
+    # kept, so the residual is nan, and nothing is witnessed as non-finite
+    argv = ["verify", "general-euler", "--gallery", "gauss_si", "--n", "2",
+            "--box-radius", "1e-300", "--N", "50"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (1, "")
+    doc = json.loads(out)
+    assert [w["kind"] for w in doc["witnesses"]] == ["general_euler_residual"]
+    assert (doc["metrics"]["n_samples"], doc["metrics"]["excluded"]) == (0, 50)
 
 
 def test_a_decomposition_where_f_overflows_warns_nothing(capsys):

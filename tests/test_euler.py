@@ -17,6 +17,7 @@ from siphkit.euler import (
     positive_gradient_region,
     saddle_levels,
 )
+from siphkit.exprlang import bind
 from siphkit.field import GradientSpec
 from siphkit.gallery import make_builtin, random_si
 from siphkit.rays import SamplingPlan
@@ -125,6 +126,20 @@ def test_random_field_identity_with_numerical_everything():
     assert report.max_residual <= 1e-4
     assert report.grad_mode == "central-difference"
     assert report.n_samples + report.excluded == 1000
+
+
+def test_euler_probes_witness_samples_that_are_not_finite():
+    # nan wherever x_1 < 0: those samples are excluded and witnessed
+    f = bind("x_1 + x_2 + 0*sqrt(x_1)", 2)
+    report = euler_residual(f, 1.0)
+    assert report.excluded == 487
+    assert [w["kind"] for w in report.witnesses] == ["non_finite"] * 4
+    assert all(w["x"][0] < 0 for w in report.witnesses)
+    g = bind("x_1^2 + x_2^2 + 0*sqrt(x_1)", 2)
+    report = general_euler_residual(g, build_decomposition(g, alpha=2.0))
+    assert (report.n_samples, report.excluded) == (508, 492)
+    assert [w["kind"] for w in report.witnesses] == ["non_finite"] * 4
+    assert euler_residual(make_builtin("sphere", 2), 2.0).witnesses == []
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from siphkit import exprlang
 from siphkit.exprlang import (
     BinOp,
     Call,
@@ -122,16 +123,19 @@ def test_out_of_range_variable_is_a_bind_error():
     node = parse("x_3")
     with pytest.raises(ExprBindError):
         bind(node, 2)
-    # and parse() itself range-checks when given the dimension
-    with pytest.raises(ExprBindError):
-        parse("x_3", n=2)
+    # a source string is range-checked as it is bound
+    with pytest.raises(ExprBindError) as exc:
+        bind("x_1 + x_3", 2)
+    assert exc.value.offset == 6
 
 
 def test_norm_argument_must_be_the_vector_token():
-    with pytest.raises(ExprSyntaxError):
-        parse("norm(x_1)")
-    with pytest.raises(ExprSyntaxError):
-        parse("norm(x, x)")
+    # the bare token, so norm((x)) is rejected too; the error is at norm
+    for source in ["norm(x_1)", "norm(x, x)", "norm((x))", "norm(x + 0)",
+                   "norm(x", "norm()"]:
+        with pytest.raises(ExprSyntaxError) as exc:
+            parse(source)
+        assert exc.value.offset == 0, source
 
 
 def test_vector_token_is_rejected_outside_norm():
@@ -168,6 +172,41 @@ def test_empty_and_unbalanced_sources():
         parse("(x_1")
     with pytest.raises(ExprSyntaxError):
         parse("x_1 2")
+
+
+def test_the_first_error_in_reading_order_is_reported():
+    # the bare x comes before the unknown y and the unclosed parenthesis
+    with pytest.raises(ExprSyntaxError) as exc:
+        parse("x * (y + 1")
+    assert exc.value.offset == 0
+    with pytest.raises(ExprSyntaxError) as exc:
+        parse("norm(x_1) + y")
+    assert exc.value.offset == 0
+
+
+# ---------------------------------------------------------------------------
+# length and depth
+
+
+def test_a_chain_of_any_length_binds_and_folds_left():
+    assert bind(" + ".join(["x_1"] * 3000), 1).value([1.0]) == 3000.0
+    assert bind(" * ".join(["x_1"] * 3000), 1).value([1.0]) == 1.0
+    X = np.random.default_rng(4).uniform(-2.0, 2.0, size=(50, 3))
+    got = bind("x_1 - x_2 * x_3 / x_1 + x_2 - 3", 3).values(X)
+    want = X[:, 0] - X[:, 1] * X[:, 2] / X[:, 0] + X[:, 1] - 3.0
+    assert got.tobytes() == want.tobytes()
+
+
+def test_nesting_beyond_the_cap_is_a_syntax_error_naming_it():
+    cap = exprlang.MAX_DEPTH
+    # the outermost factor is level 1, so cap - 1 parentheses still fit
+    fits = "(" * (cap - 1) + "x_1" + ")" * (cap - 1)
+    assert bind(fits, 1).value([2.0]) == 2.0
+    for source in ["(" * cap + "x_1" + ")" * cap, "-" * 3000 + "x_1",
+                   "abs(" * 300 + "x_1" + ")" * 300, "2^" * 300 + "2",
+                   "min(1, " * 300 + "x_1" + ")" * 300]:
+        with pytest.raises(ExprSyntaxError, match=f"deeper than {cap} levels"):
+            parse(source)
 
 
 # ---------------------------------------------------------------------------

@@ -587,6 +587,17 @@ def test_si_sandwich_witnesses_non_finite_samples_first(capsys):
     assert [w["kind"] for w in doc["witnesses"]] == ["non_finite"] * 4
 
 
+def test_sandwiches_judge_every_sample_of_a_tiny_box():
+    f = make_builtin("sphere", 2)
+    plan = SamplingPlan(box_radius=1e-12)
+    d = build_decomposition(f, alpha=2.0, plan=plan)
+    assert check_si_sandwich(f, d, plan).n_samples == 1000
+    assert check_ph_sandwich(f, 2.0, 1.0, 1.0, plan).n_samples == 1000
+    tiny = SamplingPlan(box_radius=1e-200)  # every norm underflows to 0
+    with pytest.raises(ValueError, match="box radius 1e-200"):
+        check_ph_sandwich(f, 2.0, 1.0, 1.0, tiny)
+
+
 # ---------------------------------------------------------------------------
 # level-set negligibility
 

@@ -198,7 +198,8 @@ def test_euler_report_drops_residuals_and_adds_their_mean():
     # the keys, in order, of the per-sample residuals' former summary
     doc = jsonable(_euler_report())
     assert list(doc) == ["max_residual", "mean_residual", "alpha", "grad_mode",
-                         "h", "n_samples", "excluded", "seed", "notes"]
+                         "h", "n_samples", "excluded", "seed", "notes",
+                         "witnesses"]
     assert doc["mean_residual"] == 2.0
 
 
