@@ -44,10 +44,9 @@ from .euler import (euler_residual, general_euler_residual,
 from .exprlang import bind
 from .field import GradientSpec
 from .gallery import make_builtin, random_si, registry_rows
-from .levelsets import (check_ph_sandwich, check_si_sandwich,
-                        compactness_probe, fold_projected_samples,
-                        negligibility_probe, ray_level_radius,
-                        si_sandwich_applies, sphere_extrema)
+from .levelsets import (check_sandwiches, compactness_probe,
+                        fold_projected_samples, negligibility_probe,
+                        ray_level_radius, si_sandwich_applies, sphere_extrema)
 from .rays import (SamplingPlan, check_decomposability,
                    check_scaling_invariance, default_directions,
                    ray_witness_kinds, row_witnesses)
@@ -356,7 +355,9 @@ def _cmd_levelset_bounds(args, field, plan):
         # one polish and one fold for the extrema of both sandwiches
         ext = fold_projected_samples(field, plan,
                                      sphere_extrema(field, seed=plan.seed))
-    si_rep = check_si_sandwich(field, d, plan, slack=args.slack, extrema=ext)
+    # and one pass over the samples for both
+    si_rep, ph_rep = check_sandwiches(field, d, plan, ext, slack=args.slack,
+                                      degree=degree, rtol=args.rtol)
     metrics = {"si_sandwich": {"verdict": si_rep.verdict, "m": si_rep.m,
                                "M": si_rep.M, "notes": si_rep.notes}}
     witnesses = list(si_rep.witnesses)
@@ -364,9 +365,7 @@ def _cmd_levelset_bounds(args, field, plan):
         witnesses.append({"kind": "precondition_failed",
                           "check": "si_sandwich",
                           "reason": si_rep.notes.get("reason", "")})
-    if degree is not None:
-        ph_rep = check_ph_sandwich(field, degree, ext.m, ext.M, plan,
-                                   rtol=args.rtol)
+    if ph_rep is not None:
         metrics["ph_sandwich"] = {"verdict": ph_rep.verdict, "m": ph_rep.m,
                                   "M": ph_rep.M,
                                   "notes": {**ph_rep.notes,

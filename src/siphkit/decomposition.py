@@ -15,14 +15,16 @@ serves only to choose the case and to reject a reference value.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .field import FieldMeta, ScalarField, _as_point
-from .rays import (FEW_WITNESSES, MAX_WITNESSES, SamplingPlan, classify_ray,
-                   default_directions, order_trichotomy, row_witnesses)
+from .rays import (FEW_WITNESSES, MAX_WITNESSES, SamplingPlan, box_stream,
+                   classify_ray, default_directions, order_trichotomy,
+                   row_blocks, row_witnesses, sample_blocks)
 from .rootfind import (BELOW_START, MAX_DOUBLINGS, OK, UNBOUNDED,
                        solve_monotone_batch)
 
@@ -71,31 +73,45 @@ class Decomposition:
         self.case = case
         self.positive_ref = positive_ref
         self.negative_ref = negative_ref
-        # witnesses of the rows the latest p_values call could not solve;
-        # each call starts a fresh list
+        # witnesses of the rows the latest p_values call, or the latest
+        # sample (see _sample), could not solve; each starts a fresh list
         self.solver_failures: list = []
+        # the open sample of _sample, and the table of each reference
+        self._open: Optional[_Sample] = None
+        self._tables: dict = {}
 
     # -- p ------------------------------------------------------------------
 
     def _solve_lambdas(self, Z: np.ndarray, ref: ReferenceInfo,
-                       bracket=None) -> np.ndarray:
+                       bracket=None, failures=None) -> np.ndarray:
         """lambda(z) with g(lambda z) = ref.value for each row of Z, nan where
-        the ray never meets the reference level.  Not memoised: every call
-        solves all of its rows in one batched root solve, seeded by
-        ``bracket`` where it straddles (see ``solve_monotone_batch``)."""
+        the ray never meets the reference level; the rows that fail are
+        witnessed in ``failures`` (default ``solver_failures``), up to
+        ``MAX_WITNESSES`` in all.  Not memoised: every call solves all of its
+        rows in one batched root solve, seeded by ``bracket`` where it
+        straddles (see ``solve_monotone_batch``)."""
 
         def profile(t):
             return self.field.ray_values(t, Z)
 
+        failures = self.solver_failures if failures is None else failures
         res = solve_monotone_batch(profile, np.full(Z.shape[0], ref.value),
                                    increasing=ref.increasing, bracket=bracket)
         reason = np.where(res.status == UNBOUNDED, "unbounded_ray",
                           np.where(res.status == BELOW_START, "level_unreachable",
                                    "non_finite"))
-        self.solver_failures += row_witnesses(
-            res.status != OK, reason, MAX_WITNESSES - len(self.solver_failures),
-            point=Z)
+        failures += row_witnesses(res.status != OK, reason,
+                                  MAX_WITNESSES - len(failures), point=Z)
         return np.where(res.status == OK, res.t, np.nan)
+
+    def _classes(self, g: np.ndarray) -> tuple:
+        """(reference, sign of p, rows) of each sign class of the levels g;
+        none in the zero case."""
+        if self.case == "zero":
+            return ()
+        if self.case == "one-sided":
+            return ((self.positive_ref, 1.0, (g != 0) & ~np.isnan(g)),)
+        return ((self.positive_ref, 1.0, g > 0), (self.negative_ref, -1.0, g < 0))
 
     def p_values(self, X, guess=None) -> np.ndarray:
         """Canonical p over an (N, n) batch of absolute points.
@@ -115,13 +131,18 @@ class Decomposition:
         field that is not SI -- is solved from the cold bracket, as are the
         rows of a smaller class.  So a wrong guess gives the bits of no
         guess, and every root is a sign change on the row's own ray.
+
+        Inside a sample (``_sample``) the call is one block of it: the class
+        sizes are the whole sample's, and the solver failures add up.
         """
-        self.solver_failures = []
         X = np.atleast_2d(np.asarray(X, dtype=float))
         Z = X - self.field.x_star
         g = self.field.shifted_values(Z)
         p = np.zeros(X.shape[0])
-        if self.case == "zero":
+        classes = self._classes(g)
+        if not classes:  # the zero case: p = 0 everywhere, no solve
+            if self._open is None:
+                self.solver_failures = []
             return p
         lo = hi = None
         if guess is not None:
@@ -129,31 +150,45 @@ class Decomposition:
                 lam = np.abs(np.broadcast_to(np.asarray(guess, dtype=float),
                                              p.shape)) ** (-1.0 / self.alpha)
             lo, hi = lam * (1.0 - GUESS_BAND), lam * (1.0 + GUESS_BAND)
-        zero = g == 0
-        nan_rows = np.isnan(g)
-        p[nan_rows] = np.nan
-        if self.case == "one-sided":
-            classes = ((self.positive_ref, 1.0, ~zero & ~nan_rows),)
-        else:
-            classes = ((self.positive_ref, 1.0, g > 0),
-                       (self.negative_ref, -1.0, g < 0))
-        for ref, sign, cls in classes:
+        p[np.isnan(g)] = np.nan
+        sample = self._open or _Sample(len(X), None)
+        for (ref, sign, cls), table, failures in zip(
+                classes, sample.tables(self, classes), sample.failures):
             if cls.any():
                 brackets = [] if guess is None else [(lo[cls], hi[cls])]
-                if np.count_nonzero(cls) >= TABLE_MIN_ROWS:
+                if table:
                     brackets.append(self._table_bracket(ref, g[cls]))
-                lam = self._solve_lambdas(Z[cls], ref, brackets)
+                lam = self._solve_lambdas(Z[cls], ref, brackets, failures)
                 # lambda = 0 (the ray starts on the reference level): p = inf
                 with np.errstate(divide="ignore"):
                     p[cls] = sign * (1.0 / lam) ** self.alpha
+        if self._open is None:
+            self.solver_failures = sample.witnesses()
         return p
+
+    @contextmanager
+    def _sample(self, count: int, blocks):
+        """Treat the p_values calls inside as the blocks of one sample of
+        ``count`` rows, solved as one call over the sample would be.
+
+        A class has a table when the whole sample has ``TABLE_MIN_ROWS`` rows
+        of it: one block decides that when it is the whole sample or has
+        that many rows of each class; otherwise the classes are counted over
+        ``blocks()``, the sample's blocks of absolute points drawn again.
+        The failures of each class are kept in row order and listed class by
+        class in ``solver_failures`` when the sample closes.
+        """
+        self._open = _Sample(count, blocks)
+        try:
+            yield
+        finally:
+            self.solver_failures = self._open.witnesses()
+            self._open = None
 
     def _table_bracket(self, ref: ReferenceInfo, h: np.ndarray):
         """The table's bracket candidate for rows with levels ``h``: a
-        function of the rows the solver asks for, so that a table is built
-        only if some row needs it, fitted to those rows' levels.  Its points
-        do not depend on the fit, only its range does, so a row gets the
-        same bracket from every table that holds its level."""
+        function of the rows the solver asks for, so that the table grows
+        only if some row needs it, to those rows' levels."""
 
         def bracket(rows):
             lam = 1.0 / self._table_scales(ref, h[rows])
@@ -171,15 +206,7 @@ class Decomposition:
         u = uh[np.isfinite(uh)]
         if not u.size:
             return np.full(h.shape, np.nan)
-        # whole octaves from s = 1 out to the levels' extremes, then the table
-        k = np.arange(-MAX_DOUBLINGS, MAX_DOUBLINGS + 1)
-        uk = self._ray_run(ref, k.astype(float), MAX_DOUBLINGS)
-        run, below, above = k[~np.isnan(uk)], k[uk <= u.min()], k[uk >= u.max()]
-        per = TABLE_POINTS_PER_OCTAVE
-        lo = per * min(below.max() if below.size else run.min(), 0)
-        hi = per * max(above.min() if above.size else run.max(), 0)
-        log_s = np.arange(lo, hi + 1) / per
-        ut = self._ray_run(ref, log_s, -lo)
+        log_s, ut = self._table(ref, u.min(), u.max())
         keep = np.isfinite(ut)  # g = 0 or inf at an end of the run
         # interp finds sorted levels far faster than unsorted ones
         order = np.argsort(uh)
@@ -188,21 +215,43 @@ class Decomposition:
                                left=np.nan, right=np.nan)
         return np.exp2(out)
 
-    def _ray_run(self, ref: ReferenceInfo, log_s: np.ndarray,
-                 one: int) -> np.ndarray:
-        """log |g(s x0)| at s = 2**log_s, one field call, on the run around
-        s = 2**log_s[one] = 1 where g is strictly monotone; nan elsewhere."""
+    def _table(self, ref: ReferenceInfo, u_lo: float, u_hi: float) -> tuple:
+        """(log s, log |g(s x0)|) of ``ref``'s table, the latter nan off the
+        run around s = 1 where g is strictly monotone, grown to reach the
+        levels from u_lo to u_hi (in log |g|) or the run's end.
+
+        The table is kept per reference and only extended: whole octaves
+        from s = 1 out to the levels' extremes, then the table points.  Its
+        points are fixed and the run is the same wherever the table reaches,
+        so a level gets the same interpolation from any table that holds it.
+        """
+        per = TABLE_POINTS_PER_OCTAVE
+        key = (ref.point.tobytes(), ref.increasing)  # what the table depends on
+        if key not in self._tables:
+            k = np.arange(-MAX_DOUBLINGS, MAX_DOUBLINGS + 1)
+            uk = _run(self._ray_logs(ref, k.astype(float)), MAX_DOUBLINGS)
+            self._tables[key] = [k, uk, 0, np.empty(0)]
+        k, uk, start, u = table = self._tables[key]
+        run, below, above = k[~np.isnan(uk)], k[uk <= u_lo], k[uk >= u_hi]
+        lo = per * min(below.max() if below.size else run.min(), 0)
+        hi = per * max(above.min() if above.size else run.max(), 0)
+        if not u.size:
+            start, u = lo, self._ray_logs(ref, np.arange(lo, hi + 1) / per)
+        if lo < start:
+            u = np.concatenate([self._ray_logs(ref, np.arange(lo, start) / per), u])
+            start = lo
+        if hi >= start + u.size:
+            u = np.concatenate([u, self._ray_logs(
+                ref, np.arange(start + u.size, hi + 1) / per)])
+        table[2:] = start, u
+        return np.arange(start, start + u.size) / per, _run(u, -start)
+
+    def _ray_logs(self, ref: ReferenceInfo, log_s: np.ndarray) -> np.ndarray:
+        """log |g(s x0)| at s = 2**log_s, in one field call."""
         M = np.broadcast_to(ref.point, (log_s.size, ref.point.size))
         h = self.field.ray_values(np.exp2(log_s), M)
         with np.errstate(invalid="ignore", divide="ignore"):
-            u = np.log(h if ref.increasing else -h)
-            rising = np.diff(u) > 0  # false at nan and at inf - inf
-        stop = np.flatnonzero(~rising)
-        lo = stop[stop < one].max(initial=-1) + 1
-        hi = stop[stop >= one].min(initial=rising.size)
-        out = np.full(log_s.shape, np.nan)
-        out[lo:hi + 1] = u[lo:hi + 1]
-        return out
+            return np.log(h if ref.increasing else -h)
 
     def p(self, x) -> float:
         return float(self.p_values(np.asarray(x, dtype=float)[None, :])[0])
@@ -263,6 +312,45 @@ class Decomposition:
             refs["negative_reference_value"] = self.negative_ref.value
         return {"case": self.case, "alpha": self.alpha,
                 "phi_increasing": self.phi_increasing, **refs}
+
+
+def _run(u: np.ndarray, one: int) -> np.ndarray:
+    """``u`` on its strictly rising run around index ``one``, nan elsewhere."""
+    with np.errstate(invalid="ignore"):
+        rising = np.diff(u) > 0  # false at nan and at inf - inf
+    stop = np.flatnonzero(~rising)
+    lo = stop[stop < one].max(initial=-1) + 1
+    hi = stop[stop >= one].min(initial=rising.size)
+    out = np.full(u.shape, np.nan)
+    out[lo:hi + 1] = u[lo:hi + 1]
+    return out
+
+
+class _Sample:
+    """The state of one sample that ``Decomposition.p_values`` solves block
+    by block: the table choice of each class, and its failures."""
+
+    def __init__(self, count: int, blocks):
+        self.count, self.blocks = count, blocks
+        self.failures = ([], [])
+        self.choice = None
+
+    def tables(self, d: Decomposition, classes: tuple) -> tuple:
+        if self.choice is None:
+            counts = [np.count_nonzero(cls) for _, _, cls in classes]
+            if min(counts) < TABLE_MIN_ROWS and len(classes[0][2]) < self.count:
+                counts = [0] * len(classes)
+                for X in self.blocks():
+                    g = d.field.shifted_values(X - d.field.x_star)
+                    counts = [c + np.count_nonzero(cls) for c, (_, _, cls)
+                              in zip(counts, d._classes(g))]
+                    if min(counts) >= TABLE_MIN_ROWS:
+                        break
+            self.choice = tuple(c >= TABLE_MIN_ROWS for c in counts)
+        return self.choice
+
+    def witnesses(self) -> list:
+        return (self.failures[0] + self.failures[1])[:MAX_WITNESSES]
 
 
 # -----------------------------------------------------------------------------
@@ -391,9 +479,24 @@ class DecompositionCheck:
     n_samples: int
     witnesses: list
     seed: int
-    # p at the sampled points, the first draw of plan.rng(); the uniqueness
-    # check of the same plan draws the same points and may reuse it
+    # p at the plan's box points, the stream of plan.box_points(n) that
+    # uniqueness_check of the same plan reads too, so it may take this
     p_samples: Optional[np.ndarray] = None
+
+
+def _box_blocks(field: ScalarField, plan: SamplingPlan, *streams):
+    """(rows, X, *other) per block of rows: X the absolute box points of
+    ``plan``, then the blocks of the further ``streams`` drawn after it (see
+    :func:`~siphkit.rays.sample_blocks`)."""
+    for rows, (Z, *rest) in zip(row_blocks(plan.n_samples),
+                                sample_blocks(plan, box_stream(plan, field.n),
+                                              *streams)):
+        yield (rows, field.absolute(Z), *rest)
+
+
+def _max_over(values: np.ndarray, rows: np.ndarray, running: float) -> float:
+    """The larger of ``running`` and the largest of ``values`` at ``rows``."""
+    return max(running, float(values[rows].max())) if rows.any() else running
 
 
 def verify_decomposition(field: ScalarField, d: Decomposition,
@@ -401,7 +504,9 @@ def verify_decomposition(field: ScalarField, d: Decomposition,
     """Round-trip and homogeneity residuals of a decomposition on seeded samples.
 
     Reports max |f(x) - phi(p(x))| and the max homogeneity defect
-    |p(rho z) - rho^alpha p(z)| / (1 + rho^alpha |p(z)|).
+    |p(rho z) - rho^alpha p(z)| / (1 + rho^alpha |p(z)|).  A sample with
+    p(z) = 0 enters neither maximum, except in the zero case: with every p
+    0, a field that is not SI would pass.  With no sample left, both are nan.
 
     The solve of p(rho z) is seeded with the guess rho^alpha p(z): on the
     ray through z, lambda(rho z) = lambda(z) / rho.  The guess is only a
@@ -411,31 +516,47 @@ def verify_decomposition(field: ScalarField, d: Decomposition,
     precisely the two solves agree, about the solver's tolerance, while the
     composition residual tests whether f = phi o p, that is, whether the
     field is SI.
+
+    The samples are drawn in blocks of rows, twice: p(x) of every sample is
+    kept (``p_samples``) for the guesses of the second pass, which draws
+    the points again and rho after them.
     """
     plan = plan or SamplingPlan()
-    rng = plan.rng()
-    X = field.absolute(plan.box_points(field.n, rng=rng))
-    rho = plan.rhos(rng=rng)
+    count = plan.n_samples
+    p_vals = np.empty(count)
+    comp_max = ph_max = -np.inf
+    compared = ph_compared = 0
+    nan_rows = []
+    with d._sample(count, lambda: (X for _, X in _box_blocks(field, plan))):
+        for rows, X in _box_blocks(field, plan):
+            p = p_vals[rows] = d.p_values(X)
+            with np.errstate(invalid="ignore"):  # inf - inf: a non_finite row
+                comp = np.abs(field.values(X) - d.phi_values(p))
+            ok = ~np.isnan(comp)
+            nan_rows += row_witnesses(~ok, "non_finite",
+                                      FEW_WITNESSES - len(nan_rows), point=X)
+            ok &= (p != 0) | (d.case == "zero")
+            compared += int(np.count_nonzero(ok))
+            comp_max = _max_over(comp, ok, comp_max)
+    witnesses = d.solver_failures + nan_rows
 
-    f_vals = field.values(X)
-    p_vals = d.p_values(X)
-    witnesses = list(d.solver_failures)
-    with np.errstate(invalid="ignore"):  # inf - inf: a non_finite row
-        comp = np.abs(f_vals - d.phi_values(p_vals))
-    ok = ~np.isnan(comp)
+    def scaled_points():
+        for rows, X, rho in _box_blocks(field, plan, (1, plan.rhos)):
+            expected = rho ** d.alpha * p_vals[rows]
+            yield rows, expected, field.absolute(rho[:, None] * (X - field.x_star))
 
-    Z = X - field.x_star
-    expected = rho ** d.alpha * p_vals
-    p_scaled = d.p_values(field.absolute(rho[:, None] * Z), guess=expected)
-    with np.errstate(invalid="ignore"):  # p = inf on the reference level
-        ph_defect = np.abs(p_scaled - expected) / (1.0 + np.abs(expected))
-    ph_ok = ~np.isnan(ph_defect)
-
-    witnesses += row_witnesses(~ok, "non_finite", FEW_WITNESSES, point=X)
+    with d._sample(count, lambda: (Y for _, _, Y in scaled_points())):
+        for rows, expected, Y in scaled_points():
+            p_scaled = d.p_values(Y, guess=expected)
+            with np.errstate(invalid="ignore"):  # p = inf on the reference level
+                ph_defect = np.abs(p_scaled - expected) / (1.0 + np.abs(expected))
+            ok = ~np.isnan(ph_defect) & ((p_vals[rows] != 0) | (d.case == "zero"))
+            ph_compared += int(np.count_nonzero(ok))
+            ph_max = _max_over(ph_defect, ok, ph_max)
     return DecompositionCheck(
-        max_composition_residual=float(comp[ok].max()) if ok.any() else np.nan,
-        max_ph_residual=float(ph_defect[ph_ok].max()) if ph_ok.any() else np.nan,
-        n_samples=int(X.shape[0]), witnesses=witnesses, seed=plan.seed,
+        max_composition_residual=comp_max if compared else np.nan,
+        max_ph_residual=ph_max if ph_compared else np.nan,
+        n_samples=count, witnesses=witnesses, seed=plan.seed,
         p_samples=p_vals)
 
 
@@ -456,42 +577,68 @@ def uniqueness_check(field: ScalarField, d1: Decomposition, d2: Decomposition,
     one-sided case, one per sign class in the two-sided case); the report
     carries each class's mean ratio and coefficient of variation.
 
-    The samples are the plan's box points, the first draw of
-    ``plan.rng()``, the same points :func:`verify_decomposition` draws
-    first.  ``p1``, optional, is d1's p at them, such as
-    ``verify_decomposition(field, d1, plan).p_samples``; it is not solved
-    again.
+    The samples are the plan's box points, drawn in blocks of rows; p2 is
+    solved block by block.  ``p1``, optional, is d1's p at them, such as
+    ``verify_decomposition(field, d1, plan).p_samples``, which reads the
+    same points; it is not solved again.  The ratios of each class are kept
+    for their mean and spread.
     """
     if d1.alpha != d2.alpha:
         raise ValueError("uniqueness comparison requires matching degrees")
     plan = plan or SamplingPlan()
-    X = field.absolute(plan.box_points(field.n))
-    if p1 is None:
-        p1 = d1.p_values(X)
-    elif np.shape(p1) != (X.shape[0],):
+    count = plan.n_samples
+    if p1 is not None and np.shape(p1) != (count,):
         raise ValueError(f"p1 has shape {np.shape(p1)}, the samples are "
-                         f"{X.shape[0]} rows")
-    p2 = d2.p_values(X)
+                         f"{count} rows")
+
+    def points():
+        return (X for _, X in _box_blocks(field, plan))
+
+    if p1 is None:
+        p1 = np.empty(count)
+        with d1._sample(count, points):
+            for rows, X in _box_blocks(field, plan):
+                p1[rows] = d1.p_values(X)
     floor = 1e-9
+
+    def labels(p):
+        if d1.case == "one-sided":
+            return (("all", np.abs(p) > floor),)
+        return (("positive", p > floor), ("negative", p < -floor))
+
+    names = ("all",) if d1.case == "one-sided" else ("positive", "negative")
+
+    def classes_of(p):
+        if d1.case == "one-sided":
+            return (np.abs(p) > floor,)
+        return p > floor, p < -floor
+
+    # each class's ratios in row order, and whether it has p1 rows at all
+    ratios = {name: np.empty(count) for name in names}
+    filled, seen = dict.fromkeys(names, 0), dict.fromkeys(names, False)
+    with d2._sample(count, points):
+        for rows, X in _box_blocks(field, plan):
+            q1, q2 = p1[rows], d2.p_values(X)
+            for name, mask in zip(names, classes_of(q1)):
+                mask = mask & np.isfinite(q1)
+                seen[name] |= bool(mask.any())
+                mask &= (np.abs(q2) > floor) & np.isfinite(q2)
+                k = filled[name]
+                filled[name] += int(np.count_nonzero(mask))
+                ratios[name][k:filled[name]] = q1[mask] / q2[mask]
     classes = {}
     passed = True
-    if d1.case == "one-sided":
-        labels = (("all", np.abs(p1) > floor),)
-    else:
-        labels = (("positive", p1 > floor), ("negative", p1 < -floor))
-    for label, mask in labels:
-        mask = mask & np.isfinite(p1)
-        if not mask.any():
+    for name in names:
+        if not seen[name]:
             continue
-        mask &= (np.abs(p2) > floor) & np.isfinite(p2)
-        if not mask.any():  # p1 rows, but no p2 row to compare them with
-            classes[label] = {"ratio": np.nan, "cv": np.nan, "count": 0}
+        if not filled[name]:  # p1 rows, but no p2 row to compare them with
+            classes[name] = {"ratio": np.nan, "cv": np.nan, "count": 0}
             passed = False
             continue
-        ratios = p1[mask] / p2[mask]
-        mean = float(ratios.mean())
-        cv = float(ratios.std() / abs(mean)) if mean != 0 else np.inf
-        classes[label] = {"ratio": mean, "cv": cv, "count": int(mask.sum())}
+        r = ratios[name][:filled[name]]
+        mean = float(r.mean())
+        cv = float(r.std() / abs(mean)) if mean != 0 else np.inf
+        classes[name] = {"ratio": mean, "cv": cv, "count": filled[name]}
         passed &= cv <= UNIQUENESS_CV_TOL
     return UniquenessReport(case=d1.case, classes=classes, passed=passed,
                             seed=plan.seed)

@@ -17,8 +17,8 @@ import numpy as np
 from .decomposition import Decomposition
 from .field import GradientSpec, ScalarField, row_sumsq
 from .levelsets import ray_level_radius
-from .rays import (FEW_WITNESSES, SamplingPlan, classify_ray, row_blocks,
-                   row_witnesses)
+from .rays import (FEW_WITNESSES, SamplingPlan, box_stream, classify_ray,
+                   row_blocks, row_witnesses, sample_blocks)
 from .rootfind import OK, solve_monotone_batch
 
 PHI_STEP = 1e-6           # general_euler_residual: phi' step / (1 + |p|)
@@ -57,9 +57,10 @@ def _grad_mode(field: ScalarField, spec: Optional[GradientSpec]) -> str:
 
 
 def _floored_box_points(plan: SamplingPlan, n: int, floor: float,
-                        rng: np.random.Generator) -> np.ndarray:
-    """``plan.n_samples`` box samples with every coordinate at least
-    ``floor`` in magnitude.
+                        rng: np.random.Generator,
+                        count: Optional[int] = None) -> np.ndarray:
+    """``count`` (default ``plan.n_samples``) box samples with every
+    coordinate at least ``floor`` in magnitude.
 
     Central differences lose accuracy on fields with axis singularities
     (square-root cusps and the like), so the Euler probes sample away from
@@ -72,8 +73,21 @@ def _floored_box_points(plan: SamplingPlan, n: int, floor: float,
     if not floor < plan.box_radius:
         raise ValueError(f"coordinate floor {floor} must be below the box "
                          f"radius {plan.box_radius}")
-    V = rng.uniform(-1.0, 1.0, size=(plan.n_samples, n))
+    count = plan.n_samples if count is None else count
+    V = rng.uniform(-1.0, 1.0, size=(count, n))
     return np.copysign(floor + np.abs(V) * (plan.box_radius - floor), V)
+
+
+def _max_and_mean(residuals: np.ndarray) -> dict:
+    """``max_residual`` and ``mean_residual``: the largest and the mean of
+    the finite ``residuals``, nan if none is."""
+    finite = np.isfinite(residuals)
+    if not finite.all():
+        residuals = residuals[finite]
+    if not residuals.size:
+        return {"max_residual": np.nan, "mean_residual": np.nan}
+    return {"max_residual": float(residuals.max()),
+            "mean_residual": float(residuals.mean())}
 
 
 def euler_residual(p: ScalarField, alpha: float,
@@ -85,31 +99,32 @@ def euler_residual(p: ScalarField, alpha: float,
     ``p`` should be positively homogeneous of degree ``alpha`` and
     differentiable away from the reference point; samples keep every
     coordinate at least ``coord_floor`` from the reference to keep the
-    difference stencil well conditioned.  Values and gradients are evaluated
-    in blocks of rows.
+    difference stencil well conditioned.  The samples are drawn and
+    evaluated in blocks of rows; each one's residual is kept, for the
+    pairwise sum of their mean.
     """
     plan = plan or SamplingPlan()
     spec = grad_spec or GradientSpec()
-    rng = plan.rng()
-    Z = _floored_box_points(plan, p.n, coord_floor, rng)
-    residuals = np.empty(Z.shape[0])
-    for rows in row_blocks(Z.shape[0]):
-        X = p.absolute(Z[rows])
-        vals = p.values(X)
-        grads = p.gradient_values(X, spec)
-        dots = np.einsum("ij,ij->i", grads, Z[rows])
-        residuals[rows] = np.abs(alpha * vals - dots)
-    bad = ~np.isfinite(residuals)
-    finite = residuals[~bad]
-    # the witnesses' point column only when there are witnesses to read it
-    witnesses = (row_witnesses(bad, "non_finite", FEW_WITNESSES, x=p.absolute(Z))
-                 if bad.any() else [])
-    return EulerReport(max_residual=float(finite.max()) if finite.size else np.nan,
-                       mean_residual=float(finite.mean()) if finite.size else np.nan,
-                       alpha=alpha, grad_mode=_grad_mode(p, spec), h=spec.h,
-                       n_samples=int(Z.shape[0]),
-                       excluded=int(residuals.size - finite.size), seed=plan.seed,
-                       notes={"coord_floor": coord_floor}, witnesses=witnesses)
+    floored = (p.n, lambda count, rng: _floored_box_points(
+        plan, p.n, coord_floor, rng, count))
+    residuals = np.empty(plan.n_samples)
+    excluded = 0
+    witnesses = []
+    for rows, (Z,) in zip(row_blocks(plan.n_samples),
+                          sample_blocks(plan, floored)):
+        X = p.absolute(Z)
+        dots = np.einsum("ij,ij->i", p.gradient_values(X, spec), Z)
+        res = residuals[rows] = np.abs(alpha * p.values(X) - dots)
+        bad = ~np.isfinite(res)
+        if bad.any():
+            excluded += int(np.count_nonzero(bad))
+            witnesses += row_witnesses(bad, "non_finite",
+                                       FEW_WITNESSES - len(witnesses), x=X)
+    return EulerReport(**_max_and_mean(residuals), alpha=alpha,
+                       grad_mode=_grad_mode(p, spec), h=spec.h,
+                       n_samples=plan.n_samples, excluded=excluded,
+                       seed=plan.seed, notes={"coord_floor": coord_floor},
+                       witnesses=witnesses)
 
 
 def general_euler_residual(field: ScalarField, d: Decomposition,
@@ -122,39 +137,55 @@ def general_euler_residual(field: ScalarField, d: Decomposition,
     where phi' blows up.  Samples with |p| below ``P_FLOOR_FRAC`` times the
     sample maximum, or p = 0, are excluded for the same reason; so are
     samples where p is not finite, which are witnessed.
+
+    The samples are drawn in blocks of rows, twice: the floor needs p at
+    every sample first.  p is kept per sample, and then its residual.
     """
     plan = plan or SamplingPlan()
     spec = grad_spec or GradientSpec()
-    rng = plan.rng()
-    Z = plan.box_points(field.n, rng=rng)
-    X = field.absolute(Z)
-    p_vals = d.p_values(X)
-    finite = np.isfinite(p_vals)
-    scale = np.abs(p_vals[finite]).max() if finite.any() else 0.0
-    keep = finite & (np.abs(p_vals) >= P_FLOOR_FRAC * scale) & (p_vals != 0)
-    excluded = int((~keep).sum())
-    Zk, Xk, pk = Z[keep], X[keep], p_vals[keep]
+    count = plan.n_samples
 
-    step = PHI_STEP * (1.0 + np.abs(pk))
-    if d.case == "one-sided":
-        # keep the stencil inside the profile's domain t >= 0
-        step = np.minimum(step, 0.5 * pk)
-    phi_prime = (d.phi_values(pk + step) - d.phi_values(pk - step)) / (2.0 * step)
+    def samples():
+        for rows, (Z,) in zip(row_blocks(count),
+                              sample_blocks(plan, box_stream(plan, field.n))):
+            yield rows, Z, field.absolute(Z)
 
-    grads = field.gradient_values(Xk, spec)
-    lhs = np.einsum("ij,ij->i", grads, Zk)
-    residuals = np.abs(lhs - d.alpha * phi_prime * pk)
-    bad = ~finite  # p, or on a kept row the residual, is not finite
-    bad[keep] = ~np.isfinite(residuals)
-    finite = residuals[~bad[keep]]
-    return EulerReport(max_residual=float(finite.max()) if finite.size else np.nan,
-                       mean_residual=float(finite.mean()) if finite.size else np.nan,
-                       alpha=d.alpha, grad_mode=_grad_mode(field, spec), h=spec.h,
-                       n_samples=int(Xk.shape[0]), excluded=excluded,
-                       seed=plan.seed,
+    col = np.empty(count)  # p, then the residual of each kept sample
+    scale = 0.0
+    with d._sample(count, lambda: (X for _, _, X in samples())):
+        for rows, _, X in samples():
+            p = col[rows] = d.p_values(X)
+            finite = p[np.isfinite(p)]
+            if finite.size:
+                scale = max(scale, float(np.abs(finite).max()))
+
+    kept = 0
+    witnesses = []
+    for rows, Z, X in samples():
+        p = col[rows]
+        finite = np.isfinite(p)
+        keep = finite & (np.abs(p) >= P_FLOOR_FRAC * scale) & (p != 0)
+        pk = p[keep]
+        step = PHI_STEP * (1.0 + np.abs(pk))
+        if d.case == "one-sided":
+            # keep the stencil inside the profile's domain t >= 0
+            step = np.minimum(step, 0.5 * pk)
+        phi_prime = ((d.phi_values(pk + step) - d.phi_values(pk - step))
+                     / (2.0 * step))
+        lhs = np.einsum("ij,ij->i", field.gradient_values(X[keep], spec), Z[keep])
+        residuals = np.abs(lhs - d.alpha * phi_prime * pk)
+        bad = ~finite  # p, or on a kept row the residual, is not finite
+        bad[keep] = ~np.isfinite(residuals)
+        witnesses += row_witnesses(bad, "non_finite",
+                                   FEW_WITNESSES - len(witnesses), x=X)
+        col[rows] = np.nan
+        col[rows][keep] = residuals
+        kept += int(np.count_nonzero(keep))
+    return EulerReport(**_max_and_mean(col), alpha=d.alpha,
+                       grad_mode=_grad_mode(field, spec), h=spec.h,
+                       n_samples=kept, excluded=count - kept, seed=plan.seed,
                        notes={"phi_step": PHI_STEP, "p_floor_frac": P_FLOOR_FRAC},
-                       witnesses=row_witnesses(bad, "non_finite", FEW_WITNESSES,
-                                               x=X))
+                       witnesses=witnesses)
 
 
 # -----------------------------------------------------------------------------

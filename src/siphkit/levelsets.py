@@ -30,8 +30,9 @@ import numpy as np
 
 from .decomposition import ZERO_LEVEL_ATOL, Decomposition
 from .field import ScalarField, row_sumsq
-from .rays import (FEW_WITNESSES, SamplingPlan, classify_ray, default_directions,
-                   ray_witness_kinds, row_blocks, row_witnesses)
+from .rays import (FEW_WITNESSES, MAX_WITNESSES, SamplingPlan, box_stream,
+                   classify_ray, default_directions, ray_witness_kinds,
+                   row_witnesses, sample_blocks)
 from .rootfind import (MAX_DOUBLINGS, NONFINITE, OK, UNBOUNDED, RootResult,
                        solve_monotone_batch)
 
@@ -71,9 +72,11 @@ def ray_level_radius(field: ScalarField, direction, c: float,
     ``status`` is "ok" (unique radius found), "outside-range" (the level is
     on the wrong side of the ray's start, so the ray misses it), "unbounded"
     (bracket expansion exhausted -- evidence the ray never reaches the
-    level), "whole-ray" (constant ray sitting exactly at the level),
-    "non-finite", or "non-monotone" (the ray has no unique crossing).
-    ``radius`` and ``residual`` are nan unless the status is "ok".
+    level), "discontinuous" (the ray jumps over the level: the solve
+    brackets a sign change, but its residual exceeds 1e-8 (1 + |c|)),
+    "whole-ray" (constant ray sitting exactly at the level), "non-finite",
+    or "non-monotone" (the ray has no unique crossing).  ``radius`` and
+    ``residual`` are nan unless the status is "ok".
 
     All rays are classified in one call and all monotone rays, on which a
     crossing is unique, are solved in one batched root solve.  Levels are
@@ -93,6 +96,9 @@ def ray_level_radius(field: ScalarField, direction, c: float,
         res = _solve_level(field, D[mono], c, increasing[mono])
         ok = res.status == OK
         status[mono] = _STATUS_LABEL[res.status]
+        jumps = ok & (res.residual > 1e-8 * (1.0 + abs(float(c))))
+        status[np.flatnonzero(mono)[jumps]] = "discontinuous"
+        ok &= ~jumps
         radius[mono] = np.where(ok, res.t, np.nan)
         residual[mono] = np.where(ok, res.residual, np.nan)
     return np.rec.fromarrays(
@@ -283,17 +289,18 @@ class BoundsReport:
         return self.verdict == "pass"
 
 
-def _projected_samples(plan: SamplingPlan, n: int) -> tuple:
-    """The plan's box samples whose norm is above 0, their norms, and their
-    projections x / ||x|| onto the unit sphere; ValueError if there is none
-    (every norm underflows on a small enough box)."""
-    X0 = plan.box_points(n)
-    r = np.sqrt(row_sumsq(X0))
-    keep = r > 0
-    if not keep.any():
+def _nonzero_blocks(plan: SamplingPlan, n: int):
+    """The plan's box samples in blocks of rows, as (X0, r): the samples
+    whose norm is above 0, and their norms.  ValueError after the last
+    block if there is none (every norm underflows on a small enough box)."""
+    kept = 0
+    for (X0,) in sample_blocks(plan, box_stream(plan, n)):
+        r = np.sqrt(row_sumsq(X0))
+        keep = r > 0
+        kept += int(np.count_nonzero(keep))
+        yield (X0, r) if keep.all() else (X0[keep], r[keep])
+    if not kept:
         raise ValueError(f"every sample norm is 0 at box radius {plan.box_radius}")
-    X0, r = X0[keep], r[keep]
-    return X0, r, X0 / r[:, None]
 
 
 def fold_projected_samples(field: ScalarField, plan: SamplingPlan,
@@ -303,24 +310,90 @@ def fold_projected_samples(field: ScalarField, plan: SamplingPlan,
 
     A search such as :func:`sphere_extrema` may stop short of the true
     extrema.  Where a projected sample lies below the minimum or above the
-    maximum, the best such sample replaces it, so a sandwich checked on the
-    same plan's samples fails at a sample only when it fails along that
-    sample's own ray.  The result counts the samples that beat the polished
-    minimum and maximum.
+    maximum, the best such sample replaces it (the first in row order among
+    equals), so a sandwich checked on the same plan's samples fails at a
+    sample only when it fails along that sample's own ray.  The result
+    counts the samples that beat the polished minimum and maximum.  The
+    samples are drawn in blocks of rows; ValueError if no norm is above 0.
     """
-    _, _, U0 = _projected_samples(plan, field.n)
-    vals = field.values(field.absolute(U0))
-    finite = np.isfinite(vals)
-    below, above = finite & (vals < ext.m), finite & (vals > ext.M)
-    ext = replace(ext, samples_below_polished_min=int(np.count_nonzero(below)),
-                  samples_above_polished_max=int(np.count_nonzero(above)))
-    if below.any():
-        i = int(np.argmin(np.where(below, vals, np.inf)))
-        ext = replace(ext, m=float(vals[i]), argmin=U0[i])
-    if above.any():
-        i = int(np.argmax(np.where(above, vals, -np.inf)))
-        ext = replace(ext, M=float(vals[i]), argmax=U0[i])
+    below_count = above_count = 0
+    best = {}  # "m" / "M" -> (value, point) of the best sample beyond it
+    for X0, r in _nonzero_blocks(plan, field.n):
+        U0 = X0 / r[:, None]
+        vals = field.values(field.absolute(U0))
+        finite = np.isfinite(vals)
+        below, above = finite & (vals < ext.m), finite & (vals > ext.M)
+        below_count += int(np.count_nonzero(below))
+        above_count += int(np.count_nonzero(above))
+        for key, beyond, pick, sign in (("m", below, np.argmin, 1.0),
+                                        ("M", above, np.argmax, -1.0)):
+            if beyond.any():
+                i = int(pick(np.where(beyond, vals, sign * np.inf)))
+                if key not in best or sign * vals[i] < sign * best[key][0]:
+                    best[key] = (float(vals[i]), U0[i].copy())
+    ext = replace(ext, samples_below_polished_min=below_count,
+                  samples_above_polished_max=above_count)
+    if "m" in best:
+        ext = replace(ext, m=best["m"][0], argmin=best["m"][1])
+    if "M" in best:
+        ext = replace(ext, M=best["M"][0], argmax=best["M"][1])
     return ext
+
+
+@dataclass
+class _Sandwich:
+    """A sandwich judged block by block: its report, still without
+    witnesses and sample count, and ``checks(X0, r, f)``, which lists for a
+    block of samples (their norms r and field values f) each check as
+    (rows that fail, witness kind, witness cap, witness columns)."""
+
+    report: BoundsReport
+    checks: object
+    found: list = dataclass_field(default_factory=list)  # per check
+
+    def judge(self, X0: np.ndarray, r: np.ndarray, f: np.ndarray) -> None:
+        checks = self.checks(X0, r, f)
+        self.found = self.found or [[] for _ in checks]
+        for found, (bad, kind, limit, columns) in zip(self.found, checks):
+            found += row_witnesses(bad, kind, limit - len(found), **columns)
+
+    def finish(self, n_samples: int) -> BoundsReport:
+        witnesses = [w for found in self.found for w in found]
+        return replace(self.report, verdict="fail" if witnesses else "pass",
+                       witnesses=witnesses, n_samples=n_samples)
+
+
+def _judge_samples(field: ScalarField, plan: SamplingPlan,
+                   sandwiches: list) -> list:
+    """The reports of ``sandwiches`` judged on the plan's nonzero box
+    samples, drawn in blocks of rows with f evaluated once per block;
+    ValueError if no norm is above 0."""
+    kept = 0
+    for X0, r in _nonzero_blocks(plan, field.n):
+        kept += r.size
+        f = field.values(field.absolute(X0))
+        for sandwich in sandwiches:
+            sandwich.judge(X0, r, f)
+    return [sandwich.finish(kept) for sandwich in sandwiches]
+
+
+def _ph_sandwich(alpha: float, m_p: float, M_p: float, rtol: float,
+                 seed: int) -> _Sandwich:
+    def checks(X0, r, vals):
+        lower = m_p * r ** alpha
+        upper = M_p * r ** alpha
+        slack = rtol * (1.0 + np.abs(upper))
+        finite = np.isfinite(vals)
+        columns = {"x": X0, "p": vals, "lower": lower, "upper": upper}
+        return [(~finite, "non_finite", FEW_WITNESSES, {"x": X0}),
+                (finite & (vals <= 0), "nonpositive_p", MAX_WITNESSES, columns),
+                (finite & (vals < lower - slack), "lower_bound", MAX_WITNESSES,
+                 columns),
+                (finite & (vals > upper + slack), "upper_bound", MAX_WITNESSES,
+                 columns)]
+    return _Sandwich(BoundsReport(verdict="pass", m=m_p, M=M_p, witnesses=[],
+                                  n_samples=0, seed=seed,
+                                  notes={"alpha": alpha, "rtol": rtol}), checks)
 
 
 def check_ph_sandwich(p: ScalarField, alpha: float, m_p: float, M_p: float,
@@ -333,31 +406,124 @@ def check_ph_sandwich(p: ScalarField, alpha: float, m_p: float, M_p: float,
     violated side.  Nonpositive p at x != x_star is recorded too, since the
     sandwich is stated for positive homogeneous parts.  The bounds are
     checked as given; estimates from :func:`sphere_extrema` should first go
-    through :func:`fold_projected_samples` with the same plan.
+    through :func:`fold_projected_samples` with the same plan.  The samples
+    are drawn in blocks of rows.
     """
     plan = plan or SamplingPlan()
-    X0, r, _ = _projected_samples(plan, p.n)
-    vals = p.values(p.absolute(X0))
-    lower = m_p * r ** alpha
-    upper = M_p * r ** alpha
-    slack = rtol * (1.0 + np.abs(upper))
-    finite = np.isfinite(vals)
-    witnesses = row_witnesses(~finite, "non_finite", FEW_WITNESSES, x=X0)
-    for kind, bad in (("nonpositive_p", finite & (vals <= 0)),
-                      ("lower_bound", finite & (vals < lower - slack)),
-                      ("upper_bound", finite & (vals > upper + slack))):
-        witnesses += row_witnesses(bad, kind, x=X0, p=vals, lower=lower,
-                                   upper=upper)
-    verdict = "pass" if not witnesses else "fail"
-    return BoundsReport(verdict=verdict, m=m_p, M=M_p, witnesses=witnesses,
-                        n_samples=int(X0.shape[0]), seed=plan.seed,
-                        notes={"alpha": alpha, "rtol": rtol})
+    return _judge_samples(p, plan, [_ph_sandwich(alpha, m_p, M_p, rtol,
+                                                 plan.seed)])[0]
 
 
 def si_sandwich_applies(d: Decomposition) -> bool:
     """The precondition of :func:`check_si_sandwich`: the one-sided case
     with increasing rays (the reference point is the unique minimum)."""
     return d.case == "one-sided" and d.phi_increasing
+
+
+def _first_finite_values(field: ScalarField, plan: SamplingPlan,
+                         count: int) -> np.ndarray:
+    """The first ``count`` finite values of f at the plan's nonzero box
+    samples, in row order (all of them if fewer are finite).  Most samples
+    are finite, so each block's first ``count`` rows are tried first."""
+    found = np.empty(0)
+    for X0, _ in _nonzero_blocks(plan, field.n):
+        for part in (X0[:count], X0[count:]):
+            if found.size < count and part.size:
+                vals = field.values(field.absolute(part))
+                found = np.concatenate([found, vals[np.isfinite(vals)]])
+        if found.size >= count:
+            break
+    return found[:count]
+
+
+def _si_sandwich(field: ScalarField, d: Decomposition, plan: SamplingPlan,
+                 slack: float, ext: Optional[SphereExtrema]):
+    """The SI sandwich of :func:`check_si_sandwich` on the folded extrema
+    ``ext``, to judge, or its report when a precondition fails."""
+    if not si_sandwich_applies(d):
+        return BoundsReport(verdict="precondition-failed", m=np.nan, M=np.nan,
+                            witnesses=[], n_samples=0, seed=plan.seed,
+                            notes={"reason": "requires the one-sided case with "
+                                             "increasing rays (unique minimum "
+                                             "at the reference point)",
+                                   "case": d.case,
+                                   "phi_increasing": d.phi_increasing})
+    inv_alpha = 1.0 / d.alpha
+    q = d.p_values(field.absolute(np.array([ext.argmin, ext.argmax]))) ** inv_alpha
+    # the sandwich needs p bounded away from 0 on the sphere; a minimum of f
+    # inside the zero-level band counts as p = 0
+    zero_band = ZERO_LEVEL_ATOL * (1.0 + abs(field.f_star))
+    m_hat = 0.0 if ext.m - field.f_star <= zero_band else float(q[0])
+    M_hat = float(q[1])
+    notes = {"m_is_q_extremum": True, "alpha": d.alpha,
+             "extrema_samples": ext.n_samples, **ext.polish_notes(),
+             "slack": slack}
+    if not (np.isfinite(m_hat) and m_hat > 0):
+        return BoundsReport(verdict="precondition-failed", m=m_hat, M=M_hat,
+                            witnesses=[], n_samples=0, seed=plan.seed,
+                            notes={**notes, "reason": "homogeneous part is not "
+                                                      "positive on the sphere"})
+
+    x0 = d.positive_ref.point  # q(x_star + x0) = 1
+
+    def phi1(t):  # phi(t^alpha), f along the reference ray
+        return field.values(field.absolute(t[:, None] * x0))
+
+    # Ball of radius rho inside the sublevel set at phi1(rho * M).
+    caps = [(rho, float(phi1(np.array([rho * M_hat]))[0]))
+            for rho in (0.5 * plan.box_radius, plan.box_radius)]
+    # Sublevel set at level c inside the ball of radius phi1^{-1}(c)/m, at
+    # the first 8 finite sample values: all levels in one solve along x0;
+    # the level f(x_star) has radius 0, and a level phi does not reach (t
+    # nan) is skipped
+    levels = _first_finite_values(field, plan, 8)
+    D = np.broadcast_to(x0, (levels.size, field.n))
+    t_levels = _solve_level(field, D, levels, True).t
+    balls = [(float(c), float(t_c) / m_hat)
+             for c, t_c in zip(levels, t_levels) if not np.isnan(t_c)]
+
+    def checks(X0, r, f_vals):
+        lower = phi1(m_hat * r)
+        upper = phi1(M_hat * r)
+        band = slack * (1.0 + np.abs(f_vals))
+        finite = np.isfinite(f_vals)
+        columns = {"x": X0, "f": f_vals, "lower": lower, "upper": upper}
+        out = [(~finite, "non_finite", FEW_WITNESSES, {"x": X0}),
+               (finite & (f_vals < lower - band), "lower_bound", MAX_WITNESSES,
+                columns),
+               (finite & (f_vals > upper + band), "upper_bound", MAX_WITNESSES,
+                columns)]
+        for rho, cap in caps:
+            bad = finite & (r < rho) & (f_vals > cap + slack * (1.0 + abs(cap)))
+            out.append((bad, "ball_inclusion", FEW_WITNESSES,
+                        {"rho": rho, "x": X0, "f": f_vals, "cap": cap}))
+        for c, radius in balls:
+            bad = finite & (f_vals <= c) & (r > radius * (1.0 + slack) + slack)
+            out.append((bad, "ball_cover", FEW_WITNESSES,
+                        {"level": c, "x": X0, "norm": r, "ball_radius": radius}))
+        return out
+    return _Sandwich(BoundsReport(verdict="pass", m=m_hat, M=M_hat, witnesses=[],
+                                  n_samples=0, seed=plan.seed, notes=notes),
+                     checks)
+
+
+def check_sandwiches(field: ScalarField, d: Decomposition, plan: SamplingPlan,
+                     extrema: Optional[SphereExtrema], slack: float = 1e-4,
+                     degree: Optional[float] = None,
+                     rtol: float = 1e-9) -> tuple:
+    """The SI sandwich of :func:`check_si_sandwich` and, when ``degree`` is
+    given, the PH sandwich of :func:`check_ph_sandwich` of ``field`` itself,
+    both on the folded extrema ``extrema`` (None only where neither needs
+    it), in one pass over the samples that evaluates f once for both.
+    Returns the two reports, the second None without a degree."""
+    si = _si_sandwich(field, d, plan, slack, extrema)
+    judged = [si] if isinstance(si, _Sandwich) else []
+    if degree is not None:
+        judged.append(_ph_sandwich(degree, extrema.m, extrema.M, rtol, plan.seed))
+    reports = _judge_samples(field, plan, judged) if judged else []
+    if isinstance(si, _Sandwich):
+        si = reports.pop(0)
+    return si, reports[0] if reports else None
 
 
 def check_si_sandwich(field: ScalarField, d: Decomposition,
@@ -384,85 +550,21 @@ def check_si_sandwich(field: ScalarField, d: Decomposition,
     at the two points chosen only, in one root solve, instead of at every
     probe.  ``extrema`` takes the result of ``fold_projected_samples(field,
     plan, sphere_extrema(field, seed=plan.seed))`` from a caller that also
-    needs it elsewhere, such as for the PH sandwich of the same field; by
-    default it is computed here the same way.
+    needs it elsewhere; by default it is computed here the same way.
+    :func:`check_sandwiches` judges this sandwich and the PH sandwich of
+    the same field in one pass over the samples.
 
     Beyond the pointwise sandwich, two inclusions are witness-searched:
     every sampled point with ||x|| < rho must lie in the sublevel set at
     phi1(rho M), and every sampled point of a sublevel set at level c must lie
-    in the ball of radius phi1^{-1}(c)/m.
+    in the ball of radius phi1^{-1}(c)/m, for the first 8 finite sample
+    values c.  The samples are drawn in blocks of rows.
     """
     plan = plan or SamplingPlan()
-    if not si_sandwich_applies(d):
-        return BoundsReport(verdict="precondition-failed", m=np.nan, M=np.nan,
-                            witnesses=[], n_samples=0, seed=plan.seed,
-                            notes={"reason": "requires the one-sided case with "
-                                             "increasing rays (unique minimum "
-                                             "at the reference point)",
-                                   "case": d.case,
-                                   "phi_increasing": d.phi_increasing})
-    inv_alpha = 1.0 / d.alpha
-    ext = extrema if extrema is not None else fold_projected_samples(
-        field, plan, sphere_extrema(field, seed=plan.seed))
-    q = d.p_values(field.absolute(np.array([ext.argmin, ext.argmax]))) ** inv_alpha
-    # the sandwich needs p bounded away from 0 on the sphere; a minimum of f
-    # inside the zero-level band counts as p = 0
-    zero_band = ZERO_LEVEL_ATOL * (1.0 + abs(field.f_star))
-    m_hat = 0.0 if ext.m - field.f_star <= zero_band else float(q[0])
-    M_hat = float(q[1])
-    notes = {"m_is_q_extremum": True, "alpha": d.alpha,
-             "extrema_samples": ext.n_samples, **ext.polish_notes(),
-             "slack": slack}
-    if not (np.isfinite(m_hat) and m_hat > 0):
-        return BoundsReport(verdict="precondition-failed", m=m_hat, M=M_hat,
-                            witnesses=[], n_samples=0, seed=plan.seed,
-                            notes={**notes, "reason": "homogeneous part is not "
-                                                      "positive on the sphere"})
-
-    x0 = d.positive_ref.point  # q(x_star + x0) = 1
-
-    def phi1(t):  # phi(t^alpha), f along the reference ray
-        return field.values(field.absolute(t[:, None] * x0))
-
-    X0, r, _ = _projected_samples(plan, field.n)
-    f_vals = field.values(field.absolute(X0))
-    lower = phi1(m_hat * r)
-    upper = phi1(M_hat * r)
-    band = slack * (1.0 + np.abs(f_vals))
-    finite = np.isfinite(f_vals)
-    witnesses = row_witnesses(~finite, "non_finite", FEW_WITNESSES, x=X0)
-    for kind, bad in (("lower_bound", finite & (f_vals < lower - band)),
-                      ("upper_bound", finite & (f_vals > upper + band))):
-        witnesses += row_witnesses(bad, kind, x=X0, f=f_vals, lower=lower,
-                                   upper=upper)
-
-    # Ball of radius rho inside the sublevel set at phi1(rho * M).
-    for rho in (0.5 * plan.box_radius, plan.box_radius):
-        cap = float(phi1(np.array([rho * M_hat]))[0])
-        inside = finite & (r < rho)
-        bad = inside & (f_vals > cap + slack * (1.0 + abs(cap)))
-        witnesses += row_witnesses(bad, "ball_inclusion", FEW_WITNESSES,
-                                   rho=rho, x=X0, f=f_vals, cap=cap)
-
-    # Sublevel set at level c inside the ball of radius phi1^{-1}(c)/m.
-    # all levels in one solve along x0; the level f(x_star) has radius 0,
-    # and a level phi does not reach (t nan) is skipped
-    ref_levels = f_vals[finite][:8]
-    D = np.broadcast_to(x0, (ref_levels.size, field.n))
-    t_levels = _solve_level(field, D, ref_levels, True).t
-    for c, t_c in zip(ref_levels, t_levels):
-        if np.isnan(t_c):
-            continue
-        radius = float(t_c) / m_hat
-        covered = finite & (f_vals <= c)
-        bad = covered & (r > radius * (1.0 + slack) + slack)
-        witnesses += row_witnesses(bad, "ball_cover", FEW_WITNESSES,
-                                   level=float(c), x=X0, norm=r,
-                                   ball_radius=radius)
-
-    verdict = "pass" if not witnesses else "fail"
-    return BoundsReport(verdict=verdict, m=m_hat, M=M_hat, witnesses=witnesses,
-                        n_samples=int(X0.shape[0]), seed=plan.seed, notes=notes)
+    if extrema is None and si_sandwich_applies(d):
+        extrema = fold_projected_samples(field, plan,
+                                         sphere_extrema(field, seed=plan.seed))
+    return check_sandwiches(field, d, plan, extrema, slack=slack)[0]
 
 
 # -----------------------------------------------------------------------------
@@ -571,11 +673,10 @@ def negligibility_probe(field: ScalarField, c: float,
             or (eps <= 0).any() or (np.diff(eps) >= 0).any()):
         raise ValueError("eps_list must be finite, strictly decreasing and positive")
     plan = plan or SamplingPlan(n_samples=100_000)
-    rng, n_samples = plan.rng(), plan.n_samples
+    n_samples = plan.n_samples
     counts = [0] * len(eps)
     witnesses = []
-    for rows in row_blocks(n_samples):
-        X0 = plan.box_points(field.n, rows.stop - rows.start, rng)
+    for (X0,) in sample_blocks(plan, box_stream(plan, field.n)):
         vals = field.values(field.absolute(X0))
         dev = np.abs(vals - c)
         if not np.isfinite(dev.max()):  # one cheap pass: most blocks are finite

@@ -118,22 +118,38 @@ def row_blocks(count: int) -> Iterator[slice]:
         yield slice(start, min(start + BLOCK_ROWS, count))
 
 
-def triple_blocks(plan: SamplingPlan, n: int) -> Iterator[tuple]:
-    """The plan's random triples (X, Y, rho) in blocks of rows.
+def sample_blocks(plan: SamplingPlan, *streams) -> Iterator[tuple]:
+    """The plan's sample streams in blocks of rows, one tuple per block.
 
-    Joined, the blocks equal ``box_points(n)``, ``box_points(n)`` and
-    ``rhos()`` drawn in turn from one ``plan.rng()``.  Every draw takes one
-    64-bit output of the generator, so the Y and rho generators are advanced
-    to where the one-shot draws of X, and of X and Y, end.
+    Each stream is a pair ``(width, draw)``: ``draw(rows, rng)`` returns the
+    stream's next ``rows`` rows, taking ``width`` 64-bit outputs of ``rng``
+    per row, as every ``uniform`` value takes one.  Joined, the blocks equal
+    the one-shot draws of ``plan.n_samples`` rows of each stream in turn from
+    one ``plan.rng()``: each stream has its own generator, advanced past the
+    draws of the streams before it.
     """
-    count = plan.n_samples
-    X_rng, Y_rng, rho_rng = (plan.rng() for _ in range(3))
-    Y_rng.bit_generator.advance(count * n)
-    rho_rng.bit_generator.advance(2 * count * n)
+    count, rngs, skip = plan.n_samples, [], 0
+    for width, _ in streams:
+        rng = plan.rng()
+        rng.bit_generator.advance(skip)
+        rngs.append(rng)
+        skip += count * width
     for rows in row_blocks(count):
         size = rows.stop - rows.start
-        yield (plan.box_points(n, size, X_rng), plan.box_points(n, size, Y_rng),
-               plan.rhos(size, rho_rng))
+        yield tuple(draw(size, rng) for (_, draw), rng in zip(streams, rngs))
+
+
+def box_stream(plan: SamplingPlan, n: int) -> tuple:
+    """The stream of ``plan.box_points(n)`` for :func:`sample_blocks`."""
+    return n, lambda rows, rng: plan.box_points(n, rows, rng)
+
+
+def triple_blocks(plan: SamplingPlan, n: int) -> Iterator[tuple]:
+    """The plan's random triples (X, Y, rho) in blocks of rows: joined,
+    ``box_points(n)``, ``box_points(n)`` and ``rhos()`` drawn in turn from
+    one ``plan.rng()``."""
+    box = box_stream(plan, n)
+    return sample_blocks(plan, box, box, (1, plan.rhos))
 
 
 @dataclass
