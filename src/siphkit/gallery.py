@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import exp1
+# scipy.special loads on first use, in logsq_si only; perfbench reads scipy's version
+import scipy
 
 from .field import FieldMeta, ScalarField, row_sum, row_sumsq
 
@@ -174,7 +175,7 @@ def logsq_profile(t):
     """
     t_arr = np.asarray(t, dtype=float)
     with np.errstate(all="ignore"):
-        out = -(np.exp(1j) * exp1(1j - np.log(t_arr))).imag
+        out = -(np.exp(1j) * scipy.special.exp1(1j - np.log(t_arr))).imag
     out = np.where(t_arr == 0.0, 0.0, np.where(t_arr == np.inf, np.inf, out))
     return out if np.ndim(t) else float(out)
 

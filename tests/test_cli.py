@@ -836,15 +836,72 @@ def test_importing_the_cli_does_not_load_scipy_optimize():
     assert out.strip() == "[]"
 
 
+def _fresh_python(code, *args):
+    """Run `python -c code *args` on this process's siphkit; returns stdout."""
+    src = os.path.dirname(os.path.dirname(siphkit.__file__))
+    return subprocess.run([sys.executable, "-c", code, *args],
+                          capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": src}).stdout
+
+
+def test_importing_the_cli_does_not_load_scipy_special():
+    code = ("import json, sys, siphkit.cli; siphkit.cli.build_parser(); "
+            "print(json.dumps(sorted(sys.modules)))")
+    modules = json.loads(_fresh_python(code))
+    heavy = ("scipy.special", "scipy.optimize", "numpy.f2py")
+    assert [m for m in modules if m.startswith(heavy)] == []
+    # perfbench/worker.py _setup reads scipy.__version__ after this import
+    assert "scipy" in modules
+
+
+# the child runs cli.main on its argv and prints the exit code, the report
+# and whether scipy.special was loaded
+_MAIN_IN_CHILD = """
+import contextlib, io, json, sys
+from siphkit.cli import main
+buf = io.StringIO()
+with contextlib.redirect_stdout(buf):
+    code = main(sys.argv[1:])
+print(json.dumps({"code": code, "out": buf.getvalue(),
+                  "special": "scipy.special" in sys.modules}))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["gallery", "list"],
+    ["check", "si", "--gallery", "sphere", "--n", "2", "--N", "100"],
+    ["check", "si", "--expr", "norm(x)^2", "--n", "2", "--N", "100"],
+], ids=["gallery-list", "sphere", "expr"])
+def test_a_command_without_logsq_si_does_not_load_scipy_special(argv):
+    child = json.loads(_fresh_python(_MAIN_IN_CHILD, *argv))
+    assert child["code"] == 0
+    assert not child["special"]
+
+
+def test_a_logsq_si_command_loads_scipy_special_with_the_same_report(capsys):
+    argv = ["check", "si", "--gallery", "logsq_si", "--n", "2", "--N", "1500",
+            "--seed", "1"]
+    child = json.loads(_fresh_python(_MAIN_IN_CHILD, *argv))
+    assert child["code"] == 0
+    assert child["special"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert _strip_wall_time(child["out"]) == _strip_wall_time(out)
+
+
+def test_logsq_profile_first_called_in_a_fresh_process_matches():
+    from siphkit.gallery import logsq_profile
+    code = ("import sys; from siphkit.gallery import logsq_profile; "
+            "assert 'scipy.special' not in sys.modules; "
+            "print(repr(logsq_profile(2.0)))")
+    assert _fresh_python(code).strip() == repr(logsq_profile(2.0))
+
+
 def test_a_paired_level_solve_does_not_load_scipy_optimize():
     code = ("import sys; from siphkit.euler import paired_level_solver; "
             "paired_level_solver(0.5); "
             "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))")
-    src = os.path.dirname(os.path.dirname(siphkit.__file__))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True,
-                         env={**os.environ, "PYTHONPATH": src}).stdout
-    assert out.strip() == "[]"
+    assert _fresh_python(code).strip() == "[]"
 
 
 # sizes far above the 128 TiB address space: numpy refuses them before
