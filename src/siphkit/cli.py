@@ -344,9 +344,9 @@ def _cmd_levelset_radii(args, field, plan):
 
 
 def _cmd_levelset_bounds(args, field, plan):
-    alpha = args.alpha if args.alpha is not None else (field.meta.ph_degree or 1.0)
     try:
-        d = build_decomposition(field, alpha=alpha, plan=plan)
+        d = build_decomposition(field, alpha=field.meta.ph_degree or 1.0,
+                                plan=plan)
     except DecompositionError as exc:
         return {}, [{"kind": "build_failed", "reason": str(exc)}]
     degree = field.meta.ph_degree
@@ -531,7 +531,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="also write (angles, radius) rows here")
     lvl_bounds = lvl_sub.add_parser("bounds", help="ball sandwich bounds")
     _add_field_flags(lvl_bounds, ("sample", "grid"))
-    lvl_bounds.add_argument("--alpha", type=_positive_float, default=None)
     lvl_bounds.add_argument("--slack", type=_nonnegative_float, default=1e-4)
     lvl_bounds.add_argument("--rtol", type=_nonnegative_float, default=1e-9)
     lvl_compact = lvl_sub.add_parser("compact",

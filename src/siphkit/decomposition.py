@@ -15,16 +15,15 @@ serves only to choose the case and to reject a reference value.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .field import FieldMeta, ScalarField, _as_point
-from .rays import (FEW_WITNESSES, MAX_WITNESSES, SamplingPlan, box_stream,
-                   classify_ray, default_directions, order_trichotomy,
-                   row_blocks, row_witnesses, sample_blocks)
+from .rays import (FEW_WITNESSES, MAX_WITNESSES, SamplingPlan, classify_ray,
+                   default_directions, order_trichotomy, row_witnesses,
+                   sample_blocks)
 from .rootfind import (BELOW_START, MAX_DOUBLINGS, OK, UNBOUNDED,
                        solve_monotone_batch)
 
@@ -74,11 +73,9 @@ class Decomposition:
         self.positive_ref = positive_ref
         self.negative_ref = negative_ref
         # witnesses of the rows the latest p_values call, or the latest
-        # sample (see _sample), could not solve; each starts a fresh list
+        # sample of p_blocks, could not solve; each starts a fresh list
         self.solver_failures: list = []
-        # the open sample of _sample, and the table of each reference
-        self._open: Optional[_Sample] = None
-        self._tables: dict = {}
+        self._tables: dict = {}  # the table of each reference
 
     # -- p ------------------------------------------------------------------
 
@@ -131,59 +128,63 @@ class Decomposition:
         field that is not SI -- is solved from the cold bracket, as are the
         rows of a smaller class.  So a wrong guess gives the bits of no
         guess, and every root is a sign change on the row's own ray.
-
-        Inside a sample (``_sample``) the call is one block of it: the class
-        sizes are the whole sample's, and the solver failures add up.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        Z = X - self.field.x_star
-        g = self.field.shifted_values(Z)
-        p = np.zeros(X.shape[0])
-        classes = self._classes(g)
-        if not classes:  # the zero case: p = 0 everywhere, no solve
-            if self._open is None:
-                self.solver_failures = []
-            return p
-        lo = hi = None
-        if guess is not None:
-            with np.errstate(all="ignore"):
-                lam = np.abs(np.broadcast_to(np.asarray(guess, dtype=float),
-                                             p.shape)) ** (-1.0 / self.alpha)
-            lo, hi = lam * (1.0 - GUESS_BAND), lam * (1.0 + GUESS_BAND)
-        p[np.isnan(g)] = np.nan
-        sample = self._open or _Sample(len(X), None)
-        for (ref, sign, cls), table, failures in zip(
-                classes, sample.tables(self, classes), sample.failures):
-            if cls.any():
-                brackets = [] if guess is None else [(lo[cls], hi[cls])]
-                if table:
-                    brackets.append(self._table_bracket(ref, g[cls]))
-                lam = self._solve_lambdas(Z[cls], ref, brackets, failures)
-                # lambda = 0 (the ray starts on the reference level): p = inf
-                with np.errstate(divide="ignore"):
-                    p[cls] = sign * (1.0 / lam) ** self.alpha
-        if self._open is None:
-            self.solver_failures = sample.witnesses()
+        [(_, p)] = self.p_blocks(len(X), lambda: [(None, X, guess)])
         return p
 
-    @contextmanager
-    def _sample(self, count: int, blocks):
-        """Treat the p_values calls inside as the blocks of one sample of
-        ``count`` rows, solved as one call over the sample would be.
+    def p_blocks(self, count: int, blocks):
+        """p over a sample of ``count`` rows, solved block by block as one
+        ``p_values`` call over the sample would solve it: yields (block, p)
+        for each block (rows, X, guess) of ``blocks()``, X the block's
+        absolute points and guess None or as in ``p_values``.
 
         A class has a table when the whole sample has ``TABLE_MIN_ROWS`` rows
-        of it: one block decides that when it is the whole sample or has
-        that many rows of each class; otherwise the classes are counted over
-        ``blocks()``, the sample's blocks of absolute points drawn again.
-        The failures of each class are kept in row order and listed class by
-        class in ``solver_failures`` when the sample closes.
+        of it: the first block decides that when it is the whole sample or
+        has that many rows of each class; otherwise the classes are counted
+        over the sample's blocks drawn again.  The failures of each class
+        are kept in row order and listed class by class in
+        ``solver_failures`` after the last block.
         """
-        self._open = _Sample(count, blocks)
-        try:
-            yield
-        finally:
-            self.solver_failures = self._open.witnesses()
-            self._open = None
+        tables, failures = None, ([], [])
+        for block in blocks():
+            _, X, guess = block
+            Z = X - self.field.x_star
+            g = self.field.shifted_values(Z)
+            p = np.zeros(X.shape[0])
+            classes = self._classes(g)
+            if not classes:  # the zero case: p = 0 everywhere, no solve
+                yield block, p
+                continue
+            if tables is None:
+                counts = [np.count_nonzero(cls) for _, _, cls in classes]
+                if min(counts) < TABLE_MIN_ROWS and len(X) < count:
+                    counts = [0] * len(classes)
+                    for _, Y, _ in blocks():
+                        h = self.field.shifted_values(Y - self.field.x_star)
+                        counts = [c + np.count_nonzero(cls) for c, (_, _, cls)
+                                  in zip(counts, self._classes(h))]
+                        if min(counts) >= TABLE_MIN_ROWS:
+                            break
+                tables = [c >= TABLE_MIN_ROWS for c in counts]
+            lo = hi = None
+            if guess is not None:
+                with np.errstate(all="ignore"):
+                    lam = np.abs(np.broadcast_to(np.asarray(guess, dtype=float),
+                                                 p.shape)) ** (-1.0 / self.alpha)
+                lo, hi = lam * (1.0 - GUESS_BAND), lam * (1.0 + GUESS_BAND)
+            p[np.isnan(g)] = np.nan
+            for (ref, sign, cls), table, found in zip(classes, tables, failures):
+                if cls.any():
+                    brackets = [] if guess is None else [(lo[cls], hi[cls])]
+                    if table:
+                        brackets.append(self._table_bracket(ref, g[cls]))
+                    lam = self._solve_lambdas(Z[cls], ref, brackets, found)
+                    # lambda = 0 (the ray starts on the reference level): p = inf
+                    with np.errstate(divide="ignore"):
+                        p[cls] = sign * (1.0 / lam) ** self.alpha
+            yield block, p
+        self.solver_failures = (failures[0] + failures[1])[:MAX_WITNESSES]
 
     def _table_bracket(self, ref: ReferenceInfo, h: np.ndarray):
         """The table's bracket candidate for rows with levels ``h``: a
@@ -326,33 +327,6 @@ def _run(u: np.ndarray, one: int) -> np.ndarray:
     return out
 
 
-class _Sample:
-    """The state of one sample that ``Decomposition.p_values`` solves block
-    by block: the table choice of each class, and its failures."""
-
-    def __init__(self, count: int, blocks):
-        self.count, self.blocks = count, blocks
-        self.failures = ([], [])
-        self.choice = None
-
-    def tables(self, d: Decomposition, classes: tuple) -> tuple:
-        if self.choice is None:
-            counts = [np.count_nonzero(cls) for _, _, cls in classes]
-            if min(counts) < TABLE_MIN_ROWS and len(classes[0][2]) < self.count:
-                counts = [0] * len(classes)
-                for X in self.blocks():
-                    g = d.field.shifted_values(X - d.field.x_star)
-                    counts = [c + np.count_nonzero(cls) for c, (_, _, cls)
-                              in zip(counts, d._classes(g))]
-                    if min(counts) >= TABLE_MIN_ROWS:
-                        break
-            self.choice = tuple(c >= TABLE_MIN_ROWS for c in counts)
-        return self.choice
-
-    def witnesses(self) -> list:
-        return (self.failures[0] + self.failures[1])[:MAX_WITNESSES]
-
-
 # -----------------------------------------------------------------------------
 # construction
 
@@ -484,14 +458,11 @@ class DecompositionCheck:
     p_samples: Optional[np.ndarray] = None
 
 
-def _box_blocks(field: ScalarField, plan: SamplingPlan, *streams):
-    """(rows, X, *other) per block of rows: X the absolute box points of
-    ``plan``, then the blocks of the further ``streams`` drawn after it (see
-    :func:`~siphkit.rays.sample_blocks`)."""
-    for rows, (Z, *rest) in zip(row_blocks(plan.n_samples),
-                                sample_blocks(plan, box_stream(plan, field.n),
-                                              *streams)):
-        yield (rows, field.absolute(Z), *rest)
+def _box_blocks(field: ScalarField, plan: SamplingPlan):
+    """The blocks (rows, X, None) of the plan's absolute box points X, as
+    ``Decomposition.p_blocks`` takes them."""
+    for rows, Z in sample_blocks(plan, field.n):
+        yield rows, field.absolute(Z), None
 
 
 def _max_over(values: np.ndarray, rows: np.ndarray, running: float) -> float:
@@ -527,32 +498,30 @@ def verify_decomposition(field: ScalarField, d: Decomposition,
     comp_max = ph_max = -np.inf
     compared = ph_compared = 0
     nan_rows = []
-    with d._sample(count, lambda: (X for _, X in _box_blocks(field, plan))):
-        for rows, X in _box_blocks(field, plan):
-            p = p_vals[rows] = d.p_values(X)
-            with np.errstate(invalid="ignore"):  # inf - inf: a non_finite row
-                comp = np.abs(field.values(X) - d.phi_values(p))
-            ok = ~np.isnan(comp)
-            nan_rows += row_witnesses(~ok, "non_finite",
-                                      FEW_WITNESSES - len(nan_rows), point=X)
-            ok &= (p != 0) | (d.case == "zero")
-            compared += int(np.count_nonzero(ok))
-            comp_max = _max_over(comp, ok, comp_max)
+    for (rows, X, _), p in d.p_blocks(count, lambda: _box_blocks(field, plan)):
+        p_vals[rows] = p
+        with np.errstate(invalid="ignore"):  # inf - inf: a non_finite row
+            comp = np.abs(field.values(X) - d.phi_values(p))
+        ok = ~np.isnan(comp)
+        nan_rows += row_witnesses(~ok, "non_finite",
+                                  FEW_WITNESSES - len(nan_rows), point=X)
+        ok &= (p != 0) | (d.case == "zero")
+        compared += int(np.count_nonzero(ok))
+        comp_max = _max_over(comp, ok, comp_max)
     witnesses = d.solver_failures + nan_rows
 
-    def scaled_points():
-        for rows, X, rho in _box_blocks(field, plan, (1, plan.rhos)):
-            expected = rho ** d.alpha * p_vals[rows]
-            yield rows, expected, field.absolute(rho[:, None] * (X - field.x_star))
+    def scaled_points():  # the points rho z, each with its guess rho^alpha p(z)
+        for rows, Z, rho in sample_blocks(plan, field.n, (1, plan.rhos)):
+            X = field.absolute(Z)
+            yield (rows, field.absolute(rho[:, None] * (X - field.x_star)),
+                   rho ** d.alpha * p_vals[rows])
 
-    with d._sample(count, lambda: (Y for _, _, Y in scaled_points())):
-        for rows, expected, Y in scaled_points():
-            p_scaled = d.p_values(Y, guess=expected)
-            with np.errstate(invalid="ignore"):  # p = inf on the reference level
-                ph_defect = np.abs(p_scaled - expected) / (1.0 + np.abs(expected))
-            ok = ~np.isnan(ph_defect) & ((p_vals[rows] != 0) | (d.case == "zero"))
-            ph_compared += int(np.count_nonzero(ok))
-            ph_max = _max_over(ph_defect, ok, ph_max)
+    for (rows, _, expected), p_scaled in d.p_blocks(count, scaled_points):
+        with np.errstate(invalid="ignore"):  # p = inf on the reference level
+            ph_defect = np.abs(p_scaled - expected) / (1.0 + np.abs(expected))
+        ok = ~np.isnan(ph_defect) & ((p_vals[rows] != 0) | (d.case == "zero"))
+        ph_compared += int(np.count_nonzero(ok))
+        ph_max = _max_over(ph_defect, ok, ph_max)
     return DecompositionCheck(
         max_composition_residual=comp_max if compared else np.nan,
         max_ph_residual=ph_max if ph_compared else np.nan,
@@ -592,43 +561,31 @@ def uniqueness_check(field: ScalarField, d1: Decomposition, d2: Decomposition,
                          f"{count} rows")
 
     def points():
-        return (X for _, X in _box_blocks(field, plan))
+        return _box_blocks(field, plan)
 
     if p1 is None:
         p1 = np.empty(count)
-        with d1._sample(count, points):
-            for rows, X in _box_blocks(field, plan):
-                p1[rows] = d1.p_values(X)
+        for (rows, _, _), p in d1.p_blocks(count, points):
+            p1[rows] = p
     floor = 1e-9
-
-    def labels(p):
-        if d1.case == "one-sided":
-            return (("all", np.abs(p) > floor),)
-        return (("positive", p > floor), ("negative", p < -floor))
-
-    names = ("all",) if d1.case == "one-sided" else ("positive", "negative")
-
-    def classes_of(p):
-        if d1.case == "one-sided":
-            return (np.abs(p) > floor,)
-        return p > floor, p < -floor
-
+    # each class by name: the rows where sign * p1 > floor, |p1| for sign 0
+    signs = ({"all": 0.0} if d1.case == "one-sided"
+             else {"positive": 1.0, "negative": -1.0})
     # each class's ratios in row order, and whether it has p1 rows at all
-    ratios = {name: np.empty(count) for name in names}
-    filled, seen = dict.fromkeys(names, 0), dict.fromkeys(names, False)
-    with d2._sample(count, points):
-        for rows, X in _box_blocks(field, plan):
-            q1, q2 = p1[rows], d2.p_values(X)
-            for name, mask in zip(names, classes_of(q1)):
-                mask = mask & np.isfinite(q1)
-                seen[name] |= bool(mask.any())
-                mask &= (np.abs(q2) > floor) & np.isfinite(q2)
-                k = filled[name]
-                filled[name] += int(np.count_nonzero(mask))
-                ratios[name][k:filled[name]] = q1[mask] / q2[mask]
+    ratios = {name: np.empty(count) for name in signs}
+    filled, seen = dict.fromkeys(signs, 0), dict.fromkeys(signs, False)
+    for (rows, _, _), q2 in d2.p_blocks(count, points):
+        q1 = p1[rows]
+        for name, sign in signs.items():
+            mask = ((sign * q1 if sign else np.abs(q1)) > floor) & np.isfinite(q1)
+            seen[name] |= bool(mask.any())
+            mask &= (np.abs(q2) > floor) & np.isfinite(q2)
+            k = filled[name]
+            filled[name] += int(np.count_nonzero(mask))
+            ratios[name][k:filled[name]] = q1[mask] / q2[mask]
     classes = {}
     passed = True
-    for name in names:
+    for name in signs:
         if not seen[name]:
             continue
         if not filled[name]:  # p1 rows, but no p2 row to compare them with

@@ -14,11 +14,11 @@ from typing import Optional
 
 import numpy as np
 
-from .decomposition import Decomposition
+from .decomposition import Decomposition, _box_blocks
 from .field import GradientSpec, ScalarField, row_sumsq
 from .levelsets import ray_level_radius
-from .rays import (FEW_WITNESSES, SamplingPlan, box_stream, classify_ray,
-                   row_blocks, row_witnesses, sample_blocks)
+from .rays import (FEW_WITNESSES, SamplingPlan, classify_ray, row_witnesses,
+                   sample_blocks)
 from .rootfind import OK, solve_monotone_batch
 
 PHI_STEP = 1e-6           # general_euler_residual: phi' step / (1 + |p|)
@@ -110,8 +110,7 @@ def euler_residual(p: ScalarField, alpha: float,
     residuals = np.empty(plan.n_samples)
     excluded = 0
     witnesses = []
-    for rows, (Z,) in zip(row_blocks(plan.n_samples),
-                          sample_blocks(plan, floored)):
+    for rows, Z in sample_blocks(plan, floored):
         X = p.absolute(Z)
         dots = np.einsum("ij,ij->i", p.gradient_values(X, spec), Z)
         res = residuals[rows] = np.abs(alpha * p.values(X) - dots)
@@ -145,23 +144,18 @@ def general_euler_residual(field: ScalarField, d: Decomposition,
     spec = grad_spec or GradientSpec()
     count = plan.n_samples
 
-    def samples():
-        for rows, (Z,) in zip(row_blocks(count),
-                              sample_blocks(plan, box_stream(plan, field.n))):
-            yield rows, Z, field.absolute(Z)
-
     col = np.empty(count)  # p, then the residual of each kept sample
     scale = 0.0
-    with d._sample(count, lambda: (X for _, _, X in samples())):
-        for rows, _, X in samples():
-            p = col[rows] = d.p_values(X)
-            finite = p[np.isfinite(p)]
-            if finite.size:
-                scale = max(scale, float(np.abs(finite).max()))
+    for (rows, _, _), p in d.p_blocks(count, lambda: _box_blocks(field, plan)):
+        col[rows] = p
+        finite = p[np.isfinite(p)]
+        if finite.size:
+            scale = max(scale, float(np.abs(finite).max()))
 
     kept = 0
     witnesses = []
-    for rows, Z, X in samples():
+    for rows, Z in sample_blocks(plan, field.n):
+        X = field.absolute(Z)
         p = col[rows]
         finite = np.isfinite(p)
         keep = finite & (np.abs(p) >= P_FLOOR_FRAC * scale) & (p != 0)

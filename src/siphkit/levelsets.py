@@ -30,9 +30,9 @@ import numpy as np
 
 from .decomposition import ZERO_LEVEL_ATOL, Decomposition
 from .field import ScalarField, row_sumsq
-from .rays import (FEW_WITNESSES, MAX_WITNESSES, SamplingPlan, box_stream,
-                   classify_ray, default_directions, ray_witness_kinds,
-                   row_witnesses, sample_blocks)
+from .rays import (FEW_WITNESSES, MAX_WITNESSES, SamplingPlan, classify_ray,
+                   default_directions, ray_witness_kinds, row_witnesses,
+                   sample_blocks)
 from .rootfind import (MAX_DOUBLINGS, NONFINITE, OK, UNBOUNDED, RootResult,
                        solve_monotone_batch)
 
@@ -294,7 +294,7 @@ def _nonzero_blocks(plan: SamplingPlan, n: int):
     whose norm is above 0, and their norms.  ValueError after the last
     block if there is none (every norm underflows on a small enough box)."""
     kept = 0
-    for (X0,) in sample_blocks(plan, box_stream(plan, n)):
+    for _, X0 in sample_blocks(plan, n):
         r = np.sqrt(row_sumsq(X0))
         keep = r > 0
         kept += int(np.count_nonzero(keep))
@@ -340,45 +340,41 @@ def fold_projected_samples(field: ScalarField, plan: SamplingPlan,
     return ext
 
 
-@dataclass
-class _Sandwich:
-    """A sandwich judged block by block: its report, still without
-    witnesses and sample count, and ``checks(X0, r, f)``, which lists for a
-    block of samples (their norms r and field values f) each check as
-    (rows that fail, witness kind, witness cap, witness columns)."""
-
-    report: BoundsReport
-    checks: object
-    found: list = dataclass_field(default_factory=list)  # per check
-
-    def judge(self, X0: np.ndarray, r: np.ndarray, f: np.ndarray) -> None:
-        checks = self.checks(X0, r, f)
-        self.found = self.found or [[] for _ in checks]
-        for found, (bad, kind, limit, columns) in zip(self.found, checks):
-            found += row_witnesses(bad, kind, limit - len(found), **columns)
-
-    def finish(self, n_samples: int) -> BoundsReport:
-        witnesses = [w for found in self.found for w in found]
-        return replace(self.report, verdict="fail" if witnesses else "pass",
-                       witnesses=witnesses, n_samples=n_samples)
-
-
 def _judge_samples(field: ScalarField, plan: SamplingPlan,
                    sandwiches: list) -> list:
-    """The reports of ``sandwiches`` judged on the plan's nonzero box
-    samples, drawn in blocks of rows with f evaluated once per block;
-    ValueError if no norm is above 0."""
+    """The reports of ``sandwiches``, each a pair (report, checks), judged
+    on the plan's nonzero box samples.
+
+    ``checks(X0, r, f)`` lists for a block of samples (their norms r and
+    field values f) each check as (rows that fail, witness kind, witness
+    cap, witness columns); the report gains the witnesses, its verdict and
+    the sample count.  With checks None the report is final.  The samples
+    are drawn in blocks of rows, with f evaluated once per block, and only
+    if some sandwich has checks; ValueError if no norm is above 0.
+    """
+    found = [{} for _ in sandwiches]  # per sandwich: check -> its witnesses
     kept = 0
-    for X0, r in _nonzero_blocks(plan, field.n):
+    judged = any(checks for _, checks in sandwiches)
+    for X0, r in _nonzero_blocks(plan, field.n) if judged else ():
         kept += r.size
         f = field.values(field.absolute(X0))
-        for sandwich in sandwiches:
-            sandwich.judge(X0, r, f)
-    return [sandwich.finish(kept) for sandwich in sandwiches]
+        for (_, checks), lists in zip(sandwiches, found):
+            if checks is None:
+                continue
+            for i, (bad, kind, limit, columns) in enumerate(checks(X0, r, f)):
+                seen = lists.setdefault(i, [])
+                seen += row_witnesses(bad, kind, limit - len(seen), **columns)
+    reports = []
+    for (report, checks), lists in zip(sandwiches, found):
+        witnesses = [w for seen in lists.values() for w in seen]
+        reports.append(report if checks is None else replace(
+            report, verdict="fail" if witnesses else "pass",
+            witnesses=witnesses, n_samples=kept))
+    return reports
 
 
 def _ph_sandwich(alpha: float, m_p: float, M_p: float, rtol: float,
-                 seed: int) -> _Sandwich:
+                 seed: int) -> tuple:
     def checks(X0, r, vals):
         lower = m_p * r ** alpha
         upper = M_p * r ** alpha
@@ -391,9 +387,9 @@ def _ph_sandwich(alpha: float, m_p: float, M_p: float, rtol: float,
                  columns),
                 (finite & (vals > upper + slack), "upper_bound", MAX_WITNESSES,
                  columns)]
-    return _Sandwich(BoundsReport(verdict="pass", m=m_p, M=M_p, witnesses=[],
-                                  n_samples=0, seed=seed,
-                                  notes={"alpha": alpha, "rtol": rtol}), checks)
+    return BoundsReport(verdict="pass", m=m_p, M=M_p, witnesses=[],
+                        n_samples=0, seed=seed,
+                        notes={"alpha": alpha, "rtol": rtol}), checks
 
 
 def check_ph_sandwich(p: ScalarField, alpha: float, m_p: float, M_p: float,
@@ -437,9 +433,10 @@ def _first_finite_values(field: ScalarField, plan: SamplingPlan,
 
 
 def _si_sandwich(field: ScalarField, d: Decomposition, plan: SamplingPlan,
-                 slack: float, ext: Optional[SphereExtrema]):
+                 slack: float, ext: Optional[SphereExtrema]) -> tuple:
     """The SI sandwich of :func:`check_si_sandwich` on the folded extrema
-    ``ext``, to judge, or its report when a precondition fails."""
+    ``ext``, as (report, checks) for :func:`_judge_samples`; checks is None
+    when a precondition fails."""
     if not si_sandwich_applies(d):
         return BoundsReport(verdict="precondition-failed", m=np.nan, M=np.nan,
                             witnesses=[], n_samples=0, seed=plan.seed,
@@ -447,7 +444,7 @@ def _si_sandwich(field: ScalarField, d: Decomposition, plan: SamplingPlan,
                                              "increasing rays (unique minimum "
                                              "at the reference point)",
                                    "case": d.case,
-                                   "phi_increasing": d.phi_increasing})
+                                   "phi_increasing": d.phi_increasing}), None
     inv_alpha = 1.0 / d.alpha
     q = d.p_values(field.absolute(np.array([ext.argmin, ext.argmax]))) ** inv_alpha
     # the sandwich needs p bounded away from 0 on the sphere; a minimum of f
@@ -462,7 +459,7 @@ def _si_sandwich(field: ScalarField, d: Decomposition, plan: SamplingPlan,
         return BoundsReport(verdict="precondition-failed", m=m_hat, M=M_hat,
                             witnesses=[], n_samples=0, seed=plan.seed,
                             notes={**notes, "reason": "homogeneous part is not "
-                                                      "positive on the sphere"})
+                                                      "positive on the sphere"}), None
 
     x0 = d.positive_ref.point  # q(x_star + x0) = 1
 
@@ -502,9 +499,8 @@ def _si_sandwich(field: ScalarField, d: Decomposition, plan: SamplingPlan,
             out.append((bad, "ball_cover", FEW_WITNESSES,
                         {"level": c, "x": X0, "norm": r, "ball_radius": radius}))
         return out
-    return _Sandwich(BoundsReport(verdict="pass", m=m_hat, M=M_hat, witnesses=[],
-                                  n_samples=0, seed=plan.seed, notes=notes),
-                     checks)
+    return BoundsReport(verdict="pass", m=m_hat, M=M_hat, witnesses=[],
+                        n_samples=0, seed=plan.seed, notes=notes), checks
 
 
 def check_sandwiches(field: ScalarField, d: Decomposition, plan: SamplingPlan,
@@ -516,14 +512,12 @@ def check_sandwiches(field: ScalarField, d: Decomposition, plan: SamplingPlan,
     both on the folded extrema ``extrema`` (None only where neither needs
     it), in one pass over the samples that evaluates f once for both.
     Returns the two reports, the second None without a degree."""
-    si = _si_sandwich(field, d, plan, slack, extrema)
-    judged = [si] if isinstance(si, _Sandwich) else []
+    sandwiches = [_si_sandwich(field, d, plan, slack, extrema)]
     if degree is not None:
-        judged.append(_ph_sandwich(degree, extrema.m, extrema.M, rtol, plan.seed))
-    reports = _judge_samples(field, plan, judged) if judged else []
-    if isinstance(si, _Sandwich):
-        si = reports.pop(0)
-    return si, reports[0] if reports else None
+        sandwiches.append(_ph_sandwich(degree, extrema.m, extrema.M, rtol,
+                                       plan.seed))
+    reports = _judge_samples(field, plan, sandwiches) + [None]
+    return reports[0], reports[1]
 
 
 def check_si_sandwich(field: ScalarField, d: Decomposition,
@@ -676,7 +670,7 @@ def negligibility_probe(field: ScalarField, c: float,
     n_samples = plan.n_samples
     counts = [0] * len(eps)
     witnesses = []
-    for (X0,) in sample_blocks(plan, box_stream(plan, field.n)):
+    for _, X0 in sample_blocks(plan, field.n):
         vals = field.values(field.absolute(X0))
         dev = np.abs(vals - c)
         if not np.isfinite(dev.max()):  # one cheap pass: most blocks are finite

@@ -112,44 +112,31 @@ class SamplingPlan:
         return pts / np.sqrt(row_sumsq(pts))[:, None]
 
 
-def row_blocks(count: int) -> Iterator[slice]:
-    """Consecutive slices of at most ``BLOCK_ROWS`` rows covering range(count)."""
-    for start in range(0, count, BLOCK_ROWS):
-        yield slice(start, min(start + BLOCK_ROWS, count))
-
-
 def sample_blocks(plan: SamplingPlan, *streams) -> Iterator[tuple]:
-    """The plan's sample streams in blocks of rows, one tuple per block.
+    """The plan's sample streams in blocks of rows, as ``(rows, *blocks)``
+    per block: ``rows`` the block's slice of range(plan.n_samples), then
+    each stream's block.
 
-    Each stream is a pair ``(width, draw)``: ``draw(rows, rng)`` returns the
-    stream's next ``rows`` rows, taking ``width`` 64-bit outputs of ``rng``
-    per row, as every ``uniform`` value takes one.  Joined, the blocks equal
-    the one-shot draws of ``plan.n_samples`` rows of each stream in turn from
-    one ``plan.rng()``: each stream has its own generator, advanced past the
-    draws of the streams before it.
+    A stream is a width n, for ``plan.box_points(n)``, or a pair
+    ``(width, draw)``: ``draw(rows, rng)`` returns the stream's next
+    ``rows`` rows, taking ``width`` 64-bit outputs of ``rng`` per row, as
+    every ``uniform`` value takes one.  Joined, the blocks of at most
+    ``BLOCK_ROWS`` rows equal the one-shot draws of ``plan.n_samples`` rows
+    of each stream in turn from one ``plan.rng()``: each stream has its own
+    generator, advanced past the draws of the streams before it.
     """
     count, rngs, skip = plan.n_samples, [], 0
+    streams = [(s, lambda rows, rng, n=s: plan.box_points(n, rows, rng))
+               if isinstance(s, int) else s for s in streams]
     for width, _ in streams:
         rng = plan.rng()
         rng.bit_generator.advance(skip)
         rngs.append(rng)
         skip += count * width
-    for rows in row_blocks(count):
-        size = rows.stop - rows.start
-        yield tuple(draw(size, rng) for (_, draw), rng in zip(streams, rngs))
-
-
-def box_stream(plan: SamplingPlan, n: int) -> tuple:
-    """The stream of ``plan.box_points(n)`` for :func:`sample_blocks`."""
-    return n, lambda rows, rng: plan.box_points(n, rows, rng)
-
-
-def triple_blocks(plan: SamplingPlan, n: int) -> Iterator[tuple]:
-    """The plan's random triples (X, Y, rho) in blocks of rows: joined,
-    ``box_points(n)``, ``box_points(n)`` and ``rhos()`` drawn in turn from
-    one ``plan.rng()``."""
-    box = box_stream(plan, n)
-    return sample_blocks(plan, box, box, (1, plan.rhos))
+    for start in range(0, count, BLOCK_ROWS):
+        rows = slice(start, min(start + BLOCK_ROWS, count))
+        yield (rows, *(draw(rows.stop - start, rng)
+                       for (_, draw), rng in zip(streams, rngs)))
 
 
 @dataclass
@@ -246,14 +233,16 @@ def check_scaling_invariance(field: ScalarField, plan: Optional[SamplingPlan] = 
     are recorded as ``non_finite`` witnesses instead of aborting the probe.
     ``atol`` is the relative tie band of the three-way comparison.  The
     random triples are drawn and evaluated in blocks of rows
-    (:func:`triple_blocks`), so memory does not grow with the sample size;
+    (:func:`sample_blocks`), so memory does not grow with the sample size;
     witnesses are the first ``MAX_WITNESSES`` of each kind in row order.
     """
     plan = plan or SamplingPlan()
-    structured = _structured_triples(field.n)
+    n = field.n
+    structured = _structured_triples(n)
     nan_witnesses, order_witnesses = [], []
     violations = 0
-    for X, Y, rho in itertools.chain([structured], triple_blocks(plan, field.n)):
+    for _, X, Y, rho in itertools.chain(
+            [(None, *structured)], sample_blocks(plan, n, n, (1, plan.rhos))):
         (fx, fy, frx, fry), nan_rows, violating = _order_reversals(field, X, Y,
                                                                    rho, atol)
         violations += int(violating.sum() + nan_rows.sum())

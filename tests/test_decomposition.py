@@ -586,15 +586,16 @@ def test_solver_failures_do_not_carry_over_between_calls():
 
 
 def _record_p_values(monkeypatch, d):
-    """Record (X, guess, p) for each d.p_values call."""
+    """Record (X, guess, p) for each block of rows d solves p over, in
+    d.p_blocks; a d.p_values call is one block."""
     calls = []
-    orig = d.p_values
+    orig = d.p_blocks
 
-    def recorded(X, guess=None):
-        out = orig(X, guess=guess)
-        calls.append((np.array(X), guess, out))
-        return out
-    monkeypatch.setattr(d, "p_values", recorded)
+    def recorded(count, blocks):
+        for (rows, X, guess), p in orig(count, blocks):
+            calls.append((np.array(X), guess, p))
+            yield (rows, X, guess), p
+    monkeypatch.setattr(d, "p_blocks", recorded)
     return calls
 
 

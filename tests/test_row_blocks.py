@@ -34,7 +34,7 @@ from siphkit.levelsets import (BoundsReport, SphereExtrema, _solve_level,
 from siphkit.rays import (BLOCK_ROWS, FEW_WITNESSES, MAX_WITNESSES,
                           SamplingPlan, SIReport, _order_reversals,
                           _structured_triples, check_scaling_invariance,
-                          row_witnesses, sample_blocks, triple_blocks)
+                          row_witnesses, sample_blocks)
 from siphkit.reporting import jsonable
 
 B = BLOCK_ROWS
@@ -92,11 +92,14 @@ def one_shot_euler_residuals(p, alpha, plan, spec, coord_floor=0.1):
 @pytest.mark.parametrize("n", [1, 3])
 @pytest.mark.parametrize("N", SIZES)
 def test_triple_blocks_join_up_to_the_one_shot_draws(n, N):
+    # the random triples of check si: box points of width n twice, then rho
     plan = SamplingPlan(n_samples=N, seed=42)
-    blocks = list(triple_blocks(plan, n))
-    assert [X.shape for X, _, _ in blocks][:1] == [(min(N, B), n)]
-    assert all(X.shape[0] <= B for X, _, _ in blocks)
-    X, Y, rho = (np.concatenate(parts) for parts in zip(*blocks))
+    blocks = list(sample_blocks(plan, n, n, (1, plan.rhos)))
+    assert [X.shape for _, X, _, _ in blocks][:1] == [(min(N, B), n)]
+    assert all(X.shape[0] <= B for _, X, _, _ in blocks)
+    assert [(rows.start, rows.stop) for rows, *_ in blocks] == \
+        [(k, min(k + B, N)) for k in range(0, N, B)]
+    X, Y, rho = (np.concatenate(parts) for parts in list(zip(*blocks))[1:])
     for got, want in zip((X, Y, rho), one_shot_triples(plan, n)):
         np.testing.assert_array_equal(got, want)
 
@@ -193,13 +196,12 @@ def test_euler_residuals_equal_one_shot(name, n, numerical, N):
 def test_sample_blocks_join_up_to_the_one_shot_draws_of_each_stream():
     plan = SamplingPlan(n_samples=2 * B + 3, seed=8, box_radius=3.0)
     floored = (3, lambda rows, rng: _floored_box_points(plan, 3, 0.5, rng, rows))
-    blocks = list(sample_blocks(plan, floored, (1, plan.rhos),
-                                (2, lambda rows, rng: plan.box_points(2, rows, rng))))
-    assert [len(b[0]) for b in blocks] == [B, B, 3]
+    blocks = list(sample_blocks(plan, floored, (1, plan.rhos), 2))
+    assert [len(b[1]) for b in blocks] == [B, B, 3]
     rng = plan.rng()
     want = (_floored_box_points(plan, 3, 0.5, rng), plan.rhos(rng=rng),
             plan.box_points(2, rng=rng))
-    for got, ref in zip(zip(*blocks), want):
+    for got, ref in zip(list(zip(*blocks))[1:], want):
         np.testing.assert_array_equal(np.concatenate(got), ref)
 
 
@@ -409,6 +411,40 @@ def test_solver_failures_are_listed_class_by_class_in_row_order():
     positive = cone[X[cone, 0] > 0]
     assert np.count_nonzero(positive < B) > 0 and positive[-1] >= B
     assert signs == [1.0] * positive.size + [-1.0] * (MAX_WITNESSES - positive.size)
+
+
+def test_a_p_values_call_between_blocks_is_solved_on_its_own():
+    # one Decomposition: a p_values call made while a p_blocks sample is
+    # half solved neither joins the sample's failures nor takes its table
+    # choice, and each sets solver_failures as it does alone
+    field = make_builtin("linear_x1", 3)
+    plan = SamplingPlan(n_samples=2 * B + 3, seed=3)
+    d, alone = (build_decomposition(field, plan=plan) for _ in range(2))
+    assert d.case == "two-sided"
+    # a few rows, fewer than TABLE_MIN_ROWS: no table alone; the last two
+    # never reach the reference levels
+    X = np.vstack([field.absolute(plan.box_points(3, 9)),
+                   [[1e-300, 1.0, 0.0], [-1e-300, 0.0, 0.0]]])
+    want_p = alone.p_values(X)
+    want_failures = alone.solver_failures
+    assert [w["kind"] for w in want_failures] == ["unbounded_ray"] * 2
+
+    def points():
+        return ((rows, field.absolute(Z), None)
+                for rows, Z in sample_blocks(plan, 3))
+    want_sample = [p for _, p in alone.p_blocks(plan.n_samples, points)]
+    want_sample_failures = alone.solver_failures
+
+    got_sample = []
+    for k, (_, p) in enumerate(d.p_blocks(plan.n_samples, points)):
+        got_sample.append(p)
+        if k == 0:
+            assert d.p_values(X).tobytes() == want_p.tobytes()
+            assert d.solver_failures == want_failures
+    assert len(got_sample) == 3
+    for got, want in zip(got_sample, want_sample):
+        assert got.tobytes() == want.tobytes()
+    assert d.solver_failures == want_sample_failures
 
 
 # ---------------------------------------------------------------------------
