@@ -37,7 +37,8 @@ import time
 import numpy as np
 
 from .decomposition import (DecompositionError, build_decomposition,
-                            uniqueness_check, verify_decomposition)
+                            check_reference_hints, uniqueness_check,
+                            verify_decomposition)
 from .euler import (euler_residual, general_euler_residual,
                     levelset_gradient_constancy, paired_level_solver,
                     positive_gradient_region)
@@ -45,8 +46,7 @@ from .exprlang import bind
 from .field import GradientSpec
 from .gallery import make_builtin, random_si, registry_rows
 from .levelsets import (check_sandwiches, compactness_probe,
-                        fold_projected_samples, negligibility_probe,
-                        ray_level_radius, si_sandwich_applies, sphere_extrema)
+                        negligibility_probe, ray_level_radius)
 from .rays import (SamplingPlan, check_decomposability,
                    check_scaling_invariance, default_directions,
                    ray_witness_kinds, row_witnesses)
@@ -224,45 +224,42 @@ def _direction_angles(d: np.ndarray) -> list:
 
 
 # -----------------------------------------------------------------------------
-# command handlers: each returns (metrics, witnesses); the verdict is "pass"
-# iff there are no witnesses (see _dispatch)
+# command handlers: each builds its probe's inputs and returns (metrics,
+# witnesses), both the probe's own; the verdict is "pass" iff there are no
+# witnesses (see _dispatch)
+
+
+def _fields(rep) -> dict:
+    """The fields of a probe's report, in order, its witnesses apart."""
+    return {k: v for k, v in vars(rep).items() if k != "witnesses"}
 
 
 def _cmd_check_si(args, field, plan):
     rep = check_scaling_invariance(field, plan, atol=args.atol)
-    metrics = {"trials": rep.trials, "violations": rep.violations}
-    return metrics, rep.witnesses
+    return {"trials": rep.trials, "violations": rep.violations}, rep.witnesses
 
 
 def _cmd_check_decomposable(args, field, plan):
     rep = check_decomposability(field, plan=plan)
-    metrics = {"domain_verdict": rep.verdict, "scale": rep.scale,
-               "ray_kinds": rep.ray_kinds}
-    return metrics, rep.witnesses
+    return {"domain_verdict": rep.verdict, "scale": rep.scale,
+            "ray_kinds": rep.ray_kinds}, rep.witnesses
 
 
 def _cmd_decompose(args, field, plan):
     refs = {key: getattr(args, key) for key in ("x0", "x1", "xm1")}
-    try:
-        d = build_decomposition(field, alpha=args.alpha, plan=plan, **refs)
-    except DecompositionError as exc:
-        return {}, [{"kind": "build_failed", "reason": str(exc)}]
-    check = verify_decomposition(field, d, plan)
+    alt = {key: getattr(args, f"{key}_alt") for key in refs}
+    try:  # before any work
+        check_reference_hints(**alt)
+    except ValueError as exc:
+        raise UsageError(f"--x0-alt, --x1-alt, --xm1-alt: {exc}") from None
+    d = build_decomposition(field, alpha=args.alpha, plan=plan, **refs)
+    check = verify_decomposition(field, d, plan, comp_tol=args.comp_tol,
+                                 ph_tol=args.ph_tol)
     metrics = {"decomposition": d.summary(),
                "max_composition_residual": check.max_composition_residual,
                "max_ph_residual": check.max_ph_residual,
                "n_samples": check.n_samples}
     witnesses = list(check.witnesses)
-    ok = (np.isfinite(check.max_composition_residual)
-          and check.max_composition_residual <= args.comp_tol
-          and np.isfinite(check.max_ph_residual)
-          and check.max_ph_residual <= args.ph_tol)
-    if not ok:
-        witnesses.append({"kind": "residual_exceeded",
-                          "max_composition_residual": check.max_composition_residual,
-                          "max_ph_residual": check.max_ph_residual,
-                          "comp_tol": args.comp_tol, "ph_tol": args.ph_tol})
-    alt = {key: getattr(args, f"{key}_alt") for key in ("x0", "x1", "xm1")}
     if any(v is not None for v in alt.values()):
         try:
             d2 = build_decomposition(field, alpha=args.alpha, plan=plan, **alt)
@@ -271,11 +268,9 @@ def _cmd_decompose(args, field, plan):
                               "which": "alternate"})
             return metrics, witnesses
         uq = uniqueness_check(field, d, d2, plan, p1=check.p_samples)
-        metrics["uniqueness"] = uq
+        metrics["uniqueness"] = _fields(uq)
         witnesses += [{**w, "which": "alternate"} for w in d2.solver_failures]
-        if not uq.passed:
-            witnesses.append({"kind": "uniqueness_violation",
-                              "classes": uq.classes})
+        witnesses += uq.witnesses
     return metrics, witnesses
 
 
@@ -284,40 +279,21 @@ def _cmd_verify_euler(args, field, plan):
     if alpha is None:
         raise UsageError("the field carries no homogeneity degree; pass --alpha")
     rep = euler_residual(field, alpha, plan, _grad_spec(args),
-                         coord_floor=args.coord_floor)
-    metrics = dict(vars(rep))  # the report's fields, its witnesses apart
-    witnesses = metrics.pop("witnesses")
-    if not (np.isfinite(rep.max_residual) and rep.max_residual <= args.tol):
-        witnesses.append({"kind": "euler_residual",
-                          "max_residual": rep.max_residual, "tol": args.tol})
-    return metrics, witnesses
+                         coord_floor=args.coord_floor, tol=args.tol)
+    return _fields(rep), rep.witnesses
 
 
 def _cmd_verify_general_euler(args, field, plan):
-    try:
-        d = build_decomposition(field, alpha=args.alpha, plan=plan)
-    except DecompositionError as exc:
-        return {}, [{"kind": "build_failed", "reason": str(exc)}]
-    rep = general_euler_residual(field, d, plan, _grad_spec(args))
-    metrics = {**vars(rep), "case": d.case}
-    witnesses = metrics.pop("witnesses")
-    if not (np.isfinite(rep.max_residual) and rep.max_residual <= args.tol):
-        witnesses.append({"kind": "general_euler_residual",
-                          "max_residual": rep.max_residual, "tol": args.tol})
-    return metrics, witnesses
+    d = build_decomposition(field, alpha=args.alpha, plan=plan)
+    rep = general_euler_residual(field, d, plan, _grad_spec(args), tol=args.tol)
+    return {**_fields(rep), "case": d.case}, rep.witnesses
 
 
 def _cmd_verify_levelset_grad(args, field, plan):
     rep = levelset_gradient_constancy(field, args.level, n_points=args.points,
                                       grad_spec=_grad_spec(args),
                                       seed=plan.seed, tol=args.tol)
-    metrics = dict(vars(rep))  # the report's fields, its witnesses apart
-    witnesses = metrics.pop("witnesses")
-    # a nan spread, from products none of which is finite, is no spread
-    if rep.skipped == rep.n_points or rep.spread > args.tol:
-        kind = "no_level_points" if rep.skipped == rep.n_points else "spread_exceeded"
-        witnesses.append({"kind": kind, "spread": rep.spread, "tol": args.tol})
-    return metrics, witnesses
+    return _fields(rep), rep.witnesses
 
 
 def _cmd_levelset_radii(args, field, plan):
@@ -344,67 +320,43 @@ def _cmd_levelset_radii(args, field, plan):
 
 
 def _cmd_levelset_bounds(args, field, plan):
-    try:
-        d = build_decomposition(field, alpha=field.meta.ph_degree or 1.0,
-                                plan=plan)
-    except DecompositionError as exc:
-        return {}, [{"kind": "build_failed", "reason": str(exc)}]
-    degree = field.meta.ph_degree
-    ext = None
-    if degree is not None or si_sandwich_applies(d):
-        # one polish and one fold for the extrema of both sandwiches
-        ext = fold_projected_samples(field, plan,
-                                     sphere_extrema(field, seed=plan.seed))
-    # and one pass over the samples for both
-    si_rep, ph_rep = check_sandwiches(field, d, plan, ext, slack=args.slack,
-                                      degree=degree, rtol=args.rtol)
-    metrics = {"si_sandwich": {"verdict": si_rep.verdict, "m": si_rep.m,
-                               "M": si_rep.M, "notes": si_rep.notes}}
-    witnesses = list(si_rep.witnesses)
-    if si_rep.verdict == "precondition-failed":
-        witnesses.append({"kind": "precondition_failed",
-                          "check": "si_sandwich",
-                          "reason": si_rep.notes.get("reason", "")})
-    if ph_rep is not None:
-        metrics["ph_sandwich"] = {"verdict": ph_rep.verdict, "m": ph_rep.m,
-                                  "M": ph_rep.M,
-                                  "notes": {**ph_rep.notes,
-                                            **ext.polish_notes()}}
-        witnesses.extend(ph_rep.witnesses)
+    d = build_decomposition(field, alpha=field.meta.ph_degree or 1.0, plan=plan)
+    # one pass over the samples, and one sphere polish, for both sandwiches
+    reports = check_sandwiches(field, d, plan, slack=args.slack,
+                               degree=field.meta.ph_degree, rtol=args.rtol)
+    metrics, witnesses = {}, []
+    for name, rep in zip(("si_sandwich", "ph_sandwich"), reports):
+        if rep is not None:
+            metrics[name] = {"verdict": rep.verdict, "m": rep.m, "M": rep.M,
+                             "notes": rep.notes}
+            witnesses += rep.witnesses
     return metrics, witnesses
 
 
 def _cmd_levelset_compact(args, field, plan):
     rep = compactness_probe(field, args.level, plan=plan)
-    metrics = {"domain_verdict": rep.verdict, "level": rep.level,
-               "max_radius": rep.max_radius, "ray_kinds": rep.ray_kinds,
-               "n_directions": rep.n_directions}
-    return metrics, rep.witnesses
+    return {"domain_verdict": rep.verdict, "level": rep.level,
+            "max_radius": rep.max_radius, "ray_kinds": rep.ray_kinds,
+            "n_directions": rep.n_directions}, rep.witnesses
 
 
 def _cmd_levelset_negligible(args, field, plan):
     rep = negligibility_probe(field, args.level, args.eps, plan,
                               rate_bound=args.rate_bound)
-    metrics = dict(vars(rep))  # the report's fields, its witnesses apart
-    witnesses = metrics.pop("witnesses")
-    return metrics, witnesses
+    return _fields(rep), rep.witnesses
 
 
 def _cmd_cert_positive_region(args, field, plan):
     cert = positive_gradient_region(field, plan, _grad_spec(args))
-    witnesses = []
-    if not cert.ok:
-        witnesses.append({"kind": "certificate_failed", "scan": cert.scan})
-    return cert, witnesses
+    return _fields(cert), cert.witnesses
 
 
 def _cmd_solve_paired_level(args):
     # ArithmeticError: a --tol below the residual the solver reaches
     try:
-        res = paired_level_solver(args.r, tol=args.tol)
+        return paired_level_solver(args.r, tol=args.tol), []
     except ArithmeticError as exc:
         raise UsageError(str(exc)) from exc
-    return res, []
 
 
 def _cmd_gallery_list(args):
@@ -610,7 +562,10 @@ def _dispatch(args) -> Report:
         if not np.isfinite(field.f_star):
             # every probe works on f - f(x_star), which is then nan everywhere
             raise UsageError("f(x_star) is not finite")
-        metrics, witnesses = handler(args, field, _plan_from(args))
+        try:
+            metrics, witnesses = handler(args, field, _plan_from(args))
+        except DecompositionError as exc:  # the probe's decomposition
+            metrics, witnesses = {}, [{"kind": "build_failed", "reason": str(exc)}]
         config = {"function": fn_echo, **{k: v for k, v in config.items()
                                           if k not in _FUNCTION_FLAGS}}
     return Report(command=command, verdict="fail" if witnesses else "pass",

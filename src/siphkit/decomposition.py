@@ -15,7 +15,7 @@ serves only to choose the case and to reject a reference value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from typing import Optional
 
 import numpy as np
@@ -261,9 +261,7 @@ class Decomposition:
 
     @property
     def phi_increasing(self) -> bool:
-        if self.case == "two-sided" or self.case == "zero":
-            return True
-        return self.positive_ref.increasing
+        return self.case != "one-sided" or self.positive_ref.increasing
 
     def phi_values(self, T) -> np.ndarray:
         """phi over an array of profile arguments (raw, includes f(x_star)):
@@ -371,6 +369,14 @@ def _make_ref(field: ScalarField, z: np.ndarray, grid: np.ndarray) -> ReferenceI
                          increasing=bool(increasing))
 
 
+def check_reference_hints(x0=None, x1=None, xm1=None) -> None:
+    """ValueError unless the hints fix one case: x0 alone, or x1 and xm1."""
+    if x0 is not None and (x1 is not None or xm1 is not None):
+        raise ValueError("x0 (one-sided) cannot be combined with x1 or xm1 (two-sided)")
+    if (x1 is None) != (xm1 is None):
+        raise ValueError("two-sided hints need both x1 and xm1")
+
+
 def build_decomposition(field: ScalarField, alpha: float = 1.0, x0=None,
                         x1=None, xm1=None,
                         plan: Optional[SamplingPlan] = None) -> Decomposition:
@@ -379,19 +385,18 @@ def build_decomposition(field: ScalarField, alpha: float = 1.0, x0=None,
     The case (zero / one-sided / two-sided) is chosen from sampled ray
     monotonicities unless explicit reference points are supplied (absolute
     coordinates): ``x0`` for the one-sided case, ``x1`` and ``xm1`` for the
-    two-sided case.  A supplied point not of length n raises
-    ``DimensionMismatchError``.  References are searched on the unit sphere
-    (64 n seeded points, the largest |f| wins) and rescaled to a
-    well-conditioned level.
+    two-sided case, never both (``check_reference_hints``).  A supplied
+    point not of length n raises ``DimensionMismatchError``.  References are
+    searched on the unit sphere (64 n seeded points, the largest |f| wins)
+    and rescaled to a well-conditioned level.
     """
     plan = plan or SamplingPlan()
     n = field.n
     zero_tol = ZERO_LEVEL_ATOL * (1.0 + abs(field.f_star))
     grid = plan.t_grid()
 
-    if x1 is not None or xm1 is not None:
-        if x1 is None or xm1 is None:
-            raise ValueError("two-sided hints need both x1 and xm1")
+    check_reference_hints(x0, x1, xm1)
+    if x1 is not None:
         pos = _make_ref(field, _as_point(x1, n) - field.x_star, grid)
         neg = _make_ref(field, _as_point(xm1, n) - field.x_star, grid)
         if not pos.value > 0:
@@ -471,13 +476,17 @@ def _max_over(values: np.ndarray, rows: np.ndarray, running: float) -> float:
 
 
 def verify_decomposition(field: ScalarField, d: Decomposition,
-                         plan: Optional[SamplingPlan] = None) -> DecompositionCheck:
+                         plan: Optional[SamplingPlan] = None,
+                         comp_tol: float = 1e-7,
+                         ph_tol: float = 1e-7) -> DecompositionCheck:
     """Round-trip and homogeneity residuals of a decomposition on seeded samples.
 
     Reports max |f(x) - phi(p(x))| and the max homogeneity defect
     |p(rho z) - rho^alpha p(z)| / (1 + rho^alpha |p(z)|).  A sample with
     p(z) = 0 enters neither maximum, except in the zero case: with every p
     0, a field that is not SI would pass.  With no sample left, both are nan.
+    Unless they are at most ``comp_tol`` and ``ph_tol`` (nan is not), the
+    witnesses end with a ``residual_exceeded`` witness.
 
     The solve of p(rho z) is seeded with the guess rho^alpha p(z): on the
     ray through z, lambda(rho z) = lambda(z) / rho.  The guess is only a
@@ -522,11 +531,15 @@ def verify_decomposition(field: ScalarField, d: Decomposition,
         ok = ~np.isnan(ph_defect) & ((p_vals[rows] != 0) | (d.case == "zero"))
         ph_compared += int(np.count_nonzero(ok))
         ph_max = _max_over(ph_defect, ok, ph_max)
-    return DecompositionCheck(
-        max_composition_residual=comp_max if compared else np.nan,
-        max_ph_residual=ph_max if ph_compared else np.nan,
-        n_samples=count, witnesses=witnesses, seed=plan.seed,
-        p_samples=p_vals)
+    comp = comp_max if compared else np.nan
+    ph = ph_max if ph_compared else np.nan
+    if not (comp <= comp_tol and ph <= ph_tol):
+        witnesses.append({"kind": "residual_exceeded",
+                          "max_composition_residual": comp, "max_ph_residual": ph,
+                          "comp_tol": comp_tol, "ph_tol": ph_tol})
+    return DecompositionCheck(max_composition_residual=comp, max_ph_residual=ph,
+                              n_samples=count, witnesses=witnesses,
+                              seed=plan.seed, p_samples=p_vals)
 
 
 @dataclass
@@ -535,6 +548,7 @@ class UniquenessReport:
     classes: dict  # class label -> {"ratio": mean, "cv": ..., "count": ...}
     passed: bool
     seed: int
+    witnesses: list = dataclass_field(default_factory=list)
 
 
 def uniqueness_check(field: ScalarField, d1: Decomposition, d2: Decomposition,
@@ -544,7 +558,8 @@ def uniqueness_check(field: ScalarField, d1: Decomposition, d2: Decomposition,
 
     The ratio p1/p2 must be constant over samples (one constant in the
     one-sided case, one per sign class in the two-sided case); the report
-    carries each class's mean ratio and coefficient of variation.
+    carries each class's mean ratio and coefficient of variation, and a
+    ``uniqueness_violation`` witness when some class is not constant.
 
     The samples are the plan's box points, drawn in blocks of rows; p2 is
     solved block by block.  ``p1``, optional, is d1's p at them, such as
@@ -597,8 +612,10 @@ def uniqueness_check(field: ScalarField, d1: Decomposition, d2: Decomposition,
         cv = float(r.std() / abs(mean)) if mean != 0 else np.inf
         classes[name] = {"ratio": mean, "cv": cv, "count": filled[name]}
         passed &= cv <= UNIQUENESS_CV_TOL
+    witnesses = [] if passed else [{"kind": "uniqueness_violation",
+                                    "classes": classes}]
     return UniquenessReport(case=d1.case, classes=classes, passed=passed,
-                            seed=plan.seed)
+                            seed=plan.seed, witnesses=witnesses)
 
 
 @dataclass

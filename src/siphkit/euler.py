@@ -35,7 +35,7 @@ class EulerReport:
     """Residuals of a homogeneity identity over seeded samples: the largest
     and the mean finite one (nan if none is finite), with a ``non_finite``
     witness for each of the first few samples where p or the residual is
-    not finite."""
+    not finite, and last its tolerance witness if it fails."""
 
     max_residual: float
     mean_residual: float
@@ -78,30 +78,34 @@ def _floored_box_points(plan: SamplingPlan, n: int, floor: float,
     return np.copysign(floor + np.abs(V) * (plan.box_radius - floor), V)
 
 
-def _max_and_mean(residuals: np.ndarray) -> dict:
+def _max_and_mean(residuals: np.ndarray, kind: str, tol: float,
+                  witnesses: list) -> dict:
     """``max_residual`` and ``mean_residual``: the largest and the mean of
-    the finite ``residuals``, nan if none is."""
+    the finite ``residuals``, nan if none is; a largest that is nan or above
+    ``tol`` appends a ``kind`` witness to ``witnesses``."""
     finite = np.isfinite(residuals)
     if not finite.all():
         residuals = residuals[finite]
-    if not residuals.size:
-        return {"max_residual": np.nan, "mean_residual": np.nan}
-    return {"max_residual": float(residuals.max()),
-            "mean_residual": float(residuals.mean())}
+    worst = float(residuals.max()) if residuals.size else np.nan
+    if not worst <= tol:  # nan fails too
+        witnesses.append({"kind": kind, "max_residual": worst, "tol": tol})
+    return {"max_residual": worst,
+            "mean_residual": float(residuals.mean()) if residuals.size else np.nan}
 
 
 def euler_residual(p: ScalarField, alpha: float,
                    plan: Optional[SamplingPlan] = None,
                    grad_spec: Optional[GradientSpec] = None,
-                   coord_floor: float = 0.1) -> EulerReport:
+                   coord_floor: float = 0.1, tol: float = 1e-6) -> EulerReport:
     """Max over samples of |alpha p(x) - grad p(x) . (x - x_star)|.
 
     ``p`` should be positively homogeneous of degree ``alpha`` and
     differentiable away from the reference point; samples keep every
     coordinate at least ``coord_floor`` from the reference to keep the
-    difference stencil well conditioned.  The samples are drawn and
-    evaluated in blocks of rows; each one's residual is kept, for the
-    pairwise sum of their mean.
+    difference stencil well conditioned.  A largest residual above ``tol``,
+    or none finite, is an ``euler_residual`` witness.  The samples are
+    drawn and evaluated in blocks of rows; each one's residual is kept, for
+    the pairwise sum of their mean.
     """
     plan = plan or SamplingPlan()
     spec = grad_spec or GradientSpec()
@@ -119,7 +123,8 @@ def euler_residual(p: ScalarField, alpha: float,
             excluded += int(np.count_nonzero(bad))
             witnesses += row_witnesses(bad, "non_finite",
                                        FEW_WITNESSES - len(witnesses), x=X)
-    return EulerReport(**_max_and_mean(residuals), alpha=alpha,
+    return EulerReport(**_max_and_mean(residuals, "euler_residual", tol,
+                                       witnesses), alpha=alpha,
                        grad_mode=_grad_mode(p, spec), h=spec.h,
                        n_samples=plan.n_samples, excluded=excluded,
                        seed=plan.seed, notes={"coord_floor": coord_floor},
@@ -128,14 +133,16 @@ def euler_residual(p: ScalarField, alpha: float,
 
 def general_euler_residual(field: ScalarField, d: Decomposition,
                            plan: Optional[SamplingPlan] = None,
-                           grad_spec: Optional[GradientSpec] = None) -> EulerReport:
+                           grad_spec: Optional[GradientSpec] = None,
+                           tol: float = 1e-4) -> EulerReport:
     """Residual of grad f(x) . (x - x_star) = alpha phi'(p(x)) p(x).
 
     phi' comes from central differences on the one-dimensional profile with
     its own step — never from differentiating f, which is ill conditioned
     where phi' blows up.  Samples with |p| below ``P_FLOOR_FRAC`` times the
     sample maximum, or p = 0, are excluded for the same reason; so are
-    samples where p is not finite, which are witnessed.
+    samples where p is not finite, which are witnessed.  A largest residual
+    above ``tol``, or none kept, is a ``general_euler_residual`` witness.
 
     The samples are drawn in blocks of rows, twice: the floor needs p at
     every sample first.  p is kept per sample, and then its residual.
@@ -175,7 +182,8 @@ def general_euler_residual(field: ScalarField, d: Decomposition,
         col[rows] = np.nan
         col[rows][keep] = residuals
         kept += int(np.count_nonzero(keep))
-    return EulerReport(**_max_and_mean(col), alpha=d.alpha,
+    return EulerReport(**_max_and_mean(col, "general_euler_residual", tol,
+                                       witnesses), alpha=d.alpha,
                        grad_mode=_grad_mode(field, spec), h=spec.h,
                        n_samples=kept, excluded=count - kept, seed=plan.seed,
                        notes={"phi_step": PHI_STEP, "p_floor_frac": P_FLOOR_FRAC},
@@ -189,7 +197,7 @@ def general_euler_residual(field: ScalarField, d: Decomposition,
 @dataclass
 class SpreadReport:
     """Spread of grad f(z) . (z - x_star) over one sampled level set, with
-    a ``non_finite`` witness per level point where it is not finite."""
+    the witnesses of :func:`levelset_gradient_constancy`; passed if none."""
 
     level: float
     spread: float
@@ -218,9 +226,10 @@ def levelset_gradient_constancy(field: ScalarField, c: float,
 
     Level points come from ray radii over seeded sphere directions, each
     distinct point taken once; directions whose ray misses the level (or
-    defeats the classifier) are skipped and counted.  The spread and mean
-    are over the finite products; the first few points whose product is not
-    finite are witnessed, and fail the check.
+    defeats the classifier) are skipped and counted, and if every one is,
+    that is a ``no_level_points`` witness.  The spread and mean are over the
+    finite products; the first few points whose product is not finite are
+    witnessed, and a spread above ``tol`` is a ``spread_exceeded`` witness.
     """
     plan = SamplingPlan(seed=seed)
     Z = _level_points(field, plan.sphere_points(field.n, n_points), c)
@@ -231,18 +240,20 @@ def levelset_gradient_constancy(field: ScalarField, c: float,
     if not Z.shape[0]:
         return SpreadReport(level=c, spread=np.nan, mean=np.nan, passed=False,
                             tol=tol, skipped=skipped, n_points=n_points,
-                            seed=seed)
+                            seed=seed, witnesses=[{"kind": "no_level_points",
+                                                   "spread": np.nan, "tol": tol}])
     X = field.absolute(Z)
     dots = np.einsum("ij,ij->i", field.gradient_values(X, grad_spec), Z)
     bad = ~np.isfinite(dots)
     witnesses = row_witnesses(bad, "non_finite", FEW_WITNESSES, x=X)
     finite = dots[~bad]
     spread = float(finite.max() - finite.min()) if finite.size else np.nan
+    if spread > tol:  # not a nan spread: no product is finite, no spread
+        witnesses.append({"kind": "spread_exceeded", "spread": spread, "tol": tol})
     return SpreadReport(level=c, spread=spread,
                         mean=float(finite.mean()) if finite.size else np.nan,
-                        passed=bool(not witnesses and spread <= tol),
-                        tol=tol, skipped=skipped, n_points=n_points, seed=seed,
-                        witnesses=witnesses)
+                        passed=not witnesses, tol=tol, skipped=skipped,
+                        n_points=n_points, seed=seed, witnesses=witnesses)
 
 
 # -----------------------------------------------------------------------------
@@ -356,7 +367,8 @@ class NeighborhoodCertificate:
     epsilon is an estimate from below over samples only: the true level set
     may attain a smaller minimum between sampled rays.  delta stops growing at
     the first sampled violation or at the hard cap, whichever comes first.
-    The defaults are those of a certificate that failed before fattening.
+    The defaults are those of a certificate that failed before fattening;
+    one that failed carries a ``certificate_failed`` witness with its scan.
     """
 
     ok: bool = False
@@ -371,6 +383,13 @@ class NeighborhoodCertificate:
     seed: int = 0
     scan: list = dataclass_field(default_factory=list)
     violation: Optional[dict] = None
+    witnesses: list = dataclass_field(default_factory=list)
+
+
+def _failed_certificate(scan: list, seed: int, **found) -> NeighborhoodCertificate:
+    """A certificate that failed before fattening, witnessed by its scan."""
+    return NeighborhoodCertificate(seed=seed, scan=scan, **found, witnesses=[
+        {"kind": "certificate_failed", "scan": scan}])
 
 
 def positive_gradient_region(field: ScalarField,
@@ -394,8 +413,7 @@ def positive_gradient_region(field: ScalarField,
     svals = field.values(field.absolute(sphere))
     finite = np.isfinite(svals)
     if not finite.any():
-        return NeighborhoodCertificate(seed=plan.seed,
-                                       scan=[["sphere", "non-finite"]])
+        return _failed_certificate([["sphere", "non-finite"]], plan.seed)
     s = sphere[int(np.argmin(np.where(finite, svals, np.inf)))]
 
     # the ray derivative at all 20 t in one field call; the scan reports
@@ -410,7 +428,7 @@ def positive_gradient_region(field: ScalarField,
     stop = passes[0] + 1 if passes.size else 20
     scan = np.column_stack([t, deriv])[:stop].tolist()
     if not passes.size:
-        return NeighborhoodCertificate(seed=plan.seed, scan=scan)
+        return _failed_certificate(scan, plan.seed)
     t_found = float(t[passes[0]])
     z0 = t_found * s
     level = float(field.value(field.x_star + z0))
@@ -423,15 +441,13 @@ def positive_gradient_region(field: ScalarField,
     finite_dots = dots[np.isfinite(dots)]
     epsilon = float(finite_dots.min()) if finite_dots.size else np.nan
     if not (np.isfinite(epsilon) and epsilon > 0):
-        return NeighborhoodCertificate(z0=z0, level=level, epsilon=epsilon,
-                                       n_level_points=Z.shape[0],
-                                       skipped_directions=skipped,
-                                       seed=plan.seed, scan=scan)
+        return _failed_certificate(scan, plan.seed, z0=z0, level=level,
+                                   epsilon=epsilon, n_level_points=Z.shape[0],
+                                   skipped_directions=skipped)
 
     offsets = plan.sphere_points(n, REGION_OFFSETS, rng=rng)
     radial = Z / np.sqrt(row_sumsq(Z))[:, None]
     delta = 0.0
-    stop_reason = "cap"
     violation = None
     n_fattened = 0
     candidate = DELTA_START
@@ -450,15 +466,14 @@ def positive_gradient_region(field: ScalarField,
             i = int(np.flatnonzero(bad)[0])
             violation = {"delta": float(candidate), "point": Y[i].tolist(),
                          "dot": float(dots2[i])}
-            stop_reason = "violation"
             break
         delta = candidate
         if candidate >= DELTA_CAP:
-            stop_reason = "cap"
             break
         candidate = min(2.0 * candidate, DELTA_CAP)
+    stop = "cap" if violation is None else "violation"
     return NeighborhoodCertificate(ok=True, z0=z0, level=level, epsilon=epsilon,
-                                   delta=float(delta), stop_reason=stop_reason,
+                                   delta=float(delta), stop_reason=stop,
                                    n_level_points=Z.shape[0], n_fattened=n_fattened,
                                    skipped_directions=skipped, seed=plan.seed,
                                    scan=scan, violation=violation)

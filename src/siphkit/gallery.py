@@ -10,6 +10,7 @@ regularity) so that probes can be validated against known answers.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -140,10 +141,24 @@ def _gauss_si(n: int) -> ScalarField:
                        ph_part=_sq_norm(n))
 
 
+# saddle_profile's Taylor series below SADDLE_SERIES_CUT, highest term first:
+# t/2 - sin(2t)/4 = sum_k (-1)^(k+1) 2^(2k-1) t^(2k+1) / (2k+1)!, k = 1..10
+SADDLE_SERIES_CUT = 0.5
+_SADDLE_SERIES = tuple((-1) ** (k + 1) * 2.0 ** (2 * k - 1) / math.factorial(2 * k + 1)
+                       for k in range(10, 0, -1))
+
+
 def saddle_profile(t):
-    """The saddle profile: integral of sin^2 from 0 to t, i.e. t/2 - sin(2t)/4."""
+    """The saddle profile: integral of sin^2 from 0 to t, i.e. t/2 - sin(2t)/4,
+    from its Taylor series on the entries below ``SADDLE_SERIES_CUT`` in
+    magnitude, where the difference (about t^3/3) would cancel."""
     t = np.asarray(t, dtype=float)
-    return t / 2.0 - np.sin(2.0 * t) / 4.0
+    out = np.asarray(t / 2.0 - np.sin(2.0 * t) / 4.0)
+    small = np.abs(t) < SADDLE_SERIES_CUT
+    if small.any():
+        s = t[small]
+        out[small] = s ** 3 * np.polyval(_SADDLE_SERIES, s * s)
+    return out[()]
 
 
 def _saddle_si(n: int) -> ScalarField:

@@ -432,19 +432,24 @@ def _first_finite_values(field: ScalarField, plan: SamplingPlan,
     return found[:count]
 
 
+def _precondition_failed(m: float, M: float, seed: int, notes: dict) -> tuple:
+    """The SI sandwich's final (report, None) when a precondition fails."""
+    witness = {"kind": "precondition_failed", "check": "si_sandwich",
+               "reason": notes["reason"]}
+    return BoundsReport(verdict="precondition-failed", m=m, M=M, witnesses=[witness],
+                        n_samples=0, seed=seed, notes=notes), None
+
+
 def _si_sandwich(field: ScalarField, d: Decomposition, plan: SamplingPlan,
                  slack: float, ext: Optional[SphereExtrema]) -> tuple:
     """The SI sandwich of :func:`check_si_sandwich` on the folded extrema
     ``ext``, as (report, checks) for :func:`_judge_samples`; checks is None
     when a precondition fails."""
     if not si_sandwich_applies(d):
-        return BoundsReport(verdict="precondition-failed", m=np.nan, M=np.nan,
-                            witnesses=[], n_samples=0, seed=plan.seed,
-                            notes={"reason": "requires the one-sided case with "
-                                             "increasing rays (unique minimum "
-                                             "at the reference point)",
-                                   "case": d.case,
-                                   "phi_increasing": d.phi_increasing}), None
+        return _precondition_failed(np.nan, np.nan, plan.seed, {
+            "reason": "requires the one-sided case with increasing rays "
+                      "(unique minimum at the reference point)",
+            "case": d.case, "phi_increasing": d.phi_increasing})
     inv_alpha = 1.0 / d.alpha
     q = d.p_values(field.absolute(np.array([ext.argmin, ext.argmax]))) ** inv_alpha
     # the sandwich needs p bounded away from 0 on the sphere; a minimum of f
@@ -456,10 +461,8 @@ def _si_sandwich(field: ScalarField, d: Decomposition, plan: SamplingPlan,
              "extrema_samples": ext.n_samples, **ext.polish_notes(),
              "slack": slack}
     if not (np.isfinite(m_hat) and m_hat > 0):
-        return BoundsReport(verdict="precondition-failed", m=m_hat, M=M_hat,
-                            witnesses=[], n_samples=0, seed=plan.seed,
-                            notes={**notes, "reason": "homogeneous part is not "
-                                                      "positive on the sphere"}), None
+        return _precondition_failed(m_hat, M_hat, plan.seed, {
+            **notes, "reason": "homogeneous part is not positive on the sphere"})
 
     x0 = d.positive_ref.point  # q(x_star + x0) = 1
 
@@ -504,18 +507,25 @@ def _si_sandwich(field: ScalarField, d: Decomposition, plan: SamplingPlan,
 
 
 def check_sandwiches(field: ScalarField, d: Decomposition, plan: SamplingPlan,
-                     extrema: Optional[SphereExtrema], slack: float = 1e-4,
-                     degree: Optional[float] = None,
-                     rtol: float = 1e-9) -> tuple:
+                     slack: float = 1e-4, degree: Optional[float] = None,
+                     rtol: float = 1e-9,
+                     extrema: Optional[SphereExtrema] = None) -> tuple:
     """The SI sandwich of :func:`check_si_sandwich` and, when ``degree`` is
     given, the PH sandwich of :func:`check_ph_sandwich` of ``field`` itself,
-    both on the folded extrema ``extrema`` (None only where neither needs
-    it), in one pass over the samples that evaluates f once for both.
-    Returns the two reports, the second None without a degree."""
+    in one pass over the samples that evaluates f once for both.  Returns
+    the two reports, the second None without a degree.  Both check the
+    folded extrema ``fold_projected_samples(field, plan, sphere_extrema(field,
+    seed=plan.seed))``, computed once and only when one of them needs it
+    (``extrema``, optional, replaces them); the PH report's notes end with
+    their polish notes."""
+    if extrema is None and (degree is not None or si_sandwich_applies(d)):
+        extrema = fold_projected_samples(field, plan,
+                                         sphere_extrema(field, seed=plan.seed))
     sandwiches = [_si_sandwich(field, d, plan, slack, extrema)]
     if degree is not None:
-        sandwiches.append(_ph_sandwich(degree, extrema.m, extrema.M, rtol,
-                                       plan.seed))
+        ph = _ph_sandwich(degree, extrema.m, extrema.M, rtol, plan.seed)
+        ph[0].notes.update(extrema.polish_notes())
+        sandwiches.append(ph)
     reports = _judge_samples(field, plan, sandwiches) + [None]
     return reports[0], reports[1]
 
@@ -527,26 +537,23 @@ def check_si_sandwich(field: ScalarField, d: Decomposition,
     """Verify phi(m ||x||) <= f(x) <= phi(M ||x||) and the ball inclusions.
 
     Requires the one-sided increasing case (the reference point is the unique
-    global minimum); otherwise the report carries verdict
-    "precondition-failed" and nothing is run.  m and M are the unit-sphere
-    extrema of the degree-1 representative q = p^(1/alpha); phi1(t) = phi(t^alpha)
-    is the matching profile: f along the reference ray, where q = 1, on
-    which the ball radii phi1^{-1}(c) are root-solved too.  ``slack`` is a
-    relative tolerance absorbing the sampling error of the extrema estimates.
+    global minimum) and a positive minimum of q on the sphere; otherwise the
+    report carries verdict "precondition-failed" and a
+    ``precondition_failed`` witness, and no sample is judged.  m and M are
+    the unit-sphere extrema of the degree-1 representative q = p^(1/alpha);
+    phi1(t) = phi(t^alpha) is the matching profile: f along the reference
+    ray, where q = 1, on which the ball radii phi1^{-1}(c) are root-solved
+    too.  ``slack`` is a relative tolerance absorbing the sampling error of
+    the extrema estimates.
 
     The extrema are located on f itself.  With phi strictly increasing,
     f(x) < f(y) exactly when q(x) < q(y), so the seeded sampling and the
     arc searches, which only compare values, take the same steps on f as on
     q and stop at the same sphere points.  The samples' projections
     x / ||x|| are folded in (:func:`fold_projected_samples`), so a sample is
-    a witness only when the sandwich fails along its own ray; the notes
-    count the samples that beat each polished extremum.  q is then solved
-    at the two points chosen only, in one root solve, instead of at every
-    probe.  ``extrema`` takes the result of ``fold_projected_samples(field,
-    plan, sphere_extrema(field, seed=plan.seed))`` from a caller that also
-    needs it elsewhere; by default it is computed here the same way.
-    :func:`check_sandwiches` judges this sandwich and the PH sandwich of
-    the same field in one pass over the samples.
+    a witness only when the sandwich fails along its own ray.  q is then
+    solved at the two points chosen only, in one root solve.  This is the
+    SI report of :func:`check_sandwiches`, ``extrema`` included.
 
     Beyond the pointwise sandwich, two inclusions are witness-searched:
     every sampled point with ||x|| < rho must lie in the sublevel set at
@@ -554,11 +561,8 @@ def check_si_sandwich(field: ScalarField, d: Decomposition,
     in the ball of radius phi1^{-1}(c)/m, for the first 8 finite sample
     values c.  The samples are drawn in blocks of rows.
     """
-    plan = plan or SamplingPlan()
-    if extrema is None and si_sandwich_applies(d):
-        extrema = fold_projected_samples(field, plan,
-                                         sphere_extrema(field, seed=plan.seed))
-    return check_sandwiches(field, d, plan, extrema, slack=slack)[0]
+    return check_sandwiches(field, d, plan or SamplingPlan(), slack=slack,
+                            extrema=extrema)[0]
 
 
 # -----------------------------------------------------------------------------
@@ -595,26 +599,21 @@ def compactness_probe(field: ScalarField, c: float, directions=None,
     if directions is None:
         directions = default_directions(field.n, seed=plan.seed)
     directions = np.atleast_2d(np.asarray(directions, dtype=float))
-    grid = plan.t_grid()
-    kinds = classify_ray(field, directions, grid=grid)
+    kinds = classify_ray(field, directions, grid=plan.t_grid())
     witnesses = row_witnesses(kinds != "strictly-increasing",
                               ray_witness_kinds(kinds), direction=directions)
-    if witnesses:
-        return CompactnessReport(verdict="unbounded-evidence", level=c,
-                                 max_radius=np.nan, ray_kinds=kinds.tolist(),
-                                 witnesses=witnesses,
-                                 n_directions=len(directions), seed=plan.seed)
-
-    res = _solve_level(field, directions, c, True)
-    radii = np.where(res.status == OK, res.t, 0.0)
-    # BELOW_START rows mean the level is under the ray's start: that ray
-    # contributes nothing to the sublevel set (radius 0).
-    witnesses += row_witnesses(res.status == UNBOUNDED, "bracket_exhausted",
-                               direction=directions, doublings=MAX_DOUBLINGS)
-    witnesses += row_witnesses(res.status == NONFINITE, "non_finite",
-                               FEW_WITNESSES, direction=directions)
-    verdict = "bounded" if not witnesses else "unbounded-evidence"
-    max_radius = float(radii.max()) if verdict == "bounded" else np.nan
+    max_radius = np.nan
+    if not witnesses:
+        res = _solve_level(field, directions, c, True)
+        witnesses += row_witnesses(res.status == UNBOUNDED, "bracket_exhausted",
+                                   direction=directions, doublings=MAX_DOUBLINGS)
+        witnesses += row_witnesses(res.status == NONFINITE, "non_finite",
+                                   FEW_WITNESSES, direction=directions)
+        if not witnesses:
+            # a BELOW_START row's level is under the ray's start: that ray
+            # adds nothing to the sublevel set (radius 0)
+            max_radius = float(np.where(res.status == OK, res.t, 0.0).max())
+    verdict = "unbounded-evidence" if witnesses else "bounded"
     return CompactnessReport(verdict=verdict, level=c, max_radius=max_radius,
                              ray_kinds=kinds.tolist(), witnesses=witnesses,
                              n_directions=len(directions), seed=plan.seed)
@@ -679,11 +678,9 @@ def negligibility_probe(field: ScalarField, c: float,
         counts = [k + int(np.count_nonzero(dev <= e))
                   for k, e in zip(counts, eps)]
     fractions = [cnt / n_samples for cnt in counts]
-    ok = True
-    for prev, cur in zip(fractions, fractions[1:]):
-        sigma = np.sqrt(max(prev * (1.0 - prev), 1e-12) / n_samples)
-        if cur > prev + 3.0 * sigma:
-            ok = False
+    # non-increasing within 3 sigma of binomial noise
+    ok = all(cur <= prev + 3.0 * np.sqrt(max(prev * (1.0 - prev), 1e-12) / n_samples)
+             for prev, cur in zip(fractions, fractions[1:]))
     if not (ok and fractions[-1] <= rate_bound * eps[-1]):
         witnesses.append({"kind": "excess_fraction", "eps": eps.tolist(),
                           "fractions": fractions, "rate_bound": rate_bound})

@@ -14,6 +14,13 @@ import pytest
 import siphkit
 from siphkit import cli
 from siphkit.cli import main
+from siphkit.decomposition import (DecompositionError, build_decomposition,
+                                   uniqueness_check, verify_decomposition)
+from siphkit.euler import (euler_residual, general_euler_residual,
+                           levelset_gradient_constancy,
+                           positive_gradient_region)
+from siphkit.levelsets import check_sandwiches
+from siphkit.reporting import jsonable
 
 
 def run_cli(capsys, argv):
@@ -192,13 +199,28 @@ def test_a_level_that_is_not_a_finite_number_exits_two(capsys, command, level):
      "argument --n: must be at least 1"),
     (["levelset", "bounds", "--gallery", "sphere", "--box-radius", "1e-200"],
      "every sample norm is 0 at box radius 1e-200"),
+    # a one-sided reference is not dropped for two-sided ones, and the
+    # alternate references are checked before the primary build runs
+    (["decompose", "--gallery", "linear_x1", "--n", "2", "--N", "50", "--x0",
+      "1,0", "--x1", "1,0", "--xm1=-1,0"],
+     "x0 (one-sided) cannot be combined with x1 or xm1 (two-sided)"),
+    (["decompose", "--gallery", "linear_x1", "--n", "2", "--N", "50", "--x0",
+      "1,0", "--xm1=-1,0"], "x0 (one-sided) cannot be combined with x1 or xm1"),
+    (["decompose", "--gallery", "linear_x1", "--n", "2", "--N", "50",
+      "--x0-alt", "1,0", "--x1-alt", "1,0", "--xm1-alt=-1,0"],
+     "--x0-alt, --x1-alt, --xm1-alt: x0 (one-sided) cannot be combined with "
+     "x1 or xm1"),
+    (["decompose", "--gallery", "linear_x1", "--n", "2", "--N", "50",
+      "--x1-alt", "1,0"],
+     "--x0-alt, --x1-alt, --xm1-alt: two-sided hints need both x1 and xm1"),
 ])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_degenerate_arguments_exit_two_with_a_named_message(capsys, argv,
                                                             message):
     code, out, err = run_cli(capsys, argv)
     assert code == 2
     assert out == ""
-    assert message in err
+    assert message in err and "Traceback" not in err
 
 
 def test_smallest_legal_counts_still_run(capsys):
@@ -210,6 +232,7 @@ def test_smallest_legal_counts_still_run(capsys):
     assert code == 0 and doc["config"]["points"] == 1
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_expression_errors_carry_the_offset(capsys):
     # one line, which gives the offset once
     for source, message in [
@@ -396,6 +419,7 @@ def test_levelset_compact_flags_flat_directions(capsys):
     assert doc["witnesses"][0]["kind"] == "constant_ray"
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_levelset_compact_names_a_non_monotone_ray_as_radii_does(capsys):
     argv = ["--expr", "sin(3*x_1) + x_2^2", "--n", "2", "--level"]
     code, compact = run_json(capsys, ["levelset", "compact", *argv, "1"])
@@ -405,6 +429,12 @@ def test_levelset_compact_names_a_non_monotone_ray_as_radii_does(capsys):
     for doc in (compact, radii):
         kinds = {w["kind"] for w in doc["witnesses"]}
         assert "non_monotone_ray" in kinds and "non-monotone_ray" not in kinds
+    # check decomposable gives each such ray the t pair that shows it
+    code, doc = run_json(capsys, ["check", "decomposable", *argv[:4]])
+    assert code == 1
+    pairs = [w["t_pair"] for w in doc["witnesses"]
+             if w["kind"] == "non_monotone_ray"]
+    assert pairs and all(len(pair) == 2 for pair in pairs)
 
 
 def test_levelset_compact_names_a_non_finite_ray_as_check_decomposable(capsys):
@@ -470,6 +500,7 @@ def test_levelset_negligible_fails_on_non_finite_samples(capsys):
     assert "witnesses" not in doc["metrics"]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_per_direction_witness_lists_stop_at_sixteen(capsys):
     code, doc = run_json(capsys, ["levelset", "radii", "--expr",
                                   "sin(3*x_1) + x_2^2", "--n", "2", "--level",
@@ -963,6 +994,7 @@ def test_a_gradient_product_that_is_not_finite_is_witnessed(capsys):
     ("general-euler", "x_1^2 + x_2^2 + 0*sqrt(x_1)", "2",
      "general_euler_residual"),
 ])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_euler_commands_witness_non_finite_samples_first(capsys, action, expr,
                                                          alpha, tol_kind):
     # the field is nan wherever x_1 < 0; its finite half holds the identity
@@ -1003,6 +1035,7 @@ def test_a_decomposition_where_f_overflows_warns_nothing(capsys):
     assert kinds[:4] == ["non_finite"] * 4
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_a_reference_where_f_is_not_finite_fails_the_build(capsys):
     # f = inf at (1e200, 1): no reference level, in either build
     code, doc = run_json(capsys, ["decompose", "--gallery", "sphere", "--n", "2",
@@ -1099,3 +1132,90 @@ def test_main_builds_its_parser_once(capsys, monkeypatch):
 
 def test_build_parser_returns_a_new_parser():
     assert cli.build_parser() is not cli.build_parser()
+
+
+# ---------------------------------------------------------------------------
+# each probe decides its own verdict: a library call and a CLI run agree
+
+
+def _decompose_witnesses(args, field, plan):
+    d = build_decomposition(field, alpha=args.alpha, plan=plan)
+    check = verify_decomposition(field, d, plan, comp_tol=args.comp_tol,
+                                 ph_tol=args.ph_tol)
+    if args.x0_alt is None:
+        return check.witnesses
+    try:
+        d2 = build_decomposition(field, alpha=args.alpha, plan=plan,
+                                 x0=args.x0_alt)
+    except DecompositionError as exc:
+        return check.witnesses + [{"kind": "build_failed", "reason": str(exc),
+                                   "which": "alternate"}]
+    uq = uniqueness_check(field, d, d2, plan, p1=check.p_samples)
+    return (check.witnesses + [{**w, "which": "alternate"}
+                               for w in d2.solver_failures] + uq.witnesses)
+
+
+def _bounds_witnesses(args, field, plan):
+    degree = field.meta.ph_degree
+    d = build_decomposition(field, alpha=degree or 1.0, plan=plan)
+    si, ph = check_sandwiches(field, d, plan, slack=args.slack, degree=degree,
+                              rtol=args.rtol)
+    return si.witnesses + (ph.witnesses if ph is not None else [])
+
+
+# command -> (argv before the function flags, the flags that set its
+# tolerances to 0, the probe's own witnesses for the parsed arguments)
+_PROBE_COMMANDS = {
+    "verify euler": (["verify", "euler", "--alpha", "{alpha}"], ["--tol", "0"],
+                     lambda a, f, p: euler_residual(
+                         f, a.alpha, p, cli._grad_spec(a),
+                         coord_floor=a.coord_floor, tol=a.tol).witnesses),
+    "verify general-euler": (
+        ["verify", "general-euler", "--N", "400"], ["--tol", "0"],
+        lambda a, f, p: general_euler_residual(
+            f, build_decomposition(f, alpha=a.alpha, plan=p), p,
+            cli._grad_spec(a), tol=a.tol).witnesses),
+    "decompose": (["decompose"], ["--comp-tol", "0", "--ph-tol", "0"],
+                  _decompose_witnesses),
+    "decompose --x0-alt": (["decompose", "--x0-alt", "{point}"],
+                           ["--comp-tol", "0", "--ph-tol", "0"],
+                           _decompose_witnesses),
+    "verify levelset-grad": (
+        ["verify", "levelset-grad", "--level", "1"], ["--tol", "0"],
+        lambda a, f, p: levelset_gradient_constancy(
+            f, a.level, n_points=a.points, grad_spec=cli._grad_spec(a),
+            seed=p.seed, tol=a.tol).witnesses),
+    "levelset bounds": (["levelset", "bounds", "--N", "600"],
+                        ["--slack", "0", "--rtol", "0"], _bounds_witnesses),
+    "cert positive-region": (["cert", "positive-region"], [],
+                             lambda a, f, p: positive_gradient_region(
+                                 f, p, cli._grad_spec(a)).witnesses),
+}
+
+
+@pytest.mark.parametrize("command,at_zero", [
+    (command, at_zero) for command, (_, zero, _) in sorted(_PROBE_COMMANDS.items())
+    for at_zero in ([False, True] if zero else [False])])
+def test_each_probe_gives_the_verdict_of_its_command(capsys, command, at_zero):
+    head, zero, probe = _PROBE_COMMANDS[command]
+    names = sorted(siphkit.gallery.REGISTRY) + ["random_si"]
+    checked = 0
+    for name in names:
+        for n in (2, 3):
+            flags = ["--gallery", name, "--n", str(n), "--seed", "7"]
+            field, _ = cli._resolve_field(cli._parser().parse_args(
+                ["check", "si"] + flags))
+            argv = [a.format(alpha=field.meta.ph_degree or 2.0,
+                             point=",".join(["0.3", "-0.7", "0.5"][:n]))
+                    for a in head] + flags + (zero if at_zero else [])
+            code, out, err = run_cli(capsys, argv + ["--format", "json"])
+            assert err == "", argv
+            witnesses = json.loads(out)["witnesses"]
+            if [w["kind"] for w in witnesses] == ["build_failed"]:
+                continue  # the decomposition, not the probe, failed
+            args = cli._parser().parse_args(argv)
+            found = probe(args, field, cli._plan_from(args))
+            assert jsonable(found) == witnesses, argv
+            assert (code == 0) == (not found), argv
+            checked += 1
+    assert checked >= 20

@@ -138,6 +138,50 @@ def test_saddle_profile_values():
     assert (np.diff(saddle_profile(t)) >= -1e-15).all()
 
 
+# t/2 - sin(2t)/4 at the double nearest t, with mpmath 1.3.0 at 300 digits,
+# which resolves the cancellation down to t = 1e-100
+SADDLE_REFERENCE = [
+    (1e-100, 3.333333333333333533252e-301),
+    (1e-80, 3.333333333333332947587e-241),
+    (1e-60, 3.333333333333333037668e-181),
+    (1e-40, 3.333333333333332626262e-121),
+    (1e-20, 3.333333333333332784866e-61),
+    (1e-12, 3.3333333333333331322e-37),
+    (1e-10, 3.333333333333333697649e-31),
+    (1e-8, 3.333333333333333475892e-25),
+    (1e-6, 3.333333333332666214148e-19),
+    (1e-5, 3.333333333266667484698e-16),
+    (1e-4, 3.333333326666667152233e-13),
+    (1e-3, 3.333332666666730366893e-10),
+    (0.01, 3.333266667301583982423e-7),
+    (0.03, 8.998380138850199228315e-6),
+    (0.1, 3.326673012346961904732e-4),
+    (0.2, 2.645414422837377521622e-3),
+    (0.3, 8.839381651241159730182e-3),
+    (0.4, 2.066097727511931296044e-2),
+    (0.45, 2.916827259312915498514e-2),
+    (0.49, 3.737565737700738101165e-2),
+    (0.5, 3.963225379802587333687e-2),
+    (0.51, 4.197299451265927121254e-2),
+    (0.55, 5.219815998464117714465e-2),
+    (0.7, 1.036375675028849364047e-1),
+    (1.0, 2.72675643293579576151e-1),
+    (2.0, 1.189200623826982062843),
+    (3.0, 1.569853874549731468203),
+    (5.0, 2.636005277722342453351),
+    (10.0, 4.771763687318093086406),
+]
+
+
+def test_saddle_profile_matches_high_precision_values():
+    t, want = (np.array(col) for col in zip(*SADDLE_REFERENCE))
+    np.testing.assert_allclose(saddle_profile(t), want, rtol=1e-14, atol=0)
+    # the profile is odd, and a scalar stays a scalar
+    np.testing.assert_allclose(saddle_profile(-t), -want, rtol=1e-14, atol=0)
+    assert saddle_profile(1e-8) == saddle_profile(np.array([1e-8]))[0] > 0
+    assert np.ndim(saddle_profile(0.3)) == 0
+
+
 def test_saddle_gradient_matches_numerical():
     f = make_builtin("saddle_si", 3)
     from siphkit.field import GradientSpec

@@ -472,7 +472,6 @@ def test_levelset_bounds_folds_the_samples_in_once(monkeypatch, capsys, name,
         return fold(field, plan, ext)
 
     monkeypatch.setattr(levelsets, "fold_projected_samples", counted)
-    monkeypatch.setattr(cli, "fold_projected_samples", counted)
     code = cli.main(["levelset", "bounds", "--gallery", name, "--n", "3"])
     capsys.readouterr()
     assert code in (0, 1)
@@ -570,6 +569,7 @@ def test_saturating_ray_exhausts_the_bracket():
     assert report.witnesses[0]["doublings"] == rootfind.MAX_DOUBLINGS == 60
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_si_sandwich_witnesses_non_finite_samples_first(capsys):
     # f is nan wherever x_1 < 0, yet its finite half holds the sandwich
     f = bind("x_1^2 + x_2^2 + 0*sqrt(x_1)", 2)
