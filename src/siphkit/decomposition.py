@@ -130,14 +130,16 @@ class Decomposition:
         guess, and every root is a sign change on the row's own ray.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        [(_, p)] = self.p_blocks(len(X), lambda: [(None, X, guess)])
+        [(_, p, _)] = self.p_blocks(len(X), lambda: [(None, X, guess)])
         return p
 
     def p_blocks(self, count: int, blocks):
         """p over a sample of ``count`` rows, solved block by block as one
-        ``p_values`` call over the sample would solve it: yields (block, p)
-        for each block (rows, X, guess) of ``blocks()``, X the block's
-        absolute points and guess None or as in ``p_values``.
+        ``p_values`` call over the sample would solve it: yields (block, p,
+        f) for each block (key, X, guess) of ``blocks()``, key whatever the
+        caller needs back (such as the block's rows), X the block's absolute
+        points, guess None or as in ``p_values``, and f the field's values
+        that gave the levels g = f - f(x_star), at x_star + (X - x_star).
 
         A class has a table when the whole sample has ``TABLE_MIN_ROWS`` rows
         of it: the first block decides that when it is the whole sample or
@@ -150,11 +152,12 @@ class Decomposition:
         for block in blocks():
             _, X, guess = block
             Z = X - self.field.x_star
-            g = self.field.shifted_values(Z)
+            f = self.field.values(self.field.absolute(Z))
+            g = self.field.minus_f_star(f)
             p = np.zeros(X.shape[0])
             classes = self._classes(g)
             if not classes:  # the zero case: p = 0 everywhere, no solve
-                yield block, p
+                yield block, p, f
                 continue
             if tables is None:
                 counts = [np.count_nonzero(cls) for _, _, cls in classes]
@@ -183,8 +186,61 @@ class Decomposition:
                     # lambda = 0 (the ray starts on the reference level): p = inf
                     with np.errstate(divide="ignore"):
                         p[cls] = sign * (1.0 / lam) ** self.alpha
-            yield block, p
+            yield block, p, f
         self.solver_failures = (failures[0] + failures[1])[:MAX_WITNESSES]
+
+    def _scaled_p(self, Z: np.ndarray, guess: np.ndarray,
+                  certify: bool) -> np.ndarray:
+        """p at the offsets Z, each row seeded by its guess as in
+        ``p_values``, on the rows where the guess is finite and nonzero; 0
+        on the others.  Failures are not kept.
+
+        With ``certify``, a row whose bracket lambda-hat (1 -+ GUESS_BAND)
+        straddles its class level on its own ray is not solved: the two ends
+        prove a root between them, and lambda is read from one secant step
+        there.  Its other rows are solved cold, as the seeded solve goes on
+        to solve a row whose bracket does not straddle, but with no table.
+        Without ``certify`` every row takes the seeded solve, with no table.
+        """
+        p = np.zeros(len(Z))
+        live = np.isfinite(guess) & (guess != 0)
+        if not live.any():
+            return p
+        Z, guess = Z[live], guess[live]
+        g = self.field.shifted_values(Z)
+        q = np.where(np.isnan(g), np.nan, 0.0)
+        with np.errstate(over="ignore"):
+            lam_hat = np.abs(guess) ** (-1.0 / self.alpha)
+        lo, hi = lam_hat * (1.0 - GUESS_BAND), lam_hat * (1.0 + GUESS_BAND)
+        seedable = (lo < hi) & np.isfinite(hi)  # as the solver takes a bracket
+        for ref, sign, cls in self._classes(g):
+            if not cls.any():
+                continue
+            s = 1.0 if ref.increasing else -1.0
+            if not (certify and np.isfinite(ref.value) and s * ref.value > 0):
+                lam = self._solve_lambdas(Z[cls], ref, (lo[cls], hi[cls]), [])
+            else:
+                # g at the ends as the solver reads it, s * (value - level):
+                # a root lies between them where it is below 0 at lo, not at hi
+                seed = cls & seedable
+                lam = np.full(len(Z), np.nan)
+                if seed.any():
+                    M, a, b = Z[seed], lo[seed], hi[seed]
+                    with np.errstate(all="ignore"):
+                        g_a = s * self.field.ray_values(a, M) - s * ref.value
+                        g_b = s * self.field.ray_values(b, M) - s * ref.value
+                        step = g_a / (g_a - g_b)  # nan at an infinite end
+                    step = np.where(np.isfinite(step), step, 0.5)  # bisect
+                    lam[seed] = np.where((g_a < 0) & (g_b >= 0),
+                                         a + step * (b - a), np.nan)
+                lam = lam[cls]
+                cold = np.isnan(lam)
+                if cold.any():
+                    lam[cold] = self._solve_lambdas(Z[cls][cold], ref, None, [])
+            with np.errstate(divide="ignore"):
+                q[cls] = sign * (1.0 / lam) ** self.alpha
+        p[live] = q
+        return p
 
     def _table_bracket(self, ref: ReferenceInfo, h: np.ndarray):
         """The table's bracket candidate for rows with levels ``h``: a
@@ -488,49 +544,60 @@ def verify_decomposition(field: ScalarField, d: Decomposition,
     Unless they are at most ``comp_tol`` and ``ph_tol`` (nan is not), the
     witnesses end with a ``residual_exceeded`` witness.
 
-    The solve of p(rho z) is seeded with the guess rho^alpha p(z): on the
-    ray through z, lambda(rho z) = lambda(z) / rho.  The guess is only a
-    bracket, checked on the ray of rho z itself, and a row whose bracket
-    does not straddle is solved cold (``Decomposition.p_values``).  So p(rho
-    z) is still a root solve of its own: the homogeneity defect measures how
-    precisely the two solves agree, about the solver's tolerance, while the
-    composition residual tests whether f = phi o p, that is, whether the
-    field is SI.
+    p = lambda^-alpha is defined along rays, so p(rho z) = rho^alpha p(z)
+    holds by construction: only the composition residual tests whether the
+    field is SI.  The homogeneity defect checks p(rho z) on the ray of rho z
+    itself, from the guess rho^alpha p(z): lambda-hat = |guess|^(-1/alpha).
+    A row whose bracket lambda-hat (1 -+ GUESS_BAND) straddles its class
+    level there is certified by those two ends, and its defect is read from
+    one secant step inside the bracket, so it is at most the bracket's
+    bound (1 - GUESS_BAND)^-alpha - 1 (up to rounding).  The other rows are
+    solved cold, as the seeded solve of ``Decomposition.p_values`` goes on
+    to solve a row whose bracket does not straddle (no table is tried).
+    When the bound exceeds ``ph_tol`` no row is certified: every row takes
+    the seeded solve, so no verdict rests on a bracket finer than the one
+    it proves.  A row where p(z) is 0, nan or infinite is not solved: its
+    defect enters no maximum, or is 0 in the zero case.
 
-    The samples are drawn in blocks of rows, twice: p(x) of every sample is
-    kept (``p_samples``) for the guesses of the second pass, which draws
-    the points again and rho after them.
+    One pass draws the samples in blocks of rows, rho after the points.  f
+    at each sample is evaluated once, for both p and the composition
+    residual, and p of every sample is kept (``p_samples``).
     """
     plan = plan or SamplingPlan()
     count = plan.n_samples
+    with np.errstate(over="ignore"):  # a huge alpha: no bound, no certificate
+        certify = np.float64(1.0 - GUESS_BAND) ** -d.alpha - 1.0 <= ph_tol
     p_vals = np.empty(count)
     comp_max = ph_max = -np.inf
     compared = ph_compared = 0
     nan_rows = []
-    for (rows, X, _), p in d.p_blocks(count, lambda: _box_blocks(field, plan)):
+
+    def blocks():  # the box points, each block with its rho
+        for rows, Z, rho in sample_blocks(plan, field.n, (1, plan.rhos)):
+            yield (rows, rho), field.absolute(Z), None
+
+    for ((rows, rho), X, _), p, f in d.p_blocks(count, blocks):
         p_vals[rows] = p
         with np.errstate(invalid="ignore"):  # inf - inf: a non_finite row
-            comp = np.abs(field.values(X) - d.phi_values(p))
+            comp = np.abs(f - d.phi_values(p))
         ok = ~np.isnan(comp)
         nan_rows += row_witnesses(~ok, "non_finite",
                                   FEW_WITNESSES - len(nan_rows), point=X)
-        ok &= (p != 0) | (d.case == "zero")
+        judged = (p != 0) | (d.case == "zero")
+        ok &= judged
         compared += int(np.count_nonzero(ok))
         comp_max = _max_over(comp, ok, comp_max)
-    witnesses = d.solver_failures + nan_rows
 
-    def scaled_points():  # the points rho z, each with its guess rho^alpha p(z)
-        for rows, Z, rho in sample_blocks(plan, field.n, (1, plan.rhos)):
-            X = field.absolute(Z)
-            yield (rows, field.absolute(rho[:, None] * (X - field.x_star)),
-                   rho ** d.alpha * p_vals[rows])
-
-    for (rows, _, expected), p_scaled in d.p_blocks(count, scaled_points):
+        expected = rho ** d.alpha * p
+        # the offsets of the points x_star + rho z, as p_values takes them
+        Z = field.absolute(rho[:, None] * (X - field.x_star)) - field.x_star
+        p_scaled = d._scaled_p(Z, expected, certify)
         with np.errstate(invalid="ignore"):  # p = inf on the reference level
             ph_defect = np.abs(p_scaled - expected) / (1.0 + np.abs(expected))
-        ok = ~np.isnan(ph_defect) & ((p_vals[rows] != 0) | (d.case == "zero"))
+        ok = ~np.isnan(ph_defect) & judged
         ph_compared += int(np.count_nonzero(ok))
         ph_max = _max_over(ph_defect, ok, ph_max)
+    witnesses = d.solver_failures + nan_rows
     comp = comp_max if compared else np.nan
     ph = ph_max if ph_compared else np.nan
     if not (comp <= comp_tol and ph <= ph_tol):
@@ -580,7 +647,7 @@ def uniqueness_check(field: ScalarField, d1: Decomposition, d2: Decomposition,
 
     if p1 is None:
         p1 = np.empty(count)
-        for (rows, _, _), p in d1.p_blocks(count, points):
+        for (rows, _, _), p, _ in d1.p_blocks(count, points):
             p1[rows] = p
     floor = 1e-9
     # each class by name: the rows where sign * p1 > floor, |p1| for sign 0
@@ -589,7 +656,7 @@ def uniqueness_check(field: ScalarField, d1: Decomposition, d2: Decomposition,
     # each class's ratios in row order, and whether it has p1 rows at all
     ratios = {name: np.empty(count) for name in signs}
     filled, seen = dict.fromkeys(signs, 0), dict.fromkeys(signs, False)
-    for (rows, _, _), q2 in d2.p_blocks(count, points):
+    for (rows, _, _), q2, _ in d2.p_blocks(count, points):
         q1 = p1[rows]
         for name, sign in signs.items():
             mask = ((sign * q1 if sign else np.abs(q1)) > floor) & np.isfinite(q1)

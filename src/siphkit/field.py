@@ -224,13 +224,16 @@ class ScalarField:
 
     def shifted_values(self, Z) -> np.ndarray:
         Z = _as_batch(Z, self.n)
-        out = self._eval_batch(self.absolute(Z))
+        return self.minus_f_star(self._eval_batch(self.absolute(Z)))
+
+    def minus_f_star(self, F) -> np.ndarray:
+        """F - f(x_star) for values F of the field: its shifted values."""
         if math.isinf(self.f_star):
             # inf - inf where f meets the same infinity.  The finite case
             # skips errstate: it adds about 20% to a one-row call.
             with np.errstate(invalid="ignore"):
-                return out - self.f_star
-        return out - self.f_star
+                return F - self.f_star
+        return F - self.f_star
 
     def ray_values(self, t, M) -> np.ndarray:
         """Shifted values at ``t[i] * M[i]`` for each row i of (N,) t and
@@ -238,15 +241,17 @@ class ScalarField:
 
         Rows where t is nan are not evaluated and come back as nan, so a
         solver that passes its settled rows as nan spends no field points
-        on them.  The other rows get the values ``shifted_values`` gives.
+        on them.  The other rows get the bits ``shifted_values`` gives.
         """
         live = ~np.isnan(t)
-        if live.all():
-            return self.shifted_values(t[:, None] * M)
-        out = np.full(t.shape, np.nan)
-        if live.any():
-            out[live] = self.shifted_values(t[live][:, None] * M[live])
-        return out
+        if not live.all():
+            out = np.full(t.shape, np.nan)
+            if live.any():
+                out[live] = self.ray_values(t[live], M[live])
+            return out
+        P = t[:, None] * M
+        P += self._shift  # absolute() in place: its bits, one array fewer
+        return self.minus_f_star(self._eval_batch(P))
 
     # -- gradients ---------------------------------------------------------
 

@@ -5,6 +5,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -941,7 +942,6 @@ _HUGE = "100000000000000"
 
 
 @pytest.mark.parametrize("argv", [
-    ["decompose", "--gallery", "sphere", "--n", "2", "--N", _HUGE],
     ["levelset", "compact", "--gallery", "sphere", "--level", "1",
      "--grid-points", _HUGE],
     ["check", "si", "--gallery", "sphere", "--n", _HUGE],
@@ -949,7 +949,7 @@ _HUGE = "100000000000000"
      "--directions", _HUGE],
     ["verify", "levelset-grad", "--gallery", "sphere", "--level", "1",
      "--points", _HUGE],
-], ids=["decompose", "compact", "check-si", "radii", "levelset-grad"])
+], ids=["compact", "check-si", "radii", "levelset-grad"])
 def test_a_size_that_cannot_be_allocated_exits_two(capsys, argv):
     code, out, err = run_cli(capsys, argv)
     assert code == 2
@@ -957,25 +957,67 @@ def test_a_size_that_cannot_be_allocated_exits_two(capsys, argv):
     assert err.startswith("siphkit: error: Unable to allocate")
 
 
-def test_a_ray_starting_on_the_reference_level_warns_nothing(capsys):
-    argv = ["decompose", "--gallery", "tanh_exp", "--n", "2", "--seed", "2",
-            "--N", "1000", "--x0-alt", "0.5,0.25"]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        code, out, err = run_cli(capsys, argv)
-    assert (code, err) == (1, "")
-    assert json.loads(out)["verdict"] == "fail"
+def _uniqueness_passed(doc):
+    return doc["metrics"]["uniqueness"]["passed"] is True
 
 
-def test_a_row_starting_on_the_reference_level_warns_nothing(capsys):
+def _two_sided(doc):
+    return doc["metrics"]["decomposition"]["case"] == "two-sided"
+
+
+# decompose runs: argv, exit code, the report's witness kinds (None: not
+# read), a pattern stderr must match ("": stderr empty) and a check of the
+# report.  Each runs with RuntimeWarning an error; no stderr holds a
+# traceback, and a run that exits 2 prints no report.
+_DECOMPOSE_RUNS = {
+    "random_si": (["--gallery", "random_si", "--n", "3", "--N", "2000",
+                   "--format", "json"], 0, [], "", None),
+    "x0-wrong-length": (["--gallery", "sphere", "--n", "3", "--x0", "1"], 2,
+                        None, "expected a vector of length 3", None),
+    "uniqueness": (["--gallery", "gauss_si", "--n", "4", "--N", "3000",
+                    "--x0-alt", "0.3,-0.7,0.5,0.2", "--format", "json"], 0, [],
+                   "", _uniqueness_passed),
+    "not-si": (["--expr", "x_1^2 + x_2^4", "--n", "2", "--N", "2000",
+                "--format", "json"], 1, ["residual_exceeded"], "", None),
+    # a ray that starts on the reference level of the alternate build
+    "ray-on-level": (["--gallery", "tanh_exp", "--n", "2", "--seed", "2",
+                      "--N", "1000", "--x0-alt", "0.5,0.25"], 1, None, "",
+                     None),
+    "huge-N": (["--gallery", "sphere", "--n", "2", "--N", _HUGE], 2, None,
+               "^siphkit: error: Unable to allocate", None),
+    "x0-inf": (["--gallery", "sphere", "--n", "2", "--x0", "inf,1"], 2, None,
+               "argument --x0: expected finite coordinates", None),
+    # p(X) seeded from the table along the reference ray, where phi has
+    # flat points at which the table's brackets straddle least
+    "saddle_si": (["--gallery", "saddle_si", "--n", "4", "--N", "5000",
+                   "--seed", "1572086986", "--format", "json"], 0, None, "",
+                  None),
+    # one table per sign class
+    "linear_x1": (["--gallery", "linear_x1", "--n", "3", "--N", "2000",
+                   "--format", "json"], 0, None, "", _two_sided),
     # 129 of the 300 rows start on the level of f(x0), so p = inf there
-    argv = ["decompose", "--gallery", "tanh_exp", "--n", "2", "--N", "300",
-            "--x0=0.5,0.3"]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        code, out, err = run_cli(capsys, argv)
-    assert (code, err) == (1, "")
-    assert json.loads(out)["verdict"] == "fail"
+    "row-on-level": (["--gallery", "tanh_exp", "--n", "2", "--N", "300",
+                      "--x0=0.5,0.3", "--format", "json"], 1, None, "", None),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("run", sorted(_DECOMPOSE_RUNS))
+def test_decompose_runs(capsys, run):
+    argv, want_code, kinds, err_text, check = _DECOMPOSE_RUNS[run]
+    code, out, err = run_cli(capsys, ["decompose"] + argv)
+    assert code == want_code
+    assert "Traceback" not in err
+    assert re.search(err_text, err) if err_text else err == ""
+    if code == 2:
+        assert out == ""
+        return
+    doc = json.loads(out)
+    assert doc["verdict"] == ("pass" if code == 0 else "fail")
+    if kinds is not None:
+        assert [w["kind"] for w in doc["witnesses"]] == kinds
+    if check is not None:
+        assert check(doc), doc["metrics"]
 
 
 def test_a_gradient_product_that_is_not_finite_is_witnessed(capsys):

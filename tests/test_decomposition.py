@@ -582,7 +582,7 @@ def test_solver_failures_do_not_carry_over_between_calls():
 
 
 # ---------------------------------------------------------------------------
-# the seeded p(rho z) solve and the reused p(X)
+# the certified p(rho z) and the reused p(X)
 
 
 def _record_p_values(monkeypatch, d):
@@ -592,10 +592,42 @@ def _record_p_values(monkeypatch, d):
     orig = d.p_blocks
 
     def recorded(count, blocks):
-        for (rows, X, guess), p in orig(count, blocks):
+        for (key, X, guess), p, f in orig(count, blocks):
             calls.append((np.array(X), guess, p))
-            yield (rows, X, guess), p
+            yield (key, X, guess), p, f
     monkeypatch.setattr(d, "p_blocks", recorded)
+    return calls
+
+
+def _record_scaled_p(monkeypatch, d):
+    """Record (Z, guess, certify, p, points, solves) for each d._scaled_p
+    call: the field points it evaluated outside root solves, and the rows
+    of each root solve it ran."""
+    calls, points, solves = [], [0], []
+    eval_batch = d.field._eval_batch
+    solve = decomposition.solve_monotone_batch
+
+    def counted_eval(X):
+        points[0] += len(X)
+        return eval_batch(X)
+
+    def counted_solve(profile, targets, *args, **kwargs):
+        solves.append(len(targets))
+        outside = points[0]
+        try:
+            return solve(profile, targets, *args, **kwargs)
+        finally:
+            points[0] = outside
+
+    def scaled_p(Z, guess, certify):
+        points[0] = 0
+        solves.clear()
+        p = Decomposition._scaled_p(d, Z, guess, certify)
+        calls.append((Z, guess, certify, p, points[0], list(solves)))
+        return p
+    monkeypatch.setattr(d.field, "_eval_batch", counted_eval)
+    monkeypatch.setattr(decomposition, "solve_monotone_batch", counted_solve)
+    monkeypatch.setattr(d, "_scaled_p", scaled_p)
     return calls
 
 
@@ -606,38 +638,93 @@ def test_seeded_homogeneity_solve_matches_the_cold_one(monkeypatch, field):
     plan = SamplingPlan(seed=11, n_samples=1500)
     d = build_decomposition(field, plan=plan)
     calls = _record_p_values(monkeypatch, d)
-    # live row evaluations of each root solve
-    evals = []
-    solve = decomposition.solve_monotone_batch
-
-    def counted(profile, *args, **kwargs):
-        evals.append([0, 0])
-
-        def prof(t):
-            evals[-1][0] += int(np.count_nonzero(~np.isnan(t)))
-            return profile(t)
-        res = solve(prof, *args, **kwargs)
-        evals[-1][1] = res.t.shape[0]
-        return res
-    monkeypatch.setattr(decomposition, "solve_monotone_batch", counted)
+    judged = _record_scaled_p(monkeypatch, d)
     check = verify_decomposition(field, d, plan)
-    (X, first_guess, p_x), (X_scaled, guess, p_scaled) = calls
-    assert first_guess is None and guess is not None
-    assert check.p_samples.tobytes() == p_x.tobytes()
-    # truly cold solves, with no guess and no table: p(rho z), then p(x)
+    # one pass: p(X) is solved once, and every p(rho z) is judged from it
+    [(X, guess, p_x)] = calls
+    assert guess is None and check.p_samples.tobytes() == p_x.tobytes()
+    [(Z, expected, certify, p_scaled, points, solves)] = judged
+    assert certify and (np.isfinite(expected) & (expected != 0)).all()
+    # every row certified: its class point g(rho z) and the two ends of its
+    # bracket, and no root solve
+    assert solves == [] and points == 3 * len(Z)
+    # truly cold solves of p(rho z), with no guess and no table
     monkeypatch.setattr(decomposition, "TABLE_MIN_ROWS", np.inf)
-    cold = Decomposition.p_values(d, X_scaled)
-    Decomposition.p_values(d, X)
+    cold = Decomposition.p_values(d, field.absolute(Z))
     scale = np.maximum(np.abs(cold), np.finfo(float).tiny)
     assert (np.abs(p_scaled - cold) <= 1e-13 * scale).all()
     assert check.max_ph_residual <= 1e-13
-    # one solve each for p(X), seeded from the table, and p(rho z): the
-    # bracket's two ends and two Chandrupatla steps per seeded row, with a
-    # few rows taking a third, against about 9 cold
-    (table_evals, rows), (seeded_evals, seeded_rows) = evals[:2]
-    cold_evals, cold_rows = evals[3]
-    assert seeded_rows == rows == cold_rows
-    assert seeded_evals <= 4.1 * rows and table_evals < cold_evals
+
+
+def test_a_ph_tol_below_the_bracket_bound_takes_the_seeded_solve(monkeypatch):
+    field = make_builtin("ellipsoid", 3)
+    plan = SamplingPlan(seed=5, n_samples=600)
+    d = build_decomposition(field, plan=plan, alpha=2.0)
+    bound = (1.0 - decomposition.GUESS_BAND) ** -2.0 - 1.0  # about 2e-9
+    judged = _record_scaled_p(monkeypatch, d)
+    check = verify_decomposition(field, d, plan, ph_tol=0.5 * bound)
+    [(Z, expected, certify, p_scaled, points, solves)] = judged
+    # one sign class: one seeded solve of every row, after the class points
+    assert not certify and solves == [len(Z)] and points == len(Z)
+    monkeypatch.setattr(decomposition, "TABLE_MIN_ROWS", np.inf)
+    seeded = Decomposition.p_values(d, field.absolute(Z), guess=expected)
+    assert p_scaled.tobytes() == seeded.tobytes()
+    assert check.max_ph_residual <= 1e-13 and check.witnesses == []
+    # a ph_tol at the bound certifies
+    verify_decomposition(field, d, plan, ph_tol=bound)
+    assert judged[-1][2]
+
+
+def _two_pass_verify(field, d, plan):
+    """verify_decomposition as two p_values passes over the whole sample:
+    p(X), then every p(rho z) root-solved from the guess rho^alpha p(z)."""
+    rng = plan.rng()
+    X = field.absolute(plan.box_points(field.n, rng=rng))
+    rho = plan.rhos(rng=rng)
+    p = d.p_values(X)
+    witnesses = list(d.solver_failures)
+    with np.errstate(invalid="ignore"):
+        comp = np.abs(field.values(X) - d.phi_values(p))
+    expected = rho ** d.alpha * p
+    p_scaled = d.p_values(field.absolute(rho[:, None] * (X - field.x_star)),
+                          guess=expected)
+    with np.errstate(invalid="ignore"):
+        ph = np.abs(p_scaled - expected) / (1.0 + np.abs(expected))
+    witnesses += [{"kind": "non_finite", "point": x.tolist()}
+                  for x in X[np.isnan(comp)][:4]]
+    ok = p != 0
+    comp_max = float(comp[ok & ~np.isnan(comp)].max())
+    ph_max = float(ph[ok & ~np.isnan(ph)].max())
+    if not (comp_max <= 1e-7 and ph_max <= 1e-7):
+        witnesses.append({"kind": "residual_exceeded"})
+    return comp_max, ph_max, witnesses
+
+
+def test_rho_z_rows_of_the_other_sign_class_are_judged_as_the_seeded_solve(
+        monkeypatch):
+    # g = x_1 (|x| - 1) changes sign along each ray at |x| = 1, so rho z and
+    # z fall in different sign classes when rho moves the row across the
+    # unit circle; build_decomposition rejects such rays
+    f = bind("x_1*(norm(x)-1)", 2)
+    pos, neg = (ReferenceInfo(point=np.array([x, 0.0]), value=f.shifted([x, 0.0]),
+                              increasing=x > 0) for x in (2.0, -2.0))
+    d, ref = (Decomposition(f, 1.0, "two-sided", positive_ref=pos,
+                            negative_ref=neg) for _ in range(2))
+    plan = SamplingPlan(seed=3, n_samples=2000)
+    judged = _record_scaled_p(monkeypatch, d)
+    check = verify_decomposition(f, d, plan)
+    [(Z, expected, certify, p_scaled, _, solves)] = judged
+    live = np.isfinite(expected) & (expected != 0)
+    switched = live & (np.sign(f.shifted_values(Z)) == -np.sign(expected))
+    assert certify and switched.sum() >= 100 and solves
+    comp, ph, witnesses = _two_pass_verify(f, ref, plan)
+    assert check.max_composition_residual == comp
+    assert round(comp, 4) == 0.3596
+    assert (check.max_ph_residual <= 1e-7) == (ph <= 1e-7)
+    kinds = [w["kind"] for w in check.witnesses]
+    assert kinds == [w["kind"] for w in witnesses]
+    assert "unbounded_ray" in kinds and kinds[-1] == "residual_exceeded"
+    assert check.witnesses[:-1] == witnesses[:-1]
 
 
 def test_a_guess_only_seeds_the_solve(monkeypatch):
@@ -863,7 +950,7 @@ def test_verify_and_uniqueness_draw_the_same_points_first(monkeypatch):
     seen2 = _record_p_values(monkeypatch, d2)
     check = verify_decomposition(f, d1, plan)
     uniqueness_check(f, d1, d2, plan, p1=check.p_samples)
-    assert len(seen1) == 2 and len(seen2) == 1  # p1 is not solved again
+    assert len(seen1) == 1 and len(seen2) == 1  # p1 is not solved again
     assert seen2[0][0].tobytes() == seen1[0][0].tobytes()
 
 

@@ -233,3 +233,35 @@ def test_ray_values_evaluate_only_the_live_rows():
     assert np.isnan(f.ray_values(np.full(3, np.nan), M)).all() and seen == []
     t = np.array([2.0, 1.0, 0.5])
     assert f.ray_values(t, M).tobytes() == f.shifted_values(t[:, None] * M).tobytes()
+
+
+def _signed_field(x_star):
+    # copysign reads the sign of a zero: a -0.0 coordinate that reached f
+    # would change its value
+    def fn(X):
+        return ((np.copysign(1.0, X) * (1.0 + X * X)).sum(axis=-1)
+                + np.sin(X[:, 0] * X[:, 2]))
+    return ScalarField(3, fn, x_star=x_star, vectorized=True)
+
+
+@pytest.mark.parametrize("x_star", [None, [0.5, -0.0, -2.0], [-0.0, 0.0, 0.0]],
+                         ids=["origin", "shifted", "negative-zero"])
+@pytest.mark.parametrize("broadcast", [False, True], ids=["rows", "broadcast"])
+def test_ray_values_give_the_bits_of_shifted_values(x_star, broadcast):
+    f = _signed_field(x_star)
+    rng = np.random.default_rng(7)
+    if broadcast:  # one ray, as the table along a reference ray passes it
+        M = np.broadcast_to(np.array([-0.0, 0.3, -1.7]), (64, 3))
+    else:
+        M = rng.normal(size=(64, 3))
+        M[::5, 1] = -0.0
+        M[::7, 2] = 0.0
+    t = rng.uniform(0.0, 3.0, 64)
+    t[[0, 9]] = 0.0
+    for nan_rows in ([], [1, 2, 40, 63]):
+        t[nan_rows] = np.nan
+        live = ~np.isnan(t)
+        got = f.ray_values(t, M)
+        want = f.shifted_values(t[:, None] * M)
+        assert got[live].tobytes() == want[live].tobytes()
+        assert np.isnan(got[~live]).all()

@@ -227,18 +227,21 @@ def test_euler_witnesses_fill_from_several_blocks():
 
 
 def one_shot_verify(field, d, plan):
-    """verify_decomposition with every sample drawn at once and each pass
-    of p solved in one call."""
+    """verify_decomposition with every sample drawn at once, p solved in
+    one call and every p(rho z) judged in one call."""
     rng = plan.rng()
     X = field.absolute(plan.box_points(field.n, rng=rng))
     rho = plan.rhos(rng=rng)
     p_vals = d.p_values(X)
     witnesses = list(d.solver_failures)
+    # f where p read it, at x_star + (X - x_star)
+    f = field.values(field.absolute(X - field.x_star))
     with np.errstate(invalid="ignore"):
-        comp = np.abs(field.values(X) - d.phi_values(p_vals))
+        comp = np.abs(f - d.phi_values(p_vals))
     expected = rho ** d.alpha * p_vals
-    p_scaled = d.p_values(field.absolute(rho[:, None] * (X - field.x_star)),
-                          guess=expected)
+    Z = field.absolute(rho[:, None] * (X - field.x_star)) - field.x_star
+    # the default ph_tol is above the bracket bound: straddling rows certify
+    p_scaled = d._scaled_p(Z, expected, certify=True)
     with np.errstate(invalid="ignore"):
         ph = np.abs(p_scaled - expected) / (1.0 + np.abs(expected))
     witnesses += row_witnesses(np.isnan(comp), "non_finite", FEW_WITNESSES,
@@ -444,11 +447,11 @@ def test_a_p_values_call_between_blocks_is_solved_on_its_own():
     def points():
         return ((rows, field.absolute(Z), None)
                 for rows, Z in sample_blocks(plan, 3))
-    want_sample = [p for _, p in alone.p_blocks(plan.n_samples, points)]
+    want_sample = [p for _, p, _ in alone.p_blocks(plan.n_samples, points)]
     want_sample_failures = alone.solver_failures
 
     got_sample = []
-    for k, (_, p) in enumerate(d.p_blocks(plan.n_samples, points)):
+    for k, (_, p, _) in enumerate(d.p_blocks(plan.n_samples, points)):
         got_sample.append(p)
         if k == 0:
             assert d.p_values(X).tobytes() == want_p.tobytes()
