@@ -30,7 +30,7 @@ from .rootfind import (BELOW_START, MAX_DOUBLINGS, OK, UNBOUNDED,
 ZERO_LEVEL_ATOL = 1e-12
 # uniqueness_check: largest coefficient of variation of p1/p2 in a class
 UNIQUENESS_CV_TOL = 1e-6
-# p_values: half-width, relative, of the bracket around a guessed lambda
+# _scaled_p: half-width, relative, of the bracket around a guessed lambda
 GUESS_BAND = 1e-9
 # p_values: the table of g along a sign class's reference ray, built for
 # classes of at least TABLE_MIN_ROWS rows; its points per octave of s, and
@@ -110,36 +110,29 @@ class Decomposition:
             return ((self.positive_ref, 1.0, (g != 0) & ~np.isnan(g)),)
         return ((self.positive_ref, 1.0, g > 0), (self.negative_ref, -1.0, g < 0))
 
-    def p_values(self, X, guess=None) -> np.ndarray:
+    def p_values(self, X) -> np.ndarray:
         """Canonical p over an (N, n) batch of absolute points.
 
-        ``guess``, optional, is an estimate of p per row, such as
-        rho**alpha p(z) for the point x_star + rho z.  It only seeds the root
-        solve: lambda-hat = |guess|**(-1/alpha) gives the bracket
-        lambda-hat (1 -+ GUESS_BAND), whose ends are evaluated on the row's
-        own ray.
-
-        A sign class of at least ``TABLE_MIN_ROWS`` rows also has a table of
-        g along its reference ray.  Since f = phi o p, g(z) = g(s x0) means
+        A sign class of at least ``TABLE_MIN_ROWS`` rows has a table of g
+        along its reference ray.  Since f = phi o p, g(z) = g(s x0) means
         lambda(z) = 1/s, so the level g(z), already known, gives the bracket
         (1 -+ TABLE_BAND) / s-hat (see ``_table_scales``).  A row whose
-        guess does not straddle its root tries the table's bracket, and a
-        row whose table bracket does not either -- a level off the table, a
+        table bracket does not straddle its root -- a level off the table, a
         field that is not SI -- is solved from the cold bracket, as are the
-        rows of a smaller class.  So a wrong guess gives the bits of no
-        guess, and every root is a sign change on the row's own ray.
+        rows of a smaller class.  So every root is a sign change on the
+        row's own ray.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        [(_, p, _)] = self.p_blocks(len(X), lambda: [(None, X, guess)])
+        [(_, p, _)] = self.p_blocks(len(X), lambda: [(None, X)])
         return p
 
     def p_blocks(self, count: int, blocks):
         """p over a sample of ``count`` rows, solved block by block as one
         ``p_values`` call over the sample would solve it: yields (block, p,
-        f) for each block (key, X, guess) of ``blocks()``, key whatever the
-        caller needs back (such as the block's rows), X the block's absolute
-        points, guess None or as in ``p_values``, and f the field's values
-        that gave the levels g = f - f(x_star), at x_star + (X - x_star).
+        f) for each block (key, X) of ``blocks()``, key whatever the caller
+        needs back (such as the block's rows), X the block's absolute
+        points, and f the field's values that gave the levels g = f -
+        f(x_star), at x_star + (X - x_star).
 
         A class has a table when the whole sample has ``TABLE_MIN_ROWS`` rows
         of it: the first block decides that when it is the whole sample or
@@ -150,7 +143,7 @@ class Decomposition:
         """
         tables, failures = None, ([], [])
         for block in blocks():
-            _, X, guess = block
+            _, X = block
             Z = X - self.field.x_star
             f = self.field.values(self.field.absolute(Z))
             g = self.field.minus_f_star(f)
@@ -163,44 +156,39 @@ class Decomposition:
                 counts = [np.count_nonzero(cls) for _, _, cls in classes]
                 if min(counts) < TABLE_MIN_ROWS and len(X) < count:
                     counts = [0] * len(classes)
-                    for _, Y, _ in blocks():
+                    for _, Y in blocks():
                         h = self.field.shifted_values(Y - self.field.x_star)
                         counts = [c + np.count_nonzero(cls) for c, (_, _, cls)
                                   in zip(counts, self._classes(h))]
                         if min(counts) >= TABLE_MIN_ROWS:
                             break
                 tables = [c >= TABLE_MIN_ROWS for c in counts]
-            lo = hi = None
-            if guess is not None:
-                with np.errstate(all="ignore"):
-                    lam = np.abs(np.broadcast_to(np.asarray(guess, dtype=float),
-                                                 p.shape)) ** (-1.0 / self.alpha)
-                lo, hi = lam * (1.0 - GUESS_BAND), lam * (1.0 + GUESS_BAND)
             p[np.isnan(g)] = np.nan
             for (ref, sign, cls), table, found in zip(classes, tables, failures):
                 if cls.any():
-                    brackets = [] if guess is None else [(lo[cls], hi[cls])]
-                    if table:
-                        brackets.append(self._table_bracket(ref, g[cls]))
-                    lam = self._solve_lambdas(Z[cls], ref, brackets, found)
-                    # lambda = 0 (the ray starts on the reference level): p = inf
-                    with np.errstate(divide="ignore"):
+                    bracket = self._table_bracket(ref, g[cls]) if table else None
+                    lam = self._solve_lambdas(Z[cls], ref, bracket, found)
+                    # lambda = 0 (the ray starts on the reference level), or
+                    # a huge alpha: p = inf
+                    with np.errstate(divide="ignore", over="ignore"):
                         p[cls] = sign * (1.0 / lam) ** self.alpha
             yield block, p, f
         self.solver_failures = (failures[0] + failures[1])[:MAX_WITNESSES]
 
     def _scaled_p(self, Z: np.ndarray, guess: np.ndarray,
                   certify: bool) -> np.ndarray:
-        """p at the offsets Z, each row seeded by its guess as in
-        ``p_values``, on the rows where the guess is finite and nonzero; 0
-        on the others.  Failures are not kept.
+        """p at the offsets Z, each row seeded by its guess of p, on the
+        rows where the guess is finite and nonzero; 0 on the others.
+        Failures are not kept, and no table is tried.
 
-        With ``certify``, a row whose bracket lambda-hat (1 -+ GUESS_BAND)
-        straddles its class level on its own ray is not solved: the two ends
-        prove a root between them, and lambda is read from one secant step
-        there.  Its other rows are solved cold, as the seeded solve goes on
-        to solve a row whose bracket does not straddle, but with no table.
-        Without ``certify`` every row takes the seeded solve, with no table.
+        A guess gives lambda-hat = |guess|**(-1/alpha) and the bracket
+        lambda-hat (1 -+ GUESS_BAND), whose ends are evaluated on the row's
+        own ray.  With ``certify``, a row whose bracket straddles its class
+        level is not solved: the two ends prove a root between them, and
+        lambda is read from one secant step there.  Its other rows are
+        solved cold, as the seeded solve goes on to solve a row whose
+        bracket does not straddle.  Without ``certify`` every row takes the
+        seeded solve.
         """
         p = np.zeros(len(Z))
         live = np.isfinite(guess) & (guess != 0)
@@ -242,15 +230,11 @@ class Decomposition:
         p[live] = q
         return p
 
-    def _table_bracket(self, ref: ReferenceInfo, h: np.ndarray):
-        """The table's bracket candidate for rows with levels ``h``: a
-        function of the rows the solver asks for, so that the table grows
-        only if some row needs it, to those rows' levels."""
-
-        def bracket(rows):
-            lam = 1.0 / self._table_scales(ref, h[rows])
-            return lam * (1.0 - TABLE_BAND), lam * (1.0 + TABLE_BAND)
-        return bracket
+    def _table_bracket(self, ref: ReferenceInfo, h: np.ndarray) -> tuple:
+        """The table's bracket (lo, hi) for rows with levels ``h``, the
+        table grown to reach them."""
+        lam = 1.0 / self._table_scales(ref, h)
+        return lam * (1.0 - TABLE_BAND), lam * (1.0 + TABLE_BAND)
 
     def _table_scales(self, ref: ReferenceInfo, h: np.ndarray) -> np.ndarray:
         """For each level of ``h``, the s with g(s x0) = h on the reference
@@ -520,10 +504,10 @@ class DecompositionCheck:
 
 
 def _box_blocks(field: ScalarField, plan: SamplingPlan):
-    """The blocks (rows, X, None) of the plan's absolute box points X, as
+    """The blocks (rows, X) of the plan's absolute box points X, as
     ``Decomposition.p_blocks`` takes them."""
     for rows, Z in sample_blocks(plan, field.n):
-        yield rows, field.absolute(Z), None
+        yield rows, field.absolute(Z)
 
 
 def _max_over(values: np.ndarray, rows: np.ndarray, running: float) -> float:
@@ -552,11 +536,10 @@ def verify_decomposition(field: ScalarField, d: Decomposition,
     level there is certified by those two ends, and its defect is read from
     one secant step inside the bracket, so it is at most the bracket's
     bound (1 - GUESS_BAND)^-alpha - 1 (up to rounding).  The other rows are
-    solved cold, as the seeded solve of ``Decomposition.p_values`` goes on
-    to solve a row whose bracket does not straddle (no table is tried).
-    When the bound exceeds ``ph_tol`` no row is certified: every row takes
-    the seeded solve, so no verdict rests on a bracket finer than the one
-    it proves.  A row where p(z) is 0, nan or infinite is not solved: its
+    solved cold, with no table (see ``Decomposition._scaled_p``).  When the
+    bound exceeds ``ph_tol`` no row is certified: every row takes the
+    seeded solve, so no verdict rests on a bracket finer than the one it
+    proves.  A row where p(z) is 0, nan or infinite is not solved: its
     defect enters no maximum, or is 0 in the zero case.
 
     One pass draws the samples in blocks of rows, rho after the points.  f
@@ -574,9 +557,9 @@ def verify_decomposition(field: ScalarField, d: Decomposition,
 
     def blocks():  # the box points, each block with its rho
         for rows, Z, rho in sample_blocks(plan, field.n, (1, plan.rhos)):
-            yield (rows, rho), field.absolute(Z), None
+            yield (rows, rho), field.absolute(Z)
 
-    for ((rows, rho), X, _), p, f in d.p_blocks(count, blocks):
+    for ((rows, rho), X), p, f in d.p_blocks(count, blocks):
         p_vals[rows] = p
         with np.errstate(invalid="ignore"):  # inf - inf: a non_finite row
             comp = np.abs(f - d.phi_values(p))
@@ -588,8 +571,11 @@ def verify_decomposition(field: ScalarField, d: Decomposition,
         compared += int(np.count_nonzero(ok))
         comp_max = _max_over(comp, ok, comp_max)
 
-        expected = rho ** d.alpha * p
-        # the offsets of the points x_star + rho z, as p_values takes them
+        # a huge alpha: rho^alpha overflows or underflows, inf * 0 is nan,
+        # and a row whose expected p is not finite is not solved
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = rho ** d.alpha * p
+        # the offsets of the points x_star + rho z, as _scaled_p takes them
         Z = field.absolute(rho[:, None] * (X - field.x_star)) - field.x_star
         p_scaled = d._scaled_p(Z, expected, certify)
         with np.errstate(invalid="ignore"):  # p = inf on the reference level
@@ -647,7 +633,7 @@ def uniqueness_check(field: ScalarField, d1: Decomposition, d2: Decomposition,
 
     if p1 is None:
         p1 = np.empty(count)
-        for (rows, _, _), p, _ in d1.p_blocks(count, points):
+        for (rows, _), p, _ in d1.p_blocks(count, points):
             p1[rows] = p
     floor = 1e-9
     # each class by name: the rows where sign * p1 > floor, |p1| for sign 0
@@ -656,7 +642,7 @@ def uniqueness_check(field: ScalarField, d1: Decomposition, d2: Decomposition,
     # each class's ratios in row order, and whether it has p1 rows at all
     ratios = {name: np.empty(count) for name in signs}
     filled, seen = dict.fromkeys(signs, 0), dict.fromkeys(signs, False)
-    for (rows, _, _), q2, _ in d2.p_blocks(count, points):
+    for (rows, _), q2, _ in d2.p_blocks(count, points):
         q1 = p1[rows]
         for name, sign in signs.items():
             mask = ((sign * q1 if sign else np.abs(q1)) > floor) & np.isfinite(q1)

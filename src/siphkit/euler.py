@@ -153,7 +153,7 @@ def general_euler_residual(field: ScalarField, d: Decomposition,
 
     col = np.empty(count)  # p, then the residual of each kept sample
     scale = 0.0
-    for (rows, _, _), p, _ in d.p_blocks(count, lambda: _box_blocks(field, plan)):
+    for (rows, _), p, _ in d.p_blocks(count, lambda: _box_blocks(field, plan)):
         col[rows] = p
         finite = p[np.isfinite(p)]
         if finite.size:

@@ -477,6 +477,59 @@ def test_levelset_radii_names_a_constant_ray_at_the_level_whole_ray(capsys):
     assert len(doc["witnesses"]) == statuses.count("whole-ray")
 
 
+def _radii(doc):
+    return doc["metrics"]["radii"]
+
+
+# levelset radii runs: argv ("{tmp}" is a scratch directory), exit code,
+# the report's witness kinds, and a check of the report.  Each runs with
+# RuntimeWarning an error and leaves stderr empty; every report is a fixed
+# point of json.dumps(json.loads(t), indent=2), each record list written
+# through its record array's one template, the nan cells as "nan".
+_LEVELSET_RADII_RUNS = {
+    "500-records": (["--gallery", "sphere", "--n", "3", "--level", "4",
+                     "--directions", "500"], 0, [],
+                    lambda doc: len(_radii(doc)) == 500),
+    # the level -1 lies below f on every ray: "nan" radii and residuals
+    "nan-cells": (["--gallery", "sphere", "--n", "2", "--level", "-1",
+                   "--directions", "20"], 0, [],
+                  lambda doc: json.dumps(doc).count('"nan"') == 40),
+    # the level f(x_star) = 0 is reached at radius 0 on every ray
+    "level-f-star": (["--gallery", "sphere", "--n", "2", "--level", "0",
+                      "--directions", "8"], 0, [],
+                     lambda doc: len(_radii(doc)) == 8 and all(
+                         r["status"] == "ok" and r["radius"] == 0.0
+                         for r in _radii(doc))),
+    # the config echoes --directions, and neither the --sweep-csv path nor
+    # a seed_source
+    "config-echo": (["--gallery", "sphere", "--n", "2", "--level", "1",
+                     "--directions", "7", "--sweep-csv", "{tmp}/sweep.csv"],
+                    0, [], lambda doc: doc["config"]["directions"] == 7
+                    and "sweep_csv" not in doc["config"]
+                    and "seed_source" not in doc["config"]),
+    # rays with x_1 < 0 jump over the level
+    "discontinuous": (["--gallery", "tanh_exp", "--n", "2", "--level", "0.5",
+                       "--directions", "16"], 1, ["discontinuous_ray"] * 11,
+                      None),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("run", sorted(_LEVELSET_RADII_RUNS))
+def test_levelset_radii_runs(capsys, tmp_path, run):
+    argv, want_code, kinds, check = _LEVELSET_RADII_RUNS[run]
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    code, out, err = run_cli(capsys, ["levelset", "radii", *argv,
+                                      "--format", "json"])
+    assert (code, err) == (want_code, "")
+    doc = json.loads(out)
+    assert json.dumps(doc, indent=2) + "\n" == out
+    assert doc["verdict"] == ("pass" if code == 0 else "fail")
+    assert [w["kind"] for w in doc["witnesses"]] == kinds
+    if check is not None:
+        assert check(doc), doc["metrics"]
+
+
 def test_levelset_compact_bounded_radius(capsys):
     code, doc = run_json(capsys, ["levelset", "compact", "--gallery", "sphere",
                                   "--level", "4"])
@@ -868,12 +921,24 @@ def test_importing_the_cli_does_not_load_scipy_optimize():
     assert out.strip() == "[]"
 
 
-def _fresh_python(code, *args):
-    """Run `python -c code *args` on this process's siphkit; returns stdout."""
+def _fresh_python(code, *args, **env):
+    """Run `python -c code *args` on this process's siphkit, with the
+    environment variables ``env`` added; returns stdout."""
     src = os.path.dirname(os.path.dirname(siphkit.__file__))
     return subprocess.run([sys.executable, "-c", code, *args],
                           capture_output=True, text=True, check=True,
-                          env={**os.environ, "PYTHONPATH": src}).stdout
+                          env={**os.environ, "PYTHONPATH": src, **env}).stdout
+
+
+def test_the_benchmark_tracer_finds_every_name_it_wraps():
+    # perfbench/tracer.py wraps siphkit functions by name, and install()
+    # raises when one of them is gone
+    perfbench = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "perfbench")
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import tracer; "
+            "print(len(tracer.install().bindings))")
+    out = _fresh_python(code, perfbench, PYTHONDONTWRITEBYTECODE="1")
+    assert int(out) > 0
 
 
 def test_importing_the_cli_does_not_load_scipy_special():
@@ -998,6 +1063,19 @@ _DECOMPOSE_RUNS = {
     # 129 of the 300 rows start on the level of f(x0), so p = inf there
     "row-on-level": (["--gallery", "tanh_exp", "--n", "2", "--N", "300",
                       "--x0=0.5,0.3", "--format", "json"], 1, None, "", None),
+    # rho^alpha overflows at a huge alpha, and at 1e308 so does p
+    "alpha-400": (["--gallery", "sphere", "--n", "2", "--N", "200",
+                   "--alpha", "400", "--format", "json"], 0, [], "", None),
+    "alpha-400-x0-alt": (["--gallery", "sphere", "--n", "2", "--N", "200",
+                          "--alpha", "400", "--x0-alt", "0.3,0.5",
+                          "--format", "json"], 0, [], "", None),
+    "alpha-1e308": (["--gallery", "sphere", "--n", "2", "--N", "200",
+                     "--alpha", "1e308", "--format", "json"], 1,
+                    ["residual_exceeded"], "", None),
+    "alpha-1e308-x0-alt": (["--gallery", "sphere", "--n", "2", "--N", "200",
+                            "--alpha", "1e308", "--x0-alt", "0.3,0.5",
+                            "--format", "json"], 1, ["residual_exceeded"], "",
+                           None),
 }
 
 
@@ -1020,6 +1098,7 @@ def test_decompose_runs(capsys, run):
         assert check(doc), doc["metrics"]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_a_gradient_product_that_is_not_finite_is_witnessed(capsys):
     # every level point of half_norm at level 0 is x_star, where the
     # central difference of the gradient is nan; the point is taken once
@@ -1063,6 +1142,17 @@ def test_general_euler_where_every_p_underflows_fails_without_warning(capsys):
     doc = json.loads(out)
     assert [w["kind"] for w in doc["witnesses"]] == ["general_euler_residual"]
     assert (doc["metrics"]["n_samples"], doc["metrics"]["excluded"]) == (0, 50)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_general_euler_at_a_huge_alpha_warns_nothing(capsys):
+    # p = lambda^-alpha overflows to inf or underflows to 0 on every sample
+    code, doc = run_json(capsys, ["verify", "general-euler", "--gallery",
+                                  "sphere", "--n", "2", "--N", "200",
+                                  "--alpha", "1e308"])
+    assert code == 1
+    assert [w["kind"] for w in doc["witnesses"]] == (
+        ["non_finite"] * 4 + ["general_euler_residual"])
 
 
 def test_a_decomposition_where_f_overflows_warns_nothing(capsys):

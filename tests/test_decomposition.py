@@ -586,15 +586,15 @@ def test_solver_failures_do_not_carry_over_between_calls():
 
 
 def _record_p_values(monkeypatch, d):
-    """Record (X, guess, p) for each block of rows d solves p over, in
-    d.p_blocks; a d.p_values call is one block."""
+    """Record (X, p) for each block of rows d solves p over, in d.p_blocks;
+    a d.p_values call is one block."""
     calls = []
     orig = d.p_blocks
 
     def recorded(count, blocks):
-        for (key, X, guess), p, f in orig(count, blocks):
-            calls.append((np.array(X), guess, p))
-            yield (key, X, guess), p, f
+        for (key, X), p, f in orig(count, blocks):
+            calls.append((np.array(X), p))
+            yield (key, X), p, f
     monkeypatch.setattr(d, "p_blocks", recorded)
     return calls
 
@@ -641,8 +641,8 @@ def test_seeded_homogeneity_solve_matches_the_cold_one(monkeypatch, field):
     judged = _record_scaled_p(monkeypatch, d)
     check = verify_decomposition(field, d, plan)
     # one pass: p(X) is solved once, and every p(rho z) is judged from it
-    [(X, guess, p_x)] = calls
-    assert guess is None and check.p_samples.tobytes() == p_x.tobytes()
+    [(X, p_x)] = calls
+    assert check.p_samples.tobytes() == p_x.tobytes()
     [(Z, expected, certify, p_scaled, points, solves)] = judged
     assert certify and (np.isfinite(expected) & (expected != 0)).all()
     # every row certified: its class point g(rho z) and the two ends of its
@@ -666,8 +666,7 @@ def test_a_ph_tol_below_the_bracket_bound_takes_the_seeded_solve(monkeypatch):
     [(Z, expected, certify, p_scaled, points, solves)] = judged
     # one sign class: one seeded solve of every row, after the class points
     assert not certify and solves == [len(Z)] and points == len(Z)
-    monkeypatch.setattr(decomposition, "TABLE_MIN_ROWS", np.inf)
-    seeded = Decomposition.p_values(d, field.absolute(Z), guess=expected)
+    seeded = _seeded_p(d, field.absolute(Z), expected)
     assert p_scaled.tobytes() == seeded.tobytes()
     assert check.max_ph_residual <= 1e-13 and check.witnesses == []
     # a ph_tol at the bound certifies
@@ -675,9 +674,30 @@ def test_a_ph_tol_below_the_bracket_bound_takes_the_seeded_solve(monkeypatch):
     assert judged[-1][2]
 
 
+def _seeded_p(d, X, guess):
+    """p from a root solve of each row of X on its own ray, seeded by the
+    bracket lambda-hat (1 -+ GUESS_BAND) of its guess, lambda-hat =
+    |guess|**(-1/alpha), with no table."""
+    Z = X - d.field.x_star
+    g = d.field.shifted_values(Z)
+    band = decomposition.GUESS_BAND
+    with np.errstate(divide="ignore", over="ignore"):
+        lam_hat = np.abs(guess) ** (-1.0 / d.alpha)
+    p = np.where(np.isnan(g), np.nan, 0.0)
+    for ref, sign, cls in d._classes(g):
+        res = solve_monotone_batch(
+            lambda t: d.field.ray_values(t, Z[cls]),
+            np.full(np.count_nonzero(cls), ref.value), ref.increasing,
+            bracket=(lam_hat[cls] * (1.0 - band), lam_hat[cls] * (1.0 + band)))
+        lam = np.where(res.status == OK, res.t, np.nan)
+        with np.errstate(divide="ignore"):
+            p[cls] = sign * (1.0 / lam) ** d.alpha
+    return p
+
+
 def _two_pass_verify(field, d, plan):
-    """verify_decomposition as two p_values passes over the whole sample:
-    p(X), then every p(rho z) root-solved from the guess rho^alpha p(z)."""
+    """verify_decomposition as two passes over the whole sample: p(X), then
+    every p(rho z) root-solved from the guess rho^alpha p(z)."""
     rng = plan.rng()
     X = field.absolute(plan.box_points(field.n, rng=rng))
     rho = plan.rhos(rng=rng)
@@ -686,8 +706,8 @@ def _two_pass_verify(field, d, plan):
     with np.errstate(invalid="ignore"):
         comp = np.abs(field.values(X) - d.phi_values(p))
     expected = rho ** d.alpha * p
-    p_scaled = d.p_values(field.absolute(rho[:, None] * (X - field.x_star)),
-                          guess=expected)
+    p_scaled = _seeded_p(d, field.absolute(rho[:, None] * (X - field.x_star)),
+                         expected)
     with np.errstate(invalid="ignore"):
         ph = np.abs(p_scaled - expected) / (1.0 + np.abs(expected))
     witnesses += [{"kind": "non_finite", "point": x.tolist()}
@@ -728,16 +748,23 @@ def test_rho_z_rows_of_the_other_sign_class_are_judged_as_the_seeded_solve(
 
 
 def test_a_guess_only_seeds_the_solve(monkeypatch):
-    # wrong, zero, nan and infinite guesses all fall back to the cold solve
+    # wrong guesses fall back to the cold solve with no table; zero, nan
+    # and infinite ones are not solved
     f = make_builtin("gauss_si", 3)
     d = build_decomposition(f)
-    X = SamplingPlan(seed=5, n_samples=40).box_points(3)
-    cold = d.p_values(X)
-    for guess in (2.0 * cold, 0.5 * cold, np.zeros(40), np.full(40, np.nan),
-                  np.full(40, np.inf)):
-        assert d.p_values(X, guess=guess).tobytes() == cold.tobytes()
-    seeded = d.p_values(X, guess=cold)
-    np.testing.assert_allclose(seeded, cold, rtol=1e-13)
+    Z = SamplingPlan(seed=5, n_samples=40).box_points(3)
+    cold = _cold_p(d, f.absolute(Z), d.positive_ref)
+    judged = _record_scaled_p(monkeypatch, d)
+    for certify in (True, False):
+        for guess in (2.0 * cold, 0.5 * cold):
+            assert d._scaled_p(Z, guess, certify).tobytes() == cold.tobytes()
+            assert judged[-1][5]  # a root solve ran
+        for guess in (np.zeros(40), np.full(40, np.nan), np.full(40, np.inf)):
+            p = d._scaled_p(Z, guess, certify)
+            assert p.tobytes() == np.zeros(40).tobytes()
+            assert judged[-1][4:] == (0, [])  # no field point, no root solve
+        np.testing.assert_allclose(d._scaled_p(Z, cold, certify), cold,
+                                   rtol=1e-13)
 
 
 def test_a_field_that_is_not_si_still_fails_on_composition(capsys):
@@ -828,19 +855,18 @@ def test_rows_of_a_field_that_is_not_si_are_solved_on_their_own_rays():
     np.testing.assert_allclose(p[seeded], cold[seeded], rtol=1e-13)
 
 
-def test_a_wrong_guess_falls_back_to_the_table_bit_for_bit():
+def test_a_table_grown_by_another_call_gives_the_same_bits():
     f = make_builtin("ellipsoid", 4)
-    d = build_decomposition(f)
+    d, fresh = build_decomposition(f), build_decomposition(f)
     X = SamplingPlan(seed=13, n_samples=300).box_points(4)
     seeded = d.p_values(X)
-    for guess in (2.0 * seeded, np.full(300, np.nan)):
-        assert d.p_values(X, guess=guess).tobytes() == seeded.tobytes()
-    # the table is then fitted to the levels of the rows the guess missed,
-    # over fewer octaves
-    missed = seeded < np.quantile(seeded, 0.3)
-    p = d.p_values(X, guess=np.where(missed, 0.5 * seeded, seeded))
-    assert p[missed].tobytes() == seeded[missed].tobytes()
-    np.testing.assert_allclose(p[~missed], seeded[~missed], rtol=1e-13)
+    # a table fitted to the levels of fewer rows, over fewer octaves, then
+    # grown to all of them
+    low = seeded < np.quantile(seeded, 0.3)
+    assert low.sum() >= decomposition.TABLE_MIN_ROWS
+    assert fresh.p_values(X[low]).tobytes() == seeded[low].tobytes()
+    assert fresh.p_values(X).tobytes() == seeded.tobytes()
+    assert d.p_values(X[low]).tobytes() == seeded[low].tobytes()
     # small batches are solved without a table, as before
     small = X[:decomposition.TABLE_MIN_ROWS - 1]
     assert d.p_values(small).tobytes() == _cold_p(d, small, d.positive_ref).tobytes()

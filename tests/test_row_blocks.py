@@ -445,7 +445,7 @@ def test_a_p_values_call_between_blocks_is_solved_on_its_own():
     assert [w["kind"] for w in want_failures] == ["unbounded_ray"] * 2
 
     def points():
-        return ((rows, field.absolute(Z), None)
+        return ((rows, field.absolute(Z))
                 for rows, Z in sample_blocks(plan, 3))
     want_sample = [p for _, p, _ in alone.p_blocks(plan.n_samples, points)]
     want_sample_failures = alone.solver_failures
