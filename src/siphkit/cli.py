@@ -269,7 +269,6 @@ def _cmd_decompose(args, field, plan):
             return metrics, witnesses
         uq = uniqueness_check(field, d, d2, plan, p1=check.p_samples)
         metrics["uniqueness"] = _fields(uq)
-        witnesses += [{**w, "which": "alternate"} for w in d2.solver_failures]
         witnesses += uq.witnesses
     return metrics, witnesses
 

@@ -317,7 +317,9 @@ class Decomposition:
         pos = (T >= 0) | (self.case == "one-sided")
         neg = self.positive_ref if self.case == "one-sided" else self.negative_ref
         P = np.where(pos[:, None], self.positive_ref.point, neg.point)
-        radii = np.where(pos, T, -T) ** (1.0 / self.alpha)
+        # a tiny alpha makes 1/alpha huge: radii past the float max are inf
+        with np.errstate(over="ignore"):
+            radii = np.where(pos, T, -T) ** (1.0 / self.alpha)
         return self.field._eval_batch(self.field.absolute(radii[:, None] * P))
 
     def phi(self, t: float) -> float:
@@ -613,6 +615,9 @@ def uniqueness_check(field: ScalarField, d1: Decomposition, d2: Decomposition,
     one-sided case, one per sign class in the two-sided case); the report
     carries each class's mean ratio and coefficient of variation, and a
     ``uniqueness_violation`` witness when some class is not constant.
+    ``passed`` is that ratio test alone; ahead of its witness are the
+    ``solver_failures`` of each p solved here: d1's when p1 is not
+    given, then d2's, tagged ``"which": "alternate"``.
 
     The samples are the plan's box points, drawn in blocks of rows; p2 is
     solved block by block.  ``p1``, optional, is d1's p at them, such as
@@ -631,10 +636,12 @@ def uniqueness_check(field: ScalarField, d1: Decomposition, d2: Decomposition,
     def points():
         return _box_blocks(field, plan)
 
+    witnesses = []
     if p1 is None:
         p1 = np.empty(count)
         for (rows, _), p, _ in d1.p_blocks(count, points):
             p1[rows] = p
+        witnesses += d1.solver_failures
     floor = 1e-9
     # each class by name: the rows where sign * p1 > floor, |p1| for sign 0
     signs = ({"all": 0.0} if d1.case == "one-sided"
@@ -665,8 +672,9 @@ def uniqueness_check(field: ScalarField, d1: Decomposition, d2: Decomposition,
         cv = float(r.std() / abs(mean)) if mean != 0 else np.inf
         classes[name] = {"ratio": mean, "cv": cv, "count": filled[name]}
         passed &= cv <= UNIQUENESS_CV_TOL
-    witnesses = [] if passed else [{"kind": "uniqueness_violation",
-                                    "classes": classes}]
+    witnesses += [{**w, "which": "alternate"} for w in d2.solver_failures]
+    if not passed:
+        witnesses.append({"kind": "uniqueness_violation", "classes": classes})
     return UniquenessReport(case=d1.case, classes=classes, passed=passed,
                             seed=plan.seed, witnesses=witnesses)
 

