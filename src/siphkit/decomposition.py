@@ -30,13 +30,15 @@ from .rootfind import (BELOW_START, MAX_DOUBLINGS, OK, UNBOUNDED,
 ZERO_LEVEL_ATOL = 1e-12
 # uniqueness_check: largest coefficient of variation of p1/p2 in a class
 UNIQUENESS_CV_TOL = 1e-6
-# _scaled_p: half-width, relative, of the bracket around a guessed lambda
+# _scaled_p: half-width, relative, of the bracket that certifies a guessed lambda
 GUESS_BAND = 1e-9
 # p_values: the table of g along a sign class's reference ray, built for
-# classes of at least TABLE_MIN_ROWS rows; its points per octave of s, and
-# the half-width, relative, of the bracket around a lambda read off it
+# classes of at least TABLE_MIN_ROWS rows; its points per octave of s; and
+# the half-widths, relative, of the brackets around a lambda read off it
+# that certify it and that seed the solve of a row not certified
 TABLE_MIN_ROWS = 64
 TABLE_POINTS_PER_OCTAVE = 512
+TABLE_CERT_BAND = 1e-8
 TABLE_BAND = 3e-5
 
 
@@ -79,19 +81,20 @@ class Decomposition:
 
     # -- p ------------------------------------------------------------------
 
-    def _solve_lambdas(self, Z: np.ndarray, ref: ReferenceInfo,
-                       bracket=None, failures=None) -> np.ndarray:
+    def _solve_lambdas(self, Z: np.ndarray, ref: ReferenceInfo, guess=None,
+                       band: float = 0.0, failures=None) -> np.ndarray:
         """lambda(z) with g(lambda z) = ref.value for each row of Z, nan where
         the ray never meets the reference level; the rows that fail are
         witnessed in ``failures`` (default ``solver_failures``), up to
         ``MAX_WITNESSES`` in all.  Not memoised: every call solves all of its
-        rows in one batched root solve, seeded by ``bracket`` where it
-        straddles (see ``solve_monotone_batch``)."""
+        rows in one batched root solve, seeded by the bracket guess (1 -+
+        band) where it straddles (see ``solve_monotone_batch``)."""
 
         def profile(t):
             return self.field.ray_values(t, Z)
 
         failures = self.solver_failures if failures is None else failures
+        bracket = None if guess is None else (guess * (1 - band), guess * (1 + band))
         res = solve_monotone_batch(profile, np.full(Z.shape[0], ref.value),
                                    increasing=ref.increasing, bracket=bracket)
         reason = np.where(res.status == UNBOUNDED, "unbounded_ray",
@@ -115,12 +118,12 @@ class Decomposition:
 
         A sign class of at least ``TABLE_MIN_ROWS`` rows has a table of g
         along its reference ray.  Since f = phi o p, g(z) = g(s x0) means
-        lambda(z) = 1/s, so the level g(z), already known, gives the bracket
-        (1 -+ TABLE_BAND) / s-hat (see ``_table_scales``).  A row whose
-        table bracket does not straddle its root -- a level off the table, a
-        field that is not SI -- is solved from the cold bracket, as are the
-        rows of a smaller class.  So every root is a sign change on the
-        row's own ray.
+        lambda(z) = 1/s, so the level g(z), already known, gives the guess
+        1/s-hat (``_table_scales``), certified where (1 -+ TABLE_CERT_BAND) /
+        s-hat straddles (``_certified``).  A row not certified is seeded by
+        (1 -+ TABLE_BAND) / s-hat where the secant through those ends puts
+        its root there, else solved cold, as are a smaller class's rows.  So
+        every lambda is a sign change on the row's own ray.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         [(_, p, _)] = self.p_blocks(len(X), lambda: [(None, X)])
@@ -165,13 +168,20 @@ class Decomposition:
                 tables = [c >= TABLE_MIN_ROWS for c in counts]
             p[np.isnan(g)] = np.nan
             for (ref, sign, cls), table, found in zip(classes, tables, failures):
-                if cls.any():
-                    bracket = self._table_bracket(ref, g[cls]) if table else None
-                    lam = self._solve_lambdas(Z[cls], ref, bracket, found)
-                    # lambda = 0 (the ray starts on the reference level), or
-                    # a huge alpha: p = inf
-                    with np.errstate(divide="ignore", over="ignore"):
-                        p[cls] = sign * (1.0 / lam) ** self.alpha
+                if not cls.any():
+                    continue
+                lam_hat = (1.0 / self._table_scales(ref, g[cls]) if table
+                           else np.full(np.count_nonzero(cls), np.nan))  # no table
+                lam, proven = self._certified(Z[cls], lam_hat, ref, TABLE_CERT_BAND)
+                if not proven.all():
+                    near = np.abs(lam - lam_hat) <= TABLE_BAND * lam_hat
+                    guess = np.where(near, lam_hat, np.nan)[~proven]
+                    lam[~proven] = self._solve_lambdas(Z[cls][~proven], ref, guess,
+                                                       TABLE_BAND, found)
+                # lambda = 0 (the ray starts on the reference level), or a
+                # huge alpha: p = inf
+                with np.errstate(divide="ignore", over="ignore"):
+                    p[cls] = sign * (1.0 / lam) ** self.alpha
             yield block, p, f
         self.solver_failures = (failures[0] + failures[1])[:MAX_WITNESSES]
 
@@ -181,14 +191,11 @@ class Decomposition:
         rows where the guess is finite and nonzero; 0 on the others.
         Failures are not kept, and no table is tried.
 
-        A guess gives lambda-hat = |guess|**(-1/alpha) and the bracket
-        lambda-hat (1 -+ GUESS_BAND), whose ends are evaluated on the row's
-        own ray.  With ``certify``, a row whose bracket straddles its class
-        level is not solved: the two ends prove a root between them, and
-        lambda is read from one secant step there.  Its other rows are
-        solved cold, as the seeded solve goes on to solve a row whose
-        bracket does not straddle.  Without ``certify`` every row takes the
-        seeded solve.
+        A guess gives lambda-hat = |guess|**(-1/alpha).  With ``certify``, a
+        row that the bracket lambda-hat (1 -+ GUESS_BAND) certifies is not
+        solved (``_certified``); the others are solved cold, as the seeded
+        solve goes on to solve a row whose bracket does not straddle.
+        Without ``certify`` every row takes the seeded solve.
         """
         p = np.zeros(len(Z))
         live = np.isfinite(guess) & (guess != 0)
@@ -199,61 +206,68 @@ class Decomposition:
         q = np.where(np.isnan(g), np.nan, 0.0)
         with np.errstate(over="ignore"):
             lam_hat = np.abs(guess) ** (-1.0 / self.alpha)
-        lo, hi = lam_hat * (1.0 - GUESS_BAND), lam_hat * (1.0 + GUESS_BAND)
-        seedable = (lo < hi) & np.isfinite(hi)  # as the solver takes a bracket
         for ref, sign, cls in self._classes(g):
             if not cls.any():
                 continue
-            s = 1.0 if ref.increasing else -1.0
-            if not (certify and np.isfinite(ref.value) and s * ref.value > 0):
-                lam = self._solve_lambdas(Z[cls], ref, (lo[cls], hi[cls]), [])
+            if not certify:
+                lam = self._solve_lambdas(Z[cls], ref, lam_hat[cls], GUESS_BAND, [])
             else:
-                # g at the ends as the solver reads it, s * (value - level):
-                # a root lies between them where it is below 0 at lo, not at hi
-                seed = cls & seedable
-                lam = np.full(len(Z), np.nan)
-                if seed.any():
-                    M, a, b = Z[seed], lo[seed], hi[seed]
-                    with np.errstate(all="ignore"):
-                        g_a = s * self.field.ray_values(a, M) - s * ref.value
-                        g_b = s * self.field.ray_values(b, M) - s * ref.value
-                        step = g_a / (g_a - g_b)  # nan at an infinite end
-                    step = np.where(np.isfinite(step), step, 0.5)  # bisect
-                    lam[seed] = np.where((g_a < 0) & (g_b >= 0),
-                                         a + step * (b - a), np.nan)
-                lam = lam[cls]
-                cold = np.isnan(lam)
-                if cold.any():
-                    lam[cold] = self._solve_lambdas(Z[cls][cold], ref, None, [])
+                lam, ok = self._certified(Z[cls], lam_hat[cls], ref, GUESS_BAND)
+                if not ok.all():
+                    lam[~ok] = self._solve_lambdas(Z[cls][~ok], ref, failures=[])
             with np.errstate(divide="ignore"):
                 q[cls] = sign * (1.0 / lam) ** self.alpha
         p[live] = q
         return p
 
-    def _table_bracket(self, ref: ReferenceInfo, h: np.ndarray) -> tuple:
-        """The table's bracket (lo, hi) for rows with levels ``h``, the
-        table grown to reach them."""
-        lam = 1.0 / self._table_scales(ref, h)
-        return lam * (1.0 - TABLE_BAND), lam * (1.0 + TABLE_BAND)
+    def _certified(self, Z: np.ndarray, lam_hat: np.ndarray,
+                   ref: ReferenceInfo, band: float) -> tuple:
+        """(lambda, proven) at the rows of Z: one secant step between the
+        ends of the bracket lam_hat (1 -+ band), evaluated on the row's own
+        ray, and where they straddle the level of ``ref`` as the solver tests
+        it, g(lo) < 0 <= g(hi), so that lambda is within the band of a root.
+        lambda is nan where no end is evaluated: the solver would not take
+        the level, or the bracket is empty or infinite."""
+        s = 1.0 if ref.increasing else -1.0
+        if not (np.isfinite(ref.value) and s * ref.value > 0):
+            return np.full(len(Z), np.nan), np.zeros(len(Z), dtype=bool)
+        lo, hi = lam_hat * (1.0 - band), lam_hat * (1.0 + band)
+        skip = ~((lo < hi) & np.isfinite(hi))  # as the solver takes a bracket
+        lo[skip] = hi[skip] = np.nan  # ray_values evaluates no nan row
+        with np.errstate(all="ignore"):
+            g_lo = s * self.field.ray_values(lo, Z) - s * ref.value
+            g_hi = s * self.field.ray_values(hi, Z) - s * ref.value
+            step = g_lo / (g_lo - g_hi)  # nan at an infinite end
+        step = np.where(np.isfinite(step), step, 0.5)  # bisect
+        return lo + step * (hi - lo), (g_lo < 0) & (g_hi >= 0)
 
     def _table_scales(self, ref: ReferenceInfo, h: np.ndarray) -> np.ndarray:
         """For each level of ``h``, the s with g(s x0) = h on the reference
-        ray: log s interpolated linearly in log |g| over a table at s =
-        2**(k / TABLE_POINTS_PER_OCTAVE), which is exact where g is a power
-        of s.  nan where the level is beyond the table's strictly monotone
-        run around s = 1, or on the other side of zero."""
+        ray: log s read in log |g| from the cubic through the 4 points of a
+        table at s = 2**(k / TABLE_POINTS_PER_OCTAVE) around the level's
+        cell (moved inward at the run's ends), exact where g is a power of
+        s.  nan where the level is beyond the table's strictly monotone run
+        around s = 1, or that run is under 4 points, or across zero."""
         with np.errstate(invalid="ignore", divide="ignore"):
             uh = np.log(h if ref.increasing else -h)
         u = uh[np.isfinite(uh)]
+        out = np.full(h.shape, np.nan)
         if not u.size:
-            return np.full(h.shape, np.nan)
+            return out
         log_s, ut = self._table(ref, u.min(), u.max())
         keep = np.isfinite(ut)  # g = 0 or inf at an end of the run
-        # interp finds sorted levels far faster than unsorted ones
-        order = np.argsort(uh)
-        out = np.empty(h.shape)
-        out[order] = np.interp(uh[order], ut[keep], log_s[keep],
-                               left=np.nan, right=np.nan)
+        log_s, ut = log_s[keep], ut[keep]
+        if ut.size < 4:
+            return out
+        cell = np.searchsorted(ut, uh, side="right") - 1
+        inside = (cell >= 0) & (uh <= ut[-1])  # false at nan
+        first = np.clip(cell[inside] - 1, 0, ut.size - 4)  # of the stencil
+        d = uh[inside, None] - ut[first[:, None] + np.arange(4)]
+        # the stencil's Lagrange weights w_k sum to 1, and its log s are
+        # log_s[first] + k / per: the cubic is that + sum(k w_k) / per
+        kw = sum(k * np.prod([d[:, j] / (d[:, j] - d[:, k]) for j in range(4)
+                              if j != k], axis=0) for k in (1, 2, 3))
+        out[inside] = log_s[first] + kw / TABLE_POINTS_PER_OCTAVE
         return np.exp2(out)
 
     def _table(self, ref: ReferenceInfo, u_lo: float, u_hi: float) -> tuple:
@@ -262,9 +276,10 @@ class Decomposition:
         levels from u_lo to u_hi (in log |g|) or the run's end.
 
         The table is kept per reference and only extended: whole octaves
-        from s = 1 out to the levels' extremes, then the table points.  Its
-        points are fixed and the run is the same wherever the table reaches,
-        so a level gets the same interpolation from any table that holds it.
+        from s = 1 out to the levels' extremes, then the table points and one
+        past each end, which the cubic of an end cell reads.  Its points are
+        fixed and the run is the same wherever the table reaches, so a level
+        gets the same interpolation from any table that holds it.
         """
         per = TABLE_POINTS_PER_OCTAVE
         key = (ref.point.tobytes(), ref.increasing)  # what the table depends on
@@ -274,8 +289,8 @@ class Decomposition:
             self._tables[key] = [k, uk, 0, np.empty(0)]
         k, uk, start, u = table = self._tables[key]
         run, below, above = k[~np.isnan(uk)], k[uk <= u_lo], k[uk >= u_hi]
-        lo = per * min(below.max() if below.size else run.min(), 0)
-        hi = per * max(above.min() if above.size else run.max(), 0)
+        lo = per * min(below.max() if below.size else run.min(), 0) - 1
+        hi = per * max(above.min() if above.size else run.max(), 0) + 1
         if not u.size:
             start, u = lo, self._ray_logs(ref, np.arange(lo, hi + 1) / per)
         if lo < start:

@@ -389,6 +389,37 @@ def test_levelset_radii_with_sweep_csv(capsys, tmp_path):
     assert float(rows[1][1]) == pytest.approx(2.0, abs=1e-8)
 
 
+def _direction_from_angles(angles):
+    """The unit direction whose hyperspherical angles are ``angles``: the
+    inverse of the sweep CSV's at n = len(angles) + 1 >= 2."""
+    out, tail = [], 1.0
+    for a in angles[:-1]:
+        out.append(tail * math.cos(a))
+        tail *= math.sin(a)
+    return out + [tail * math.cos(angles[-1]), tail * math.sin(angles[-1])]
+
+
+@pytest.mark.parametrize("n", [1, 3, 4])
+def test_the_sweep_csv_angles_rebuild_each_direction(capsys, tmp_path, n):
+    sweep = tmp_path / "sweep.csv"
+    code, doc = run_json(capsys, ["levelset", "radii", "--gallery", "sphere",
+                                  "--n", str(n), "--level", "4",
+                                  "--directions", "24", "--sweep-csv",
+                                  str(sweep)])
+    assert code == 0
+    header, *rows = list(csv.reader(sweep.open()))
+    assert header == [f"angle_{i + 1}" for i in range(max(n - 1, 1))] + ["radius"]
+    directions = [rec["direction"] for rec in doc["metrics"]["radii"]]
+    assert len(rows) == len(directions) == 24
+    for row, direction in zip(rows, directions):
+        angles = [float(a) for a in row[:-1]]
+        rebuilt = ([math.cos(angles[0])] if n == 1
+                   else _direction_from_angles(angles))
+        assert rebuilt == pytest.approx(direction, abs=1e-12)
+    if n == 1:  # both signs
+        assert {row[0] for row in rows} == {"0.0", str(math.pi)}
+
+
 def test_levelset_radii_keeps_non_monotone_rays_in_direction_order(
         capsys, tmp_path):
     argv = ["levelset", "radii", "--expr", "sin(3*x_1) + x_2^2", "--n", "2",
@@ -1037,6 +1068,14 @@ _RUNS = {
     "decompose-saddle_si": _Run(["decompose", "--gallery", "saddle_si", "--n",
                                  "4", "--N", "5000", "--seed", "1572086986",
                                  "--format", "json"], 0, None),
+    # f is 6.4e-9 at the unit reference the sphere search finds, so the
+    # reference is rescaled along its ray to the scale in 1/8 ... 8 whose
+    # value is nearest 1 in magnitude: the largest, 8
+    "decompose-rescaled-reference": _Run(
+        ["decompose", "--expr", "1e-10*norm(x)^2", "--n", "2", "--N", "200",
+         "--format", "json"], 0,
+        check=lambda doc: math.isclose(math.hypot(
+            *doc["metrics"]["decomposition"]["reference"]), 8.0, rel_tol=1e-12)),
     # one table per sign class
     "decompose-linear_x1": _Run(
         ["decompose", "--gallery", "linear_x1", "--n", "3", "--N", "2000",

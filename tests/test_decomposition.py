@@ -777,7 +777,7 @@ def test_a_field_that_is_not_si_still_fails_on_composition(capsys):
 
 
 # ---------------------------------------------------------------------------
-# the table of g along the reference ray, which seeds the cold p(X) solve
+# the table of g along the reference ray, which guesses lambda for p(X)
 
 
 def _cold_p(d, X, ref):
@@ -912,24 +912,58 @@ def test_table_seeded_p_agrees_with_scipys_root_finder(field, box):
     np.testing.assert_allclose(p[solved], oracle[solved], rtol=1e-13, atol=0)
 
 
-@pytest.mark.parametrize("field", [make_builtin("ellipsoid", 5), random_si(3, 3)],
-                         ids=["ellipsoid", "random_si"])
-def test_the_table_keeps_the_cold_solve_near_five_evaluations(monkeypatch,
-                                                              field):
-    d = build_decomposition(field)
-    X = field.absolute(SamplingPlan(seed=19, n_samples=2000).box_points(field.n))
-    live = []
-    solve = decomposition.solve_monotone_batch
+# field points per warm-table p(X) row beyond its level, at n = 3 and 4:
+# exactly the two ends that certify it where the table's guess is within
+# TABLE_CERT_BAND of the root, as on every row of the first five entries;
+# at most the given counts where some rows are solved
+_WARM_TABLE_POINTS = {
+    "sphere": (2, 2), "ellipsoid": (2, 2), "gauss_si": (2, 2),
+    "random_si": (2, 2), "logsq_si": (2, 2),
+    "saddle_si": (4.5, 4.5),  # phi's flat points
+    # not SI: the rays with x_1 < 0 are solved cold; the counts before the
+    # table's guesses were certified
+    "footnote_1d": (5.49, 7.43)}
 
-    def counted(profile, *args, **kwargs):
-        def prof(t):
-            live.append(int(np.count_nonzero(~np.isnan(t))))
-            return profile(t)
-        return solve(prof, *args, **kwargs)
-    monkeypatch.setattr(decomposition, "solve_monotone_batch", counted)
-    d.p_values(X)
-    # about 9 without the table (test_seeded_homogeneity_solve_matches_...)
-    assert sum(live) <= 5.5 * len(X)
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("name", list(_WARM_TABLE_POINTS))
+def test_a_warm_table_certifies_p_in_two_points_a_row(monkeypatch, name, n):
+    field = random_si(11, n) if name == "random_si" else make_builtin(name, n)
+    plan = SamplingPlan(seed=5, n_samples=4000)
+    d = build_decomposition(field, plan=plan)
+    X = field.absolute(plan.box_points(n))
+    p = d.p_values(X)  # grows the table to every level of X
+    points = []
+    eval_batch = field._eval_batch
+
+    def counted(P):
+        points.append(len(P))
+        return eval_batch(P)
+    monkeypatch.setattr(field, "_eval_batch", counted)
+    assert d.p_values(X).tobytes() == p.tobytes()
+    per_row = (sum(points) - len(X)) / len(X)  # every point but f(X)
+    limit = _WARM_TABLE_POINTS[name][n - 3]
+    assert per_row == 2 if limit == 2 else per_row <= limit
+
+
+def test_a_level_in_the_last_cell_of_a_table_gets_the_bits_of_a_larger_one():
+    # the cubic read of a level in the cell below the table's last octave
+    # point needs the point past it, which a table grown to that octave
+    # alone must hold too
+    field = random_si(3, 3)
+    d, fresh = build_decomposition(field), build_decomposition(field)
+    ref = d.positive_ref
+    per = decomposition.TABLE_POINTS_PER_OCTAVE
+    s = np.exp2(np.array([1.0 - 0.5 / per]))  # in the cell [per - 1, per]
+    h = field.ray_values(s, ref.point[None, :])
+    wide = field.ray_values(np.exp2(np.linspace(-3.0, 3.0, 50)),
+                            np.broadcast_to(ref.point, (50, 3)))
+    d._table_scales(ref, wide)  # a table over 6 octaves
+    alone = fresh._table_scales(ref, h)
+    [(_, _, start, u)] = fresh._tables.values()
+    assert (start, start + u.size - 1) == (-1, per + 1)  # one point past
+    assert d._table_scales(ref, h).tobytes() == alone.tobytes()
+    np.testing.assert_allclose(alone, s, rtol=1e-9)
 
 
 def test_a_field_that_is_not_si_still_fails_uniqueness(capsys):
