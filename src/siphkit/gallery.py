@@ -66,15 +66,23 @@ def _ellipsoid(n: int, diag=None, matrix=None) -> ScalarField:
             raise ValueError("diag entries must be positive")
         A = np.diag(diag)
 
-    def fn(X):
-        # einsum sums each row on its own, so a row's value does not depend
-        # on its batch; two-operand steps avoid the naive three-operand loop
-        return np.einsum("...j,...j->...", np.einsum("...i,ij->...j", X, A), X)
+    dense = bool((A != np.diag(np.diagonal(A))).any())
+
+    def times_a(X, dense=dense):
+        # A x for each row: einsum sums each row on its own, and X * diag has
+        # its bits on finite rows, as a diagonal A's other terms are exact zeros
+        return np.einsum("...i,ij->...j", X, A) if dense else X * np.diagonal(A)
+
+    def fn(X, dense=dense):
+        # a value that is not finite sends the whole batch through the matrix,
+        # whose inf * 0 makes inf rows nan, of a sign set by the row's place
+        v = np.einsum("...j,...j->...", times_a(X, dense), X)
+        return v if dense or np.isfinite(v).all() else fn(X, True)
 
     meta = FieldMeta(declared_si=True, ph_degree=2.0, decomposable=True,
                      compact_sublevel=True, differentiable=True, continuous=True,
                      notes={"matrix": A.tolist()})
-    return ScalarField(n, fn, grad=lambda X: 2.0 * (X @ A.T), vectorized=True, meta=meta)
+    return ScalarField(n, fn, grad=lambda X: 2.0 * times_a(X), vectorized=True, meta=meta)
 
 
 def _half_norm(n: int) -> ScalarField:
@@ -432,12 +440,9 @@ def random_si(seed: int, n: int, eps: float = 0.3, modes: int = 4) -> ScalarFiel
     def p_fn(X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
         r = np.sqrt(row_sumsq(X))
-        out = np.zeros_like(r)
-        out[np.isnan(r)] = np.nan  # a nan coordinate
-        mask = r > 0
-        if mask.any():
-            U = X[mask] / r[mask, None]
-            out[mask] = r[mask] * (1.0 + eps * sphere_perturbation(U))
+        # rows are independent and a nan row stays nan; 0 / 0 rows are 0
+        out = r * (1.0 + eps * sphere_perturbation(X / r[:, None]))
+        out[r == 0] = 0.0
         return out
 
     # phi' (t) = c0 + sum_j b_j cos(j w t + psi_j) >= 0.25 > 0

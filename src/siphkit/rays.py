@@ -193,8 +193,8 @@ def _order_reversals(field: ScalarField, X: np.ndarray, Y: np.ndarray,
     """
     fx = field.shifted_values(X)
     fy = field.shifted_values(Y)
-    frx = field.shifted_values(rho[:, None] * X)
-    fry = field.shifted_values(rho[:, None] * Y)
+    frx = field.ray_values(rho, X)
+    fry = field.ray_values(rho, Y)
     nan_rows = np.isnan(fx) | np.isnan(fy) | np.isnan(frx) | np.isnan(fry)
     return (fx, fy, frx, fry), nan_rows, _reversed(fx, fy, frx, fry, atol)
 

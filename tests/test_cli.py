@@ -1041,6 +1041,15 @@ _RUNS = {
                                "3", "--N", "20000", "--format", "json"], 0),
     "check-si-csv": _Run(["check", "si", "--gallery", "sphere", "--N", "500",
                           "--format", "csv"], 0),
+    # the ellipsoid's einsum through a full matrix, and its diagonal product
+    "check-si-ellipsoid-matrix": _Run(
+        ["check", "si", "--gallery", "ellipsoid", "--n", "3", "--N", "2000",
+         "--param", "matrix=2,0.5,0.1;0.5,1,0.3;0.1,0.3,3"], 0,
+        check=lambda doc: doc["metrics"] == {"trials": 2008, "violations": 0}),
+    "check-si-ellipsoid-diag": _Run(
+        ["check", "si", "--gallery", "ellipsoid", "--n", "3", "--N", "2000",
+         "--param", "diag=1,2,3"], 0,
+        check=lambda doc: doc["metrics"] == {"trials": 2008, "violations": 0}),
     "decompose-random_si": _Run(["decompose", "--gallery", "random_si", "--n",
                                  "3", "--N", "2000", "--format", "json"], 0),
     "decompose-x0-wrong-length": _Run(

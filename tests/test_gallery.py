@@ -429,6 +429,13 @@ def test_ellipsoid_rows_do_not_depend_on_their_batch(n, params):
     np.testing.assert_array_equal(f.values(X[100:103]), batch[100:103])
     want = np.array([x @ A @ x for x in X])
     np.testing.assert_allclose(batch, want, rtol=4 * np.finfo(float).eps)
+    # the gradient too: a BLAS product rounded 14 of these rows of the
+    # matrix case differently from their one-row calls
+    grads = f.gradient_values(X)
+    np.testing.assert_array_equal(
+        grads, np.array([f.gradient_values(x[None, :])[0] for x in X]))
+    np.testing.assert_allclose(grads, 2.0 * X @ A, rtol=8 * np.finfo(float).eps,
+                               atol=1e-15)
 
 
 def test_random_si_core_is_homogeneous_degree_one():

@@ -28,12 +28,14 @@ def _same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
-def _hard_batch(rng, rows, n):
+def _hard_batch(rng, rows, n, specials=SPECIALS, decades=300):
     """Wide-range values with nan, +-inf, -0.0, subnormals and entries whose
-    squares overflow; the first rows are all -0.0."""
-    A = rng.normal(size=(rows, n)) * 10.0 ** rng.integers(-300, 300, size=(rows, n))
+    squares overflow (the ``specials`` and magnitudes up to 10^``decades``);
+    the first rows are all -0.0."""
+    A = rng.normal(size=(rows, n)) * 10.0 ** rng.integers(-decades, decades,
+                                                          size=(rows, n))
     special = rng.random((rows, n)) < 0.15
-    A[special] = rng.choice(SPECIALS, size=int(special.sum()))
+    A[special] = rng.choice(specials, size=int(special.sum()))
     A[: max(rows // 7, 1)] = -0.0
     return A
 
@@ -156,6 +158,98 @@ def test_random_si_evaluates_like_numpy_reductions(n):
     assert _same_bits(f.ph_part.values(X),
                       np.concatenate([f.ph_part.values(X[i:i + 200])
                                       for i in range(0, X.shape[0], 200)]))
+
+
+def _finite_hard_batch(rng, rows, n):
+    """A hard batch without nan, infinities or overflowing squares."""
+    return _hard_batch(rng, rows, n, SPECIALS[3:7], 150)
+
+
+ELLIPSOID_PARAMS = {
+    "default": lambda n: {},
+    "diag": lambda n: {"diag": 0.5 + np.arange(n)},
+    "diagonal-matrix": lambda n: {"matrix": np.diag(np.linspace(0.3, 7.0, n))},
+}
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+@pytest.mark.parametrize("params", sorted(ELLIPSOID_PARAMS))
+def test_the_diagonal_ellipsoid_has_the_matrix_products_bits(params, n):
+    # x' A x as two einsum steps through the matrix, on every row, nan rows
+    # included: a row with an infinite coordinate is nan through inf * 0
+    f = make_builtin("ellipsoid", n, **ELLIPSOID_PARAMS[params](n))
+    A = np.asarray(f.meta.notes["matrix"])
+    rng = np.random.default_rng(200 + n)
+    for rows in (1, 7, 256, 3000):
+        for X in (_hard_batch(rng, rows, n), _finite_hard_batch(rng, rows, n)):
+            with np.errstate(all="ignore"):
+                want = np.einsum("...j,...j->...",
+                                 np.einsum("...i,ij->...j", X, A), X)
+                assert _same_bits(f.values(X), want), rows
+
+
+def test_a_diagonal_matrix_takes_the_diagonal_product():
+    # 2 A x keeps a -0.0 coordinate's sign, which the einsum through the
+    # matrix turns into +0.0
+    d = np.array([0.5, 2.0, 3.0])
+    X = _finite_hard_batch(np.random.default_rng(5), 500, 3)
+    for f in (make_builtin("ellipsoid", 3, diag=d),
+              make_builtin("ellipsoid", 3, matrix=np.diag(d))):
+        assert _same_bits(f.gradient_values(X), 2.0 * (X * d))
+    assert np.signbit(f.gradient_values(X[:1])).all()
+    assert np.isnan(f.value([np.inf, 1.0, 0.0]))
+    assert make_builtin("ellipsoid", 1).value([np.inf]) == np.inf
+
+
+def _masked_random_si(seed, n, eps=0.3, modes=4):
+    """p and f of ``random_si(seed, n, eps, modes)`` in the form p had when it
+    evaluated only the rows with r > 0, through a mask, and filled the
+    others with 0 or nan."""
+    rng = np.random.default_rng(seed)
+    waves = rng.normal(size=(modes, n))
+    waves /= np.sqrt(row_sumsq(waves))[:, None]
+    freqs = rng.integers(1, modes + 1, size=modes).astype(float)
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=modes)
+    weights = rng.uniform(0.5, 1.0, size=modes)
+
+    def p(X):
+        r = np.sqrt(row_sumsq(X))
+        out = np.zeros_like(r)
+        out[np.isnan(r)] = np.nan
+        mask = r > 0
+        if mask.any():
+            args = freqs * np.einsum("ij,kj->ik", X[mask] / r[mask, None], waves) + phases
+            g = np.einsum("ij,j->i", np.sin(args), weights) / weights.sum()
+            out[mask] = r[mask] * (1.0 + eps * g)
+        return out
+
+    b = rng.uniform(-1.0, 1.0, size=3)
+    omega = rng.uniform(0.5, 1.5)
+    psi = rng.uniform(0.0, 2.0 * np.pi, size=3)
+    j = np.arange(1.0, 4.0)
+
+    def f(X):
+        t = p(X)
+        osc = np.einsum("...j,j->...", np.sin(j * omega * t[..., None] + psi)
+                        - np.sin(psi), b / (j * omega))
+        return (0.25 + np.abs(b).sum()) * t + osc
+
+    return p, f
+
+
+@pytest.mark.parametrize("n", range(1, 12))
+def test_random_si_keeps_the_bits_of_its_masked_form(n):
+    rng = np.random.default_rng(300 + n)
+    for seed in (1, 2, 3):
+        field = random_si(seed, n)
+        p, f = _masked_random_si(seed, n)
+        for rows in (1, 7, 256, 3000):
+            for X in (_hard_batch(rng, rows, n), _batch(n, 3000, seed)[:rows]):
+                X[-1] = 0.0
+                X[rows // 2] = np.nan
+                with np.errstate(all="ignore"):
+                    assert _same_bits(field.ph_part.values(X), p(X)), rows
+                    assert _same_bits(field.values(X), f(X)), rows
 
 
 @pytest.mark.parametrize("n", [2, 10])
