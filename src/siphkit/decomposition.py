@@ -170,13 +170,14 @@ class Decomposition:
             for (ref, sign, cls), table, found in zip(classes, tables, failures):
                 if not cls.any():
                     continue
-                lam_hat = (1.0 / self._table_scales(ref, g[cls]) if table
-                           else np.full(np.count_nonzero(cls), np.nan))  # no table
-                lam, proven = self._certified(Z[cls], lam_hat, ref, TABLE_CERT_BAND)
+                Zc = _rows(Z, cls)
+                lam_hat = (1.0 / self._table_scales(ref, _rows(g, cls)) if table
+                           else np.full(len(Zc), np.nan))  # no table
+                lam, proven = self._certified(Zc, lam_hat, ref, TABLE_CERT_BAND)
                 if not proven.all():
                     near = np.abs(lam - lam_hat) <= TABLE_BAND * lam_hat
                     guess = np.where(near, lam_hat, np.nan)[~proven]
-                    lam[~proven] = self._solve_lambdas(Z[cls][~proven], ref, guess,
+                    lam[~proven] = self._solve_lambdas(Zc[~proven], ref, guess,
                                                        TABLE_BAND, found)
                 # lambda = 0 (the ray starts on the reference level), or a
                 # huge alpha: p = inf
@@ -201,7 +202,7 @@ class Decomposition:
         live = np.isfinite(guess) & (guess != 0)
         if not live.any():
             return p
-        Z, guess = Z[live], guess[live]
+        Z, guess = _rows(Z, live), _rows(guess, live)
         g = self.field.shifted_values(Z)
         q = np.where(np.isnan(g), np.nan, 0.0)
         with np.errstate(over="ignore"):
@@ -209,12 +210,13 @@ class Decomposition:
         for ref, sign, cls in self._classes(g):
             if not cls.any():
                 continue
+            Zc = _rows(Z, cls)
             if not certify:
-                lam = self._solve_lambdas(Z[cls], ref, lam_hat[cls], GUESS_BAND, [])
+                lam = self._solve_lambdas(Zc, ref, _rows(lam_hat, cls), GUESS_BAND, [])
             else:
-                lam, ok = self._certified(Z[cls], lam_hat[cls], ref, GUESS_BAND)
+                lam, ok = self._certified(Zc, _rows(lam_hat, cls), ref, GUESS_BAND)
                 if not ok.all():
-                    lam[~ok] = self._solve_lambdas(Z[cls][~ok], ref, failures=[])
+                    lam[~ok] = self._solve_lambdas(Zc[~ok], ref, failures=[])
             with np.errstate(divide="ignore"):
                 q[cls] = sign * (1.0 / lam) ** self.alpha
         p[live] = q
@@ -247,27 +249,33 @@ class Decomposition:
         table at s = 2**(k / TABLE_POINTS_PER_OCTAVE) around the level's
         cell (moved inward at the run's ends), exact where g is a power of
         s.  nan where the level is beyond the table's strictly monotone run
-        around s = 1, or that run is under 4 points, or across zero."""
+        around s = 1, or that run is under 4 points, or across zero.  A
+        level's cell is the count of table points at or below it, less one."""
         with np.errstate(invalid="ignore", divide="ignore"):
             uh = np.log(h if ref.increasing else -h)
-        u = uh[np.isfinite(uh)]
+        rows = np.flatnonzero(np.isfinite(uh))
         out = np.full(h.shape, np.nan)
-        if not u.size:
+        if not rows.size:
             return out
-        log_s, ut = self._table(ref, u.min(), u.max())
+        rows = rows[np.argsort(uh[rows])]
+        u = uh[rows]  # the finite levels, sorted
+        log_s, ut = self._table(ref, u[0], u[-1])
         keep = np.isfinite(ut)  # g = 0 or inf at an end of the run
         log_s, ut = log_s[keep], ut[keep]
         if ut.size < 4:
             return out
-        cell = np.searchsorted(ut, uh, side="right") - 1
-        inside = (cell >= 0) & (uh <= ut[-1])  # false at nan
-        first = np.clip(cell[inside] - 1, 0, ut.size - 4)  # of the stencil
-        d = uh[inside, None] - ut[first[:, None] + np.arange(4)]
+        at = np.searchsorted(u, ut)  # where each table point falls among the levels
+        inside = slice(at[0], np.searchsorted(u, ut[-1], side="right"))
+        cell = np.cumsum(np.bincount(at, minlength=u.size + 1)[inside]) - 1
+        rows, u, first = rows[inside], u[inside], np.clip(cell - 1, 0, ut.size - 4)
+        d = [u - ut[first + j] for j in range(4)]
         # the stencil's Lagrange weights w_k sum to 1, and its log s are
         # log_s[first] + k / per: the cubic is that + sum(k w_k) / per
-        kw = sum(k * np.prod([d[:, j] / (d[:, j] - d[:, k]) for j in range(4)
-                              if j != k], axis=0) for k in (1, 2, 3))
-        out[inside] = log_s[first] + kw / TABLE_POINTS_PER_OCTAVE
+        kw = 0
+        for k in (1, 2, 3):
+            a, b, c = (d[j] / (d[j] - d[k]) for j in range(4) if j != k)
+            kw = kw + k * ((a * b) * c)
+        out[rows] = log_s[first] + kw / TABLE_POINTS_PER_OCTAVE
         return np.exp2(out)
 
     def _table(self, ref: ReferenceInfo, u_lo: float, u_hi: float) -> tuple:
@@ -330,8 +338,8 @@ class Decomposition:
         if self.case == "one-sided" and (T < 0).any():
             raise ValueError("one-sided profile is defined for t >= 0 only")
         pos = (T >= 0) | (self.case == "one-sided")
-        neg = self.positive_ref if self.case == "one-sided" else self.negative_ref
-        P = np.where(pos[:, None], self.positive_ref.point, neg.point)
+        P = (np.where(pos[:, None], self.positive_ref.point, self.negative_ref.point)
+             if self.case == "two-sided" else self.positive_ref.point)  # broadcast
         # a tiny alpha makes 1/alpha huge: radii past the float max are inf
         with np.errstate(over="ignore"):
             radii = np.where(pos, T, -T) ** (1.0 / self.alpha)
@@ -368,6 +376,11 @@ class Decomposition:
             refs["negative_reference_value"] = self.negative_ref.value
         return {"case": self.case, "alpha": self.alpha,
                 "phi_increasing": self.phi_increasing, **refs}
+
+
+def _rows(A: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """A[mask], or A itself, not a copy, when the mask takes every row."""
+    return A if mask.all() else A[mask]
 
 
 def _run(u: np.ndarray, one: int) -> np.ndarray:

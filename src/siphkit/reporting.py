@@ -124,9 +124,9 @@ def _records(arr: np.ndarray, nl: str) -> str:
 
     The template is :func:`_text` of one record whose every value is a
     ``%s`` slot, one per entry of a subarray field.  An all-finite float64
-    column fills its slots with its floats (``%s`` of a float is its repr);
-    any other column, nan and +-inf included, with its cells pre-rendered by
-    :func:`_text`.
+    column fills its slots with its floats (``%s`` of a float is its repr),
+    a str column with its quoted strings; any other column, nan and +-inf
+    included, with its cells pre-rendered by :func:`_text`.
     """
     skeleton, columns = {}, []
     for name in arr.dtype.names:
@@ -137,6 +137,8 @@ def _records(arr: np.ndarray, nl: str) -> str:
         for c in col.reshape(len(arr), math.prod(shape)).T:
             if c.dtype.char == "d" and np.isfinite(c).all():
                 columns.append(c.tolist())
+            elif c.dtype.char == "U":
+                columns.append([_quote(v) for v in c.tolist()])
             else:
                 columns.append([_text(v, cell_nl) for v in jsonable(c)])
     template = _text(skeleton, nl).replace('"%s"', "%s")

@@ -17,7 +17,7 @@ from siphkit.decomposition import (
     verify_decomposition,
 )
 from siphkit.exprlang import bind
-from siphkit.field import DimensionMismatchError
+from siphkit.field import DimensionMismatchError, ScalarField
 from siphkit.gallery import compose, make_builtin, random_si
 from siphkit.levelsets import _solve_level, ray_level_radius
 from siphkit.rays import MAX_WITNESSES, SamplingPlan
@@ -199,6 +199,11 @@ def test_phi_values_equal_the_three_branch_formula_bitwise(request, field,
     got, want = d.phi_values(T), _three_branch_phi(d, T)
     np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
     if d.case == "one-sided":
+        # the bits of the reference point set on every row by np.where
+        P = np.where(np.ones((T.size, 1), dtype=bool), d.positive_ref.point, 0.0)
+        rows = d.field._eval_batch(d.field.absolute(
+            (T ** (1.0 / alpha))[:, None] * P))
+        np.testing.assert_array_equal(got.view(np.uint64), rows.view(np.uint64))
         with pytest.raises(ValueError):
             d.phi_values([1.0, -1e-300])
 
@@ -964,6 +969,97 @@ def test_a_level_in_the_last_cell_of_a_table_gets_the_bits_of_a_larger_one():
     assert (start, start + u.size - 1) == (-1, per + 1)  # one point past
     assert d._table_scales(ref, h).tobytes() == alone.tobytes()
     np.testing.assert_allclose(alone, s, rtol=1e-9)
+
+
+def _searchsorted_table_scales(d, ref, h):
+    """``_table_scales`` in its binary-search form: each level's cell by
+    ``np.searchsorted`` over the table, the stencil as one N x 4 gather and
+    each Lagrange weight through ``np.prod``."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        uh = np.log(h if ref.increasing else -h)
+    u = uh[np.isfinite(uh)]
+    out = np.full(h.shape, np.nan)
+    if not u.size:
+        return out
+    log_s, ut = d._table(ref, u.min(), u.max())
+    keep = np.isfinite(ut)
+    log_s, ut = log_s[keep], ut[keep]
+    if ut.size < 4:
+        return out
+    cell = np.searchsorted(ut, uh, side="right") - 1
+    inside = (cell >= 0) & (uh <= ut[-1])
+    first = np.clip(cell[inside] - 1, 0, ut.size - 4)
+    dd = uh[inside, None] - ut[first[:, None] + np.arange(4)]
+    kw = sum(k * np.prod([dd[:, j] / (dd[:, j] - dd[:, k]) for j in range(4)
+                          if j != k], axis=0) for k in (1, 2, 3))
+    out[inside] = log_s[first] + kw / decomposition.TABLE_POINTS_PER_OCTAVE
+    return np.exp2(out)
+
+
+def _run_of(d, ref):
+    """(log s, log |g|) of the table points on ``ref``'s run, as held."""
+    _, _, start, u = d._tables[(ref.point.tobytes(), ref.increasing)]
+    log_s = np.arange(start, start + u.size) / decomposition.TABLE_POINTS_PER_OCTAVE
+    keep = np.isfinite(decomposition._run(u, -start))
+    return log_s[keep], u[keep]
+
+
+def _hard_levels(d, ref, rng):
+    """Levels of ``ref``'s class that try the cell read: box levels, each
+    twice; the levels of the run's points and of points around its ends
+    and off it; nan, +-inf, +-0 and levels of the other sign; shuffled."""
+    f, sign = d.field, (1.0 if ref.increasing else -1.0)
+    X = SamplingPlan(seed=4, n_samples=1500, box_radius=3.0).box_points(f.n)
+    g = f.shifted_values(X)
+    g = g[sign * g > 0]
+    d._table_scales(ref, sign * np.array([5e-324, 1e300]))  # the whole run
+    log_s, ut = _run_of(d, ref)
+    on_run = f.ray_values(np.exp2(log_s), np.broadcast_to(ref.point,
+                                                          (log_s.size, f.n)))
+    per = decomposition.TABLE_POINTS_PER_OCTAVE
+    steps = np.array([-10.0, -0.25, -0.5 / per, -1e-12, 1e-12, 0.5 / per, 0.25,
+                      10.0])
+    ends = np.exp2((np.concatenate([log_s[:2], log_s[-2:]])[:, None]
+                    + steps).ravel())
+    around = f.ray_values(ends, np.broadcast_to(ref.point, (ends.size, f.n)))
+    special = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, 1e300, -sign * 0.5]
+    h = np.concatenate([g, g[:500], on_run, around, special])
+    return rng.permutation(h), ut
+
+
+@pytest.mark.parametrize("field", [
+    make_builtin("gauss_si", 3), random_si(3, 3),
+    compose("exp_neg", make_builtin("sq_norm", 3)), make_builtin("linear_x1", 3),
+    bind("x_1^2 + x_2^4", 2),
+], ids=["gauss_si", "random_si", "decreasing", "linear_x1", "not_si"])
+def test_the_rank_read_has_the_bits_of_the_binary_search(field):
+    d = build_decomposition(field)
+    rng = np.random.default_rng(6)
+    refs = [d.positive_ref] + ([d.negative_ref] if d.case == "two-sided" else [])
+    for ref in refs:
+        h, ut = _hard_levels(d, ref, rng)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            uh = np.log(h if ref.increasing else -h)
+        assert np.isin(uh, ut).sum() >= 100  # ties with table points
+        assert (uh == ut[0]).any() and (uh == ut[-1]).any()
+        assert (uh < ut[0]).any() and (uh > ut[-1]).any()
+        for levels in (h, h[:1], h[-7:], np.sort(h), h[np.isnan(uh)], h[:0]):
+            got = d._table_scales(ref, levels)
+            assert got.tobytes() == _searchsorted_table_scales(d, ref, levels).tobytes()
+
+
+def test_a_run_under_four_points_reads_no_level():
+    # g rises only for s in [0.999, 1.001]: the run holds s = 1 and the
+    # point past it, clipped; every level reads nan, as before
+    f = ScalarField(2, lambda X: np.clip(np.sqrt((X * X).sum(axis=1)),
+                                         0.999, 1.001), vectorized=True)
+    x0 = np.array([0.6, 0.8])
+    ref = ReferenceInfo(point=x0, value=f.shifted(x0), increasing=True)
+    d = Decomposition(f, 1.0, "one-sided", positive_ref=ref)
+    h = np.concatenate([np.linspace(0.0, 0.003, 40), [np.nan, np.inf]])
+    got = d._table_scales(ref, h)
+    assert np.isnan(got).all() and _run_of(d, ref)[0].size < 4
+    assert got.tobytes() == _searchsorted_table_scales(d, ref, h).tobytes()
 
 
 def test_a_field_that_is_not_si_still_fails_uniqueness(capsys):

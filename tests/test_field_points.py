@@ -49,6 +49,11 @@ COMMANDS = {
     "decompose-ellipsoid-x0-alt": ["decompose", "--gallery", "ellipsoid", "--n",
                                    "5", "--N", "1000", "--x0=0.5,-0.3,1,0.25,-1.2",
                                    "--x0-alt=-0.7,0.4,0.3,1.1,0.6"],
+    "decompose-gauss_si-two-blocks": ["decompose", "--gallery", "gauss_si",
+                                      "--n", "4", "--N", "9000", "--alpha",
+                                      "2"],
+    "decompose-linear_x1-two-sided": ["decompose", "--gallery", "linear_x1",
+                                      "--n", "3", "--N", "9000"],
     "general-euler-gauss_si": ["verify", "general-euler", "--gallery", "gauss_si",
                                "--n", "5", "--N", "1500", "--alpha", "2"],
     "decomposable-saddle_si": ["check", "decomposable", "--gallery", "saddle_si",

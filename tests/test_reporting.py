@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from siphkit import decomposition, euler, levelsets, rays
+from siphkit import decomposition, euler, levelsets, rays, reporting
 from siphkit.exprlang import bind
 from siphkit.reporting import Report, emit, jsonable
 
@@ -433,6 +433,15 @@ def test_level_radius_lists_keep_their_order_across_both_paths():
                    [[1.0, 2.0], [3.0, 4.0]]]
     assert doc["metrics"]["radii"][0][3]["direction"] == ["inf", "-inf"]
     assert doc["metrics"]["radii"][-1][0]["inner"] == {"a": "nan", "b": "x"}
+
+
+def test_a_str_column_renders_as_its_quoted_strings():
+    arr = np.rec.array([("ok", 1.0, ["a", "b"]), ('"q"', 2.0, ["\\", "%s"]),
+                        ("caf\u00e9 \u2603", np.nan, ["\n", "\U0001f600"]),
+                        ("", -0.0, ["", "\t"])],
+                       dtype=[("status", "U8"), ("radius", float),
+                              ("tags", "U2", (2,))])
+    assert reporting._text(arr, "\n") == json.dumps(jsonable(arr), indent=2)
 
 
 def test_level_radius_arrays_with_nan_rows_load_as_their_jsonable_form():
