@@ -14,11 +14,12 @@ improves them.
 The sandwich of a scaling-invariant f = phi o p needs the sphere extrema of
 p, but not p's values along the way: with phi strictly increasing, f and p
 order points identically, so an extremum search that only compares values
-finds the same points on f.  It runs on f, and p is root-solved only at the
-two points it returns.  So one search on f serves both sandwiches of a
-field that is also homogeneous.  The extrema a sandwich checks also fold in
-the projections of its own samples onto the sphere, so a sample is a
-witness only when the sandwich fails along its own ray.
+finds the same points on f.  It runs on f, and q = p^(1/alpha) is solved
+only at the two points it returns, as two more rows of the level solve the
+sandwich runs for its ball radii.  So one search on f serves both
+sandwiches of a field that is also homogeneous.  The extrema a sandwich
+checks also fold in the projections of its own samples onto the sphere, so
+a sample is a witness only when the sandwich fails along its own ray.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from .field import ScalarField, row_sumsq
 from .rays import (FEW_WITNESSES, MAX_WITNESSES, SamplingPlan, classify_ray,
                    default_directions, ray_witness_kinds, row_witnesses,
                    sample_blocks)
-from .rootfind import (MAX_DOUBLINGS, NONFINITE, OK, UNBOUNDED, RootResult,
-                       solve_monotone_batch)
+from .rootfind import (MAX_DOUBLINGS, NONFINITE, OK, STATUS_LABEL, UNBOUNDED,
+                       RootResult, solve_monotone_batch)
 
 # the arc search: grid angles per field call, and calls per arc
 ARC_GRID = 31
@@ -44,10 +45,6 @@ _GRID = np.arange(1, ARC_GRID + 1) / (ARC_GRID + 1)
 # settles its chain
 SPHERE_PASSES = 7
 SETTLE_RTOL = 1e-12
-
-# the status of a monotone ray, indexed by its root-solve code: OK,
-# UNBOUNDED, NONFINITE and BELOW_START are 0-3
-_STATUS_LABEL = np.array(["ok", "unbounded", "non-finite", "outside-range"])
 
 
 def _solve_level(field: ScalarField, D: np.ndarray, c,
@@ -95,7 +92,7 @@ def ray_level_radius(field: ScalarField, direction, c: float,
     if mono.any():
         res = _solve_level(field, D[mono], c, increasing[mono])
         ok = res.status == OK
-        status[mono] = _STATUS_LABEL[res.status]
+        status[mono] = STATUS_LABEL[res.status]
         jumps = ok & (res.residual > 1e-8 * (1.0 + abs(float(c))))
         status[np.flatnonzero(mono)[jumps]] = "discontinuous"
         ok &= ~jumps
@@ -163,26 +160,32 @@ def _arc_search(fun, B: np.ndarray, T: np.ndarray, signs: np.ndarray) -> tuple:
     two grid neighbours of the call's best angle, so after ``ARC_CALLS``
     calls it is pi * (2 / (ARC_GRID + 1))**ARC_CALLS wide.
     """
-    k, n = B.shape
-    rows = np.arange(k)
+    k = len(B)
     B_grid = np.repeat(B, ARC_GRID, axis=0)
     T_grid = np.repeat(T, ARC_GRID, axis=0)
-    lo = np.full(k, -np.pi / 2)
-    hi = -lo
+    # row k: chain k's bracket ends around its grid angles, [lo, theta, hi]
+    edges = np.empty((k, ARC_GRID + 2))
+    edges[:, 0], edges[:, -1] = -np.pi / 2, np.pi / 2
+    lo, theta, hi = edges[:, :1], edges[:, 1:-1], edges[:, -1:]
+    # flat indices of each chain's first grid point in P and in edges
+    at_grid, at_edges = np.arange(k) * ARC_GRID, np.arange(k) * (ARC_GRID + 2)
     best_p = np.empty_like(B)
     best_v = np.full(k, np.inf)
     for _ in range(ARC_CALLS):
-        theta = lo[:, None] + (hi - lo)[:, None] * _GRID
+        np.multiply(hi - lo, _GRID, out=theta)
+        theta += lo
         P = _arc_points(theta.ravel(), B_grid, T_grid)
-        P /= np.sqrt(row_sumsq(P))[:, None]
-        vals = _finite_or_inf(signs[:, None] * fun(P).reshape(k, ARC_GRID))
+        P /= np.sqrt(np.add.reduce(P * P, axis=-1))[:, None]
+        vals = signs[:, None] * fun(P).reshape(k, ARC_GRID)
+        vals[~np.isfinite(vals)] = np.inf
         j = np.argmin(vals, axis=1)
-        v = vals[rows, j]
+        i = at_grid + j
+        v = vals.take(i)
         better = v < best_v
         best_v[better] = v[better]
-        best_p[better] = P.reshape(k, ARC_GRID, n)[rows, j][better]
-        edges = np.column_stack([lo, theta, hi])
-        lo, hi = edges[rows, j], edges[rows, j + 2]
+        best_p[better] = P[i[better]]
+        e = at_edges + j
+        lo[:, 0], hi[:, 0] = edges.take(e), edges.take(e + 2)
     return best_p, best_v
 
 
@@ -450,12 +453,26 @@ def _si_sandwich(field: ScalarField, d: Decomposition, plan: SamplingPlan,
             "reason": "requires the one-sided case with increasing rays "
                       "(unique minimum at the reference point)",
             "case": d.case, "phi_increasing": d.phi_increasing})
-    inv_alpha = 1.0 / d.alpha
-    q = d.p_values(field.absolute(np.array([ext.argmin, ext.argmax]))) ** inv_alpha
+    x0 = d.positive_ref.point  # q(x_star + x0) = 1
     # the sandwich needs p bounded away from 0 on the sphere; a minimum of f
-    # inside the zero-level band counts as p = 0
+    # inside the zero-level band counts as p = 0, and no level is drawn
     zero_band = ZERO_LEVEL_ATOL * (1.0 + abs(field.f_star))
-    m_hat = 0.0 if ext.m - field.f_star <= zero_band else float(q[0])
+    m_is_zero = ext.m - field.f_star <= zero_band
+    levels = np.empty(0) if m_is_zero else _first_finite_values(field, plan, 8)
+
+    def phi1(t):  # phi(t^alpha), f along the reference ray
+        return field.values(field.absolute(t[:, None] * x0))
+
+    # One solve: q(u) = 1 / t where f(x_star + t u) = phi1(1) along each
+    # extremum u, and the radius phi1^{-1}(c) along x0 at each level c (the
+    # first 8 finite sample values; f(x_star) has radius 0)
+    U = field.absolute(np.array([ext.argmin, ext.argmax])) - field.x_star
+    t = _solve_level(field, np.concatenate(
+        [U, np.broadcast_to(x0, (levels.size, field.n))]), np.concatenate(
+        [np.repeat(phi1(np.ones(1)), 2), levels]), True).t
+    with np.errstate(divide="ignore"):
+        q = 1.0 / t[:2]
+    m_hat = 0.0 if m_is_zero else float(q[0])
     M_hat = float(q[1])
     notes = {"m_is_q_extremum": True, "alpha": d.alpha,
              "extrema_samples": ext.n_samples, **ext.polish_notes(),
@@ -464,23 +481,13 @@ def _si_sandwich(field: ScalarField, d: Decomposition, plan: SamplingPlan,
         return _precondition_failed(m_hat, M_hat, plan.seed, {
             **notes, "reason": "homogeneous part is not positive on the sphere"})
 
-    x0 = d.positive_ref.point  # q(x_star + x0) = 1
-
-    def phi1(t):  # phi(t^alpha), f along the reference ray
-        return field.values(field.absolute(t[:, None] * x0))
-
     # Ball of radius rho inside the sublevel set at phi1(rho * M).
     caps = [(rho, float(phi1(np.array([rho * M_hat]))[0]))
             for rho in (0.5 * plan.box_radius, plan.box_radius)]
-    # Sublevel set at level c inside the ball of radius phi1^{-1}(c)/m, at
-    # the first 8 finite sample values: all levels in one solve along x0;
-    # the level f(x_star) has radius 0, and a level phi does not reach (t
-    # nan) is skipped
-    levels = _first_finite_values(field, plan, 8)
-    D = np.broadcast_to(x0, (levels.size, field.n))
-    t_levels = _solve_level(field, D, levels, True).t
+    # Sublevel set at level c inside the ball of radius phi1^{-1}(c)/m; a
+    # level phi does not reach (t nan) is skipped
     balls = [(float(c), float(t_c) / m_hat)
-             for c, t_c in zip(levels, t_levels) if not np.isnan(t_c)]
+             for c, t_c in zip(levels, t[2:]) if not np.isnan(t_c)]
 
     def checks(X0, r, f_vals):
         lower = phi1(m_hat * r)
@@ -552,8 +559,9 @@ def check_si_sandwich(field: ScalarField, d: Decomposition,
     q and stop at the same sphere points.  The samples' projections
     x / ||x|| are folded in (:func:`fold_projected_samples`), so a sample is
     a witness only when the sandwich fails along its own ray.  q is then
-    solved at the two points chosen only, in one root solve.  This is the
-    SI report of :func:`check_sandwiches`, ``extrema`` included.
+    solved at the two points chosen only: q(u) = 1/t where f(x_star + t u) =
+    phi1(1), two rows of the one root solve that also gives the ball radii.
+    This is the SI report of :func:`check_sandwiches`, ``extrema`` included.
 
     Beyond the pointwise sandwich, two inclusions are witness-searched:
     every sampled point with ||x|| < rho must lie in the sublevel set at

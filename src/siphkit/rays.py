@@ -346,7 +346,7 @@ def _image_group_check(field: ScalarField, directions, values, kinds, want: str,
     the grid span.  Returns an updated verdict string or None if the class
     passes.
     """
-    from .rootfind import OK, solve_monotone_batch
+    from .rootfind import OK, STATUS_LABEL, solve_monotone_batch
 
     rows = kinds == want
     if np.count_nonzero(rows) < 2:
@@ -378,7 +378,9 @@ def _image_group_check(field: ScalarField, directions, values, kinds, want: str,
     matched = reachable & (res.residual <= match_tol)
     if not matched.all():
         witnesses += row_witnesses(~matched, "endpoint_match_failed", 1,
-                                   direction=D, target=v, status=res.status)
+                                   direction=D, target=v,
+                                   status=STATUS_LABEL[res.status],
+                                   residual=res.residual, match_tol=match_tol)
         return "inconclusive"
     return None
 

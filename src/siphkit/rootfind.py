@@ -41,6 +41,8 @@ OK = 0
 UNBOUNDED = 1    # bracket cap reached without straddling the target
 NONFINITE = 2    # nan encountered while bracketing or solving
 BELOW_START = 3  # target on the wrong side of the value at t = 0
+# the label of each status code, as reports give it
+STATUS_LABEL = np.array(["ok", "unbounded", "non-finite", "outside-range"])
 
 
 @dataclass

@@ -17,13 +17,17 @@ from siphkit.levelsets import (
     SPHERE_PASSES,
     SphereExtrema,
     _arc_points,
+    _arc_search,
+    _GRID,
     _refine_on_sphere,
     check_ph_sandwich,
+    check_sandwiches,
     check_si_sandwich,
     compactness_probe,
     fold_projected_samples,
     negligibility_probe,
     ray_level_radius,
+    si_sandwich_applies,
     sphere_extrema,
 )
 from siphkit.rays import SamplingPlan
@@ -109,8 +113,8 @@ def test_level_radius_rejects_non_monotone_rays():
 
 
 def test_status_labels_are_indexed_by_the_solver_codes():
-    labels = levelsets._STATUS_LABEL[[rootfind.OK, rootfind.UNBOUNDED,
-                                      rootfind.NONFINITE, rootfind.BELOW_START]]
+    labels = rootfind.STATUS_LABEL[[rootfind.OK, rootfind.UNBOUNDED,
+                                    rootfind.NONFINITE, rootfind.BELOW_START]]
     assert labels.tolist() == ["ok", "unbounded", "non-finite", "outside-range"]
 
 
@@ -393,40 +397,78 @@ def test_sandwich_extrema_polished_on_f_match_the_q_polish(name, n):
     assert report.M >= M_ref * (1.0 - 1e-9)
 
 
-def test_sandwich_solves_q_once_plus_once_per_reference_level(monkeypatch):
-    calls = []
-    solve = levelsets.solve_monotone_batch
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return solve(*args, **kwargs)
-
-    f = make_builtin("ellipsoid", 4)
-    d = build_decomposition(f)
-    monkeypatch.setattr(decomposition, "solve_monotone_batch", counted)
-    monkeypatch.setattr(levelsets, "solve_monotone_batch", counted)
-    report = check_si_sandwich(f, d)
-    assert report.passed
-    # q at the two extrema in one solve, then phi^-1 at up to 8 levels
-    assert 1 <= len(calls) <= 1 + 8
-
-
 def test_sandwich_inverts_its_reference_levels_in_one_solve(monkeypatch):
-    calls = []
+    rows, p_calls = [], []
     solve = levelsets.solve_monotone_batch
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return solve(*args, **kwargs)
+    def counted(profile, targets, *args, **kwargs):
+        rows.append(len(targets))
+        return solve(profile, targets, *args, **kwargs)
 
     f = make_builtin("ellipsoid", 4)
     d = build_decomposition(f)
     monkeypatch.setattr(decomposition, "solve_monotone_batch", counted)
     monkeypatch.setattr(levelsets, "solve_monotone_batch", counted)
+    monkeypatch.setattr(decomposition.Decomposition, "p_values",
+                        lambda self, X: p_calls.append(1))
     report = check_si_sandwich(f, d)
     assert report.passed
-    # q at the two extrema, then phi^-1 at all reference levels at once
-    assert len(calls) <= 2
+    # q at the two extrema and phi^-1 at the 8 reference levels, at once
+    assert rows == [2 + 8]
+    assert p_calls == []
+
+
+def _p_values_q(f, d, plan):
+    """m and M of the SI sandwich as p was solved at the two extrema before
+    they joined the level solve: p_values at the points, to the 1/alpha."""
+    ext = fold_projected_samples(f, plan, sphere_extrema(f, seed=plan.seed))
+    X = f.absolute(np.array([ext.argmin, ext.argmax]))
+    return ext, d.p_values(X) ** (1.0 / d.alpha)
+
+
+@pytest.mark.parametrize("name,n", [
+    ("ellipsoid", 2), ("ellipsoid", 4), ("half_norm", 3), ("norm", 2),
+    ("saddle_si", 3), ("sphere", 3), ("sq_norm", 5),
+    ("tanh_exp", 2), ("random_si", 3), ("random_si", 5), ("expr", 2),
+    ("expr-far", 2)])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_sandwich_q_has_the_bits_of_p_values(name, n, seed):
+    if name == "random_si":
+        f = random_si(seed, n)
+    elif name == "expr":
+        f = bind("(x_1-0.5)^2 + 3*(x_2+0.25)^2", 2, x_star=[0.5, -0.25])
+    elif name == "expr-far":
+        f = bind("(x_1-1e3)^2 + 3*(x_2+1e3)^2", 2, x_star=[1e3, -1e3])
+    else:
+        f = make_builtin(name, n)
+    plan = SamplingPlan(seed=seed)
+    d = build_decomposition(f, alpha=f.meta.ph_degree or 1.0, plan=plan)
+    assert si_sandwich_applies(d)
+    ext, q = _p_values_q(f, d, plan)
+    report, _ = check_sandwiches(f, d, plan, extrema=ext)
+    assert np.float64(report.M).tobytes() == q[1].tobytes()
+    if report.verdict == "precondition-failed":  # a minimum in the zero band
+        assert name == "tanh_exp" and report.m == 0.0
+    else:
+        assert np.float64(report.m).tobytes() == q[0].tobytes()
+
+
+def test_a_zero_minimum_draws_nothing_and_solves_the_extrema_alone(monkeypatch):
+    rows, drawn = [], []
+    solve = levelsets.solve_monotone_batch
+
+    def counted(profile, targets, *args, **kwargs):
+        rows.append(len(targets))
+        return solve(profile, targets, *args, **kwargs)
+
+    f = make_builtin("logsq_si", 2)
+    d = build_decomposition(f)
+    monkeypatch.setattr(levelsets, "solve_monotone_batch", counted)
+    monkeypatch.setattr(levelsets, "_first_finite_values",
+                        lambda *args: drawn.append(1))
+    report = check_si_sandwich(f, d)
+    assert report.verdict == "precondition-failed" and report.m == 0.0
+    assert rows == [2] and drawn == []
 
 
 def _count_polishes(monkeypatch):
@@ -505,6 +547,68 @@ def test_arc_points_match_per_chain_scalar_trig(k):
             scalar = np.array([np.cos(th) * u + np.sin(th) * v
                                for th, u, v in zip(theta, B, T)])
             assert _arc_points(theta, B, T).tobytes() == scalar.tobytes()
+
+
+def _column_stack_arc_search(fun, B, T, signs):
+    """The arc search as it was first written: the bracket ends stacked
+    around the grid angles on every call, the best angle read by row and
+    column."""
+    k, n = B.shape
+    rows = np.arange(k)
+    B_grid = np.repeat(B, ARC_GRID, axis=0)
+    T_grid = np.repeat(T, ARC_GRID, axis=0)
+    lo = np.full(k, -np.pi / 2)
+    hi = -lo
+    best_p = np.empty_like(B)
+    best_v = np.full(k, np.inf)
+    for _ in range(ARC_CALLS):
+        theta = lo[:, None] + (hi - lo)[:, None] * _GRID
+        P = _arc_points(theta.ravel(), B_grid, T_grid)
+        P /= np.sqrt(np.sum(P * P, axis=-1))[:, None]
+        vals = signs[:, None] * fun(P).reshape(k, ARC_GRID)
+        vals = np.where(np.isfinite(vals), vals, np.inf)
+        j = np.argmin(vals, axis=1)
+        v = vals[rows, j]
+        better = v < best_v
+        best_v[better] = v[better]
+        best_p[better] = P.reshape(k, ARC_GRID, n)[rows, j][better]
+        edges = np.column_stack([lo, theta, hi])
+        lo, hi = edges[rows, j], edges[rows, j + 2]
+    return best_p, best_v
+
+
+def _rough(P):
+    """A value per point with plateaus (exact ties), nan and +-inf."""
+    v = np.round(4.0 * P[:, 0] + P[:, -1] ** 2, 1)
+    pick = np.floor(np.abs(P[:, 1]) * 997.0) % 7
+    v[pick == 0], v[pick == 1], v[pick == 2] = np.nan, np.inf, -np.inf
+    return v
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("fun", [_rough, lambda P: P[:, 0] * P[:, -1] - P[:, 1]],
+                         ids=["rough", "smooth"])
+def test_arc_search_has_the_bits_of_the_column_stack_form(k, n, fun):
+    rng = np.random.default_rng(10 * k + n)
+    for _ in range(4):
+        B = rng.normal(size=(k, n))
+        B /= np.sqrt(np.sum(B * B, axis=1))[:, None]
+        T = rng.normal(size=(k, n))
+        T -= np.sum(T * B, axis=1)[:, None] * B
+        T /= np.sqrt(np.sum(T * T, axis=1))[:, None]
+        signs = rng.choice([-1.0, 1.0], size=k)
+        points, vals = _arc_search(fun, B, T, signs)
+        ref_points, ref_vals = _column_stack_arc_search(fun, B, T, signs)
+        assert np.isfinite(vals).all()
+        assert vals.tobytes() == ref_vals.tobytes()
+        assert points.tobytes() == ref_points.tobytes()
+
+
+def test_a_field_non_finite_on_every_sphere_sample_has_no_extrema():
+    f = ScalarField(3, lambda X: np.full(len(X), np.nan), vectorized=True)
+    with pytest.raises(ValueError, match="non-finite on all sphere samples"):
+        sphere_extrema(f)
 
 
 def test_sphere_minimum_on_the_zero_level_fails_the_precondition():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from siphkit.exprlang import bind
-from siphkit.field import row_sumsq
+from siphkit.field import ScalarField, row_sumsq
 from siphkit.gallery import REGISTRY, make_builtin
 from siphkit.rays import (
     MAX_WITNESSES,
@@ -330,6 +330,22 @@ def test_branch_jump_yields_disjoint_images():
     # one branch saturates below 1, the other starts above 2: no shared level
     assert w["range_a"][1] < 1.0
     assert w["range_b"][0] > 2.0
+
+
+def test_a_level_inside_a_jump_on_every_ray_is_inconclusive():
+    # every ray takes the values 0, 2, 4, ... and 21, 23, ... past |x| = 10:
+    # the shared level 10.5 is bracketed (the solve ends "ok") but lies
+    # inside the jump from 10 to 12 at |x| = 6, so no endpoint matches it
+    def jumps(X):
+        r = np.sqrt(row_sumsq(X))
+        return 2.0 * np.floor(r) + np.floor(r / 10.0)
+
+    report = check_decomposability(ScalarField(2, jumps, vectorized=True))
+    assert report.verdict == "inconclusive"
+    assert report.witnesses == [{
+        "kind": "endpoint_match_failed", "direction": [1.0, 0.0],
+        "target": 10.5, "status": "ok", "residual": 0.5,
+        "match_tol": 1e-8 * (1.0 + 10.5)}]
 
 
 def test_order_violation_disqualifies_directly():
