@@ -13,17 +13,24 @@ decompositions and level-set geometry.  A root solve's count rests on the
 bits of numpy's kernels, so the figures hold for the numpy and scipy
 versions that ``tier1.yml`` pins.
 
-After a change that is meant to move a count, rewrite the file with
+Each row also pins its report: ``digest`` is the sha256 of the report's
+bytes with the ``wall_time_ms`` value blanked, so a change that moves any
+other digit of a report moves it.
+
+After a change that is meant to move a count or a report, rewrite the file
+with
 
     PYTHONPATH=src python tests/test_field_points.py
 
-and say in the change which counts moved and why.
+and say in the change which counts and reports moved and why.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import os
+import re
 import sys
 
 import pytest
@@ -82,9 +89,15 @@ COMMANDS = {
 }
 
 
+def _digest(report: str) -> str:
+    """sha256 of a JSON report with its ``wall_time_ms`` value blanked."""
+    blank = re.sub(r'("wall_time_ms": )[^\n]*', r"\1", report)
+    return hashlib.sha256(blank.encode()).hexdigest()
+
+
 def count_points(argv) -> dict:
-    """The exit code of ``argv``, and the field calls it makes and the points
-    it evaluates."""
+    """The exit code of ``argv``, the field calls it makes and the points it
+    evaluates, and the digest of its report."""
     counts = {"calls": 0, "points": 0}
     original = ScalarField._eval_batch
 
@@ -94,12 +107,13 @@ def count_points(argv) -> dict:
         return original(self, X)
 
     ScalarField._eval_batch = counted
+    out = io.StringIO()
     try:
-        with contextlib.redirect_stdout(io.StringIO()):
+        with contextlib.redirect_stdout(out):
             code = main(argv + ["--seed", "7"])
     finally:
         ScalarField._eval_batch = original
-    return {"code": code, **counts}
+    return {"code": code, **counts, "digest": _digest(out.getvalue())}
 
 
 def _budget() -> dict:
