@@ -31,6 +31,7 @@ import argparse
 import csv
 import functools
 import math
+import re
 import sys
 import time
 
@@ -575,8 +576,15 @@ def main(argv=None) -> int:
     """Run one subcommand and return its exit code.
 
     ``main`` can be called repeatedly in one process: every call parses with
-    the same parser, built on the first call.
+    the same parser, built on the first call.  A value that starts like a
+    negative number, such as ``--x-star -2,0.5`` or ``--level -1e-3``, is
+    read as ``--x-star=-2,0.5``: argparse takes only a plain negative number
+    after an option as its value.
     """
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in range(len(argv) - 1, 0, -1):
+        if re.match(r"-\.?\d", argv[i]) and re.match(r"--[^=]+$", argv[i - 1]):
+            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:

@@ -30,8 +30,6 @@ from .rootfind import (BELOW_START, MAX_DOUBLINGS, OK, UNBOUNDED,
 ZERO_LEVEL_ATOL = 1e-12
 # uniqueness_check: largest coefficient of variation of p1/p2 in a class
 UNIQUENESS_CV_TOL = 1e-6
-# _scaled_p: half-width, relative, of the bracket that certifies a guessed lambda
-GUESS_BAND = 1e-9
 # p_values: the table of g along a sign class's reference ray, built for
 # classes of at least TABLE_MIN_ROWS rows; its points per octave of s; and
 # the half-widths, relative, of the brackets around a lambda read off it
@@ -81,22 +79,18 @@ class Decomposition:
 
     # -- p ------------------------------------------------------------------
 
-    def _solve_lambdas(self, Z: np.ndarray, ref: ReferenceInfo, guess=None,
-                       band: float = 0.0, failures=None) -> np.ndarray:
+    def _solve_lambdas(self, Z: np.ndarray, ref: ReferenceInfo,
+                       guess: np.ndarray, failures: list) -> np.ndarray:
         """lambda(z) with g(lambda z) = ref.value for each row of Z, nan where
         the ray never meets the reference level; the rows that fail are
-        witnessed in ``failures`` (default ``solver_failures``), up to
-        ``MAX_WITNESSES`` in all.  Not memoised: every call solves all of its
-        rows in one batched root solve, seeded by the bracket guess (1 -+
-        band) where it straddles (see ``solve_monotone_batch``)."""
-
-        def profile(t):
-            return self.field.ray_values(t, Z)
-
-        failures = self.solver_failures if failures is None else failures
-        bracket = None if guess is None else (guess * (1 - band), guess * (1 + band))
-        res = solve_monotone_batch(profile, np.full(Z.shape[0], ref.value),
-                                   increasing=ref.increasing, bracket=bracket)
+        witnessed in ``failures``, up to ``MAX_WITNESSES`` in all.  Not
+        memoised: every call solves all of its rows in one batched root
+        solve, seeded by the bracket guess (1 -+ TABLE_BAND) where it
+        straddles (see ``solve_monotone_batch``): a nan guess, not at all."""
+        res = solve_monotone_batch(
+            lambda t: self.field.ray_values(t, Z), np.full(Z.shape[0], ref.value),
+            increasing=ref.increasing,
+            bracket=(guess * (1 - TABLE_BAND), guess * (1 + TABLE_BAND)))
         reason = np.where(res.status == UNBOUNDED, "unbounded_ray",
                           np.where(res.status == BELOW_START, "level_unreachable",
                                    "non_finite"))
@@ -173,12 +167,12 @@ class Decomposition:
                 Zc = _rows(Z, cls)
                 lam_hat = (1.0 / self._table_scales(ref, _rows(g, cls)) if table
                            else np.full(len(Zc), np.nan))  # no table
-                lam, proven = self._certified(Zc, lam_hat, ref, TABLE_CERT_BAND)
+                lam, proven = self._certified(Zc, lam_hat, ref)
                 if not proven.all():
                     near = np.abs(lam - lam_hat) <= TABLE_BAND * lam_hat
                     guess = np.where(near, lam_hat, np.nan)[~proven]
                     lam[~proven] = self._solve_lambdas(Zc[~proven], ref, guess,
-                                                       TABLE_BAND, found)
+                                                       found)
                 # lambda = 0 (the ray starts on the reference level), or a
                 # huge alpha: p = inf
                 with np.errstate(divide="ignore", over="ignore"):
@@ -186,54 +180,18 @@ class Decomposition:
             yield block, p, f
         self.solver_failures = (failures[0] + failures[1])[:MAX_WITNESSES]
 
-    def _scaled_p(self, Z: np.ndarray, guess: np.ndarray,
-                  certify: bool) -> np.ndarray:
-        """p at the offsets Z, each row seeded by its guess of p, on the
-        rows where the guess is finite and nonzero; 0 on the others.
-        Failures are not kept, and no table is tried.
-
-        A guess gives lambda-hat = |guess|**(-1/alpha).  With ``certify``, a
-        row that the bracket lambda-hat (1 -+ GUESS_BAND) certifies is not
-        solved (``_certified``); the others are solved cold, as the seeded
-        solve goes on to solve a row whose bracket does not straddle.
-        Without ``certify`` every row takes the seeded solve.
-        """
-        p = np.zeros(len(Z))
-        live = np.isfinite(guess) & (guess != 0)
-        if not live.any():
-            return p
-        Z, guess = _rows(Z, live), _rows(guess, live)
-        g = self.field.shifted_values(Z)
-        q = np.where(np.isnan(g), np.nan, 0.0)
-        with np.errstate(over="ignore"):
-            lam_hat = np.abs(guess) ** (-1.0 / self.alpha)
-        for ref, sign, cls in self._classes(g):
-            if not cls.any():
-                continue
-            Zc = _rows(Z, cls)
-            if not certify:
-                lam = self._solve_lambdas(Zc, ref, _rows(lam_hat, cls), GUESS_BAND, [])
-            else:
-                lam, ok = self._certified(Zc, _rows(lam_hat, cls), ref, GUESS_BAND)
-                if not ok.all():
-                    lam[~ok] = self._solve_lambdas(Zc[~ok], ref, failures=[])
-            with np.errstate(divide="ignore"):
-                q[cls] = sign * (1.0 / lam) ** self.alpha
-        p[live] = q
-        return p
-
     def _certified(self, Z: np.ndarray, lam_hat: np.ndarray,
-                   ref: ReferenceInfo, band: float) -> tuple:
+                   ref: ReferenceInfo) -> tuple:
         """(lambda, proven) at the rows of Z: one secant step between the
-        ends of the bracket lam_hat (1 -+ band), evaluated on the row's own
-        ray, and where they straddle the level of ``ref`` as the solver tests
-        it, g(lo) < 0 <= g(hi), so that lambda is within the band of a root.
-        lambda is nan where no end is evaluated: the solver would not take
-        the level, or the bracket is empty or infinite."""
+        ends of the bracket lam_hat (1 -+ TABLE_CERT_BAND), evaluated on the
+        row's own ray, and where they straddle the level of ``ref`` as the
+        solver tests it, g(lo) < 0 <= g(hi), so that lambda is within the
+        band of a root.  lambda is nan where no end is evaluated: the solver
+        would not take the level, or the bracket is empty or infinite."""
         s = 1.0 if ref.increasing else -1.0
         if not (np.isfinite(ref.value) and s * ref.value > 0):
             return np.full(len(Z), np.nan), np.zeros(len(Z), dtype=bool)
-        lo, hi = lam_hat * (1.0 - band), lam_hat * (1.0 + band)
+        lo, hi = lam_hat * (1.0 - TABLE_CERT_BAND), lam_hat * (1.0 + TABLE_CERT_BAND)
         skip = ~((lo < hi) & np.isfinite(hi))  # as the solver takes a bracket
         lo[skip] = hi[skip] = np.nan  # ray_values evaluates no nan row
         with np.errstate(all="ignore"):
@@ -524,7 +482,9 @@ def build_decomposition(field: ScalarField, alpha: float = 1.0, x0=None,
 @dataclass
 class DecompositionCheck:
     max_composition_residual: float
-    max_ph_residual: float  # normalized by (1 + rho^alpha |p|)
+    # |f(x_star + rho z) - phi(rho^alpha p(z))|, normalized by
+    # (1 + |f(x_star + rho z) - f(x_star)|)
+    max_ph_residual: float
     n_samples: int
     witnesses: list
     seed: int
@@ -540,9 +500,15 @@ def _box_blocks(field: ScalarField, plan: SamplingPlan):
         yield rows, field.absolute(Z)
 
 
+def _normal(x: np.ndarray) -> np.ndarray:
+    """Where x is finite and normal: not 0, subnormal, inf or nan."""
+    return np.isfinite(x) & (np.abs(x) >= np.finfo(float).tiny)
+
+
 def _max_over(values: np.ndarray, rows: np.ndarray, running: float) -> float:
-    """The larger of ``running`` and the largest of ``values`` at ``rows``."""
-    return max(running, float(values[rows].max())) if rows.any() else running
+    """The larger of ``running`` and the largest of ``values`` at ``rows``;
+    a nan ``running`` is no row yet."""
+    return float(np.fmax(running, values[rows].max())) if rows.any() else running
 
 
 def verify_decomposition(field: ScalarField, d: Decomposition,
@@ -552,38 +518,29 @@ def verify_decomposition(field: ScalarField, d: Decomposition,
     """Round-trip and homogeneity residuals of a decomposition on seeded samples.
 
     Reports max |f(x) - phi(p(x))| and the max homogeneity defect
-    |p(rho z) - rho^alpha p(z)| / (1 + rho^alpha |p(z)|).  A sample with
-    p(z) = 0 enters neither maximum, except in the zero case: with every p
-    0, a field that is not SI would pass.  With no sample left, both are nan.
-    Unless they are at most ``comp_tol`` and ``ph_tol`` (nan is not), the
-    witnesses end with a ``residual_exceeded`` witness.
-
-    p = lambda^-alpha is defined along rays, so p(rho z) = rho^alpha p(z)
-    holds by construction: only the composition residual tests whether the
-    field is SI.  The homogeneity defect checks p(rho z) on the ray of rho z
-    itself, from the guess rho^alpha p(z): lambda-hat = |guess|^(-1/alpha).
-    A row whose bracket lambda-hat (1 -+ GUESS_BAND) straddles its class
-    level there is certified by those two ends, and its defect is read from
-    one secant step inside the bracket, so it is at most the bracket's
-    bound (1 - GUESS_BAND)^-alpha - 1 (up to rounding).  The other rows are
-    solved cold, with no table (see ``Decomposition._scaled_p``).  When the
-    bound exceeds ``ph_tol`` no row is certified: every row takes the
-    seeded solve, so no verdict rests on a bracket finer than the one it
-    proves.  A row where p(z) is 0, nan or infinite is not solved: its
-    defect enters no maximum, or is 0 in the zero case.
+    |f(x_star + rho z) - phi(rho^alpha p(z))| / (1 + |f(x_star + rho z) -
+    f(x_star)|): f = phi o p with p positively homogeneous, seen at a second
+    scale.  A sample with p(z) = 0 enters neither maximum, except in the
+    zero case: with every p 0, a field that is not SI would pass.  Nor does
+    a sample enter the homogeneity maximum unless p(z), rho^alpha and
+    rho^alpha p(z) are all finite and normal: a huge alpha rounds rho^alpha
+    p(z) to 0, inf or a subnormal, and phi of it is not f at rho z.  With no
+    sample left, a residual is nan.  Unless they are at most ``comp_tol``
+    and ``ph_tol`` (nan is not), the witnesses end with a
+    ``residual_exceeded`` witness.
 
     One pass draws the samples in blocks of rows, rho after the points.  f
     at each sample is evaluated once, for both p and the composition
-    residual, and p of every sample is kept (``p_samples``).
+    residual, and once at x_star + rho z; phi(p) and phi(rho^alpha p) come
+    from one ``phi_values`` call.  p of every sample is kept
+    (``p_samples``).
     """
     plan = plan or SamplingPlan()
     count = plan.n_samples
-    with np.errstate(over="ignore"):  # a huge alpha: no bound, no certificate
-        certify = np.float64(1.0 - GUESS_BAND) ** -d.alpha - 1.0 <= ph_tol
     p_vals = np.empty(count)
-    comp_max = ph_max = -np.inf
-    compared = ph_compared = 0
+    comp = ph = np.nan
     nan_rows = []
+    zero = d.case == "zero"
 
     def blocks():  # the box points, each block with its rho
         for rows, Z, rho in sample_blocks(plan, field.n, (1, plan.rhos)):
@@ -591,31 +548,22 @@ def verify_decomposition(field: ScalarField, d: Decomposition,
 
     for ((rows, rho), X), p, f in d.p_blocks(count, blocks):
         p_vals[rows] = p
-        with np.errstate(invalid="ignore"):  # inf - inf: a non_finite row
-            comp = np.abs(f - d.phi_values(p))
-        ok = ~np.isnan(comp)
-        nan_rows += row_witnesses(~ok, "non_finite",
-                                  FEW_WITNESSES - len(nan_rows), point=X)
-        judged = (p != 0) | (d.case == "zero")
-        ok &= judged
-        compared += int(np.count_nonzero(ok))
-        comp_max = _max_over(comp, ok, comp_max)
-
-        # a huge alpha: rho^alpha overflows or underflows, inf * 0 is nan,
-        # and a row whose expected p is not finite is not solved
+        # a huge alpha: rho^alpha overflows or underflows, and inf * 0 is nan
         with np.errstate(over="ignore", invalid="ignore"):
-            expected = rho ** d.alpha * p
-        # the offsets of the points x_star + rho z, as _scaled_p takes them
-        Z = field.absolute(rho[:, None] * (X - field.x_star)) - field.x_star
-        p_scaled = d._scaled_p(Z, expected, certify)
-        with np.errstate(invalid="ignore"):  # p = inf on the reference level
-            ph_defect = np.abs(p_scaled - expected) / (1.0 + np.abs(expected))
-        ok = ~np.isnan(ph_defect) & judged
-        ph_compared += int(np.count_nonzero(ok))
-        ph_max = _max_over(ph_defect, ok, ph_max)
+            scale = rho ** d.alpha
+            expected = scale * p
+        scaled = zero | (_normal(p) & _normal(scale) & _normal(expected))
+        phi = d.phi_values(np.concatenate([p, np.where(scaled, expected, np.nan)]))
+        f_rho = field.values(field.absolute(rho[:, None] * (X - field.x_star)))
+        with np.errstate(invalid="ignore"):  # inf - inf: a non_finite row
+            comp_rows = np.abs(f - phi[:len(p)])
+            ph_rows = np.abs(f_rho - phi[len(p):]) / (1.0 + np.abs(
+                field.minus_f_star(f_rho)))
+        nan_rows += row_witnesses(np.isnan(comp_rows), "non_finite",
+                                  FEW_WITNESSES - len(nan_rows), point=X)
+        comp = _max_over(comp_rows, ~np.isnan(comp_rows) & ((p != 0) | zero), comp)
+        ph = _max_over(ph_rows, ~np.isnan(ph_rows) & scaled, ph)
     witnesses = d.solver_failures + nan_rows
-    comp = comp_max if compared else np.nan
-    ph = ph_max if ph_compared else np.nan
     if not (comp <= comp_tol and ph <= ph_tol):
         witnesses.append({"kind": "residual_exceeded",
                           "max_composition_residual": comp, "max_ph_residual": ph,

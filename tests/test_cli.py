@@ -1094,6 +1094,14 @@ _RUNS = {
     "decompose-row-on-level": _Run(
         ["decompose", "--gallery", "tanh_exp", "--n", "2", "--N", "300",
          "--x0=0.5,0.3", "--format", "json"], 1, None),
+    # f at x_star + rho z is judged relative to its distance from f(x_star):
+    # an absolute defect of values about 1e6 would fail these
+    "decompose-ellipsoid-radius-1e3": _Run(
+        ["decompose", "--gallery", "ellipsoid", "--n", "3", "--N", "2000",
+         "--box-radius", "1e3", "--format", "json"], 0),
+    "decompose-saddle_si-radius-1e3": _Run(
+        ["decompose", "--gallery", "saddle_si", "--n", "3", "--N", "2000",
+         "--box-radius", "1e3", "--format", "json"], 0),
     # rho^alpha overflows at a huge alpha, and at 1e308 so does p
     "decompose-alpha-400": _Run(["decompose", "--gallery", "sphere", "--n",
                                  "2", "--N", "200", "--alpha", "400",
@@ -1119,6 +1127,17 @@ _RUNS = {
     "general-euler-alpha-1e-300": _Run(
         ["verify", "general-euler", "--gallery", "gauss_si", "--n", "3",
          "--N", "300", "--alpha", "1e-300"], 1, ["general_euler_residual"]),
+    # a value that argparse reads as an option unless main glues it to its
+    # flag: a negative point, and a negative number in exponent form
+    "bounds-x-star-negative": _Run(
+        ["levelset", "bounds", "--expr", "(x_1+2)^2 + (x_2-0.5)^2", "--n", "2",
+         "--x-star", "-2,0.5", "--format", "json"], 0,
+        check=lambda doc: doc["config"]["function"]["x_star"] == [-2.0, 0.5]),
+    "negligible-level-exponent": _Run(
+        ["levelset", "negligible", "--gallery", "gauss_si", "--n", "2",
+         "--level", "-1e-3", "--N", "2000", "--format", "json"], 1,
+        ["excess_fraction"],
+        check=lambda doc: doc["metrics"]["level"] == -0.001),
     "radii-500-records": _Run(
         ["levelset", "radii", "--gallery", "sphere", "--n", "3", "--level",
          "4", "--directions", "500", "--format", "json"], 0,

@@ -316,7 +316,10 @@ def test_homothety_scale_is_nan_on_the_zero_level():
     # the ray of x_star never meets the reference level; p_values takes the
     # zero level as p = 0 without a solve
     d = build_decomposition(make_builtin("sq_norm", 2), alpha=1.0, x0=E1_2D)
-    assert np.isnan(d._solve_lambdas(np.zeros((1, 2)), d.positive_ref)).all()
+    failures = []
+    lam = d._solve_lambdas(np.zeros((1, 2)), d.positive_ref, np.full(1, np.nan),
+                           failures)
+    assert np.isnan(lam).all() and len(failures) == 1
     assert d.p_values([[0.0, 0.0]]).tolist() == [0.0]
     assert d.solver_failures == []
 
@@ -584,7 +587,7 @@ def test_solver_failures_do_not_carry_over_between_calls():
 
 
 # ---------------------------------------------------------------------------
-# the certified p(rho z) and the reused p(X)
+# the homogeneity check at x_star + rho z and the reused p(X)
 
 
 def _record_p_values(monkeypatch, d):
@@ -601,172 +604,64 @@ def _record_p_values(monkeypatch, d):
     return calls
 
 
-def _record_scaled_p(monkeypatch, d):
-    """Record (Z, guess, certify, p, points, solves) for each d._scaled_p
-    call: the field points it evaluated outside root solves, and the rows
-    of each root solve it ran."""
-    calls, points, solves = [], [0], []
-    eval_batch = d.field._eval_batch
-    solve = decomposition.solve_monotone_batch
+def _count_points(monkeypatch, field):
+    """A one-element list that counts the points ``field`` evaluates."""
+    points = [0]
+    eval_batch = field._eval_batch
 
-    def counted_eval(X):
+    def counted(X):
         points[0] += len(X)
         return eval_batch(X)
-
-    def counted_solve(profile, targets, *args, **kwargs):
-        solves.append(len(targets))
-        outside = points[0]
-        try:
-            return solve(profile, targets, *args, **kwargs)
-        finally:
-            points[0] = outside
-
-    def scaled_p(Z, guess, certify):
-        points[0] = 0
-        solves.clear()
-        p = Decomposition._scaled_p(d, Z, guess, certify)
-        calls.append((Z, guess, certify, p, points[0], list(solves)))
-        return p
-    monkeypatch.setattr(d.field, "_eval_batch", counted_eval)
-    monkeypatch.setattr(decomposition, "solve_monotone_batch", counted_solve)
-    monkeypatch.setattr(d, "_scaled_p", scaled_p)
-    return calls
+    monkeypatch.setattr(field, "_eval_batch", counted)
+    return points
 
 
 @pytest.mark.parametrize("field", [
     make_builtin("gauss_si", 4), make_builtin("ellipsoid", 5), random_si(3, 3),
 ], ids=["gauss_si", "ellipsoid", "random_si"])
-def test_seeded_homogeneity_solve_matches_the_cold_one(monkeypatch, field):
+def test_the_homogeneity_check_costs_f_at_rho_z_and_one_phi(monkeypatch, field):
     plan = SamplingPlan(seed=11, n_samples=1500)
-    d = build_decomposition(field, plan=plan)
+    d, ref = (build_decomposition(field, plan=plan) for _ in range(2))
     calls = _record_p_values(monkeypatch, d)
-    judged = _record_scaled_p(monkeypatch, d)
+    points = _count_points(monkeypatch, field)
     check = verify_decomposition(field, d, plan)
-    # one pass: p(X) is solved once, and every p(rho z) is judged from it
+    # one pass: p(X) is solved once, and kept
     [(X, p_x)] = calls
     assert check.p_samples.tobytes() == p_x.tobytes()
-    [(Z, expected, certify, p_scaled, points, solves)] = judged
-    assert certify and (np.isfinite(expected) & (expected != 0)).all()
-    # every row certified: its class point g(rho z) and the two ends of its
-    # bracket, and no root solve
-    assert solves == [] and points == 3 * len(Z)
-    # truly cold solves of p(rho z), with no guess and no table
-    monkeypatch.setattr(decomposition, "TABLE_MIN_ROWS", np.inf)
-    cold = Decomposition.p_values(d, field.absolute(Z))
-    scale = np.maximum(np.abs(cold), np.finfo(float).tiny)
-    assert (np.abs(p_scaled - cold) <= 1e-13 * scale).all()
-    assert check.max_ph_residual <= 1e-13
-
-
-def test_a_ph_tol_below_the_bracket_bound_takes_the_seeded_solve(monkeypatch):
-    field = make_builtin("ellipsoid", 3)
-    plan = SamplingPlan(seed=5, n_samples=600)
-    d = build_decomposition(field, plan=plan, alpha=2.0)
-    bound = (1.0 - decomposition.GUESS_BAND) ** -2.0 - 1.0  # about 2e-9
-    judged = _record_scaled_p(monkeypatch, d)
-    check = verify_decomposition(field, d, plan, ph_tol=0.5 * bound)
-    [(Z, expected, certify, p_scaled, points, solves)] = judged
-    # one sign class: one seeded solve of every row, after the class points
-    assert not certify and solves == [len(Z)] and points == len(Z)
-    seeded = _seeded_p(d, field.absolute(Z), expected)
-    assert p_scaled.tobytes() == seeded.tobytes()
+    # beyond p(X), each row costs f at x_star + rho z, phi(p) and
+    # phi(rho^alpha p): no ray is solved again
+    verified, points[0] = points[0], 0
+    ref.p_values(X)
+    assert verified == points[0] + 3 * len(X)
     assert check.max_ph_residual <= 1e-13 and check.witnesses == []
-    # a ph_tol at the bound certifies
-    verify_decomposition(field, d, plan, ph_tol=bound)
-    assert judged[-1][2]
 
 
-def _seeded_p(d, X, guess):
-    """p from a root solve of each row of X on its own ray, seeded by the
-    bracket lambda-hat (1 -+ GUESS_BAND) of its guess, lambda-hat =
-    |guess|**(-1/alpha), with no table."""
-    Z = X - d.field.x_star
-    g = d.field.shifted_values(Z)
-    band = decomposition.GUESS_BAND
-    with np.errstate(divide="ignore", over="ignore"):
-        lam_hat = np.abs(guess) ** (-1.0 / d.alpha)
-    p = np.where(np.isnan(g), np.nan, 0.0)
-    for ref, sign, cls in d._classes(g):
-        res = solve_monotone_batch(
-            lambda t: d.field.ray_values(t, Z[cls]),
-            np.full(np.count_nonzero(cls), ref.value), ref.increasing,
-            bracket=(lam_hat[cls] * (1.0 - band), lam_hat[cls] * (1.0 + band)))
-        lam = np.where(res.status == OK, res.t, np.nan)
-        with np.errstate(divide="ignore"):
-            p[cls] = sign * (1.0 / lam) ** d.alpha
-    return p
-
-
-def _two_pass_verify(field, d, plan):
-    """verify_decomposition as two passes over the whole sample: p(X), then
-    every p(rho z) root-solved from the guess rho^alpha p(z)."""
+def test_rows_whose_scaled_p_is_not_normal_enter_no_maximum():
+    # at alpha = 400, rho^alpha p(z) underflows to 0 or a subnormal on many
+    # rows, where phi of it is about f(x_star), not f at x_star + rho z
+    field = make_builtin("sphere", 2)
+    plan = SamplingPlan(seed=6, n_samples=200)
+    d = build_decomposition(field, plan=plan, alpha=400.0)
+    assert verify_decomposition(field, d, plan).max_ph_residual <= 1e-13
     rng = plan.rng()
-    X = field.absolute(plan.box_points(field.n, rng=rng))
-    rho = plan.rhos(rng=rng)
-    p = d.p_values(X)
-    witnesses = list(d.solver_failures)
-    with np.errstate(invalid="ignore"):
-        comp = np.abs(field.values(X) - d.phi_values(p))
-    expected = rho ** d.alpha * p
-    p_scaled = _seeded_p(d, field.absolute(rho[:, None] * (X - field.x_star)),
-                         expected)
-    with np.errstate(invalid="ignore"):
-        ph = np.abs(p_scaled - expected) / (1.0 + np.abs(expected))
-    witnesses += [{"kind": "non_finite", "point": x.tolist()}
-                  for x in X[np.isnan(comp)][:4]]
-    ok = p != 0
-    comp_max = float(comp[ok & ~np.isnan(comp)].max())
-    ph_max = float(ph[ok & ~np.isnan(ph)].max())
-    if not (comp_max <= 1e-7 and ph_max <= 1e-7):
-        witnesses.append({"kind": "residual_exceeded"})
-    return comp_max, ph_max, witnesses
-
-
-def test_rho_z_rows_of_the_other_sign_class_are_judged_as_the_seeded_solve(
-        monkeypatch):
-    # g = x_1 (|x| - 1) changes sign along each ray at |x| = 1, so rho z and
-    # z fall in different sign classes when rho moves the row across the
-    # unit circle; build_decomposition rejects such rays
-    f = bind("x_1*(norm(x)-1)", 2)
-    pos, neg = (ReferenceInfo(point=np.array([x, 0.0]), value=f.shifted([x, 0.0]),
-                              increasing=x > 0) for x in (2.0, -2.0))
-    d, ref = (Decomposition(f, 1.0, "two-sided", positive_ref=pos,
-                            negative_ref=neg) for _ in range(2))
-    plan = SamplingPlan(seed=3, n_samples=2000)
-    judged = _record_scaled_p(monkeypatch, d)
-    check = verify_decomposition(f, d, plan)
-    [(Z, expected, certify, p_scaled, _, solves)] = judged
-    live = np.isfinite(expected) & (expected != 0)
-    switched = live & (np.sign(f.shifted_values(Z)) == -np.sign(expected))
-    assert certify and switched.sum() >= 100 and solves
-    comp, ph, witnesses = _two_pass_verify(f, ref, plan)
-    assert check.max_composition_residual == comp
-    assert round(comp, 4) == 0.3596
-    assert (check.max_ph_residual <= 1e-7) == (ph <= 1e-7)
-    kinds = [w["kind"] for w in check.witnesses]
-    assert kinds == [w["kind"] for w in witnesses]
-    assert "unbounded_ray" in kinds and kinds[-1] == "residual_exceeded"
-    assert check.witnesses[:-1] == witnesses[:-1]
-
-
-def test_a_guess_only_seeds_the_solve(monkeypatch):
-    # wrong guesses fall back to the cold solve with no table; zero, nan
-    # and infinite ones are not solved
-    f = make_builtin("gauss_si", 3)
-    d = build_decomposition(f)
-    Z = SamplingPlan(seed=5, n_samples=40).box_points(3)
-    cold = _cold_p(d, f.absolute(Z), d.positive_ref)
-    judged = _record_scaled_p(monkeypatch, d)
-    for certify in (True, False):
-        for guess in (2.0 * cold, 0.5 * cold):
-            assert d._scaled_p(Z, guess, certify).tobytes() == cold.tobytes()
-            assert judged[-1][5]  # a root solve ran
-        for guess in (np.zeros(40), np.full(40, np.nan), np.full(40, np.inf)):
-            p = d._scaled_p(Z, guess, certify)
-            assert p.tobytes() == np.zeros(40).tobytes()
-            assert judged[-1][4:] == (0, [])  # no field point, no root solve
-        np.testing.assert_allclose(d._scaled_p(Z, cold, certify), cold,
-                                   rtol=1e-13)
+    Z, rho = plan.box_points(2, rng=rng), plan.rhos(rng=rng)
+    p = d.p_values(field.absolute(Z))
+    with np.errstate(over="ignore"):
+        scale = rho ** d.alpha
+        expected = scale * p
+    tiny = np.finfo(float).tiny
+    # each of p, rho^alpha and their product is subnormal on some rows,
+    # and the product is 0 on others
+    for x in (p, scale, expected):
+        assert ((0 < x) & (x < tiny)).any()
+    low = expected < tiny
+    assert (expected[low] == 0).any()
+    f_rho = field.values(rho[low, None] * Z[low])
+    defect = np.abs(f_rho - d.phi_values(expected[low])) / (1.0 + f_rho)
+    assert defect.max() > 1e-7
+    assert not decomposition._normal(np.array(
+        [0.0, 5e-324, tiny / 2, np.inf, -np.inf, np.nan])).any()
+    assert decomposition._normal(np.array([tiny, -1.0])).all()
 
 
 def test_a_field_that_is_not_si_still_fails_on_composition(capsys):
@@ -776,7 +671,8 @@ def test_a_field_that_is_not_si_still_fails_on_composition(capsys):
     assert code == 1 and doc["verdict"] == "fail"
     # the same value as with the cold solve: p(x) is solved as before
     assert doc["metrics"]["max_composition_residual"] == 20.459028167777888
-    assert doc["metrics"]["max_ph_residual"] <= 1e-7
+    # f at x_star + rho z is not phi(rho^alpha p(z)) either
+    assert doc["metrics"]["max_ph_residual"] > 1e-7
     (witness,) = doc["witnesses"]
     assert witness["kind"] == "residual_exceeded"
 

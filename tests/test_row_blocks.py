@@ -228,7 +228,7 @@ def test_euler_witnesses_fill_from_several_blocks():
 
 def one_shot_verify(field, d, plan):
     """verify_decomposition with every sample drawn at once, p solved in
-    one call and every p(rho z) judged in one call."""
+    one call and f at every x_star + rho z read in one call."""
     rng = plan.rng()
     X = field.absolute(plan.box_points(field.n, rng=rng))
     rho = plan.rhos(rng=rng)
@@ -238,16 +238,22 @@ def one_shot_verify(field, d, plan):
     f = field.values(field.absolute(X - field.x_star))
     with np.errstate(invalid="ignore"):
         comp = np.abs(f - d.phi_values(p_vals))
-    expected = rho ** d.alpha * p_vals
-    Z = field.absolute(rho[:, None] * (X - field.x_star)) - field.x_star
-    # the default ph_tol is above the bracket bound: straddling rows certify
-    p_scaled = d._scaled_p(Z, expected, certify=True)
-    with np.errstate(invalid="ignore"):
-        ph = np.abs(p_scaled - expected) / (1.0 + np.abs(expected))
+    tiny = np.finfo(float).tiny
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = rho ** d.alpha
+        expected = scale * p_vals
+        # p, rho^alpha and their product finite and normal
+        scaled = ((np.abs(p_vals) >= tiny) & (np.abs(scale) >= tiny)
+                  & (np.abs(expected) >= tiny)
+                  & np.isfinite(p_vals) & np.isfinite(scale)
+                  & np.isfinite(expected)) | (d.case == "zero")
+        f_rho = field.values(field.absolute(rho[:, None] * (X - field.x_star)))
+        phi_rho = d.phi_values(np.where(scaled, expected, np.nan))
+        ph = np.abs(f_rho - phi_rho) / (1.0 + np.abs(f_rho - field.f_star))
     witnesses += row_witnesses(np.isnan(comp), "non_finite", FEW_WITNESSES,
                                point=X)
     compared = (p_vals != 0) | (d.case == "zero")
-    ok, ph_ok = compared & ~np.isnan(comp), compared & ~np.isnan(ph)
+    ok, ph_ok = compared & ~np.isnan(comp), scaled & ~np.isnan(ph)
     comp_max = float(comp[ok].max()) if ok.any() else np.nan
     ph_max = float(ph[ph_ok].max()) if ph_ok.any() else np.nan
     if not (comp_max <= 1e-7 and ph_max <= 1e-7):  # the default tolerances
