@@ -53,6 +53,8 @@ COMMANDS = {
                             "--n", "4", "--N", "5000", "--level", "0.5"],
     "euler-norm-numerical": ["verify", "euler", "--gallery", "norm", "--n", "6",
                              "--N", "1000", "--numerical"],
+    "euler-sphere-two-blocks": ["verify", "euler", "--gallery", "sphere", "--n",
+                                "4", "--N", "12000"],
     # batched ray root solves
     "decompose-random_si": ["decompose", "--gallery", "random_si", "--n", "3",
                             "--N", "1500"],
@@ -66,6 +68,9 @@ COMMANDS = {
                                       "--n", "3", "--N", "9000"],
     "general-euler-gauss_si": ["verify", "general-euler", "--gallery", "gauss_si",
                                "--n", "5", "--N", "1500", "--alpha", "2"],
+    "general-euler-saddle_si-two-blocks": ["verify", "general-euler", "--gallery",
+                                           "saddle_si", "--n", "4", "--N",
+                                           "12000"],
     "decomposable-saddle_si": ["check", "decomposable", "--gallery", "saddle_si",
                                "--n", "4"],
     # level-set geometry
