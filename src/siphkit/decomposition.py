@@ -21,13 +21,14 @@ from typing import Optional
 import numpy as np
 
 from .field import FieldMeta, ScalarField, _as_point
-from .rays import (FEW_WITNESSES, MAX_WITNESSES, SamplingPlan, classify_ray,
-                   default_directions, order_trichotomy, row_witnesses,
-                   sample_blocks)
+from .rays import (FEW_WITNESSES, MAX_WITNESSES, RunningResidual, SamplingPlan,
+                   classify_ray, default_directions, order_trichotomy,
+                   row_witnesses, sample_blocks)
 from .rootfind import (BELOW_START, MAX_DOUBLINGS, OK, UNBOUNDED,
                        solve_monotone_batch)
 
 ZERO_LEVEL_ATOL = 1e-12
+TINY = np.finfo(float).tiny  # the smallest normal double
 # uniqueness_check: largest coefficient of variation of p1/p2 in a class
 UNIQUENESS_CV_TOL = 1e-6
 # p_values: the table of g along a sign class's reference ray, built for
@@ -502,13 +503,7 @@ def _box_blocks(field: ScalarField, plan: SamplingPlan):
 
 def _normal(x: np.ndarray) -> np.ndarray:
     """Where x is finite and normal: not 0, subnormal, inf or nan."""
-    return np.isfinite(x) & (np.abs(x) >= np.finfo(float).tiny)
-
-
-def _max_over(values: np.ndarray, rows: np.ndarray, running: float) -> float:
-    """The larger of ``running`` and the largest of ``values`` at ``rows``;
-    a nan ``running`` is no row yet."""
-    return float(np.fmax(running, values[rows].max())) if rows.any() else running
+    return np.isfinite(x) & (np.abs(x) >= TINY)
 
 
 def verify_decomposition(field: ScalarField, d: Decomposition,
@@ -520,13 +515,14 @@ def verify_decomposition(field: ScalarField, d: Decomposition,
     Reports max |f(x) - phi(p(x))| and the max homogeneity defect
     |f(x_star + rho z) - phi(rho^alpha p(z))| / (1 + |f(x_star + rho z) -
     f(x_star)|): f = phi o p with p positively homogeneous, seen at a second
-    scale.  A sample with p(z) = 0 enters neither maximum, except in the
-    zero case: with every p 0, a field that is not SI would pass.  Nor does
-    a sample enter the homogeneity maximum unless p(z), rho^alpha and
-    rho^alpha p(z) are all finite and normal: a huge alpha rounds rho^alpha
-    p(z) to 0, inf or a subnormal, and phi of it is not f at rho z.  With no
-    sample left, a residual is nan.  Unless they are at most ``comp_tol``
-    and ``ph_tol`` (nan is not), the witnesses end with a
+    scale.  A sample enters the composition maximum only where p(z) is
+    normal or infinite, or in the zero case: phi of a subnormal p is not f
+    to its last digits, and with every p 0 a field that is not SI would
+    pass.  Nor does it enter the homogeneity maximum unless p(z), rho^alpha
+    and rho^alpha p(z) are all finite and normal: a huge alpha rounds
+    rho^alpha p(z) to 0, inf or a subnormal, and phi of it is not f at rho
+    z.  With no sample left, a residual is nan.  Unless they are at most
+    ``comp_tol`` and ``ph_tol`` (nan is not), the witnesses end with a
     ``residual_exceeded`` witness.
 
     One pass draws the samples in blocks of rows, rho after the points.  f
@@ -538,7 +534,7 @@ def verify_decomposition(field: ScalarField, d: Decomposition,
     plan = plan or SamplingPlan()
     count = plan.n_samples
     p_vals = np.empty(count)
-    comp = ph = np.nan
+    comp_res, ph_res = RunningResidual(), RunningResidual()
     nan_rows = []
     zero = d.case == "zero"
 
@@ -561,9 +557,10 @@ def verify_decomposition(field: ScalarField, d: Decomposition,
                 field.minus_f_star(f_rho)))
         nan_rows += row_witnesses(np.isnan(comp_rows), "non_finite",
                                   FEW_WITNESSES - len(nan_rows), point=X)
-        comp = _max_over(comp_rows, ~np.isnan(comp_rows) & ((p != 0) | zero), comp)
-        ph = _max_over(ph_rows, ~np.isnan(ph_rows) & scaled, ph)
+        comp_res.add(comp_rows, ~np.isnan(comp_rows) & (zero | (np.abs(p) >= TINY)))
+        ph_res.add(ph_rows, ~np.isnan(ph_rows) & scaled)
     witnesses = d.solver_failures + nan_rows
+    comp, ph = comp_res.max, ph_res.max
     if not (comp <= comp_tol and ph <= ph_tol):
         witnesses.append({"kind": "residual_exceeded",
                           "max_composition_residual": comp, "max_ph_residual": ph,

@@ -17,8 +17,8 @@ import numpy as np
 from .decomposition import Decomposition, _box_blocks
 from .field import GradientSpec, ScalarField, row_sumsq
 from .levelsets import ray_level_radius
-from .rays import (FEW_WITNESSES, SamplingPlan, classify_ray, row_witnesses,
-                   sample_blocks)
+from .rays import (FEW_WITNESSES, RunningResidual, SamplingPlan, classify_ray,
+                   row_witnesses, sample_blocks)
 from .rootfind import OK, solve_monotone_batch
 
 PHI_STEP = 1e-6           # general_euler_residual: phi' step / (1 + |p|)
@@ -78,23 +78,6 @@ def _floored_box_points(plan: SamplingPlan, n: int, floor: float,
     return np.copysign(floor + np.abs(V) * (plan.box_radius - floor), V)
 
 
-def _max_and_mean(residuals: np.ndarray, kind: str, tol: float,
-                  witnesses: list) -> dict:
-    """``max_residual`` and ``mean_residual``: the largest and the mean of
-    the finite ``residuals``, nan if none is; a largest that is nan or above
-    ``tol`` appends a ``kind`` witness to ``witnesses``."""
-    finite = np.isfinite(residuals)
-    if not finite.all():
-        residuals = residuals[finite]
-    worst = float(residuals.max()) if residuals.size else np.nan
-    if not worst <= tol:  # nan fails too
-        witnesses.append({"kind": kind, "max_residual": worst, "tol": tol})
-    # finite residuals near the float maximum sum to inf: the mean reads inf
-    with np.errstate(over="ignore"):
-        mean = float(residuals.mean()) if residuals.size else np.nan
-    return {"max_residual": worst, "mean_residual": mean}
-
-
 def euler_residual(p: ScalarField, alpha: float,
                    plan: Optional[SamplingPlan] = None,
                    grad_spec: Optional[GradientSpec] = None,
@@ -106,33 +89,32 @@ def euler_residual(p: ScalarField, alpha: float,
     coordinate at least ``coord_floor`` from the reference to keep the
     difference stencil well conditioned.  A largest residual above ``tol``,
     or none finite, is an ``euler_residual`` witness.  The samples are
-    drawn and evaluated in blocks of rows; each one's residual is kept, for
-    the pairwise sum of their mean.
+    drawn and evaluated in blocks of rows; the mean of the finite residuals
+    is a sum of block sums.
     """
     plan = plan or SamplingPlan()
     spec = grad_spec or GradientSpec()
     floored = (p.n, lambda count, rng: _floored_box_points(
         plan, p.n, coord_floor, rng, count))
-    residuals = np.empty(plan.n_samples)
-    excluded = 0
-    witnesses = []
-    for rows, Z in sample_blocks(plan, floored):
+    residuals, witnesses = RunningResidual(), []
+    for _, Z in sample_blocks(plan, floored):
         X = p.absolute(Z)
         dots = np.einsum("ij,ij->i", p.gradient_values(X, spec), Z)
         # a huge alpha overflows alpha p to inf, witnessed as non-finite
         with np.errstate(over="ignore"):
-            res = residuals[rows] = np.abs(alpha * p.values(X) - dots)
-        bad = ~np.isfinite(res)
-        if bad.any():
-            excluded += int(np.count_nonzero(bad))
-            witnesses += row_witnesses(bad, "non_finite",
-                                       FEW_WITNESSES - len(witnesses), x=X)
-    return EulerReport(**_max_and_mean(residuals, "euler_residual", tol,
-                                       witnesses), alpha=alpha,
-                       grad_mode=_grad_mode(p, spec), h=spec.h,
-                       n_samples=plan.n_samples, excluded=excluded,
-                       seed=plan.seed, notes={"coord_floor": coord_floor},
-                       witnesses=witnesses)
+            res = np.abs(alpha * p.values(X) - dots)
+        finite = np.isfinite(res)
+        residuals.add(res, finite)
+        witnesses += row_witnesses(~finite, "non_finite",
+                                   FEW_WITNESSES - len(witnesses), x=X)
+    if not residuals.max <= tol:  # nan fails too
+        witnesses.append({"kind": "euler_residual",
+                          "max_residual": residuals.max, "tol": tol})
+    return EulerReport(max_residual=residuals.max, mean_residual=residuals.mean,
+                       alpha=alpha, grad_mode=_grad_mode(p, spec), h=spec.h,
+                       n_samples=plan.n_samples, seed=plan.seed,
+                       excluded=plan.n_samples - residuals.count,
+                       notes={"coord_floor": coord_floor}, witnesses=witnesses)
 
 
 def general_euler_residual(field: ScalarField, d: Decomposition,
@@ -149,27 +131,25 @@ def general_euler_residual(field: ScalarField, d: Decomposition,
     above ``tol``, or none kept, is a ``general_euler_residual`` witness.
 
     The samples are drawn in blocks of rows, twice: the floor needs p at
-    every sample first.  p is kept per sample, and then its residual.
+    every sample first, so p is kept per sample.  The mean is a sum of block
+    sums.
     """
     plan = plan or SamplingPlan()
     spec = grad_spec or GradientSpec()
     count = plan.n_samples
 
-    col = np.empty(count)  # p, then the residual of each kept sample
-    scale = 0.0
+    col = np.empty(count)  # p of each sample
+    p_abs = RunningResidual()  # |p|, for the floor
     for (rows, _), p, _ in d.p_blocks(count, lambda: _box_blocks(field, plan)):
         col[rows] = p
-        finite = p[np.isfinite(p)]
-        if finite.size:
-            scale = max(scale, float(np.abs(finite).max()))
+        p_abs.add(np.abs(p), np.isfinite(p))
 
-    kept = 0
-    witnesses = []
+    kept, residuals, witnesses = 0, RunningResidual(), []
     for rows, Z in sample_blocks(plan, field.n):
         X = field.absolute(Z)
         p = col[rows]
         finite = np.isfinite(p)
-        keep = finite & (np.abs(p) >= P_FLOOR_FRAC * scale) & (p != 0)
+        keep = finite & (np.abs(p) >= P_FLOOR_FRAC * p_abs.max) & (p != 0)
         pk = p[keep]
         step = PHI_STEP * (1.0 + np.abs(pk))
         if d.case == "one-sided":
@@ -178,17 +158,18 @@ def general_euler_residual(field: ScalarField, d: Decomposition,
         phi_prime = ((d.phi_values(pk + step) - d.phi_values(pk - step))
                      / (2.0 * step))
         lhs = np.einsum("ij,ij->i", field.gradient_values(X[keep], spec), Z[keep])
-        residuals = np.abs(lhs - d.alpha * phi_prime * pk)
+        res = np.abs(lhs - d.alpha * phi_prime * pk)
         bad = ~finite  # p, or on a kept row the residual, is not finite
-        bad[keep] = ~np.isfinite(residuals)
+        bad[keep] = ~np.isfinite(res)
         witnesses += row_witnesses(bad, "non_finite",
                                    FEW_WITNESSES - len(witnesses), x=X)
-        col[rows] = np.nan
-        col[rows][keep] = residuals
+        residuals.add(res, ~bad[keep])
         kept += int(np.count_nonzero(keep))
-    return EulerReport(**_max_and_mean(col, "general_euler_residual", tol,
-                                       witnesses), alpha=d.alpha,
-                       grad_mode=_grad_mode(field, spec), h=spec.h,
+    if not residuals.max <= tol:  # nan fails too
+        witnesses.append({"kind": "general_euler_residual",
+                          "max_residual": residuals.max, "tol": tol})
+    return EulerReport(max_residual=residuals.max, mean_residual=residuals.mean,
+                       alpha=d.alpha, grad_mode=_grad_mode(field, spec), h=spec.h,
                        n_samples=kept, excluded=count - kept, seed=plan.seed,
                        notes={"phi_step": PHI_STEP, "p_floor_frac": P_FLOOR_FRAC},
                        witnesses=witnesses)

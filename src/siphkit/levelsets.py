@@ -31,9 +31,9 @@ import numpy as np
 
 from .decomposition import ZERO_LEVEL_ATOL, Decomposition
 from .field import ScalarField, row_sumsq
-from .rays import (FEW_WITNESSES, MAX_WITNESSES, SamplingPlan, classify_ray,
-                   default_directions, ray_witness_kinds, row_witnesses,
-                   sample_blocks)
+from .rays import (FEW_WITNESSES, LEVEL_MATCH_ATOL, MAX_WITNESSES, SamplingPlan,
+                   classify_ray, default_directions, ray_witness_kinds,
+                   row_witnesses, sample_blocks)
 from .rootfind import (MAX_DOUBLINGS, NONFINITE, OK, STATUS_LABEL, UNBOUNDED,
                        RootResult, solve_monotone_batch)
 
@@ -70,10 +70,10 @@ def ray_level_radius(field: ScalarField, direction, c: float,
     on the wrong side of the ray's start, so the ray misses it), "unbounded"
     (bracket expansion exhausted -- evidence the ray never reaches the
     level), "discontinuous" (the ray jumps over the level: the solve
-    brackets a sign change, but its residual exceeds 1e-8 (1 + |c|)),
-    "whole-ray" (constant ray sitting exactly at the level), "non-finite",
-    or "non-monotone" (the ray has no unique crossing).  ``radius`` and
-    ``residual`` are nan unless the status is "ok".
+    brackets a sign change, but its residual exceeds ``LEVEL_MATCH_ATOL``
+    (1 + |c|)), "whole-ray" (constant ray sitting exactly at the level),
+    "non-finite", or "non-monotone" (the ray has no unique crossing).
+    ``radius`` and ``residual`` are nan unless the status is "ok".
 
     All rays are classified in one call and all monotone rays, on which a
     crossing is unique, are solved in one batched root solve.  Levels are
@@ -81,7 +81,7 @@ def ray_level_radius(field: ScalarField, direction, c: float,
     """
     D = np.atleast_2d(np.asarray(direction, dtype=float))
     kinds = classify_ray(field, D, grid=grid)
-    tol = 1e-12 * (1.0 + abs(field.f_star))
+    tol = ZERO_LEVEL_ATOL * (1.0 + abs(field.f_star))
     constant = "whole-ray" if abs(float(c) - field.f_star) <= tol else "unbounded"
     # non-monotone and non-finite rays keep their kind as status; the
     # monotone ones get theirs from the solve below
@@ -93,7 +93,7 @@ def ray_level_radius(field: ScalarField, direction, c: float,
         res = _solve_level(field, D[mono], c, increasing[mono])
         ok = res.status == OK
         status[mono] = STATUS_LABEL[res.status]
-        jumps = ok & (res.residual > 1e-8 * (1.0 + abs(float(c))))
+        jumps = ok & (res.residual > LEVEL_MATCH_ATOL * (1.0 + abs(float(c))))
         status[np.flatnonzero(mono)[jumps]] = "discontinuous"
         ok &= ~jumps
         radius[mono] = np.where(ok, res.t, np.nan)

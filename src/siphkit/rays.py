@@ -21,6 +21,7 @@ MAX_WITNESSES = 16
 # the cap of a list of non-finite samples and of each ball check
 FEW_WITNESSES = 4
 ORDER_ATOL = 1e-12
+LEVEL_MATCH_ATOL = 1e-8  # a root meets its level c within this times 1 + |c|
 CONST_TOL = 1e-10
 STEP_TOL = 1e-10
 # Rows per block of the bulk Monte Carlo probes: their working set is a few
@@ -45,6 +46,27 @@ def row_witnesses(mask, kind, limit=MAX_WITNESSES, /, **columns) -> list:
                for key, val in fields.items())
         witnesses.append({key: val for key, val in row if val is not None})
     return witnesses
+
+
+class RunningResidual:
+    """The largest and the mean of the residuals ``add`` takes block by
+    block, ``values[rows]`` of each; nan while none is taken.  The mean is a
+    sum of block sums, inf if finite values near the float maximum are."""
+
+    def __init__(self):
+        self.max, self.total, self.count = np.nan, 0.0, 0
+
+    def add(self, values: np.ndarray, rows: np.ndarray) -> None:
+        taken = values[rows]
+        if taken.size:
+            self.max = float(np.fmax(self.max, taken.max()))
+            with np.errstate(over="ignore"):
+                self.total += taken.sum()
+            self.count += taken.size
+
+    @property
+    def mean(self) -> float:
+        return float(self.total / self.count) if self.count else np.nan
 
 
 def ray_witness_kinds(kinds) -> np.ndarray:
@@ -374,7 +396,7 @@ def _image_group_check(field: ScalarField, directions, values, kinds, want: str,
     res = solve_monotone_batch(profile, np.full(len(D), v),
                                want == "strictly-increasing")
     reachable = (res.status == OK) & (res.t <= grid[-1] * (1 + 1e-9))
-    match_tol = 1e-8 * (1.0 + abs(v))
+    match_tol = LEVEL_MATCH_ATOL * (1.0 + abs(v))
     matched = reachable & (res.residual <= match_tol)
     if not matched.all():
         witnesses += row_witnesses(~matched, "endpoint_match_failed", 1,

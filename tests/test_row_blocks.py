@@ -222,6 +222,22 @@ def test_euler_witnesses_fill_from_several_blocks():
     assert rep.excluded == bad.size
 
 
+def test_euler_residuals_none_finite_in_the_first_block_equal_one_shot():
+    # finite only on the slab x_1 < -1.999 of the floored box, which no row
+    # of the first block reaches and 4 later rows do
+    p = ScalarField(2, lambda X: np.where(X[:, 0] < -1.999, 1.0, np.nan)
+                    * row_sumsq(X), vectorized=True)
+    plan = SamplingPlan(n_samples=2 * B + 3, seed=6)
+    spec = GradientSpec(force_numerical=True)
+    rep = euler_residual(p, 2.0, plan, spec)
+    want = one_shot_euler_residuals(p, 2.0, plan, spec)
+    finite = np.isfinite(want)
+    assert not finite[:B].any() and np.count_nonzero(finite) == 4
+    assert rep.max_residual == want[finite].max()
+    assert rep.mean_residual == want[finite].mean()
+    assert rep.excluded == plan.n_samples - 4
+
+
 # ---------------------------------------------------------------------------
 # decompose, the uniqueness check and verify general-euler
 
@@ -336,6 +352,20 @@ def _thin_cone():
     return field, {"x1": [1.0, 0.0], "xm1": [-1.0, 0.0]}
 
 
+def _needle():
+    # |x| / 1e4 less the distance to the axis u at the angle 1.1105, and 0
+    # off that thin cone: at seed 3 it holds no row of the first block but
+    # rows B and 15,358, so p = 0 and no residual is taken on the first
+    # block
+    u0, u1 = np.cos(1.1105), np.sin(1.1105)
+
+    def f(X):
+        off = np.abs(X[:, 0] * u1 - X[:, 1] * u0)
+        return np.where(X[:, 0] * u0 + X[:, 1] * u1 > 0,
+                        np.maximum(1e-4 * np.sqrt(row_sumsq(X)) - off, 0.0), 0.0)
+    return ScalarField(2, f, vectorized=True), {"x0": [u0, u1]}
+
+
 _DECOMPOSE_CASES = {
     "sphere": lambda: (make_builtin("sphere", 3), {}),
     "gauss_si": lambda: (make_builtin("gauss_si", 4), {}),
@@ -343,6 +373,7 @@ _DECOMPOSE_CASES = {
     "random_si": lambda: (random_si(3, 3), {}),
     "thin_cone": _thin_cone,
     "nan_slab": lambda: (_nan_left_of(-1.9985), {"x0": [1.0, 0.0]}),
+    "needle": _needle,
 }
 
 
@@ -404,6 +435,10 @@ def test_decompose_cases_span_several_blocks():
     assert FEW_WITNESSES > np.count_nonzero(slab < B) > 0
     assert [w["point"] for w in verify_decomposition(field, d, plan).witnesses] \
         == X[slab[:FEW_WITNESSES]].tolist()
+    # the needle's first block has p = 0 on every row, and row B has not
+    field, (d, _) = _decompositions("needle", plan, alpha=2.0)
+    p = verify_decomposition(field, d, plan).p_samples
+    assert not p[:B].any() and p[B] > 0
 
 
 def _saturating_cone():
@@ -664,14 +699,14 @@ def _peak(fn):
     return out, peak
 
 
-def test_euler_memory_is_the_block_and_the_residuals():
+def test_euler_memory_is_the_block():
     p = make_builtin("sphere", 2)
     p.f_star
     rep, peak = _peak(lambda: euler_residual(p, 2.0, SamplingPlan(
         n_samples=N_BIG, seed=3)))
     assert rep.n_samples == N_BIG and rep.max_residual < 1e-10
-    # below one whole-sample array of the points
-    assert peak < BLOCK_BYTES + COLUMN < N_BIG * 2 * 8 + COLUMN
+    # below one whole-sample array of the points, or of the residuals
+    assert peak < BLOCK_BYTES < COLUMN < N_BIG * 2 * 8
 
 
 def test_general_euler_memory_is_the_block_and_one_column():
@@ -680,8 +715,8 @@ def test_general_euler_memory_is_the_block_and_one_column():
     rep, peak = _peak(lambda: general_euler_residual(field, d, SamplingPlan(
         n_samples=N_BIG, seed=3)))
     assert rep.n_samples + rep.excluded == N_BIG
-    # p, then the residuals, in one column; the finite residuals copied out
-    assert peak < BLOCK_BYTES + 2 * COLUMN
+    # p in one column, which the floor needs; no residual is kept
+    assert peak < BLOCK_BYTES + COLUMN
 
 
 def test_decompose_memory_is_the_block_and_its_columns():
